@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.evaluation.harness import run_spmv_suite
+from repro.evaluation.harness import run_suite
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
@@ -40,7 +40,7 @@ def results_dir() -> Path:
 @pytest.fixture(scope="session")
 def suite_rows():
     """One (kernel x dataset) sweep shared by every figure bench."""
-    return run_spmv_suite(ALL_KERNELS, scale=BENCH_SCALE)
+    return run_suite(ALL_KERNELS, app="spmv", scale=BENCH_SCALE)
 
 
 def emit(results_dir: Path, name: str, text: str) -> None:

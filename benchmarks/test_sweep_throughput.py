@@ -1,14 +1,14 @@
 """Corpus-sweep throughput bench: cold vs warm, pooled vs persistent.
 
 Times one small (kernel x dataset) grid under every harness fan-out
-configuration and both plan-persistence layouts, then writes
+configuration and the journaled plan store, then writes
 ``BENCH_sweep.json`` at the repo root so subsequent PRs have a
 throughput trajectory to regress against:
 
 * ``cold_serial`` / ``warm_serial`` -- same process, plan cache cold
-  (fresh directory) vs warm (second sweep of the identical grid);
-* ``thread_pool_w4`` / ``process_pool_w2`` -- the two pool executors
-  over the same grid (the process pool spawned per sweep, as before);
+  (fresh journal) vs warm (second sweep of the identical grid);
+* ``process_pool_w2`` -- the process executor over the same grid, its
+  pool spawned per sweep;
 * ``pool_reuse_first`` / ``pool_reuse_warm`` -- the persistent
   :class:`~repro.engine.worker_pool.SweepExecutor`: first sweep pays the
   one-time spawn, later sweeps run against warm workers (warm is the
@@ -25,17 +25,14 @@ throughput trajectory to regress against:
   hit rate is 100% without the single-worker crutch
   (``steady_state_w4_hit_rate``, CI-floored; placement asserted
   identical across sweeps);
-* ``fresh_process_cold`` / ``fresh_process_warm`` -- a subprocess
-  sweeping the grid against the per-file plan-cache directory;
-* ``store_fresh_cold`` / ``store_fresh_warm`` -- the same two
-  subprocesses against the single-file journaled plan store; the warm
-  one must avoid exactly the misses the cold one paid
+* ``store_fresh_cold`` / ``store_fresh_warm`` -- two subprocesses
+  sweeping the grid against the journaled plan store; the warm one must
+  avoid exactly the misses the cold one paid
   (``disk_hits == misses_avoided``), all from one file on disk.
 
-Persistence is verified by counters, not timing.  The timing assertions
-encode the PR's acceptance floor: warm persistent-pool sweeps beat the
-spawn-per-sweep process path by >= 1.5x and are no slower than the
-thread pool at smoke scale.
+Persistence is verified by counters, not timing.  The timing assertion
+encodes the acceptance floor: warm persistent-pool sweeps beat the
+spawn-per-sweep process path by >= 1.5x at smoke scale.
 
 Runs in smoke mode by default (tiny corpus; CI-friendly).  Environment
 knobs scale it up for real benching: ``REPRO_BENCH_SWEEP_SCALE``
@@ -51,7 +48,12 @@ import sys
 import time
 from pathlib import Path
 
-from repro.engine import SweepExecutor, clear_plan_cache, configure_global_plan_cache
+from repro.engine import (
+    ExecutionContext,
+    SweepExecutor,
+    clear_plan_cache,
+    configure_global_plan_cache,
+)
 from repro.evaluation.harness import run_suite
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -70,19 +72,17 @@ def _timed_sweep(**kwargs) -> tuple[float, list]:
     return time.perf_counter() - t0, rows
 
 
-def _fresh_process_sweep(target: Path, knob: str) -> tuple[float, dict]:
-    """Sweep the same grid in a brand-new interpreter; report cache info.
-
-    ``knob`` selects the persistence layout: ``plan_cache_dir`` (per-file)
-    or ``plan_store`` (single-file journal).
-    """
+def _fresh_process_sweep(store: Path) -> tuple[float, dict]:
+    """Sweep the same grid in a brand-new interpreter against the plan
+    journal at ``store``; report cache info."""
     script = (
         "import json, sys, time\n"
         "from repro.evaluation.harness import run_suite\n"
-        "from repro.engine import global_plan_cache\n"
+        "from repro.engine import ExecutionContext, global_plan_cache\n"
         "t0 = time.perf_counter()\n"
         f"run_suite({KERNELS!r}, app='spmv', scale={SWEEP_SCALE!r},\n"
-        f"          limit={SWEEP_LIMIT}, {knob}=sys.argv[1])\n"
+        f"          limit={SWEEP_LIMIT},\n"
+        "          ctx=ExecutionContext(plan_store=sys.argv[1]))\n"
         "elapsed = time.perf_counter() - t0\n"
         "print(json.dumps({'elapsed_s': elapsed,\n"
         "                  'cache': global_plan_cache().info()}))\n"
@@ -90,7 +90,7 @@ def _fresh_process_sweep(target: Path, knob: str) -> tuple[float, dict]:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
     out = subprocess.run(
-        [sys.executable, "-c", script, str(target)],
+        [sys.executable, "-c", script, str(store)],
         capture_output=True, text=True, env=env, check=True,
     )
     payload = json.loads(out.stdout.strip().splitlines()[-1])
@@ -98,17 +98,17 @@ def _fresh_process_sweep(target: Path, knob: str) -> tuple[float, dict]:
 
 
 def test_sweep_throughput(tmp_path):
-    cache_dir = tmp_path / "plans"
+    store = tmp_path / "plans.journal"
+    ctx = ExecutionContext(plan_store=str(store))
 
-    # -- In-process: cold vs warm, then the two pool executors. --------
-    configure_global_plan_cache(cache_dir)
+    # -- In-process: cold vs warm, then the process executor. ----------
+    configure_global_plan_cache(store)
     try:
         clear_plan_cache()
         cold_s, cold_rows = _timed_sweep(executor="serial")
         warm_s, warm_rows = _timed_sweep(executor="serial")
-        thread_s, thread_rows = _timed_sweep(executor="thread", max_workers=4)
         process_s, process_rows = _timed_sweep(
-            executor="process", max_workers=2, plan_cache_dir=cache_dir
+            executor="process", max_workers=2, ctx=ctx
         )
 
         # -- Persistent pool: spawn once at machine-natural width, stream
@@ -117,12 +117,12 @@ def test_sweep_throughput(tmp_path):
         # steady-state number). --
         with SweepExecutor() as pool:
             pool_first_s, pool_first_rows = _timed_sweep(
-                executor="process", pool=pool, plan_cache_dir=cache_dir
+                executor="process", pool=pool, ctx=ctx
             )
             warm_times = []
             for _ in range(3):
                 t, pool_warm_rows = _timed_sweep(
-                    executor="process", pool=pool, plan_cache_dir=cache_dir
+                    executor="process", pool=pool, ctx=ctx
                 )
                 warm_times.append(t)
             pool_info = pool.info()
@@ -134,12 +134,12 @@ def test_sweep_throughput(tmp_path):
         # One worker keeps the batch->worker placement deterministic. --
         with SweepExecutor(max_workers=1) as ss_pool:
             ss_first_s, ss_first_rows = _timed_sweep(
-                executor="process", pool=ss_pool, plan_cache_dir=cache_dir
+                executor="process", pool=ss_pool, ctx=ctx
             )
             ss_times = []
             for _ in range(3):
                 t, ss_warm_rows = _timed_sweep(
-                    executor="process", pool=ss_pool, plan_cache_dir=cache_dir
+                    executor="process", pool=ss_pool, ctx=ctx
                 )
                 ss_times.append(t)
         ss_warm_s = min(ss_times)
@@ -157,13 +157,13 @@ def test_sweep_throughput(tmp_path):
 
         with SweepExecutor(max_workers=4) as w4_pool:
             w4_first_s, w4_first_rows = _timed_sweep(
-                executor="process", pool=w4_pool, plan_cache_dir=cache_dir
+                executor="process", pool=w4_pool, ctx=ctx
             )
             w4_times = []
             w4_placements = []
             for _ in range(3):
                 t, w4_warm_rows = _timed_sweep(
-                    executor="process", pool=w4_pool, plan_cache_dir=cache_dir
+                    executor="process", pool=w4_pool, ctx=ctx
                 )
                 w4_times.append(t)
                 w4_placements.append(_placement(w4_warm_rows))
@@ -181,7 +181,7 @@ def test_sweep_throughput(tmp_path):
         return [(r.kernel, r.dataset, r.elapsed) for r in rows]
 
     # Identical deterministic row sets under every configuration.
-    assert key(cold_rows) == key(warm_rows) == key(thread_rows) == key(process_rows)
+    assert key(cold_rows) == key(warm_rows) == key(process_rows)
     assert key(pool_first_rows) == key(pool_warm_rows) == key(cold_rows)
 
     # The pool really was persistent: one spawn served all four sweeps,
@@ -189,11 +189,9 @@ def test_sweep_throughput(tmp_path):
     assert pool_info["pool_spawns"] == 1 and pool_info["sweeps"] == 4
     assert pool_info["shm_reused"] > 0
 
-    # Acceptance floors: warm pool reuse beats the spawn-per-sweep
-    # process path by >= 1.5x and keeps up with the thread pool (15%
-    # slack absorbs scheduler jitter at millisecond scale).
+    # Acceptance floor: warm pool reuse beats the spawn-per-sweep
+    # process path by >= 1.5x.
     assert pool_warm_s * 1.5 <= process_s, (pool_warm_s, process_s)
-    assert pool_warm_s <= thread_s * 1.15, (pool_warm_s, thread_s)
 
     # Steady-state acceptance: the first warm-pool sweep built every
     # problem/oracle (all misses), later sweeps on the same workers
@@ -225,23 +223,14 @@ def test_sweep_throughput(tmp_path):
     assert w4_hit_rate == 1.0, w4_hit_rate
     assert w4_info["sticky_shards"] > 0
 
-    # -- Fresh processes: per-file directory vs single-file store. ------
-    fresh_cache = tmp_path / "plans-fresh"
-    fp_cold_s, fp_cold_info = _fresh_process_sweep(fresh_cache, "plan_cache_dir")
-    fp_warm_s, fp_warm_info = _fresh_process_sweep(fresh_cache, "plan_cache_dir")
-
-    # The acceptance criterion: a warm second sweep of the same grid in a
-    # fresh process serves plans from disk, not by replanning.
-    assert fp_cold_info["misses"] > 0 and fp_cold_info["disk_hits"] == 0
-    assert fp_warm_info["disk_hits"] > 0
-    assert fp_warm_info["misses"] == 0
-
+    # -- Fresh processes against the journaled plan store. --------------
     store_dir = tmp_path / "store"
     store_path = store_dir / "plans.journal"
-    st_cold_s, st_cold_info = _fresh_process_sweep(store_path, "plan_store")
-    st_warm_s, st_warm_info = _fresh_process_sweep(store_path, "plan_store")
+    st_cold_s, st_cold_info = _fresh_process_sweep(store_path)
+    st_warm_s, st_warm_info = _fresh_process_sweep(store_path)
 
-    # Same contract through the journal: every miss the cold run paid is
+    # A warm second sweep of the same grid in a fresh process serves
+    # plans from disk, not by replanning: every miss the cold run paid is
     # a disk hit in the warm one (disk_hits == misses_avoided), served
     # from a single file on disk.
     assert st_cold_info["misses"] > 0 and st_cold_info["disk_hits"] == 0
@@ -259,7 +248,6 @@ def test_sweep_throughput(tmp_path):
         "timings_s": {
             "cold_serial": round(cold_s, 6),
             "warm_serial": round(warm_s, 6),
-            "thread_pool_w4": round(thread_s, 6),
             "process_pool_w2": round(process_s, 6),
             "pool_reuse_first": round(pool_first_s, 6),
             "pool_reuse_warm": round(pool_warm_s, 6),
@@ -267,8 +255,6 @@ def test_sweep_throughput(tmp_path):
             "steady_state_warm": round(ss_warm_s, 6),
             "steady_state_w4_first": round(w4_first_s, 6),
             "steady_state_w4_warm": round(w4_warm_s, 6),
-            "fresh_process_cold": round(fp_cold_s, 6),
-            "fresh_process_warm": round(fp_warm_s, 6),
             "store_fresh_cold": round(st_cold_s, 6),
             "store_fresh_warm": round(st_warm_s, 6),
         },
@@ -277,17 +263,11 @@ def test_sweep_throughput(tmp_path):
             "pool_reuse_over_process": (
                 round(process_s / pool_warm_s, 3) if pool_warm_s else None
             ),
-            "pool_reuse_over_thread": (
-                round(thread_s / pool_warm_s, 3) if pool_warm_s else None
-            ),
             "steady_state_warm_over_first": (
                 round(ss_first_s / ss_warm_s, 3) if ss_warm_s else None
             ),
             "steady_state_w4_warm_over_first": (
                 round(w4_first_s / w4_warm_s, 3) if w4_warm_s else None
-            ),
-            "fresh_process_warm_over_cold": (
-                round(fp_cold_s / fp_warm_s, 3) if fp_warm_s else None
             ),
             "store_fresh_warm_over_cold": (
                 round(st_cold_s / st_warm_s, 3) if st_warm_s else None
@@ -306,8 +286,6 @@ def test_sweep_throughput(tmp_path):
         },
         "plan_cache": {
             "in_process_final": in_process_info,
-            "fresh_process_cold": fp_cold_info,
-            "fresh_process_warm": fp_warm_info,
             "store_fresh_cold": st_cold_info,
             "store_fresh_warm": st_warm_info,
         },

@@ -8,8 +8,9 @@ plumbing.  The built-ins guard the contracts earlier PRs introduced:
 ``env-docs``
     Every ``REPRO_*`` environment variable read anywhere under ``src/``
     or ``benchmarks/`` must appear (backticked) in README's environment
-    table.  Prefix globs in code (``REPRO_PROBLEM_CACHE_*`` spellings)
-    are skipped.
+    table, and every one README names must still be read there -- a
+    row cannot outlive the code that read it.  Prefix globs
+    (``REPRO_PROBLEM_CACHE_*`` spellings) are skipped on both sides.
 ``fault-sites``
     Every ``faults.inject("...")`` site string must be declared in
     :data:`repro.faults.KNOWN_SITES` and exercised by name in
@@ -69,39 +70,41 @@ def _python_files(root: Path, subdirs) -> list[Path]:
     return files
 
 
-def _iter_env_reads(root: Path):
-    """Yield ``(path, line_number, var)`` for every env var in code.
+def _env_vars(path: Path):
+    """Yield ``(line_number, var)`` for every env var named in a file.
 
     Skips prefix globs: a match immediately followed by ``*`` (e.g. the
     ``REPRO_PROBLEM_CACHE_*`` family reset helper) or ending in ``_`` is
     a pattern over variables, not a variable.
     """
-    for path in _python_files(root, ("src", "benchmarks")):
-        text = path.read_text()
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            for match in _ENV_VAR.finditer(line):
-                var = match.group(0)
-                end = match.end()
-                if var.endswith("_"):
-                    continue
-                if end < len(line) and line[end] == "*":
-                    continue
-                yield path, lineno, var
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        for match in _ENV_VAR.finditer(line):
+            var = match.group(0)
+            end = match.end()
+            if var.endswith("_"):
+                continue
+            if end < len(line) and line[end] == "*":
+                continue
+            yield lineno, var
+
+
+def _first_mentions(paths) -> dict[str, tuple[Path, int]]:
+    """``{var: (path, line)}`` of each variable's first mention."""
+    first: dict[str, tuple[Path, int]] = {}
+    for path in paths:
+        for lineno, var in _env_vars(path):
+            first.setdefault(var, (path, lineno))
+    return first
 
 
 def _lint_env_docs(root: Path) -> list[LintFinding]:
     readme = root / "README.md"
-    documented = (
-        set(_ENV_VAR.findall(readme.read_text())) if readme.is_file() else set()
-    )
+    documented = _first_mentions([readme] if readme.is_file() else [])
+    read = _first_mentions(_python_files(root, ("src", "benchmarks")))
     findings = []
-    seen: set[str] = set()
-    for path, lineno, var in _iter_env_reads(root):
-        if var in documented or var in seen:
-            continue
-        seen.add(var)
-        findings.append(
-            LintFinding(
+    for var, (path, lineno) in read.items():
+        if var not in documented:
+            findings.append(LintFinding(
                 lint="env-docs",
                 path=str(path.relative_to(root)),
                 line=lineno,
@@ -109,8 +112,18 @@ def _lint_env_docs(root: Path) -> list[LintFinding]:
                     f"environment variable {var} is read here but missing "
                     "from README.md's environment table"
                 ),
-            )
-        )
+            ))
+    for var, (path, lineno) in documented.items():
+        if var not in read:
+            findings.append(LintFinding(
+                lint="env-docs",
+                path=str(path.relative_to(root)),
+                line=lineno,
+                message=(
+                    f"environment variable {var} is documented here but "
+                    "nothing under src/ or benchmarks/ reads it"
+                ),
+            ))
     return findings
 
 
@@ -221,8 +234,8 @@ def _lint_kernel_parity(root: Path) -> list[LintFinding]:
 
 LINTS = {
     "env-docs": (
-        "every REPRO_* variable read in src/ or benchmarks/ is documented "
-        "in README.md",
+        "REPRO_* variables read in src/ or benchmarks/ and those documented "
+        "in README.md are the same set",
         _lint_env_docs,
     ),
     "fault-sites": (

@@ -28,8 +28,7 @@ the device spec and the launch override -- travel together in one frozen
 This module keeps the pieces the app declarations share: the
 :class:`AppResult` envelope, the SpMV cost model (reused by SpMM and the
 baselines), and input canonicalization helpers.  ``resolve_schedule``
-and ``ENGINES`` are re-exported from the engine layer for backward
-compatibility.
+is re-exported from the engine layer for backward compatibility.
 """
 
 from __future__ import annotations
@@ -40,15 +39,11 @@ from typing import Any
 import numpy as np
 
 from ..core.schedule import WorkCosts
-from ..engine.dispatch import available_engines, resolve_schedule
+from ..engine.dispatch import resolve_schedule
 from ..gpusim.arch import GpuSpec, V100
 from ..gpusim.cost_model import KernelStats
 
-__all__ = ["AppResult", "resolve_schedule", "spmv_costs", "ENGINES"]
-
-#: Deprecated alias: the engine set lives in a registry now
-#: (:func:`repro.engine.dispatch.available_engines`).
-ENGINES = available_engines()
+__all__ = ["AppResult", "resolve_schedule", "spmv_costs"]
 
 
 @dataclass

@@ -34,22 +34,16 @@ The ``sweep`` command is generic over the application registry
 (``--app``, default ``spmv``) and exposes the harness's performance
 knobs:
 
-* ``--executor {serial,thread,process}`` -- fan independent cells out
-  over a thread pool, or shard by dataset over a process pool (each
-  worker builds the problem/oracle once per dataset and runs every
-  kernel of that cell, dodging the GIL for pure-Python sections; CSR
-  payloads travel through shared memory, small shards are batched);
-* ``--keep-pool`` -- route the sweep through the process-wide persistent
-  worker pool so repeated invocations in one process reuse warm workers;
-* ``--transport {auto,shm,pickle}`` -- how dataset payloads reach
-  process-pool workers (shared-memory array bundles vs pickling);
-* ``--workers N`` -- pool width for either executor;
-* ``--plan-cache-dir DIR`` -- persist the engine's plan cache on disk
-  (one file per plan) so repeated sweeps of the same grid (and every
+* ``--workers N`` -- with ``N >= 1``, shard by dataset over the
+  process-wide persistent worker pool (:func:`~repro.engine.worker_pool.
+  default_executor`) of width ``N``: each worker builds the
+  problem/oracle once per dataset and runs every kernel of that cell,
+  dataset payloads travel through shared memory, small shards are
+  batched.  Without it (or with ``0``) the sweep runs serially;
+* ``--plan-store FILE`` -- persist the engine's plan cache in an
+  append-only journal so repeated sweeps of the same grid (and every
   process-pool worker) start warm instead of re-planning identical
-  launches;
-* ``--plan-store FILE`` -- same persistence as a single append-only
-  journal file (the corpus-scale layout: one open instead of thousands).
+  launches.
 
 ``serve`` runs the long-lived multi-tenant sweep daemon
 (:mod:`repro.service`) over one persistent warm executor; ``submit``
@@ -159,28 +153,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="CSV output path (default: stdout)")
     p_sweep.add_argument("--spec", default="V100")
     p_sweep.add_argument("--workers", type=int, default=None,
-                         help="pool width for independent cells/shards")
-    p_sweep.add_argument("--executor", default="thread",
-                         choices=["serial", "thread", "process"],
-                         help="fan-out strategy: thread pool over cells or "
-                              "process pool over per-dataset shards")
-    p_sweep.add_argument("--plan-cache-dir", type=Path, default=None,
-                         help="directory for the persistent plan cache "
-                              "(warm-starts repeated sweeps and workers)")
+                         help="process-pool width for per-dataset shards; "
+                              "0 or unset runs serially in-process")
     p_sweep.add_argument("--plan-store", type=Path, default=None,
-                         help="single-file journaled plan store (the "
-                              "corpus-scale alternative to --plan-cache-dir)")
-    p_sweep.add_argument("--keep-pool", action="store_true",
-                         help="with --executor process: reuse the "
-                              "process-wide persistent worker pool instead "
-                              "of spawning one per sweep")
-    p_sweep.add_argument("--transport", default="auto",
-                         choices=["auto", "shm", "pickle"],
-                         help="with --executor process: how dataset payloads "
-                              "reach workers -- shared-memory array bundles "
-                              "with pickle fallback (auto), forced shared "
-                              "memory (errors on unbundleable payloads), or "
-                              "forced pickling")
+                         help="journaled plan store (warm-starts repeated "
+                              "sweeps and workers)")
     p_sweep.add_argument("--rows-jsonl", type=Path, default=None,
                          help="also write one JSON object per result row "
                               "(the schema the sweep service streams) to "
@@ -226,9 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--journal", type=Path, default=None,
                          help="crash-safe results journal (every accepted "
                               "job, row and completion, CRC-framed)")
-    p_serve.add_argument("--transport", default="auto",
-                         choices=["auto", "shm", "pickle"],
-                         help="dataset transport to pool workers")
     p_serve.add_argument("--plan-store", type=Path, default=None,
                          help="journaled plan store shared by every job")
     p_serve.add_argument("--job-timeout", type=float, default=None,
@@ -388,16 +362,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if error is not None:
         print(error, file=sys.stderr)
         return 2
-    if args.plan_cache_dir is not None and args.plan_store is not None:
-        print("--plan-cache-dir and --plan-store are mutually exclusive",
-              file=sys.stderr)
-        return 2
-    if args.keep_pool and args.executor != "process":
-        print("--keep-pool requires --executor process", file=sys.stderr)
-        return 2
-    if args.transport != "auto" and args.executor != "process":
-        print("--transport requires --executor process (dataset transport "
-              "only applies to process-pool sweeps)", file=sys.stderr)
+    if args.workers is not None and args.workers < 0:
+        print(f"--workers must be >= 0, got {args.workers}", file=sys.stderr)
         return 2
     rows_jsonl_fh = None
     if args.rows_jsonl is not None:
@@ -415,11 +381,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         engine=args.engine,
         spec=get_spec(args.spec),
         gpus=args.gpus,
-        plan_cache_dir=(
-            None if args.plan_cache_dir is None else str(args.plan_cache_dir)
-        ),
         plan_store=None if args.plan_store is None else str(args.plan_store),
     )
+    fan_out = {}
+    if args.workers:
+        from .engine.worker_pool import default_executor
+
+        fan_out = dict(executor="process", pool=default_executor(args.workers))
     try:
         rows = run_suite(
             kernels,
@@ -429,10 +397,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             limit=args.limit,
             seed=DEFAULT_SEED if args.seed is None else args.seed,
             validate=not args.no_validate,
-            max_workers=args.workers,
-            executor=args.executor,
-            keep_pool=args.keep_pool,
-            transport=args.transport,
+            **fan_out,
         )
     except BaseException:
         if rows_jsonl_fh is not None:
@@ -542,7 +507,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             width=width,
             queue_depth=args.queue_depth,
             journal_path=None if args.journal is None else str(args.journal),
-            transport=args.transport,
             plan_store=None if args.plan_store is None else str(args.plan_store),
             job_timeout=args.job_timeout,
         )
@@ -764,8 +728,7 @@ def _check_plan_store_path(path: Path) -> str | None:
     if not path.exists():
         return f"no plan store at {path}"
     if path.is_dir():
-        return (f"{path} is a directory, not a plan-store journal "
-                f"(did you mean --plan-cache-dir?)")
+        return f"{path} is a directory, not a plan-store journal"
     with open(path, "rb") as fh:
         head = fh.read(len(STORE_MAGIC) + 4)
     if (len(head) < len(STORE_MAGIC) + 4

@@ -12,7 +12,7 @@ level:
 * **Context** (:mod:`.context`) -- :class:`ExecutionContext`, the one
   frozen, picklable execution-selection object: engine name, device
   spec, :class:`~repro.core.policy.SchedulePolicy`, launch override,
-  schedule options, plan-cache directory and device count.  Every public
+  schedule options, plan store and device count.  Every public
   entry point accepts ``ctx=``; the legacy loose kwargs are a shim over
   :meth:`ExecutionContext.from_kwargs`.
 * **Dispatch** (:mod:`.dispatch`) -- pluggable engines behind a registry
@@ -29,20 +29,18 @@ level:
 * **Plan cache** (:mod:`.plan_cache`) -- planning is pure, so the vector
   engine memoizes :meth:`Schedule.plan` keyed by (schedule, launch
   geometry, work content, costs, device): corpus sweeps stop re-planning
-  identical launches.  An optional disk layer persists plans across
-  processes in one of two layouts: one file per plan (``plan_cache_dir``
-  / ``REPRO_PLAN_CACHE_DIR``) or the corpus-scale append-only
+  identical launches.  An optional disk layer -- the append-only
   single-file journal of :mod:`.plan_store` (``plan_store`` /
-  ``REPRO_PLAN_STORE``), so repeated figure benches and process-pool
-  sweep workers start warm.
+  ``REPRO_PLAN_STORE``) -- persists plans across processes, so repeated
+  figure benches and process-pool sweep workers start warm.
 * **Worker pool** (:mod:`.worker_pool`) -- :class:`SweepExecutor`, the
   persistent process pool behind ``executor="process"`` sweeps: warm
-  workers survive across ``run_suite`` calls (``keep_pool=True`` shares
-  the module-wide :func:`default_executor`), small shards are batched
+  workers survive across ``run_suite`` calls (``pool=default_executor()``
+  shares the module-wide pool), small shards are batched
   into one pickle crossing, and dataset payloads travel through
   ``multiprocessing.shared_memory`` as array bundles -- pluggable
   :class:`ShmCodec` packers cover CSR matrices, COO sparse tensors and
-  dense arrays -- instead of the pickle stream.  Warm workers also keep
+  dense arrays -- instead of the pickle stream (anything else is pickled).  Warm workers also keep
   a bounded content-keyed :class:`ProblemCache` of built problem/oracle
   pairs, making steady-state sweeps rebuild-free.
 * **Seeding** (:mod:`.seeding`) -- the one deterministic input-vector
@@ -95,7 +93,6 @@ from .compiled import (
 from .multi_gpu import MultiGpuEngine
 from .context import DEFAULT_CONTEXT, ExecutionContext
 from .plan_cache import (
-    CACHE_DIR_ENV,
     CACHE_FORMAT_VERSION,
     PLAN_STORE_ENV,
     PlanCache,
@@ -112,7 +109,6 @@ from .plan_store import (
 )
 from .worker_pool import (
     SHARED_ORACLE_BYTES_ENV,
-    TRANSPORTS,
     ArrayBundleHandle,
     ProblemCache,
     SharedPayloadHandle,
@@ -138,10 +134,6 @@ from .registry import (
 )
 from .seeding import DEFAULT_SEED, input_matrix, input_vector
 
-#: Deprecated alias for :func:`available_engines` -- the engine set is a
-#: registry now, not a hard-coded tuple.
-ENGINES = available_engines()
-
 __all__ = [
     "SchedulePolicy",
     "FixedPolicy",
@@ -150,7 +142,6 @@ __all__ = [
     "OracleBestPolicy",
     "PolicyError",
     "as_policy",
-    "ENGINES",
     "Engine",
     "EngineError",
     "UnknownEngineError",
@@ -180,7 +171,6 @@ __all__ = [
     "resolve_schedule",
     "ExecutionContext",
     "DEFAULT_CONTEXT",
-    "CACHE_DIR_ENV",
     "CACHE_FORMAT_VERSION",
     "PLAN_STORE_ENV",
     "PLAN_STORE_COMPACT_RATIO_ENV",
@@ -191,7 +181,6 @@ __all__ = [
     "RecordJournal",
     "RecordLocation",
     "SweepExecutor",
-    "TRANSPORTS",
     "ArrayBundleHandle",
     "SharedPayloadHandle",
     "ShmCodec",

@@ -13,7 +13,7 @@ selects *how* a declared application runs --
   (:class:`~repro.core.policy.SchedulePolicy`: fixed, heuristic,
   per-kernel, oracle-best),
 * launch-geometry overrides and schedule options,
-* the persistent **plan-cache** directory.
+* the persistent **plan store** journal.
 
 Every public app function, :func:`~repro.engine.registry.run_app`, the
 harness's ``run_suite`` and the CLI accept ``ctx=ExecutionContext(...)``
@@ -66,15 +66,10 @@ class ExecutionContext:
         Extra schedule construction options, stored as a sorted tuple of
         ``(name, value)`` pairs so the context stays hashable; a mapping
         is accepted and normalized.
-    plan_cache_dir:
-        Directory for the persistent plan cache's per-file layout
-        (``None`` = in-memory only).  Sweeps configure the process-global
-        cache from this.
     plan_store:
         Path of the single-file journaled plan store
-        (:mod:`repro.engine.plan_store`) -- the corpus-scale alternative
-        to ``plan_cache_dir`` (one file for all plans instead of one per
-        plan).  Mutually exclusive with ``plan_cache_dir``.
+        (:mod:`repro.engine.plan_store`); ``None`` = in-memory only.
+        Sweeps attach the process-global plan cache to it.
     gpus:
         Device count for multi-device engines.  ``gpus > 1`` with the
         default engine auto-selects ``"multi_gpu"`` -- scaling out is a
@@ -98,7 +93,6 @@ class ExecutionContext:
     policy: SchedulePolicy | None = None
     launch: LaunchParams | None = None
     schedule_options: tuple = ()
-    plan_cache_dir: str | None = None
     plan_store: str | None = None
     gpus: int = 1
     partition: str = "merge_path"
@@ -117,12 +111,8 @@ class ExecutionContext:
             )
         if self.policy is not None and not isinstance(self.policy, SchedulePolicy):
             object.__setattr__(self, "policy", as_policy(self.policy))
-        if self.plan_cache_dir is not None:
-            object.__setattr__(self, "plan_cache_dir", str(self.plan_cache_dir))
         if self.plan_store is not None:
             object.__setattr__(self, "plan_store", str(self.plan_store))
-        if self.plan_cache_dir is not None and self.plan_store is not None:
-            raise ValueError("pass either plan_cache_dir= or plan_store=, not both")
         if self.gpus < 1:
             raise ValueError("gpus must be >= 1")
         if self.gpus > 1:
@@ -154,8 +144,6 @@ class ExecutionContext:
         policy=_UNSET,
         gpus=_UNSET,
         partition=_UNSET,
-        plan_cache_dir=_UNSET,
-        plan_store=_UNSET,
         **schedule_options,
     ) -> "ExecutionContext":
         """Deprecation shim: build a context from the legacy loose kwargs.
@@ -170,8 +158,7 @@ class ExecutionContext:
             for name, value in [
                 ("engine", engine), ("schedule", schedule), ("spec", spec),
                 ("launch", launch), ("policy", policy), ("gpus", gpus),
-                ("partition", partition), ("plan_cache_dir", plan_cache_dir),
-                ("plan_store", plan_store),
+                ("partition", partition),
             ]
             if value is not _UNSET and value is not None
         }
@@ -196,8 +183,6 @@ class ExecutionContext:
             policy=as_policy(selection) if selection is not None else None,
             launch=legacy.get("launch"),
             schedule_options=tuple(sorted(schedule_options.items())),
-            plan_cache_dir=legacy.get("plan_cache_dir"),
-            plan_store=legacy.get("plan_store"),
             gpus=legacy.get("gpus", 1),
             partition=legacy.get("partition", "merge_path"),
         )

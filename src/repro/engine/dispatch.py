@@ -22,8 +22,8 @@ sites.
 
 :class:`VectorEngine` runs ``compute()`` and prices the launch through
 the analytic planner (memoized via :mod:`repro.engine.plan_cache`, whose
-optional disk layer persists plans across processes -- see the
-``plan_cache_dir`` knob on the harness and CLI);
+optional journal layer persists plans across processes -- see the
+``plan_store`` knob on the harness and CLI);
 :class:`SimtEngine` interprets ``kernel()`` thread-by-thread and folds
 the measured charges with the same cost model, so the two engines are
 cross-validated by construction.  Applications never branch on an engine
@@ -439,19 +439,12 @@ class Runtime:
         engine = self.engine
         if kernel_label is not None and kernel_label in self.engines:
             engine = self.engines[kernel_label]
-        kwargs = dict(
+        return engine.launch(
+            sched,
+            costs,
             compute=compute,
             kernel=kernel,
             compiled=compiled,
             extras=extras,
             cache_key=self._cache_key(),
         )
-        try:
-            return engine.launch(sched, costs, **kwargs)
-        except TypeError as exc:
-            # Third-party engines predating the ``compiled=`` keyword:
-            # retry without it rather than requiring a signature bump.
-            if "compiled" not in str(exc):
-                raise
-            kwargs.pop("compiled")
-            return engine.launch(sched, costs, **kwargs)

@@ -15,48 +15,25 @@ cache entirely: an instance may carry options the key cannot observe.
 
 Persistence
 -----------
-On top of the in-memory LRU sits an optional *disk layer*: give the
-cache a directory (``PlanCache(cache_dir=...)``, the harness/CLI
-``plan_cache_dir`` knob, or the ``REPRO_PLAN_CACHE_DIR`` environment
-variable for the process-wide cache) and every planned launch is also
-written to one file under that directory, keyed by the same content
-fingerprints.  A fresh process -- a repeated figure bench, or a
-:class:`~concurrent.futures.ProcessPoolExecutor` sweep worker -- then
-starts warm: in-memory misses fall through to the disk before planning
-live.
+On top of the in-memory LRU sits an optional *disk layer*: the
+append-only single-file journal of :class:`~repro.engine.plan_store.
+PlanStore`.  Attach it with ``PlanCache(store_path=...)``, the
+``ExecutionContext(plan_store=...)`` / ``--plan-store`` knob, or the
+``REPRO_PLAN_STORE`` environment variable for the process-wide cache,
+and every planned launch is also appended to the journal, keyed by the
+same content fingerprints.  A fresh process -- a repeated figure bench,
+or a process-pool sweep worker -- then starts warm: in-memory misses
+fall through to the journal before planning live.
 
 The disk layer can never change behaviour, only skip recomputation:
-
-* writes are atomic (temp file + ``os.replace``), so concurrent workers
-  sharing one directory race benignly (last write wins, all writes
-  contain the identical pure plan);
-* entries are versioned (:data:`CACHE_FORMAT_VERSION`) and carry their
-  full key; a version bump, a hash collision or a corrupted/truncated
-  file reads as a miss, never as an error.
-
-Two disk layouts are available, selected by which knob is set:
-
-``cache_dir``
-    One pickle file per plan under a directory -- simple, fully
-    concurrent, but corpus-squared workloads (full scale x every
-    schedule) pay one ``open`` per plan and leave thousands of files.
-``store_path``
-    One append-only journal file for *all* plans
-    (:class:`~repro.engine.plan_store.PlanStore`): a single open + one
-    sequential scan per process, CRC-verified records, in-memory index,
-    compaction.  The harness/CLI spelling is ``plan_store`` /
-    ``--plan-store``; the process-wide cache reads
-    ``REPRO_PLAN_STORE`` (which outranks ``REPRO_PLAN_CACHE_DIR``).
-
-Both layouts share the versioned-payload contract; a cache can have at
-most one disk layer attached at a time.
+records are CRC-verified and versioned (:data:`CACHE_FORMAT_VERSION`),
+so a version bump or a damaged record reads as a miss, never as an
+error.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
-import pickle
 import threading
 import zlib
 from collections import OrderedDict
@@ -77,24 +54,19 @@ __all__ = [
     "configure_global_plan_cache",
     "clear_plan_cache",
     "CACHE_FORMAT_VERSION",
-    "CACHE_DIR_ENV",
     "PLAN_STORE_ENV",
 ]
 
 #: Bump whenever the key schema, the pickled payload layout, or the
-#: planner semantics change: old cache directories then read as cold
+#: planner semantics change: old journals then read as cold
 #: (version-mismatch entries are ignored) instead of serving stale plans.
 #: v2: ``options_key`` became the policy cache token of the
 #: ExecutionContext redesign (``("fixed", name)`` instead of the bare
 #: schedule name).
 CACHE_FORMAT_VERSION = 2
 
-#: Environment variable the process-wide cache reads its directory from
-#: (how process-pool sweep workers under ``spawn`` inherit the knob).
-CACHE_DIR_ENV = "REPRO_PLAN_CACHE_DIR"
-
-#: Environment variable selecting the single-file journal store for the
-#: process-wide cache.  When both are set, the store wins.
+#: Environment variable attaching the journal store to the process-wide
+#: cache (how process-pool sweep workers under ``spawn`` inherit it).
 PLAN_STORE_ENV = "REPRO_PLAN_STORE"
 
 
@@ -111,7 +83,7 @@ class PlanCache:
     directly; unhashable keys and ``options_key=None`` fall through to a
     live plan, so the cache can never change behaviour -- only skip
     recomputation.  ``hits`` / ``misses`` counters make the skipping
-    observable to tests; with a ``cache_dir``, ``disk_hits`` counts the
+    observable to tests; with a ``store_path``, ``disk_hits`` counts the
     subset of hits served from the persistent layer (warm starts of a
     fresh process).
     """
@@ -119,60 +91,28 @@ class PlanCache:
     def __init__(
         self,
         maxsize: int = 1024,
-        cache_dir: str | Path | None = None,
         store_path: str | Path | None = None,
     ):
-        if cache_dir is not None and store_path is not None:
-            raise ValueError("pass either cache_dir= or store_path=, not both")
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
         self.disk_hits = 0
         self._entries: OrderedDict[tuple, KernelStats] = OrderedDict()
         self._lock = threading.Lock()
-        self._cache_dir: Path | None = None
         self._store: PlanStore | None = None
-        if store_path is not None:
-            self.set_store_path(store_path)
-        else:
-            self.set_cache_dir(cache_dir)
+        self.set_store_path(store_path)
 
     # ------------------------------------------------------------------
     # Persistence plumbing
     # ------------------------------------------------------------------
-    @property
-    def cache_dir(self) -> Path | None:
-        return self._cache_dir
-
     @property
     def store_path(self) -> Path | None:
         return self._store.path if self._store is not None else None
 
     @property
     def store(self) -> PlanStore | None:
-        """The attached journal store, if that disk layout is selected."""
+        """The attached journal store, if any."""
         return self._store
-
-    def _detach_disk(self) -> None:
-        self._cache_dir = None
-        if self._store is not None:
-            self._store.close()
-            self._store = None
-
-    def set_cache_dir(self, cache_dir: str | Path | None) -> None:
-        """Attach the per-file disk layer (``None`` detaches any layer).
-
-        Re-attaching the directory already in use is a no-op, so warm
-        pool workers can assert their configuration per shard for free.
-        """
-        if cache_dir is not None and self._cache_dir == Path(cache_dir):
-            return
-        self._detach_disk()
-        if cache_dir is None:
-            return
-        path = Path(cache_dir)
-        path.mkdir(parents=True, exist_ok=True)
-        self._cache_dir = path
 
     def set_store_path(self, store_path: str | Path | None) -> None:
         """Attach the single-file journal layer (``None`` detaches).
@@ -186,73 +126,36 @@ class PlanCache:
             and self._store.path == Path(store_path)
         ):
             return
-        self._detach_disk()
+        if self._store is not None:
+            self._store.close()
+            self._store = None
         if store_path is None:
             return
         self._store = PlanStore(store_path)
 
-    def _entry_path(self, key: tuple) -> Path:
-        digest = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
-        assert self._cache_dir is not None
-        return self._cache_dir / f"plan-{digest}.pkl"
-
     def _disk_load(self, key: tuple) -> KernelStats | None:
         """Read one persisted plan; any defect whatsoever reads as a miss."""
-        if self._store is not None:
-            try:
-                payload = self._store.get(key)
-            except Exception:
-                return None
-            if not isinstance(payload, dict):
-                return None
-            if payload.get("version") != CACHE_FORMAT_VERSION:
-                return None
-            stats = payload.get("stats")
-            return stats if isinstance(stats, KernelStats) else None
-        if self._cache_dir is None:
+        if self._store is None:
             return None
         try:
-            with open(self._entry_path(key), "rb") as fh:
-                payload = pickle.load(fh)
-            if not isinstance(payload, dict):
-                return None
-            if payload.get("version") != CACHE_FORMAT_VERSION:
-                return None
-            if payload.get("key") != key:  # digest collision or stale repr
-                return None
-            stats = payload.get("stats")
-            return stats if isinstance(stats, KernelStats) else None
-        except Exception:  # corrupted, truncated, unreadable: fall through
+            payload = self._store.get(key)
+        except Exception:
             return None
+        if not isinstance(payload, dict):
+            return None
+        if payload.get("version") != CACHE_FORMAT_VERSION:
+            return None
+        stats = payload.get("stats")
+        return stats if isinstance(stats, KernelStats) else None
 
     def _disk_store(self, key: tuple, stats: KernelStats) -> None:
-        """Persist one plan atomically; failures are silently dropped."""
-        if self._store is not None:
-            try:
-                self._store.put(
-                    key, {"version": CACHE_FORMAT_VERSION, "stats": stats}
-                )
-            except Exception:  # unpicklable key part, disk full, ...: skip
-                pass
+        """Persist one plan; failures are silently dropped."""
+        if self._store is None:
             return
-        if self._cache_dir is None:
-            return
-        path = self._entry_path(key)
-        tmp = path.with_suffix(f".tmp-{os.getpid()}-{threading.get_ident()}")
         try:
-            payload = {
-                "version": CACHE_FORMAT_VERSION,
-                "key": key,
-                "stats": stats,
-            }
-            with open(tmp, "wb") as fh:
-                pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
+            self._store.put(key, {"version": CACHE_FORMAT_VERSION, "stats": stats})
         except Exception:  # unpicklable key part, disk full, ...: skip
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
+            pass
 
     # ------------------------------------------------------------------
     # Memoization
@@ -318,7 +221,7 @@ class PlanCache:
         return stats
 
     def clear(self) -> None:
-        """Drop the in-memory entries and counters (disk files persist)."""
+        """Drop the in-memory entries and counters (the journal persists)."""
         with self._lock:
             self._entries.clear()
             self.hits = 0
@@ -333,7 +236,6 @@ class PlanCache:
                 "disk_hits": self.disk_hits,
                 "size": len(self._entries),
                 "maxsize": self.maxsize,
-                "cache_dir": str(self._cache_dir) if self._cache_dir else None,
                 "store_path": (
                     str(self._store.path) if self._store is not None else None
                 ),
@@ -346,18 +248,12 @@ class PlanCache:
 def _build_global() -> PlanCache:
     # The env-var attachment must honour the disk layer's contract --
     # never change behaviour, only skip recomputation -- so an unusable
-    # REPRO_PLAN_STORE / REPRO_PLAN_CACHE_DIR (unwritable, path through a
-    # file, foreign journal, ...) reads as "no disk layer" instead of
-    # crashing every import of the package.
-    store = os.environ.get(PLAN_STORE_ENV) or None
-    if store is not None:
-        try:
-            return PlanCache(store_path=store)
-        except Exception:
-            return PlanCache()
+    # REPRO_PLAN_STORE (unwritable, path through a file, foreign journal,
+    # ...) reads as "no disk layer" instead of crashing every import of
+    # the package.
     try:
-        return PlanCache(cache_dir=os.environ.get(CACHE_DIR_ENV) or None)
-    except OSError:
+        return PlanCache(store_path=os.environ.get(PLAN_STORE_ENV) or None)
+    except Exception:
         return PlanCache()
 
 
@@ -370,26 +266,18 @@ def global_plan_cache() -> PlanCache:
 
 
 def configure_global_plan_cache(
-    cache_dir: str | Path | None = ...,  # type: ignore[assignment]
-    *,
     store_path: str | Path | None = ...,  # type: ignore[assignment]
+    *,
     maxsize: int | None = None,
 ) -> PlanCache:
     """Reconfigure the process-wide cache (the CLI/harness knob).
 
-    ``cache_dir`` attaches the per-file disk layer; ``store_path``
-    attaches the single-file journal layer instead (a cache holds at
-    most one layer, so setting either detaches the other).  ``None``
-    detaches; leave both unset to keep the current attachment.
-    ``maxsize`` resizes the in-memory LRU.  Returns the global cache for
-    chaining.
+    ``store_path`` attaches the journal layer; ``None`` detaches it and
+    leaving it unset keeps the current attachment.  ``maxsize`` resizes
+    the in-memory LRU.  Returns the global cache for chaining.
     """
-    if cache_dir is not ... and store_path is not ...:
-        raise ValueError("pass either cache_dir= or store_path=, not both")
     if store_path is not ...:
         _GLOBAL.set_store_path(store_path)
-    elif cache_dir is not ...:
-        _GLOBAL.set_cache_dir(cache_dir)
     if maxsize is not None:
         _GLOBAL.maxsize = maxsize
     return _GLOBAL

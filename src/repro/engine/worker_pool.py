@@ -15,7 +15,7 @@ kernel launches:
     initializer (NumPy + the app registry imported, the persistent plan
     cache attached) and keep their in-memory plan caches between sweeps.
     Use it as a context manager, or share the module-level
-    :func:`default_executor` (the harness's ``keep_pool=True``).
+    :func:`default_executor` (``run_suite(..., pool=default_executor())``).
 
 Sticky placement & shard batching
     Every dataset has a *home worker*: its content key is rendezvous-
@@ -38,8 +38,9 @@ Shared-memory dataset transport
     :class:`ArrayBundleHandle` instead of the arrays.  Payload types are
     pluggable :class:`ShmCodec` entries (CSR matrices, COO sparse
     tensors for spmttkrp, dense factor matrices out of the box); types
-    with no codec (or platforms without shared memory) fall back to
-    plain pickling.  Both transports produce identical
+    with no codec (or platforms without shared memory) are pickled into
+    the task instead, and so is any shard whose worker fails to attach
+    its block.  Either way the rows are identical
     :class:`~repro.evaluation.harness.SweepRow` sets.
 
 Worker-resident problem/oracle cache
@@ -91,7 +92,6 @@ __all__ = [
     "SweepExecutor",
     "ArrayBundleHandle",
     "ArraySegment",
-    "SharedDatasetHandle",
     "SharedPayloadHandle",
     "ShmCodec",
     "register_shm_codec",
@@ -105,18 +105,11 @@ __all__ = [
     "default_executor",
     "shutdown_default_executor",
     "install_signal_cleanup",
-    "TRANSPORTS",
     "PROBLEM_CACHE_ENTRIES_ENV",
     "PROBLEM_CACHE_BYTES_ENV",
     "SHARED_ORACLE_BYTES_ENV",
     "BATCH_TIMEOUT_ENV",
 ]
-
-#: Dataset transports :class:`SweepExecutor` understands.  ``auto``
-#: publishes codec-claimed payloads (CSR, sparse tensors, dense arrays)
-#: through shared memory and falls back to pickling anything else;
-#: ``shm`` / ``pickle`` force one path.
-TRANSPORTS = ("auto", "shm", "pickle")
 
 #: Environment knobs bounding each worker's problem/oracle cache.
 PROBLEM_CACHE_ENTRIES_ENV = "REPRO_PROBLEM_CACHE_ENTRIES"
@@ -224,10 +217,6 @@ class ArrayBundleHandle:
         )
 
 
-#: Backward-compatible alias: PR 4's CSR-only handle type, now the
-#: generic bundle.
-SharedDatasetHandle = ArrayBundleHandle
-
 
 @dataclass(frozen=True)
 class ShmCodec:
@@ -325,7 +314,7 @@ class _PublishedDataset:
     sweeps of the same corpus publish each dataset exactly once.
     """
 
-    def __init__(self, handle: SharedDatasetHandle, shm) -> None:
+    def __init__(self, handle: ArrayBundleHandle, shm) -> None:
         self.handle = handle
         self.shm = shm
         self.pins = 0
@@ -745,7 +734,7 @@ def home_slot(placement_key: Any, width: int) -> int:
 # ----------------------------------------------------------------------
 # Pool worker entry points (module-level: picklable by reference)
 # ----------------------------------------------------------------------
-def _worker_warmup(cache_dir: str | None, store_path: str | None) -> None:
+def _worker_warmup(store_path: str | None) -> None:
     """Pool initializer: pay the import + cache-attach cost exactly once."""
     inject("worker.start")
     import numpy  # noqa: F401  (pre-faulted into the worker)
@@ -755,9 +744,7 @@ def _worker_warmup(cache_dir: str | None, store_path: str | None) -> None:
     from .plan_cache import configure_global_plan_cache
 
     if store_path is not None:
-        configure_global_plan_cache(store_path=store_path)
-    elif cache_dir is not None:
-        configure_global_plan_cache(cache_dir=cache_dir)
+        configure_global_plan_cache(store_path)
     # Pay the JIT cost here, not in the first timed launch: the apps
     # import above registered every kernel's warmup, and with numba
     # absent this is a no-op.
@@ -773,7 +760,7 @@ _ATTACHED: OrderedDict[str, tuple] = OrderedDict()
 _ATTACHED_CAP = 128
 
 
-def _attached_dataset(handle: SharedDatasetHandle) -> Dataset:
+def _attached_dataset(handle: ArrayBundleHandle) -> Dataset:
     """Reattach (or reuse) one shm-backed dataset in this worker."""
     cached = _ATTACHED.get(handle.shm_name)
     if cached is not None:
@@ -967,8 +954,8 @@ class _BatchItem:
     """One placed shard crossing into a worker: task + sharing context.
 
     ``dataset_key`` is the staging-time content fingerprint (computed
-    once in the parent, for *both* transports, so workers never pay a
-    fresh CRC pass); ``placement`` records home/executing slot and
+    once in the parent, published or not, so workers never pay a fresh
+    CRC pass); ``placement`` records home/executing slot and
     sticky-vs-stolen; ``oracle`` is a published handle the worker should
     try before rebuilding; ``publish`` tells it whether to publish what
     it builds.
@@ -1126,7 +1113,7 @@ class SweepExecutor:
 
     Use as a context manager for scoped pools, or share the module-level
     :func:`default_executor` across calls (``run_suite(...,
-    keep_pool=True)``).
+    pool=default_executor())``).
     """
 
     #: Default budget for the publish cache (bytes of live shm blocks).
@@ -1140,18 +1127,12 @@ class SweepExecutor:
         self,
         max_workers: int | None = None,
         *,
-        transport: str = "auto",
         batch_atoms: int | None = None,
         shm_cache_bytes: int | None = None,
         oracle_cache_bytes: int | None = None,
         batch_timeout: float | None = None,
     ):
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {transport!r}; choose from {TRANSPORTS}"
-            )
         self.max_workers = max_workers
-        self.transport = transport
         self.batch_atoms = batch_atoms
         self.shm_cache_bytes = (
             self.DEFAULT_SHM_CACHE_BYTES if shm_cache_bytes is None
@@ -1240,7 +1221,6 @@ class SweepExecutor:
                 max_workers=1,
                 initializer=_worker_warmup,
                 initargs=(
-                    str(cache.cache_dir) if cache.cache_dir else None,
                     str(cache.store_path) if cache.store_path else None,
                 ),
             ),
@@ -1383,13 +1363,14 @@ class SweepExecutor:
             if hi > lo
         ]
 
-    def _stage(self, tasks: list, transport: str) -> tuple[list, list]:
+    def _stage(self, tasks: list) -> tuple[list, list]:
         """Fingerprint every dataset and swap payloads for shm handles.
 
         One pack + CRC pass per dataset yields the content key that
         drives *all three* reuse layers -- the publish cache, sticky
-        placement, and the shared-oracle directory -- so it is computed
-        for the pickle transport too.  Publishing goes through the
+        placement, and the shared-oracle directory.  Codec-claimed
+        payloads are published to shared memory; anything else (or a
+        refused publish) travels pickled in the task.  Publishing goes through the
         executor's content-keyed cache: repeated sweeps of the same
         corpus pin the already-published blocks instead of copying
         again.  Returns ``(staged_shards, pinned_entries)``; the caller
@@ -1411,33 +1392,21 @@ class SweepExecutor:
                         )
                     atoms = self._payload_atoms(task)
                     staged_task = task
-                    if transport != "pickle":
-                        entry = (
-                            None if key is None else self._published.get(key)
+                    entry = None if key is None else self._published.get(key)
+                    if entry is None:
+                        entry = None if key is None else publish_dataset(
+                            task.dataset, _bundle=bundle, _crcs=crcs
                         )
-                        if entry is None:
-                            pub = None if key is None else publish_dataset(
-                                task.dataset, _bundle=bundle, _crcs=crcs
-                            )
-                            if pub is not None:
-                                entry = pub
-                                self._published[key] = entry
-                                self.shm_published += 1
-                            elif transport == "shm":
-                                raise ValueError(
-                                    f"dataset {task.dataset.name!r} cannot "
-                                    f"travel over shared memory (no "
-                                    f"registered ShmCodec claims its "
-                                    f"payload, or shm is unavailable); use "
-                                    f"'auto' to fall back to pickling"
-                                )
-                        else:
-                            self.shm_reused += 1
                         if entry is not None:
-                            entry.pins += 1
-                            entry.tick = next(self._clock)
-                            pinned.append(entry)
-                            staged_task = replace(task, dataset=entry.handle)
+                            self._published[key] = entry
+                            self.shm_published += 1
+                    else:
+                        self.shm_reused += 1
+                    if entry is not None:
+                        entry.pins += 1
+                        entry.tick = next(self._clock)
+                        pinned.append(entry)
+                        staged_task = replace(task, dataset=entry.handle)
                     staged.append(_StagedShard(
                         task=staged_task,
                         index=index,
@@ -1655,12 +1624,12 @@ class SweepExecutor:
         return placed
 
     # -- execution ------------------------------------------------------
-    def map_shards(self, tasks, *, transport: str | None = None) -> list[list]:
+    def map_shards(self, tasks) -> list[list]:
         """Run every shard task; return per-shard row lists in order.
 
         Equivalent to ``[ _run_shard(t) for t in tasks ]`` but fanned out
         over the (persistent) pool, with sticky placement, batching and
-        the configured dataset transport.  Deterministic exceptions
+        shared-memory dataset transport.  Deterministic exceptions
         raised inside a worker (bad app, validation failure) propagate
         after every in-flight batch settles, so successful batches'
         oracle publications are never leaked.
@@ -1682,13 +1651,8 @@ class SweepExecutor:
         tasks = list(tasks)
         if not tasks:
             return []
-        transport = self.transport if transport is None else transport
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {transport!r}; choose from {TRANSPORTS}"
-            )
         self._ensure_pool(len(tasks))
-        staged, pinned = self._stage(tasks, transport)
+        staged, pinned = self._stage(tasks)
         share_oracles = self.oracle_cache_bytes > 0
         oracle_handles, oracle_pinned = self._oracle_handles(staged)
         placed = self._assign(staged, share_oracles, oracle_handles)
@@ -1887,8 +1851,7 @@ class SweepExecutor:
         from .plan_cache import global_plan_cache
 
         self.degraded_shards += 1
-        cache = global_plan_cache()
-        prev_dir, prev_store = cache.cache_dir, cache.store_path
+        prev_store = global_plan_cache().store_path
         outcome: dict = {}
 
         def _runner() -> None:
@@ -1907,7 +1870,7 @@ class SweepExecutor:
             self._batch_allowance((item,)) if self.batch_timeout > 0 else None
         )
         thread.join(timeout)
-        self._restore_plan_persistence(prev_dir, prev_store)
+        self._restore_plan_persistence(prev_store)
         if thread.is_alive():
             self.batch_timeouts += 1
             results[item.index] = self._error_rows(
@@ -1938,19 +1901,14 @@ class SweepExecutor:
         }
 
     @staticmethod
-    def _restore_plan_persistence(cache_dir, store_path) -> None:
+    def _restore_plan_persistence(store_path) -> None:
         """Reattach the parent's plan persistence after a degraded run
         (the shard's ``_run_shard`` call reconfigures the process-global
         cache for *its* context; the parent must get its own back)."""
         from .plan_cache import configure_global_plan_cache
 
         try:
-            if store_path is not None:
-                configure_global_plan_cache(store_path=store_path)
-            elif cache_dir is not None:
-                configure_global_plan_cache(cache_dir)
-            else:
-                configure_global_plan_cache(None)
+            configure_global_plan_cache(store_path)
         except Exception:  # pragma: no cover - restoration is best-effort
             pass
 
@@ -2003,7 +1961,6 @@ class SweepExecutor:
         return {
             "alive": self.alive,
             "width": self._width,
-            "transport": self.transport,
             "sweeps": self.sweeps,
             "batches": self.batches,
             "shards": self.shards,
@@ -2034,7 +1991,7 @@ class SweepExecutor:
 
 # ----------------------------------------------------------------------
 # Module-level default: one warm pool per process, shared by every
-# ``run_suite(..., keep_pool=True)`` call site.
+# ``run_suite(..., pool=default_executor())`` call site.
 # ----------------------------------------------------------------------
 _DEFAULT: SweepExecutor | None = None
 _DEFAULT_LOCK = threading.Lock()
@@ -2077,7 +2034,7 @@ def shutdown_default_executor() -> None:
 
 # ----------------------------------------------------------------------
 # Signal cleanup: atexit never runs when the process dies on an
-# unhandled SIGTERM/SIGINT, so a killed keep_pool sweep would leak its
+# unhandled SIGTERM/SIGINT, so a killed default-pool sweep would leak its
 # /dev/shm dataset blocks and shared-oracle segments (named, kernel-
 # persistent objects that outlive the process).  Installing chained
 # handlers turns those deaths into an orderly shm unlink first.

@@ -1,7 +1,7 @@
 """``repro.evaluation`` -- the harness reproducing the paper's evaluation.
 
 * :mod:`.harness` -- (app x kernel x dataset) sweeps over the app
-  registry, paper-schema CSVs, optional thread-pool parallelism;
+  registry, paper-schema CSVs, optional process-pool fan-out;
 * :mod:`.figures` -- data series + summary stats for Figures 2, 3 and 4;
 * :mod:`.loc` -- the lines-of-code measurement behind Table 1.
 """
@@ -17,11 +17,8 @@ from .figures import (
 )
 from .harness import (
     SPMV_KERNELS,
-    SpmvRow,
     SweepRow,
     run_cell,
-    run_spmv_kernel,
-    run_spmv_suite,
     run_suite,
     write_csv,
 )
@@ -36,11 +33,8 @@ __all__ = [
     "fig3_landscape",
     "fig4_heuristic",
     "SPMV_KERNELS",
-    "SpmvRow",
     "SweepRow",
     "run_cell",
-    "run_spmv_kernel",
-    "run_spmv_suite",
     "run_suite",
     "write_csv",
     "PAPER_TABLE1",

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..engine import ExecutionContext
 from ..gpusim.arch import GpuSpec, V100
 from ..gpusim.profiler import geomean
-from .harness import SpmvRow, run_spmv_suite
+from .harness import SweepRow, run_suite
 
 __all__ = [
     "FigureSeries",
@@ -39,7 +40,7 @@ class FigureSeries:
         self.values.append(value)
 
 
-def _series(rows: list[SpmvRow], kernel: str, elapsed_of=None) -> FigureSeries:
+def _series(rows: list[SweepRow], kernel: str, elapsed_of=None) -> FigureSeries:
     s = FigureSeries(kernel=kernel)
     for r in rows:
         if r.kernel == kernel:
@@ -47,7 +48,13 @@ def _series(rows: list[SpmvRow], kernel: str, elapsed_of=None) -> FigureSeries:
     return s
 
 
-def _elapsed_map(rows: list[SpmvRow], kernel: str) -> dict[str, float]:
+def _spmv_rows(kernels: list[str], scale: str, spec: GpuSpec) -> list[SweepRow]:
+    return run_suite(
+        kernels, app="spmv", scale=scale, ctx=ExecutionContext(spec=spec)
+    )
+
+
+def _elapsed_map(rows: list[SweepRow], kernel: str) -> dict[str, float]:
     return {r.dataset: r.elapsed for r in rows if r.kernel == kernel}
 
 
@@ -68,10 +75,10 @@ class Fig2Result:
 
 
 def fig2_overhead(
-    *, scale: str = "standard", spec: GpuSpec = V100, rows: list[SpmvRow] | None = None
+    *, scale: str = "standard", spec: GpuSpec = V100, rows: list[SweepRow] | None = None
 ) -> Fig2Result:
     if rows is None:
-        rows = run_spmv_suite(["merge_path", "cub"], scale=scale, spec=spec)
+        rows = _spmv_rows(["merge_path", "cub"], scale, spec)
     ours = _elapsed_map(rows, "merge_path")
     cub = _elapsed_map(rows, "cub")
     common = sorted(set(ours) & set(cub))
@@ -109,11 +116,11 @@ FIG3_SCHEDULES = ("thread_mapped", "group_mapped", "merge_path")
 
 
 def fig3_landscape(
-    *, scale: str = "standard", spec: GpuSpec = V100, rows: list[SpmvRow] | None = None
+    *, scale: str = "standard", spec: GpuSpec = V100, rows: list[SweepRow] | None = None
 ) -> Fig3Result:
     kernels = list(FIG3_SCHEDULES) + ["cusparse"]
     if rows is None:
-        rows = run_spmv_suite(kernels, scale=scale, spec=spec)
+        rows = _spmv_rows(kernels, scale, spec)
     maps = {k: _elapsed_map(rows, k) for k in kernels}
     datasets = sorted(set.intersection(*(set(m) for m in maps.values())))
     best = {
@@ -147,10 +154,10 @@ class Fig4Result:
 
 
 def fig4_heuristic(
-    *, scale: str = "standard", spec: GpuSpec = V100, rows: list[SpmvRow] | None = None
+    *, scale: str = "standard", spec: GpuSpec = V100, rows: list[SweepRow] | None = None
 ) -> Fig4Result:
     if rows is None:
-        rows = run_spmv_suite(["heuristic", "cusparse"], scale=scale, spec=spec)
+        rows = _spmv_rows(["heuristic", "cusparse"], scale, spec)
     ours = {r.dataset: r for r in rows if r.kernel == "heuristic"}
     vendor = _elapsed_map(rows, "cusparse")
     datasets = sorted(set(ours) & set(vendor))

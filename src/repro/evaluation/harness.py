@@ -13,61 +13,47 @@ of a non-default app prepend an ``app`` column.
 
 Performance knobs
 -----------------
-The sweep hot path is tunable along three independent axes; all three
-are exposed by the CLI (``python -m repro sweep ...``) as well:
-
-``executor`` (CLI ``--executor {serial,thread,process}``)
-    How independent cells fan out.  ``thread`` shares one address space
-    (cheap, but pure-Python sections contend on the GIL); ``process``
-    runs dataset shards on a worker pool -- each shard builds its
-    problem and oracle exactly once and runs every kernel of the cell
-    against them, small shards are *batched* into one pickle crossing,
-    and CSR payloads travel through shared memory instead of the pickle
-    stream (:mod:`repro.engine.worker_pool`).  ``serial`` forces the
-    in-process loop.
-``keep_pool`` / ``pool`` (CLI ``--keep-pool``)
-    Process-pool persistence.  By default each ``run_suite`` call spawns
-    and tears down its own pool; ``keep_pool=True`` routes the sweep
-    through the module-wide persistent
-    :func:`~repro.engine.worker_pool.default_executor`, so repeated
-    sweeps (any app) reuse warm workers -- imports paid once, worker
-    plan caches kept hot.  Pass ``pool=SweepExecutor(...)`` to manage
-    the lifetime yourself (context manager).
-``transport`` (CLI ``--transport {auto,shm,pickle}``)
-    How dataset payloads reach process-pool workers: ``auto`` packs any
-    codec-claimed payload (CSR matrices, COO sparse tensors, dense
-    arrays -- see :class:`~repro.engine.worker_pool.ShmCodec`) into a
-    shared-memory array bundle published once and reattached zero-copy
-    in workers, falling back to pickling for unclaimed payloads;
-    ``pickle`` forces the fallback; ``shm`` errors instead of falling
-    back.  Warm pool workers additionally serve each shard's problem
-    and oracle from a bounded content-keyed
+``executor`` (CLI: ``--workers N`` selects ``process``)
+    ``serial`` (the default) runs every cell in-process.  ``process``
+    runs dataset shards on a :class:`~repro.engine.worker_pool.
+    SweepExecutor`: each shard builds its problem and oracle exactly
+    once and runs every kernel of the cell against them, small shards
+    are *batched* into one pickle crossing, and warm workers serve each
+    shard's problem and oracle from a bounded content-keyed
     :class:`~repro.engine.worker_pool.ProblemCache` (budgets:
-    ``REPRO_PROBLEM_CACHE_ENTRIES`` / ``REPRO_PROBLEM_CACHE_BYTES``),
-    so steady-state sweeps skip both rebuilds; rows record the
-    ``problem_cache`` outcome in ``meta``.
-``max_workers`` (CLI ``--workers``)
-    Pool width for either executor.  ``None``/1 with
-    ``executor="thread"`` degrades to serial; ``process`` defaults to
-    ``os.cpu_count()`` capped by the number of dataset shards.
-``plan_cache_dir`` / ``plan_store`` (CLI ``--plan-cache-dir`` / ``--plan-store``)
-    Persistent plan storage (:mod:`repro.engine.plan_cache`).  Repeated
-    sweeps of the same grid -- and every process-pool worker -- start
-    warm: plans are keyed by content fingerprints and survive process
-    exit.  ``plan_cache_dir`` is the one-file-per-plan layout;
-    ``plan_store`` is the corpus-scale append-only single-file journal
-    (:mod:`repro.engine.plan_store`).  Workers inherit either knob
-    automatically.
+    ``REPRO_PROBLEM_CACHE_ENTRIES`` / ``REPRO_PROBLEM_CACHE_BYTES``);
+    rows record the ``problem_cache`` outcome in ``meta``.
+``pool`` / ``max_workers`` (``executor="process"`` only)
+    By default each call spawns and tears down its own pool of
+    ``max_workers`` workers (``os.cpu_count()`` capped by the shard
+    count when ``None``).  Pass ``pool=SweepExecutor(...)`` to manage
+    the lifetime yourself, or ``pool=default_executor()`` to share the
+    process-wide warm pool, so repeated sweeps (any app) reuse warm
+    workers -- imports paid once, worker caches kept hot.
+Dataset transport
+    Payloads a :class:`~repro.engine.worker_pool.ShmCodec` claims (CSR
+    matrices, COO sparse tensors, dense arrays) are published once to a
+    shared-memory array bundle and reattached zero-copy in workers;
+    anything else is pickled into the task.  A shard whose worker
+    cannot attach its block re-runs pickled (``meta["transport_
+    fallback"]``).
+Plan persistence (``ctx.plan_store``, CLI ``--plan-store``)
+    Attaches the :mod:`repro.engine.plan_store` journal to the
+    process-global plan cache for the sweep, so repeated sweeps of the
+    same grid -- and every process-pool worker -- start warm: plans are
+    keyed by content fingerprints and survive process exit.  Workers
+    inherit the journal automatically; ``REPRO_PLAN_STORE`` is the
+    ambient spelling.
 
 Results are returned in deterministic (dataset, kernel) order regardless
-of executor or worker count, and row sets are identical across all three
+of executor or worker count, and row sets are identical across both
 executors for the same seed.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -75,23 +61,21 @@ from typing import Iterable, Sequence
 from ..core.policy import as_policy
 from ..core.schedule import available_schedules
 from ..engine import (
+    DEFAULT_CONTEXT,
     DEFAULT_SEED,
     ExecutionContext,
     configure_global_plan_cache,
     get_app,
+    global_plan_cache,
     run_app,
 )
-from ..gpusim.arch import GpuSpec, V100
 from ..sparse.corpus import Dataset, build_corpus
 
 __all__ = [
     "SweepRow",
-    "SpmvRow",
     "run_cell",
     "expand_datasets",
     "run_suite",
-    "run_spmv_kernel",
-    "run_spmv_suite",
     "write_csv",
     "SPMV_KERNELS",
     "PAPER_FIELDS",
@@ -119,7 +103,7 @@ SPMV_KERNELS = (
 PAPER_FIELDS = ("kernel", "dataset", "rows", "cols", "nnzs", "elapsed")
 
 #: Fan-out strategies :func:`run_suite` understands.
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 
 @dataclass(frozen=True)
@@ -151,10 +135,6 @@ class SweepRow:
         if include_app:
             row = {"app": self.app, **row}
         return row
-
-
-#: Backward-compatible alias: the SpMV-era row type.
-SpmvRow = SweepRow
 
 
 def _build_problem(app_spec, app: str, dataset: Dataset, seed: int):
@@ -255,19 +235,13 @@ def run_cell(
     app: str,
     kernel: str,
     dataset: Dataset,
-    spec: GpuSpec | None = None,
     *,
     ctx: ExecutionContext | None = None,
-    engine: str | None = None,
     seed: int = DEFAULT_SEED,
     validate: bool = True,
 ) -> SweepRow:
-    """Run one (app, kernel, dataset) cell and validate the result.
-
-    ``ctx`` is the single execution-selection argument; the loose
-    ``spec=``/``engine=`` kwargs are the deprecated pre-context spelling.
-    """
-    ctx = ExecutionContext.from_kwargs(ctx=ctx, engine=engine, spec=spec)
+    """Run one (app, kernel, dataset) cell and validate the result."""
+    ctx = DEFAULT_CONTEXT if ctx is None else ctx
     app_spec = get_app(app)
     problem = _build_problem(app_spec, app, dataset, seed)
     expected = (
@@ -287,27 +261,15 @@ class _ShardTask:
     The worker rebuilds the (expensive) problem instance and oracle once
     and amortizes them over every kernel of the shard -- matrices cross
     the pickle boundary once per dataset, never once per cell.  The
-    execution selection crosses as one :class:`ExecutionContext` (``ctx``);
-    the ``spec``/``engine``/``plan_cache_dir`` fields are the deprecated
-    pre-context spelling, honoured when no context is given.
+    execution selection crosses as one :class:`ExecutionContext`.
     """
 
     app: str
     kernels: tuple
     dataset: Dataset
-    spec: GpuSpec = V100
-    engine: str = "vector"
     seed: int = DEFAULT_SEED
     validate: bool = True
-    plan_cache_dir: str | None = None
-    ctx: ExecutionContext | None = None
-
-    def context(self) -> ExecutionContext:
-        if self.ctx is not None:
-            return self.ctx
-        return ExecutionContext(
-            engine=self.engine, spec=self.spec, plan_cache_dir=self.plan_cache_dir
-        )
+    ctx: ExecutionContext = DEFAULT_CONTEXT
 
 
 def _run_shard(
@@ -342,16 +304,14 @@ def _run_shard(
         publish_payload,
     )
 
-    ctx = task.context()
+    ctx = task.ctx
     if ctx.plan_store is not None:
         # Warm-start the worker from the persistent plan store (and
         # persist whatever it plans for the next process).
-        configure_global_plan_cache(store_path=ctx.plan_store)
-    elif ctx.plan_cache_dir is not None:
-        configure_global_plan_cache(ctx.plan_cache_dir)
+        configure_global_plan_cache(ctx.plan_store)
     else:
-        # No knob on this sweep: a *persistent* worker must not keep the
-        # previous sweep's (possibly temporary) target attached.  Fall
+        # No store on this sweep: a *persistent* worker must not keep the
+        # previous sweep's (possibly temporary) journal attached.  Fall
         # back to the environment attachment -- the documented ambient
         # configuration workers share with their parent -- or detach.
         _restore_ambient_plan_persistence()
@@ -425,38 +385,30 @@ _AMBIENT_RESTORE_WARNED = False
 
 
 def _restore_ambient_plan_persistence() -> None:
-    """Point the process-global plan cache back at the env-var target.
+    """Point the process-global plan cache back at the env-var journal.
 
-    Reattaching an unchanged target is a no-op, so calling this per shard
-    is free; an unusable env path degrades to "no persistence", honouring
-    the disk layer's never-change-behaviour contract -- but warns once
-    per process, so a typo'd ``REPRO_PLAN_STORE`` is visible instead of
-    silently dropping persistence.
+    Reattaching an unchanged journal is a no-op, so calling this per
+    shard is free; an unusable env path degrades to "no persistence",
+    honouring the disk layer's never-change-behaviour contract -- but
+    warns once per process, so a typo'd ``REPRO_PLAN_STORE`` is visible
+    instead of silently dropping persistence.
     """
     import os
     import warnings
 
-    from ..engine import CACHE_DIR_ENV, PLAN_STORE_ENV
+    from ..engine import PLAN_STORE_ENV
 
     store_env = os.environ.get(PLAN_STORE_ENV) or None
-    dir_env = os.environ.get(CACHE_DIR_ENV) or None
     try:
-        if store_env is not None:
-            configure_global_plan_cache(store_path=store_env)
-        elif dir_env is not None:
-            configure_global_plan_cache(dir_env)
-        else:
-            configure_global_plan_cache(None)
+        configure_global_plan_cache(store_env)
     except Exception as exc:
         global _AMBIENT_RESTORE_WARNED
         if not _AMBIENT_RESTORE_WARNED:
             _AMBIENT_RESTORE_WARNED = True
-            target = store_env if store_env is not None else dir_env
-            env_name = PLAN_STORE_ENV if store_env is not None else CACHE_DIR_ENV
             warnings.warn(
-                f"ambient plan persistence target {target!r} (from "
-                f"{env_name}) is unusable ({exc!r}); continuing without "
-                f"plan persistence",
+                f"ambient plan persistence target {store_env!r} (from "
+                f"{PLAN_STORE_ENV}) is unusable ({exc!r}); continuing "
+                f"without plan persistence",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -503,71 +455,32 @@ def run_suite(
     *,
     app: str = "spmv",
     scale: str = "standard",
-    spec: GpuSpec | None = None,
     datasets: Iterable[Dataset] | None = None,
     limit: int | None = None,
-    engine: str | None = None,
     seed: int = DEFAULT_SEED,
     validate: bool = True,
-    max_workers: int | None = None,
-    executor: str = "thread",
-    plan_cache_dir: str | Path | None = None,
-    plan_store: str | Path | None = None,
     ctx: ExecutionContext | None = None,
-    keep_pool: bool = False,
+    executor: str = "serial",
+    max_workers: int | None = None,
     pool=None,
-    transport: str = "auto",
 ) -> list[SweepRow]:
     """Run a kernel list over the corpus (the ``run.sh`` loop), generic.
 
     ``ctx`` is the single execution-selection argument (engine, device
-    spec, plan storage, device count); the per-cell kernel name supplies
-    the schedule policy.  The loose ``spec=``/``engine=``/
-    ``plan_cache_dir=``/``plan_store=`` kwargs are the deprecated
-    pre-context spelling; passing them alongside ``ctx`` is an error.
-    The context is what crosses the process-pool pickle boundary in
-    ``executor="process"`` sweeps.
+    spec, plan store, device count); the per-cell kernel name supplies
+    the schedule policy.  The context is what crosses the process-pool
+    pickle boundary in ``executor="process"`` sweeps.
 
     Datasets the app cannot accept (e.g. rectangular matrices for graph
-    apps) are skipped.  Fan-out, pool persistence, dataset transport and
-    plan persistence are controlled by the performance knobs documented
-    in the module docstring (``executor`` / ``keep_pool`` / ``pool`` /
-    ``transport`` / ``max_workers`` / ``plan_cache_dir`` /
-    ``plan_store``); results keep the serial (dataset, kernel) order
-    under every configuration.
+    apps) are skipped.  ``executor`` / ``max_workers`` / ``pool`` are
+    the performance knobs documented in the module docstring; results
+    keep the serial (dataset, kernel) order under every configuration.
     """
     if executor not in EXECUTORS:
         raise ValueError(f"unknown executor {executor!r}; choose from {EXECUTORS}")
-    # Validate the transport up front for *every* executor: a bogus value
-    # must fail fast, not be silently ignored by serial/thread sweeps --
-    # and an explicit non-default transport on an executor that will
-    # never use it is a contradiction, not a no-op (the CLI rejects the
-    # same combination).
-    from ..engine.worker_pool import TRANSPORTS
-
-    if transport not in TRANSPORTS:
-        raise ValueError(
-            f"unknown transport {transport!r}; choose from {TRANSPORTS}"
-        )
-    if transport != "auto" and executor != "process":
-        raise ValueError(
-            f"transport={transport!r} requires executor='process' (dataset "
-            f"transport only applies to process-pool sweeps)"
-        )
-    if (keep_pool or pool is not None) and executor != "process":
-        raise ValueError(
-            "keep_pool/pool require executor='process' (persistent pools "
-            "only make sense for process fan-out)"
-        )
-    if keep_pool and pool is not None:
-        raise ValueError("pass either keep_pool=True or pool=, not both")
-    ctx = ExecutionContext.from_kwargs(
-        ctx=ctx,
-        engine=engine,
-        spec=spec,
-        plan_cache_dir=None if plan_cache_dir is None else str(plan_cache_dir),
-        plan_store=None if plan_store is None else str(plan_store),
-    )
+    if executor != "process" and (pool is not None or max_workers is not None):
+        raise ValueError("pool=/max_workers= require executor='process'")
+    ctx = DEFAULT_CONTEXT if ctx is None else ctx
     # Fail fast on unknown engines for *every* executor: a typo'd engine
     # name must raise here, in the caller's process, not as a late
     # ``Runtime`` construction error inside a worker (or never at all
@@ -581,149 +494,70 @@ def run_suite(
             ensure_known_engine(_eng)
     app_spec = get_app(app)
     ds = expand_datasets(app, scale=scale, limit=limit, datasets=datasets)
-    if ctx.plan_cache_dir is None and ctx.plan_store is None:
-        return _run_suite_prepared(
-            kernels, app, app_spec, ds, ctx, seed, validate,
-            max_workers, executor, keep_pool, pool, transport,
-        )
-    # Attach the persistent layer for the duration of the sweep only:
-    # callers must not find the process-global cache silently re-pointed
-    # at a (possibly temporary) target after run_suite returns.
-    from ..engine import global_plan_cache
-
-    cache = global_plan_cache()
-    prev_dir, prev_store = cache.cache_dir, cache.store_path
-    if ctx.plan_store is not None:
-        configure_global_plan_cache(store_path=ctx.plan_store)
-    else:
-        configure_global_plan_cache(ctx.plan_cache_dir)
-    try:
-        return _run_suite_prepared(
-            kernels, app, app_spec, ds, ctx, seed, validate,
-            max_workers, executor, keep_pool, pool, transport,
-        )
-    finally:
-        if prev_store is not None:
-            configure_global_plan_cache(store_path=prev_store)
-        else:
-            configure_global_plan_cache(prev_dir)
-
-
-def _run_suite_prepared(
-    kernels: Sequence[str],
-    app: str,
-    app_spec,
-    ds: list[Dataset],
-    ctx: ExecutionContext,
-    seed: int,
-    validate: bool,
-    max_workers: int | None,
-    executor: str,
-    keep_pool: bool = False,
-    pool=None,
-    transport: str = "auto",
-) -> list[SweepRow]:
-    """The executor dispatch behind :func:`run_suite` (cache configured)."""
-    if executor == "process" and ds:
-        from ..engine.worker_pool import SweepExecutor, default_executor
-
-        shards = [
-            _ShardTask(
-                app=app,
-                kernels=tuple(kernels),
-                dataset=dataset,
-                seed=seed,
-                validate=validate,
-                ctx=ctx,
+    with _plan_store_attached(ctx.plan_store):
+        if executor == "process" and ds:
+            return _run_process(
+                kernels, app, ds, ctx, seed, validate, max_workers, pool
             )
-            for dataset in ds
-        ]
-        if pool is not None:
-            per_shard = pool.map_shards(shards, transport=transport)
-        elif keep_pool:
-            per_shard = default_executor(max_workers).map_shards(
-                shards, transport=transport
+        rows: list[SweepRow] = []
+        for dataset in ds:
+            # Problem construction and the oracle are per-dataset, not
+            # per-cell: build them once and share across the kernels.
+            problem = _build_problem(app_spec, app, dataset, seed)
+            expected = (
+                app_spec.oracle(problem)
+                if validate and app_spec.oracle is not None
+                else None
             )
-        else:
-            with SweepExecutor(max_workers=max_workers) as ephemeral:
-                per_shard = ephemeral.map_shards(shards, transport=transport)
-        return [row for shard_rows in per_shard for row in shard_rows]
-
-    # Problem construction and the oracle are per-dataset, not per-cell:
-    # build them once and share across the dataset's kernels (drivers
-    # treat problem inputs as read-only, so this is thread-safe too).
-    def prep(dataset: Dataset):
-        problem = _build_problem(app_spec, app, dataset, seed)
-        expected = (
-            app_spec.oracle(problem)
-            if validate and app_spec.oracle is not None
-            else None
-        )
-        return problem, expected
-
-    def one(cell) -> SweepRow:
-        dataset, kernel, problem, expected = cell
-        return _execute_cell(
-            app_spec, app, kernel, dataset, problem, expected, ctx,
-            validate, seed,
-        )
-
-    if executor == "thread" and max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            # Dataset prep (including expensive oracles) fans out too.
-            prepped = list(pool.map(prep, ds))
-            cells = [
-                (dataset, kernel, problem, expected)
-                for dataset, (problem, expected) in zip(ds, prepped)
+            rows.extend(
+                _execute_cell(
+                    app_spec, app, kernel, dataset, problem, expected, ctx,
+                    validate, seed,
+                )
                 for kernel in kernels
-            ]
-            return list(pool.map(one, cells))
-    rows: list[SweepRow] = []
-    for dataset in ds:
-        problem, expected = prep(dataset)
-        rows.extend(
-            one((dataset, kernel, problem, expected)) for kernel in kernels
+            )
+        return rows
+
+
+@contextmanager
+def _plan_store_attached(path: str | None):
+    """Attach the plan journal for the duration of one sweep only.
+
+    Callers must not find the process-global cache silently re-pointed
+    at a (possibly temporary) journal after :func:`run_suite` returns.
+    """
+    if path is None:
+        yield
+        return
+    previous = global_plan_cache().store_path
+    configure_global_plan_cache(path)
+    try:
+        yield
+    finally:
+        configure_global_plan_cache(previous)
+
+
+def _run_process(kernels, app, ds, ctx, seed, validate, max_workers, pool):
+    """Fan dataset shards out over ``pool`` (or a scoped pool)."""
+    from ..engine.worker_pool import SweepExecutor
+
+    shards = [
+        _ShardTask(
+            app=app,
+            kernels=tuple(kernels),
+            dataset=dataset,
+            seed=seed,
+            validate=validate,
+            ctx=ctx,
         )
-    return rows
-
-
-def run_spmv_kernel(
-    kernel: str,
-    dataset: Dataset,
-    spec: GpuSpec | None = None,
-    *,
-    ctx: ExecutionContext | None = None,
-) -> SweepRow:
-    """Run one SpMV (kernel, dataset) cell (backward-compatible wrapper).
-
-    ``ctx`` is the :class:`~repro.engine.context.ExecutionContext`
-    spelling (engine, policy, device count); the positional ``spec`` is
-    the paper-era one.  Passing both is rejected by the same
-    ``from_kwargs`` mutual-exclusion rule as :func:`run_cell`.
-    """
-    return run_cell("spmv", kernel, dataset, spec, ctx=ctx)
-
-
-def run_spmv_suite(
-    kernels: Sequence[str],
-    *,
-    scale: str = "standard",
-    spec: GpuSpec | None = None,
-    datasets: Iterable[Dataset] | None = None,
-    limit: int | None = None,
-    ctx: ExecutionContext | None = None,
-) -> list[SweepRow]:
-    """The SpMV sweep of the paper's evaluation (wrapper over run_suite).
-
-    ``ctx`` threads a full :class:`~repro.engine.context.ExecutionContext`
-    through to :func:`run_suite` for callers migrating off the paper-era
-    API; combining it with the legacy ``spec=`` raises (``from_kwargs``
-    mutual exclusion, same as :func:`run_cell`).
-    """
-    return run_suite(
-        kernels, app="spmv", scale=scale, spec=spec, datasets=datasets,
-        limit=limit, ctx=ctx,
-    )
+        for dataset in ds
+    ]
+    if pool is not None:
+        per_shard = pool.map_shards(shards)
+    else:
+        with SweepExecutor(max_workers=max_workers) as ephemeral:
+            per_shard = ephemeral.map_shards(shards)
+    return [row for shard_rows in per_shard for row in shard_rows]
 
 
 def write_csv(

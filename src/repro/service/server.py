@@ -55,7 +55,7 @@ from typing import Any
 
 from ..engine.context import ExecutionContext
 from ..faults import faults_active, inject
-from ..engine.worker_pool import TRANSPORTS, SweepExecutor
+from ..engine.worker_pool import SweepExecutor
 from ..evaluation.harness import expand_datasets, run_suite
 from ..sparse.corpus import Dataset
 from .journal import ResultsJournal
@@ -193,15 +193,10 @@ class SweepService:
         width: int | None = None,
         queue_depth: int | None = None,
         journal_path: str | None = None,
-        transport: str = "auto",
         plan_store: str | None = None,
         executor: SweepExecutor | None = None,
         job_timeout: float | None = None,
     ):
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {transport!r}; choose from {TRANSPORTS}"
-            )
         if width is not None and width < 0:
             raise ValueError(f"width must be >= 0, got {width}")
         self.host = host
@@ -214,7 +209,6 @@ class SweepService:
             _job_timeout_from_env() if job_timeout is None
             else float(job_timeout)
         )
-        self.transport = transport
         self.plan_store = None if plan_store is None else str(plan_store)
         self._journal = (
             None if journal_path is None else ResultsJournal(journal_path)
@@ -223,9 +217,7 @@ class SweepService:
         if executor is not None:
             self._pool: SweepExecutor | None = executor
         elif self._owns_pool:
-            self._pool = SweepExecutor(
-                max_workers=width, transport=transport
-            )
+            self._pool = SweepExecutor(max_workers=width)
         else:  # width == 0: serial in-process execution
             self._pool = None
         self._clients: set[_ClientState] = set()
@@ -404,7 +396,6 @@ class SweepService:
             validate=job.validate,
             executor="process",
             pool=self._pool,
-            transport=self.transport,
             ctx=job.ctx,
         )
 
@@ -838,7 +829,6 @@ class SweepService:
             "jobs_timed_out": self.jobs_timed_out,
             "rows_streamed": self.rows_streamed,
             "journal_errors": self.journal_errors,
-            "transport": self.transport,
             "journal": None if self._journal is None else str(self._journal.path),
             "executor": executor,
         }

@@ -24,7 +24,8 @@ def run_cli(*argv: str) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def write_fixture_tree(root, *, undocumented_env=True, rogue_site=True):
+def write_fixture_tree(root, *, undocumented_env=True, rogue_site=True,
+                       stale_doc=True):
     """A minimal repo tree violating the lints on demand."""
     src = root / "src" / "pkg"
     src.mkdir(parents=True)
@@ -43,6 +44,8 @@ def write_fixture_tree(root, *, undocumented_env=True, rogue_site=True):
     readme = "# fixture\n\n| Variable | Effect |\n| --- | --- |\n"
     if not undocumented_env:
         readme += "| `REPRO_FIXTURE_LIMIT` | documented. |\n"
+    if stale_doc:
+        readme += "| `REPRO_FIXTURE_RETIRED` | no code reads this. |\n"
     (root / "README.md").write_text(readme)
     (root / "tests").mkdir()
     (root / "tests" / "test_faults.py").write_text("# no sites exercised\n")
@@ -79,7 +82,7 @@ class TestRepoIsClean:
 class TestFixtureTreeFails:
     def test_undocumented_env_var_is_flagged(self, tmp_path):
         root = write_fixture_tree(tmp_path, undocumented_env=True,
-                                  rogue_site=False)
+                                  rogue_site=False, stale_doc=False)
         findings = run_lints(["env-docs"], root=root)
         assert len(findings) == 1
         assert findings[0].lint == "env-docs"
@@ -87,8 +90,37 @@ class TestFixtureTreeFails:
 
     def test_documented_env_var_passes(self, tmp_path):
         root = write_fixture_tree(tmp_path, undocumented_env=False,
-                                  rogue_site=False)
+                                  rogue_site=False, stale_doc=False)
         assert run_lints(["env-docs"], root=root) == []
+
+    def test_documented_but_unread_env_var_is_flagged(self, tmp_path):
+        root = write_fixture_tree(tmp_path, undocumented_env=False,
+                                  rogue_site=False, stale_doc=True)
+        findings = run_lints(["env-docs"], root=root)
+        assert len(findings) == 1
+        assert findings[0].path == "README.md"
+        assert findings[0].line == 6  # the stale table row
+        assert "REPRO_FIXTURE_RETIRED" in findings[0].message
+        assert "nothing under src/ or benchmarks/ reads it" in findings[0].message
+
+    def test_env_var_read_only_by_benchmarks_counts_as_read(self, tmp_path):
+        root = write_fixture_tree(tmp_path, undocumented_env=False,
+                                  rogue_site=False, stale_doc=True)
+        (root / "benchmarks").mkdir()
+        (root / "benchmarks" / "bench.py").write_text(
+            'import os\nos.environ.get("REPRO_FIXTURE_RETIRED")\n'
+        )
+        assert run_lints(["env-docs"], root=root) == []
+
+    def test_env_var_read_only_by_tests_is_flagged(self, tmp_path):
+        root = write_fixture_tree(tmp_path, undocumented_env=False,
+                                  rogue_site=False, stale_doc=True)
+        (root / "tests" / "test_env.py").write_text(
+            'import os\nos.environ.get("REPRO_FIXTURE_RETIRED")\n'
+        )
+        findings = run_lints(["env-docs"], root=root)
+        assert [f.path for f in findings] == ["README.md"]
+        assert "REPRO_FIXTURE_RETIRED" in findings[0].message
 
     def test_unregistered_fault_site_is_flagged(self, tmp_path):
         root = write_fixture_tree(tmp_path, undocumented_env=False,
@@ -110,7 +142,7 @@ class TestFixtureTreeFails:
 
     def test_env_prefix_globs_are_skipped(self, tmp_path):
         root = write_fixture_tree(tmp_path, undocumented_env=False,
-                                  rogue_site=False)
+                                  rogue_site=False, stale_doc=False)
         (root / "src" / "pkg" / "globby.py").write_text(
             '# resets every REPRO_PROBLEM_CACHE_* override\n'
             'PREFIX = "REPRO_FIXTURE_"\n'
@@ -139,6 +171,7 @@ class TestAnalyzeCli:
         )
         assert code == 1
         assert "REPRO_FIXTURE_TIMEOUT" in err
+        assert "REPRO_FIXTURE_RETIRED" in err
         assert "fixture.bogus_site" in err
 
     def test_probe_validates_safe_cells(self):

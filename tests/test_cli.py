@@ -98,73 +98,70 @@ class TestSweepCommand:
         assert store.is_file()  # one journal, no plan-*.pkl directory
         assert not list(tmp_path.glob("plan-*.pkl"))
 
-    def test_plan_store_and_cache_dir_conflict(self, tmp_path, capsys):
-        code, _ = run_cli(
-            "sweep", "--kernels", "merge_path", "--scale", "smoke",
-            "--limit", "1", "--plan-store", str(tmp_path / "s"),
-            "--plan-cache-dir", str(tmp_path / "d"),
-        )
-        assert code == 2
-        assert "mutually exclusive" in capsys.readouterr().err
-
-    def test_keep_pool_requires_process_executor(self, capsys):
-        code, _ = run_cli(
-            "sweep", "--kernels", "merge_path", "--scale", "smoke",
-            "--limit", "1", "--keep-pool",
-        )
-        assert code == 2
-        assert "--executor process" in capsys.readouterr().err
-
-    def test_transport_requires_process_executor(self, capsys):
-        code, _ = run_cli(
-            "sweep", "--kernels", "merge_path", "--scale", "smoke",
-            "--limit", "1", "--transport", "shm",
-        )
-        assert code == 2
-        assert "--executor process" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("transport", ["auto", "shm", "pickle"])
-    def test_transport_round_trip(self, transport):
-        code, out = run_cli(
-            "sweep", "--kernels", "merge_path", "--scale", "smoke",
-            "--limit", "2", "--executor", "process", "--workers", "2",
-            "--transport", transport,
-        )
-        assert code == 0
-        rows = list(csv.DictReader(io.StringIO(out)))
-        assert len(rows) == 2
-
-    def test_transport_invalid_value_exits_2(self):
+    @pytest.mark.parametrize("flags", [
+        ["--executor", "process"],
+        ["--keep-pool"],
+        ["--transport", "shm"],
+        ["--plan-cache-dir", "plans"],
+    ], ids=["executor", "keep-pool", "transport", "plan-cache-dir"])
+    def test_removed_flags_exit_2(self, flags):
         with pytest.raises(SystemExit) as excinfo:
-            run_cli(
-                "sweep", "--kernels", "merge_path", "--scale", "smoke",
-                "--limit", "1", "--executor", "process",
-                "--transport", "telepathy",
-            )
-        assert excinfo.value.code == 2  # argparse choices rejection
+            run_cli("sweep", "--kernels", "merge_path", "--scale", "smoke",
+                    "--limit", "1", *flags)
+        assert excinfo.value.code == 2  # argparse: unrecognized arguments
 
-    def test_keep_pool_sweep(self):
+    def test_negative_workers_exit_2(self, capsys):
+        code, _ = run_cli(
+            "sweep", "--kernels", "merge_path", "--scale", "smoke",
+            "--limit", "1", "--workers", "-1",
+        )
+        assert code == 2
+        assert "--workers must be >= 0" in capsys.readouterr().err
+
+    def test_workers_sweep_through_default_executor(self):
+        from repro.engine import default_executor, shutdown_default_executor
+
+        args = ("sweep", "--kernels", "merge_path", "--scale", "smoke",
+                "--limit", "3")
+        shutdown_default_executor()
+        try:
+            code, pooled = run_cli(*args, "--workers", "3")
+            assert code == 0
+            pool = default_executor()
+            assert pool.sweeps == 1 and pool.width == 3
+        finally:
+            shutdown_default_executor()
+        code, serial = run_cli(*args, "--workers", "0")
+        assert code == 0
+        assert pooled == serial
+        assert len(list(csv.DictReader(io.StringIO(pooled)))) == 3
+
+    def test_parallel_workers(self):
         from repro.engine import shutdown_default_executor
 
         try:
             code, out = run_cli(
-                "sweep", "--kernels", "merge_path", "--scale", "smoke",
-                "--limit", "2", "--executor", "process", "--workers", "2",
-                "--keep-pool",
+                "sweep", "--app", "histogram", "--kernels", "merge_path",
+                "--scale", "smoke", "--limit", "3", "--workers", "2",
             )
-            assert code == 0
-            assert len(out.strip().splitlines()) == 3  # header + 2 rows
         finally:
             shutdown_default_executor()
-
-    def test_parallel_workers(self):
-        code, out = run_cli(
-            "sweep", "--kernels", "merge_path", "--scale", "smoke",
-            "--limit", "3", "--workers", "3",
-        )
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 3
+        assert {r["app"] for r in rows} == {"histogram"}
+
+    def test_zero_workers_sweeps_without_a_pool(self):
+        from repro.engine import shutdown_default_executor, worker_pool
+
+        shutdown_default_executor()
+        code, out = run_cli(
+            "sweep", "--kernels", "merge_path", "--scale", "smoke",
+            "--limit", "2", "--workers", "0",
+        )
+        assert code == 0
+        assert len(list(csv.DictReader(io.StringIO(out)))) == 2
+        assert worker_pool._DEFAULT is None  # serial: no pool was spawned
 
 
 class TestInfoCommands:
@@ -358,6 +355,11 @@ class TestServeSubmitCommands:
         code, _ = run_cli("serve", "--width", "-2")
         assert code == 2
         assert "width" in capsys.readouterr().err
+
+    def test_serve_transport_flag_removed(self):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("serve", "--port", "0", "--transport", "pickle")
+        assert excinfo.value.code == 2  # argparse: unrecognized arguments
 
     def test_serve_bad_width_env_exits_2(self, capsys, monkeypatch):
         from repro.service.server import SERVE_WIDTH_ENV

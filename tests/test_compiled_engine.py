@@ -217,7 +217,7 @@ class TestCompilationCache:
         clear_compilation_cache()
         rows = run_suite(
             ["merge_path"], app="spmv", scale="smoke", limit=2,
-            engine="compiled", executor="serial",
+            ctx=ExecutionContext(engine="compiled"), executor="serial",
         )
         assert rows
         for row in rows:
@@ -406,11 +406,11 @@ class TestSuiteIntegration:
     def test_fail_fast_on_unknown_engine_every_executor(self):
         from repro.evaluation.harness import run_suite
 
-        for executor in ("serial", "thread", "process"):
+        for executor in ("serial", "process"):
             with pytest.raises(UnknownEngineError, match="compield"):
                 run_suite(
                     ["merge_path"], scale="smoke", limit=1,
-                    engine="compield", executor=executor,
+                    ctx=ExecutionContext(engine="compield"), executor=executor,
                 )
 
     def test_fail_fast_on_unknown_override_engine(self):
@@ -427,8 +427,12 @@ class TestSuiteIntegration:
         from repro.evaluation.harness import run_suite
 
         kwargs = dict(app=app, scale="smoke", limit=2, executor="serial")
-        vec = run_suite(["merge_path"], engine="vector", **kwargs)
-        comp = run_suite(["merge_path"], engine="compiled", **kwargs)
+        vec = run_suite(
+            ["merge_path"], ctx=ExecutionContext(engine="vector"), **kwargs
+        )
+        comp = run_suite(
+            ["merge_path"], ctx=ExecutionContext(engine="compiled"), **kwargs
+        )
         # SweepRow equality ignores meta; elapsed differs by engine (the
         # compiled engine folds materialized loads, the vector engine
         # prices the plan analytically), so compare identity columns.
@@ -445,7 +449,8 @@ class TestSuiteIntegration:
         from repro.evaluation.harness import run_suite
 
         kwargs = dict(
-            app="spmv", scale="smoke", limit=3, engine="compiled",
+            app="spmv", scale="smoke", limit=3,
+            ctx=ExecutionContext(engine="compiled"),
             kernels=["merge_path", "thread_mapped"],
         )
 
@@ -456,11 +461,8 @@ class TestSuiteIntegration:
             ]
 
         serial = run_suite(executor="serial", **kwargs)
-        thread = run_suite(executor="thread", max_workers=4, **kwargs)
-        process = run_suite(
-            executor="process", max_workers=2, transport="shm", **kwargs
-        )
-        assert key(serial) == key(thread) == key(process)
+        process = run_suite(executor="process", max_workers=2, **kwargs)
+        assert key(serial) == key(process)
         assert serial  # non-empty sweep
 
 

@@ -244,7 +244,8 @@ class TestGenericSweep:
         kwargs = dict(app="spmm", scale="smoke", limit=3)
         serial = run_suite(["merge_path", "thread_mapped"], **kwargs)
         parallel = run_suite(
-            ["merge_path", "thread_mapped"], max_workers=4, **kwargs
+            ["merge_path", "thread_mapped"], executor="process",
+            max_workers=2, **kwargs
         )
         assert [(r.dataset, r.kernel, r.elapsed) for r in serial] == [
             (r.dataset, r.kernel, r.elapsed) for r in parallel

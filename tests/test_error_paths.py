@@ -7,7 +7,7 @@ from repro.apps.common import resolve_schedule, spmv_costs
 from repro.core.schedule import LaunchParams, register_schedule
 from repro.core.work import WorkSpec
 from repro.evaluation.figures import fig2_overhead, fig4_heuristic
-from repro.evaluation.harness import SpmvRow
+from repro.evaluation.harness import SweepRow
 from repro.gpusim.arch import V100
 from repro.gpusim.multi_gpu import multi_gpu_plan
 
@@ -15,14 +15,14 @@ from repro.gpusim.multi_gpu import multi_gpu_plan
 class TestFigureErrorPaths:
     def test_fig2_no_common_datasets(self):
         rows = [
-            SpmvRow("merge_path", "a", 1, 1, 1, 1.0),
-            SpmvRow("cub", "b", 1, 1, 1, 1.0),
+            SweepRow("merge_path", "a", 1, 1, 1, 1.0),
+            SweepRow("cub", "b", 1, 1, 1, 1.0),
         ]
         with pytest.raises(ValueError, match="no common datasets"):
             fig2_overhead(rows=rows)
 
     def test_fig4_no_common_datasets(self):
-        rows = [SpmvRow("heuristic", "a", 1, 1, 1, 1.0)]
+        rows = [SweepRow("heuristic", "a", 1, 1, 1, 1.0)]
         with pytest.raises(ValueError, match="no common datasets"):
             fig4_heuristic(rows=rows)
 
@@ -95,4 +95,4 @@ class TestHarnessValidationPath:
 
         monkeypatch.setattr(cub_mod, "cub_spmv", corrupted)
         with pytest.raises(AssertionError, match="validation failed"):
-            harness.run_spmv_kernel("cub", ds)
+            harness.run_cell("spmv", "cub", ds)

@@ -71,12 +71,9 @@ class TestConstruction:
         ctx = ExecutionContext(plan_store=tmp_path / "plans.journal")
         assert ctx.plan_store == str(tmp_path / "plans.journal")
 
-    def test_plan_store_and_cache_dir_mutually_exclusive(self, tmp_path):
-        with pytest.raises(ValueError, match="not both"):
-            ExecutionContext(
-                plan_cache_dir=str(tmp_path / "d"),
-                plan_store=str(tmp_path / "s.journal"),
-            )
+    def test_plan_store_is_the_only_persistence_field(self, tmp_path):
+        with pytest.raises(TypeError):
+            ExecutionContext(plan_cache_dir=str(tmp_path / "plans"))
 
     def test_replace_and_with_helpers(self):
         ctx = ExecutionContext()
@@ -222,11 +219,13 @@ class TestContextThroughSuite:
         ]
 
     def test_run_suite_rejects_ctx_plus_legacy(self):
+        """The context is the only selection: loose engine=/spec= kwargs
+        beside it are not accepted, not silently merged."""
         from repro.evaluation.harness import run_suite
         from repro.sparse.corpus import load_dataset
 
         ds = [load_dataset("tiny_diag_32", "smoke")]
-        with pytest.raises(ValueError, match="not both"):
+        with pytest.raises(TypeError):
             run_suite(["merge_path"], datasets=ds, ctx=ExecutionContext(),
                       engine="simt")
 

@@ -192,8 +192,7 @@ class TestExecutorChaos:
         monkeypatch.setenv(FAULTS_ENV, "worker.batch:hang@2")
         monkeypatch.setenv(HANG_SECONDS_ENV, "30")
         start = time.monotonic()
-        pool = SweepExecutor(max_workers=1, transport="pickle",
-                             batch_atoms=1, batch_timeout=1.0)
+        pool = SweepExecutor(max_workers=1, batch_atoms=1, batch_timeout=1.0)
         try:
             rows = self._sweep(pool)
             info = pool.info()
@@ -212,8 +211,7 @@ class TestExecutorChaos:
     def test_crashed_batch_is_retried_on_respawned_slot(
             self, monkeypatch, shm_ledger, serial_rows):
         monkeypatch.setenv(FAULTS_ENV, "worker.batch:crash@2")
-        pool = SweepExecutor(max_workers=1, transport="pickle",
-                             batch_atoms=1, batch_timeout=30.0)
+        pool = SweepExecutor(max_workers=1, batch_atoms=1, batch_timeout=30.0)
         try:
             rows = self._sweep(pool)
             info = pool.info()
@@ -233,8 +231,7 @@ class TestExecutorChaos:
         # produces the *real* rows, stamped degraded.
         monkeypatch.setenv(FAULTS_ENV, "worker.batch:crash@*")
         start = time.monotonic()
-        pool = SweepExecutor(max_workers=2, transport="pickle",
-                             batch_timeout=30.0)
+        pool = SweepExecutor(max_workers=2, batch_timeout=30.0)
         try:
             rows = self._sweep(pool)
             info = pool.info()
@@ -256,8 +253,7 @@ class TestExecutorChaos:
 
         monkeypatch.setenv(FAULTS_ENV, f"shm.attach:{kind}@1")
         monkeypatch.setattr(wp, "_TRANSPORT_FALLBACK_WARNED", False)
-        pool = SweepExecutor(max_workers=1, transport="shm",
-                             batch_timeout=30.0)
+        pool = SweepExecutor(max_workers=1, batch_timeout=30.0)
         try:
             with pytest.warns(RuntimeWarning, match="pickle"):
                 rows = self._sweep(pool)
@@ -273,7 +269,7 @@ class TestExecutorChaos:
 
     def test_faults_off_rows_are_first_attempt_only(self, shm_ledger,
                                                     serial_rows):
-        pool = SweepExecutor(max_workers=2, transport="auto")
+        pool = SweepExecutor(max_workers=2)
         try:
             rows = self._sweep(pool)
             info = pool.info()
@@ -286,6 +282,88 @@ class TestExecutorChaos:
         assert info["batch_retries"] == 0
         assert info["degraded_shards"] == 0
         assert info["transport_fallbacks"] == 0
+
+
+#: Fault kinds the randomized draw may place at each site.  Every kind
+#: here is survivable: a crashed batch is retried and then degraded, a
+#: slow one just finishes late, refused publishes and failed attaches
+#: fall back to pickling or a local rebuild.
+_FAULT_MENU = {
+    "worker.batch": ("crash", "slow"),
+    "shm.publish": ("drop",),
+    "shm.attach": ("crc", "drop"),
+    "oracle.attach": ("drop",),
+}
+
+
+def _draw_fault_spec(rng) -> str:
+    sites = rng.choice(sorted(_FAULT_MENU), size=int(rng.integers(1, 3)),
+                       replace=False)
+    return ";".join(
+        f"{site}:{rng.choice(_FAULT_MENU[site])}"
+        f"@{rng.choice(['*', '1', '2', '0.5'])}"
+        for site in sites
+    )
+
+
+def _draw_datasets(rng) -> list:
+    """A few smoke CSR datasets plus at least one native tensor corpus."""
+    from repro.sparse.corpus import Dataset, build_corpus
+    from repro.sparse.tensor import random_tensor
+
+    corpus = build_corpus("smoke", limit=8)
+    picks = rng.choice(len(corpus), size=int(rng.integers(1, 4)),
+                       replace=False)
+    tensors = [
+        Dataset(
+            name=f"tensor_{i}",
+            family="tensor",
+            matrix=random_tensor((32 + 8 * i, 24, 10), 300 + 50 * i,
+                                 skew=0.6, seed=int(rng.integers(1 << 16))),
+        )
+        for i in range(int(rng.integers(1, 3)))
+    ]
+    return [corpus[int(i)] for i in sorted(picks)] + tensors
+
+
+class TestRandomizedDifferential:
+    """Seeded random (width, fault spec, dataset subset) draws.
+
+    Whatever the draw, every row a faulted process sweep reports as
+    ``ok`` equals the serial row of the same cell, and ``/dev/shm``
+    gains no segments.
+    """
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_surviving_rows_equal_serial_rows(self, seed, monkeypatch,
+                                              shm_ledger):
+        import numpy as np
+
+        rng = np.random.default_rng(seed)
+        width = int(rng.integers(1, 3))
+        spec = _draw_fault_spec(rng)
+        kwargs = dict(app="spmttkrp", datasets=_draw_datasets(rng), seed=seed)
+        grid = ["merge_path", "thread_mapped"]
+        serial = run_suite(grid, executor="serial", **kwargs)
+
+        monkeypatch.setenv(FAULTS_ENV, spec)
+        monkeypatch.setenv(SLOW_SECONDS_ENV, "0.05")
+        clear_faults()  # the parent rebuilds its registry from the env
+        pool = SweepExecutor(max_workers=width, batch_timeout=30.0)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                rows = run_suite(grid, executor="process", pool=pool,
+                                 **kwargs)
+        finally:
+            pool.shutdown()
+
+        expected = {(r.dataset, r.kernel): _key([r]) for r in serial}
+        assert sorted((r.dataset, r.kernel) for r in rows) == sorted(expected)
+        survivors = [r for r in rows if r.meta["status"] == "ok"]
+        assert survivors, spec
+        for row in survivors:
+            assert _key([row]) == expected[(row.dataset, row.kernel)], spec
 
 
 class TestSharingFaults:
@@ -342,8 +420,8 @@ class TestSharingFaults:
 
         configure_faults("worker.start:err@1")
         with pytest.raises(FaultInjected, match="worker.start"):
-            _worker_warmup(None, None)
-        _worker_warmup(None, None)  # fired once; the respawned slot warms up
+            _worker_warmup(None)
+        _worker_warmup(None)  # fired once; the respawned slot warms up
 
 
 class TestJournalChaos:

@@ -8,7 +8,7 @@ from repro.evaluation.figures import (
     fig3_landscape,
     fig4_heuristic,
 )
-from repro.evaluation.harness import run_spmv_suite
+from repro.evaluation.harness import run_suite
 from repro.sparse.corpus import corpus_names
 
 
@@ -17,7 +17,7 @@ def all_rows():
     """One harness sweep shared by every figure test (smoke scale)."""
     kernels = ["merge_path", "thread_mapped", "group_mapped", "heuristic",
                "cub", "cusparse"]
-    return run_spmv_suite(kernels, scale="smoke")
+    return run_suite(kernels, app="spmv", scale="smoke")
 
 
 class TestFig2:

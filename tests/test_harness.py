@@ -6,8 +6,8 @@ import pytest
 
 from repro.evaluation.harness import (
     SPMV_KERNELS,
-    run_spmv_kernel,
-    run_spmv_suite,
+    run_cell,
+    run_suite,
     write_csv,
 )
 from repro.sparse.corpus import load_dataset
@@ -17,7 +17,7 @@ class TestRunKernel:
     @pytest.mark.parametrize("kernel", SPMV_KERNELS)
     def test_every_kernel_runs_and_validates(self, kernel):
         ds = load_dataset("tiny_power_256", "smoke")
-        row = run_spmv_kernel(kernel, ds)
+        row = run_cell("spmv", kernel, ds)
         assert row.kernel == kernel
         assert row.dataset == ds.name
         assert row.rows == ds.rows and row.cols == ds.cols and row.nnzs == ds.nnz
@@ -27,11 +27,11 @@ class TestRunKernel:
     def test_unknown_kernel(self):
         ds = load_dataset("tiny_diag_32", "smoke")
         with pytest.raises(KeyError, match="unknown kernel"):
-            run_spmv_kernel("fictional", ds)
+            run_cell("spmv", "fictional", ds)
 
     def test_heuristic_records_choice(self):
         ds = load_dataset("tiny_uniform_64", "smoke")
-        row = run_spmv_kernel("heuristic", ds)
+        row = run_cell("spmv", "heuristic", ds)
         assert row.meta["schedule"] in {
             "thread_mapped",
             "group_mapped",
@@ -44,70 +44,64 @@ class TestRunKernel:
         that policy/schedule rows carry, forcing consumers to
         special-case the kernel class."""
         ds = load_dataset("tiny_power_256", "smoke")
-        row = run_spmv_kernel(baseline, ds)
+        row = run_cell("spmv", baseline, ds)
         assert row.meta["schedule"] == baseline
 
 
-class TestWrapperContext:
-    """ctx= threads through the paper-era wrappers (legacy-API migration)."""
+class TestContextSelection:
+    """ctx= is the one execution selection on run_cell and run_suite."""
 
-    def test_run_spmv_kernel_accepts_ctx(self):
+    def test_run_cell_and_run_suite_agree_under_ctx(self):
         from repro.engine import ExecutionContext
         from repro.gpusim.arch import get_spec
 
         ds = load_dataset("tiny_power_256", "smoke")
-        spec = get_spec("AMD-WARP64")
-        via_ctx = run_spmv_kernel("merge_path", ds, ctx=ExecutionContext(spec=spec))
-        via_spec = run_spmv_kernel("merge_path", ds, spec)
-        assert via_ctx.elapsed == via_spec.elapsed
+        ctx = ExecutionContext(spec=get_spec("AMD-WARP64"))
+        cell = run_cell("spmv", "merge_path", ds, ctx=ctx)
+        suite = run_suite(["merge_path"], datasets=[ds], ctx=ctx)
+        assert [cell.elapsed] == [r.elapsed for r in suite]
 
-    def test_run_spmv_kernel_ctx_and_spec_conflict(self):
-        from repro.engine import ExecutionContext
+    def test_loose_selection_kwargs_rejected(self):
         from repro.gpusim.arch import V100
 
         ds = load_dataset("tiny_diag_32", "smoke")
-        with pytest.raises(ValueError, match="not both"):
-            run_spmv_kernel("merge_path", ds, V100, ctx=ExecutionContext())
+        with pytest.raises(TypeError):
+            run_cell("spmv", "merge_path", ds, spec=V100)
+        with pytest.raises(TypeError):
+            run_suite(["merge_path"], datasets=[ds], engine="vector")
 
-    def test_run_spmv_suite_accepts_ctx(self):
-        from repro.engine import ExecutionContext
 
-        ds = [load_dataset("tiny_uniform_64", "smoke")]
-        via_ctx = run_spmv_suite(
-            ["merge_path"], datasets=ds, ctx=ExecutionContext(engine="vector")
-        )
-        plain = run_spmv_suite(["merge_path"], datasets=ds)
-        assert [(r.dataset, r.elapsed) for r in via_ctx] == [
-            (r.dataset, r.elapsed) for r in plain
-        ]
+class TestRemovedAliases:
+    """Deprecated spellings are gone, so nothing can route around ctx=."""
 
-    def test_run_spmv_suite_ctx_and_spec_conflict(self):
-        from repro.engine import ExecutionContext
-        from repro.gpusim.arch import V100
+    @pytest.mark.parametrize("module, name", [
+        ("repro.evaluation", "SpmvRow"),
+        ("repro.evaluation", "run_spmv_kernel"),
+        ("repro.evaluation", "run_spmv_suite"),
+        ("repro.engine.worker_pool", "SharedDatasetHandle"),
+        ("repro.apps.common", "ENGINES"),
+        ("repro.engine", "ENGINES"),
+    ])
+    def test_alias_is_gone(self, module, name):
+        import importlib
 
-        with pytest.raises(ValueError, match="not both"):
-            run_spmv_suite(
-                ["merge_path"],
-                datasets=[load_dataset("tiny_diag_32", "smoke")],
-                spec=V100,
-                ctx=ExecutionContext(),
-            )
+        assert not hasattr(importlib.import_module(module), name)
 
 
 class TestSuite:
     def test_limit_and_kernel_grid(self):
-        rows = run_spmv_suite(["merge_path", "cub"], scale="smoke", limit=4)
+        rows = run_suite(["merge_path", "cub"], scale="smoke", limit=4)
         assert len(rows) == 8
         assert {r.kernel for r in rows} == {"merge_path", "cub"}
 
     def test_explicit_datasets(self):
         ds = [load_dataset("tiny_diag_32", "smoke")]
-        rows = run_spmv_suite(["cusparse"], datasets=ds)
+        rows = run_suite(["cusparse"], datasets=ds)
         assert len(rows) == 1
 
     def test_deterministic(self):
-        a = run_spmv_suite(["merge_path"], scale="smoke", limit=3)
-        b = run_spmv_suite(["merge_path"], scale="smoke", limit=3)
+        a = run_suite(["merge_path"], scale="smoke", limit=3)
+        b = run_suite(["merge_path"], scale="smoke", limit=3)
         assert [(r.dataset, r.elapsed) for r in a] == [
             (r.dataset, r.elapsed) for r in b
         ]
@@ -115,7 +109,7 @@ class TestSuite:
 
 class TestCsv:
     def test_paper_schema(self, tmp_path):
-        rows = run_spmv_suite(["merge_path"], scale="smoke", limit=3)
+        rows = run_suite(["merge_path"], scale="smoke", limit=3)
         path = write_csv(rows, tmp_path / "out" / "results.csv")
         with open(path) as fh:
             reader = csv.DictReader(fh)

@@ -44,13 +44,14 @@ class TestCorpusToFiguresPipeline:
         from repro.evaluation import (
             fig2_overhead,
             fig4_heuristic,
-            run_spmv_suite,
+            run_suite,
             write_csv,
         )
 
         datasets = build_corpus("smoke", limit=8)
-        rows = run_spmv_suite(
-            ["merge_path", "cub", "heuristic", "cusparse"], datasets=datasets
+        rows = run_suite(
+            ["merge_path", "cub", "heuristic", "cusparse"], app="spmv",
+            datasets=datasets,
         )
         path = write_csv(rows, tmp_path / "results.csv")
         assert path.exists()

@@ -53,7 +53,7 @@ class TestEngineRegistry:
             name = "echo-test"
 
             def launch(self, sched, costs, *, compute=None, kernel=None,
-                       extras=None, cache_key=None):
+                       compiled=None, extras=None, cache_key=None):
                 out, stats = get_engine("vector").launch(
                     sched, costs, compute=compute, kernel=kernel,
                     extras=extras, cache_key=None,
@@ -72,6 +72,33 @@ class TestEngineRegistry:
             from repro.engine import dispatch
 
             dispatch._ENGINE_REGISTRY.pop("echo-test", None)
+
+    def test_type_error_in_launch_propagates_after_one_call(self):
+        """A TypeError raised inside an engine's launch is the engine's
+        error: it propagates as-is and the launch is never retried."""
+        calls = []
+
+        class BrokenEngine(Engine):
+            name = "broken-test"
+
+            def launch(self, sched, costs, *, compute=None, kernel=None,
+                       compiled=None, extras=None, cache_key=None):
+                calls.append(sched.name)
+                raise TypeError("bad operand inside a compiled body")
+
+        register_engine("broken-test", BrokenEngine)
+        try:
+            m = gen.power_law(16, 16, 3.0, 1.8, seed=2)
+            app = get_app("spmv")
+            problem = app.sweep_problem(m, DEFAULT_SEED)
+            with pytest.raises(TypeError, match="compiled body"):
+                run_app(app, problem, ctx=ExecutionContext(
+                    engine="broken-test", spec=TINY_GPU))
+            assert len(calls) == 1
+        finally:
+            from repro.engine import dispatch
+
+            dispatch._ENGINE_REGISTRY.pop("broken-test", None)
 
 
 class TestMultiGpuEngine:

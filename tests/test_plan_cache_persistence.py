@@ -1,35 +1,29 @@
-"""Tests for the plan cache's persistent (disk-backed) layer.
+"""Tests for the plan cache's persistent (journal-backed) layer.
 
-The disk layer must be *pure acceleration*: version mismatches,
-corrupted files, digest collisions and concurrent writers can only ever
-read as cache misses -- never as an error, never as a wrong plan.
+The disk layer must be *pure acceleration*: version mismatches and
+malformed payloads can only ever read as cache misses -- never as an
+error, never as a wrong plan.  The journal's own framing (truncation,
+CRC damage, concurrent writers, cross-process warm starts) is covered in
+``tests/test_plan_store.py``.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
+from repro.apps.common import spmv_costs
 from repro.core.schedule import make_schedule
 from repro.core.work import WorkSpec
 from repro.engine import (
-    CACHE_DIR_ENV,
     CACHE_FORMAT_VERSION,
     PlanCache,
     VectorEngine,
     configure_global_plan_cache,
+    global_plan_cache,
     input_vector,
 )
-from repro.apps.common import spmv_costs
 from repro.gpusim.arch import TINY_GPU
 from repro.sparse import generators as gen
-
-SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -37,98 +31,106 @@ def matrix():
     return gen.power_law(24, 24, 3.0, 1.9, seed=3)
 
 
+def _sched(matrix):
+    return make_schedule("merge_path", WorkSpec.from_csr(matrix), TINY_GPU)
+
+
 def _plan_once(cache: PlanCache, matrix):
-    work = WorkSpec.from_csr(matrix)
-    sched = make_schedule("merge_path", work, TINY_GPU)
-    costs = spmv_costs(TINY_GPU)
-    return cache.plan(sched, costs, options_key=("merge_path",))
+    return cache.plan(
+        _sched(matrix), spmv_costs(TINY_GPU), options_key=("merge_path",)
+    )
 
 
-def _entry_files(cache_dir: Path) -> list[Path]:
-    return sorted(cache_dir.glob("plan-*.pkl"))
+def _overwrite_payload(path, matrix, payload) -> None:
+    """Append a newer record for the plan's key (newest record wins)."""
+    cache = PlanCache(store_path=path)
+    key = cache.key_for(_sched(matrix), spmv_costs(TINY_GPU), ("merge_path",))
+    cache.store.put(key, payload)
+    cache.store.close()
 
 
 class TestRoundTrip:
     def test_disk_round_trip_between_cache_instances(self, tmp_path, matrix):
-        first = PlanCache(cache_dir=tmp_path)
+        path = tmp_path / "plans.journal"
+        first = PlanCache(store_path=path)
         stats_cold = _plan_once(first, matrix)
         assert first.misses == 1 and first.disk_hits == 0
-        assert len(_entry_files(tmp_path)) == 1
+        assert first.info()["store_records"] == 1
+        first.store.close()
 
-        # A brand-new cache (empty memory) over the same directory serves
+        # A brand-new cache (empty memory) over the same journal serves
         # the identical plan from disk.
-        second = PlanCache(cache_dir=tmp_path)
+        second = PlanCache(store_path=path)
         stats_warm = _plan_once(second, matrix)
         assert second.misses == 0
         assert second.hits == 1 and second.disk_hits == 1
         assert stats_warm == stats_cold  # every timing field identical
 
     def test_disk_hit_promotes_to_memory(self, tmp_path, matrix):
-        _plan_once(PlanCache(cache_dir=tmp_path), matrix)  # seed the disk
-        cache = PlanCache(cache_dir=tmp_path)
+        path = tmp_path / "plans.journal"
+        _plan_once(PlanCache(store_path=path), matrix)  # seed the journal
+        cache = PlanCache(store_path=path)
         _plan_once(cache, matrix)
         assert cache.disk_hits == 1
         _plan_once(cache, matrix)
         assert cache.hits == 2 and cache.disk_hits == 1  # second hit: memory
 
-    def test_no_cache_dir_means_no_files(self, tmp_path, matrix):
+    def test_no_store_means_no_files(self, tmp_path, matrix):
         cache = PlanCache()
         _plan_once(cache, matrix)
-        assert cache.cache_dir is None
-        assert _entry_files(tmp_path) == []
+        assert cache.store_path is None
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestInvalidation:
     def test_version_mismatch_reads_as_miss(self, tmp_path, matrix):
-        writer = PlanCache(cache_dir=tmp_path)
-        stats = _plan_once(writer, matrix)
-        (entry,) = _entry_files(tmp_path)
-        payload = pickle.loads(entry.read_bytes())
-        payload["version"] = CACHE_FORMAT_VERSION + 1
-        entry.write_bytes(pickle.dumps(payload))
+        path = tmp_path / "plans.journal"
+        stats = _plan_once(PlanCache(store_path=path), matrix)
+        _overwrite_payload(
+            path, matrix, {"version": CACHE_FORMAT_VERSION + 1, "stats": stats}
+        )
 
-        reader = PlanCache(cache_dir=tmp_path)
+        reader = PlanCache(store_path=path)
         replanned = _plan_once(reader, matrix)
         assert reader.disk_hits == 0 and reader.misses == 1
         assert replanned == stats  # planned live, same pure result
 
     @pytest.mark.parametrize(
         "garbage",
-        [b"", b"not a pickle", pickle.dumps(["wrong", "shape"]),
-         pickle.dumps({"version": CACHE_FORMAT_VERSION, "key": None, "stats": 42})],
-        ids=["truncated", "non-pickle", "non-dict", "bad-stats"],
+        [["wrong", "shape"], {"version": CACHE_FORMAT_VERSION, "stats": 42}],
+        ids=["non-dict", "bad-stats"],
     )
-    def test_corrupted_entry_falls_through_to_live_plan(
+    def test_malformed_payload_falls_through_to_live_plan(
         self, tmp_path, matrix, garbage
     ):
-        writer = PlanCache(cache_dir=tmp_path)
-        stats = _plan_once(writer, matrix)
-        (entry,) = _entry_files(tmp_path)
-        entry.write_bytes(garbage)
+        path = tmp_path / "plans.journal"
+        stats = _plan_once(PlanCache(store_path=path), matrix)
+        _overwrite_payload(path, matrix, garbage)
 
-        reader = PlanCache(cache_dir=tmp_path)
+        reader = PlanCache(store_path=path)
         replanned = _plan_once(reader, matrix)  # must not raise
         assert reader.disk_hits == 0 and reader.misses == 1
         assert replanned == stats
 
-    def test_key_mismatch_in_payload_reads_as_miss(self, tmp_path, matrix):
-        writer = PlanCache(cache_dir=tmp_path)
-        _plan_once(writer, matrix)
-        (entry,) = _entry_files(tmp_path)
-        payload = pickle.loads(entry.read_bytes())
-        payload["key"] = ("someone", "elses", "key")  # simulated collision
-        entry.write_bytes(pickle.dumps(payload))
+    def test_torn_journal_tail_falls_through_to_live_plan(self, tmp_path, matrix):
+        path = tmp_path / "plans.journal"
+        writer = PlanCache(store_path=path)
+        stats = _plan_once(writer, matrix)
+        writer.store.close()
+        with open(path, "r+b") as fh:  # tear the only record mid-payload
+            fh.truncate(path.stat().st_size - 5)
 
-        reader = PlanCache(cache_dir=tmp_path)
-        _plan_once(reader, matrix)
+        reader = PlanCache(store_path=path)
+        replanned = _plan_once(reader, matrix)  # must not raise
         assert reader.disk_hits == 0 and reader.misses == 1
+        assert replanned == stats
 
-    def test_clear_keeps_disk_entries(self, tmp_path, matrix):
-        cache = PlanCache(cache_dir=tmp_path)
+    def test_clear_keeps_journal_records(self, tmp_path, matrix):
+        cache = PlanCache(store_path=tmp_path / "plans.journal")
         _plan_once(cache, matrix)
         cache.clear()
         assert cache.info()["size"] == 0
-        assert len(_entry_files(tmp_path)) == 1
+        assert cache.info()["store_records"] == 1
         _plan_once(cache, matrix)
         assert cache.disk_hits == 1
 
@@ -137,101 +139,26 @@ class TestEngineIntegration:
     def test_vector_engine_persists_and_warm_starts(self, tmp_path, matrix):
         from repro.apps.spmv import spmv
 
+        path = tmp_path / "plans.journal"
         x = input_vector(matrix.num_cols)
-        cold = VectorEngine(plan_cache=PlanCache(cache_dir=tmp_path))
+        cold = VectorEngine(plan_cache=PlanCache(store_path=path))
         first = spmv(matrix, x, spec=TINY_GPU, engine=cold)
+        cold.plan_cache.store.close()
 
-        warm = VectorEngine(plan_cache=PlanCache(cache_dir=tmp_path))
+        warm = VectorEngine(plan_cache=PlanCache(store_path=path))
         second = spmv(matrix, x, spec=TINY_GPU, engine=warm)
         assert warm.plan_cache.disk_hits == 1
         assert second.stats == first.stats
 
     def test_configure_global_plan_cache_round_trips(self, tmp_path):
-        cache = configure_global_plan_cache(tmp_path / "plans")
+        path = tmp_path / "plans.journal"
+        cache = configure_global_plan_cache(path)
         try:
-            assert cache.cache_dir == tmp_path / "plans"
-            assert (tmp_path / "plans").is_dir()
+            assert cache is global_plan_cache()
+            assert cache.store_path == path and path.is_file()
+            # Leaving store_path unset keeps the current attachment.
+            configure_global_plan_cache(maxsize=cache.maxsize)
+            assert cache.store_path == path
         finally:
             configure_global_plan_cache(None)
-        assert cache.cache_dir is None
-
-
-class TestCrossProcess:
-    """The acceptance check: a *fresh* process starts warm from disk."""
-
-    def _sweep_info(self, cache_dir: Path) -> dict:
-        script = (
-            "import json, sys\n"
-            "from repro.evaluation.harness import run_suite\n"
-            "from repro.engine import global_plan_cache\n"
-            "run_suite(['merge_path', 'thread_mapped'], scale='smoke',\n"
-            "          limit=3, plan_cache_dir=sys.argv[1])\n"
-            "print(json.dumps(global_plan_cache().info()))\n"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
-        env.pop(CACHE_DIR_ENV, None)
-        out = subprocess.run(
-            [sys.executable, "-c", script, str(cache_dir)],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        import json
-
-        return json.loads(out.stdout.strip().splitlines()[-1])
-
-    def test_second_process_sweep_hits_disk(self, tmp_path):
-        cold = self._sweep_info(tmp_path)
-        assert cold["misses"] > 0 and cold["disk_hits"] == 0
-        warm = self._sweep_info(tmp_path)
-        assert warm["misses"] == 0
-        assert warm["disk_hits"] == cold["misses"]
-        assert warm["hits"] > 0
-
-    def test_unusable_env_dir_never_breaks_import(self, tmp_path):
-        """The disk layer can only skip work: a bad REPRO_PLAN_CACHE_DIR
-        must read as 'no persistence', not crash the package import."""
-        blocker = tmp_path / "blocker"
-        blocker.write_text("a file, not a directory")
-        script = (
-            "import json\n"
-            "from repro.engine import global_plan_cache\n"
-            "print(json.dumps(global_plan_cache().info()))\n"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
-        env[CACHE_DIR_ENV] = str(blocker / "nested")  # path through a file
-        out = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        import json
-
-        info = json.loads(out.stdout.strip().splitlines()[-1])
-        assert info["cache_dir"] is None  # fell back to memory-only
-
-    def test_env_var_attaches_global_cache(self, tmp_path):
-        script = (
-            "import json\n"
-            "from repro.engine import global_plan_cache\n"
-            "print(json.dumps(global_plan_cache().info()))\n"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
-        env[CACHE_DIR_ENV] = str(tmp_path / "envcache")
-        out = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        import json
-
-        info = json.loads(out.stdout.strip().splitlines()[-1])
-        assert info["cache_dir"] == str(tmp_path / "envcache")
+        assert cache.store_path is None

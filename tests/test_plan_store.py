@@ -1,6 +1,6 @@
 """Tests for the append-only single-file plan store (journal layout).
 
-Contract mirrors the per-file disk layer: the store is *pure
+The store is the plan cache's one disk layer, and it is *pure
 acceleration*.  Truncated tails, corrupt records, version bumps, foreign
 files and concurrent writers can only ever read as misses -- never as an
 error, never as a wrong plan.
@@ -326,24 +326,17 @@ class TestPlanCacheIntegration:
         assert replayed == stats
         assert warm.info()["store_path"] == str(path)
         assert warm.info()["store_records"] == 1
-        assert path.is_file()
-        assert not list(tmp_path.glob("plan-*.pkl"))  # no per-file layout
+        assert [p.name for p in tmp_path.iterdir()] == ["plans.journal"]
 
-    def test_cache_dir_and_store_path_mutually_exclusive(self, tmp_path):
-        with pytest.raises(ValueError, match="not both"):
-            PlanCache(cache_dir=tmp_path / "d", store_path=tmp_path / "s")
-        with pytest.raises(ValueError, match="not both"):
-            configure_global_plan_cache(
-                tmp_path / "d", store_path=tmp_path / "s"
-            )
-
-    def test_attaching_store_detaches_dir_and_vice_versa(self, tmp_path):
-        cache = PlanCache(cache_dir=tmp_path / "d")
-        cache.set_store_path(tmp_path / "s.journal")
-        assert cache.cache_dir is None
-        assert cache.store_path == tmp_path / "s.journal"
-        cache.set_cache_dir(tmp_path / "d2")
-        assert cache.store_path is None and cache.cache_dir == tmp_path / "d2"
+    def test_attaching_another_store_closes_the_first(self, tmp_path):
+        cache = PlanCache(store_path=tmp_path / "a.journal")
+        first = cache.store
+        cache.set_store_path(tmp_path / "b.journal")
+        assert cache.store_path == tmp_path / "b.journal"
+        with pytest.raises(ValueError):
+            first.put(("k",), 1)  # closed on detach
+        cache.set_store_path(None)
+        assert cache.store is None
 
     def test_reattaching_same_store_is_a_noop(self, tmp_path, matrix):
         path = tmp_path / "plans.journal"
@@ -368,8 +361,9 @@ class TestCrossProcess:
             "import json, sys\n"
             "from repro.evaluation.harness import run_suite\n"
             "from repro.engine import global_plan_cache\n"
+            "from repro.engine import ExecutionContext\n"
             "run_suite(['merge_path', 'thread_mapped'], scale='smoke',\n"
-            "          limit=3, plan_store=sys.argv[1])\n"
+            "          limit=3, ctx=ExecutionContext(plan_store=sys.argv[1]))\n"
             "print(json.dumps(global_plan_cache().info()))\n"
         )
         env = dict(os.environ)

@@ -223,14 +223,25 @@ class TestSteadyStateSweeps:
 
     def test_hits_across_transports(self):
         """The shm publish fingerprint and the pickle-side fingerprint
-        are the same content key: switching transport between sweeps
-        still hits."""
+        are the same content key: a sweep whose publishes are refused
+        (payloads pickled into the task) still hits."""
+        from repro.faults import clear_faults, configure_faults
+
+        # A fresh executor: a warm one would reuse its published blocks.
         with SweepExecutor(max_workers=1) as pool:
             run_suite(["merge_path"], scale="smoke", limit=3,
-                      executor="process", pool=pool, transport="shm")
-            rows = run_suite(["merge_path"], scale="smoke", limit=3,
-                             executor="process", pool=pool, transport="pickle")
-            assert all(s == "hit" for s in _statuses(rows))
+                      executor="process", pool=pool)
+        configure_faults("shm.publish:drop@*")
+        try:
+            with SweepExecutor(max_workers=1) as pool:
+                run_suite(["merge_path"], scale="smoke", limit=3,
+                          executor="process", pool=pool)
+                rows = run_suite(["merge_path"], scale="smoke", limit=3,
+                                 executor="process", pool=pool)
+                assert pool.info()["shm_published"] == 0
+        finally:
+            clear_faults()
+        assert all(s == "hit" for s in _statuses(rows))
 
     def test_seed_change_misses_on_warm_pool(self):
         with SweepExecutor(max_workers=1) as pool:

@@ -1,7 +1,7 @@
 """Signal-path shm cleanup for the persistent default executor.
 
 atexit handlers never run when a process dies on an unhandled
-SIGTERM/SIGINT, so before PR 8 a killed ``keep_pool`` sweep leaked its
+SIGTERM/SIGINT, so a killed default-executor sweep would leak its
 named shared-memory segments (dataset bundles, shared-oracle payloads)
 in ``/dev/shm`` until reboot.  These tests kill real child processes
 and inspect the segment namespace from outside.
@@ -31,15 +31,16 @@ def _child_env() -> dict:
     return env
 
 
-# Runs a keep_pool sweep over the shm transport, reports which segments
+# Runs a default-executor sweep over the shm transport, reports which segments
 # it published, then parks until signalled.
 _SWEEPING_CHILD = r"""
 import json, os, signal, sys
+from repro.engine import default_executor
 from repro.evaluation.harness import run_suite
 
 before = set(os.listdir("/dev/shm"))
 run_suite(["merge_path"], scale="smoke", limit=2, executor="process",
-          keep_pool=True, transport="shm")
+          pool=default_executor())
 mine = sorted(set(os.listdir("/dev/shm")) - before)
 print(json.dumps(mine), flush=True)
 signal.pause()
@@ -77,11 +78,12 @@ class TestSigtermCleanup:
         # the child exits through KeyboardInterrupt, not by signal.
         child = r"""
 import json, os, signal, sys
+from repro.engine import default_executor
 from repro.evaluation.harness import run_suite
 
 before = set(os.listdir("/dev/shm"))
 run_suite(["merge_path"], scale="smoke", limit=1, executor="process",
-          keep_pool=True, transport="shm")
+          pool=default_executor())
 mine = sorted(set(os.listdir("/dev/shm")) - before)
 try:
     # Announce only once the KeyboardInterrupt net is up, or the

@@ -1,6 +1,6 @@
-"""Tests for the harness's fan-out strategies (serial / thread / process).
+"""Tests for the harness's fan-out strategies (serial / process).
 
-The contract: all three executors return *identical* row lists for the
+The contract: both executors return *identical* row lists for the
 same grid and seed, in deterministic (dataset, kernel) order, and the
 process executor shards work per dataset (problem + oracle built once
 per shard, every kernel of the cell amortized against them).
@@ -16,7 +16,6 @@ from repro.evaluation.harness import (
     _ShardTask,
     run_suite,
 )
-from repro.gpusim.arch import V100
 from repro.sparse.corpus import build_corpus, load_dataset
 
 KERNELS = ["merge_path", "thread_mapped", "cub"]
@@ -30,34 +29,23 @@ def _key(rows):
 class TestExecutorEquivalence:
     def test_all_executors_return_identical_rows(self):
         serial = run_suite(KERNELS, scale="smoke", limit=4, executor="serial")
-        thread = run_suite(
-            KERNELS, scale="smoke", limit=4, executor="thread", max_workers=4
-        )
         process = run_suite(
             KERNELS, scale="smoke", limit=4, executor="process", max_workers=2
         )
-        assert _key(serial) == _key(thread) == _key(process)
+        assert _key(serial) == _key(process)
         assert len(serial) == 4 * len(KERNELS)
 
     def test_every_execution_path_returns_identical_rows(self):
-        """The acceptance matrix: serial / thread / fresh-process /
-        persistent-pool / shared-memory / pickle-transport sweeps of the
-        same seeded grid produce identical SweepRows."""
+        """The acceptance matrix: serial / fresh-process / persistent-pool
+        sweeps of the same seeded grid produce identical SweepRows, and
+        the pooled sweeps carried their CSR payloads over shared memory."""
         from repro.engine import SweepExecutor
 
         kwargs = dict(scale="smoke", limit=4, seed=11)
         paths = {
             "serial": run_suite(KERNELS, executor="serial", **kwargs),
-            "thread": run_suite(KERNELS, executor="thread", max_workers=4,
-                                **kwargs),
             "fresh_process": run_suite(KERNELS, executor="process",
                                        max_workers=2, **kwargs),
-            "pickle_transport": run_suite(KERNELS, executor="process",
-                                          max_workers=2, transport="pickle",
-                                          **kwargs),
-            "shared_memory": run_suite(KERNELS, executor="process",
-                                       max_workers=2, transport="shm",
-                                       **kwargs),
         }
         with SweepExecutor(max_workers=2) as pool:
             paths["persistent_pool"] = run_suite(
@@ -66,6 +54,7 @@ class TestExecutorEquivalence:
             paths["persistent_pool_again"] = run_suite(
                 KERNELS, executor="process", pool=pool, **kwargs
             )
+            assert pool.info()["shm_published"] > 0
         reference = _key(paths["serial"])
         for name, rows in paths.items():
             assert _key(rows) == reference, f"{name} diverged from serial"
@@ -106,27 +95,44 @@ class TestExecutorEquivalence:
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError, match="unknown executor"):
             run_suite(["merge_path"], scale="smoke", limit=1, executor="gpu")
-        assert EXECUTORS == ("serial", "thread", "process")
+        assert EXECUTORS == ("serial", "process")
 
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_unknown_transport_rejected_for_every_executor(self, executor):
-        """A bogus transport fails fast even where it would never be
-        used (serial/thread), instead of being silently ignored."""
-        with pytest.raises(ValueError, match="unknown transport"):
-            run_suite(["merge_path"], scale="smoke", limit=1,
-                      executor=executor, transport="telepathy")
-
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
-    def test_explicit_transport_requires_process_executor(self, executor):
-        """Same contract as the CLI: asking for a specific transport on
-        an executor that will never use it is an error, not a no-op."""
+    @pytest.mark.parametrize(
+        "knob", [{"max_workers": 2}, {"pool": object()}],
+        ids=["max_workers", "pool"],
+    )
+    def test_pool_knobs_require_process_executor(self, knob):
+        """Pool width or a pool on the serial executor is a contradiction,
+        not a no-op."""
         with pytest.raises(ValueError, match="executor='process'"):
+            run_suite(["merge_path"], scale="smoke", limit=1, **knob)
+
+    def test_run_suite_signature(self):
+        """The sweep surface: the context selects execution, the executor
+        string plus an optional width or pool selects the fan-out."""
+        import inspect
+
+        params = inspect.signature(run_suite).parameters
+        assert list(params) == [
+            "kernels", "app", "scale", "datasets", "limit", "seed",
+            "validate", "ctx", "executor", "max_workers", "pool",
+        ]
+        assert params["executor"].default == "serial"
+
+    @pytest.mark.parametrize(
+        "knob",
+        [{"transport": "shm"}, {"keep_pool": True},
+         {"plan_cache_dir": "plans"}, {"plan_store": "plans.journal"}],
+        ids=["transport", "keep_pool", "plan_cache_dir", "plan_store"],
+    )
+    def test_removed_knobs_rejected(self, knob):
+        with pytest.raises(TypeError):
             run_suite(["merge_path"], scale="smoke", limit=1,
-                      executor=executor, transport="shm")
+                      executor="process", **knob)
 
     def test_tensor_corpus_shm_sweep_matches_pickle_and_serial(self):
-        """The 5-path row-set equality, extended to a *tensor corpus*:
-        spmttkrp over native SparseTensor3 datasets travels through the
+        """The row-set equality, extended to a *tensor corpus*: spmttkrp
+        over native SparseTensor3 datasets travels through the
         generalized array-bundle shm transport bit-for-bit."""
         from repro.engine import SweepExecutor
         from repro.sparse.corpus import Dataset
@@ -146,19 +152,14 @@ class TestExecutorEquivalence:
         kwargs = dict(app="spmttkrp", datasets=tensors, seed=3)
         paths = {
             "serial": run_suite(grid, executor="serial", **kwargs),
-            "thread": run_suite(grid, executor="thread", max_workers=4,
-                                **kwargs),
-            "pickle_transport": run_suite(grid, executor="process",
-                                          max_workers=2, transport="pickle",
-                                          **kwargs),
-            "shared_memory": run_suite(grid, executor="process",
-                                       max_workers=2, transport="shm",
-                                       **kwargs),
+            "fresh_process": run_suite(grid, executor="process",
+                                       max_workers=2, **kwargs),
         }
-        with SweepExecutor(max_workers=2, transport="shm") as pool:
+        with SweepExecutor(max_workers=2) as pool:
             paths["persistent_pool_shm"] = run_suite(
-                grid, executor="process", pool=pool, transport="shm", **kwargs
+                grid, executor="process", pool=pool, **kwargs
             )
+            assert pool.info()["shm_published"] == len(tensors)
         reference = _key(paths["serial"])
         assert len(reference) == len(tensors) * len(grid)
         assert [r.rows for r in paths["serial"][::len(grid)]] == [40, 48, 56]
@@ -168,17 +169,22 @@ class TestExecutorEquivalence:
     def test_empty_dataset_list(self):
         assert run_suite(["merge_path"], datasets=[], executor="process") == []
 
-    def test_plan_cache_dir_restored_after_suite(self, tmp_path):
+    def test_plan_store_restored_after_suite(self, tmp_path):
         """run_suite must not leave the global cache pointed at the
-        caller's (possibly temporary) directory."""
-        from repro.engine import clear_plan_cache, global_plan_cache
+        caller's (possibly temporary) journal."""
+        from repro.engine import (
+            ExecutionContext,
+            clear_plan_cache,
+            global_plan_cache,
+        )
 
-        before = global_plan_cache().cache_dir
+        before = global_plan_cache().store_path
         clear_plan_cache()  # memory hits would skip the disk store
+        store = tmp_path / "plans.journal"
         run_suite(["merge_path"], scale="smoke", limit=2,
-                  plan_cache_dir=tmp_path / "plans")
-        assert global_plan_cache().cache_dir == before
-        assert list((tmp_path / "plans").glob("plan-*.pkl"))  # used meanwhile
+                  ctx=ExecutionContext(plan_store=str(store)))
+        assert global_plan_cache().store_path == before
+        assert store.stat().st_size > 0  # used meanwhile
 
 
 class TestSharding:
@@ -188,11 +194,8 @@ class TestSharding:
             app="spmv",
             kernels=tuple(KERNELS),
             dataset=ds,
-            spec=V100,
-            engine="vector",
             seed=0,
             validate=True,
-            plan_cache_dir=None,
         )
         rows = _run_shard(task)
         assert [r.kernel for r in rows] == KERNELS
@@ -206,11 +209,8 @@ class TestSharding:
             app="spmv",
             kernels=("merge_path",),
             dataset=ds,
-            spec=V100,
-            engine="vector",
             seed=0,
             validate=False,
-            plan_cache_dir=None,
         )
         clone = pickle.loads(pickle.dumps(task))
         assert clone.dataset.name == ds.name
@@ -241,34 +241,6 @@ class TestSharding:
             assert global_plan_cache().store_path == store_path
             assert store_path.is_file()
             assert len(global_plan_cache().store) > 0
-        finally:
-            configure_global_plan_cache(None)
-
-    def test_shard_configures_worker_plan_cache(self, tmp_path):
-        from repro.engine import (
-            clear_plan_cache,
-            configure_global_plan_cache,
-            global_plan_cache,
-        )
-
-        ds = load_dataset("tiny_diag_32", "smoke")
-        task = _ShardTask(
-            app="spmv",
-            kernels=("merge_path",),
-            dataset=ds,
-            spec=V100,
-            engine="vector",
-            seed=0,
-            validate=False,
-            plan_cache_dir=str(tmp_path / "plans"),
-        )
-        try:
-            # Memory hits skip the disk store; start the key cold so the
-            # shard's plan demonstrably reaches the directory.
-            clear_plan_cache()
-            _run_shard(task)
-            assert global_plan_cache().cache_dir == tmp_path / "plans"
-            assert list((tmp_path / "plans").glob("plan-*.pkl"))
         finally:
             configure_global_plan_cache(None)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import available_apps, get_app
+from repro.engine import ExecutionContext, available_apps, get_app
 from repro.evaluation.harness import run_cell, run_suite
 from repro.sparse import generators as gen
 from repro.sparse.corpus import load_dataset
@@ -218,7 +218,7 @@ class TestSweptParity:
         assert app_name in available_apps()
         ds = [load_dataset("tiny_uniform_64", "smoke")]
         vec = run_suite(["thread_mapped"], app=app_name, datasets=ds,
-                        engine="vector")
+                        ctx=ExecutionContext(engine="vector"))
         simt = run_suite(["thread_mapped"], app=app_name, datasets=ds,
-                         engine="simt")
+                         ctx=ExecutionContext(engine="simt"))
         assert [r.dataset for r in vec] == [r.dataset for r in simt]

@@ -14,9 +14,7 @@ import pytest
 
 from repro.engine import SweepExecutor, default_executor, shutdown_default_executor
 from repro.engine.worker_pool import (
-    TRANSPORTS,
     ArrayBundleHandle,
-    SharedDatasetHandle,
     ShmCodec,
     attach_dataset,
     dataset_content_key,
@@ -54,7 +52,7 @@ class TestSharedMemoryTransport:
         pub = publish_dataset(ds)
         assert pub is not None
         try:
-            assert isinstance(pub.handle, SharedDatasetHandle)
+            assert isinstance(pub.handle, ArrayBundleHandle)
             clone, shm = attach_dataset(pub.handle)
             try:
                 assert clone.name == ds.name and clone.family == ds.family
@@ -75,29 +73,50 @@ class TestSharedMemoryTransport:
         assert publish_dataset(ds) is None
 
     def test_shm_rows_equal_pickle_rows(self, serial_rows):
-        shm = run_suite(KERNELS, scale="smoke", limit=5, executor="process",
-                        max_workers=2, transport="shm")
-        pickled = run_suite(KERNELS, scale="smoke", limit=5, executor="process",
-                            max_workers=2, transport="pickle")
+        from repro.faults import clear_faults, configure_faults
+
+        def sweep():
+            with SweepExecutor(max_workers=2) as pool:
+                rows = run_suite(KERNELS, scale="smoke", limit=5,
+                                 executor="process", pool=pool)
+                return rows, pool.info()["shm_published"]
+
+        shm, published = sweep()
+        assert published == 5
+        # A refused publish is the pickle path: payloads travel in the task.
+        configure_faults("shm.publish:drop@*")
+        try:
+            pickled, published = sweep()
+        finally:
+            clear_faults()
+        assert published == 0
         assert _key(shm) == _key(pickled) == _key(serial_rows)
 
-    def test_unknown_transport_rejected(self):
-        assert TRANSPORTS == ("auto", "shm", "pickle")
-        with pytest.raises(ValueError, match="unknown transport"):
-            SweepExecutor(transport="carrier-pigeon")
-        with pytest.raises(ValueError, match="unknown transport"):
-            SweepExecutor().map_shards(
-                [_ShardTask(app="spmv", kernels=("merge_path",),
-                            dataset=load_dataset("tiny_diag_32", "smoke"))],
-                transport="telepathy",
-            )
+    def test_one_refused_publish_pickles_only_that_payload(self, serial_rows):
+        """Staging is per payload: a block that cannot be published
+        travels pickled while the rest of the sweep still uses shm."""
+        from repro.faults import clear_faults, configure_faults
+
+        configure_faults("shm.publish:drop@1")
+        try:
+            with SweepExecutor(max_workers=2) as pool:
+                rows = run_suite(KERNELS, scale="smoke", limit=5,
+                                 executor="process", pool=pool)
+                published = pool.info()["shm_published"]
+        finally:
+            clear_faults()
+        assert published == 4
+        assert _key(rows) == _key(serial_rows)
+
+    def test_transport_is_not_a_knob(self):
+        with pytest.raises(TypeError):
+            SweepExecutor(transport="pickle")
+        with pytest.raises(TypeError):
+            SweepExecutor().map_shards([], transport="pickle")
 
 
 class TestArrayBundleTransport:
     """The generalized (codec-based) array-bundle handle."""
-
-    def test_handle_alias_is_the_bundle_type(self):
-        assert SharedDatasetHandle is ArrayBundleHandle
 
     def test_tensor_round_trip(self):
         tensor = random_tensor((48, 32, 16), 700, skew=0.8, seed=5)
@@ -311,13 +330,13 @@ class TestSweepExecutor:
 
 
 class TestDefaultExecutor:
-    def test_keep_pool_reuses_module_default(self, serial_rows):
+    def test_sweeps_reuse_module_default(self, serial_rows):
         shutdown_default_executor()
         try:
             a = run_suite(KERNELS, scale="smoke", limit=5,
-                          executor="process", keep_pool=True, max_workers=2)
+                          executor="process", pool=default_executor(2))
             b = run_suite(KERNELS, scale="smoke", limit=5,
-                          executor="process", keep_pool=True)
+                          executor="process", pool=default_executor())
             assert _key(a) == _key(b) == _key(serial_rows)
             pool = default_executor()
             assert pool.pool_spawns == 1 and pool.sweeps == 2
@@ -341,38 +360,29 @@ class TestDefaultExecutor:
 class TestWorkerPersistenceScoping:
     def test_knobless_sweep_detaches_previous_sweep_target(self, tmp_path):
         """A persistent worker must not keep writing plans to the
-        previous sweep's (possibly temporary) cache directory once a
-        later sweep carries no persistence knob."""
-        from repro.engine import clear_plan_cache
+        previous sweep's (possibly temporary) journal once a later sweep
+        carries no plan store."""
+        from repro.engine import ExecutionContext, clear_plan_cache
 
-        cache_dir = tmp_path / "plans"
+        store = tmp_path / "plans.journal"
         # Forked workers inherit the parent's in-memory plan cache;
         # start it cold so the first sweep demonstrably writes to disk.
         clear_plan_cache()
         with SweepExecutor(max_workers=1) as pool:
             run_suite(["merge_path"], scale="smoke", limit=3,
-                      executor="process", pool=pool, plan_cache_dir=cache_dir)
-            files_after_first = set(cache_dir.glob("plan-*.pkl"))
-            assert files_after_first  # the first sweep did persist here
-            # Different kernel => different plans; no knob => the worker
-            # must fall back to ambient (here: none), not the old dir.
+                      executor="process", pool=pool,
+                      ctx=ExecutionContext(plan_store=str(store)))
+            size_after_first = store.stat().st_size
+            assert size_after_first > 0  # the first sweep did persist here
+            # Different kernel => different plans; no store => the worker
+            # must fall back to ambient (here: none), not the old journal.
             run_suite(["lrb"], scale="smoke", limit=3,
                       executor="process", pool=pool)
-            assert set(cache_dir.glob("plan-*.pkl")) == files_after_first
+            assert store.stat().st_size == size_after_first
 
 
 class TestMisuse:
-    def test_keep_pool_requires_process_executor(self):
-        with pytest.raises(ValueError, match="process"):
-            run_suite(KERNELS, scale="smoke", limit=1, executor="thread",
-                      keep_pool=True)
-
     def test_pool_requires_process_executor(self):
         with pytest.raises(ValueError, match="process"):
             run_suite(KERNELS, scale="smoke", limit=1, executor="serial",
                       pool=SweepExecutor())
-
-    def test_keep_pool_and_pool_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            run_suite(KERNELS, scale="smoke", limit=1, executor="process",
-                      keep_pool=True, pool=SweepExecutor())
