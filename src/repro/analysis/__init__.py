@@ -6,10 +6,10 @@ cannot make two threads write the same output element.  This package
 proves that per (kernel x schedule), the way a GPU race detector would,
 but statically:
 
-* **Effects** (:mod:`.effects`) -- parse each registered app's scalar
-  kernel body (the :class:`~repro.engine.compiled.CompiledKernel`
-  declaration) and classify every array write's index expression by
-  provenance: work-item private, range-derived, or data-dependent
+* **Effects** (:mod:`.effects`) -- parse the scalar body of every
+  :class:`~repro.engine.registry.KernelDecl` on each registered app's
+  ``AppSpec.kernels`` and classify every array write's index expression
+  by provenance: work-item private, range-derived, or data-dependent
   scatter.
 * **Races** (:mod:`.races`) -- fold those write classes through the
   closed-form per-thread load builders of every registered schedule
@@ -22,8 +22,7 @@ but statically:
   per-thread write sets; tier-1 asserts no ``SAFE`` verdict ever
   observes a cross-thread overlap.
 * **Lints** (:mod:`.lints`) -- pluggable repo hygiene checks (env-var
-  doc coverage, fault-site coverage, kernel registration parity)
-  behind the ``repro analyze`` CLI.
+  doc coverage, fault-site coverage) behind the ``repro analyze`` CLI.
 
 Layering: ``analysis`` consumes ``core`` + ``engine`` + ``apps`` but
 nothing imports it back -- it is tooling over the stack, not part of

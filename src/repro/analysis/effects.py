@@ -1,12 +1,12 @@
 """Effect extraction: classify kernel writes by index provenance.
 
-Every registered app declares a flat scalar kernel body (the
-``scalar_fn`` of its :class:`~repro.engine.compiled.CompiledKernel`).
-Those bodies follow one shared shape -- an extent-array preamble
-(``num_rows = offsets.shape[0] - 1``), tile loops over ``range`` of a
-count, atom loops over ``range(offsets[i], offsets[i + 1])`` or a flat
-array extent -- which makes the write side of the kernel statically
-recoverable from the AST:
+Every registered app declares its kernels on ``AppSpec.kernels``, and
+each :class:`~repro.engine.registry.KernelDecl` carries a flat scalar
+body (its ``scalar``).  Those bodies follow one shared shape -- an
+extent-array preamble (``num_rows = offsets.shape[0] - 1``), tile loops
+over ``range`` of a count, atom loops over ``range(offsets[i],
+offsets[i + 1])`` or a flat array extent -- which makes the write side
+of the kernel statically recoverable from the AST:
 
 ``atom_private``
     Indexed by an atom-loop variable: each atom is consumed by exactly
@@ -30,10 +30,12 @@ data-derived (histogram's ``bin_id`` is built by a ``while`` over the
 row length).  Anything the classifier cannot prove falls to
 ``scatter`` -- the conservative side for a race analysis.
 
-Apps whose kernels inference cannot see hint the analyzer through
-:func:`~repro.engine.compiled.declare_kernel_effects`: spgemm's
-``compute`` pass keeps ``scalar_fn=None`` and declares its hashed
-accumulation a scatter; pagerank delegates to spmv's kernels outright.
+When inference cannot see a kernel's body, the kernel states its
+effects on the same declaration: spgemm's ``compute`` pass has no
+``scalar`` and declares ``writes={"c": "scatter"}`` for its hashed
+accumulation.  An app that
+reuses another's kernel lists the same declaration (pagerank lists
+spmv's), so it gets the same effects with no extra plumbing.
 """
 
 from __future__ import annotations
@@ -43,8 +45,6 @@ import inspect
 import textwrap
 from dataclasses import dataclass, field
 from typing import Callable
-
-from ..engine.compiled import EffectDecl, effect_declarations
 
 __all__ = [
     "WRITE_CLASSES",
@@ -80,7 +80,6 @@ class KernelEffects:
     reads: tuple = ()
     writes: tuple = ()
     outputs: tuple = ()
-    delegates_to: str | None = None
 
     def worst_write_class(self) -> str | None:
         classes = [w.write_class for w in self.writes]
@@ -385,18 +384,15 @@ def classify_scalar_fn(fn: Callable) -> tuple:
     )
 
 
-def _effects_for_decl(decl: EffectDecl) -> KernelEffects:
-    if decl.delegates_to is not None:
-        return KernelEffects(
-            app=decl.app, label=decl.label, delegates_to=decl.delegates_to
-        )
+def _effects_for_decl(app: str, decl) -> KernelEffects:
+    """Effects of one :class:`~repro.engine.registry.KernelDecl` of ``app``."""
     params: tuple = ()
     reads: tuple = ()
     writes: list[WriteEffect] = []
     outputs: list = []
-    if decl.scalar_fn is not None:
+    if decl.scalar is not None:
         params, reads, inferred, inferred_outputs = classify_scalar_fn(
-            decl.scalar_fn
+            decl.scalar
         )
         writes.extend(inferred)
         outputs.extend(inferred_outputs)
@@ -405,7 +401,7 @@ def _effects_for_decl(decl: EffectDecl) -> KernelEffects:
             if write_class not in WRITE_CLASSES:
                 raise ValueError(
                     f"unknown write class {write_class!r} declared for "
-                    f"{decl.app}/{decl.label}"
+                    f"{app}/{decl.label}"
                 )
             writes = [w for w in writes if w.array != array]
             writes.append(
@@ -413,11 +409,8 @@ def _effects_for_decl(decl: EffectDecl) -> KernelEffects:
             )
             if array not in outputs:
                 outputs.append(array)
-    for name in decl.outputs:
-        if name not in outputs:
-            outputs.append(name)
     return KernelEffects(
-        app=decl.app,
+        app=app,
         label=decl.label,
         params=params,
         reads=reads,
@@ -426,11 +419,14 @@ def _effects_for_decl(decl: EffectDecl) -> KernelEffects:
     )
 
 
-def _ensure_apps_registered() -> None:
-    from .. import apps  # noqa: F401  (importing registers declarations)
-
-
 def kernel_effects(app: str | None = None) -> tuple:
-    """Effects of every registered kernel, optionally for one app."""
-    _ensure_apps_registered()
-    return tuple(_effects_for_decl(d) for d in effect_declarations(app))
+    """Effects of every registered kernel, optionally for one app,
+    sorted by ``(app, label)``."""
+    from ..engine import available_apps, get_app
+
+    names = available_apps() if app is None else [app]
+    return tuple(sorted(
+        (_effects_for_decl(name, decl)
+         for name in names for decl in get_app(name).kernels),
+        key=lambda e: (e.app, e.label),
+    ))

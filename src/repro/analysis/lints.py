@@ -16,11 +16,6 @@ plumbing.  The built-ins guard the contracts earlier PRs introduced:
     :data:`repro.faults.KNOWN_SITES` and exercised by name in
     ``tests/test_faults.py`` -- an injection point nobody can schedule
     or test is dead armor.
-``kernel-parity``
-    The three kernel registries stay aligned: every JIT warmup label has
-    a matching effect declaration, every registered app declares
-    effects, and every declaration carries a source of truth (a scalar
-    body, declared writes, or a delegation target).
 
 Lint results are memoized content-keyed on the scanned files' bytes, so
 repeated CLI/CI invocations in one process are free and any edit
@@ -176,62 +171,6 @@ def _lint_fault_sites(root: Path) -> list[LintFinding]:
     return findings
 
 
-def _lint_kernel_parity(root: Path) -> list[LintFinding]:
-    from ..engine import available_apps, effect_declarations
-    from ..engine import compiled as compiled_mod
-
-    findings = []
-    apps = available_apps()  # imports the apps package -> registers decls
-    decls = effect_declarations()
-    decl_labels = {decl.label for decl in decls}
-    decl_apps = {decl.app for decl in decls}
-    # Warmup labels need not equal effect labels (BFS/SSSP both warm
-    # their own scalar but share the "advance" effect label), so a
-    # warmup is covered if its label *or* its scalar function matches.
-    decl_fns = {id(decl.scalar_fn) for decl in decls if decl.scalar_fn}
-    for label in compiled_mod.registered_warmups():
-        scalar_fn = compiled_mod._WARMUPS[label][0]
-        if label not in decl_labels and id(scalar_fn) not in decl_fns:
-            findings.append(
-                LintFinding(
-                    lint="kernel-parity",
-                    path="src/repro/engine/compiled.py",
-                    line=0,
-                    message=(
-                        f"JIT warmup label {label!r} has no matching "
-                        "declare_kernel_effects() declaration"
-                    ),
-                )
-            )
-    for app in apps:
-        if app not in decl_apps:
-            findings.append(
-                LintFinding(
-                    lint="kernel-parity",
-                    path=f"src/repro/apps/{app}.py",
-                    line=0,
-                    message=(
-                        f"registered app {app!r} declares no kernel effects "
-                        "(call declare_kernel_effects in its module)"
-                    ),
-                )
-            )
-    for decl in decls:
-        if decl.scalar_fn is None and not decl.writes and decl.delegates_to is None:
-            findings.append(
-                LintFinding(
-                    lint="kernel-parity",
-                    path=f"src/repro/apps/{decl.app}.py",
-                    line=0,
-                    message=(
-                        f"effect declaration {decl.app}/{decl.label} carries "
-                        "no scalar_fn, writes, or delegates_to"
-                    ),
-                )
-            )
-    return findings
-
-
 LINTS = {
     "env-docs": (
         "REPRO_* variables read in src/ or benchmarks/ and those documented "
@@ -242,11 +181,6 @@ LINTS = {
         "every faults.inject() site is declared in KNOWN_SITES and "
         "exercised in tests/test_faults.py",
         _lint_fault_sites,
-    ),
-    "kernel-parity": (
-        "JIT warmups, registered apps and kernel effect declarations "
-        "stay aligned",
-        _lint_kernel_parity,
     ),
 }
 

@@ -231,8 +231,8 @@ class ShadowSimtEngine(SimtEngine):
     kernel materialization runs under :meth:`capture_allocations`, and
     each per-thread body is wrapped to mark the current thread and hand
     the kernel a :class:`_ShadowCtx`.  Overlaps are attributed to the
-    launch's kernel label (``compiled.label``) so multi-kernel
-    applications keep their passes separate.
+    launch's kernel label (``decl.label``) so multi-kernel applications
+    keep their passes separate.
     """
 
     name = "shadow_simt"
@@ -240,9 +240,9 @@ class ShadowSimtEngine(SimtEngine):
     def __init__(self, recorder: WriteRecorder | None = None):
         self.recorder = recorder if recorder is not None else WriteRecorder()
 
-    def _materialize_kernel(self, kernel):
+    def _materialize_kernel(self, simt):
         with self.recorder.capture_allocations():
-            return kernel()
+            return simt()
 
     def _instrument_body(self, body):
         recorder = self.recorder
@@ -256,20 +256,15 @@ class ShadowSimtEngine(SimtEngine):
 
         return instrumented
 
-    def launch(self, sched, costs, *, compute=None, kernel=None, compiled=None,
-               extras=None, cache_key=None):
-        label = (
-            compiled.label
-            if compiled is not None and getattr(compiled, "label", None)
-            else (extras or {}).get("app", "?")
-        )
+    def launch(self, sched, costs, decl, args, *, simt=None, extras=None,
+               cache_key=None):
         try:
             return super().launch(
-                sched, costs, compute=compute, kernel=kernel,
-                compiled=compiled, extras=extras, cache_key=cache_key,
+                sched, costs, decl, args, simt=simt, extras=extras,
+                cache_key=cache_key,
             )
         finally:
-            self.recorder.finish_launch(label)
+            self.recorder.finish_launch(decl.label)
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,9 @@ shadow-write validation (:mod:`.probe`) a soundness check: a ``SAFE``
 cell must never observe a cross-thread overlap, on any instance.
 
 Matrices are memoized content-keyed (like plans): the key digests the
-declared kernel sources, the schedule set and the canonical workload,
-so edits to any of them invalidate the cached verdicts.
+declared kernel sources and write overrides, the schedule set and the
+canonical workload, so edits to any of them invalidate the cached
+verdicts.
 """
 
 from __future__ import annotations
@@ -119,44 +120,20 @@ def cell_verdict(effects: KernelEffects, profile: dict) -> str:
     return verdict
 
 
-def _resolve(effects_list) -> list:
-    """Replace delegating entries with their target's effects."""
-    by_key = {(e.app, e.label): e for e in effects_list}
-    by_app: dict = {}
-    for e in effects_list:
-        by_app.setdefault(e.app, []).append(e)
-    resolved = []
-    for e in effects_list:
-        if e.delegates_to is None:
-            resolved.append((e, None))
-            continue
-        target = by_key.get((e.delegates_to, e.label))
-        if target is None:
-            candidates = by_app.get(e.delegates_to, [])
-            target = candidates[0] if candidates else None
-        if target is None or target.delegates_to is not None:
-            raise ValueError(
-                f"{e.app}/{e.label} delegates to unknown or further-"
-                f"delegating app {e.delegates_to!r}"
-            )
-        resolved.append((target, e))
-    return resolved
-
-
 _MATRIX_CACHE: dict = {}
 
 
 def _content_key(apps, schedules, spec: GpuSpec) -> str:
-    from ..engine.compiled import effect_declarations
+    from ..engine import available_apps, get_app
 
     h = hashlib.sha256()
     h.update(f"races-v{FORMAT_VERSION}".encode())
-    for decl in effect_declarations():
-        h.update(f"{decl.app}/{decl.label}".encode())
-        if decl.scalar_fn is not None:
-            h.update(inspect.getsource(decl.scalar_fn).encode())
-        h.update(json.dumps(decl.writes, sort_keys=True).encode())
-        h.update(str(decl.delegates_to).encode())
+    for app in available_apps():
+        for decl in get_app(app).kernels:
+            h.update(f"{app}/{decl.label}".encode())
+            if decl.scalar is not None:
+                h.update(inspect.getsource(decl.scalar).encode())
+            h.update(json.dumps(decl.writes, sort_keys=True).encode())
     h.update(",".join(schedules).encode())
     h.update(",".join(apps).encode() if apps else b"*")
     h.update(canonical_work().tile_offsets.tobytes())
@@ -169,10 +146,10 @@ def verdict_matrix(
 ) -> dict:
     """The full (kernel x schedule) verdict matrix.
 
-    Returns ``{"schedules": [...], "rows": [{app, label, delegates_to,
-    writes, verdicts: {schedule: verdict}}, ...]}``, covering every
-    registered app (all of them declare effects -- enforced by the
-    ``kernel-parity`` lint) and every registered schedule.
+    Returns ``{"schedules": [...], "rows": [{app, label, writes,
+    verdicts: {schedule: verdict}}, ...]}``: one row per kernel on every
+    registered app's ``AppSpec.kernels``, under every registered
+    schedule.
     """
     effects_list = kernel_effects()
     if apps is not None:
@@ -188,28 +165,25 @@ def verdict_matrix(
 
     profiles = {name: schedule_profile(name, spec=spec)
                 for name in sched_names}
-    rows = []
-    for target, delegator in _resolve(effects_list):
-        entry = delegator if delegator is not None else target
-        rows.append(
-            {
-                "app": entry.app,
-                "label": entry.label,
-                "delegates_to": entry.delegates_to,
-                "writes": [
-                    {
-                        "array": w.array,
-                        "class": w.write_class,
-                        "declared": w.declared,
-                    }
-                    for w in target.writes
-                ],
-                "verdicts": {
-                    name: cell_verdict(target, profiles[name])
-                    for name in sched_names
-                },
-            }
-        )
+    rows = [
+        {
+            "app": effects.app,
+            "label": effects.label,
+            "writes": [
+                {
+                    "array": w.array,
+                    "class": w.write_class,
+                    "declared": w.declared,
+                }
+                for w in effects.writes
+            ],
+            "verdicts": {
+                name: cell_verdict(effects, profiles[name])
+                for name in sched_names
+            },
+        }
+        for effects in effects_list
+    ]
     result = {
         "schedules": sched_names,
         "profiles": profiles,

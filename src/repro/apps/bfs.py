@@ -14,15 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from ..core.schedule import LaunchParams, Schedule
-from ..engine import (
-    AppSpec,
-    CompiledKernel,
-    Runtime,
-    declare_kernel_effects,
-    register_app,
-    register_jit_warmup,
-    run_app,
-)
+from ..engine import AppSpec, KernelDecl, Runtime, register_app, run_app
 from ..gpusim.arch import GpuSpec
 from ..sparse.graph import CsrGraph
 from .common import AppResult
@@ -38,8 +30,8 @@ def _bfs_relax_arrays(edge_targets, depth, level, n):
 
     Mutates ``depth`` in place and returns the next-frontier mask; the
     level is an explicit argument (not driver state) so the function is
-    pure in everything but its named outputs -- the property the
-    compiled engine's per-iteration kernels rely on.
+    pure in everything but its named outputs -- the property every
+    engine's per-iteration launch relies on.
     """
     fresh = depth[edge_targets] == UNVISITED
     targets = np.unique(edge_targets[fresh])
@@ -71,8 +63,12 @@ def _bfs_example_args() -> tuple:
     return targets, depth, 1, 3
 
 
-register_jit_warmup("bfs", _bfs_relax_scalar, _bfs_example_args)
-declare_kernel_effects("bfs", "advance", scalar_fn=_bfs_relax_scalar)
+ADVANCE_DECL = KernelDecl(
+    "advance",
+    _bfs_relax_arrays,
+    scalar=_bfs_relax_scalar,
+    example_args=_bfs_example_args,
+)
 
 
 def bfs_reference(graph: CsrGraph, source: int) -> np.ndarray:
@@ -133,11 +129,13 @@ def bfs_driver(problem, rt: Runtime) -> AppResult:
         raise ValueError(f"source {source} out of range for {n} vertices")
     depth = np.full(n, UNVISITED, dtype=np.int64)
     depth[source] = 0
-    level = {"d": 0}
 
-    def relax(frontier, edge_sources, edge_targets, edge_weights):
-        level["d"] += 1
-        return _bfs_relax_arrays(edge_targets, depth, level["d"], n)
+    def advance_args(iteration, frontier, edge_sources, edge_targets,
+                     edge_weights):
+        # Level-synchronous: ``iteration`` assigns depth ``iteration + 1``,
+        # so the level bakes into the args and the kernel stays free of
+        # driver-state side effects.
+        return edge_targets, depth, iteration + 1, n
 
     def relax_edge(ctx, src, dst, weight, next_mask):
         # Scalar Listing 5 body: claim unvisited neighbors with a CAS.
@@ -148,21 +146,8 @@ def bfs_driver(problem, rt: Runtime) -> AppResult:
             if old == UNVISITED:
                 next_mask[dst] = True
 
-    def make_compiled(iteration, frontier, edge_sources, edge_targets,
-                      edge_weights):
-        # Level-synchronous: iteration ``it`` assigns depth ``it + 1``,
-        # so the level bakes into the args and the kernel stays free of
-        # driver-state side effects.
-        return CompiledKernel(
-            label="advance",
-            args=(edge_targets, depth, iteration + 1, n),
-            vector_fn=_bfs_relax_arrays,
-            scalar_fn=_bfs_relax_scalar,
-        )
-
     iterations, stats = run_frontier_loop(
-        graph, source, relax, relax_edge=relax_edge,
-        make_compiled=make_compiled, rt=rt
+        graph, source, ADVANCE_DECL, advance_args, rt=rt, relax_edge=relax_edge
     )
     return AppResult(
         output=depth,
@@ -214,6 +199,7 @@ register_app(
     AppSpec(
         name="bfs",
         driver=bfs_driver,
+        kernels=(ADVANCE_DECL,),
         default_schedule="group_mapped",
         oracle=lambda p: bfs_reference(p.graph, p.source),
         sweep_problem=graph_sweep_problem,

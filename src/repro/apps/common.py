@@ -9,9 +9,12 @@ should consist of, and registers them as an
    format (the work definition stage),
 2. a :class:`~repro.core.schedule.WorkCosts` cost model (what one atom /
    one tile costs the machine),
-3. a vectorized functional result (NumPy; corpus scale),
+3. one :class:`~repro.engine.registry.KernelDecl` per kernel: the
+   vectorized functional body (NumPy; corpus scale) and its flat-loop
+   scalar twin (the compiled engine's JIT body),
 4. a per-thread SIMT kernel body written in the paper's range-based
-   pattern (ground truth; small inputs),
+   pattern (ground truth; small inputs), hand-written so it validates
+   the declaration independently,
 5. a pure CPU oracle for validation.
 
 Execution -- resolving the schedule, running the kernel, assembling
@@ -107,16 +110,3 @@ def check_dense_vector(x, expected_len: int, name: str = "x") -> np.ndarray:
             f"got shape {np.shape(x)}"
         )
     return arr
-
-
-def tile_charges(sched, costs: WorkCosts) -> tuple[float, float]:
-    """Per-atom / per-tile cycle charges of an interpreted kernel body.
-
-    The SIMT kernels charge ``n_atoms * atom + tile`` per visited tile --
-    the user's declared costs plus the loop overhead and the schedule's
-    abstraction tax, matching what the analytic planners price.
-    """
-    spec = sched.spec
-    atom = costs.atom_total(spec) + getattr(sched, "abstraction_tax", 0.0)
-    tile = costs.tile_cycles + spec.costs.loop_overhead
-    return atom, tile

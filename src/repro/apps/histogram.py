@@ -23,16 +23,15 @@ from ..core.schedules.lrb import lrb_bins
 from ..core.work import WorkSpec
 from ..engine import (
     AppSpec,
-    CompiledKernel,
+    KernelDecl,
     Runtime,
-    declare_kernel_effects,
     register_app,
-    register_jit_warmup,
     run_app,
+    tile_charges,
 )
 from ..gpusim.arch import GpuSpec
 from ..sparse.csr import CsrMatrix
-from .common import AppResult, tile_charges
+from .common import AppResult
 
 __all__ = ["degree_histogram", "degree_histogram_reference", "histogram_driver"]
 
@@ -82,8 +81,12 @@ def _histogram_example_args() -> tuple:
     return (np.array([0, 1, 3], dtype=np.int64),)
 
 
-register_jit_warmup("histogram", _histogram_scalar, _histogram_example_args)
-declare_kernel_effects("histogram", "histogram", scalar_fn=_histogram_scalar)
+HISTOGRAM_DECL = KernelDecl(
+    "histogram",
+    _histogram_arrays,
+    scalar=_histogram_scalar,
+    example_args=_histogram_example_args,
+)
 
 
 def degree_histogram_reference(matrix: CsrMatrix) -> np.ndarray:
@@ -135,10 +138,9 @@ def histogram_driver(problem, rt: Runtime) -> AppResult:
     matrix = problem.matrix
     work = WorkSpec.from_csr(matrix, label="histogram")
     costs = _histogram_costs(rt.spec)
-    sched = rt.schedule_for(work, matrix=matrix, kernel="histogram", costs=costs)
-
-    def compute() -> np.ndarray:
-        return degree_histogram_reference(matrix)
+    sched = rt.schedule_for(
+        work, matrix=matrix, kernel=HISTOGRAM_DECL.label, costs=costs
+    )
 
     def kernel():
         counts = np.zeros(matrix.num_rows)
@@ -161,15 +163,9 @@ def histogram_driver(problem, rt: Runtime) -> AppResult:
     output, stats = rt.run_launch(
         sched,
         costs,
-        compute=compute,
-        kernel=kernel,
-        compiled=CompiledKernel(
-            label="histogram",
-            args=(matrix.row_offsets,),
-            vector_fn=_histogram_arrays,
-            scalar_fn=_histogram_scalar,
-        ),
-        kernel_label="histogram",
+        HISTOGRAM_DECL,
+        (matrix.row_offsets,),
+        simt=kernel,
         extras={"app": "degree_histogram"},
     )
     return AppResult(output=output, stats=stats, schedule=sched.name)
@@ -203,6 +199,7 @@ register_app(
     AppSpec(
         name="histogram",
         driver=histogram_driver,
+        kernels=(HISTOGRAM_DECL,),
         default_schedule="thread_mapped",
         oracle=lambda p: degree_histogram_reference(p.matrix),
         sweep_problem=lambda matrix, seed: SimpleNamespace(matrix=matrix),

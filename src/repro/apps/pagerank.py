@@ -5,9 +5,10 @@ calls of the SpMV primitive already built on the abstraction, so PageRank
 inherits every schedule (and the heuristic selector) with zero extra
 load-balancing code -- the composability the paper's design goals call
 for ("compose new load-balanced primitives from existing APIs").  Since
-the SpMV declaration is engine-agnostic, PageRank also inherits both
-engines for free: the driver simply re-runs the SpMV driver on the same
-runtime every iteration.
+the SpMV declaration is engine-agnostic, PageRank also inherits every
+engine for free: the driver simply re-runs the SpMV driver on the same
+runtime every iteration, and its registration lists SpMV's kernel
+declaration as its own -- so its race behaviour *is* SpMV's.
 """
 
 from __future__ import annotations
@@ -17,24 +18,14 @@ from types import SimpleNamespace
 import numpy as np
 
 from ..core.schedule import LaunchParams, Schedule
-from ..engine import (
-    AppSpec,
-    Runtime,
-    declare_kernel_effects,
-    register_app,
-    run_app,
-)
+from ..engine import AppSpec, Runtime, register_app, run_app
 from ..gpusim.arch import GpuSpec
 from ..sparse.convert import csr_transpose
 from ..sparse.csr import CsrMatrix
 from .common import AppResult
-from .spmv import spmv_driver
+from .spmv import SPMV_DECL, spmv_driver
 
 __all__ = ["pagerank", "pagerank_reference", "pagerank_driver"]
-
-# PageRank declares no kernel of its own: each iteration re-runs the
-# SpMV driver, so its race behaviour *is* SpMV's.
-declare_kernel_effects("pagerank", "spmv", delegates_to="spmv")
 
 
 def _pull_matrix(adjacency: CsrMatrix) -> CsrMatrix:
@@ -184,6 +175,7 @@ register_app(
     AppSpec(
         name="pagerank",
         driver=pagerank_driver,
+        kernels=(SPMV_DECL,),
         default_schedule="merge_path",
         oracle=lambda p: pagerank_reference(
             p.adjacency,

@@ -27,18 +27,17 @@ from ..core.schedule import LaunchParams, Schedule, WorkCosts
 from ..core.work import WorkSpec
 from ..engine import (
     AppSpec,
-    CompiledKernel,
+    KernelDecl,
     Runtime,
-    declare_kernel_effects,
     register_app,
-    register_jit_warmup,
     run_app,
+    tile_charges,
 )
 from ..gpusim.arch import GpuSpec
 from ..sparse.convert import coo_to_csr, csr_transpose
 from ..sparse.coo import CooMatrix
 from ..sparse.csr import CsrMatrix
-from .common import AppResult, tile_charges
+from .common import AppResult
 
 __all__ = ["spgemm", "spgemm_reference", "spgemm_driver"]
 
@@ -98,14 +97,6 @@ def _spgemm_count_example_args() -> tuple:
     return offsets, cols, np.array([1, 2], dtype=np.int64)
 
 
-register_jit_warmup("count", _spgemm_count_scalar, _spgemm_count_example_args)
-declare_kernel_effects("spgemm", "count", scalar_fn=_spgemm_count_scalar)
-# Pass 2 has no scalar form (its sort-based CSR assembly is the
-# computation), so its effects are declared: the hashed per-row
-# accumulation is a data-dependent scatter under every schedule.
-declare_kernel_effects("spgemm", "compute", writes={"c": "scatter"})
-
-
 def _spgemm_compute_arrays(prod_rows, prod_cols, prod_vals, num_rows, num_cols):
     """Pass-2 accumulation of the expanded products into CSR.
 
@@ -118,6 +109,20 @@ def _spgemm_compute_arrays(prod_rows, prod_cols, prod_vals, num_rows, num_cols):
         prod_rows, prod_cols, prod_vals, (num_rows, num_cols)
     ).sum_duplicates()
     return coo_to_csr(coo)
+
+
+COUNT_DECL = KernelDecl(
+    "count",
+    _spgemm_count_arrays,
+    scalar=_spgemm_count_scalar,
+    example_args=_spgemm_count_example_args,
+)
+# Pass 2 has no scalar form (its sort-based CSR assembly is the
+# computation), so its effects are declared: the hashed per-row
+# accumulation is a data-dependent scatter under every schedule.
+COMPUTE_DECL = KernelDecl(
+    "compute", _spgemm_compute_arrays, writes={"c": "scatter"}
+)
 
 
 def spgemm_reference(a: CsrMatrix, b: CsrMatrix) -> CsrMatrix:
@@ -197,10 +202,9 @@ def spgemm_driver(problem, rt: Runtime) -> AppResult:
     # ---- Pass 1: count intermediate products per row of A. ----
     work_count = WorkSpec.from_csr(a, label="spgemm-count")
     costs1 = _count_costs(rt.spec)
-    sched1 = rt.schedule_for(work_count, matrix=a, kernel="count", costs=costs1)
-
-    def compute_counts() -> np.ndarray:
-        return _spgemm_count_arrays(a.row_offsets, a.col_indices, b_row_lengths)
+    sched1 = rt.schedule_for(
+        work_count, matrix=a, kernel=COUNT_DECL.label, costs=costs1
+    )
 
     def count_kernel():
         counts = np.zeros(a.num_rows)
@@ -223,15 +227,9 @@ def spgemm_driver(problem, rt: Runtime) -> AppResult:
     per_row, stats1 = rt.run_launch(
         sched1,
         costs1,
-        compute=compute_counts,
-        kernel=count_kernel,
-        compiled=CompiledKernel(
-            label="count",
-            args=(a.row_offsets, a.col_indices, b_row_lengths),
-            vector_fn=_spgemm_count_arrays,
-            scalar_fn=_spgemm_count_scalar,
-        ),
-        kernel_label="count",
+        COUNT_DECL,
+        (a.row_offsets, a.col_indices, b_row_lengths),
+        simt=count_kernel,
         extras={"app": "spgemm/count"},
     )
 
@@ -242,14 +240,9 @@ def spgemm_driver(problem, rt: Runtime) -> AppResult:
     # ---- Pass 2: multiply-accumulate over the products. ----
     costs2 = _compute_costs(rt.spec)
     sched2 = rt.schedule_for(
-        work_compute, matrix=a, launch=None, kernel="compute", costs=costs2
+        work_compute, matrix=a, launch=None, kernel=COMPUTE_DECL.label,
+        costs=costs2,
     )
-
-    def compute_product() -> CsrMatrix:
-        return _spgemm_compute_arrays(
-            products["rows"], products["cols"], products["vals"],
-            a.num_rows, b.num_cols,
-        )
 
     def compute_kernel():
         # Product atoms are row-sorted (they inherit A's atom order), so
@@ -302,18 +295,12 @@ def spgemm_driver(problem, rt: Runtime) -> AppResult:
     c, stats2 = rt.run_launch(
         sched2,
         costs2,
-        compute=compute_product,
-        kernel=compute_kernel,
-        compiled=CompiledKernel(
-            label="compute",
-            args=(
-                products["rows"], products["cols"], products["vals"],
-                a.num_rows, b.num_cols,
-            ),
-            vector_fn=_spgemm_compute_arrays,
-            scalar_fn=None,
+        COMPUTE_DECL,
+        (
+            products["rows"], products["cols"], products["vals"],
+            a.num_rows, b.num_cols,
         ),
-        kernel_label="compute",
+        simt=compute_kernel,
         extras={"app": "spgemm/compute"},
     )
 
@@ -343,6 +330,7 @@ register_app(
     AppSpec(
         name="spgemm",
         driver=spgemm_driver,
+        kernels=(COUNT_DECL, COMPUTE_DECL),
         default_schedule="merge_path",
         oracle=lambda p: spgemm_reference(p.a, p.b),
         sweep_problem=_sweep_problem,

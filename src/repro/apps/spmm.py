@@ -17,17 +17,16 @@ from ..core.schedule import LaunchParams, Schedule, WorkCosts
 from ..core.work import WorkSpec
 from ..engine import (
     AppSpec,
-    CompiledKernel,
+    KernelDecl,
     Runtime,
-    declare_kernel_effects,
     input_matrix,
     register_app,
-    register_jit_warmup,
     run_app,
+    tile_charges,
 )
 from ..gpusim.arch import GpuSpec
 from ..sparse.csr import CsrMatrix
-from .common import AppResult, spmv_costs, tile_charges
+from .common import AppResult, spmv_costs
 
 __all__ = ["spmm", "spmm_reference", "spmm_costs", "spmm_driver"]
 
@@ -83,8 +82,9 @@ def _spmm_example_args() -> tuple:
     return offsets, cols, vals, np.ones((2, 2))
 
 
-register_jit_warmup("spmm", _spmm_scalar, _spmm_example_args)
-declare_kernel_effects("spmm", "spmm", scalar_fn=_spmm_scalar)
+SPMM_DECL = KernelDecl(
+    "spmm", _spmm_arrays, scalar=_spmm_scalar, example_args=_spmm_example_args
+)
 
 
 def spmm_reference(matrix: CsrMatrix, b: np.ndarray) -> np.ndarray:
@@ -130,10 +130,7 @@ def spmm_driver(problem, rt: Runtime) -> AppResult:
     n_cols = b.shape[1]
     work = WorkSpec.from_csr(matrix)
     costs = spmm_costs(rt.spec, n_cols)
-    sched = rt.schedule_for(work, matrix=matrix, kernel="spmm", costs=costs)
-
-    def compute() -> np.ndarray:
-        return spmm_reference(matrix, b)
+    sched = rt.schedule_for(work, matrix=matrix, kernel=SPMM_DECL.label, costs=costs)
 
     def kernel():
         """Listing 4's kernel: Listing 3 plus a loop over B's columns."""
@@ -161,15 +158,9 @@ def spmm_driver(problem, rt: Runtime) -> AppResult:
     output, stats = rt.run_launch(
         sched,
         costs,
-        compute=compute,
-        kernel=kernel,
-        compiled=CompiledKernel(
-            label="spmm",
-            args=(matrix.row_offsets, matrix.col_indices, matrix.values, b),
-            vector_fn=_spmm_arrays,
-            scalar_fn=_spmm_scalar,
-        ),
-        kernel_label="spmm",
+        SPMM_DECL,
+        (matrix.row_offsets, matrix.col_indices, matrix.values, b),
+        simt=kernel,
         extras={"app": "spmm"},
     )
     return AppResult(output=output, stats=stats, schedule=sched.name)
@@ -212,6 +203,7 @@ register_app(
     AppSpec(
         name="spmm",
         driver=spmm_driver,
+        kernels=(SPMM_DECL,),
         default_schedule="merge_path",
         oracle=lambda p: spmm_reference(p.matrix, p.b),
         sweep_problem=lambda matrix, seed: SimpleNamespace(

@@ -22,18 +22,17 @@ from ..core.schedule import LaunchParams, Schedule, WorkCosts
 from ..core.work import WorkSpec
 from ..engine import (
     AppSpec,
-    CompiledKernel,
+    KernelDecl,
     Runtime,
-    declare_kernel_effects,
     input_matrix,
     register_app,
-    register_jit_warmup,
     run_app,
+    tile_charges,
 )
 from ..gpusim.arch import GpuSpec
 from ..sparse.csr import CsrMatrix
 from ..sparse.tensor import SparseTensor3
-from .common import AppResult, tile_charges
+from .common import AppResult
 
 __all__ = ["spmttkrp", "spmttkrp_reference", "mttkrp_costs", "spmttkrp_driver"]
 
@@ -94,8 +93,12 @@ def _mttkrp_example_args() -> tuple:
     return offsets, jj, kk, vals, np.ones((2, 2)), np.ones((2, 2))
 
 
-register_jit_warmup("mttkrp", _mttkrp_scalar, _mttkrp_example_args)
-declare_kernel_effects("spmttkrp", "mttkrp", scalar_fn=_mttkrp_scalar)
+MTTKRP_DECL = KernelDecl(
+    "mttkrp",
+    _mttkrp_arrays,
+    scalar=_mttkrp_scalar,
+    example_args=_mttkrp_example_args,
+)
 
 
 def spmttkrp_reference(
@@ -165,10 +168,7 @@ def spmttkrp_driver(problem, rt: Runtime) -> AppResult:
         validate=False,
     )
     costs = mttkrp_costs(rt.spec, rank)
-    sched = rt.schedule_for(work, matrix=proxy, kernel="mttkrp", costs=costs)
-
-    def compute() -> np.ndarray:
-        return spmttkrp_reference(tensor, b, c)
+    sched = rt.schedule_for(work, matrix=proxy, kernel=MTTKRP_DECL.label, costs=costs)
 
     def kernel():
         m = np.zeros((tensor.shape[0], rank))
@@ -192,17 +192,9 @@ def spmttkrp_driver(problem, rt: Runtime) -> AppResult:
     output, stats = rt.run_launch(
         sched,
         costs,
-        compute=compute,
-        kernel=kernel,
-        compiled=CompiledKernel(
-            label="mttkrp",
-            args=(
-                tensor.slice_offsets(), tensor.j, tensor.k, tensor.values, b, c,
-            ),
-            vector_fn=_mttkrp_arrays,
-            scalar_fn=_mttkrp_scalar,
-        ),
-        kernel_label="mttkrp",
+        MTTKRP_DECL,
+        (tensor.slice_offsets(), tensor.j, tensor.k, tensor.values, b, c),
+        simt=kernel,
         extras={"app": "spmttkrp"},
     )
     return AppResult(output=output, stats=stats, schedule=sched.name)
@@ -290,6 +282,7 @@ register_app(
     AppSpec(
         name="spmttkrp",
         driver=spmttkrp_driver,
+        kernels=(MTTKRP_DECL,),
         default_schedule="merge_path",
         oracle=lambda p: spmttkrp_reference(p.tensor, p.b, p.c),
         sweep_problem=_sweep_problem,

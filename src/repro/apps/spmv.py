@@ -5,8 +5,9 @@ everything else is load balancing -- which is exactly the disparity the
 framework removes.  Under this abstraction the same kernel body runs under
 *every* schedule in the library (a one-identifier change, Section 6.2),
 and -- since the execution-engine refactor -- under every *engine* too:
-the declaration below is consumed unchanged by the vectorized planner
-path and the thread-by-thread SIMT interpreter.
+the one :data:`SPMV_DECL` below is consumed unchanged by the vectorized
+planner path and the compiled engine, and the thread-by-thread SIMT
+interpreter runs the hand-written Listing 3 body next to it.
 """
 
 from __future__ import annotations
@@ -19,19 +20,18 @@ from ..core.schedule import LaunchParams, Schedule
 from ..core.work import WorkSpec
 from ..engine import (
     AppSpec,
-    CompiledKernel,
+    KernelDecl,
     Runtime,
-    declare_kernel_effects,
     input_vector,
     register_app,
-    register_jit_warmup,
     run_app,
+    tile_charges,
 )
 from ..gpusim.arch import GpuSpec
 from ..sparse.csr import CsrMatrix
-from .common import AppResult, check_dense_vector, spmv_costs, tile_charges
+from .common import AppResult, check_dense_vector, spmv_costs
 
-__all__ = ["spmv", "spmv_reference", "spmv_driver"]
+__all__ = ["spmv", "spmv_reference", "spmv_driver", "SPMV_DECL"]
 
 
 def _spmv_arrays(row_offsets, col_indices, values, x):
@@ -65,8 +65,9 @@ def _spmv_example_args() -> tuple:
     return offsets, cols, vals, np.array([1.0, 1.0])
 
 
-register_jit_warmup("spmv", _spmv_scalar, _spmv_example_args)
-declare_kernel_effects("spmv", "spmv", scalar_fn=_spmv_scalar)
+SPMV_DECL = KernelDecl(
+    "spmv", _spmv_arrays, scalar=_spmv_scalar, example_args=_spmv_example_args
+)
 
 
 def spmv_reference(matrix: CsrMatrix, x: np.ndarray) -> np.ndarray:
@@ -130,10 +131,7 @@ def spmv_driver(problem, rt: Runtime) -> AppResult:
     work = WorkSpec.from_csr(matrix)
     working_set = float(x.nbytes) if locality else None
     costs = spmv_costs(rt.spec, gather_working_set_bytes=working_set)
-    sched = rt.schedule_for(work, matrix=matrix, kernel="spmv", costs=costs)
-
-    def compute() -> np.ndarray:
-        return spmv_reference(matrix, x)
+    sched = rt.schedule_for(work, matrix=matrix, kernel=SPMV_DECL.label, costs=costs)
 
     def kernel():
         """Listing 3's kernel body, executed thread-by-thread.
@@ -170,15 +168,9 @@ def spmv_driver(problem, rt: Runtime) -> AppResult:
     output, stats = rt.run_launch(
         sched,
         costs,
-        compute=compute,
-        kernel=kernel,
-        compiled=CompiledKernel(
-            label="spmv",
-            args=(matrix.row_offsets, matrix.col_indices, matrix.values, x),
-            vector_fn=_spmv_arrays,
-            scalar_fn=_spmv_scalar,
-        ),
-        kernel_label="spmv",
+        SPMV_DECL,
+        (matrix.row_offsets, matrix.col_indices, matrix.values, x),
+        simt=kernel,
         extras={"app": "spmv", "locality": locality},
     )
     return AppResult(output=output, stats=stats, schedule=sched.name)
@@ -193,7 +185,7 @@ def _sweep_problem(matrix: CsrMatrix, seed: int) -> SimpleNamespace:
 def _sample_check(problem, output, seed: int, samples: int = 8) -> bool:
     """Independent sampled dense check: re-derive a few output rows
     directly from the CSR slices (per-row ``dot``), a different reduction
-    path than both the oracle's and compute()'s scatter-add."""
+    path than the oracle's and the vector engine's shared scatter-add."""
     matrix, x = problem.matrix, problem.x
     y = np.asarray(output, dtype=np.float64)
     if y.shape != (matrix.num_rows,):
@@ -227,6 +219,7 @@ register_app(
     AppSpec(
         name="spmv",
         driver=spmv_driver,
+        kernels=(SPMV_DECL,),
         default_schedule="merge_path",
         oracle=lambda p: spmv_reference(p.matrix, p.x),
         sweep_problem=_sweep_problem,

@@ -15,15 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from ..core.schedule import LaunchParams, Schedule
-from ..engine import (
-    AppSpec,
-    CompiledKernel,
-    Runtime,
-    declare_kernel_effects,
-    register_app,
-    register_jit_warmup,
-    run_app,
-)
+from ..engine import AppSpec, KernelDecl, Runtime, register_app, run_app
 from ..gpusim.arch import GpuSpec
 from ..sparse.graph import CsrGraph
 from .common import AppResult
@@ -82,8 +74,12 @@ def _sssp_example_args() -> tuple:
     return sources, targets, weights, dist, 3
 
 
-register_jit_warmup("sssp", _sssp_relax_scalar, _sssp_example_args)
-declare_kernel_effects("sssp", "advance", scalar_fn=_sssp_relax_scalar)
+ADVANCE_DECL = KernelDecl(
+    "advance",
+    _sssp_relax_arrays,
+    scalar=_sssp_relax_scalar,
+    example_args=_sssp_example_args,
+)
 
 
 def sssp_reference(graph: CsrGraph, source: int) -> np.ndarray:
@@ -158,11 +154,11 @@ def sssp_driver(problem, rt: Runtime) -> AppResult:
     dist = np.full(n, np.inf)
     dist[source] = 0.0
 
-    def relax(frontier, edge_sources, edge_targets, edge_weights):
-        # Listing 5's body, vectorized: atomicMin(dist[neighbor], ...)
-        return _sssp_relax_arrays(
-            edge_sources, edge_targets, edge_weights, dist, n
-        )
+    def advance_args(iteration, frontier, edge_sources, edge_targets,
+                     edge_weights):
+        # Listing 5's atomicMin(dist[neighbor], ...) updates ``dist`` in
+        # place, so every iteration hands the kernel the same array.
+        return edge_sources, edge_targets, edge_weights, dist, n
 
     def relax_edge(ctx, src, dst, weight, next_mask):
         # Scalar Listing 5 body: atomicMin, then flag on improvement.
@@ -171,22 +167,13 @@ def sssp_driver(problem, rt: Runtime) -> AppResult:
         if candidate < old:
             next_mask[dst] = True
 
-    def make_compiled(iteration, frontier, edge_sources, edge_targets,
-                      edge_weights):
-        return CompiledKernel(
-            label="advance",
-            args=(edge_sources, edge_targets, edge_weights, dist, n),
-            vector_fn=_sssp_relax_arrays,
-            scalar_fn=_sssp_relax_scalar,
-        )
-
     iterations, stats = run_frontier_loop(
         graph,
         source,
-        relax,
-        relax_edge=relax_edge,
-        make_compiled=make_compiled,
+        ADVANCE_DECL,
+        advance_args,
         rt=rt,
+        relax_edge=relax_edge,
         max_iterations=max_iterations,
     )
     return AppResult(
@@ -239,6 +226,7 @@ register_app(
     AppSpec(
         name="sssp",
         driver=sssp_driver,
+        kernels=(ADVANCE_DECL,),
         default_schedule="group_mapped",
         oracle=lambda p: sssp_reference(p.graph, p.source),
         sweep_problem=graph_sweep_problem,

@@ -9,10 +9,11 @@ distributions are arbitrary) and why reusing SpMV's schedules here is the
 paper's headline composability result.
 
 Each frontier advance is described to the engine layer as one launch:
-algorithms supply a vectorized ``relax`` (NumPy over the whole edge
-frontier; the vector engine's functional path) and optionally a scalar
-``relax_edge`` (one edge at a time; the SIMT engine's kernel body).  The
-loop itself is engine-agnostic.
+algorithms supply their ``"advance"``
+:class:`~repro.engine.registry.KernelDecl` (the relaxation over the
+whole expanded edge frontier) with a per-iteration argument builder,
+and optionally a scalar ``relax_edge`` (one edge at a time; the SIMT
+engine's kernel body).  The loop itself is engine-agnostic.
 """
 
 from __future__ import annotations
@@ -21,13 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.schedule import LaunchParams, Schedule, WorkCosts
+from ..core.schedule import WorkCosts
 from ..core.work import WorkSpec
-from ..engine import Runtime
-from ..gpusim.arch import GpuSpec, V100
+from ..engine import KernelDecl, Runtime, tile_charges
+from ..gpusim.arch import GpuSpec
 from ..gpusim.cost_model import KernelStats
 from ..sparse.graph import CsrGraph
-from .common import tile_charges
 
 __all__ = [
     "FrontierIteration",
@@ -100,50 +100,33 @@ class FrontierIteration:
 def run_frontier_loop(
     graph: CsrGraph,
     source: int,
-    relax,
+    decl: KernelDecl,
+    args,
     *,
+    rt: Runtime,
     relax_edge=None,
-    make_compiled=None,
-    rt: Runtime | None = None,
-    schedule: str | Schedule = "group_mapped",
-    spec: GpuSpec = V100,
-    launch: LaunchParams | None = None,
     max_iterations: int | None = None,
-    **schedule_options,
 ):
     """Generic level-synchronous frontier loop.
 
-    ``relax(frontier, edge_sources, edge_targets, edge_weights)`` must
-    return a boolean mask over vertices marking the next frontier.  The
-    function handles the vectorized edge expansion and the per-iteration
-    load-balanced timing; algorithms (BFS, SSSP) supply only the relaxation
-    -- the "user-defined computation" stage of the abstraction.
+    Each iteration launches ``decl`` on ``args(iteration, frontier,
+    edge_sources, edge_targets, edge_weights)``; the launch must return a
+    boolean mask over vertices marking the next frontier.  The function
+    handles the vectorized edge expansion and the per-iteration
+    load-balanced timing; algorithms (BFS, SSSP) supply only the
+    relaxation -- the "user-defined computation" stage of the
+    abstraction.  ``decl.label`` (``"advance"``) routes per-kernel
+    schedule policies and engine overrides.
 
     ``relax_edge(ctx, src, dst, weight, next_mask)`` is the scalar form of
     the same relaxation, consumed one edge at a time by the SIMT engine's
     interpreted kernel; it must mark improved vertices in ``next_mask``.
-    Algorithms that omit it run on the vector engine only.
+    Algorithms that omit it cannot run on the SIMT engine.
 
-    ``make_compiled(iteration, frontier, edge_sources, edge_targets,
-    edge_weights)`` builds the iteration's
-    :class:`~repro.engine.compiled.CompiledKernel` for the compiled
-    engine; the per-iteration factory exists because each advance closes
-    over a fresh edge expansion.  Kernels are labelled ``"advance"`` for
-    per-kernel engine overrides.
-
-    ``rt`` carries the engine/schedule/device selection; when omitted, a
-    vector-engine runtime is built from the legacy keyword arguments.
+    ``rt`` carries the engine/schedule/device selection.
 
     Returns ``(iterations, total_stats)``.
     """
-    if rt is None:
-        rt = Runtime(
-            "vector",
-            spec=spec,
-            schedule=schedule,
-            launch=launch,
-            schedule_options=schedule_options,
-        )
     if not 0 <= source < graph.num_vertices:
         raise ValueError(f"source {source} out of range")
     csr = graph.csr
@@ -174,10 +157,7 @@ def run_frontier_loop(
         edge_targets = csr.col_indices[edge_ids]
         edge_weights = csr.values[edge_ids]
 
-        sched = rt.schedule_for(work, matrix=csr, kernel="advance", costs=costs)
-
-        def compute():
-            return relax(frontier, edge_sources, edge_targets, edge_weights)
+        sched = rt.schedule_for(work, matrix=csr, kernel=decl.label, costs=costs)
 
         kernel = None
         if relax_edge is not None:
@@ -204,19 +184,12 @@ def run_frontier_loop(
 
                 return body, lambda: next_mask
 
-        compiled = None
-        if make_compiled is not None:
-            compiled = make_compiled(
-                it, frontier, edge_sources, edge_targets, edge_weights
-            )
-
         next_mask, stats = rt.run_launch(
             sched,
             costs,
-            compute=compute,
-            kernel=kernel,
-            compiled=compiled,
-            kernel_label="advance",
+            decl,
+            args(it, frontier, edge_sources, edge_targets, edge_weights),
+            simt=kernel,
             extras={"app": "traversal", "iteration": it},
         )
         total_stats = stats if total_stats is None else total_stats + stats

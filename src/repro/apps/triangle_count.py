@@ -16,16 +16,15 @@ from ..core.schedule import LaunchParams, Schedule, WorkCosts
 from ..core.work import WorkSpec
 from ..engine import (
     AppSpec,
-    CompiledKernel,
+    KernelDecl,
     Runtime,
-    declare_kernel_effects,
     register_app,
-    register_jit_warmup,
     run_app,
+    tile_charges,
 )
 from ..gpusim.arch import GpuSpec
 from ..sparse.csr import CsrMatrix
-from .common import AppResult, tile_charges
+from .common import AppResult
 
 __all__ = ["triangle_count", "triangle_count_reference", "triangle_count_driver"]
 
@@ -136,11 +135,11 @@ def _triangle_count_example_args() -> tuple:
     return offsets, cols, 3, 3
 
 
-register_jit_warmup(
-    "intersect", _triangle_count_scalar, _triangle_count_example_args
-)
-declare_kernel_effects(
-    "triangle_count", "intersect", scalar_fn=_triangle_count_scalar
+INTERSECT_DECL = KernelDecl(
+    "intersect",
+    _triangle_count_arrays,
+    scalar=_triangle_count_scalar,
+    example_args=_triangle_count_example_args,
 )
 
 
@@ -213,12 +212,9 @@ def triangle_count_driver(problem, rt: Runtime) -> AppResult:
     work = WorkSpec.from_csr(upper, label="triangles")
     mean_deg = upper.nnz / max(1, upper.num_rows)
     costs = _intersection_costs(rt.spec, mean_deg)
-    sched = rt.schedule_for(work, matrix=upper, kernel="intersect", costs=costs)
-
-    def compute() -> int:
-        return _triangle_count_arrays(
-            upper.row_offsets, upper.col_indices, upper.num_rows, upper.num_cols
-        )
+    sched = rt.schedule_for(
+        work, matrix=upper, kernel=INTERSECT_DECL.label, costs=costs
+    )
 
     def kernel():
         total = np.zeros(1)
@@ -243,18 +239,9 @@ def triangle_count_driver(problem, rt: Runtime) -> AppResult:
     output, stats = rt.run_launch(
         sched,
         costs,
-        compute=compute,
-        kernel=kernel,
-        compiled=CompiledKernel(
-            label="intersect",
-            args=(
-                upper.row_offsets, upper.col_indices,
-                upper.num_rows, upper.num_cols,
-            ),
-            vector_fn=_triangle_count_arrays,
-            scalar_fn=_triangle_count_scalar,
-        ),
-        kernel_label="intersect",
+        INTERSECT_DECL,
+        (upper.row_offsets, upper.col_indices, upper.num_rows, upper.num_cols),
+        simt=kernel,
         extras={"app": "triangle_count"},
     )
     return AppResult(
@@ -284,6 +271,7 @@ register_app(
     AppSpec(
         name="triangle_count",
         driver=triangle_count_driver,
+        kernels=(INTERSECT_DECL,),
         default_schedule="lrb",
         oracle=lambda p: triangle_count_reference(p.adjacency),
         sweep_problem=lambda matrix, seed: SimpleNamespace(adjacency=matrix),

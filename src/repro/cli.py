@@ -648,12 +648,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
           " ".join(f"{s:>{width}}" for s in sched_names))
     for row in matrix["rows"]:
         name = f"{row['app']}/{row['label']}"
-        if row["delegates_to"]:
-            name += "*"
         print(f"{name:<{kernel_col}} " +
               " ".join(f"{row['verdicts'][s]:>{width}}" for s in sched_names))
-    if any(r["delegates_to"] for r in matrix["rows"]):
-        print("(* delegates its kernel to another app)")
 
     violations: list[str] = []
     probe_report = None

@@ -5,8 +5,9 @@ subsystem, mirroring the paper's separation of concerns at the code
 level:
 
 * **Registry** (:mod:`.registry`) -- each application is declared once
-  as an :class:`AppSpec`: a driver written against the Runtime API, an
-  oracle, a sweep-problem builder, optional hardwired baselines.
+  as an :class:`AppSpec`: a driver written against the Runtime API, one
+  :class:`KernelDecl` per kernel it launches, an oracle, a sweep-problem
+  builder, optional hardwired baselines.
   :func:`run_app` is the single entry point the public app functions
   delegate to.
 * **Context** (:mod:`.context`) -- :class:`ExecutionContext`, the one
@@ -73,21 +74,16 @@ from .dispatch import (
     get_engine,
     register_engine,
     resolve_schedule,
+    tile_charges,
 )
 from .compiled import (
     CompilationCache,
     CompiledEngine,
-    CompiledKernel,
-    EffectDecl,
     clear_compilation_cache,
     compilation_cache,
     compilation_cache_stats,
-    declare_kernel_effects,
-    effect_declarations,
     numba_available,
     precompile_kernels,
-    register_jit_warmup,
-    registered_warmups,
     tile_writer_counts,
 )
 from .multi_gpu import MultiGpuEngine
@@ -126,6 +122,7 @@ from .worker_pool import (
 )
 from .registry import (
     AppSpec,
+    KernelDecl,
     available_apps,
     default_match,
     get_app,
@@ -150,25 +147,20 @@ __all__ = [
     "VectorEngine",
     "MultiGpuEngine",
     "CompiledEngine",
-    "CompiledKernel",
     "CompilationCache",
-    "EffectDecl",
-    "declare_kernel_effects",
-    "effect_declarations",
     "tile_writer_counts",
     "compilation_cache",
     "compilation_cache_stats",
     "clear_compilation_cache",
     "numba_available",
     "precompile_kernels",
-    "register_jit_warmup",
-    "registered_warmups",
     "available_engines",
     "engine_description",
     "ensure_known_engine",
     "get_engine",
     "register_engine",
     "resolve_schedule",
+    "tile_charges",
     "ExecutionContext",
     "DEFAULT_CONTEXT",
     "CACHE_FORMAT_VERSION",
@@ -199,6 +191,7 @@ __all__ = [
     "global_plan_cache",
     "work_fingerprint",
     "AppSpec",
+    "KernelDecl",
     "available_apps",
     "default_match",
     "get_app",

@@ -6,11 +6,12 @@ truth, but it *interprets* every kernel body thread-by-thread in Python
 of caching (plans, problems, shm datasets, warm pools) can remove it.
 This module removes the interpreter from the loop:
 
-* Applications declare a :class:`CompiledKernel` -- a flat *scalar*
-  kernel over plain arrays (jit-able: no closures over Python objects)
-  plus the equivalent vectorized NumPy function.  When :mod:`numba` is
-  importable the scalar body is ``njit``-compiled once per process;
-  otherwise the vectorized function runs, so the engine always exists.
+* Each :class:`~repro.engine.registry.KernelDecl` on an app's
+  ``AppSpec.kernels`` carries a flat *scalar* body over plain arrays
+  (jit-able: no closures over Python objects) next to the equivalent
+  vectorized ``arrays`` body.  When :mod:`numba` is importable the
+  scalar body is ``njit``-compiled once per process; otherwise the
+  vectorized body runs, so the engine always exists.
 * The schedule still decides the launch: grid/block shape and the
   per-thread work assignment are taken from the schedule's own iterator
   view and *materialized* into per-thread (atoms, tile-visits) load
@@ -22,8 +23,9 @@ This module removes the interpreter from the loop:
 * Materialized loads live in a process-wide bounded
   :class:`CompilationCache` keyed on (kernel label, schedule identity,
   dtype signature); hit/miss counters surface in every row's ``extras``
-  and :func:`precompile_kernels` is wired into the sweep worker
-  initializer so warm pools amortize JIT cost.
+  and :func:`precompile_kernels` -- which walks every registered app's
+  declarations -- is wired into the sweep worker initializer so warm
+  pools amortize JIT cost.
 
 The engine registers as ``"compiled"`` via
 :func:`~repro.engine.dispatch.register_engine`, so it flows through
@@ -35,30 +37,23 @@ from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
 from ..core.ranges import StepRange
 from ..core.schedule import Schedule
 from ..gpusim.cost_model import kernel_stats_from_thread_cycles
-from .dispatch import Engine, EngineError, register_engine
+from .dispatch import Engine, register_engine, tile_charges
 from .plan_cache import work_fingerprint
 
 __all__ = [
-    "CompiledKernel",
     "CompiledEngine",
     "CompilationCache",
-    "EffectDecl",
     "compilation_cache",
     "compilation_cache_stats",
     "clear_compilation_cache",
-    "declare_kernel_effects",
-    "effect_declarations",
-    "register_jit_warmup",
     "precompile_kernels",
-    "registered_warmups",
     "numba_available",
     "tile_writer_counts",
 ]
@@ -77,45 +72,12 @@ def numba_available() -> bool:
     return _NUMBA is not None
 
 
-@dataclass(frozen=True)
-class CompiledKernel:
-    """One jit-able kernel declaration attached to a launch.
-
-    Attributes
-    ----------
-    label:
-        Kernel identity within the application (``"spmv"``, spgemm's
-        ``"count"``/``"compute"``, the frontier loop's ``"advance"``).
-        Keys the compilation cache together with the schedule identity.
-    args:
-        Flat argument tuple -- plain ndarrays and scalars only, so the
-        scalar body stays compilable (no closures over Python objects in
-        the hot loop).
-    vector_fn:
-        ``vector_fn(*args) -> output``: the vectorized NumPy evaluation,
-        bit-for-bit identical to the application's ``compute()`` (by
-        construction: apps share one implementation between both).
-    scalar_fn:
-        Optional ``scalar_fn(*args) -> output`` written as flat loops
-        over the same arguments, the body ``numba.njit`` compiles.
-        ``None`` keeps the kernel on the vectorized path even when numba
-        is present (e.g. output shapes the scalar form cannot build).
-    """
-
-    label: str
-    args: tuple
-    vector_fn: Callable[..., Any]
-    scalar_fn: Callable[..., Any] | None = None
-
-    def dtype_signature(self) -> tuple:
-        """Hashable dtype/shape-rank signature of the argument tuple."""
-        sig = []
-        for a in self.args:
-            if isinstance(a, np.ndarray):
-                sig.append((a.dtype.str, a.ndim))
-            else:
-                sig.append(type(a).__name__)
-        return tuple(sig)
+def _dtype_signature(args: tuple) -> tuple:
+    """Hashable dtype/shape-rank signature of a launch's argument tuple."""
+    return tuple(
+        (a.dtype.str, a.ndim) if isinstance(a, np.ndarray) else type(a).__name__
+        for a in args
+    )
 
 
 # ----------------------------------------------------------------------
@@ -124,19 +86,19 @@ class CompiledKernel:
 _FN_CACHE: dict[Callable, Callable] = {}
 
 
-def _compiled_fn(kernel: CompiledKernel) -> tuple[Callable, str]:
+def _compiled_fn(decl) -> tuple[Callable, str]:
     """Resolve the callable for one kernel: ``(fn, "numba"|"numpy")``.
 
     The njit wrapper is cached per scalar function object, so each
     (kernel body, dtype signature) pair compiles once per process --
     numba's own dispatcher handles per-signature specialization.
     """
-    if _NUMBA is None or kernel.scalar_fn is None:
-        return kernel.vector_fn, "numpy"
-    fn = _FN_CACHE.get(kernel.scalar_fn)
+    if _NUMBA is None or decl.scalar is None:
+        return decl.arrays, "numpy"
+    fn = _FN_CACHE.get(decl.scalar)
     if fn is None:
-        fn = _NUMBA.njit(kernel.scalar_fn)
-        _FN_CACHE[kernel.scalar_fn] = fn
+        fn = _NUMBA.njit(decl.scalar)
+        _FN_CACHE[decl.scalar] = fn
     return fn, "numba"
 
 
@@ -554,28 +516,28 @@ class CompilationCache:
         self.misses = 0
 
     @staticmethod
-    def key_for(sched: Schedule, kernel: CompiledKernel) -> tuple | None:
+    def key_for(sched: Schedule, label: str, args: tuple) -> tuple | None:
         options = getattr(sched, "construction_options", {})
         try:
             options_key = tuple(sorted(options.items()))
             key = (
-                kernel.label,
+                label,
                 sched.name,
                 sched.spec.name,
                 sched.launch.grid_dim,
                 sched.launch.block_dim,
                 work_fingerprint(sched.work),
                 options_key,
-                kernel.dtype_signature(),
+                _dtype_signature(args),
             )
             hash(key)
         except TypeError:
             return None  # unhashable options: plan live, count a miss
         return key
 
-    def loads(self, sched: Schedule, kernel: CompiledKernel):
+    def loads(self, sched: Schedule, label: str, args: tuple):
         """Cached (atoms, visits) for one launch; counts hit or miss."""
-        key = self.key_for(sched, kernel)
+        key = self.key_for(sched, label, args)
         if key is not None:
             cached = self._entries.get(key)
             if cached is not None:
@@ -621,124 +583,28 @@ def clear_compilation_cache() -> None:
     _CACHE.clear()
 
 
-# ----------------------------------------------------------------------
-# JIT warm-up registry: apps register their scalar bodies with tiny
-# example arguments; pool workers precompile them once at startup so
-# steady-state sweeps never pay compilation latency inside a shard.
-# ----------------------------------------------------------------------
-_WARMUPS: dict[str, tuple[Callable, Callable[[], tuple]]] = {}
+def precompile_kernels() -> int:
+    """njit-compile every registered app's scalar kernel bodies.
 
-
-def register_jit_warmup(
-    label: str, scalar_fn: Callable, example_args: Callable[[], tuple]
-) -> None:
-    """Declare one precompilable kernel body (idempotent re-register)."""
-    _WARMUPS[label] = (scalar_fn, example_args)
-
-
-def registered_warmups() -> tuple[str, ...]:
-    """Labels of every registered precompilable kernel."""
-    return tuple(sorted(_WARMUPS))
-
-
-# ----------------------------------------------------------------------
-# Effect declarations: the hook the static analyzer reads.
-#
-# ``repro.analysis.effects`` infers each kernel's write classes from the
-# scalar body's AST; apps whose bodies inference cannot see (spgemm's
-# "compute" keeps ``scalar_fn=None``) or that delegate to another app's
-# kernels (pagerank drives spmv) register an explicit declaration here.
-# Registration is part of the app contract now: a kernel without either
-# an inferable scalar body or a declaration fails the ``kernel-parity``
-# lint.
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class EffectDecl:
-    """Declared effect hints for one ``(app, kernel label)`` pair.
-
-    Attributes
-    ----------
-    app / label:
-        Registry app name and :class:`CompiledKernel` label.
-    scalar_fn:
-        The analyzable scalar body, when one exists (usually the same
-        function passed to :func:`register_jit_warmup`).
-    outputs:
-        Names of the output arrays among the scalar body's parameters
-        (in addition to any the analyzer infers from return statements).
-    writes:
-        Explicit ``{array name: write class}`` overrides for arrays the
-        AST pass cannot classify -- classes are ``"atom_private"``,
-        ``"tile_private"``, ``"global_reduce"``, ``"scatter"``.
-    delegates_to:
-        App name whose kernel effects this app inherits (pagerank's
-        driver composes spmv launches and declares no kernel of its
-        own).
-    """
-
-    app: str
-    label: str
-    scalar_fn: Callable[..., Any] | None = None
-    outputs: tuple = ()
-    writes: Any = None  # dict | None; kept Any so the dataclass stays frozen
-    delegates_to: str | None = None
-
-
-_EFFECT_DECLS: dict[tuple[str, str], EffectDecl] = {}
-
-
-def declare_kernel_effects(
-    app: str,
-    label: str,
-    *,
-    scalar_fn: Callable[..., Any] | None = None,
-    outputs: tuple = (),
-    writes: dict | None = None,
-    delegates_to: str | None = None,
-) -> EffectDecl:
-    """Register effect hints for one kernel (idempotent re-register)."""
-    decl = EffectDecl(
-        app=app,
-        label=label,
-        scalar_fn=scalar_fn,
-        outputs=tuple(outputs),
-        writes=dict(writes) if writes else None,
-        delegates_to=delegates_to,
-    )
-    _EFFECT_DECLS[(app, label)] = decl
-    return decl
-
-
-def effect_declarations(app: str | None = None) -> tuple[EffectDecl, ...]:
-    """Registered declarations, optionally filtered to one app."""
-    decls = sorted(_EFFECT_DECLS.items())
-    return tuple(
-        decl for (a, _label), decl in decls if app is None or a == app
-    )
-
-
-def precompile_kernels(labels=None) -> int:
-    """njit-compile registered kernel bodies ahead of use.
-
-    Runs each body once on its tiny example arguments (numba compiles on
-    first call per signature).  A no-op without numba.  Returns the
-    number of bodies compiled.
+    Runs each distinct :class:`~repro.engine.registry.KernelDecl` scalar
+    body once on its tiny ``example_args`` (numba compiles on first call
+    per signature), so pool workers never pay JIT latency inside a
+    timed shard.  A no-op without numba.  Returns the number of bodies
+    compiled.
     """
     if _NUMBA is None:
         return 0
-    count = 0
-    for label in labels if labels is not None else registered_warmups():
-        entry = _WARMUPS.get(label)
-        if entry is None:
-            continue
-        scalar_fn, example_args = entry
-        fn = _FN_CACHE.get(scalar_fn)
-        if fn is None:
-            fn = _NUMBA.njit(scalar_fn)
-            _FN_CACHE[scalar_fn] = fn
-        fn(*example_args())
-        count += 1
-    return count
+    from .registry import available_apps, get_app
+
+    compiled = set()
+    for app in available_apps():
+        for decl in get_app(app).kernels:
+            if decl.scalar is None or decl.scalar in compiled:
+                continue
+            fn, _mode = _compiled_fn(decl)
+            fn(*decl.example_args())
+            compiled.add(decl.scalar)
+    return len(compiled)
 
 
 # ----------------------------------------------------------------------
@@ -747,32 +613,24 @@ def precompile_kernels(labels=None) -> int:
 class CompiledEngine(Engine):
     """JIT-compiled kernel execution with schedule-shaped timing.
 
-    Runs the application's :class:`CompiledKernel` -- ``numba.njit`` of
-    the flat scalar body when numba is importable, the vectorized NumPy
-    form otherwise -- and prices the launch by materializing the
-    schedule's per-thread work assignment into load vectors folded
-    through the interpreter's own cost model.  Results are bit-for-bit
+    Runs the launched :class:`~repro.engine.registry.KernelDecl` --
+    ``numba.njit`` of its flat scalar body when numba is importable, its
+    vectorized ``arrays`` body otherwise -- and prices the launch by
+    materializing the schedule's per-thread work assignment into load
+    vectors folded through the interpreter's own cost model.  Results
+    are bit-for-bit
     equal to the ``vector`` engine; timings keep the schedule's launch
     geometry and load balance.
     """
 
     name = "compiled"
 
-    def launch(self, sched, costs, *, compute=None, kernel=None, compiled=None,
-               extras=None, cache_key=None):
-        if compiled is None:
-            app = (extras or {}).get("app", "this application")
-            raise EngineError(
-                f"{app} does not declare a compiled kernel (pass compiled= "
-                f"to run_launch, or select the vector/simt engine)"
-            )
-        fn, jit_mode = _compiled_fn(compiled)
-        output = fn(*compiled.args)
-        atoms, visits, cache_status = _CACHE.loads(sched, compiled)
-        atom_c = costs.atom_total(sched.spec) + getattr(
-            sched, "abstraction_tax", 0.0
-        )
-        tile_c = costs.tile_cycles + sched.spec.costs.loop_overhead
+    def launch(self, sched, costs, decl, args, *, simt=None, extras=None,
+               cache_key=None):
+        fn, jit_mode = _compiled_fn(decl)
+        output = fn(*args)
+        atoms, visits, cache_status = _CACHE.loads(sched, decl.label, args)
+        atom_c, tile_c = tile_charges(sched, costs)
         thread_cycles = atoms * atom_c + visits * tile_c
         stats = kernel_stats_from_thread_cycles(
             thread_cycles,

@@ -7,10 +7,13 @@ load-balanced kernel launch described by four pieces:
 
 * a resolved :class:`~repro.core.schedule.Schedule` (the assignment),
 * the application's :class:`~repro.core.schedule.WorkCosts`,
-* ``compute()`` -- the vectorized functional result (NumPy, corpus scale),
-* ``kernel()`` -- a factory returning ``(body, finalize)`` where ``body``
-  is a per-thread kernel for the SIMT interpreter and ``finalize()``
-  yields the output buffer.
+* the kernel's :class:`~repro.engine.registry.KernelDecl` -- its
+  vectorized ``arrays`` body and optional flat-loop ``scalar`` body --
+  plus the flat argument tuple of this launch,
+* optionally ``simt()`` -- the hand-written thread-by-thread ground
+  truth, a factory returning ``(body, finalize)`` where ``body`` is a
+  per-thread kernel for the SIMT interpreter and ``finalize()`` yields
+  the output buffer.
 
 Engines live in a *registry* mirroring the schedule registry: built-ins
 (:class:`VectorEngine`, :class:`SimtEngine`, and the multi-device
@@ -20,11 +23,11 @@ Engines live in a *registry* mirroring the schedule registry: built-ins
 strategy is a registration, never another plumbing pass through the call
 sites.
 
-:class:`VectorEngine` runs ``compute()`` and prices the launch through
+:class:`VectorEngine` runs ``decl.arrays(*args)`` and prices the launch through
 the analytic planner (memoized via :mod:`repro.engine.plan_cache`, whose
 optional journal layer persists plans across processes -- see the
 ``plan_store`` knob on the harness and CLI);
-:class:`SimtEngine` interprets ``kernel()`` thread-by-thread and folds
+:class:`SimtEngine` interprets ``simt()`` thread-by-thread and folds
 the measured charges with the same cost model, so the two engines are
 cross-validated by construction.  Applications never branch on an engine
 name -- they describe launches to a :class:`Runtime` and the selected
@@ -34,10 +37,10 @@ engine does the rest.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..core.heuristic import HeuristicParams, select_schedule
-from ..core.policy import SchedulePolicy, as_policy
+from ..core.policy import SchedulePolicy
 from ..core.schedule import LaunchParams, Schedule, WorkCosts, make_schedule
 from ..core.work import WorkSpec
 from ..gpusim.arch import GpuSpec, V100
@@ -45,6 +48,9 @@ from ..gpusim.cost_model import KernelStats, kernel_stats_from_thread_cycles
 from ..gpusim.simt import launch_interpreted
 from ..sparse.csr import CsrMatrix
 from .plan_cache import PlanCache, global_plan_cache
+
+if TYPE_CHECKING:
+    from .registry import KernelDecl
 
 __all__ = [
     "EngineError",
@@ -59,6 +65,7 @@ __all__ = [
     "engine_description",
     "Runtime",
     "resolve_schedule",
+    "tile_charges",
 ]
 
 
@@ -99,6 +106,21 @@ def resolve_schedule(
     return make_schedule(name, work, spec, launch, **options)
 
 
+def tile_charges(sched: Schedule, costs: WorkCosts) -> tuple[float, float]:
+    """Per-atom / per-tile cycle charges of one thread-level launch.
+
+    A thread pays ``n_atoms * atom + tile`` per visited tile -- the
+    app's declared costs plus the loop overhead and the schedule's
+    abstraction tax, matching what the analytic planners price.  The
+    SIMT kernel bodies charge it per tile; the compiled engine folds it
+    over its materialized per-thread loads.
+    """
+    spec = sched.spec
+    atom = costs.atom_total(spec) + getattr(sched, "abstraction_tax", 0.0)
+    tile = costs.tile_cycles + spec.costs.loop_overhead
+    return atom, tile
+
+
 class Engine(ABC):
     """One strategy for executing a load-balanced kernel launch."""
 
@@ -109,28 +131,28 @@ class Engine(ABC):
         self,
         sched: Schedule,
         costs: WorkCosts,
+        decl: KernelDecl,
+        args: tuple,
         *,
-        compute: Callable[[], Any] | None = None,
-        kernel: Callable[[], tuple[Callable, Callable[[], Any]]] | None = None,
-        compiled: Any | None = None,
+        simt: Callable[[], tuple[Callable, Callable[[], Any]]] | None = None,
         extras: dict | None = None,
         cache_key: tuple | None = None,
     ) -> tuple[Any, KernelStats]:
-        """Execute one launch; return ``(output, stats)``.
+        """Execute one launch of ``decl`` on ``args``; return
+        ``(output, stats)``.
 
-        ``compiled`` is the application's optional
-        :class:`~repro.engine.compiled.CompiledKernel` declaration; only
-        the compiled engine consumes it, the others ignore it (the same
-        way the vector engine ignores ``kernel`` and the SIMT engine
-        ignores ``compute``).
+        ``decl`` is the kernel's :class:`~repro.engine.registry.KernelDecl`;
+        each engine reads the body it needs from it.  ``simt`` is the
+        hand-written per-thread kernel factory only the SIMT engine
+        consumes.
         """
 
 
 class VectorEngine(Engine):
     """Vectorized functional result + analytic planner timing.
 
-    The corpus-scale engine: the output comes from the application's
-    NumPy ``compute()`` and the time from the schedule's planner view,
+    The corpus-scale engine: the output comes from the kernel's NumPy
+    ``arrays`` body and the time from the schedule's planner view,
     memoized in a :class:`~repro.engine.plan_cache.PlanCache` so sweeps
     never re-plan an identical launch.
     """
@@ -140,11 +162,9 @@ class VectorEngine(Engine):
     def __init__(self, plan_cache: PlanCache | None = None):
         self.plan_cache = global_plan_cache() if plan_cache is None else plan_cache
 
-    def launch(self, sched, costs, *, compute=None, kernel=None, compiled=None,
-               extras=None, cache_key=None):
-        if compute is None:
-            raise EngineError("the vector engine requires a compute() callable")
-        output = compute()
+    def launch(self, sched, costs, decl, args, *, simt=None, extras=None,
+               cache_key=None):
+        output = decl.arrays(*args)
         stats = self.plan_cache.plan(
             sched, costs, extras=extras, options_key=cache_key
         )
@@ -161,26 +181,26 @@ class SimtEngine(Engine):
 
     name = "simt"
 
-    def _materialize_kernel(self, kernel):
+    def _materialize_kernel(self, simt):
         """Build the (body, finalize) pair for one launch.
 
         Seam for instrumenting engines: the shadow-write race probe
         (:mod:`repro.analysis.probe`) overrides this to capture the
         arrays the kernel closure allocates.
         """
-        return kernel()
+        return simt()
 
     def _instrument_body(self, body):
         """Wrap the per-thread body before interpretation (seam for
         instrumenting engines; identity here)."""
         return body
 
-    def launch(self, sched, costs, *, compute=None, kernel=None, compiled=None,
-               extras=None, cache_key=None):
-        if kernel is None:
+    def launch(self, sched, costs, decl, args, *, simt=None, extras=None,
+               cache_key=None):
+        if simt is None:
             app = (extras or {}).get("app", "this application")
             raise EngineError(f"{app} does not define a SIMT kernel body")
-        body, finalize = self._materialize_kernel(kernel)
+        body, finalize = self._materialize_kernel(simt)
         result = launch_interpreted(
             self._instrument_body(body),
             sched.launch.grid_dim,
@@ -288,13 +308,9 @@ class Runtime:
     schedule options -- so application drivers only describe *what* to
     launch.  Iterative applications (frontier loops, power iteration,
     multi-pass SpGEMM) call :meth:`run_launch` once per kernel;
-    single-kernel applications call it once.
-
-    The legacy ``schedule=`` argument (a name, ``"heuristic"``, or a
-    pre-built instance) is coerced into a policy via
-    :func:`~repro.core.policy.as_policy`; new code should construct an
-    :class:`~repro.engine.context.ExecutionContext` and call
-    :meth:`~repro.engine.context.ExecutionContext.runtime` instead.
+    single-kernel applications call it once.  Build one with
+    :meth:`~repro.engine.context.ExecutionContext.runtime`, or directly
+    from a :class:`~repro.core.policy.SchedulePolicy`.
     """
 
     def __init__(
@@ -302,17 +318,13 @@ class Runtime:
         engine: str | Engine = "vector",
         *,
         spec: GpuSpec = V100,
-        schedule: str | Schedule | None = None,
         launch: LaunchParams | None = None,
         schedule_options: dict | None = None,
         policy: SchedulePolicy | None = None,
         engines: dict | None = None,
     ):
-        if policy is not None and schedule is not None:
-            raise ValueError("pass either schedule= or policy=, not both")
         self.engine = get_engine(engine)
         self.spec = spec
-        self.schedule = schedule
         self.launch = launch
         self.schedule_options = dict(schedule_options or {})
         # Per-kernel engine overrides, the engine-side mirror of
@@ -323,16 +335,10 @@ class Runtime:
         self.engines = {
             label: get_engine(value) for label, value in (engines or {}).items()
         }
-        if policy is None and schedule is not None:
-            policy = as_policy(schedule)
         self.policy = policy
 
     def schedule_label(self) -> str:
         """Printable name of this runtime's schedule selection."""
-        if isinstance(self.schedule, Schedule):
-            return self.schedule.name
-        if isinstance(self.schedule, str):
-            return self.schedule
         return self.policy.describe() if self.policy is not None else "?"
 
     def _policy_planner(self):
@@ -421,30 +427,26 @@ class Runtime:
         self,
         sched: Schedule,
         costs: WorkCosts,
+        decl: KernelDecl,
+        args: tuple,
         *,
-        compute: Callable[[], Any] | None = None,
-        kernel: Callable[[], tuple[Callable, Callable[[], Any]]] | None = None,
-        compiled: Any | None = None,
-        kernel_label: str | None = None,
+        simt: Callable[[], tuple[Callable, Callable[[], Any]]] | None = None,
         extras: dict | None = None,
     ) -> tuple[Any, KernelStats]:
-        """Execute one described launch on the bound engine.
+        """Execute one launch of ``decl`` on ``args`` on the bound engine.
 
-        ``kernel_label`` names the launch within the application (the
-        same labels ``schedule_for(kernel=...)`` uses); a matching entry
-        in the runtime's per-kernel ``engines`` mapping overrides the
-        bound engine for this one launch.  ``compiled`` is the optional
-        :class:`~repro.engine.compiled.CompiledKernel` declaration.
+        ``decl.label`` names the launch within the application (the same
+        labels ``schedule_for(kernel=...)`` uses); a matching entry in
+        the runtime's per-kernel ``engines`` mapping overrides the bound
+        engine for this one launch.
         """
-        engine = self.engine
-        if kernel_label is not None and kernel_label in self.engines:
-            engine = self.engines[kernel_label]
+        engine = self.engines.get(decl.label, self.engine)
         return engine.launch(
             sched,
             costs,
-            compute=compute,
-            kernel=kernel,
-            compiled=compiled,
+            decl,
+            args,
+            simt=simt,
             extras=extras,
             cache_key=self._cache_key(),
         )

@@ -8,8 +8,8 @@ wrapping that partitioning in an :class:`~repro.engine.dispatch.Engine`,
 so *every* registered application inherits multi-device execution the
 same way it inherited SIMT execution: by naming an engine.
 
-Semantics: the functional result comes from the application's
-``compute()`` (device partitioning never changes *what* is computed --
+Semantics: the functional result comes from the kernel's vectorized
+``arrays`` body (device partitioning never changes *what* is computed --
 multi-GPU outputs are bit-for-bit the vector engine's outputs); the
 timing delegates to :func:`~repro.gpusim.multi_gpu.multi_gpu_plan`
 (shard partition, per-shard re-scheduling, slowest-device-plus-offload
@@ -26,7 +26,7 @@ from dataclasses import replace
 import numpy as np
 
 from ..gpusim.multi_gpu import multi_gpu_plan
-from .dispatch import Engine, EngineError, register_engine
+from .dispatch import Engine, register_engine
 from .plan_cache import PlanCache, global_plan_cache
 
 __all__ = ["MultiGpuEngine"]
@@ -59,13 +59,9 @@ class MultiGpuEngine(Engine):
         self.partition = partition
         self.plan_cache = global_plan_cache() if plan_cache is None else plan_cache
 
-    def launch(self, sched, costs, *, compute=None, kernel=None, compiled=None,
-               extras=None, cache_key=None):
-        if compute is None:
-            raise EngineError(
-                "the multi_gpu engine requires a compute() callable"
-            )
-        output = compute()
+    def launch(self, sched, costs, decl, args, *, simt=None, extras=None,
+               cache_key=None):
+        output = decl.arrays(*args)
 
         dev_key = None if cache_key is None else cache_key + ("dev",)
 

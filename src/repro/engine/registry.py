@@ -1,13 +1,14 @@
 """The application registry: each app declared exactly once.
 
 An :class:`AppSpec` is the framework-side record of one application --
-its driver (the declaration of work, costs and kernel body, written
-against :class:`~repro.engine.dispatch.Runtime` only), its oracle, how
-to derive a sweep problem from a corpus matrix, and any hardwired
-baseline implementations it competes against.  Registering the spec is
-what makes an application sweepable: the harness, the CLI and the parity
-tests all enumerate :func:`available_apps` instead of hand-listing
-modules.
+its driver (the declaration of work, costs and launches, written
+against :class:`~repro.engine.dispatch.Runtime` only), its kernels (one
+:class:`KernelDecl` each), its oracle, how to derive a sweep problem
+from a corpus matrix, and any hardwired baseline implementations it
+competes against.  Registering the spec is what makes an application
+sweepable: the harness, the CLI and the parity tests all enumerate
+:func:`available_apps` instead of hand-listing modules, and JIT warmup
+and the static effect analysis enumerate ``AppSpec.kernels``.
 
 :func:`run_app` is the single entry point every public app function
 (``spmv(...)``, ``bfs(...)``, ...) delegates to: it builds the Runtime
@@ -27,6 +28,7 @@ from .dispatch import Engine, Runtime
 
 __all__ = [
     "AppSpec",
+    "KernelDecl",
     "register_app",
     "get_app",
     "available_apps",
@@ -51,6 +53,48 @@ def default_match(output: Any, expected: Any) -> bool:
     )
 
 
+@dataclass(frozen=True, eq=False)
+class KernelDecl:
+    """One kernel of an application, declared once.
+
+    Every consumer reads this one record: the vector and multi-GPU
+    engines run ``arrays``, the compiled engine JITs ``scalar``,
+    :func:`~repro.engine.compiled.precompile_kernels` warms ``scalar``
+    on ``example_args``, and :mod:`repro.analysis.effects` classifies the
+    writes of ``scalar`` (plus any declared ``writes``).  Declarations
+    compare by identity: an app that reuses another's kernel (pagerank
+    runs spmv) lists the same object.
+
+    Attributes
+    ----------
+    label:
+        Kernel identity within the application (``"spmv"``, spgemm's
+        ``"count"``/``"compute"``, the frontier loop's ``"advance"``):
+        the key of :class:`~repro.core.policy.PerKernelPolicy` routing,
+        per-kernel engine overrides and the compilation cache.
+    arrays:
+        ``arrays(*args) -> output``: the vectorized NumPy body over a
+        flat argument tuple of plain ndarrays and scalars.
+    scalar:
+        Optional ``scalar(*args) -> output`` written as flat loops over
+        the same arguments, bit-for-bit equal to ``arrays`` -- the body
+        ``numba.njit`` compiles.  ``None`` keeps the kernel on the
+        vectorized path even when numba is present.
+    example_args:
+        ``example_args() -> tuple``: tiny arguments to precompile
+        ``scalar`` with; required whenever ``scalar`` is set.
+    writes:
+        Explicit ``{array name: write class}`` effects for arrays the
+        AST pass cannot classify (a kernel without ``scalar``).
+    """
+
+    label: str
+    arrays: Callable[..., Any]
+    scalar: Callable[..., Any] | None = None
+    example_args: Callable[[], tuple] | None = None
+    writes: dict | None = None
+
+
 @dataclass(frozen=True)
 class AppSpec:
     """Everything the framework needs to know about one application.
@@ -62,6 +106,8 @@ class AppSpec:
         builds WorkSpecs, resolves schedules via ``runtime.schedule_for``
         and executes kernels via ``runtime.run_launch`` -- never touching
         an engine name.
+    kernels:
+        Every :class:`KernelDecl` the driver launches, each exactly once.
     oracle:
         ``oracle(problem) -> expected output`` (pure NumPy/CPU reference).
     sweep_problem:
@@ -82,13 +128,14 @@ class AppSpec:
         (O(samples * row_nnz) for per-row outputs; one cheap linear
         pass for aggregate outputs like the histogram), through a
         different code path than both the oracle and the vector
-        engine's ``compute()``.  Used by the
+        engine's ``arrays`` body.  Used by the
         harness's ``--validate`` so the vector path is never compared
         only against the function that produced it.
     """
 
     name: str
     driver: Callable[[Any, Runtime], Any]
+    kernels: tuple[KernelDecl, ...] = ()
     default_schedule: str = "merge_path"
     oracle: Callable[[Any], Any] | None = None
     sweep_problem: Callable[[Any, int], Any] | None = None

@@ -746,7 +746,7 @@ def _worker_warmup(store_path: str | None) -> None:
     if store_path is not None:
         configure_global_plan_cache(store_path)
     # Pay the JIT cost here, not in the first timed launch: the apps
-    # import above registered every kernel's warmup, and with numba
+    # import above registered every kernel declaration, and with numba
     # absent this is a no-op.
     precompile_kernels()
 

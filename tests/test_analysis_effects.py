@@ -4,7 +4,7 @@ The classifier's whole value is getting each app's write provenance
 *right* -- a tile-private write misread as a scatter makes every verdict
 uselessly conservative, and the reverse is unsound.  These tests pin the
 classification of all nine registered apps plus the structural pieces
-(params, outputs, delegation, declared overrides).
+(params, outputs, shared declarations, declared overrides).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import pytest
 
 from repro.analysis import kernel_effects
 from repro.analysis.effects import WRITE_CLASSES
-from repro.engine import available_apps, effect_declarations
+from repro.engine import KernelDecl, available_apps, get_app
 
 
 def effects_by_key():
@@ -26,8 +26,9 @@ def write_classes(effects):
 
 class TestRegistryCoverage:
     def test_every_app_declares_effects(self):
-        declared = {d.app for d in effect_declarations()}
-        assert set(available_apps()) <= declared
+        for app in available_apps():
+            assert get_app(app).kernels, app
+        assert {e.app for e in kernel_effects()} == set(available_apps())
 
     def test_write_classes_are_known(self):
         for effects in kernel_effects():
@@ -93,16 +94,19 @@ class TestPerAppClassification:
         assert classes["before"] == "atom_private"
 
     def test_pagerank_delegates_to_spmv(self):
-        effects = effects_by_key()[("pagerank", "spmv")]
-        assert effects.delegates_to == "spmv"
-        assert effects.writes == ()
+        # PageRank lists SpMV's declaration object, so its effects are
+        # SpMV's by construction -- no delegation layer in between.
+        assert get_app("pagerank").kernels == get_app("spmv").kernels
+        effects = effects_by_key()
+        pagerank, spmv = effects[("pagerank", "spmv")], effects[("spmv", "spmv")]
+        assert pagerank.writes == spmv.writes
+        assert write_classes(pagerank) == {"y": "tile_private"}
 
 
 class TestDeclarationValidation:
     def test_declared_override_rejects_unknown_class(self):
         from repro.analysis.effects import _effects_for_decl
-        from repro.engine.compiled import EffectDecl
 
-        decl = EffectDecl(app="x", label="y", writes={"out": "sideways"})
+        decl = KernelDecl("y", lambda: None, writes={"out": "sideways"})
         with pytest.raises(ValueError, match="sideways"):
-            _effects_for_decl(decl)
+            _effects_for_decl("x", decl)

@@ -144,8 +144,9 @@ class TestVerdictMatrix:
     def test_pagerank_row_is_a_delegate(self):
         matrix = verdict_matrix()
         row = next(r for r in matrix["rows"] if r["app"] == "pagerank")
-        assert row["delegates_to"] == "spmv"
         spmv_row = next(r for r in matrix["rows"] if r["app"] == "spmv")
+        assert row["label"] == spmv_row["label"] == "spmv"
+        assert row["writes"] == spmv_row["writes"]
         assert row["verdicts"] == spmv_row["verdicts"]
 
     def test_matrix_is_cached_content_keyed(self):

@@ -23,7 +23,7 @@ from repro.core.work import WorkSpec
 from repro.engine import (
     EngineError,
     ExecutionContext,
-    Runtime,
+    KernelDecl,
     UnknownEngineError,
     available_engines,
     clear_compilation_cache,
@@ -31,13 +31,10 @@ from repro.engine import (
     engine_description,
     get_engine,
     precompile_kernels,
-    register_jit_warmup,
-    registered_warmups,
     run_app,
 )
 from repro.engine import compiled as compiled_mod
 from repro.engine.compiled import (
-    CompiledKernel,
     _generic_loads,
     materialize_loads,
 )
@@ -203,12 +200,9 @@ class TestCompilationCache:
         cache = compiled_mod.CompilationCache(max_entries=2)
         matrix = _skewed_matrix()
         work = WorkSpec.from_csr(matrix)
-        kernel = CompiledKernel(
-            label="k", args=(matrix.row_offsets,), vector_fn=lambda ro: ro
-        )
         for name in ("thread_mapped", "merge_path", "group_mapped"):
             sched = make_schedule(name, work, spec=TINY_GPU)
-            cache.loads(sched, kernel)
+            cache.loads(sched, "k", (matrix.row_offsets,))
         assert len(cache) <= 2
 
     def test_counters_flow_into_suite_rows(self):
@@ -311,49 +305,50 @@ class TestJitGating:
     def test_precompile_kernels_noop_without_numba(self, no_numba):
         assert precompile_kernels() == 0
 
-    def test_precompile_kernels_compiles_registered_warmups(self, stub_numba):
+    def test_precompile_kernels_compiles_every_scalar_decl(self, stub_numba):
         n = precompile_kernels()
-        assert n == len(registered_warmups())
+        scalars = {
+            d.scalar
+            for app in available_apps()
+            for d in get_app(app).kernels
+            if d.scalar is not None
+        }
+        assert n == len(scalars)
         # One body per jit-able kernel: spmv, spmm, spgemm count, mttkrp,
-        # histogram, intersect, bfs, sssp (pagerank shares spmv's; the
+        # histogram, intersect, bfs, sssp (pagerank lists spmv's decl; the
         # spgemm compute pass is sort-based and stays vectorized).
         assert n >= 8
-        # Each registered body was run once on its example args.
+        assert set(stub_numba.compiled) == scalars
+        # Each declared body was run once on its example args.
         assert all(
             d.calls >= 1 for d in compiled_mod._FN_CACHE.values()
         )
 
-    def test_register_jit_warmup_is_idempotent(self):
-        before = registered_warmups()
-
-        def fn(x):
-            return x
-
-        register_jit_warmup("_test_warmup", fn, lambda: (1,))
-        register_jit_warmup("_test_warmup", fn, lambda: (1,))
-        assert registered_warmups().count("_test_warmup") == 1
-        compiled_mod._WARMUPS.pop("_test_warmup")
-        assert registered_warmups() == before
-
 
 class TestEngineContract:
-    def test_missing_compiled_kernel_raises(self):
+    def test_decl_without_scalar_stays_on_arrays(self, stub_numba):
         from repro.apps.common import spmv_costs
 
         matrix = _skewed_matrix()
-        rt = Runtime("compiled", spec=TINY_GPU, schedule="thread_mapped")
+        rt = ExecutionContext(
+            engine="compiled", spec=TINY_GPU, policy="thread_mapped"
+        ).runtime()
         work = WorkSpec.from_csr(matrix)
         costs = spmv_costs(rt.spec)
-        sched = rt.schedule_for(work, matrix=matrix, kernel="spmv", costs=costs)
-        with pytest.raises(EngineError, match="compiled kernel"):
-            rt.run_launch(sched, costs, compute=lambda: None)
+        sched = rt.schedule_for(work, matrix=matrix, kernel="k", costs=costs)
+        decl = KernelDecl("k", lambda offsets: np.diff(offsets))
+        out, stats = rt.run_launch(sched, costs, decl, (matrix.row_offsets,))
+        assert np.array_equal(out, matrix.row_lengths())
+        assert stats.extras["jit"] == "numpy"
+        assert stub_numba.compiled == []
 
-    def test_other_engines_ignore_compiled_argument(self):
-        # The widened launch signature must not change vector behaviour.
+    def test_other_engines_ignore_compiled_argument(self, stub_numba):
+        # Only the compiled engine JITs a decl's scalar body.
         matrix = _skewed_matrix()
         spec = get_app("spmv")
         r = run_app("spmv", spec.sweep_problem(matrix, 7), engine="vector")
         assert r.output is not None
+        assert stub_numba.compiled == []
 
 
 class TestPerKernelEngineOverride:

@@ -9,6 +9,7 @@ from repro.engine import (
     AppSpec,
     DEFAULT_SEED,
     EngineError,
+    KernelDecl,
     PlanCache,
     Runtime,
     SimtEngine,
@@ -69,17 +70,21 @@ class TestEngineSelection:
         eng = VectorEngine(plan_cache=PlanCache())
         assert get_engine(eng) is eng
 
-    def test_vector_requires_compute(self):
+    def test_vector_runs_decl_arrays(self):
         work = WorkSpec.from_counts([2, 3, 1])
         sched = make_schedule("thread_mapped", work, TINY_GPU)
-        with pytest.raises(EngineError, match="compute"):
-            VectorEngine().launch(sched, _unit_costs(), compute=None)
+        decl = KernelDecl("add", lambda a, b: a + b)
+        engine = VectorEngine(plan_cache=PlanCache())
+        out, stats = engine.launch(sched, _unit_costs(), decl, (2, 3))
+        assert out == 5
+        assert stats.elapsed_ms > 0
 
     def test_simt_requires_kernel(self):
         work = WorkSpec.from_counts([2, 3, 1])
         sched = make_schedule("thread_mapped", work, TINY_GPU)
+        decl = KernelDecl("zero", lambda: 0)
         with pytest.raises(EngineError, match="SIMT kernel"):
-            SimtEngine().launch(sched, _unit_costs(), compute=lambda: 0)
+            SimtEngine().launch(sched, _unit_costs(), decl, ())
 
     def test_runtime_without_schedule(self):
         rt = Runtime("vector", spec=TINY_GPU)

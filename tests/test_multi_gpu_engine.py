@@ -8,8 +8,8 @@ from repro.core.work import WorkSpec
 from repro.engine import (
     DEFAULT_SEED,
     Engine,
-    EngineError,
     ExecutionContext,
+    KernelDecl,
     MultiGpuEngine,
     PlanCache,
     available_engines,
@@ -52,10 +52,10 @@ class TestEngineRegistry:
         class EchoEngine(Engine):
             name = "echo-test"
 
-            def launch(self, sched, costs, *, compute=None, kernel=None,
-                       compiled=None, extras=None, cache_key=None):
+            def launch(self, sched, costs, decl, args, *, simt=None,
+                       extras=None, cache_key=None):
                 out, stats = get_engine("vector").launch(
-                    sched, costs, compute=compute, kernel=kernel,
+                    sched, costs, decl, args, simt=simt,
                     extras=extras, cache_key=None,
                 )
                 return out, stats
@@ -81,8 +81,8 @@ class TestEngineRegistry:
         class BrokenEngine(Engine):
             name = "broken-test"
 
-            def launch(self, sched, costs, *, compute=None, kernel=None,
-                       compiled=None, extras=None, cache_key=None):
+            def launch(self, sched, costs, decl, args, *, simt=None,
+                       extras=None, cache_key=None):
                 calls.append(sched.name)
                 raise TypeError("bad operand inside a compiled body")
 
@@ -108,15 +108,17 @@ class TestMultiGpuEngine:
         problem = app.sweep_problem(m, DEFAULT_SEED)
         return app, problem
 
-    def test_requires_compute(self):
+    def test_runs_decl_arrays(self):
         work = WorkSpec.from_counts([2, 3, 1])
         sched = make_schedule("thread_mapped", work, TINY_GPU)
         from repro.core.schedule import WorkCosts
 
-        with pytest.raises(EngineError, match="compute"):
-            MultiGpuEngine().launch(
-                sched, WorkCosts(atom_cycles=1.0, tile_cycles=1.0), compute=None
-            )
+        decl = KernelDecl("add", lambda a, b: a + b)
+        out, stats = MultiGpuEngine().launch(
+            sched, WorkCosts(atom_cycles=1.0, tile_cycles=1.0), decl, (2, 3)
+        )
+        assert out == 5
+        assert stats.elapsed_ms > 0
 
     def test_rejects_bad_device_count(self):
         with pytest.raises(ValueError, match="num_devices"):

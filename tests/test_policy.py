@@ -188,9 +188,9 @@ class TestOracleBestPolicy:
 
         costs = spmv_costs(V100)
         eng = VectorEngine(plan_cache=PlanCache())
-        rt_wide = Runtime(eng, schedule="group_mapped",
+        rt_wide = Runtime(eng, policy=FixedPolicy("group_mapped"),
                           schedule_options={"group_size": 32})
-        rt_narrow = Runtime(eng, schedule="group_mapped",
+        rt_narrow = Runtime(eng, policy=FixedPolicy("group_mapped"),
                             schedule_options={"group_size": 4})
         s_wide = rt_wide.schedule_for(work)
         s_narrow = rt_narrow.schedule_for(work)

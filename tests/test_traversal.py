@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps.traversal import advance_workspec, run_frontier_loop, traversal_costs
+from repro.engine import ExecutionContext, KernelDecl
 from repro.gpusim.arch import V100
 from repro.sparse.csr import CsrMatrix
 from repro.sparse.graph import CsrGraph, random_graph
@@ -33,6 +34,18 @@ class TestTraversalCosts:
         assert not traversal_costs(V100).tile_reduction
 
 
+def frontier_loop(graph, source, relax, *, schedule="group_mapped", **kwargs):
+    """Run ``relax(frontier, srcs, dsts, wts)`` as the advance kernel."""
+    return run_frontier_loop(
+        graph,
+        source,
+        KernelDecl("advance", relax),
+        lambda iteration, *frontier_edges: frontier_edges,
+        rt=ExecutionContext(policy=schedule).runtime(),
+        **kwargs,
+    )
+
+
 class TestFrontierLoop:
     def test_visits_connected_component(self):
         g = random_graph(100, 4.0, seed=3)
@@ -46,7 +59,7 @@ class TestFrontierLoop:
             mask[np.unique(dsts[fresh])] = True
             return mask
 
-        iters, stats = run_frontier_loop(g, 0, relax)
+        iters, stats = frontier_loop(g, 0, relax)
         # Matches a plain reachability computation.
         from repro.apps.bfs import bfs_reference
 
@@ -63,7 +76,7 @@ class TestFrontierLoop:
                 mask[np.unique(dsts)] = True
             return mask
 
-        iters, stats = run_frontier_loop(g, 0, relax_once)
+        iters, stats = frontier_loop(g, 0, relax_once)
         assert len(iters) == 2
         assert iters[0].frontier_size == 1
         assert iters[1].frontier_size >= 1
@@ -77,20 +90,20 @@ class TestFrontierLoop:
             mask[np.unique(dsts)] = True
             return mask  # never converges on its own
 
-        iters, _ = run_frontier_loop(g, 0, relax_all, max_iterations=3)
+        iters, _ = frontier_loop(g, 0, relax_all, max_iterations=3)
         assert len(iters) == 3
 
     def test_isolated_source_single_iteration(self):
         csr = CsrMatrix.from_dense(np.zeros((4, 4)))
         g = CsrGraph(csr)
-        iters, stats = run_frontier_loop(g, 2, lambda *a: np.zeros(4, dtype=bool))
+        iters, stats = frontier_loop(g, 2, lambda *a: np.zeros(4, dtype=bool))
         assert len(iters) <= 1
         assert stats.elapsed_ms > 0
 
     def test_bad_source(self):
         g = random_graph(5, 1.0, seed=6)
         with pytest.raises(ValueError, match="source"):
-            run_frontier_loop(g, -1, lambda *a: np.zeros(5, dtype=bool))
+            frontier_loop(g, -1, lambda *a: np.zeros(5, dtype=bool))
 
     def test_schedule_names_respected(self):
         g = random_graph(60, 4.0, seed=7)
@@ -99,5 +112,5 @@ class TestFrontierLoop:
             return np.zeros(60, dtype=bool)
 
         for sched in ("thread_mapped", "merge_path", "group_mapped"):
-            iters, stats = run_frontier_loop(g, 0, relax, schedule=sched)
+            iters, stats = frontier_loop(g, 0, relax, schedule=sched)
             assert iters[0].stats.extras["schedule"] == sched
