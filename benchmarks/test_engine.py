@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.engine import (
+    ExecutionContext,
     clear_compilation_cache,
     compilation_cache_stats,
     numba_available,
@@ -64,7 +65,7 @@ def _time_engine(app: str, matrix: CsrMatrix, engine: str, reps: int) -> float:
     for _ in range(reps):
         problem = spec.sweep_problem(matrix, 7)
         t0 = time.perf_counter()
-        run_app(app, problem, schedule="merge_path", engine=engine)
+        run_app(app, problem, ctx=ExecutionContext(policy="merge_path", engine=engine))
         best = min(best, time.perf_counter() - t0)
     return best
 

@@ -18,6 +18,7 @@ from repro.apps.spmv import spmv
 from repro.core.schedule import LaunchParams, make_schedule
 from repro.core.schedules.dynamic_queue import DynamicQueueSchedule
 from repro.core.work import WorkSpec
+from repro.engine import ExecutionContext
 from repro.gpusim.arch import V100
 from repro.gpusim.multi_gpu import multi_gpu_plan
 from repro.sparse import generators as gen
@@ -148,7 +149,7 @@ class TestMttkrp:
 
         def run():
             return {
-                k: spmttkrp(t, b, c, schedule=k).elapsed_ms
+                k: spmttkrp(t, b, c, ctx=ExecutionContext(policy=k)).elapsed_ms
                 for k in ("thread_mapped", "nonzero_split", "merge_path")
             }
 
@@ -184,8 +185,9 @@ class TestLocalityModel:
             for cols in (1_000, 100_000, 1_000_000, 10_000_000):
                 m = gen.power_law(3000, cols, 40.0, 1.8, seed=8)
                 x = np.ones(cols)
-                flat = spmv(m, x, schedule="thread_mapped").elapsed_ms
-                loc = spmv(m, x, schedule="thread_mapped", locality=True).elapsed_ms
+                ctx = ExecutionContext(policy="thread_mapped")
+                flat = spmv(m, x, ctx=ctx).elapsed_ms
+                loc = spmv(m, x, ctx=ctx, locality=True).elapsed_ms
                 out[cols] = (flat, loc, effective_gather_cost(V100, cols * 8.0))
             return out
 

@@ -17,6 +17,7 @@ import pytest
 from conftest import emit
 from repro.apps.spmv import spmv
 from repro.baselines.cub_spmv import cub_spmv
+from repro.engine import ExecutionContext
 from repro.evaluation.figures import fig2_overhead
 from repro.sparse.corpus import load_dataset
 
@@ -65,7 +66,7 @@ class TestFig2KernelCost:
     def test_ours_merge_path_cell(self, benchmark):
         ds = load_dataset("power_a19", "standard")
         x = np.random.default_rng(0).uniform(size=ds.cols)
-        benchmark(lambda: spmv(ds.matrix, x, schedule="merge_path"))
+        benchmark(lambda: spmv(ds.matrix, x, ctx=ExecutionContext(policy="merge_path")))
 
     def test_cub_cell(self, benchmark):
         ds = load_dataset("power_a19", "standard")

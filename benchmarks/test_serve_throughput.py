@@ -55,7 +55,7 @@ JOB = {
 
 
 def _timed_submit(host: str, port: int) -> tuple[float, object]:
-    with SweepClient(host, port, timeout=600) as client:
+    with SweepClient(host, port, idle_timeout=600) as client:
         t0 = time.perf_counter()
         result = client.run(JOB)
         return time.perf_counter() - t0, result
@@ -85,7 +85,7 @@ def test_serve_throughput():
 
         def tenant(index: int) -> None:
             try:
-                with SweepClient(host, port, timeout=600) as client:
+                with SweepClient(host, port, idle_timeout=600) as client:
                     for _ in range(SERVE_JOBS):
                         result = client.run(JOB, retries=4, retry_delay=0.1)
                         assert result.ok

@@ -16,6 +16,7 @@ Run:  python examples/graph_analytics.py
 import numpy as np
 
 from repro import bfs, pagerank, sssp, triangle_count
+from repro.engine import ExecutionContext
 from repro.sparse import CsrGraph, coo_to_csr, csr_to_coo
 from repro.sparse import generators as gen
 
@@ -45,21 +46,21 @@ def profile(name: str, graph: CsrGraph) -> None:
 
     print(f"{'app':<12} {'schedule':<16} {'model ms':>10} {'iterations':>11}")
     for schedule in ("thread_mapped", "group_mapped", "merge_path"):
-        r = sssp(graph, 0, schedule=schedule)
+        r = sssp(graph, 0, ctx=ExecutionContext(policy=schedule))
         print(f"{'sssp':<12} {schedule:<16} {r.elapsed_ms:>10.4f} "
               f"{r.extras['iterations']:>11}")
 
-    r = bfs(graph, 0, schedule="group_mapped")
+    r = bfs(graph, 0, ctx=ExecutionContext(policy="group_mapped"))
     reach = int((r.output >= 0).sum())
     print(f"{'bfs':<12} {'group_mapped':<16} {r.elapsed_ms:>10.4f} "
           f"{r.extras['iterations']:>11}   ({reach} reachable)")
 
-    r = pagerank(graph.csr, schedule="merge_path")
+    r = pagerank(graph.csr, ctx=ExecutionContext(policy="merge_path"))
     top = int(np.argmax(r.output))
     print(f"{'pagerank':<12} {'merge_path':<16} {r.elapsed_ms:>10.4f} "
           f"{r.extras['iterations']:>11}   (top vertex: {top})")
 
-    r = triangle_count(graph.csr, schedule="lrb")
+    r = triangle_count(graph.csr, ctx=ExecutionContext(policy="lrb"))
     print(f"{'triangles':<12} {'lrb':<16} {r.elapsed_ms:>10.4f} "
           f"{'-':>11}   ({r.output} triangles)")
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro import read_mtx, spmv
 from repro.baselines import dense_spmv_oracle
+from repro.engine import ExecutionContext
 from repro.sparse import coo_to_csr
 
 DEFAULT = Path(__file__).resolve().parent.parent / "datasets" / "chesapeake.mtx"
@@ -27,7 +28,7 @@ def main(path: Path) -> None:
     matrix = coo_to_csr(read_mtx(path))
     x = np.random.default_rng(0).uniform(size=matrix.num_cols)
 
-    result = spmv(matrix, x, schedule="merge_path")
+    result = spmv(matrix, x, ctx=ExecutionContext(policy="merge_path"))
     errors = int(np.sum(~np.isclose(result.output, dense_spmv_oracle(matrix, x))))
 
     # The artifact's sanity-check output format:
@@ -39,7 +40,7 @@ def main(path: Path) -> None:
     # And the run.sh CSV schema:
     print("\nkernel,dataset,rows,cols,nnzs,elapsed")
     for kernel in ("merge_path", "thread_mapped", "group_mapped"):
-        r = spmv(matrix, x, schedule=kernel)
+        r = spmv(matrix, x, ctx=ExecutionContext(policy=kernel))
         print(
             f"{kernel.replace('_', '-')},{path.stem},{matrix.num_rows},"
             f"{matrix.num_cols},{matrix.nnz},{r.elapsed_ms:.6f}"

@@ -15,6 +15,8 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro import available_schedules, load_dataset, spmv
+from repro.engine import ExecutionContext
+
 
 def main() -> None:
     # A heavy-tailed matrix: the irregular workload GPUs struggle with.
@@ -28,7 +30,7 @@ def main() -> None:
 
     print(f"{'schedule':<16} {'model ms':>10} {'SIMT eff':>9} {'occupancy':>10}")
     for name in sorted(available_schedules()) + ["heuristic"]:
-        result = spmv(matrix, x, schedule=name)
+        result = spmv(matrix, x, ctx=ExecutionContext(policy=name))
         assert np.allclose(result.output, expected), name
         print(
             f"{name:<16} {result.elapsed_ms:>10.5f} "
@@ -36,7 +38,7 @@ def main() -> None:
             f"{result.stats.occupancy:>10.3f}"
         )
 
-    chosen = spmv(matrix, x, schedule="heuristic").schedule
+    chosen = spmv(matrix, x, ctx=ExecutionContext(policy="heuristic")).schedule
     print(f"\nheuristic (Section 6.2) picked: {chosen}")
     print("all schedules produced identical results -- load balancing is")
     print("fully decoupled from the computation.")

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro import build_corpus, select_schedule, spmv
 from repro.baselines import cusparse_spmv
+from repro.engine import ExecutionContext
 from repro.gpusim import geomean
 
 SCHEDULES = ("thread_mapped", "group_mapped", "merge_path")
@@ -35,7 +36,10 @@ def main(scale: str = "smoke") -> None:
     agreements = 0
     for ds in corpus:
         x = np.random.default_rng(7).uniform(size=ds.cols)
-        times = {s: spmv(ds.matrix, x, schedule=s).elapsed_ms for s in SCHEDULES}
+        times = {
+            s: spmv(ds.matrix, x, ctx=ExecutionContext(policy=s)).elapsed_ms
+            for s in SCHEDULES
+        }
         _, vendor_stats = cusparse_spmv(ds.matrix, x)
         vendor = vendor_stats.elapsed_ms
         winner = min(times, key=times.get)

@@ -18,6 +18,7 @@ import numpy as np
 from repro.apps.common import spmv_costs
 from repro.apps.spmttkrp import spmttkrp, spmttkrp_reference
 from repro.core import WorkSpec
+from repro.engine import ExecutionContext
 from repro.gpusim import V100, multi_gpu_plan
 from repro.sparse.tensor import random_tensor
 
@@ -35,7 +36,7 @@ def tensor_demo() -> None:
 
     print(f"{'schedule':<16} {'model ms':>10}")
     for schedule in ("thread_mapped", "nonzero_split", "merge_path"):
-        r = spmttkrp(tensor, b, c, schedule=schedule)
+        r = spmttkrp(tensor, b, c, ctx=ExecutionContext(policy=schedule))
         assert np.allclose(r.output, expected)
         print(f"{schedule:<16} {r.elapsed_ms:>10.4f}")
     print("nonzero_split reproduces F-COO's balance as a *schedule*, with")

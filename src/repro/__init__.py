@@ -3,12 +3,14 @@ Balancing" (Osama, Porumbescu & Owens, PPoPP 2023) on a simulated GPU.
 
 Quickstart::
 
+    import numpy as np
     from repro import spmv, load_dataset
+    from repro.engine import ExecutionContext
 
     dataset = load_dataset("power_a19")
-    import numpy as np
     x = np.ones(dataset.cols)
-    result = spmv(dataset.matrix, x, schedule="merge_path")
+    ctx = ExecutionContext().with_policy("merge_path")
+    result = spmv(dataset.matrix, x, ctx=ctx)
     print(result.elapsed_ms, result.stats.simt_efficiency)
 
 Packages:

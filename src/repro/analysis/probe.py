@@ -328,7 +328,7 @@ def run_probe(
     app: str, schedule: str, spec: GpuSpec = TINY_GPU, seed: int = 7
 ) -> ProbeResult:
     """Run one app under one schedule with shadow-write recording."""
-    from ..engine import get_app, run_app
+    from ..engine import ExecutionContext, get_app, run_app
 
     matrix = probe_instance()
     problem = get_app(app).sweep_problem(matrix, seed)
@@ -337,8 +337,10 @@ def run_probe(
         # kernel's write pattern just as well.
         problem.max_iter = 2
     recorder = WriteRecorder()
-    engine = ShadowSimtEngine(recorder)
-    run_app(app, problem, engine=engine, schedule=schedule, spec=spec)
+    ctx = ExecutionContext(
+        engine=ShadowSimtEngine(recorder), spec=spec, policy=schedule
+    )
+    run_app(app, problem, ctx=ctx)
     labels = tuple(
         (label, entry.launches, entry.overlapping_keys,
          entry.array_overlapping_keys)

@@ -13,9 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ..core.schedule import LaunchParams, Schedule
 from ..engine import AppSpec, KernelDecl, Runtime, register_app, run_app
-from ..gpusim.arch import GpuSpec
 from ..sparse.graph import CsrGraph
 from .common import AppResult
 from .traversal import graph_sweep_problem, run_frontier_loop
@@ -95,30 +93,15 @@ def bfs(
     source: int,
     *,
     ctx=None,
-    schedule: str | Schedule | None = None,
-    spec: GpuSpec | None = None,
-    engine: str | None = None,
-    launch: LaunchParams | None = None,
-    **schedule_options,
 ) -> AppResult:
     """Load-balanced BFS on the simulated GPU; returns hop depths.
 
-    ``ctx`` is the single execution-selection argument
-    (:class:`~repro.engine.context.ExecutionContext`); the loose kwargs
-    are the deprecated pre-context spelling (default schedule:
+    ``ctx`` is the execution-selection argument
+    (:class:`~repro.engine.context.ExecutionContext`; default schedule:
     ``group_mapped``).
     """
     problem = SimpleNamespace(graph=graph, source=source)
-    return run_app(
-        "bfs",
-        problem,
-        ctx=ctx,
-        schedule=schedule,
-        engine=engine,
-        spec=spec,
-        launch=launch,
-        **schedule_options,
-    )
+    return run_app("bfs", problem, ctx=ctx)
 
 
 def bfs_driver(problem, rt: Runtime) -> AppResult:

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ..core.schedule import LaunchParams, Schedule, WorkCosts
+from ..core.schedule import WorkCosts
 from ..core.schedules.lrb import lrb_bins
 from ..core.work import WorkSpec
 from ..engine import (
@@ -98,30 +98,15 @@ def degree_histogram(
     matrix: CsrMatrix,
     *,
     ctx=None,
-    schedule: str | Schedule | None = None,
-    spec: GpuSpec | None = None,
-    engine: str | None = None,
-    launch: LaunchParams | None = None,
-    **schedule_options,
 ) -> AppResult:
     """Histogram of ``ceil(log2(row_length + 1))`` bins (LRB's binning).
 
-    ``ctx`` is the single execution-selection argument
-    (:class:`~repro.engine.context.ExecutionContext`); the loose kwargs
-    are the deprecated pre-context spelling (default schedule:
+    ``ctx`` is the execution-selection argument
+    (:class:`~repro.engine.context.ExecutionContext`; default schedule:
     ``thread_mapped``).
     """
     problem = SimpleNamespace(matrix=matrix)
-    return run_app(
-        "histogram",
-        problem,
-        ctx=ctx,
-        schedule=schedule,
-        engine=engine,
-        spec=spec,
-        launch=launch,
-        **schedule_options,
-    )
+    return run_app("histogram", problem, ctx=ctx)
 
 
 def _histogram_costs(spec: GpuSpec) -> WorkCosts:

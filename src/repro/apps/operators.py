@@ -27,8 +27,8 @@ from ..core.schedule import LaunchParams, Schedule, WorkCosts
 from ..core.work import WorkSpec
 from ..gpusim.arch import GpuSpec, V100
 from ..gpusim.cost_model import KernelStats
+from ..engine.dispatch import resolve_schedule
 from ..sparse.graph import CsrGraph
-from .common import resolve_schedule
 from .traversal import traversal_costs
 
 __all__ = ["FrontierResult", "advance", "filter_frontier", "compute"]

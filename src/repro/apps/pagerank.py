@@ -17,9 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ..core.schedule import LaunchParams, Schedule
 from ..engine import AppSpec, Runtime, register_app, run_app
-from ..gpusim.arch import GpuSpec
 from ..sparse.convert import csr_transpose
 from ..sparse.csr import CsrMatrix
 from .common import AppResult
@@ -68,17 +66,11 @@ def pagerank(
     tol: float = 1e-10,
     max_iter: int = 200,
     ctx=None,
-    schedule: str | Schedule | None = None,
-    spec: GpuSpec | None = None,
-    engine: str | None = None,
-    launch: LaunchParams | None = None,
-    **schedule_options,
 ) -> AppResult:
     """Load-balanced PageRank; one SpMV launch per iteration.
 
-    ``ctx`` is the single execution-selection argument
-    (:class:`~repro.engine.context.ExecutionContext`); the loose kwargs
-    are the deprecated pre-context spelling (default schedule:
+    ``ctx`` is the execution-selection argument
+    (:class:`~repro.engine.context.ExecutionContext`; default schedule:
     ``merge_path``).
     """
     if adjacency.num_rows != adjacency.num_cols:
@@ -88,16 +80,7 @@ def pagerank(
     problem = SimpleNamespace(
         adjacency=adjacency, damping=damping, tol=tol, max_iter=max_iter
     )
-    return run_app(
-        "pagerank",
-        problem,
-        ctx=ctx,
-        schedule=schedule,
-        engine=engine,
-        spec=spec,
-        launch=launch,
-        **schedule_options,
-    )
+    return run_app("pagerank", problem, ctx=ctx)
 
 
 def pagerank_driver(problem, rt: Runtime) -> AppResult:

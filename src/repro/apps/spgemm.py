@@ -23,7 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ..core.schedule import LaunchParams, Schedule, WorkCosts
+from ..core.schedule import WorkCosts
 from ..core.work import WorkSpec
 from ..engine import (
     AppSpec,
@@ -163,33 +163,19 @@ def spgemm(
     b: CsrMatrix,
     *,
     ctx=None,
-    schedule: str | Schedule | None = None,
-    spec: GpuSpec | None = None,
-    engine: str | None = None,
-    launch: LaunchParams | None = None,
-    **schedule_options,
 ) -> AppResult:
     """Two-pass load-balanced SpGEMM on the simulated GPU.
 
     Returns the sparse product as a :class:`CsrMatrix`; ``stats`` is the
     sequential composition of the two kernels' stats.  ``ctx`` is the
-    single execution-selection argument
+    execution-selection argument
     (:class:`~repro.engine.context.ExecutionContext`); a
     :class:`~repro.core.policy.PerKernelPolicy` can route the two passes
     (kernel labels ``count`` and ``compute``) to different schedules.
     """
     _check(a, b)
     problem = SimpleNamespace(a=a, b=b)
-    return run_app(
-        "spgemm",
-        problem,
-        ctx=ctx,
-        schedule=schedule,
-        engine=engine,
-        spec=spec,
-        launch=launch,
-        **schedule_options,
-    )
+    return run_app("spgemm", problem, ctx=ctx)
 
 
 def spgemm_driver(problem, rt: Runtime) -> AppResult:
@@ -240,8 +226,7 @@ def spgemm_driver(problem, rt: Runtime) -> AppResult:
     # ---- Pass 2: multiply-accumulate over the products. ----
     costs2 = _compute_costs(rt.spec)
     sched2 = rt.schedule_for(
-        work_compute, matrix=a, launch=None, kernel=COMPUTE_DECL.label,
-        costs=costs2,
+        work_compute, matrix=a, kernel=COMPUTE_DECL.label, costs=costs2
     )
 
     def compute_kernel():

@@ -16,7 +16,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ..core.schedule import LaunchParams, Schedule
 from ..core.work import WorkSpec
 from ..engine import (
     AppSpec,
@@ -27,7 +26,6 @@ from ..engine import (
     run_app,
     tile_charges,
 )
-from ..gpusim.arch import GpuSpec
 from ..sparse.csr import CsrMatrix
 from .common import AppResult, check_dense_vector, spmv_costs
 
@@ -81,30 +79,17 @@ def spmv(
     x: np.ndarray,
     *,
     ctx=None,
-    schedule: str | Schedule | None = None,
-    spec: GpuSpec | None = None,
-    engine: str | None = None,
-    launch: LaunchParams | None = None,
     locality: bool = False,
-    **schedule_options,
 ) -> AppResult:
     """Load-balanced SpMV on the simulated GPU.
 
     Parameters
     ----------
     ctx:
-        An :class:`~repro.engine.context.ExecutionContext` -- the single
+        An :class:`~repro.engine.context.ExecutionContext` -- the one
         execution-selection argument (engine, device spec, schedule
-        policy, launch override).  The remaining selection kwargs are the
-        deprecated pre-context spelling; passing both is an error.
-    schedule:
-        A registered schedule name, ``"heuristic"`` (Section 6.2 selector),
-        ``"oracle_best"``, or a pre-built
-        :class:`~repro.core.schedule.Schedule` (default: ``merge_path``).
-    engine:
-        A registered engine name (``"vector"`` corpus scale, ``"simt"``
-        thread-by-thread ground truth, ``"multi_gpu"`` device
-        partitioning; see :func:`repro.engine.available_engines`).
+        policy, schedule options); ``None`` runs the default context with
+        the ``merge_path`` schedule.
     locality:
         Enable the future-work cache model for the x-vector gathers
         (:mod:`repro.gpusim.cache`); off by default to match the paper's
@@ -112,16 +97,7 @@ def spmv(
     """
     x = check_dense_vector(x, matrix.num_cols)
     problem = SimpleNamespace(matrix=matrix, x=x, locality=locality)
-    return run_app(
-        "spmv",
-        problem,
-        ctx=ctx,
-        schedule=schedule,
-        engine=engine,
-        spec=spec,
-        launch=launch,
-        **schedule_options,
-    )
+    return run_app("spmv", problem, ctx=ctx)
 
 
 def spmv_driver(problem, rt: Runtime) -> AppResult:

@@ -232,9 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--retries", type=int, default=0,
                           help="reconnect-and-resubmit attempts after "
                               "dropped connections or queue_full")
-    p_submit.add_argument("--timeout", type=float, default=None,
-                          help="single knob setting both --connect-timeout "
-                               "and --idle-timeout")
     p_submit.add_argument("--connect-timeout", type=float, default=None,
                           help="TCP connect deadline in seconds "
                                "(default: 10)")
@@ -559,7 +556,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     last_error: Exception | None = None
     for attempt in range(attempts):
         client = SweepClient(
-            args.host, args.port, timeout=args.timeout,
+            args.host, args.port,
             connect_timeout=args.connect_timeout,
             idle_timeout=args.idle_timeout,
         )

@@ -1,12 +1,12 @@
 """Schedule-selection policies: *how* a schedule is chosen, as a value.
 
 The paper's pitch is that the execution strategy is an identifier switch.
-Until now that switch was a loose string threaded through every call site
-(``schedule="merge_path"`` / ``schedule="heuristic"``); this module turns
-it into a first-class, composable, picklable object so the selection
-strategy itself can travel inside an
-:class:`~repro.engine.context.ExecutionContext` -- across process-pool
-pickle boundaries, into registries, into per-kernel overrides.
+This module makes the schedule half of that switch a first-class,
+composable, picklable object, so the selection strategy itself travels
+inside an :class:`~repro.engine.context.ExecutionContext` -- across
+process-pool pickle boundaries, into registries, into per-kernel
+overrides.  :func:`as_policy` turns a schedule name, ``"heuristic"`` or
+``"oracle_best"`` into one.
 
 Four policies cover the paper's selection modes:
 
@@ -38,11 +38,10 @@ from ..gpusim.cost_model import KernelStats
 from ..sparse.csr import CsrMatrix
 from .heuristic import DEFAULT_HEURISTIC, HeuristicParams, select_schedule
 from .schedule import (
-    LaunchParams,
     Schedule,
     WorkCosts,
     available_schedules,
-    make_schedule,
+    make_schedule_shared,
 )
 from .work import WorkSpec
 
@@ -92,7 +91,6 @@ class SchedulePolicy(ABC):
         matrix: CsrMatrix | None = None,
         kernel: str | None = None,
         costs: WorkCosts | None = None,
-        launch: LaunchParams | None = None,
         plan: Planner | None = None,
         schedule_options: Mapping | None = None,
     ) -> str | Schedule:
@@ -114,7 +112,7 @@ class FixedPolicy(SchedulePolicy):
     schedule: str | Schedule
 
     def select(self, work, spec, *, matrix=None, kernel=None, costs=None,
-               launch=None, plan=None, schedule_options=None):
+               plan=None, schedule_options=None):
         return self.schedule
 
     def cache_token(self):
@@ -134,23 +132,16 @@ class FixedPolicy(SchedulePolicy):
 class HeuristicPolicy(SchedulePolicy):
     """The Section 6.2 alpha/beta selector, per matrix.
 
-    ``params=None`` defers to a ``heuristic=HeuristicParams(...)`` entry
-    in the runtime's schedule options (the legacy spelling), falling back
-    to :data:`~repro.core.heuristic.DEFAULT_HEURISTIC`.
+    ``params=None`` uses :data:`~repro.core.heuristic.DEFAULT_HEURISTIC`.
     """
 
     params: HeuristicParams | None = None
 
     def select(self, work, spec, *, matrix=None, kernel=None, costs=None,
-               launch=None, plan=None, schedule_options=None):
+               plan=None, schedule_options=None):
         if matrix is None:
-            raise PolicyError(
-                "the heuristic policy requires the input matrix "
-                "(schedule='heuristic' requires the input matrix)"
-            )
-        params = self.params
-        if params is None:
-            params = (schedule_options or {}).get("heuristic") or DEFAULT_HEURISTIC
+            raise PolicyError("the heuristic policy requires the input matrix")
+        params = self.params if self.params is not None else DEFAULT_HEURISTIC
         return select_schedule(matrix, params)
 
     def cache_token(self):
@@ -199,10 +190,10 @@ class PerKernelPolicy(SchedulePolicy):
         )
 
     def select(self, work, spec, *, matrix=None, kernel=None, costs=None,
-               launch=None, plan=None, schedule_options=None):
+               plan=None, schedule_options=None):
         return self._lookup(kernel).select(
             work, spec, matrix=matrix, kernel=kernel, costs=costs,
-            launch=launch, plan=plan, schedule_options=schedule_options,
+            plan=plan, schedule_options=schedule_options,
         )
 
     def cache_token(self):
@@ -235,7 +226,8 @@ class OracleBestPolicy(SchedulePolicy):
     repeated probes of an identical launch are free), and the minimum
     ``elapsed_ms`` wins.  Ties break lexicographically so the selection
     is deterministic.  Candidates that cannot be constructed or planned
-    on a given workload are skipped.
+    on a given workload are skipped; a schedule option that no
+    registered schedule takes raises :class:`TypeError`.
 
     ``candidates=None`` means every registered schedule.
     """
@@ -243,21 +235,22 @@ class OracleBestPolicy(SchedulePolicy):
     candidates: tuple[str, ...] | None = None
 
     def select(self, work, spec, *, matrix=None, kernel=None, costs=None,
-               launch=None, plan=None, schedule_options=None):
+               plan=None, schedule_options=None):
         names = self.candidates or tuple(available_schedules())
         price_costs = costs if costs is not None else _PROBE_COSTS
-        options = dict(schedule_options or {})
-        options.pop("heuristic", None)
+        options = schedule_options or {}
         best_name: str | None = None
         best_ms = float("inf")
         failures: list[str] = []
         for name in sorted(names):
             try:
-                sched = make_schedule(name, work, spec, launch, **options)
+                sched = make_schedule_shared(name, work, spec, options)
                 stats = (
                     plan(sched, price_costs) if plan is not None
                     else sched.plan(price_costs)
                 )
+            except TypeError:
+                raise  # a misspelled option is the caller's error
             except Exception as exc:  # unschedulable candidate: skip
                 failures.append(f"{name}: {exc}")
                 continue

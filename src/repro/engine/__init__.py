@@ -12,10 +12,9 @@ level:
   delegate to.
 * **Context** (:mod:`.context`) -- :class:`ExecutionContext`, the one
   frozen, picklable execution-selection object: engine name, device
-  spec, :class:`~repro.core.policy.SchedulePolicy`, launch override,
-  schedule options, plan store and device count.  Every public
-  entry point accepts ``ctx=``; the legacy loose kwargs are a shim over
-  :meth:`ExecutionContext.from_kwargs`.
+  spec, :class:`~repro.core.policy.SchedulePolicy`, schedule options,
+  plan store and device count.  ``ctx=`` is the only execution-selection
+  argument of every public entry point.
 * **Dispatch** (:mod:`.dispatch`) -- pluggable engines behind a registry
   (:func:`register_engine` / :func:`available_engines` /
   :func:`get_engine`), mirroring the schedule registry.

@@ -12,18 +12,14 @@ selects *how* a declared application runs --
 * the **schedule policy**
   (:class:`~repro.core.policy.SchedulePolicy`: fixed, heuristic,
   per-kernel, oracle-best),
-* launch-geometry overrides and schedule options,
+* schedule options,
 * the persistent **plan store** journal.
 
 Every public app function, :func:`~repro.engine.registry.run_app`, the
-harness's ``run_suite`` and the CLI accept ``ctx=ExecutionContext(...)``
-as the one execution-selection argument; the old loose kwargs
-(``engine=``, ``schedule=``, ``spec=``, ``launch=``,
-``**schedule_options``) remain as a deprecation shim routed through
-:meth:`ExecutionContext.from_kwargs`.  Because the context is picklable,
-it is also what crosses the process-pool boundary in corpus sweeps --
-workers reconstruct the exact selection from one object instead of
-re-threading five kwargs.
+harness's ``run_suite`` and the CLI take ``ctx=ExecutionContext(...)``
+as the one execution-selection argument.  Because the context is
+picklable, it is also what crosses the process-pool boundary in corpus
+sweeps -- workers reconstruct the exact selection from one object.
 """
 
 from __future__ import annotations
@@ -32,15 +28,11 @@ import dataclasses
 from dataclasses import dataclass
 
 from ..core.policy import SchedulePolicy, as_policy
-from ..core.schedule import LaunchParams, Schedule
+from ..core.schedule import Schedule
 from ..gpusim.arch import GpuSpec, V100
 from .dispatch import Engine, Runtime, get_engine
 
 __all__ = ["ExecutionContext", "DEFAULT_CONTEXT"]
-
-#: Sentinel distinguishing "not passed" from an explicit ``None`` in the
-#: legacy-kwarg shim.
-_UNSET = object()
 
 
 @dataclass(frozen=True)
@@ -60,12 +52,11 @@ class ExecutionContext:
     policy:
         Schedule-selection policy; ``None`` defers to the application's
         registered default schedule.
-    launch:
-        Optional launch-geometry override applied to every resolution.
     schedule_options:
         Extra schedule construction options, stored as a sorted tuple of
         ``(name, value)`` pairs so the context stays hashable; a mapping
-        is accepted and normalized.
+        is accepted and normalized.  Each selected schedule gets the
+        options its constructor takes.
     plan_store:
         Path of the single-file journaled plan store
         (:mod:`repro.engine.plan_store`); ``None`` = in-memory only.
@@ -91,7 +82,6 @@ class ExecutionContext:
     engine: str | Engine = "vector"
     spec: GpuSpec = V100
     policy: SchedulePolicy | None = None
-    launch: LaunchParams | None = None
     schedule_options: tuple = ()
     plan_store: str | None = None
     gpus: int = 1
@@ -128,64 +118,6 @@ class ExecutionContext:
                     f"the default 'vector', which auto-selects it); got "
                     f"engine={self.engine_name()!r}"
                 )
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_kwargs(
-        cls,
-        *,
-        ctx: "ExecutionContext | None" = None,
-        engine=_UNSET,
-        schedule=_UNSET,
-        spec=_UNSET,
-        launch=_UNSET,
-        policy=_UNSET,
-        gpus=_UNSET,
-        partition=_UNSET,
-        **schedule_options,
-    ) -> "ExecutionContext":
-        """Deprecation shim: build a context from the legacy loose kwargs.
-
-        The pre-context call sites threaded ``engine=``/``schedule=``/
-        ``spec=``/``launch=``/``**schedule_options`` through every app
-        function; this translates them.  Passing ``ctx`` *and* any legacy
-        selection kwarg is rejected -- one source of truth per call.
-        """
-        legacy = {
-            name: value
-            for name, value in [
-                ("engine", engine), ("schedule", schedule), ("spec", spec),
-                ("launch", launch), ("policy", policy), ("gpus", gpus),
-                ("partition", partition),
-            ]
-            if value is not _UNSET and value is not None
-        }
-        if ctx is not None:
-            if legacy or schedule_options:
-                conflicting = sorted(legacy) + sorted(schedule_options)
-                raise ValueError(
-                    f"pass either ctx= or legacy selection kwargs, not both "
-                    f"(got ctx plus {conflicting})"
-                )
-            return ctx
-        if "schedule" in legacy and "policy" in legacy:
-            raise ValueError("pass either schedule= or policy=, not both")
-        selection = legacy.pop("policy", None)
-        if selection is None:
-            selection = legacy.pop("schedule", None)
-        else:
-            legacy.pop("schedule", None)
-        return cls(
-            engine=legacy.get("engine", "vector"),
-            spec=legacy.get("spec", V100),
-            policy=as_policy(selection) if selection is not None else None,
-            launch=legacy.get("launch"),
-            schedule_options=tuple(sorted(schedule_options.items())),
-            gpus=legacy.get("gpus", 1),
-            partition=legacy.get("partition", "merge_path"),
-        )
 
     # ------------------------------------------------------------------
     # Derivation helpers (the context is immutable; edits make copies)
@@ -239,7 +171,6 @@ class ExecutionContext:
         return Runtime(
             self.engine_instance(),
             spec=self.spec,
-            launch=self.launch,
             schedule_options=self.options,
             policy=policy,
             engines=dict(self.engines),

@@ -39,9 +39,14 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any, Callable
 
-from ..core.heuristic import HeuristicParams, select_schedule
 from ..core.policy import SchedulePolicy
-from ..core.schedule import LaunchParams, Schedule, WorkCosts, make_schedule
+from ..core.schedule import (
+    LaunchParams,
+    Schedule,
+    WorkCosts,
+    make_schedule,
+    make_schedule_shared,
+)
 from ..core.work import WorkSpec
 from ..gpusim.arch import GpuSpec, V100
 from ..gpusim.cost_model import KernelStats, kernel_stats_from_thread_cycles
@@ -86,24 +91,12 @@ def resolve_schedule(
     work: WorkSpec,
     spec: GpuSpec,
     launch: LaunchParams | None = None,
-    *,
-    matrix: CsrMatrix | None = None,
-    heuristic: HeuristicParams | None = None,
     **options,
 ) -> Schedule:
-    """Turn a schedule name (or ``"heuristic"``) into an instance.
-
-    ``"heuristic"`` applies the Section 6.2 selector and requires the
-    matrix for its shape statistics.
-    """
+    """Pass a pre-built schedule through, or instantiate a registered name."""
     if isinstance(schedule, Schedule):
         return schedule
-    name = schedule
-    if name == "heuristic":
-        if matrix is None:
-            raise ValueError("schedule='heuristic' requires the input matrix")
-        name = select_schedule(matrix, heuristic or HeuristicParams())
-    return make_schedule(name, work, spec, launch, **options)
+    return make_schedule(schedule, work, spec, launch, **options)
 
 
 def tile_charges(sched: Schedule, costs: WorkCosts) -> tuple[float, float]:
@@ -304,10 +297,10 @@ class Runtime:
     """Execution context of one application run.
 
     Binds the engine, the device spec and the schedule selection -- a
-    :class:`~repro.core.policy.SchedulePolicy` plus launch override and
-    schedule options -- so application drivers only describe *what* to
-    launch.  Iterative applications (frontier loops, power iteration,
-    multi-pass SpGEMM) call :meth:`run_launch` once per kernel;
+    :class:`~repro.core.policy.SchedulePolicy` plus schedule options --
+    so application drivers only describe *what* to launch.  Iterative
+    applications (frontier loops, power iteration, multi-pass SpGEMM)
+    call :meth:`run_launch` once per kernel;
     single-kernel applications call it once.  Build one with
     :meth:`~repro.engine.context.ExecutionContext.runtime`, or directly
     from a :class:`~repro.core.policy.SchedulePolicy`.
@@ -318,14 +311,12 @@ class Runtime:
         engine: str | Engine = "vector",
         *,
         spec: GpuSpec = V100,
-        launch: LaunchParams | None = None,
         schedule_options: dict | None = None,
         policy: SchedulePolicy | None = None,
         engines: dict | None = None,
     ):
         self.engine = get_engine(engine)
         self.spec = spec
-        self.launch = launch
         self.schedule_options = dict(schedule_options or {})
         # Per-kernel engine overrides, the engine-side mirror of
         # PerKernelPolicy: ``{kernel_label: engine}`` routes individual
@@ -370,42 +361,32 @@ class Runtime:
         work: WorkSpec,
         *,
         matrix: CsrMatrix | None = None,
-        launch: LaunchParams | None | type[Ellipsis] = ...,
         kernel: str | None = None,
         costs: WorkCosts | None = None,
     ) -> Schedule:
         """Resolve this runtime's schedule selection against a workload.
 
-        ``launch`` overrides the runtime's launch parameters for this one
-        resolution (pass ``None`` to force the schedule's default sizing
-        -- e.g. a secondary pass whose work shape differs from the first).
         ``kernel`` labels the launch for :class:`PerKernelPolicy` routing
         in multi-kernel applications; ``costs`` lets cost-aware policies
         (:class:`OracleBestPolicy`) price candidates with the
-        application's real :class:`WorkCosts`.
+        application's real :class:`WorkCosts`.  The selected schedule
+        gets the schedule options its constructor takes.
         """
         if self.policy is None:
             raise EngineError("Runtime was constructed without a schedule")
-        launch_params = self.launch if launch is ... else launch
         selected = self.policy.select(
             work,
             self.spec,
             matrix=matrix,
             kernel=kernel,
             costs=costs,
-            launch=launch_params,
             plan=self._policy_planner(),
             schedule_options=self.schedule_options,
         )
         if isinstance(selected, Schedule):
             return selected
-        return resolve_schedule(
-            selected,
-            work,
-            self.spec,
-            launch_params,
-            matrix=matrix,
-            **self.schedule_options,
+        return make_schedule_shared(
+            selected, work, self.spec, self.schedule_options
         )
 
     def _cache_key(self) -> tuple | None:

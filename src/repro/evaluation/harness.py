@@ -58,7 +58,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ..core.policy import as_policy
 from ..core.schedule import available_schedules
 from ..engine import (
     DEFAULT_CONTEXT,
@@ -178,7 +177,7 @@ def _execute_cell(
         # special-case the kernel class.
         meta.setdefault("schedule", kernel)
     elif kernel in POLICY_KERNELS or kernel in available_schedules():
-        result = run_app(app_spec, problem, ctx=ctx.with_policy(as_policy(kernel)))
+        result = run_app(app_spec, problem, ctx=ctx.with_policy(kernel))
         y, stats = result.output, result.stats
         # Launch extras ride along (e.g. the compiled engine's JIT mode
         # and compilation-cache hit/miss counters); the resolved schedule

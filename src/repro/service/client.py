@@ -95,31 +95,22 @@ class SweepClient:
     """One synchronous JSON-lines connection to a :class:`SweepService`."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
-                 timeout: float | None = None,
                  connect_timeout: float | None = None,
                  idle_timeout: float | None = None):
         self.host = host
         self.port = int(port)
-        #: ``timeout=`` is the back-compat single knob: it sets both
-        #: phases.  The split knobs win when given explicitly --
-        #: connecting to a dead host and a quiet-but-healthy stream
-        #: deserve very different budgets.
+        #: Connecting to a dead host and a quiet-but-healthy stream
+        #: deserve very different budgets; ``None`` takes the default.
         self.connect_timeout = (
-            connect_timeout if connect_timeout is not None
-            else (timeout if timeout is not None else DEFAULT_CONNECT_TIMEOUT)
+            DEFAULT_CONNECT_TIMEOUT if connect_timeout is None
+            else connect_timeout
         )
         self.idle_timeout = (
-            idle_timeout if idle_timeout is not None
-            else (timeout if timeout is not None else DEFAULT_IDLE_TIMEOUT)
+            DEFAULT_IDLE_TIMEOUT if idle_timeout is None else idle_timeout
         )
         self._sock: socket.socket | None = None
         self._file = None
         self.server_hello: dict | None = None
-
-    @property
-    def timeout(self) -> float:
-        """Back-compat view of the per-message idle budget."""
-        return self.idle_timeout
 
     # ------------------------------------------------------------------
     # Connection management

@@ -10,6 +10,7 @@ from repro.baselines.cusparse_spmv import (
     cusparse_spmv,
 )
 from repro.baselines.reference import dense_spmv_oracle
+from repro.engine import ExecutionContext
 from repro.sparse import generators as gen
 
 
@@ -46,7 +47,7 @@ class TestCubSpmv:
         m = gen.single_column(4000, 0.5, seed=4)
         x = _x(m)
         _, cub_stats = cub_spmv(m, x)
-        ours = spmv(m, x, schedule="merge_path")
+        ours = spmv(m, x, ctx=ExecutionContext(policy="merge_path"))
         assert cub_stats.elapsed_ms < ours.elapsed_ms
 
     def test_hardwired_not_slower_than_abstraction(self):
@@ -58,7 +59,7 @@ class TestCubSpmv:
             m = gen.power_law(2000, 2000, 8.0, seed=seed)
             x = _x(m, seed)
             _, cub_stats = cub_spmv(m, x)
-            ours = spmv(m, x, schedule="merge_path")
+            ours = spmv(m, x, ctx=ExecutionContext(policy="merge_path"))
             assert cub_stats.elapsed_ms <= ours.elapsed_ms * 1.001
             # ... but the overhead stays small (the paper's claim).
             assert ours.elapsed_ms <= cub_stats.elapsed_ms * 1.10
@@ -100,7 +101,7 @@ class TestCusparseSpmv:
         m = gen.dense_row_outliers(3000, 3000, 3, 4, 2500, seed=9)
         x = _x(m)
         _, vendor = cusparse_spmv(m, x)
-        ours = spmv(m, x, schedule="merge_path")
+        ours = spmv(m, x, ctx=ExecutionContext(policy="merge_path"))
         assert vendor.elapsed_ms > 3 * ours.elapsed_ms
 
     def test_competitive_on_large_regular(self):
@@ -111,7 +112,7 @@ class TestCusparseSpmv:
         m = gen.uniform_random(20000, 20000, 32, seed=10)
         x = _x(m)
         _, vendor = cusparse_spmv(m, x)
-        ours = spmv(m, x, schedule="merge_path")
+        ours = spmv(m, x, ctx=ExecutionContext(policy="merge_path"))
         assert vendor.elapsed_ms < 1.8 * ours.elapsed_ms
 
     def test_rejects_bad_x(self):

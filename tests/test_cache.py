@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps.spmv import spmv
+from repro.engine import ExecutionContext
 from repro.gpusim.arch import V100
 from repro.gpusim.cache import (
     CacheModel,
@@ -56,8 +57,9 @@ class TestSpmvLocality:
         # the bandwidth floor binds).
         m = gen.power_law(3000, 3000, 40.0, 1.8, seed=1)
         x = np.ones(m.num_cols)
-        base = spmv(m, x, schedule="thread_mapped").elapsed_ms
-        loc = spmv(m, x, schedule="thread_mapped", locality=True).elapsed_ms
+        base = spmv(m, x, ctx=ExecutionContext(policy="thread_mapped")).elapsed_ms
+        ctx = ExecutionContext(policy="thread_mapped")
+        loc = spmv(m, x, ctx=ctx, locality=True).elapsed_ms
         assert loc <= base
 
     def test_huge_vector_unaffected(self):
@@ -65,8 +67,9 @@ class TestSpmvLocality:
         # pessimistic default.
         m = gen.poisson_random(2_000_000, 2_000_000, 1.0, seed=2)
         x = np.ones(m.num_cols)
-        base = spmv(m, x, schedule="merge_path").elapsed_ms
-        loc = spmv(m, x, schedule="merge_path", locality=True).elapsed_ms
+        base = spmv(m, x, ctx=ExecutionContext(policy="merge_path")).elapsed_ms
+        ctx = ExecutionContext(policy="merge_path")
+        loc = spmv(m, x, ctx=ctx, locality=True).elapsed_ms
         assert loc == pytest.approx(base, rel=0.15)
 
     def test_locality_orthogonal_to_assignment(self):
@@ -74,8 +77,8 @@ class TestSpmvLocality:
         schedule's assignment (results identical, extras flagged)."""
         m = gen.power_law(200, 200, 4.0, seed=3)
         x = np.random.default_rng(0).uniform(size=m.num_cols)
-        a = spmv(m, x, schedule="group_mapped")
-        b = spmv(m, x, schedule="group_mapped", locality=True)
+        a = spmv(m, x, ctx=ExecutionContext(policy="group_mapped"))
+        b = spmv(m, x, ctx=ExecutionContext(policy="group_mapped"), locality=True)
         np.testing.assert_array_equal(a.output, b.output)
         assert b.stats.extras["locality"] is True
         assert a.stats.extras["locality"] is False

@@ -336,7 +336,7 @@ class TestServeSubmitCommands:
         try:
             from repro.service import SweepClient
 
-            with SweepClient(host, port, timeout=60) as occupier:
+            with SweepClient(host, port, idle_timeout=60) as occupier:
                 occupier.submit({"app": "spmv", "kernels": ["merge_path"],
                                  "scale": "smoke", "limit": 1})
                 code, _ = run_cli(

@@ -45,6 +45,10 @@ from repro.sparse.csr import CsrMatrix
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 
+VECTOR = ExecutionContext(engine="vector")
+COMPILED = ExecutionContext(engine="compiled")
+
+
 def _skewed_matrix(n: int = 48, seed: int = 0) -> CsrMatrix:
     rng = np.random.default_rng(seed)
     dense = (rng.random((n, n)) < 0.12) * rng.standard_normal((n, n))
@@ -105,8 +109,8 @@ class TestBitForBitParity:
         for sched in available_schedules():
             pv = spec.sweep_problem(matrix, 7)
             pc = spec.sweep_problem(matrix, 7)
-            rv = run_app(app, pv, schedule=sched, engine="vector")
-            rc = run_app(app, pc, schedule=sched, engine="compiled")
+            rv = run_app(app, pv, ctx=ExecutionContext(policy=sched, engine="vector"))
+            rc = run_app(app, pc, ctx=ExecutionContext(policy=sched, engine="compiled"))
             assert _outputs_equal(rv.output, rc.output), (app, sched)
 
     def test_simt_agreement_on_small_matrix(self):
@@ -120,8 +124,8 @@ class TestBitForBitParity:
                 continue
             ps = spec.sweep_problem(matrix, 7)
             pc = spec.sweep_problem(matrix, 7)
-            rs = run_app(app, ps, engine="simt")
-            rc = run_app(app, pc, engine="compiled")
+            rs = run_app(app, ps, ctx=ExecutionContext(engine="simt"))
+            rc = run_app(app, pc, ctx=ExecutionContext(engine="compiled"))
             assert spec.match(rc.output, rs.output), app
 
     def test_compiled_stats_extras(self):
@@ -129,7 +133,7 @@ class TestBitForBitParity:
         spec = get_app("spmv")
         result = run_app(
             "spmv", spec.sweep_problem(matrix, 7),
-            schedule="merge_path", engine="compiled",
+            ctx=ExecutionContext(policy="merge_path", engine="compiled"),
         )
         extras = result.stats.extras
         assert extras["engine"] == "compiled"
@@ -174,11 +178,11 @@ class TestCompilationCache:
         spec = get_app("spmv")
         first = run_app(
             "spmv", spec.sweep_problem(matrix, 7),
-            schedule="merge_path", engine="compiled",
+            ctx=ExecutionContext(policy="merge_path", engine="compiled"),
         )
         second = run_app(
             "spmv", spec.sweep_problem(matrix, 7),
-            schedule="merge_path", engine="compiled",
+            ctx=ExecutionContext(policy="merge_path", engine="compiled"),
         )
         assert first.stats.extras["compile_cache"] == "miss"
         assert second.stats.extras["compile_cache"] == "hit"
@@ -192,7 +196,7 @@ class TestCompilationCache:
         spec = get_app("spmv")
         for sched in ("thread_mapped", "merge_path"):
             run_app("spmv", spec.sweep_problem(matrix, 7),
-                    schedule=sched, engine="compiled")
+                    ctx=ExecutionContext(policy=sched, engine="compiled"))
         assert compilation_cache_stats()["entries"] >= 2
         assert compilation_cache_stats()["hits"] == 0
 
@@ -264,8 +268,8 @@ class TestJitGating:
         assert not compiled_mod.numba_available()
         matrix = _skewed_matrix()
         spec = get_app("spmv")
-        rv = run_app("spmv", spec.sweep_problem(matrix, 7), engine="vector")
-        rc = run_app("spmv", spec.sweep_problem(matrix, 7), engine="compiled")
+        rv = run_app("spmv", spec.sweep_problem(matrix, 7), ctx=VECTOR)
+        rc = run_app("spmv", spec.sweep_problem(matrix, 7), ctx=COMPILED)
         assert rc.stats.extras["jit"] == "numpy"
         assert _outputs_equal(rv.output, rc.output)
 
@@ -273,8 +277,8 @@ class TestJitGating:
         assert compiled_mod.numba_available()
         matrix = _skewed_matrix()
         spec = get_app("spmv")
-        rv = run_app("spmv", spec.sweep_problem(matrix, 7), engine="vector")
-        rc = run_app("spmv", spec.sweep_problem(matrix, 7), engine="compiled")
+        rv = run_app("spmv", spec.sweep_problem(matrix, 7), ctx=VECTOR)
+        rc = run_app("spmv", spec.sweep_problem(matrix, 7), ctx=COMPILED)
         assert rc.stats.extras["jit"] == "numba"
         assert _outputs_equal(rv.output, rc.output)
         assert stub_numba.compiled  # the scalar body went through njit
@@ -289,15 +293,15 @@ class TestJitGating:
             spec = get_app(app)
             if spec.accepts is not None and not spec.accepts(matrix):
                 continue
-            rv = run_app(app, spec.sweep_problem(matrix, 7), engine="vector")
-            rc = run_app(app, spec.sweep_problem(matrix, 7), engine="compiled")
+            rv = run_app(app, spec.sweep_problem(matrix, 7), ctx=VECTOR)
+            rc = run_app(app, spec.sweep_problem(matrix, 7), ctx=COMPILED)
             assert _outputs_equal(rv.output, rc.output), app
 
     def test_njit_wrapper_is_cached_per_function(self, stub_numba):
         matrix = _skewed_matrix()
         spec = get_app("spmv")
-        run_app("spmv", spec.sweep_problem(matrix, 7), engine="compiled")
-        run_app("spmv", spec.sweep_problem(matrix, 7), engine="compiled")
+        run_app("spmv", spec.sweep_problem(matrix, 7), ctx=COMPILED)
+        run_app("spmv", spec.sweep_problem(matrix, 7), ctx=COMPILED)
         from repro.apps.spmv import _spmv_scalar
 
         assert stub_numba.compiled.count(_spmv_scalar) == 1
@@ -346,7 +350,7 @@ class TestEngineContract:
         # Only the compiled engine JITs a decl's scalar body.
         matrix = _skewed_matrix()
         spec = get_app("spmv")
-        r = run_app("spmv", spec.sweep_problem(matrix, 7), engine="vector")
+        r = run_app("spmv", spec.sweep_problem(matrix, 7), ctx=VECTOR)
         assert r.output is not None
         assert stub_numba.compiled == []
 

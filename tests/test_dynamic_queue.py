@@ -7,6 +7,7 @@ from repro.apps.common import spmv_costs
 from repro.core.schedule import LaunchParams, make_schedule
 from repro.core.schedules.dynamic_queue import DynamicQueueSchedule
 from repro.core.work import WorkSpec
+from repro.engine import ExecutionContext
 from repro.gpusim.arch import TINY_GPU, V100
 
 from conftest import FakeCtx
@@ -110,5 +111,6 @@ class TestSimtExecution:
 
         m = gen.power_law(40, 40, 3.0, seed=1)
         x = np.random.default_rng(2).uniform(size=40)
-        r = spmv(m, x, schedule="dynamic_queue", spec=TINY_GPU, engine="simt")
+        ctx = ExecutionContext(policy="dynamic_queue", spec=TINY_GPU, engine="simt")
+        r = spmv(m, x, ctx=ctx)
         np.testing.assert_allclose(r.output, m.to_dense() @ x, rtol=1e-9)

@@ -9,6 +9,7 @@ from repro.engine import (
     AppSpec,
     DEFAULT_SEED,
     EngineError,
+    ExecutionContext,
     KernelDecl,
     PlanCache,
     Runtime,
@@ -108,8 +109,9 @@ class TestCrossEngineParity:
         app = get_app(app_name)
         problem = app.sweep_problem(small_matrix, DEFAULT_SEED)
         expected = app.oracle(problem)
-        vector = run_app(app, problem, engine="vector", spec=TINY_GPU)
-        simt = run_app(app, problem, engine="simt", spec=TINY_GPU)
+        ctx = ExecutionContext(spec=TINY_GPU)
+        vector = run_app(app, problem, ctx=ctx)
+        simt = run_app(app, problem, ctx=ctx.with_engine("simt"))
         assert app.match(vector.output, expected), f"{app_name}: vector != oracle"
         assert app.match(simt.output, expected), f"{app_name}: simt != oracle"
         assert vector.elapsed_ms > 0 and simt.elapsed_ms > 0
@@ -123,14 +125,16 @@ class TestCrossEngineParity:
         problem = app.sweep_problem(small_matrix, DEFAULT_SEED)
         expected = app.oracle(problem)
         for engine in ("vector", "simt"):
-            r = run_app(app, problem, schedule=schedule, engine=engine, spec=TINY_GPU)
+            ctx = ExecutionContext(policy=schedule, engine=engine, spec=TINY_GPU)
+            r = run_app(app, problem, ctx=ctx)
             assert app.match(r.output, expected), (app_name, schedule, engine)
 
     def test_heuristic_schedule_supported_by_every_app(self, small_matrix):
         for app_name in sorted(available_apps()):
             app = get_app(app_name)
             problem = app.sweep_problem(small_matrix, DEFAULT_SEED)
-            r = run_app(app, problem, schedule="heuristic", spec=TINY_GPU)
+            ctx = ExecutionContext(policy="heuristic", spec=TINY_GPU)
+            r = run_app(app, problem, ctx=ctx)
             assert app.match(r.output, app.oracle(problem)), app_name
 
 
@@ -141,9 +145,10 @@ class TestPlanCache:
         x = input_vector(small_matrix.num_cols)
         cached = VectorEngine(plan_cache=PlanCache())
         uncached = VectorEngine(plan_cache=PlanCache(maxsize=0))
-        warm = spmv(small_matrix, x, spec=TINY_GPU, engine=cached)
-        hit = spmv(small_matrix, x, spec=TINY_GPU, engine=cached)
-        cold = spmv(small_matrix, x, spec=TINY_GPU, engine=uncached)
+        ctx = ExecutionContext(spec=TINY_GPU, engine=cached)
+        warm = spmv(small_matrix, x, ctx=ctx)
+        hit = spmv(small_matrix, x, ctx=ctx)
+        cold = spmv(small_matrix, x, ctx=ctx.with_engine(uncached))
         # KernelStats compares every timing field (extras excluded).
         assert warm.stats == hit.stats == cold.stats
         assert cached.plan_cache.hits == 1
@@ -162,10 +167,11 @@ class TestPlanCache:
         monkeypatch.setattr(MergePathSchedule, "warp_cycles", counting)
         engine = VectorEngine(plan_cache=PlanCache())
         x = input_vector(small_matrix.num_cols)
-        first = spmv(small_matrix, x, spec=TINY_GPU, engine=engine)
+        ctx = ExecutionContext(spec=TINY_GPU, engine=engine)
+        first = spmv(small_matrix, x, ctx=ctx)
         after_first = calls["n"]
         assert after_first >= 1
-        second = spmv(small_matrix, x, spec=TINY_GPU, engine=engine)
+        second = spmv(small_matrix, x, ctx=ctx)
         assert calls["n"] == after_first  # cache hit: no recomputation
         assert second.stats == first.stats
 
@@ -174,11 +180,9 @@ class TestPlanCache:
 
         engine = VectorEngine(plan_cache=PlanCache())
         x = input_vector(small_matrix.num_cols)
-        a = spmv(small_matrix, x, spec=TINY_GPU, engine=engine)
-        b = spmv(
-            small_matrix, x, spec=TINY_GPU, engine=engine,
-            schedule="thread_mapped",
-        )
+        ctx = ExecutionContext(spec=TINY_GPU, engine=engine)
+        a = spmv(small_matrix, x, ctx=ctx)
+        b = spmv(small_matrix, x, ctx=ctx.with_policy("thread_mapped"))
         assert engine.plan_cache.hits == 0
         assert engine.plan_cache.misses == 2
         assert a.schedule != b.schedule
@@ -190,8 +194,9 @@ class TestPlanCache:
         work = WorkSpec.from_csr(small_matrix)
         sched = make_schedule("merge_path", work, TINY_GPU)
         x = input_vector(small_matrix.num_cols)
-        spmv(small_matrix, x, spec=TINY_GPU, engine=engine, schedule=sched)
-        spmv(small_matrix, x, spec=TINY_GPU, engine=engine, schedule=sched)
+        ctx = ExecutionContext(spec=TINY_GPU, engine=engine, policy=sched)
+        spmv(small_matrix, x, ctx=ctx)
+        spmv(small_matrix, x, ctx=ctx)
         assert engine.plan_cache.hits == 0 and engine.plan_cache.misses == 0
 
     def test_global_cache_serves_harness_reruns(self):

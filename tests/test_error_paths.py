@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.apps.common import resolve_schedule, spmv_costs
+from repro.apps.common import spmv_costs
 from repro.core.schedule import LaunchParams, register_schedule
 from repro.core.work import WorkSpec
+from repro.engine.dispatch import resolve_schedule
 from repro.evaluation.figures import fig2_overhead, fig4_heuristic
 from repro.evaluation.harness import SweepRow
 from repro.gpusim.arch import V100
@@ -28,11 +29,6 @@ class TestFigureErrorPaths:
 
 
 class TestResolveSchedule:
-    def test_heuristic_requires_matrix(self):
-        work = WorkSpec.from_counts([1, 2])
-        with pytest.raises(ValueError, match="requires the input matrix"):
-            resolve_schedule("heuristic", work, V100)
-
     def test_prebuilt_schedule_passthrough(self):
         from repro.core.schedule import make_schedule
 

@@ -1,5 +1,7 @@
 """Tests for the ExecutionContext API: the one execution-selection object."""
 
+import dataclasses
+import inspect
 import pickle
 
 import numpy as np
@@ -101,46 +103,56 @@ class TestPickling:
         assert pickle.loads(pickle.dumps(ctx)).plan_store == "/tmp/plans.journal"
 
 
-class TestFromKwargs:
-    def test_ctx_passthrough(self):
-        ctx = ExecutionContext(engine="simt")
-        assert ExecutionContext.from_kwargs(ctx=ctx) is ctx
+def _entry_points():
+    from repro.apps import (
+        bfs, degree_histogram, pagerank, spgemm, spmm, spmttkrp, spmv, sssp,
+        triangle_count,
+    )
 
-    def test_ctx_plus_legacy_kwargs_rejected(self):
-        ctx = ExecutionContext()
-        with pytest.raises(ValueError, match="not both"):
-            ExecutionContext.from_kwargs(ctx=ctx, engine="simt")
-        with pytest.raises(ValueError, match="not both"):
-            ExecutionContext.from_kwargs(ctx=ctx, schedule="lrb")
-        with pytest.raises(ValueError, match="not both"):
-            ExecutionContext.from_kwargs(ctx=ctx, opt=3)
+    return {
+        fn.__name__: fn
+        for fn in (spmv, spmm, spgemm, bfs, sssp, pagerank, triangle_count,
+                   spmttkrp, degree_histogram, run_app)
+    }
 
-    def test_schedule_becomes_policy(self):
-        ctx = ExecutionContext.from_kwargs(schedule="lrb")
-        assert ctx.policy == FixedPolicy("lrb")
-        assert isinstance(
-            ExecutionContext.from_kwargs(schedule="heuristic").policy,
-            HeuristicPolicy,
+
+class TestOneSpelling:
+    """``ctx=`` is the only execution-selection argument."""
+
+    @pytest.mark.parametrize("name", sorted(_entry_points()))
+    def test_ctx_is_the_only_selection_kwarg(self, name):
+        fn = _entry_points()[name]
+        params = inspect.signature(fn).parameters
+        assert "ctx" in params
+        assert not any(p.kind is p.VAR_KEYWORD for p in params.values())
+        legacy = {"schedule", "engine", "spec", "launch", "policy"}
+        assert not legacy & params.keys()
+        inputs = [None] * sum(
+            p.kind is p.POSITIONAL_OR_KEYWORD for p in params.values()
         )
+        with pytest.raises(TypeError):  # binding fails before any input is read
+            fn(*inputs, schedule="lrb")
 
-    def test_schedule_and_policy_conflict(self):
-        with pytest.raises(ValueError, match="not both"):
-            ExecutionContext.from_kwargs(schedule="lrb", policy=FixedPolicy("lrb"))
+    def test_no_from_kwargs(self):
+        assert not hasattr(ExecutionContext, "from_kwargs")
 
-    def test_schedule_options_captured(self):
-        ctx = ExecutionContext.from_kwargs(schedule="group_mapped", group_size=8)
-        assert ctx.options == {"group_size": 8}
+    def test_no_launch_field(self):
+        fields = {f.name for f in dataclasses.fields(ExecutionContext)}
+        assert "launch" not in fields
+        with pytest.raises(TypeError):
+            ExecutionContext(launch=None)
 
 
 class TestEveryAppAcceptsCtx:
-    """The acceptance bar: all 9 apps take ctx= and match the legacy path."""
+    """The acceptance bar: all 9 apps take ctx=, and ``ctx=None`` (the
+    call without a context) runs the default context."""
 
     @pytest.mark.parametrize("app_name", sorted(available_apps()))
     def test_ctx_equals_legacy(self, app_name, small_matrix):
         app = get_app(app_name)
         problem = app.sweep_problem(small_matrix, DEFAULT_SEED)
-        legacy = run_app(app, problem, spec=TINY_GPU)
-        via_ctx = run_app(app, problem, ctx=ExecutionContext(spec=TINY_GPU))
+        legacy = run_app(app, problem)
+        via_ctx = run_app(app, problem, ctx=ExecutionContext())
         assert app.match(via_ctx.output, legacy.output), app_name
         assert via_ctx.stats.elapsed_ms == legacy.stats.elapsed_ms
 
@@ -190,7 +202,7 @@ class TestEveryAppAcceptsCtx:
         from repro.engine import input_vector
 
         x = input_vector(small_matrix.num_cols)
-        with pytest.raises(ValueError, match="not both"):
+        with pytest.raises(TypeError, match="schedule"):
             spmv(small_matrix, x, ctx=ExecutionContext(), schedule="lrb")
 
     def test_engine_instances_still_accepted(self, small_matrix):
@@ -199,7 +211,7 @@ class TestEveryAppAcceptsCtx:
 
         eng = VectorEngine(plan_cache=PlanCache())
         x = input_vector(small_matrix.num_cols)
-        r = spmv(small_matrix, x, spec=TINY_GPU, engine=eng)
+        r = spmv(small_matrix, x, ctx=ExecutionContext(spec=TINY_GPU, engine=eng))
         assert eng.plan_cache.misses == 1
         assert r.elapsed_ms > 0
 

@@ -487,7 +487,7 @@ class TestServiceChaos:
         host, port = self._run_service(svc)
         start = time.monotonic()
         try:
-            with SweepClient(host, port, timeout=30) as client:
+            with SweepClient(host, port, idle_timeout=30) as client:
                 result = client.run({**SMOKE_JOB, "limit": 3})
         finally:
             self._stop(svc)
@@ -506,7 +506,7 @@ class TestServiceChaos:
         svc = SweepService(width=0)
         host, port = self._run_service(svc)
         try:
-            client = SweepClient(host, port, timeout=30)
+            client = SweepClient(host, port, idle_timeout=30)
             result = client.run(SMOKE_JOB, retries=3, retry_delay=0.05,
                                 seed=7)
             client.close()
@@ -523,7 +523,7 @@ class TestServiceChaos:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                with SweepClient(host, port, timeout=30) as client:
+                with SweepClient(host, port, idle_timeout=30) as client:
                     result = client.run(SMOKE_JOB)
         finally:
             self._stop(svc)
@@ -535,7 +535,7 @@ class TestServiceChaos:
         svc = SweepService(width=0)
         host, port = self._run_service(svc)
         try:
-            with SweepClient(host, port, timeout=30) as client:
+            with SweepClient(host, port, idle_timeout=30) as client:
                 client.run(SMOKE_JOB)
                 status = client.status()
         finally:
@@ -598,9 +598,9 @@ class TestClientBackoff:
             client.run(SMOKE_JOB, retries=50, deadline=0.0, seed=1)
         assert sleeps == []  # the deadline already passed: no sleeps
 
-    def test_timeout_knob_sets_both_phases(self):
-        both = SweepClient("h", 1, timeout=17.0)
-        assert both.connect_timeout == 17.0
-        assert both.idle_timeout == 17.0 == both.timeout
+    def test_single_timeout_knob_rejected(self):
+        with pytest.raises(TypeError):
+            SweepClient("h", 1, timeout=17.0)
+        assert not hasattr(SweepClient, "timeout")
         split = SweepClient("h", 1, connect_timeout=2.0, idle_timeout=40.0)
         assert split.connect_timeout == 2.0 and split.idle_timeout == 40.0

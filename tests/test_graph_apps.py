@@ -7,6 +7,7 @@ from repro.apps.bfs import bfs, bfs_reference
 from repro.apps.pagerank import pagerank, pagerank_reference
 from repro.apps.sssp import sssp, sssp_reference
 from repro.apps.triangle_count import triangle_count, triangle_count_reference
+from repro.engine import ExecutionContext
 from repro.sparse import generators as gen
 from repro.sparse.csr import CsrMatrix
 from repro.sparse.graph import CsrGraph, random_graph
@@ -18,7 +19,7 @@ class TestSssp:
     )
     def test_matches_dijkstra(self, schedule):
         g = random_graph(150, 5.0, seed=1)
-        r = sssp(g, 0, schedule=schedule)
+        r = sssp(g, 0, ctx=ExecutionContext(policy=schedule))
         np.testing.assert_allclose(
             r.output, sssp_reference(g, 0), rtol=1e-12, equal_nan=True
         )
@@ -68,7 +69,7 @@ class TestBfs:
     @pytest.mark.parametrize("schedule", ["group_mapped", "merge_path"])
     def test_matches_queue_reference(self, schedule):
         g = random_graph(200, 4.0, seed=6)
-        r = bfs(g, 3, schedule=schedule)
+        r = bfs(g, 3, ctx=ExecutionContext(policy=schedule))
         np.testing.assert_array_equal(r.output, bfs_reference(g, 3))
 
     def test_matches_networkx(self):

@@ -11,7 +11,7 @@ every sweepable dataset and reject corrupted ones, and that the sweep
 import numpy as np
 import pytest
 
-from repro.engine import DEFAULT_SEED, get_app, run_app
+from repro.engine import DEFAULT_SEED, ExecutionContext, get_app, run_app
 from repro.gpusim.arch import TINY_GPU
 from repro.sparse import generators as gen
 from repro.sparse.corpus import build_corpus
@@ -43,7 +43,7 @@ class TestAcceptCorrectOutputs:
     def test_engine_output_passes(self, app_name, matrix):
         app = get_app(app_name)
         problem = app.sweep_problem(matrix, DEFAULT_SEED)
-        result = run_app(app, problem, spec=TINY_GPU)
+        result = run_app(app, problem, ctx=ExecutionContext(spec=TINY_GPU))
         assert app.sample_check(problem, result.output, 123)
 
     @pytest.mark.parametrize("app_name", GRAPH_APPS)

@@ -21,6 +21,7 @@ from repro import (
     triangle_count,
     WorkSpec,
 )
+from repro.engine import ExecutionContext
 
 
 class TestPublicApi:
@@ -34,7 +35,7 @@ class TestPublicApi:
     def test_quickstart_from_docstring(self):
         dataset = load_dataset("power_a19", scale="smoke")
         x = np.ones(dataset.cols)
-        result = spmv(dataset.matrix, x, schedule="merge_path")
+        result = spmv(dataset.matrix, x, ctx=ExecutionContext(policy="merge_path"))
         assert result.elapsed_ms > 0
         assert 0 <= result.stats.simt_efficiency <= 1
 
@@ -69,15 +70,17 @@ class TestEngineAgreement:
     def test_spmv_engines_agree(self, schedule):
         m = load_dataset("tiny_uniform_64", "smoke").matrix
         x = np.random.default_rng(2).uniform(size=m.num_cols)
-        vec = spmv(m, x, schedule=schedule, spec=TINY_GPU, engine="vector")
-        simt = spmv(m, x, schedule=schedule, spec=TINY_GPU, engine="simt")
+        ctx = ExecutionContext(policy=schedule, spec=TINY_GPU)
+        vec = spmv(m, x, ctx=ctx)
+        simt = spmv(m, x, ctx=ctx.with_engine("simt"))
         np.testing.assert_allclose(vec.output, simt.output, rtol=1e-9)
 
     def test_spmm_engines_agree(self):
         m = load_dataset("tiny_uniform_64", "smoke").matrix
         b = np.random.default_rng(3).uniform(size=(m.num_cols, 3))
-        vec = spmm(m, b, schedule="merge_path", spec=TINY_GPU, engine="vector")
-        simt = spmm(m, b, schedule="merge_path", spec=TINY_GPU, engine="simt")
+        ctx = ExecutionContext(policy="merge_path", spec=TINY_GPU)
+        vec = spmm(m, b, ctx=ctx)
+        simt = spmm(m, b, ctx=ctx.with_engine("simt"))
         np.testing.assert_allclose(vec.output, simt.output, rtol=1e-9)
 
 
@@ -113,14 +116,15 @@ class TestPortability:
         x = np.ones(m.num_cols)
         expected = m.to_dense() @ x
         for name in available_schedules():
-            r = spmv(m, x, schedule=name, spec=spec)
+            r = spmv(m, x, ctx=ExecutionContext(policy=name, spec=spec))
             np.testing.assert_allclose(r.output, expected, rtol=1e-9)
 
     def test_timings_differ_across_specs(self):
         m = load_dataset("small_power_1k", "smoke").matrix
         x = np.ones(m.num_cols)
-        t_v100 = spmv(m, x, schedule="merge_path", spec=V100).elapsed_ms
-        t_tiny = spmv(m, x, schedule="merge_path", spec=TINY_GPU).elapsed_ms
+        ctx = ExecutionContext(policy="merge_path")
+        t_v100 = spmv(m, x, ctx=ctx.replace(spec=V100)).elapsed_ms
+        t_tiny = spmv(m, x, ctx=ctx.replace(spec=TINY_GPU)).elapsed_ms
         assert t_tiny > t_v100  # a 2-SM GPU is slower than an 80-SM one
 
 

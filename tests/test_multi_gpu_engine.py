@@ -66,7 +66,8 @@ class TestEngineRegistry:
             m = gen.power_law(16, 16, 3.0, 1.8, seed=2)
             app = get_app("spmv")
             problem = app.sweep_problem(m, DEFAULT_SEED)
-            r = run_app(app, problem, engine="echo-test", spec=TINY_GPU)
+            ctx = ExecutionContext(engine="echo-test", spec=TINY_GPU)
+            r = run_app(app, problem, ctx=ctx)
             assert app.match(r.output, app.oracle(problem))
         finally:
             from repro.engine import dispatch
@@ -227,10 +228,10 @@ class TestMultiGpuEngine:
         app, problem = self._spmv_parts()
         cache = PlanCache()
         eng = MultiGpuEngine(num_devices=2, plan_cache=cache)
-        run_app(app, problem, engine=eng, spec=V100)
+        run_app(app, problem, ctx=ExecutionContext(engine=eng, spec=V100))
         misses_first = cache.misses
         assert misses_first >= 2  # one per non-empty shard
-        run_app(app, problem, engine=eng, spec=V100)
+        run_app(app, problem, ctx=ExecutionContext(engine=eng, spec=V100))
         assert cache.misses == misses_first  # second run fully cached
         assert cache.hits >= 2
 

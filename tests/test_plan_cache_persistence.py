@@ -16,6 +16,7 @@ from repro.core.schedule import make_schedule
 from repro.core.work import WorkSpec
 from repro.engine import (
     CACHE_FORMAT_VERSION,
+    ExecutionContext,
     PlanCache,
     VectorEngine,
     configure_global_plan_cache,
@@ -142,11 +143,11 @@ class TestEngineIntegration:
         path = tmp_path / "plans.journal"
         x = input_vector(matrix.num_cols)
         cold = VectorEngine(plan_cache=PlanCache(store_path=path))
-        first = spmv(matrix, x, spec=TINY_GPU, engine=cold)
+        first = spmv(matrix, x, ctx=ExecutionContext(spec=TINY_GPU, engine=cold))
         cold.plan_cache.store.close()
 
         warm = VectorEngine(plan_cache=PlanCache(store_path=path))
-        second = spmv(matrix, x, spec=TINY_GPU, engine=warm)
+        second = spmv(matrix, x, ctx=ExecutionContext(spec=TINY_GPU, engine=warm))
         assert warm.plan_cache.disk_hits == 1
         assert second.stats == first.stats
 

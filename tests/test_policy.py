@@ -71,22 +71,29 @@ class TestHeuristicPolicy:
         with pytest.raises(PolicyError, match="requires the input matrix"):
             HeuristicPolicy().select(work, V100)
 
-    def test_explicit_params_beat_options(self, matrix, work):
+    def test_strict_params_pick_merge_path(self, matrix, work):
         # alpha below the matrix dims: always merge_path.
         strict = HeuristicParams(alpha=1, beta=1)
-        chosen = HeuristicPolicy(strict).select(
-            work, V100, matrix=matrix,
-            schedule_options={"heuristic": HeuristicParams(alpha=10**6, beta=10**9)},
-        )
+        chosen = HeuristicPolicy(strict).select(work, V100, matrix=matrix)
         assert chosen == "merge_path"
 
-    def test_params_from_schedule_options(self, matrix, work):
+    def test_params_drive_selection(self, matrix, work):
         # Huge alpha/beta force the small-matrix branch.
         loose = HeuristicParams(alpha=10**6, beta=10**9)
-        chosen = HeuristicPolicy().select(
-            work, V100, matrix=matrix, schedule_options={"heuristic": loose}
-        )
+        chosen = HeuristicPolicy(loose).select(work, V100, matrix=matrix)
         assert chosen == select_schedule(matrix, loose)
+
+    def test_heuristic_schedule_option_rejected(self, matrix):
+        """``HeuristicPolicy(params)`` is the one spelling: a
+        ``heuristic`` schedule option is taken by no schedule."""
+        from repro.apps.spmv import spmv
+
+        ctx = ExecutionContext(
+            policy="heuristic",
+            schedule_options={"heuristic": HeuristicParams(alpha=1, beta=1)},
+        )
+        with pytest.raises(TypeError, match="heuristic"):
+            spmv(matrix, input_vector(matrix.num_cols), ctx=ctx)
 
 
 class TestPerKernelPolicy:
@@ -162,7 +169,7 @@ class TestOracleBestPolicy:
         x = input_vector(matrix.num_cols)
         oracle = spmv(matrix, x, ctx=ExecutionContext(policy=OracleBestPolicy()))
         for name in available_schedules():
-            fixed = spmv(matrix, x, schedule=name)
+            fixed = spmv(matrix, x, ctx=ExecutionContext(policy=name))
             assert oracle.elapsed_ms <= fixed.elapsed_ms + 1e-12, name
         assert oracle.schedule in available_schedules()
 
@@ -199,3 +206,52 @@ class TestOracleBestPolicy:
         assert probe_wide == s_wide.plan(costs).elapsed_ms
         assert probe_narrow == s_narrow.plan(costs).elapsed_ms
         assert probe_wide != probe_narrow
+
+
+class TestSharedScheduleOptions:
+    """One ``schedule_options`` set serves every schedule a policy may
+    pick: each schedule gets only the options its constructor takes."""
+
+    @pytest.fixture(scope="class")
+    def skewed(self):
+        return gen.power_law(4000, 4000, 8.0, seed=1)
+
+    def _spmv(self, matrix, policy, **options):
+        from repro.apps.spmv import spmv
+
+        ctx = ExecutionContext(policy=policy, schedule_options=options)
+        return spmv(matrix, input_vector(matrix.num_cols), ctx=ctx)
+
+    def test_oracle_best_prices_every_candidate(self, skewed):
+        # Regression: candidates that do not take group_size used to hit
+        # a TypeError and be skipped, leaving only group_mapped.
+        oracle = self._spmv(skewed, "oracle_best", group_size=8)
+        assert oracle.schedule == "merge_path"
+        for name in available_schedules():
+            fixed = self._spmv(skewed, name, group_size=8)
+            assert oracle.elapsed_ms <= fixed.elapsed_ms, name
+
+    def test_heuristic_pick_ignores_foreign_option(self, skewed):
+        picked = self._spmv(skewed, "heuristic", group_size=8)
+        assert picked.schedule == "merge_path"
+        assert picked.elapsed_ms == self._spmv(skewed, "merge_path").elapsed_ms
+
+    def test_run_suite_cells_get_their_own_options(self):
+        from repro.evaluation.harness import run_suite
+        from repro.sparse.corpus import load_dataset
+
+        ds = [load_dataset("tiny_power_256", "smoke")]
+        ctx = ExecutionContext(schedule_options={"group_size": 8})
+        rows = run_suite(["group_mapped", "thread_mapped"], datasets=ds, ctx=ctx)
+        plain = run_suite(["thread_mapped"], datasets=ds)
+        assert [r.kernel for r in rows] == ["group_mapped", "thread_mapped"]
+        assert rows[1].elapsed == plain[0].elapsed
+
+    def test_option_no_schedule_takes_still_raises(self, skewed):
+        for policy in ("merge_path", "oracle_best"):
+            with pytest.raises(TypeError, match="group_sise"):
+                self._spmv(skewed, policy, group_sise=8)
+
+    def test_make_schedule_stays_strict(self, work):
+        with pytest.raises(TypeError):
+            make_schedule("thread_mapped", work, V100, group_size=8)

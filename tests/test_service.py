@@ -63,7 +63,7 @@ def service():
 class TestProtocolBasics:
     def test_hello_ping_info(self, service):
         host, port = _start(service)
-        with SweepClient(host, port, timeout=30) as client:
+        with SweepClient(host, port, idle_timeout=30) as client:
             assert client.server_hello["version"] == 1
             assert client.ping()
             info = client.info()
@@ -80,7 +80,7 @@ class TestProtocolBasics:
 
     def test_unknown_op_keeps_connection_alive(self, service):
         host, port = _start(service)
-        with SweepClient(host, port, timeout=30) as client:
+        with SweepClient(host, port, idle_timeout=30) as client:
             client._send_message({"op": "frobnicate"})
             answer = client._read_message()
             assert answer["type"] == "error"
@@ -91,7 +91,7 @@ class TestProtocolBasics:
 class TestRoundTrip:
     def test_rows_bit_identical_to_direct_run_suite(self, service):
         host, port = _start(service)
-        with SweepClient(host, port, timeout=60) as client:
+        with SweepClient(host, port, idle_timeout=60) as client:
             result = client.run(dict(SMOKE_JOB, kernels=[
                 "merge_path", "thread_mapped"]))
         direct = run_suite(["merge_path", "thread_mapped"], scale="smoke",
@@ -109,7 +109,7 @@ class TestRoundTrip:
         results: dict[str, object] = {}
 
         def worker(tag: str) -> None:
-            with SweepClient(host, port, timeout=60) as client:
+            with SweepClient(host, port, idle_timeout=60) as client:
                 results[tag] = client.run(jobs[tag])
 
         threads = [threading.Thread(target=worker, args=(t,)) for t in jobs]
@@ -129,7 +129,7 @@ class TestRoundTrip:
 
     def test_explicit_dataset_names(self, service):
         host, port = _start(service)
-        with SweepClient(host, port, timeout=60) as client:
+        with SweepClient(host, port, idle_timeout=60) as client:
             result = client.run(dict(SMOKE_JOB, limit=None,
                                      datasets=["tiny_diag_32"]))
         assert result.units == 1
@@ -140,7 +140,7 @@ class TestRoundTrip:
 class TestAdmission:
     def test_bad_request_rejections(self, service):
         host, port = _start(service)
-        with SweepClient(host, port, timeout=30) as client:
+        with SweepClient(host, port, idle_timeout=30) as client:
             for bad in (
                 dict(SMOKE_JOB, app="nope"),
                 dict(SMOKE_JOB, kernels=["made_up_kernel"]),
@@ -167,8 +167,8 @@ class TestAdmission:
 
         svc._execute_unit = gated
         host, port = _start(svc)
-        with SweepClient(host, port, timeout=60) as first, \
-                SweepClient(host, port, timeout=60) as second:
+        with SweepClient(host, port, idle_timeout=60) as first, \
+                SweepClient(host, port, idle_timeout=60) as second:
             accepted = first.submit(SMOKE_JOB)
             with pytest.raises(JobRejected) as excinfo:
                 second.submit(SMOKE_JOB)
@@ -196,7 +196,7 @@ class TestAdmission:
 
         svc._execute_unit = gated
         host, port = _start(svc)
-        with SweepClient(host, port, timeout=60) as occupier:
+        with SweepClient(host, port, idle_timeout=60) as occupier:
             occupier.submit(SMOKE_JOB)
 
             # Open the gate as soon as the retrying client has been
@@ -208,7 +208,7 @@ class TestAdmission:
 
             releaser = threading.Thread(target=release_when_rejected)
             releaser.start()
-            with SweepClient(host, port, timeout=60) as retrier:
+            with SweepClient(host, port, idle_timeout=60) as retrier:
                 result = retrier.run(SMOKE_JOB, retries=30, retry_delay=0.05)
             releaser.join(timeout=30)
         assert result.ok
@@ -229,7 +229,7 @@ class TestAdmission:
             return original_connect(self)
 
         monkeypatch.setattr(SweepClient, "connect", flaky_connect)
-        client = SweepClient(host, port, timeout=60)
+        client = SweepClient(host, port, idle_timeout=60)
         result = client.run(SMOKE_JOB, retries=2, retry_delay=0.01)
         client.close()
         assert result.ok
@@ -252,8 +252,8 @@ class TestFairness:
         service._execute_unit = traced
         host, port = _start(service)
         job = dict(SMOKE_JOB, limit=3)
-        with SweepClient(host, port, timeout=120) as first, \
-                SweepClient(host, port, timeout=120) as second:
+        with SweepClient(host, port, idle_timeout=120) as first, \
+                SweepClient(host, port, idle_timeout=120) as second:
             a = first.submit(job)
             b = second.submit(job)
             gate.set()  # both admitted; now let units run
@@ -284,7 +284,7 @@ class TestFailureIsolation:
 
         svc._execute_unit = crashing
         host, port = _start(svc)
-        with SweepClient(host, port, timeout=120) as client:
+        with SweepClient(host, port, idle_timeout=120) as client:
             result = client.run(dict(SMOKE_JOB, limit=3))
         assert state["crashed"]
         assert result.status == "partial"
@@ -311,8 +311,8 @@ class TestDrain:
 
         service._execute_unit = gated
         host, port = _start(service)
-        with SweepClient(host, port, timeout=60) as client, \
-                SweepClient(host, port, timeout=60) as late:
+        with SweepClient(host, port, idle_timeout=60) as client, \
+                SweepClient(host, port, idle_timeout=60) as late:
             accepted = client.submit(SMOKE_JOB)
             service.request_drain()
             # Draining: new work is rejected explicitly...
@@ -328,7 +328,7 @@ class TestDrain:
         assert service.jobs_done == 1
         # The listener is gone after the drain.
         with pytest.raises(OSError):
-            SweepClient(host, port, timeout=5).connect()
+            SweepClient(host, port, connect_timeout=5).connect()
 
     def test_serve_subprocess_drains_on_sigterm(self, tmp_path):
         journal = tmp_path / "results.journal"
@@ -345,7 +345,7 @@ class TestDrain:
             match = re.search(r"listening on ([\d.]+):(\d+)", line)
             assert match, f"no listening announcement in {line!r}"
             host, port = match.group(1), int(match.group(2))
-            with SweepClient(host, port, timeout=60) as client:
+            with SweepClient(host, port, idle_timeout=60) as client:
                 result = client.run(SMOKE_JOB)
             assert result.ok
             proc.send_signal(signal.SIGTERM)
@@ -368,7 +368,7 @@ class TestResultsJournal:
         journal = tmp_path / "results.journal"
         svc = SweepService(width=0, queue_depth=4, journal_path=str(journal))
         host, port = _start(svc)
-        with SweepClient(host, port, timeout=60) as client:
+        with SweepClient(host, port, idle_timeout=60) as client:
             result = client.run(SMOKE_JOB)
         _stop(svc)
         reader = ResultsJournal(journal)
@@ -385,7 +385,7 @@ class TestResultsJournal:
         journal = tmp_path / "results.journal"
         svc = SweepService(width=0, queue_depth=4, journal_path=str(journal))
         host, port = _start(svc)
-        with SweepClient(host, port, timeout=60) as client:
+        with SweepClient(host, port, idle_timeout=60) as client:
             result = client.run(SMOKE_JOB)
         _stop(svc)
         # Simulate a kill -9 mid-append: a torn half-record at the tail.
@@ -412,7 +412,7 @@ class TestResultsJournal:
 
         svc._execute_unit = gated
         host, port = _start(svc)
-        client = SweepClient(host, port, timeout=60)
+        client = SweepClient(host, port, idle_timeout=60)
         client.connect()
         client.submit(SMOKE_JOB)
         client.close()  # vanish with the job queued

@@ -5,6 +5,7 @@ import pytest
 
 from repro.apps.spgemm import spgemm, spgemm_reference
 from repro.apps.spmm import spmm, spmm_costs, spmm_reference
+from repro.engine import ExecutionContext
 from repro.gpusim.arch import TINY_GPU, V100
 from repro.sparse import generators as gen
 
@@ -21,7 +22,7 @@ class TestSpmm:
     def test_correct_under_schedules(self, schedule):
         m = gen.power_law(40, 30, 4.0, seed=2)
         b = _b(m)
-        r = spmm(m, b, schedule=schedule)
+        r = spmm(m, b, ctx=ExecutionContext(policy=schedule))
         np.testing.assert_allclose(r.output, m.to_dense() @ b, rtol=1e-9)
 
     def test_reference_matches_dense(self):
@@ -32,7 +33,8 @@ class TestSpmm:
     def test_simt_engine(self):
         m = gen.poisson_random(24, 24, 2.0, seed=4)
         b = _b(m, 3)
-        r = spmm(m, b, schedule="merge_path", spec=TINY_GPU, engine="simt")
+        ctx = ExecutionContext(policy="merge_path", spec=TINY_GPU, engine="simt")
+        r = spmm(m, b, ctx=ctx)
         np.testing.assert_allclose(r.output, m.to_dense() @ b, rtol=1e-9)
 
     def test_costs_scale_with_columns(self):
@@ -58,8 +60,8 @@ class TestSpmm:
 
         m = gen.poisson_random(30, 30, 3.0, seed=6)
         x = _b(m, 1)
-        r_mm = spmm(m, x, schedule="merge_path")
-        r_mv = spmv(m, x[:, 0], schedule="merge_path")
+        r_mm = spmm(m, x, ctx=ExecutionContext(policy="merge_path"))
+        r_mv = spmv(m, x[:, 0], ctx=ExecutionContext(policy="merge_path"))
         np.testing.assert_allclose(r_mm.output[:, 0], r_mv.output, rtol=1e-9)
 
 
@@ -74,7 +76,7 @@ class TestSpgemm:
     def test_app_correct(self, schedule):
         a = gen.poisson_random(18, 18, 2.5, seed=9)
         b = gen.poisson_random(18, 18, 2.5, seed=10)
-        r = spgemm(a, b, schedule=schedule)
+        r = spgemm(a, b, ctx=ExecutionContext(policy=schedule))
         np.testing.assert_allclose(
             r.output.to_dense(), a.to_dense() @ b.to_dense(), rtol=1e-9
         )

@@ -135,8 +135,8 @@ class TestVectorizedTriangleCount:
 
         matrix = gen.power_law(24, 24, 4.0, 1.9, seed=seed)
         expected = triangle_count_reference(matrix)
-        vector = triangle_count(matrix, engine="vector").output
-        simt = triangle_count(matrix, engine="simt").output
+        vector = triangle_count(matrix, ctx=ExecutionContext(engine="vector")).output
+        simt = triangle_count(matrix, ctx=ExecutionContext(engine="simt")).output
         assert vector == expected == simt
 
     def test_matches_brute_force(self):
@@ -192,8 +192,8 @@ class TestHashedSpgemmAccumulator:
 
         a = gen.power_law(16, 16, 3.0, 1.9, seed=seed)
         ref = spgemm_reference(a, a).to_dense()
-        vec = spgemm(a, a, engine="vector").output.to_dense()
-        simt = spgemm(a, a, engine="simt").output.to_dense()
+        vec = spgemm(a, a, ctx=ExecutionContext(engine="vector")).output.to_dense()
+        simt = spgemm(a, a, ctx=ExecutionContext(engine="simt")).output.to_dense()
         np.testing.assert_allclose(vec, ref)
         np.testing.assert_allclose(simt, ref)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps.spmttkrp import mttkrp_costs, spmttkrp, spmttkrp_reference
+from repro.engine import ExecutionContext
 from repro.gpusim.arch import V100
 from repro.sparse.tensor import SparseTensor3, random_tensor
 
@@ -68,7 +69,7 @@ class TestMttkrp:
     def test_app_correct_under_schedules(self, schedule):
         t = random_tensor((30, 16, 16), 500, skew=0.6, seed=5)
         b, c = _factors(t.shape, 4)
-        r = spmttkrp(t, b, c, schedule=schedule)
+        r = spmttkrp(t, b, c, ctx=ExecutionContext(policy=schedule))
         expected = np.einsum("ijk,jr,kr->ir", t.to_dense(), b, c)
         np.testing.assert_allclose(r.output, expected, rtol=1e-9)
 
@@ -80,8 +81,9 @@ class TestMttkrp:
     def test_schedule_choice_matters_on_skew(self):
         t = random_tensor((5000, 32, 32), 200_000, skew=0.9, seed=6)
         b, c = _factors(t.shape, 16)
-        t_thread = spmttkrp(t, b, c, schedule="thread_mapped").elapsed_ms
-        t_merge = spmttkrp(t, b, c, schedule="merge_path").elapsed_ms
+        ctx = ExecutionContext(policy="thread_mapped")
+        t_thread = spmttkrp(t, b, c, ctx=ctx).elapsed_ms
+        t_merge = spmttkrp(t, b, c, ctx=ctx.with_policy("merge_path")).elapsed_ms
         assert t_merge < t_thread
 
     def test_factor_validation(self):
