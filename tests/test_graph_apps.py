@@ -1,5 +1,9 @@
 """Tests for the graph applications: BFS, SSSP, PageRank, triangles."""
 
+import importlib
+import tracemalloc
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -8,9 +12,17 @@ from repro.apps.pagerank import pagerank, pagerank_reference
 from repro.apps.sssp import sssp, sssp_reference
 from repro.apps.triangle_count import triangle_count, triangle_count_reference
 from repro.engine import ExecutionContext
+from repro.evaluation.harness import run_suite
+from repro.gpusim.arch import TINY_GPU
 from repro.sparse import generators as gen
+from repro.sparse.convert import coo_to_csr, csr_to_coo
+from repro.sparse.coo import CooMatrix
+from repro.sparse.corpus import Dataset
 from repro.sparse.csr import CsrMatrix
 from repro.sparse.graph import CsrGraph, random_graph
+
+# The module, not the same-named function ``repro.apps`` re-exports.
+tc_module = importlib.import_module("repro.apps.triangle_count")
 
 
 class TestSssp:
@@ -186,3 +198,118 @@ class TestTriangleCount:
     def test_rejects_rectangular(self):
         with pytest.raises(ValueError, match="square"):
             triangle_count(gen.poisson_random(4, 5, 1.0, seed=18))
+
+
+def _stored_edges(adjacency):
+    """Undirected off-diagonal edges of the stored pattern (values ignored)."""
+    coo = csr_to_coo(adjacency)
+    return {
+        (min(r, c), max(r, c))
+        for r, c in zip(coo.rows.tolist(), coo.cols.tolist())
+        if r != c
+    }
+
+
+def _brute_force_triangles(adjacency):
+    edges = _stored_edges(adjacency)
+    return sum(
+        1
+        for u, v, w in combinations(range(adjacency.num_rows), 3)
+        if (u, v) in edges and (v, w) in edges and (u, w) in edges
+    )
+
+
+def _dense_trace_triangles(adjacency):
+    """The dense ``tr(A^3) / 6`` formula over the structural pattern."""
+    d = np.zeros(adjacency.shape)
+    for u, v in _stored_edges(adjacency):
+        d[u, v] = d[v, u] = 1.0
+    return int(round(np.trace(d @ d @ d) / 6.0))
+
+
+def _messy_graph(n, seed):
+    """Directed random pattern with self-loops, duplicates, explicit zeros
+    and empty rows (only every other vertex stores out-edges)."""
+    rng = np.random.default_rng(seed)
+    m = 3 * n
+    rows = 2 * rng.integers(0, (n + 1) // 2, size=m)
+    cols = rng.integers(0, n, size=m)
+    loops = rng.integers(0, n, size=max(1, n // 4))
+    rows = np.concatenate([rows, loops, rows[: m // 4]])
+    cols = np.concatenate([cols, loops, cols[: m // 4]])
+    values = rng.choice([0.0, 1.0, -2.5], size=rows.size)
+    return coo_to_csr(CooMatrix.from_arrays(rows, cols, values, (n, n)))
+
+
+def _three_cycle_upper(values):
+    """3-cycle stored upper-only: (0,1), (0,2), then (1,2) per value."""
+    rows = np.array([0, 0] + [1] * len(values))
+    cols = np.array([1, 2] + [2] * len(values))
+    vals = np.array([1.0, 1.0] + list(values))
+    return coo_to_csr(CooMatrix.from_arrays(rows, cols, vals, (3, 3)))
+
+
+class TestTriangleOracle:
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 63, 64, 65])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_agrees_with_formulas_and_engines(self, n, seed):
+        matrix = _messy_graph(n, seed)
+        expected = triangle_count_reference(matrix)
+        if n <= 20:
+            assert expected == _brute_force_triangles(matrix)
+        else:
+            assert expected == _dense_trace_triangles(matrix)
+        vector = triangle_count(matrix, ctx=ExecutionContext(engine="vector"))
+        simt = triangle_count(
+            matrix, ctx=ExecutionContext(engine="simt", spec=TINY_GPU)
+        )
+        assert vector.output == simt.output == expected
+
+    @pytest.mark.parametrize("n", [0, 1, 9, 64])
+    def test_no_stored_entries(self, n):
+        matrix = CsrMatrix.empty((n, n))
+        assert triangle_count_reference(matrix) == 0
+        assert triangle_count(matrix).output == 0
+
+    @pytest.mark.parametrize(
+        "values", [[0.0], [1.0, -1.0]], ids=["explicit_zero", "cancelling"]
+    )
+    def test_edge_is_stored_entry_whatever_its_value(self, values):
+        matrix = _three_cycle_upper(values)
+        assert triangle_count_reference(matrix) == 1
+        assert triangle_count(matrix).output == 1
+        # A validated sweep over such a matrix used to raise.
+        dataset = Dataset("three_cycle", "test", matrix)
+        rows = run_suite(
+            ["lrb", "merge_path"], app="triangle_count", datasets=[dataset]
+        )
+        assert len(rows) == 2
+
+    def test_independent_of_the_code_it_validates(self, monkeypatch):
+        matrix = gen.power_law(48, 48, 5.0, 1.8, seed=2)
+        expected = triangle_count(matrix).output
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("oracle reached the validated code")
+
+        for name in (
+            "_symmetrized",
+            "_upper_triangle",
+            "_triangle_count_arrays",
+            "_triangle_count_scalar",
+        ):
+            monkeypatch.setattr(tc_module, name, forbidden)
+        assert tc_module.triangle_count_reference(matrix) == expected
+
+    def test_memory_stays_sparse(self):
+        matrix = gen.poisson_random(8195, 8195, 8.0, seed=3)
+        expected = triangle_count(matrix).output
+        tracemalloc.start()
+        try:
+            got = triangle_count_reference(matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == expected
+        # A dense n x n float64 copy alone would be ~0.5 GB.
+        assert peak < 64 * 2**20
