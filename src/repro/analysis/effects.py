@@ -81,12 +81,6 @@ class KernelEffects:
     writes: tuple = ()
     outputs: tuple = ()
 
-    def worst_write_class(self) -> str | None:
-        classes = [w.write_class for w in self.writes]
-        if not classes:
-            return None
-        return max(classes, key=WRITE_CLASSES.index)
-
 
 @dataclass
 class _FnState:

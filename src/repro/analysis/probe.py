@@ -281,10 +281,6 @@ class ProbeResult:
                 return arrays if arrays_only else total
         return 0
 
-    @property
-    def total_overlaps(self) -> int:
-        return sum(total for _n, _launches, total, _a in self.labels)
-
 
 def probe_instance():
     """The skewed 12x12 CSR the probe drives every app with.

@@ -14,7 +14,6 @@ space; importing this package registers them all (see
 from .bfs import bfs, bfs_reference
 from .common import AppResult, spmv_costs
 from .histogram import degree_histogram, degree_histogram_reference
-from .operators import FrontierResult, advance, compute, filter_frontier
 from .pagerank import pagerank, pagerank_reference
 from .spgemm import spgemm, spgemm_reference
 from .spmm import spmm, spmm_reference
@@ -31,10 +30,6 @@ __all__ = [
     "bfs_reference",
     "degree_histogram",
     "degree_histogram_reference",
-    "FrontierResult",
-    "advance",
-    "compute",
-    "filter_frontier",
     "pagerank",
     "pagerank_reference",
     "spgemm",

@@ -11,8 +11,7 @@ Three stages, mirroring Figure 1:
 
 Plus the Section 6.2 heuristic selector (:mod:`.heuristic`), the
 schedule-selection *policies* built on it (:mod:`.policy`: fixed /
-heuristic / per-kernel / oracle-best) and imbalance metrics
-(:mod:`.metrics`).
+heuristic / per-kernel / oracle-best).
 """
 
 from . import schedules as _schedules  # noqa: F401  (registers schedules)
@@ -26,7 +25,6 @@ from .iterators import (
     counting_iterator,
     make_transform_iterator,
 )
-from .metrics import ImbalanceReport, gini, imbalance_report, peak_to_mean
 from .policy import (
     FixedPolicy,
     HeuristicPolicy,
@@ -83,10 +81,6 @@ __all__ = [
     "OracleBestPolicy",
     "PolicyError",
     "as_policy",
-    "ImbalanceReport",
-    "gini",
-    "imbalance_report",
-    "peak_to_mean",
     "InfiniteRange",
     "StepRange",
     "block_stride_range",

@@ -72,7 +72,6 @@ from .dispatch import (
     ensure_known_engine,
     get_engine,
     register_engine,
-    resolve_schedule,
     tile_charges,
 )
 from .compiled import (
@@ -158,7 +157,6 @@ __all__ = [
     "ensure_known_engine",
     "get_engine",
     "register_engine",
-    "resolve_schedule",
     "tile_charges",
     "ExecutionContext",
     "DEFAULT_CONTEXT",

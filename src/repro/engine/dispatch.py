@@ -40,13 +40,7 @@ from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any, Callable
 
 from ..core.policy import SchedulePolicy
-from ..core.schedule import (
-    LaunchParams,
-    Schedule,
-    WorkCosts,
-    make_schedule,
-    make_schedule_shared,
-)
+from ..core.schedule import Schedule, WorkCosts, make_schedule_shared
 from ..core.work import WorkSpec
 from ..gpusim.arch import GpuSpec, V100
 from ..gpusim.cost_model import KernelStats, kernel_stats_from_thread_cycles
@@ -69,7 +63,6 @@ __all__ = [
     "ensure_known_engine",
     "engine_description",
     "Runtime",
-    "resolve_schedule",
     "tile_charges",
 ]
 
@@ -84,19 +77,6 @@ class UnknownEngineError(EngineError, ValueError):
     Subclasses :class:`ValueError` too, so pre-registry callers catching
     the old error class keep working.
     """
-
-
-def resolve_schedule(
-    schedule: str | Schedule,
-    work: WorkSpec,
-    spec: GpuSpec,
-    launch: LaunchParams | None = None,
-    **options,
-) -> Schedule:
-    """Pass a pre-built schedule through, or instantiate a registered name."""
-    if isinstance(schedule, Schedule):
-        return schedule
-    return make_schedule(schedule, work, spec, launch, **options)
 
 
 def tile_charges(sched: Schedule, costs: WorkCosts) -> tuple[float, float]:

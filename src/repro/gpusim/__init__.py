@@ -2,8 +2,8 @@
 
 The paper targets CUDA on a physical V100.  This package substitutes a
 simulated device with the same *structure*: lockstep warps, blocks, shared
-memory, cooperative groups, atomics, and an oversubscribed block scheduler
-over streaming multiprocessors.  Two execution paths are provided:
+memory, atomics, and an oversubscribed block scheduler over streaming
+multiprocessors.  Two execution paths are provided:
 
 * :func:`repro.gpusim.simt.launch_interpreted` -- a functional SIMT
   interpreter that steps Python kernels thread-by-thread (ground truth for
@@ -32,7 +32,6 @@ from .cost_model import (
     kernel_stats_from_warp_cycles,
     warp_fold,
 )
-from .cooperative_groups import ThreadGroup, tiled_partition, valid_group_size
 from .multi_gpu import (
     MultiGpuStats,
     multi_gpu_plan,
@@ -57,9 +56,6 @@ __all__ = [
     "kernel_stats_from_thread_cycles",
     "kernel_stats_from_warp_cycles",
     "warp_fold",
-    "ThreadGroup",
-    "tiled_partition",
-    "valid_group_size",
     "MultiGpuStats",
     "multi_gpu_plan",
     "partition_tiles",

@@ -1,114 +1,22 @@
-"""Warp-, block- and group-level collective primitives.
+"""Cycle costs of group-level collectives.
 
-These are the parallel building blocks the paper's group-mapped schedule
-relies on (Section 5.2.3): a group stages its tiles' atom counts into
-scratchpad memory, runs a *prefix sum* over them, and then binary-searches
-that prefix array to map atoms back to tiles.
-
-Two views are provided for each collective:
-
-* a **functional** implementation operating on a NumPy array that holds one
-  value per lane (used by the SIMT interpreter and by the vectorized
-  executors), and
-* a **cost** function returning the cycle count the analytic timing model
-  charges for the collective (a Blelloch-style tree of ``log2(n)`` steps).
+These price the parallel building blocks the paper's group-mapped
+schedule relies on (Section 5.2.3): a group stages its tiles' atom counts
+into scratchpad memory, runs a *prefix sum* over them, and then
+binary-searches that prefix array to map atoms back to tiles.  The
+schedules charge :func:`scan_cost` / :func:`reduce_cost` -- a
+Blelloch-style tree of ``log2(n)`` steps -- in their analytic planners.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .arch import GpuSpec
 
-__all__ = [
-    "inclusive_scan",
-    "exclusive_scan",
-    "reduce",
-    "ballot",
-    "shfl_up",
-    "shfl_down",
-    "scan_cost",
-    "reduce_cost",
-]
+__all__ = ["scan_cost", "reduce_cost"]
 
 
-# ----------------------------------------------------------------------
-# Functional collectives
-# ----------------------------------------------------------------------
-def inclusive_scan(values: np.ndarray, op: str = "add") -> np.ndarray:
-    """Inclusive prefix scan across the lanes of a group."""
-    v = np.asarray(values)
-    if op == "add":
-        return np.cumsum(v)
-    if op == "max":
-        return np.maximum.accumulate(v)
-    if op == "min":
-        return np.minimum.accumulate(v)
-    raise ValueError(f"unsupported scan op {op!r}")
-
-
-def exclusive_scan(values: np.ndarray, op: str = "add", identity=0) -> np.ndarray:
-    """Exclusive prefix scan: element ``i`` holds the reduction of lanes < i."""
-    inc = inclusive_scan(values, op)
-    out = np.empty_like(inc)
-    out[0] = identity
-    out[1:] = inc[:-1]
-    return out
-
-
-def reduce(values: np.ndarray, op: str = "add"):
-    """Group-wide reduction; every lane observes the same result."""
-    v = np.asarray(values)
-    if v.size == 0:
-        if op == "add":
-            return 0
-        raise ValueError("cannot reduce an empty group with a non-add op")
-    if op == "add":
-        return v.sum()
-    if op == "max":
-        return v.max()
-    if op == "min":
-        return v.min()
-    raise ValueError(f"unsupported reduce op {op!r}")
-
-
-def ballot(predicate: np.ndarray) -> int:
-    """Return a bitmask of lanes whose predicate is true (CUDA ``__ballot``)."""
-    bits = np.asarray(predicate).astype(bool)
-    mask = 0
-    for lane, bit in enumerate(bits):
-        if bit:
-            mask |= 1 << lane
-    return mask
-
-
-def shfl_up(values: np.ndarray, delta: int, fill=0) -> np.ndarray:
-    """Shift lane values up by ``delta`` (lane i reads lane i-delta)."""
-    v = np.asarray(values)
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
-    out = np.full_like(v, fill)
-    if delta < v.size:
-        out[delta:] = v[: v.size - delta]
-    return out
-
-
-def shfl_down(values: np.ndarray, delta: int, fill=0) -> np.ndarray:
-    """Shift lane values down by ``delta`` (lane i reads lane i+delta)."""
-    v = np.asarray(values)
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
-    out = np.full_like(v, fill)
-    if delta < v.size:
-        out[: v.size - delta] = v[delta:]
-    return out
-
-
-# ----------------------------------------------------------------------
-# Cost model
-# ----------------------------------------------------------------------
 def scan_cost(spec: GpuSpec, group_size: int, n_items: int | None = None) -> float:
     """Cycles charged for a group-wide prefix sum.
 

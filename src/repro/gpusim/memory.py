@@ -1,101 +1,10 @@
-"""Memory access cost modelling.
-
-Global memory on a GPU is accessed in *transactions* (32-byte sectors on
-Volta).  When the lanes of a warp access consecutive addresses, the hardware
-coalesces the warp's 32 requests into a handful of transactions; when lanes
-gather from scattered addresses, each lane may require its own transaction.
-Load-balancing schedules differ strongly in their access patterns -- e.g. a
-warp-mapped schedule reads a row's nonzeros with stride 1 across lanes
-(coalesced) while a thread-mapped schedule makes each lane walk its own row
-(uncoalesced across lanes) -- so the coalescing model is a first-order input
-to the timing comparisons.
-"""
+"""Per-block shared memory for the SIMT interpreter."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .arch import GpuSpec
-
-#: Bytes per memory transaction (sector).
-TRANSACTION_BYTES = 32
-
-
-def transactions_per_warp_access(
-    stride_elems: int, elem_bytes: int, warp_size: int
-) -> int:
-    """Number of memory transactions for one warp-wide access.
-
-    Parameters
-    ----------
-    stride_elems:
-        Distance in elements between consecutive lanes' addresses.  Stride 1
-        is the fully coalesced pattern; stride 0 is a broadcast; large or
-        irregular strides degenerate to one transaction per lane.
-    elem_bytes:
-        Size of each element in bytes.
-    warp_size:
-        Number of lanes in the warp.
-    """
-    if stride_elems < 0:
-        raise ValueError("stride must be non-negative")
-    if elem_bytes <= 0:
-        raise ValueError("elem_bytes must be positive")
-    if stride_elems == 0:
-        return 1  # broadcast: one sector serves every lane
-    span_bytes = stride_elems * elem_bytes * (warp_size - 1) + elem_bytes
-    touched = -(-span_bytes // TRANSACTION_BYTES)
-    return int(min(touched, warp_size))
-
-
-def coalescing_factor(stride_elems: int, elem_bytes: int, warp_size: int) -> float:
-    """Ratio of actual transactions to the ideal (fully coalesced) count.
-
-    1.0 means perfectly coalesced; ``warp_size / ideal`` is the worst case.
-    """
-    ideal = transactions_per_warp_access(1, elem_bytes, warp_size)
-    actual = transactions_per_warp_access(stride_elems, elem_bytes, warp_size)
-    return actual / ideal
-
-
-def warp_load_cost(
-    spec: GpuSpec,
-    n_accesses: float,
-    *,
-    stride_elems: int = 1,
-    elem_bytes: int = 4,
-) -> float:
-    """Cycle cost for ``n_accesses`` warp-wide global loads with a pattern.
-
-    The cost interpolates between the coalesced and random-load constants of
-    the spec according to the coalescing factor of the access pattern.
-    """
-    c = spec.costs
-    f = coalescing_factor(stride_elems, elem_bytes, spec.warp_size)
-    worst = transactions_per_warp_access(0, elem_bytes, spec.warp_size) * spec.warp_size
-    # Normalize the factor into [0, 1]: 1 transaction/warp -> 0, one
-    # transaction per lane -> 1.
-    per_lane = transactions_per_warp_access(stride_elems, elem_bytes, spec.warp_size)
-    frac = (per_lane - 1) / max(1, spec.warp_size - 1)
-    del worst
-    cost_each = c.global_load_coalesced + frac * (
-        c.global_load_random - c.global_load_coalesced
-    )
-    return float(n_accesses) * cost_each
-
-
-def shared_bank_conflicts(indices: np.ndarray, num_banks: int = 32) -> int:
-    """Maximum number of lanes hitting the same shared-memory bank.
-
-    A conflict-free warp access returns 1; an ``n``-way conflict serializes
-    into ``n`` shared-memory cycles.
-    """
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size == 0:
-        return 1
-    banks = idx % num_banks
-    _, counts = np.unique(banks, return_counts=True)
-    return int(counts.max())
 
 
 class SharedMemory:

@@ -19,7 +19,6 @@ from .convert import (
 from .coo import CooMatrix
 from .corpus import SCALES, Dataset, build_corpus, corpus_names, load_dataset
 from .csc import CscMatrix
-from .ell import EllMatrix, csr_to_ell, ell_to_csr
 from .csr import CsrMatrix
 from .graph import CsrGraph, random_graph
 from .tensor import SparseTensor3, random_tensor
@@ -28,9 +27,6 @@ from .mtx_io import MtxFormatError, read_mtx, write_mtx
 __all__ = [
     "CooMatrix",
     "CscMatrix",
-    "EllMatrix",
-    "csr_to_ell",
-    "ell_to_csr",
     "SparseTensor3",
     "random_tensor",
     "CsrMatrix",

@@ -160,7 +160,7 @@ class CsrMatrix:
         )
 
     # ------------------------------------------------------------------
-    # Statistics (drive corpus characterization and imbalance reports)
+    # Statistics (drive corpus characterization)
     # ------------------------------------------------------------------
     def degree_stats(self) -> dict[str, float]:
         lengths = self.row_lengths().astype(np.float64)

@@ -1,112 +1,9 @@
-"""Unit and property tests for repro.gpusim.collectives."""
+"""Unit tests for the collective cost functions in repro.gpusim.collectives."""
 
-import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.gpusim import collectives as col
 from repro.gpusim.arch import V100
-
-lane_values = st.lists(
-    st.integers(min_value=-1000, max_value=1000), min_size=1, max_size=128
-)
-
-
-class TestScans:
-    def test_inclusive_add(self):
-        np.testing.assert_array_equal(
-            col.inclusive_scan(np.array([1, 2, 3, 4])), [1, 3, 6, 10]
-        )
-
-    def test_exclusive_add(self):
-        np.testing.assert_array_equal(
-            col.exclusive_scan(np.array([1, 2, 3, 4])), [0, 1, 3, 6]
-        )
-
-    def test_inclusive_max(self):
-        np.testing.assert_array_equal(
-            col.inclusive_scan(np.array([3, 1, 4, 1, 5]), "max"), [3, 3, 4, 4, 5]
-        )
-
-    def test_inclusive_min(self):
-        np.testing.assert_array_equal(
-            col.inclusive_scan(np.array([3, 1, 4, 1, 5]), "min"), [3, 1, 1, 1, 1]
-        )
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError, match="unsupported scan op"):
-            col.inclusive_scan(np.array([1]), "xor")
-
-    @given(lane_values)
-    def test_exclusive_shifts_inclusive(self, vals):
-        v = np.array(vals)
-        inc = col.inclusive_scan(v)
-        exc = col.exclusive_scan(v)
-        np.testing.assert_array_equal(exc[1:], inc[:-1])
-        assert exc[0] == 0
-
-    @given(lane_values)
-    def test_inclusive_matches_cumsum(self, vals):
-        v = np.array(vals)
-        np.testing.assert_array_equal(col.inclusive_scan(v), np.cumsum(v))
-
-
-class TestReduce:
-    @given(lane_values)
-    def test_add_matches_sum(self, vals):
-        assert col.reduce(np.array(vals)) == sum(vals)
-
-    @given(lane_values)
-    def test_max_min(self, vals):
-        v = np.array(vals)
-        assert col.reduce(v, "max") == max(vals)
-        assert col.reduce(v, "min") == min(vals)
-
-    def test_empty_add_is_zero(self):
-        assert col.reduce(np.array([])) == 0
-
-    def test_empty_max_raises(self):
-        with pytest.raises(ValueError):
-            col.reduce(np.array([]), "max")
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            col.reduce(np.array([1]), "mean")
-
-
-class TestBallotShfl:
-    def test_ballot_bits(self):
-        assert col.ballot(np.array([True, False, True, True])) == 0b1101
-
-    def test_ballot_empty(self):
-        assert col.ballot(np.array([], dtype=bool)) == 0
-
-    def test_shfl_up(self):
-        np.testing.assert_array_equal(
-            col.shfl_up(np.array([1, 2, 3, 4]), 1, fill=0), [0, 1, 2, 3]
-        )
-
-    def test_shfl_down(self):
-        np.testing.assert_array_equal(
-            col.shfl_down(np.array([1, 2, 3, 4]), 2, fill=-1), [3, 4, -1, -1]
-        )
-
-    def test_shfl_rejects_negative(self):
-        with pytest.raises(ValueError):
-            col.shfl_up(np.array([1]), -1)
-
-    def test_shfl_beyond_width(self):
-        np.testing.assert_array_equal(
-            col.shfl_down(np.array([1, 2]), 5, fill=9), [9, 9]
-        )
-
-    @given(lane_values, st.integers(min_value=0, max_value=8))
-    def test_shfl_up_down_inverse_on_interior(self, vals, delta):
-        v = np.array(vals)
-        if delta >= v.size:
-            return
-        back = col.shfl_down(col.shfl_up(v, delta), delta)
-        np.testing.assert_array_equal(back[: v.size - delta], v[: v.size - delta])
 
 
 class TestCosts:

@@ -6,7 +6,6 @@ import pytest
 from repro.apps.common import spmv_costs
 from repro.core.schedule import LaunchParams, register_schedule
 from repro.core.work import WorkSpec
-from repro.engine.dispatch import resolve_schedule
 from repro.evaluation.figures import fig2_overhead, fig4_heuristic
 from repro.evaluation.harness import SweepRow
 from repro.gpusim.arch import V100
@@ -29,13 +28,6 @@ class TestFigureErrorPaths:
 
 
 class TestResolveSchedule:
-    def test_prebuilt_schedule_passthrough(self):
-        from repro.core.schedule import make_schedule
-
-        work = WorkSpec.from_counts([1, 2])
-        sched = make_schedule("merge_path", work, V100)
-        assert resolve_schedule(sched, work, V100) is sched
-
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
 

@@ -1,5 +1,7 @@
 """End-to-end integration tests across the whole stack."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,26 @@ class TestPublicApi:
         assert repro.__version__
         for name in repro.__all__:
             assert getattr(repro, name) is not None
+
+    @pytest.mark.parametrize(
+        "package",
+        [
+            "core",
+            "engine",
+            "apps",
+            "gpusim",
+            "sparse",
+            "analysis",
+            "evaluation",
+            "service",
+            "baselines",
+        ],
+    )
+    def test_subpackage_exports(self, package):
+        module = importlib.import_module(f"repro.{package}")
+        missing = [n for n in module.__all__ if getattr(module, n, None) is None]
+        assert not missing, f"repro.{package}.__all__ names unresolved: {missing}"
+        assert len(set(module.__all__)) == len(module.__all__)
 
     def test_quickstart_from_docstring(self):
         dataset = load_dataset("power_a19", scale="smoke")

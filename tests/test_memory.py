@@ -4,80 +4,7 @@ import numpy as np
 import pytest
 
 from repro.gpusim.arch import TINY_GPU, V100
-from repro.gpusim.memory import (
-    SharedMemory,
-    coalescing_factor,
-    shared_bank_conflicts,
-    transactions_per_warp_access,
-    warp_load_cost,
-)
-
-
-class TestTransactions:
-    def test_unit_stride_coalesces(self):
-        # 32 lanes x 4B contiguous = 128 bytes = 4 transactions of 32B.
-        assert transactions_per_warp_access(1, 4, 32) == 4
-
-    def test_broadcast_is_one_transaction(self):
-        assert transactions_per_warp_access(0, 4, 32) == 1
-
-    def test_large_stride_one_per_lane(self):
-        assert transactions_per_warp_access(64, 4, 32) == 32
-
-    def test_stride_two_doubles_traffic(self):
-        t1 = transactions_per_warp_access(1, 4, 32)
-        t2 = transactions_per_warp_access(2, 4, 32)
-        assert t2 == 2 * t1
-
-    def test_capped_at_warp_size(self):
-        assert transactions_per_warp_access(1000, 8, 32) == 32
-
-    def test_rejects_negative_stride(self):
-        with pytest.raises(ValueError):
-            transactions_per_warp_access(-1, 4, 32)
-
-    def test_rejects_bad_elem_bytes(self):
-        with pytest.raises(ValueError):
-            transactions_per_warp_access(1, 0, 32)
-
-
-class TestCoalescingFactor:
-    def test_unit_stride_is_one(self):
-        assert coalescing_factor(1, 4, 32) == pytest.approx(1.0)
-
-    def test_monotone_in_stride(self):
-        factors = [coalescing_factor(s, 4, 32) for s in (1, 2, 4, 8, 16)]
-        assert factors == sorted(factors)
-
-
-class TestWarpLoadCost:
-    def test_coalesced_cheaper_than_random(self):
-        c1 = warp_load_cost(V100, 100, stride_elems=1)
-        c2 = warp_load_cost(V100, 100, stride_elems=1024)
-        assert c1 < c2
-
-    def test_scales_linearly_with_accesses(self):
-        c1 = warp_load_cost(V100, 10)
-        c2 = warp_load_cost(V100, 20)
-        assert c2 == pytest.approx(2 * c1)
-
-    def test_fully_scattered_hits_random_cost(self):
-        per = warp_load_cost(V100, 1, stride_elems=10_000)
-        assert per == pytest.approx(V100.costs.global_load_random)
-
-
-class TestBankConflicts:
-    def test_conflict_free(self):
-        assert shared_bank_conflicts(np.arange(32)) == 1
-
-    def test_same_bank_full_conflict(self):
-        assert shared_bank_conflicts(np.zeros(32, dtype=int) * 32) == 32
-
-    def test_stride_two_two_way(self):
-        assert shared_bank_conflicts(np.arange(32) * 2) == 2
-
-    def test_empty_access(self):
-        assert shared_bank_conflicts(np.array([], dtype=int)) == 1
+from repro.gpusim.memory import SharedMemory
 
 
 class TestSharedMemory:

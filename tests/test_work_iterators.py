@@ -76,22 +76,29 @@ class TestFromIterators:
             )
 
     def test_custom_format_end_to_end(self):
-        """A user-defined format (ELL) mapped through iterators, then run
-        through a real schedule -- the full Section 3.1 user story."""
+        """A user-defined format (ELL-style padded rows) mapped through
+        iterators, then run through a real schedule -- the full Section 3.1
+        user story."""
         from repro.core.schedule import make_schedule
         from repro.gpusim.arch import V100
         from repro.sparse import generators as gen
-        from repro.sparse.ell import csr_to_ell
 
         csr = gen.poisson_random(50, 50, 4.0, seed=1)
-        ell = csr_to_ell(csr)
-        lengths = ell.row_lengths()
+        # The user's format: one fixed-width row of column ids per matrix
+        # row, padded with -1; a row's length is its count of real slots.
+        width = int(csr.row_lengths().max())
+        padded = np.full((csr.num_rows, width), -1, dtype=np.int64)
+        for row in range(csr.num_rows):
+            cols = csr.col_indices[csr.row_offsets[row] : csr.row_offsets[row + 1]]
+            padded[row, : cols.size] = cols
+        lengths = (padded != -1).sum(axis=1)
+        assert np.array_equal(lengths, csr.row_lengths())
         work = WorkSpec.from_iterators(
             CountingIterator(0),
             CountingIterator(0),
             TransformIterator(CountingIterator(0), lambda i: lengths[i]),
             int(lengths.sum()),
-            ell.num_rows,
+            padded.shape[0],
         )
         sched = make_schedule("merge_path", work, V100)
         from repro.apps.common import spmv_costs
