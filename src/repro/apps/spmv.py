@@ -169,14 +169,11 @@ def _sample_check(problem, output, seed: int, samples: int = 8) -> bool:
     rng = np.random.default_rng(seed)
     rows = rng.choice(matrix.num_rows, size=min(samples, matrix.num_rows),
                       replace=False)
-    for r in rows:
-        lo, hi = matrix.row_offsets[r], matrix.row_offsets[r + 1]
-        expected = float(
-            np.dot(matrix.values[lo:hi], x[matrix.col_indices[lo:hi]])
-        )
-        if not np.isclose(y[r], expected, rtol=1e-9, atol=1e-12):
-            return False
-    return True
+    expected = [
+        np.dot(matrix.values[lo:hi], x[matrix.col_indices[lo:hi]])
+        for lo, hi in zip(matrix.row_offsets[rows], matrix.row_offsets[rows + 1])
+    ]
+    return bool(np.isclose(y[rows], expected, rtol=1e-9, atol=1e-12).all())
 
 
 def _cub_baseline(problem, spec):

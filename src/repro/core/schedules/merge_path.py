@@ -30,36 +30,29 @@ __all__ = ["MergePathSchedule", "merge_path_partition"]
 def merge_path_partition(
     tile_offsets: np.ndarray, num_atoms: int, diagonals: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """2-D binary search: split each diagonal into (tiles, atoms) consumed.
+    """Split each diagonal into the (tiles, atoms) it has consumed.
 
     Merges the "row-end offsets" list ``A[i] = tile_offsets[i+1]`` with the
     natural numbers ``B[j] = j`` (atom ids).  For each diagonal ``d`` the
     returned ``(i, j)`` satisfies ``i + j == d`` with ``i`` tiles and ``j``
-    atoms consumed -- the standard CUB/ModernGPU MergePathSearch.
+    atoms consumed: the split each thread's 2-D binary search finds in
+    CUB/ModernGPU's MergePathSearch, which ``setup_cycles`` still prices.
+    Its predicate ``A[i] + i + 1 <= d`` is monotone in ``i``, so on the host
+    one clipped ``searchsorted`` finds every diagonal's split at once.
     """
     offsets = np.asarray(tile_offsets, dtype=np.int64)
     num_tiles = offsets.size - 1
     d = np.asarray(diagonals, dtype=np.int64)
     if np.any(d < 0) or np.any(d > num_tiles + num_atoms):
         raise ValueError("diagonal out of range")
-    if num_tiles == 0:
-        return np.zeros_like(d), d.copy()
-    lo = np.maximum(0, d - num_atoms)
-    hi = np.minimum(d, num_tiles)
-    while True:
-        active = lo < hi
-        if not active.any():
-            break
-        mid = (lo + hi) >> 1
-        # Inactive lanes may hold mid == num_tiles; clamp for safe indexing
-        # (their cond value is discarded by the masks below).
-        mid_safe = np.minimum(mid, num_tiles - 1)
-        # Take from A (finish tile `mid`) while its end offset sorts before
-        # the opposing atom id on the diagonal.
-        cond = offsets[mid_safe + 1] <= d - mid - 1
-        lo = np.where(active & cond, mid + 1, lo)
-        hi = np.where(active & ~cond, mid, hi)
-    return lo, d - lo
+    ends = np.arange(1, num_tiles + 1, dtype=np.int64)
+    ends += offsets[1:]
+    i = np.clip(
+        np.searchsorted(ends, d, side="right"),
+        np.maximum(0, d - num_atoms),
+        np.minimum(d, num_tiles),
+    )
+    return i, d - i
 
 
 @register_schedule("merge_path")

@@ -120,7 +120,6 @@ def partition_tiles(
         total = num_tiles + num_atoms
         diagonals = np.linspace(0, total, num_devices + 1).astype(np.int64)
         tile_bounds, _ = merge_path_partition(offsets, num_atoms, diagonals)
-        tile_bounds = tile_bounds.copy()
         tile_bounds[0], tile_bounds[-1] = 0, num_tiles
         return tile_bounds
     raise ValueError(f"unknown partition strategy {strategy!r}")

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 import itertools
 import os
 import signal
@@ -57,7 +58,7 @@ from ..engine.context import ExecutionContext
 from ..faults import faults_active, inject
 from ..engine.worker_pool import SweepExecutor
 from ..evaluation.harness import expand_datasets, run_suite
-from ..sparse.corpus import Dataset
+from ..sparse.corpus import Dataset, build_corpus
 from .journal import ResultsJournal
 from .protocol import (
     PROTOCOL_VERSION,
@@ -94,46 +95,37 @@ SERVE_JOB_TIMEOUT_ENV = "REPRO_SERVE_JOB_TIMEOUT"
 DEFAULT_JOB_TIMEOUT = 600.0
 
 
-def _job_timeout_from_env() -> float:
-    raw = os.environ.get(SERVE_JOB_TIMEOUT_ENV)
-    if not raw:
-        return DEFAULT_JOB_TIMEOUT
-    try:
-        return float(raw)
-    except ValueError:
-        import warnings
-
-        warnings.warn(
-            f"ignoring non-numeric {SERVE_JOB_TIMEOUT_ENV}={raw!r}; "
-            f"using the default job deadline",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return DEFAULT_JOB_TIMEOUT
+def _read_only_corpus(scale: str, limit: int | None) -> list[Dataset]:
+    """``build_corpus`` with read-only arrays: a kernel that writes into
+    its input fails loudly instead of corrupting the next job's."""
+    corpus = build_corpus(scale, limit=limit)
+    for d in corpus:
+        for arr in (d.matrix.row_offsets, d.matrix.col_indices, d.matrix.values):
+            arr.setflags(write=False)
+    return corpus
 
 
-def _queue_depth_from_env() -> int:
-    """The admission bound from the environment knob.
+def _env_number(name: str, default, cast):
+    """``cast`` of the environment knob ``name``, ``default`` when unset.
 
     A malformed value warns and falls back to the default -- a tuning
-    typo must degrade to the stock bound, never crash the daemon (same
+    typo must degrade to the stock value, never crash the daemon (same
     contract as the cache budgets).
     """
-    raw = os.environ.get(SERVE_QUEUE_DEPTH_ENV)
+    raw = os.environ.get(name)
     if not raw:
-        return DEFAULT_QUEUE_DEPTH
+        return default
     try:
-        return int(raw)
+        return cast(raw)
     except ValueError:
         import warnings
 
         warnings.warn(
-            f"ignoring non-integer {SERVE_QUEUE_DEPTH_ENV}={raw!r}; "
-            f"using the default queue depth",
+            f"ignoring malformed {name}={raw!r}; using the default {default}",
             RuntimeWarning,
             stacklevel=3,
         )
-        return DEFAULT_QUEUE_DEPTH
+        return default
 
 
 @dataclass(eq=False)
@@ -203,11 +195,12 @@ class SweepService:
         self.port = port
         self.width = width
         self.queue_depth = (
-            _queue_depth_from_env() if queue_depth is None else int(queue_depth)
+            _env_number(SERVE_QUEUE_DEPTH_ENV, DEFAULT_QUEUE_DEPTH, int)
+            if queue_depth is None else int(queue_depth)
         )
         self.job_timeout = (
-            _job_timeout_from_env() if job_timeout is None
-            else float(job_timeout)
+            _env_number(SERVE_JOB_TIMEOUT_ENV, DEFAULT_JOB_TIMEOUT, float)
+            if job_timeout is None else float(job_timeout)
         )
         self.plan_store = None if plan_store is None else str(plan_store)
         self._journal = (
@@ -243,6 +236,8 @@ class SweepService:
         self._journal_error_warned = False
         #: Job ids currently executing a unit (the ``status`` gauge).
         self._in_flight: set[str] = set()
+        #: Corpora built once per ``(scale, limit)`` and shared by jobs.
+        self._corpus = functools.lru_cache(maxsize=4)(_read_only_corpus)
 
     # ------------------------------------------------------------------
     # Job admission
@@ -292,7 +287,8 @@ class SweepService:
                 )
         ensure_known_engine(engine)
         datasets = expand_datasets(
-            app, scale=scale, limit=limit, names=list(names) if names else None
+            app, scale=scale, datasets=self._corpus(scale, limit),
+            names=list(names) if names else None,
         )
         ctx = ExecutionContext(
             engine=engine, gpus=gpus, plan_store=self.plan_store

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coo import CooMatrix
+from .coo import CooMatrix, lex_order
 from .csc import CscMatrix
 from .csr import CsrMatrix
 
@@ -51,7 +51,7 @@ def csr_to_coo(csr: CsrMatrix) -> CooMatrix:
 
 
 def coo_to_csc(coo: CooMatrix) -> CscMatrix:
-    order = np.lexsort((coo.rows, coo.cols))
+    order = lex_order(coo.cols, coo.rows, coo.shape[::-1])
     cols = coo.cols[order]
     counts = np.bincount(cols, minlength=coo.shape[1]).astype(np.int64)
     offsets = offsets_from_counts(counts)

@@ -13,7 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CooMatrix"]
+__all__ = ["CooMatrix", "lex_order"]
+
+
+def lex_order(major: np.ndarray, minor: np.ndarray, shape: tuple) -> np.ndarray:
+    """``np.lexsort((minor, major))`` as one stable argsort of the key
+    ``major * shape[1] + minor`` (indices in ``[0, shape)``); lexsort stays
+    the fallback when that key could overflow int64."""
+    if int(shape[0]) * int(shape[1]) > np.iinfo(np.int64).max:
+        return np.lexsort((minor, major))
+    key = major * int(shape[1])
+    key += minor
+    return np.argsort(key, kind="stable")
 
 
 @dataclass(frozen=True)
@@ -62,7 +73,7 @@ class CooMatrix:
 
     def sorted_by_row(self) -> "CooMatrix":
         """Stable sort by (row, col) -- the canonical order for CSR builds."""
-        order = np.lexsort((self.cols, self.rows))
+        order = lex_order(self.rows, self.cols, self.shape)
         return CooMatrix.from_arrays(
             self.rows[order],
             self.cols[order],
@@ -80,9 +91,8 @@ class CooMatrix:
         key_changes[0] = True
         key_changes[1:] = (np.diff(s.rows) != 0) | (np.diff(s.cols) != 0)
         group_ids = np.cumsum(key_changes) - 1
-        n_groups = int(group_ids[-1]) + 1
-        vals = np.zeros(n_groups)
-        np.add.at(vals, group_ids, s.values)
+        # bincount sums each group sequentially from 0.0, as np.add.at does.
+        vals = np.bincount(group_ids, weights=s.values)
         first = np.nonzero(key_changes)[0]
         return CooMatrix.from_arrays(
             s.rows[first], s.cols[first], vals, self.shape, validate=False

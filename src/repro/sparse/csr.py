@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coo import lex_order
+
 __all__ = ["CsrMatrix"]
 
 
@@ -149,14 +151,11 @@ class CsrMatrix:
 
     def sort_rows(self) -> "CsrMatrix":
         """Return a copy with column indices sorted within each row."""
-        cidx = self.col_indices.copy()
-        vals = self.values.copy()
-        lengths = self.row_lengths()
-        # Sort key: row id * cols + col -> global lexicographic order.
-        rows = np.repeat(np.arange(self.num_rows, dtype=np.int64), lengths)
-        order = np.lexsort((cidx, rows))
+        rows = np.repeat(np.arange(self.num_rows, dtype=np.int64), self.row_lengths())
+        order = lex_order(rows, self.col_indices, self.shape)
+        cidx, vals = self.col_indices[order], self.values[order]
         return CsrMatrix.from_arrays(
-            self.row_offsets, cidx[order], vals[order], self.shape, validate=False
+            self.row_offsets, cidx, vals, self.shape, validate=False
         )
 
     # ------------------------------------------------------------------

@@ -59,11 +59,12 @@ def _fill_from_row_lengths(
     # Vectorized sampling *with* replacement: duplicate (row, col) entries
     # are legal CSR and every consumer in this library treats them as
     # summed, so exact per-row uniqueness is not required for benchmarking.
-    col_indices = rng.integers(0, cols, size=nnz, dtype=np.int64)
-    # Sort columns within each row (canonical CSR ordering).
-    row_ids = np.repeat(np.arange(rows, dtype=np.int64), lengths)
-    order = np.lexsort((col_indices, row_ids))
-    col_indices = col_indices[order]
+    # Sort columns within each row (canonical CSR ordering) as one in-place
+    # sort of the key ``row * cols + col``; ``key % cols`` is the column.
+    col_indices = np.repeat(np.arange(rows, dtype=np.int64) * cols, lengths)
+    col_indices += rng.integers(0, cols, size=nnz, dtype=np.int64)
+    col_indices.sort()
+    col_indices %= cols
     values = rng.uniform(0.001, 1.0, size=nnz)
     return CsrMatrix.from_arrays(offsets, col_indices, values, (rows, cols))
 
@@ -118,8 +119,8 @@ def rmat(
     edges and a skewed degree distribution -- the canonical graph-analytics
     stress test for GPU load balancing.
     """
-    if not 0 < a + b + c < 1:
-        raise ValueError("R-MAT probabilities must satisfy 0 < a+b+c < 1")
+    if not 0 < a + b + c < 1 or min(a, b, c) < 0:
+        raise ValueError("R-MAT needs a, b, c >= 0 and 0 < a+b+c < 1")
     n = 1 << scale
     nnz = edge_factor * n
     rng = _rng(seed)
@@ -127,12 +128,12 @@ def rmat(
     cols = np.zeros(nnz, dtype=np.int64)
     for level in range(scale):
         r = rng.uniform(size=nnz)
-        quad_b = (r >= a) & (r < a + b)
-        quad_c = (r >= a + b) & (r < a + b + c)
-        quad_d = r >= a + b + c
+        # Quadrants a|b over c|d: bottom is c or d, right is b or d.
+        bottom = r >= a + b
+        right = (r >= a) & ~bottom | (r >= a + b + c)
         bit = 1 << (scale - level - 1)
-        cols[quad_b | quad_d] += bit
-        rows[quad_c | quad_d] += bit
+        cols += right * bit
+        rows += bottom * bit
     values = rng.uniform(0.001, 1.0, size=nnz)
     coo = CooMatrix.from_arrays(rows, cols, values, (n, n)).sum_duplicates()
     return coo_to_csr(coo)

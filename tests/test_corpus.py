@@ -1,5 +1,7 @@
 """Tests for the benchmark corpus."""
 
+import hashlib
+
 import pytest
 
 from repro.sparse.corpus import SCALES, build_corpus, corpus_names, load_dataset
@@ -80,3 +82,23 @@ class TestBuildCorpus:
         nnzs = sorted(d.nnz for d in corpus)
         assert nnzs[0] < 100
         assert nnzs[-1] > 100_000
+
+
+#: SHA-256 over every dataset's name, shape and CSR arrays (dtype + bytes).
+#: Any generator change that moves a single bit of the corpus fails here.
+CORPUS_SHA256 = {
+    "smoke": "84021c9fb13e634b76e1a9b628ff835f46aeb0892222f5dbae743ceb724e2028",
+    "standard": "faead1a5ff98c867a571eaa667857998470a886fa3532d9d7cfa127c544fbd36",
+}
+
+
+@pytest.mark.parametrize("scale", sorted(CORPUS_SHA256))
+def test_corpus_bits_pinned(scale):
+    h = hashlib.sha256()
+    for d in build_corpus(scale):
+        m = d.matrix
+        h.update(f"{d.name}:{m.shape}".encode())
+        for arr in (m.row_offsets, m.col_indices, m.values):
+            h.update(arr.dtype.str.encode())
+            h.update(arr.tobytes())
+    assert h.hexdigest() == CORPUS_SHA256[scale]

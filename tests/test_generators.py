@@ -60,6 +60,8 @@ class TestShapes:
     def test_rmat_rejects_bad_probs(self):
         with pytest.raises(ValueError):
             gen.rmat(4, 2, a=0.5, b=0.4, c=0.2)
+        with pytest.raises(ValueError, match=">= 0"):
+            gen.rmat(4, 2, a=0.6, b=-0.1, c=0.2)
 
     def test_banded_structure(self):
         m = gen.banded(20, 2, seed=0)

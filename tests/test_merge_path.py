@@ -18,6 +18,23 @@ def _offsets(counts):
     return offsets
 
 
+def _reference_partition(offsets, num_atoms, diagonals):
+    """Per-diagonal 2-D binary search, one scalar loop per diagonal --
+    the search each GPU thread runs, kept as an independent oracle."""
+    num_tiles = len(offsets) - 1
+    tiles = []
+    for d in diagonals:
+        lo, hi = max(0, d - num_atoms), min(d, num_tiles)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if offsets[mid + 1] <= d - mid - 1:
+                lo = mid + 1
+            else:
+                hi = mid
+        tiles.append(lo)
+    return np.array(tiles, dtype=np.int64), np.asarray(diagonals) - tiles
+
+
 class TestPartitionFunction:
     def test_endpoints(self):
         offsets = _offsets([2, 3, 1])
@@ -73,6 +90,33 @@ class TestPartitionFunction:
             assert np.all(shares[:-1] == ipt)
         if shares.size:
             assert 0 <= shares[-1] <= ipt
+
+    @given(counts_strategy, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_search(self, counts, data):
+        offsets = _offsets(counts)
+        num_tiles, num_atoms = len(counts), int(offsets[-1])
+        total = num_tiles + num_atoms
+        # Always include both ends (d = 0 and d = T + A); empty tiles and
+        # T = 0 come from the counts strategy.
+        picked = data.draw(st.lists(st.integers(0, total), max_size=40))
+        diagonals = np.array([0, total, *picked], dtype=np.int64)
+        i, j = merge_path_partition(offsets, num_atoms, diagonals)
+        ri, rj = _reference_partition(offsets, num_atoms, diagonals)
+        np.testing.assert_array_equal(i, ri)
+        np.testing.assert_array_equal(j, rj)
+
+    @pytest.mark.parametrize(
+        "counts", [[], [0], [0, 0, 0], [0, 5, 0], [3, 0, 0, 2], [7]]
+    )
+    def test_edge_cases_match_reference(self, counts):
+        offsets = _offsets(counts)
+        num_atoms = int(offsets[-1])
+        diagonals = np.arange(len(counts) + num_atoms + 1, dtype=np.int64)
+        i, j = merge_path_partition(offsets, num_atoms, diagonals)
+        ri, rj = _reference_partition(offsets, num_atoms, diagonals)
+        np.testing.assert_array_equal(i, ri)
+        np.testing.assert_array_equal(j, rj)
 
 
 class TestMergePathSchedule:

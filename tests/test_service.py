@@ -137,6 +137,17 @@ class TestRoundTrip:
         _stop(service)
 
 
+    def test_jobs_share_one_read_only_corpus(self):
+        svc = SweepService(width=0)
+        first = svc._build_job(dict(SMOKE_JOB, kernels=["merge_path"]))
+        second = svc._build_job(dict(SMOKE_JOB, kernels=["thread_mapped"]))
+        assert [d.name for d in first.units] == [d.name for d in second.units]
+        for a, b in zip(first.units, second.units):
+            assert a is b  # expanded once, not per job
+            with pytest.raises(ValueError, match="read-only"):
+                a.matrix.values[0] = 0.0
+
+
 class TestAdmission:
     def test_bad_request_rejections(self, service):
         host, port = _start(service)

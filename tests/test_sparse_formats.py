@@ -14,7 +14,7 @@ from repro.sparse.convert import (
     csr_transpose,
     offsets_from_counts,
 )
-from repro.sparse.coo import CooMatrix
+from repro.sparse.coo import CooMatrix, lex_order
 from repro.sparse.csc import CscMatrix
 from repro.sparse.csr import CsrMatrix
 from repro.sparse import generators as gen
@@ -118,6 +118,31 @@ class TestCoo:
         s = coo.sorted_by_row()
         assert list(s.rows) == [0, 1, 1]
         np.testing.assert_array_equal(s.to_dense(), coo.to_dense())
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 9), st.integers(0, 6)), max_size=60)
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_lex_order_equals_lexsort(self, pairs):
+        major = np.array([p[0] for p in pairs], dtype=np.int64)
+        minor = np.array([p[1] for p in pairs], dtype=np.int64)
+        np.testing.assert_array_equal(
+            lex_order(major, minor, (10, 7)), np.lexsort((minor, major))
+        )
+
+    def test_lex_order_overflow_falls_back_to_lexsort(self):
+        # 2**40 * 2**40 overflows the int64 key, so lexsort must take over.
+        rng = np.random.default_rng(3)
+        big = np.int64(2**40)
+        rows = rng.integers(0, 4, 200) * (big // 4)
+        cols = rng.integers(0, 4, 200) * (big // 4) + rng.integers(0, 2, 200)
+        order = lex_order(rows, cols, (2**40, 2**40))
+        np.testing.assert_array_equal(order, np.lexsort((cols, rows)))
+        coo = CooMatrix.from_arrays(rows, cols, np.arange(200.0), (2**40, 2**40))
+        s = coo.sorted_by_row()
+        np.testing.assert_array_equal(s.rows, rows[order])
+        np.testing.assert_array_equal(s.cols, cols[order])
+        np.testing.assert_array_equal(s.values, order.astype(np.float64))
 
     def test_validation(self):
         with pytest.raises(ValueError, match="row index"):
