@@ -38,9 +38,9 @@ level:
   workers survive across ``run_suite`` calls (``pool=default_executor()``
   shares the module-wide pool), small shards are batched
   into one pickle crossing, and dataset payloads travel through
-  ``multiprocessing.shared_memory`` as array bundles -- pluggable
-  :class:`ShmCodec` packers cover CSR matrices, COO sparse tensors and
-  dense arrays -- instead of the pickle stream (anything else is pickled).  Warm workers also keep
+  ``multiprocessing.shared_memory`` as array blocks (CSR matrices, COO
+  sparse tensors and dense arrays) instead of the pickle stream
+  (anything else is pickled).  Warm workers also keep
   a bounded content-keyed :class:`ProblemCache` of built problem/oracle
   pairs, making steady-state sweeps rebuild-free.
 * **Seeding** (:mod:`.seeding`) -- the one deterministic input-vector
@@ -103,10 +103,8 @@ from .plan_store import (
 )
 from .worker_pool import (
     SHARED_ORACLE_BYTES_ENV,
-    ArrayBundleHandle,
     ProblemCache,
-    SharedPayloadHandle,
-    ShmCodec,
+    ShmHandle,
     SweepExecutor,
     attach_payload,
     clear_problem_cache,
@@ -115,7 +113,6 @@ from .worker_pool import (
     install_signal_cleanup,
     problem_cache,
     publish_payload,
-    register_shm_codec,
     shutdown_default_executor,
 )
 from .registry import (
@@ -170,10 +167,7 @@ __all__ = [
     "RecordJournal",
     "RecordLocation",
     "SweepExecutor",
-    "ArrayBundleHandle",
-    "SharedPayloadHandle",
-    "ShmCodec",
-    "register_shm_codec",
+    "ShmHandle",
     "publish_payload",
     "attach_payload",
     "home_slot",

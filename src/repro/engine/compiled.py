@@ -35,12 +35,12 @@ The engine registers as ``"compiled"`` via
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from typing import Callable
 
 import numpy as np
 
+from .._env import env_number
 from ..core.ranges import StepRange
 from ..core.schedule import Schedule
 from ..gpusim.cost_model import kernel_stats_from_thread_cycles
@@ -505,8 +505,8 @@ class CompilationCache:
 
     def __init__(self, max_entries: int | None = None):
         if max_entries is None:
-            max_entries = int(
-                os.environ.get(CACHE_ENTRIES_ENV, _DEFAULT_CACHE_ENTRIES)
+            max_entries = env_number(
+                CACHE_ENTRIES_ENV, _DEFAULT_CACHE_ENTRIES, minimum=1
             )
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")

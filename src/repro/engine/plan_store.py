@@ -31,12 +31,12 @@ under us) degrades to a miss instead of a wrong plan.
 
 from __future__ import annotations
 
-import os
 import pickle
 import threading
 from pathlib import Path
 from typing import Any, Iterator
 
+from .._env import env_number
 from .journal import (
     JOURNAL_HEADER as _HEADER,
     JOURNAL_RECORD as _RECORD,
@@ -74,24 +74,9 @@ def _compact_ratio_from_env() -> float:
     """The auto-compaction threshold from the environment knob.
 
     A malformed value warns and falls back to the default -- a tuning
-    typo must degrade the optimization, never crash every planner (same
-    contract as the problem-cache budgets).
+    typo must degrade the optimization, never crash every planner.
     """
-    raw = os.environ.get(PLAN_STORE_COMPACT_RATIO_ENV)
-    if not raw:
-        return DEFAULT_COMPACT_RATIO
-    try:
-        return float(raw)
-    except ValueError:
-        import warnings
-
-        warnings.warn(
-            f"ignoring non-numeric {PLAN_STORE_COMPACT_RATIO_ENV}={raw!r}; "
-            f"using the default compaction ratio",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return DEFAULT_COMPACT_RATIO
+    return env_number(PLAN_STORE_COMPACT_RATIO_ENV, DEFAULT_COMPACT_RATIO, float)
 
 
 class PlanStore:

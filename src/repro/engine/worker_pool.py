@@ -30,38 +30,34 @@ Sticky placement & shard batching
     stolen, worker pid) in ``meta["placement"]``.  Results come back per
     shard, in submission order.
 
-Shared-memory dataset transport
-    Dataset payloads are packed into *array bundles* -- an ordered list
-    of named ``(dtype, shape, crc)`` segments in one shared-memory block
-    -- published once via :mod:`multiprocessing.shared_memory` and
-    reattached zero-copy in the workers; the task pickle carries a small
-    :class:`ArrayBundleHandle` instead of the arrays.  Payload types are
-    pluggable :class:`ShmCodec` entries (CSR matrices, COO sparse
-    tensors for spmttkrp, dense factor matrices out of the box); types
-    with no codec (or platforms without shared memory) are pickled into
-    the task instead, and so is any shard whose worker fails to attach
-    its block.  Either way the rows are identical
-    :class:`~repro.evaluation.harness.SweepRow` sets.
+Shared-memory transport
+    Datasets and built oracles travel the same way: a payload is packed
+    into an ordered list of named ``(dtype, shape, crc)`` segments in
+    one :mod:`multiprocessing.shared_memory` block, and the task pickle
+    carries a small :class:`ShmHandle` instead of the arrays.  A fixed
+    codec table covers CSR matrices, COO sparse tensors (spmttkrp) and
+    dense arrays; an oracle no codec claims travels as one pickled byte
+    segment.  The parent publishes each dataset once per content key (a
+    staged task keeps its ``Dataset`` with ``matrix`` swapped for the
+    handle); the first worker to build an oracle publishes it, and the
+    parent adopts the block under the same ``(app, fingerprint, seed,
+    validate)`` key the problem cache uses.  The parent owns every block
+    in two pinned, byte-budgeted LRU directories (datasets, oracles) and
+    unlinks them; workers reattach zero-copy, CRC-verified, and keep an
+    LRU of their mappings, so a hot oracle is resident once per machine
+    instead of once per worker.  A dataset that cannot travel is pickled
+    into the task, and so is any shard whose worker fails to attach its
+    block; an oracle that cannot travel is rebuilt locally.  Either way
+    the rows are identical :class:`~repro.evaluation.harness.SweepRow`
+    sets.
 
 Worker-resident problem/oracle cache
     Repeated sweeps of the same grid used to rebuild every dataset's
     problem instance and oracle per sweep.  :class:`ProblemCache` is a
     bounded, content-keyed (app, dataset fingerprint, seed, validate)
     cache living in each worker process, so steady-state sweeps on a
-    warm pool are problem-build-free *and* oracle-free; hit/miss
-    counters surface through ``SweepRow.meta``.
-
-Cross-worker oracle sharing
-    A local problem-cache miss no longer always means a rebuild: the
-    first worker that builds an oracle publishes it to a shared-memory
-    payload block (:func:`publish_payload` -- array bundles for codec-
-    claimed payloads, a pickled-bytes segment otherwise), and the parent
-    records the handle in a pin/LRU byte-budgeted directory keyed by the
-    same ``(app, fingerprint, seed, validate)`` problem-cache key.
-    Every other worker that misses locally attaches the published copy
-    zero-copy instead of rebuilding, so hot oracles are resident once
-    per machine instead of once per worker.  Attach/publish counters
-    ride in ``ProblemCache.info()`` and ``SweepRow.meta``.
+    warm pool are problem-build-free *and* oracle-free; hit/miss and
+    attach/publish counters surface through ``SweepRow.meta``.
 """
 
 from __future__ import annotations
@@ -83,6 +79,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from .._env import env_number
 from ..faults import inject
 from ..sparse.corpus import Dataset
 from ..sparse.csr import CsrMatrix
@@ -90,12 +87,8 @@ from ..sparse.tensor import SparseTensor3
 
 __all__ = [
     "SweepExecutor",
-    "ArrayBundleHandle",
     "ArraySegment",
-    "SharedPayloadHandle",
-    "ShmCodec",
-    "register_shm_codec",
-    "shm_codec_for",
+    "ShmHandle",
     "publish_payload",
     "attach_payload",
     "home_slot",
@@ -130,6 +123,9 @@ DEFAULT_BATCH_TIMEOUT = 300.0
 #: batches are not misdiagnosed as hangs at the floor.
 _TIMEOUT_SECONDS_PER_WEIGHT = 1e-6
 
+#: Byte budget of the parent's published-dataset directory.
+_DATASET_BLOCK_BYTES = 256 * 1024 * 1024
+
 
 def _shared_memory():
     """The stdlib shared-memory module, or ``None`` when unsupported."""
@@ -142,15 +138,11 @@ def _shared_memory():
 
 
 # ----------------------------------------------------------------------
-# Shared-memory dataset transport: array bundles + pluggable codecs
+# Shared-memory transport: one block format for datasets and oracles
 # ----------------------------------------------------------------------
-#: Segment offsets inside a bundle block are padded to this boundary so
-#: every dtype reattaches aligned, whatever precedes it.
+#: Segment offsets inside a block are padded to this boundary so every
+#: dtype reattaches aligned, whatever precedes it.
 _SEGMENT_ALIGN = 16
-
-
-def _align(offset: int) -> int:
-    return (offset + _SEGMENT_ALIGN - 1) // _SEGMENT_ALIGN * _SEGMENT_ALIGN
 
 
 def _freeze(value):
@@ -164,7 +156,7 @@ def _freeze(value):
 
 @dataclass(frozen=True)
 class ArraySegment:
-    """One named array inside a shared-memory bundle block."""
+    """One named array inside a shared-memory block."""
 
     label: str
     dtype: str  # numpy dtype string, endianness-qualified
@@ -179,170 +171,107 @@ class ArraySegment:
             count *= int(dim)
         return count * np.dtype(self.dtype).itemsize
 
-    def fingerprint(self) -> tuple:
-        """The offset-independent identity used in content keys."""
-        return (self.label, self.dtype, tuple(self.shape), self.crc)
-
 
 @dataclass(frozen=True)
-class ArrayBundleHandle:
-    """Picklable stand-in for a :class:`Dataset` whose arrays live in shm.
+class ShmHandle:
+    """Picklable stand-in for a payload whose arrays live in one shm block.
 
-    The handle carries only the block name, the codec that knows how to
-    rebuild the payload, and the ordered ``(dtype, shape, crc)`` segment
-    list; workers reattach each segment as a zero-copy NumPy view over
-    the block and hand the views to the codec's ``unpack``.
+    The handle carries only the block name, the codec that rebuilds the
+    payload and the ordered segment list; an attacher maps each segment
+    as a zero-copy NumPy view over the block and hands the views to the
+    codec's ``unpack``.
     """
 
     shm_name: str
     codec: str
-    dataset_name: str
-    family: str
     segments: tuple[ArraySegment, ...]
     extra: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def payload_bytes(self) -> int:
-        return sum(seg.nbytes for seg in self.segments)
-
-    def content_key(self) -> tuple:
-        """Content fingerprint; equals :func:`dataset_content_key` of the
-        dataset this handle was published from."""
-        return (
-            self.dataset_name,
-            self.codec,
-            tuple(seg.fingerprint() for seg in self.segments),
-            _freeze(self.extra),
-        )
 
 
+#: The transport's codecs, consulted in order: ``name -> (claims, pack,
+#: unpack)``.  ``pack`` flattens a payload into ordered named arrays plus
+#: picklable ``extra`` metadata; ``unpack(arrays, extra)`` rebuilds it
+#: from zero-copy views.
+_CODECS: dict[str, tuple[Callable, Callable, Callable]] = {
+    "csr": (
+        lambda p: isinstance(p, CsrMatrix),
+        lambda m: (
+            [("row_offsets", m.row_offsets), ("col_indices", m.col_indices),
+             ("values", m.values)],
+            {"shape": m.shape},
+        ),
+        lambda arrays, extra: CsrMatrix(
+            row_offsets=arrays["row_offsets"],
+            col_indices=arrays["col_indices"],
+            values=arrays["values"],
+            shape=tuple(extra["shape"]),
+        ),
+    ),
+    "tensor3": (
+        lambda p: isinstance(p, SparseTensor3),
+        lambda t: (
+            [("i", t.i), ("j", t.j), ("k", t.k), ("values", t.values)],
+            {"shape": t.shape},
+        ),
+        # Direct construction, not from_arrays: the published coordinates
+        # already satisfy the sorted-by-mode-0 invariant, and re-sorting
+        # would copy the views the transport exists to avoid.
+        lambda arrays, extra: SparseTensor3(
+            i=arrays["i"], j=arrays["j"], k=arrays["k"],
+            values=arrays["values"], shape=tuple(extra["shape"]),
+        ),
+    ),
+    "dense": (
+        # Object arrays hold process-local pointers (their raw bytes would
+        # hand workers foreign addresses), and a structured dtype's string
+        # is a bare void the fill cannot cast into: both are left unclaimed.
+        lambda p: (
+            isinstance(p, np.ndarray)
+            and not p.dtype.hasobject
+            and p.dtype.fields is None
+        ),
+        lambda a: ([("data", a)], {}),
+        lambda arrays, extra: arrays["data"],
+    ),
+}
 
-@dataclass(frozen=True)
-class ShmCodec:
-    """How one payload type travels through an array-bundle block.
+#: Codec name and segment label of the pickled-bytes fallback, which
+#: only oracles use: an oracle no table codec claims travels as one
+#: ``uint8`` segment and attaches as a copy.
+_PICKLE = "pickle"
 
-    ``matches(payload)`` claims a payload; ``pack(payload)`` flattens it
-    into ordered named arrays plus picklable scalar ``extra`` metadata;
-    ``unpack(arrays, extra)`` rebuilds the payload from zero-copy views.
-    Codecs are consulted in registration order; the built-ins cover CSR
-    matrices, COO sparse tensors and dense ndarrays.
+
+def _unpickle(arrays: dict, extra: dict) -> Any:
+    return pickle.loads(arrays[_PICKLE].tobytes())
+
+
+def _pack(payload: Any, *, pickled: bool = False):
+    """``(codec, [(label, contiguous array), ...], extra, crcs)``.
+
+    ``None`` when no table codec claims ``payload`` -- unless
+    ``pickled``, which lets it travel as one pickled byte segment.
     """
-
-    name: str
-    matches: Callable[[Any], bool]
-    pack: Callable[[Any], tuple[list, dict]]
-    unpack: Callable[[dict, dict], Any]
-
-
-_SHM_CODECS: "OrderedDict[str, ShmCodec]" = OrderedDict()
-
-
-def register_shm_codec(codec: ShmCodec) -> ShmCodec:
-    """Add a payload codec to the transport (consulted in order)."""
-    if codec.name in _SHM_CODECS:
-        raise ValueError(f"shm codec {codec.name!r} already registered")
-    _SHM_CODECS[codec.name] = codec
-    return codec
-
-
-def shm_codec_for(payload: Any) -> ShmCodec | None:
-    """The first registered codec claiming ``payload`` (``None`` = pickle)."""
-    for codec in _SHM_CODECS.values():
-        if codec.matches(payload):
-            return codec
-    return None
-
-
-register_shm_codec(ShmCodec(
-    name="csr",
-    matches=lambda p: isinstance(p, CsrMatrix),
-    pack=lambda m: (
-        [("row_offsets", m.row_offsets), ("col_indices", m.col_indices),
-         ("values", m.values)],
-        {"shape": m.shape},
-    ),
-    unpack=lambda arrays, extra: CsrMatrix(
-        row_offsets=arrays["row_offsets"],
-        col_indices=arrays["col_indices"],
-        values=arrays["values"],
-        shape=tuple(extra["shape"]),
-    ),
-))
-
-register_shm_codec(ShmCodec(
-    name="tensor3",
-    matches=lambda p: isinstance(p, SparseTensor3),
-    pack=lambda t: (
-        [("i", t.i), ("j", t.j), ("k", t.k), ("values", t.values)],
-        {"shape": t.shape},
-    ),
-    # Direct construction, not from_arrays: the published coordinates
-    # already satisfy the sorted-by-mode-0 invariant, and re-sorting
-    # would copy the views the transport exists to avoid.
-    unpack=lambda arrays, extra: SparseTensor3(
-        i=arrays["i"], j=arrays["j"], k=arrays["k"],
-        values=arrays["values"], shape=tuple(extra["shape"]),
-    ),
-))
-
-register_shm_codec(ShmCodec(
-    name="dense",
-    # Object-dtype arrays hold process-local pointers: copying their raw
-    # bytes into shared memory would hand workers foreign addresses.
-    # Leave them (and other non-buffer payloads) to the pickle fallback.
-    matches=lambda p: isinstance(p, np.ndarray) and not p.dtype.hasobject,
-    pack=lambda a: ([("data", a)], {}),
-    unpack=lambda arrays, extra: arrays["data"],
-))
-
-
-def _pack_bundle(dataset: Dataset):
-    """``(codec, [(label, contiguous array), ...], extra)`` or ``None``."""
-    codec = shm_codec_for(dataset.matrix)
-    if codec is None:
+    codec = next(
+        (name for name, (claims, _, _) in _CODECS.items() if claims(payload)),
+        None,
+    )
+    if codec is not None:
+        arrays, extra = _CODECS[codec][1](payload)
+    elif pickled:
+        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        codec, extra = _PICKLE, {}
+        arrays = [(_PICKLE, np.frombuffer(blob, dtype=np.uint8))]
+    else:
         return None
-    arrays, extra = codec.pack(dataset.matrix)
-    return codec, [(label, np.ascontiguousarray(arr)) for label, arr in arrays], extra
+    arrays = [(label, np.ascontiguousarray(arr)) for label, arr in arrays]
+    return codec, arrays, extra, [zlib.crc32(arr) for _, arr in arrays]
 
 
-class _PublishedDataset:
-    """Owner-side record of one shm block (parent closes + unlinks).
-
-    Published blocks are cached by the executor across sweeps (``pins``
-    guards in-flight use, ``tick`` drives LRU eviction) -- repeated
-    sweeps of the same corpus publish each dataset exactly once.
-    """
-
-    def __init__(self, handle: ArrayBundleHandle, shm) -> None:
-        self.handle = handle
-        self.shm = shm
-        self.pins = 0
-        self.tick = 0
-        self.nbytes = shm.size
-        # Set when an attach failure condemned the block: it leaves the
-        # publish cache immediately and is unlinked once its pins drop.
-        self.defunct = False
-
-    def unlink(self) -> None:
-        try:
-            self.shm.close()
-        except BufferError:  # pragma: no cover - no exports kept here
-            pass
-        try:
-            self.shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
-
-def _bundle_crcs(arrays: list) -> list[int]:
-    return [zlib.crc32(arr) for _, arr in arrays]
-
-
-def _bundle_key(name: str, codec: ShmCodec, arrays: list, crcs: list, extra: dict) -> tuple:
+def _content_key(name: str, packed: tuple) -> tuple:
+    codec, arrays, extra, crcs = packed
     return (
         name,
-        codec.name,
+        codec,
         tuple(
             (label, arr.dtype.str, arr.shape, crc)
             for (label, arr), crc in zip(arrays, crcs)
@@ -351,33 +280,51 @@ def _bundle_key(name: str, codec: ShmCodec, arrays: list, crcs: list, extra: dic
     )
 
 
-def _layout_segments(arrays: list, crcs: list) -> tuple[list, int]:
-    """Plan the aligned segment layout for a bundle block."""
+def dataset_content_key(dataset: Dataset) -> tuple | None:
+    """Cheap content fingerprint of a transportable dataset.
+
+    Keys the parent's dataset directory, sticky placement and the
+    workers' problem/oracle cache.  Name and shape alone are not enough
+    -- the same corpus name at a different scale (or a caller-mutated
+    payload) must republish -- so the key includes a CRC per packed
+    array.  The CRC pass is paid on every staging, but it costs about as
+    much as one copy of the data -- cheap against what a hit saves (shm
+    create + copy + worker reattach, or a problem/oracle rebuild).
+    Returns ``None`` for payloads no codec claims.
+    """
+    packed = _pack(dataset.matrix)
+    return None if packed is None else _content_key(dataset.name, packed)
+
+
+def _publish(payload: Any, *, pickled: bool = False, packed=None):
+    """Pack, checksum, lay out, create and fill one block.
+
+    Returns its :class:`ShmHandle`, or ``None`` when the payload cannot
+    travel (no codec, unpicklable, shared memory unavailable, allocation
+    refused, a fill error) -- the caller then pickles or rebuilds it.  A
+    block that fails to fill is unlinked first, so a refused publish
+    leaves no shared memory behind.  The publisher keeps no mapping: the
+    block lives until the parent unlinks it by name.  ``packed`` reuses
+    a pack + CRC pass the caller already paid for.
+    """
+    shared_memory = _shared_memory()
+    if shared_memory is None:  # pragma: no cover - always present
+        return None
+    try:
+        packed = packed or _pack(payload, pickled=pickled)
+    except Exception:
+        return None
+    if packed is None:
+        return None
+    codec, arrays, extra, crcs = packed
     segments = []
     offset = 0
     for (label, arr), crc in zip(arrays, crcs):
-        offset = _align(offset)
-        segments.append(ArraySegment(
-            label=label,
-            dtype=arr.dtype.str,
-            shape=arr.shape,
-            crc=crc,
-            offset=offset,
-        ))
+        offset = (offset + _SEGMENT_ALIGN - 1) // _SEGMENT_ALIGN * _SEGMENT_ALIGN
+        segments.append(ArraySegment(label, arr.dtype.str, arr.shape, crc, offset))
         offset += arr.nbytes
-    return segments, offset
-
-
-def _create_block(segments: list, arrays: list, total: int):
-    """Allocate one shm block and copy the arrays in; ``None`` if refused.
-
-    A failure while *filling* an already-created block closes and
-    unlinks it before re-raising, so publish errors never leak shared
-    memory.
-    """
-    shared_memory = _shared_memory()
     try:
-        shm = shared_memory.SharedMemory(create=True, size=max(1, total))
+        shm = shared_memory.SharedMemory(create=True, size=max(1, offset))
     except OSError:
         return None
     try:
@@ -386,17 +333,50 @@ def _create_block(segments: list, arrays: list, total: int):
                 seg.shape, dtype=seg.dtype, buffer=shm.buf, offset=seg.offset
             )[:] = arr
     except Exception:
-        # The block exists but was never handed out: reclaim it now
-        # instead of leaking it until interpreter exit.
-        try:
-            shm.close()
-        finally:
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
+        detach(shm)
+        shm.unlink()
+        return None
+    detach(shm)
+    return ShmHandle(shm.name, codec, tuple(segments), dict(extra))
+
+
+def _attach(handle: ShmHandle) -> tuple[Any, Any]:
+    """Map ``handle``'s block, CRC-verify every segment and unpack it.
+
+    Returns ``(payload, shm)``: the payload is zero-copy views over the
+    mapping, which the caller releases with :func:`detach` -- except for
+    the pickle codec, whose bytes are copied out and unmapped at once
+    (``shm`` is then ``None``).  Raises on any failure (unknown codec,
+    vanished block, CRC mismatch), after releasing the mapping.
+    """
+    unpack = _unpickle if handle.codec == _PICKLE else _CODECS[handle.codec][2]
+    # Pool workers are children of the publisher, so they share its
+    # resource-tracker process: the attach-side register is a set no-op
+    # and exactly one unregister happens at the parent's unlink.  (An
+    # *unrelated* attacher would need bpo-39959's unregister dance; this
+    # transport never crosses that topology.)
+    shm = _shared_memory().SharedMemory(name=handle.shm_name)
+    arrays: dict = {}
+    try:
+        for seg in handle.segments:
+            arrays[seg.label] = np.ndarray(
+                seg.shape, dtype=seg.dtype, buffer=shm.buf, offset=seg.offset
+            )
+            if zlib.crc32(arrays[seg.label]) != seg.crc:
+                raise ValueError(
+                    f"shared-memory segment {seg.label!r} of block "
+                    f"{handle.shm_name!r} failed its CRC check"
+                )
+        payload = unpack(arrays, dict(handle.extra))
+    except BaseException:
+        arrays.clear()
+        detach(shm)
         raise
-    return shm
+    if handle.codec == _PICKLE:
+        arrays.clear()
+        detach(shm)
+        return payload, None
+    return payload, shm
 
 
 def _unlink_block(name: str) -> None:
@@ -417,292 +397,211 @@ def _unlink_block(name: str) -> None:
             pass
 
 
-def dataset_content_key(dataset: Dataset) -> tuple | None:
-    """Cheap content fingerprint of a bundleable dataset.
-
-    Keys both the parent-side publish cache and the workers' problem/
-    oracle cache.  Name and shape alone are not enough -- the same
-    corpus name at a different scale (or a caller-mutated payload) must
-    republish -- so the key includes a CRC per packed array.  The CRC
-    pass is paid on every staging, but it costs about as much as one
-    copy of the data -- cheap against what a hit saves (shm create +
-    copy + worker reattach, or a problem/oracle rebuild) and trivial
-    against what a miss would otherwise repay per sweep.  Returns
-    ``None`` for payloads no codec claims.
-    """
-    bundle = _pack_bundle(dataset)
-    if bundle is None:
-        return None
-    codec, arrays, extra = bundle
-    return _bundle_key(dataset.name, codec, arrays, _bundle_crcs(arrays), extra)
-
-
-def publish_dataset(
-    dataset: Dataset, *, _bundle=None, _crcs: list | None = None
-) -> _PublishedDataset | None:
-    """Pack one dataset's arrays into a shared-memory bundle block.
-
-    Returns ``None`` when the dataset cannot travel this way (no codec
-    claims the payload, shared memory unavailable, block allocation
-    refused) -- callers then fall back to pickling the dataset itself.
-    A failure while *filling* an already-created block (a codec packing
-    arrays the buffer cannot host) closes and unlinks the block before
-    re-raising, so publish errors never leak shared memory.
-
-    ``_bundle``/``_crcs`` let the staging path reuse the pack + CRC pass
-    it already paid for the content key, so a fresh publish never packs
-    or checksums the arrays twice.
-    """
-    shared_memory = _shared_memory()
-    if shared_memory is None:
-        return None
-    if inject("shm.publish") is not None:
-        return None  # injected publish refusal: caller falls back to pickle
-    bundle = _pack_bundle(dataset) if _bundle is None else _bundle
-    if bundle is None:
-        return None
-    codec, arrays, extra = bundle
-    crcs = _bundle_crcs(arrays) if _crcs is None else _crcs
-    segments, total = _layout_segments(arrays, crcs)
-    shm = _create_block(segments, arrays, total)
-    if shm is None:
-        return None
-    handle = ArrayBundleHandle(
-        shm_name=shm.name,
-        codec=codec.name,
-        dataset_name=dataset.name,
-        family=dataset.family,
-        segments=tuple(segments),
-        extra=dict(extra),
-        meta=dict(dataset.meta),
-    )
-    return _PublishedDataset(handle, shm)
-
-
-def attach_dataset(handle: ArrayBundleHandle) -> tuple[Dataset, object]:
-    """Worker-side reattach: rebuild the Dataset over the shm buffer.
-
-    Each segment becomes a zero-copy view, CRC-verified against the
-    handle, and the codec's ``unpack`` rebuilds the payload.  Returns
-    ``(dataset, shm)``; the caller must release the block with
-    :func:`detach` once the shard's rows are computed.
-    """
-    shared_memory = _shared_memory()
-    assert shared_memory is not None
-    fault = inject("shm.attach")
-    if fault == "crc":
-        raise ValueError(
-            f"shared-memory bundle of dataset {handle.dataset_name!r} "
-            f"failed its CRC check (injected fault)"
-        )
-    if fault == "drop":
-        raise FileNotFoundError(
-            f"shared-memory block {handle.shm_name!r} vanished "
-            f"(injected fault)"
-        )
-    codec = _SHM_CODECS.get(handle.codec)
-    if codec is None:
-        raise KeyError(
-            f"dataset {handle.dataset_name!r} was published with codec "
-            f"{handle.codec!r}, which is not registered in this worker"
-        )
-    # Pool workers are children of the publisher, so they share its
-    # resource-tracker process: the attach-side register is a set no-op
-    # and exactly one unregister happens at the parent's unlink.  (An
-    # *unrelated* attacher would need bpo-39959's unregister dance; this
-    # transport never crosses that topology.)
-    shm = shared_memory.SharedMemory(name=handle.shm_name)
-    arrays = {}
-    for seg in handle.segments:
-        view = np.ndarray(
-            seg.shape, dtype=seg.dtype, buffer=shm.buf, offset=seg.offset
-        )
-        if zlib.crc32(view) != seg.crc:
-            detach(shm)
-            raise ValueError(
-                f"shared-memory segment {seg.label!r} of dataset "
-                f"{handle.dataset_name!r} failed its CRC check"
-            )
-        arrays[seg.label] = view
-    dataset = Dataset(
-        name=handle.dataset_name,
-        family=handle.family,
-        matrix=codec.unpack(arrays, dict(handle.extra)),
-        meta=dict(handle.meta),
-    )
-    return dataset, shm
-
-
 def detach(shm) -> None:
-    """Close a worker-side attachment, tolerating lingering array views."""
+    """Close an attachment, tolerating lingering array views."""
     try:
         shm.close()
     except BufferError:
         gc.collect()  # drop cycles still holding buffer views
         try:
             shm.close()
-        except BufferError:  # released at worker exit instead
+        except BufferError:  # released at process exit instead
             pass
 
 
-# ----------------------------------------------------------------------
-# Shared payload (oracle) transport: publish once, attach everywhere
-# ----------------------------------------------------------------------
-#: Segment label + codec sentinel for the pickled-bytes fallback, used
-#: when no registered ShmCodec claims an oracle payload.
-_PICKLE_CODEC = "pickle"
+#: This worker's attachments, ``shm_name -> (shm, payload)`` in LRU
+#: order (oldest first), for dataset and oracle blocks alike.  Block
+#: names are random and never reused while a pool runs, so an entry can
+#: never alias different content; the parent keeps a block alive for at
+#: least as long as any task referencing it is in flight.
+_ATTACHMENTS: OrderedDict[str, tuple] = OrderedDict()
+_ATTACH_CAP = 256
 
 
-@dataclass(frozen=True)
-class SharedPayloadHandle:
-    """Picklable stand-in for one built payload published to shm.
+def _attached(handle: ShmHandle, attach=_attach) -> Any:
+    """The payload of ``handle`` in this worker, attached on first use."""
+    cached = _ATTACHMENTS.get(handle.shm_name)
+    if cached is not None:
+        _ATTACHMENTS.move_to_end(handle.shm_name)
+        return cached[1]
+    payload, shm = attach(handle)
+    if shm is None:
+        return payload  # copied out (pickle codec): nothing to keep mapped
+    while len(_ATTACHMENTS) >= _ATTACH_CAP:
+        # Evict least-recently-used, never the entry just fetched.
+        _, (old_shm, old_payload) = _ATTACHMENTS.popitem(last=False)
+        del old_payload  # drop the buffer views before closing
+        detach(old_shm)
+    _ATTACHMENTS[handle.shm_name] = (shm, payload)
+    return payload
 
-    The oracle-sharing analogue of :class:`ArrayBundleHandle`: codec-
-    claimed payloads travel as array bundles and reattach as zero-copy
-    views; anything else travels as one pickled ``uint8`` segment under
-    the ``"pickle"`` codec sentinel (attached as a copy).  Handles are
-    created by the worker that built the payload, adopted by the parent
-    into its shared-oracle directory, and shipped back out to every
-    worker that misses locally.
+
+def _attach_dataset_block(handle: ShmHandle) -> tuple[Any, Any]:
+    """:func:`_attach` behind the ``shm.attach`` fault site: an injected
+    ``crc``/``drop`` fails like a corrupt/vanished block would."""
+    fault = inject("shm.attach")
+    if fault == "crc":
+        raise ValueError(
+            f"shared-memory block {handle.shm_name!r} failed its CRC check "
+            f"(injected fault)"
+        )
+    if fault == "drop":
+        raise FileNotFoundError(
+            f"shared-memory block {handle.shm_name!r} vanished "
+            f"(injected fault)"
+        )
+    return _attach(handle)
+
+
+def publish_dataset(dataset: Dataset, *, _packed=None) -> _Block | None:
+    """Publish one dataset's payload to a shared-memory block.
+
+    Returns the parent-side :class:`_Block`, whose ``handle`` is the
+    staged dataset (``matrix`` swapped for a :class:`ShmHandle`), or
+    ``None`` when the dataset cannot travel this way -- callers then
+    pickle the dataset itself.  ``_packed`` lets staging reuse the pack
+    + CRC pass it already paid for the content key.
     """
-
-    shm_name: str
-    codec: str
-    segments: tuple[ArraySegment, ...]
-    extra: dict = field(default_factory=dict)
-
-    @property
-    def payload_bytes(self) -> int:
-        return sum(seg.nbytes for seg in self.segments)
+    if inject("shm.publish") is not None:
+        return None  # injected publish refusal: caller falls back to pickle
+    handle = _publish(dataset.matrix, packed=_packed)
+    return None if handle is None else _Block(replace(dataset, matrix=handle))
 
 
-def publish_payload(payload: Any) -> SharedPayloadHandle | None:
+def attach_dataset(dataset: Dataset) -> tuple[Dataset, object]:
+    """Rebuild a staged dataset over its shared-memory block.
+
+    Returns ``(dataset, shm)``; the caller releases the block with
+    :func:`detach` once the shard's rows are computed.  Any failure
+    raises -- the executor then re-runs the shard pickled.
+    """
+    matrix, shm = _attach_dataset_block(dataset.matrix)
+    return replace(dataset, matrix=matrix), shm
+
+
+def publish_payload(payload: Any) -> ShmHandle | None:
     """Publish one built payload (an oracle, typically) to shared memory.
 
-    Codec-claimed payloads are packed exactly like dataset bundles;
-    everything else is pickled into a single byte segment so sharing
-    still works for scalar or namespace-shaped oracles.  Returns
-    ``None`` when the payload cannot travel (unpicklable, shm
-    unavailable, allocation refused, a codec pack error) -- callers then
-    simply keep their locally-built copy.
+    Codec-claimed payloads are packed exactly like datasets; anything
+    else is pickled into a single byte segment, so sharing still works
+    for scalar or namespace-shaped oracles.  ``None`` means the payload
+    cannot travel -- the caller simply keeps its locally-built copy.
     """
-    shared_memory = _shared_memory()
-    if shared_memory is None:  # pragma: no cover - always present
-        return None
     if inject("oracle.publish") is not None:
         return None  # injected refusal: the worker keeps its local copy
-    codec = shm_codec_for(payload)
-    try:
-        if codec is not None:
-            arrays, extra = codec.pack(payload)
-            arrays = [
-                (label, np.ascontiguousarray(arr)) for label, arr in arrays
-            ]
-            codec_name = codec.name
-        else:
-            blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-            arrays = [(_PICKLE_CODEC, np.frombuffer(blob, dtype=np.uint8))]
-            extra = {}
-            codec_name = _PICKLE_CODEC
-        crcs = _bundle_crcs(arrays)
-        segments, total = _layout_segments(arrays, crcs)
-        shm = _create_block(segments, arrays, total)
-    except Exception:
-        return None  # a payload that cannot be shared is not an error
-    if shm is None:
-        return None
-    handle = SharedPayloadHandle(
-        shm_name=shm.name,
-        codec=codec_name,
-        segments=tuple(segments),
-        extra=dict(extra),
-    )
-    # The publisher keeps no mapping: its ProblemCache already holds the
-    # locally-built payload, and the parent owns the block's lifetime.
-    shm.close()
-    return handle
+    return _publish(payload, pickled=True)
 
 
-#: Worker-side payload attachment cache, mirroring ``_ATTACHED`` for
-#: datasets: ``shm_name -> (shm, payload)`` in LRU order.  Only bundle-
-#: codec payloads are cached (pickle attaches copy and detach at once).
-_PAYLOAD_ATTACHMENTS: OrderedDict[str, tuple] = OrderedDict()
-_PAYLOAD_ATTACH_CAP = 128
-
-
-def attach_payload(handle: SharedPayloadHandle) -> Any | None:
+def attach_payload(handle: ShmHandle) -> Any | None:
     """Worker-side reattach of a published payload.
 
-    Returns the payload (zero-copy views for bundle codecs, a fresh copy
+    Returns the payload (zero-copy views for table codecs, a fresh copy
     for the pickle fallback), or ``None`` on *any* failure -- a vanished
     block (parent evicted it), CRC mismatch, unknown codec -- so the
     caller falls back to building the payload itself.  Sharing can only
     skip work, never change results.
     """
-    shared_memory = _shared_memory()
-    if shared_memory is None:  # pragma: no cover - always present
-        return None
     if inject("oracle.attach") is not None:
         return None  # injected attach failure: caller rebuilds locally
-    cached = _PAYLOAD_ATTACHMENTS.get(handle.shm_name)
-    if cached is not None:
-        _PAYLOAD_ATTACHMENTS.move_to_end(handle.shm_name)
-        return cached[1]
-    if handle.codec != _PICKLE_CODEC and handle.codec not in _SHM_CODECS:
-        return None
     try:
-        shm = shared_memory.SharedMemory(name=handle.shm_name)
-    except (OSError, ValueError):
-        return None
-    arrays = {}
-    try:
-        for seg in handle.segments:
-            view = np.ndarray(
-                seg.shape, dtype=seg.dtype, buffer=shm.buf, offset=seg.offset
-            )
-            if zlib.crc32(view) != seg.crc:
-                raise ValueError(f"CRC mismatch in segment {seg.label!r}")
-            arrays[seg.label] = view
-        if handle.codec == _PICKLE_CODEC:
-            payload = pickle.loads(arrays[_PICKLE_CODEC].tobytes())
-        else:
-            payload = _SHM_CODECS[handle.codec].unpack(
-                arrays, dict(handle.extra)
-            )
+        return _attached(handle)
     except Exception:
-        arrays.clear()
-        detach(shm)
         return None
-    if handle.codec == _PICKLE_CODEC:
-        arrays.clear()
-        detach(shm)  # the bytes were copied out; no mapping to keep
-        return payload
-    while len(_PAYLOAD_ATTACHMENTS) >= _PAYLOAD_ATTACH_CAP:
-        _, (old_shm, old_payload) = _PAYLOAD_ATTACHMENTS.popitem(last=False)
-        del old_payload  # drop the buffer views before closing
-        detach(old_shm)
-    _PAYLOAD_ATTACHMENTS[handle.shm_name] = (shm, payload)
-    return payload
 
 
-class _SharedPayloadRecord:
-    """Parent-side directory entry for one published oracle block.
+class _Block:
+    """Parent-side record of one published block.
 
-    Same pin/tick lifecycle as :class:`_PublishedDataset`, but the block
-    was *created by a worker*: the parent holds only the name, and
-    reclaims the block by reopening it at eviction/shutdown (pool
-    workers are fork children sharing the parent's resource tracker, so
-    create-in-worker / unlink-in-parent balances exactly once).
+    ``handle`` is what ships to workers (a staged dataset or an oracle's
+    :class:`ShmHandle`); ``pins`` hold eviction off while tasks carrying
+    it are in flight and ``tick`` orders LRU eviction.  Whoever created
+    the block, the parent reclaims it by name (pool workers are fork
+    children sharing the parent's resource tracker, so create-anywhere /
+    unlink-in-parent balances exactly once).
     """
 
-    def __init__(self, handle: SharedPayloadHandle) -> None:
+    def __init__(self, handle) -> None:
+        shm = handle.matrix if isinstance(handle, Dataset) else handle
         self.handle = handle
+        self.shm_name = shm.shm_name
+        self.nbytes = max(
+            (seg.offset + seg.nbytes for seg in shm.segments), default=0
+        )
         self.pins = 0
         self.tick = 0
-        self.nbytes = handle.payload_bytes
 
     def unlink(self) -> None:
-        _unlink_block(self.handle.shm_name)
+        _unlink_block(self.shm_name)
+
+
+class _BlockDirectory:
+    """The blocks the parent owns: content-keyed, pinned, LRU-budgeted.
+
+    A pinned block is never evicted.  A *condemned* block (a worker
+    failed to attach it) leaves its content key at once, so the next
+    sweep republishes, and is unlinked as soon as its pins drop.  The
+    executor holds its shm lock around every call.
+    """
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.evictions = 0
+        self._clock = itertools.count()
+        self._blocks: dict = {}
+
+    def __len__(self) -> int:
+        return len(self._blocks)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(block.nbytes for block in self._blocks.values())
+
+    def pin(self, key) -> _Block | None:
+        """The block filed under ``key``, pinned, or ``None``."""
+        block = self._blocks.get(key)
+        if block is not None:
+            block.pins += 1
+            block.tick = next(self._clock)
+        return block
+
+    def adopt(self, key, block: _Block) -> bool:
+        """File ``block`` under ``key``; ``False`` if the key is taken."""
+        if key in self._blocks:
+            return False
+        block.tick = next(self._clock)
+        self._blocks[key] = block
+        return True
+
+    def condemn(self, shm_name: str) -> None:
+        for key, block in list(self._blocks.items()):
+            if block.shm_name == shm_name:
+                # Re-filed under its name (content keys are tuples, so
+                # nothing can hit it) and first in eviction order.
+                block.tick = -1
+                self._blocks[shm_name] = self._blocks.pop(key)
+
+    def release(self, blocks=()) -> None:
+        """Drop ``blocks``' pins, then unlink condemned blocks and cold
+        ones until the directory fits its byte budget."""
+        for block in blocks:
+            block.pins -= 1
+        total = self.nbytes
+        for key, block in sorted(
+            self._blocks.items(), key=lambda kv: kv[1].tick
+        ):
+            if total <= self.budget and block.tick >= 0:
+                break
+            if block.pins > 0:
+                continue
+            block.unlink()
+            del self._blocks[key]
+            total -= block.nbytes
+            self.evictions += 1
+
+    def clear(self) -> None:
+        for block in self._blocks.values():
+            block.unlink()
+        self._blocks.clear()
 
 
 # ----------------------------------------------------------------------
@@ -750,30 +649,6 @@ def _worker_warmup(store_path: str | None) -> None:
     # absent this is a no-op.
     precompile_kernels()
 
-
-#: Worker-side attachment cache: ``shm_name -> (shm, Dataset)``, in LRU
-#: order (oldest first).  Block names are never reused by the OS within a
-#: session, so a cached entry can never alias different content; the
-#: parent keeps a published block alive for at least as long as any task
-#: referencing it is in flight.
-_ATTACHED: OrderedDict[str, tuple] = OrderedDict()
-_ATTACHED_CAP = 128
-
-
-def _attached_dataset(handle: ArrayBundleHandle) -> Dataset:
-    """Reattach (or reuse) one shm-backed dataset in this worker."""
-    cached = _ATTACHED.get(handle.shm_name)
-    if cached is not None:
-        _ATTACHED.move_to_end(handle.shm_name)
-        return cached[1]
-    dataset, shm = attach_dataset(handle)
-    while len(_ATTACHED) >= _ATTACHED_CAP:
-        # Evict least-recently-used, never the entry just fetched.
-        _, (old_shm, old_ds) = _ATTACHED.popitem(last=False)
-        del old_ds  # drop the buffer views before closing
-        detach(old_shm)
-    _ATTACHED[handle.shm_name] = (shm, dataset)
-    return dataset
 
 
 # ----------------------------------------------------------------------
@@ -854,30 +729,13 @@ class ProblemCache:
 
         A malformed value warns and falls back to the default budget --
         a cache-tuning typo must degrade the optimization, never crash
-        every sweep shard (same contract as the ambient plan-persistence
-        env handling).
+        every sweep shard.
         """
-
-        def _budget(name: str) -> int | None:
-            raw = os.environ.get(name)
-            if not raw:
-                return None
-            try:
-                return int(raw)
-            except ValueError:
-                import warnings
-
-                warnings.warn(
-                    f"ignoring non-integer {name}={raw!r}; using the "
-                    f"default problem-cache budget",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                return None
-
         return cls(
-            max_entries=_budget(PROBLEM_CACHE_ENTRIES_ENV),
-            max_bytes=_budget(PROBLEM_CACHE_BYTES_ENV),
+            max_entries=env_number(
+                PROBLEM_CACHE_ENTRIES_ENV, cls.DEFAULT_MAX_ENTRIES
+            ),
+            max_bytes=env_number(PROBLEM_CACHE_BYTES_ENV, cls.DEFAULT_MAX_BYTES),
         )
 
     def lookup(self, key: tuple):
@@ -965,7 +823,7 @@ class _BatchItem:
     index: int  # position in the sweep's original shard order
     dataset_key: tuple | None
     placement: dict
-    oracle: SharedPayloadHandle | None = None
+    oracle: ShmHandle | None = None
     publish: bool = False
     weight: float = 0.0  # staged weight (drives the watchdog allowance)
 
@@ -986,7 +844,7 @@ def _run_batch(items: tuple) -> tuple[list, list]:
     """Run one placed batch of shard tasks; one pickle crossing each way.
 
     Returns ``(per-shard row lists, publications)`` where publications
-    is a list of ``(problem-cache key, SharedPayloadHandle)`` pairs for
+    is a list of ``(problem-cache key, ShmHandle)`` pairs for
     oracles this worker built and published; the parent adopts them into
     its shared-oracle directory.  If the batch dies mid-flight its own
     publications are reclaimed here -- the parent never learned their
@@ -1003,18 +861,18 @@ def _run_batch(items: tuple) -> tuple[list, list]:
     try:
         for item in items:
             task = item.task
-            if isinstance(task.dataset, ArrayBundleHandle):
+            handle = task.dataset.matrix
+            if isinstance(handle, ShmHandle):
                 try:
-                    task = replace(
-                        task, dataset=_attached_dataset(task.dataset)
-                    )
+                    matrix = _attached(handle, _attach_dataset_block)
                 except (OSError, ValueError, KeyError) as exc:
                     out.append(_AttachFailure(
                         index=item.index,
-                        shm_name=task.dataset.shm_name,
+                        shm_name=handle.shm_name,
                         error=f"{type(exc).__name__}: {exc}",
                     ))
                     continue
+                task = replace(task, dataset=replace(task.dataset, matrix=matrix))
             rows = _run_shard(
                 task,
                 dataset_key=item.dataset_key,
@@ -1116,9 +974,6 @@ class SweepExecutor:
     pool=default_executor())``).
     """
 
-    #: Default budget for the publish cache (bytes of live shm blocks).
-    DEFAULT_SHM_CACHE_BYTES = 256 * 1024 * 1024
-
     #: Default budget for the shared-oracle directory (bytes of live
     #: published payload blocks); 0 disables cross-worker sharing.
     DEFAULT_ORACLE_CACHE_BYTES = 256 * 1024 * 1024
@@ -1128,32 +983,27 @@ class SweepExecutor:
         max_workers: int | None = None,
         *,
         batch_atoms: int | None = None,
-        shm_cache_bytes: int | None = None,
         oracle_cache_bytes: int | None = None,
         batch_timeout: float | None = None,
     ):
         self.max_workers = max_workers
         self.batch_atoms = batch_atoms
-        self.shm_cache_bytes = (
-            self.DEFAULT_SHM_CACHE_BYTES if shm_cache_bytes is None
-            else shm_cache_bytes
-        )
         self.oracle_cache_bytes = (
-            self._oracle_budget_from_env() if oracle_cache_bytes is None
-            else int(oracle_cache_bytes)
+            env_number(SHARED_ORACLE_BYTES_ENV, self.DEFAULT_ORACLE_CACHE_BYTES)
+            if oracle_cache_bytes is None else int(oracle_cache_bytes)
         )
         self.batch_timeout = (
-            self._batch_timeout_from_env() if batch_timeout is None
-            else float(batch_timeout)
+            env_number(BATCH_TIMEOUT_ENV, DEFAULT_BATCH_TIMEOUT, float)
+            if batch_timeout is None else float(batch_timeout)
         )
         self._slots: list[_WorkerSlot] = []
         self._width = 0
         self._lock = threading.Lock()
+        # Guards both block directories: published datasets, and oracle
+        # blocks adopted from the workers that built them.
         self._shm_lock = threading.Lock()
-        self._published: dict[tuple, _PublishedDataset] = {}
-        self._defunct: list[_PublishedDataset] = []
-        self._shared_oracles: dict[tuple, _SharedPayloadRecord] = {}
-        self._clock = itertools.count()
+        self._datasets = _BlockDirectory(_DATASET_BLOCK_BYTES)
+        self._oracles = _BlockDirectory(self.oracle_cache_bytes)
         self.sweeps = 0
         self.batches = 0
         self.shards = 0
@@ -1162,7 +1012,6 @@ class SweepExecutor:
         self.shm_reused = 0
         self.oracle_published = 0
         self.oracle_reused = 0
-        self.oracle_evicted = 0
         self.sticky_shards = 0
         self.stolen_shards = 0
         # Failure-path telemetry (see map_shards): watchdog expiries,
@@ -1173,42 +1022,6 @@ class SweepExecutor:
         self.degraded_shards = 0
         self.error_rows = 0
         self.transport_fallbacks = 0
-
-    @classmethod
-    def _oracle_budget_from_env(cls) -> int:
-        raw = os.environ.get(SHARED_ORACLE_BYTES_ENV)
-        if not raw:
-            return cls.DEFAULT_ORACLE_CACHE_BYTES
-        try:
-            return int(raw)
-        except ValueError:
-            import warnings
-
-            warnings.warn(
-                f"ignoring non-integer {SHARED_ORACLE_BYTES_ENV}={raw!r}; "
-                f"using the default shared-oracle budget",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return cls.DEFAULT_ORACLE_CACHE_BYTES
-
-    @classmethod
-    def _batch_timeout_from_env(cls) -> float:
-        raw = os.environ.get(BATCH_TIMEOUT_ENV)
-        if not raw:
-            return DEFAULT_BATCH_TIMEOUT
-        try:
-            return float(raw)
-        except ValueError:
-            import warnings
-
-            warnings.warn(
-                f"ignoring non-numeric {BATCH_TIMEOUT_ENV}={raw!r}; "
-                f"using the default batch watchdog deadline",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return DEFAULT_BATCH_TIMEOUT
 
     # -- pool lifecycle -------------------------------------------------
     def _spawn_slot(self, index: int) -> _WorkerSlot:
@@ -1280,15 +1093,8 @@ class SweepExecutor:
             self._slots = []
             self._width = 0
         with self._shm_lock:
-            for entry in self._published.values():
-                entry.unlink()
-            self._published.clear()
-            for entry in self._defunct:
-                entry.unlink()
-            self._defunct.clear()
-            for record in self._shared_oracles.values():
-                record.unlink()
-            self._shared_oracles.clear()
+            self._datasets.clear()
+            self._oracles.clear()
 
     def __enter__(self) -> "SweepExecutor":
         return self
@@ -1299,16 +1105,7 @@ class SweepExecutor:
     # -- batching & transport -------------------------------------------
     @staticmethod
     def _payload_atoms(task) -> int:
-        dataset = task.dataset
-        if isinstance(dataset, ArrayBundleHandle):
-            elements = sum(
-                max(1, seg.nbytes // np.dtype(seg.dtype).itemsize)
-                for seg in dataset.segments
-            )
-            return max(1, elements)
-        matrix = getattr(dataset, "matrix", None)
-        if matrix is None:
-            return 1
+        matrix = task.dataset.matrix
         try:
             return max(1, int(matrix.nnz) + int(matrix.num_rows))
         except AttributeError:
@@ -1367,46 +1164,37 @@ class SweepExecutor:
         """Fingerprint every dataset and swap payloads for shm handles.
 
         One pack + CRC pass per dataset yields the content key that
-        drives *all three* reuse layers -- the publish cache, sticky
-        placement, and the shared-oracle directory.  Codec-claimed
-        payloads are published to shared memory; anything else (or a
-        refused publish) travels pickled in the task.  Publishing goes through the
-        executor's content-keyed cache: repeated sweeps of the same
-        corpus pin the already-published blocks instead of copying
-        again.  Returns ``(staged_shards, pinned_entries)``; the caller
-        unpins after the sweep.
+        drives *all three* reuse layers -- the dataset directory, sticky
+        placement, and the oracle directory.  Codec-claimed payloads are
+        published to shared memory once per key: repeated sweeps of the
+        same corpus pin the already-published blocks instead of copying
+        again, and anything else (or a refused publish) travels pickled
+        in the task.  Returns ``(staged_shards, pinned_blocks)``; the
+        caller releases the pins after the sweep.
         """
         staged: list[_StagedShard] = []
-        pinned: list[_PublishedDataset] = []
+        pinned: list[_Block] = []
         try:
             with self._shm_lock:
                 for index, task in enumerate(tasks):
-                    bundle = _pack_bundle(task.dataset)
-                    if bundle is None:
-                        key = crcs = None
-                    else:
-                        codec, arrays, extra = bundle
-                        crcs = _bundle_crcs(arrays)
-                        key = _bundle_key(
-                            task.dataset.name, codec, arrays, crcs, extra
-                        )
-                    atoms = self._payload_atoms(task)
+                    packed = _pack(task.dataset.matrix)
+                    key = None
                     staged_task = task
-                    entry = None if key is None else self._published.get(key)
-                    if entry is None:
-                        entry = None if key is None else publish_dataset(
-                            task.dataset, _bundle=bundle, _crcs=crcs
-                        )
-                        if entry is not None:
-                            self._published[key] = entry
-                            self.shm_published += 1
-                    else:
-                        self.shm_reused += 1
-                    if entry is not None:
-                        entry.pins += 1
-                        entry.tick = next(self._clock)
-                        pinned.append(entry)
-                        staged_task = replace(task, dataset=entry.handle)
+                    if packed is not None:
+                        key = _content_key(task.dataset.name, packed)
+                        block = self._datasets.pin(key)
+                        if block is not None:
+                            self.shm_reused += 1
+                        else:
+                            block = publish_dataset(task.dataset, _packed=packed)
+                            if block is not None:
+                                self._datasets.adopt(key, block)
+                                self._datasets.pin(key)
+                                self.shm_published += 1
+                        if block is not None:
+                            pinned.append(block)
+                            staged_task = replace(task, dataset=block.handle)
+                    atoms = self._payload_atoms(task)
                     staged.append(_StagedShard(
                         task=staged_task,
                         index=index,
@@ -1415,36 +1203,10 @@ class SweepExecutor:
                         weight=atoms + self._BATCH_BASE_WEIGHT,
                     ))
         except Exception:
-            self._unpin(pinned)
+            with self._shm_lock:
+                self._datasets.release(pinned)
             raise
         return staged, pinned
-
-    def _unpin(self, pinned: list) -> None:
-        """Release sweep pins, then evict cold blocks over the byte budget."""
-        with self._shm_lock:
-            for entry in pinned:
-                entry.pins -= 1
-            if self._defunct:
-                keep = []
-                for entry in self._defunct:
-                    if entry.pins <= 0:
-                        entry.unlink()
-                    else:
-                        keep.append(entry)
-                self._defunct = keep
-            total = sum(e.nbytes for e in self._published.values())
-            if total <= self.shm_cache_bytes:
-                return
-            for key, entry in sorted(
-                self._published.items(), key=lambda kv: kv[1].tick
-            ):
-                if total <= self.shm_cache_bytes:
-                    break
-                if entry.pins > 0:
-                    continue
-                entry.unlink()
-                del self._published[key]
-                total -= entry.nbytes
 
     # -- shared-oracle directory -----------------------------------------
     def _problem_key(self, shard: _StagedShard) -> tuple | None:
@@ -1457,26 +1219,20 @@ class SweepExecutor:
     def _oracle_handles(self, staged: list) -> tuple[dict, list]:
         """Published handles for shards whose oracle some worker built.
 
-        Returns ``(shard index -> handle, pinned records)``; pins hold
+        Returns ``(shard index -> handle, pinned blocks)``; pins hold
         eviction off while the handles are in flight.
         """
-        handles: dict[int, SharedPayloadHandle] = {}
-        pinned: list[_SharedPayloadRecord] = []
+        handles: dict[int, ShmHandle] = {}
+        pinned: list[_Block] = []
         if self.oracle_cache_bytes <= 0:
             return handles, pinned
         with self._shm_lock:
             for shard in staged:
-                key = self._problem_key(shard)
-                if key is None:
-                    continue
-                record = self._shared_oracles.get(key)
-                if record is None:
-                    continue
-                record.pins += 1
-                record.tick = next(self._clock)
-                pinned.append(record)
-                handles[shard.index] = record.handle
-                self.oracle_reused += 1
+                block = self._oracles.pin(self._problem_key(shard))
+                if block is not None:
+                    pinned.append(block)
+                    handles[shard.index] = block.handle
+                    self.oracle_reused += 1
         return handles, pinned
 
     def _adopt_publications(self, publications: list) -> None:
@@ -1485,41 +1241,13 @@ class SweepExecutor:
             return
         with self._shm_lock:
             for key, handle in publications:
-                if (
-                    self.oracle_cache_bytes <= 0
-                    or key in self._shared_oracles
-                ):
+                if self._oracles.adopt(key, _Block(handle)):
+                    self.oracle_published += 1
+                else:
                     # Racing workers can build the same oracle in one
                     # sweep; first one in wins, duplicates are reclaimed.
                     _unlink_block(handle.shm_name)
-                    continue
-                record = _SharedPayloadRecord(handle)
-                record.tick = next(self._clock)
-                self._shared_oracles[key] = record
-                self.oracle_published += 1
-            self._evict_oracles_locked()
-
-    def _evict_oracles_locked(self) -> None:
-        total = sum(r.nbytes for r in self._shared_oracles.values())
-        if total <= self.oracle_cache_bytes:
-            return
-        for key, record in sorted(
-            self._shared_oracles.items(), key=lambda kv: kv[1].tick
-        ):
-            if total <= self.oracle_cache_bytes:
-                break
-            if record.pins > 0:
-                continue
-            record.unlink()
-            del self._shared_oracles[key]
-            total -= record.nbytes
-            self.oracle_evicted += 1
-
-    def _unpin_oracles(self, pinned: list) -> None:
-        with self._shm_lock:
-            for record in pinned:
-                record.pins -= 1
-            self._evict_oracles_locked()
+            self._oracles.release()
 
     # -- placement --------------------------------------------------------
     def _assign(self, staged: list, share_oracles: bool,
@@ -1538,12 +1266,7 @@ class SweepExecutor:
         for shard in staged:
             key = shard.dataset_key
             if key is None:
-                dataset = shard.task.dataset
-                key = (
-                    "unbundled",
-                    getattr(dataset, "name", None)
-                    or getattr(dataset, "dataset_name", ""),
-                )
+                key = ("unbundled", shard.task.dataset.name)
             shard.home = home_slot(key, width)
             groups[shard.home].append(shard)
         # (batch, stolen?) lists per executing slot.
@@ -1661,8 +1384,9 @@ class SweepExecutor:
         try:
             error = self._run_placed(placed, tasks, results, fallback_indexes)
         finally:
-            self._unpin(pinned)
-            self._unpin_oracles(oracle_pinned)
+            with self._shm_lock:
+                self._datasets.release(pinned)
+                self._oracles.release(oracle_pinned)
         if error is not None:
             raise error
         for index in fallback_indexes:
@@ -1814,8 +1538,8 @@ class SweepExecutor:
     ) -> list[tuple[int, tuple]]:
         """Pickle re-runs for shards whose shm attach failed.
 
-        The condemned block leaves the publish cache (unlinked once its
-        sweep pins drop) so later sweeps republish from the source
+        The condemned block leaves the dataset directory (unlinked once
+        its sweep pins drop) so later sweeps republish from the source
         arrays; the shard itself is resubmitted to its original slot
         carrying the real dataset instead of a handle.
         """
@@ -1823,22 +1547,14 @@ class SweepExecutor:
         for item, failure in bad_attach:
             self.transport_fallbacks += 1
             fallback_indexes.add(item.index)
-            self._discard_published(failure.shm_name)
+            with self._shm_lock:
+                self._datasets.condemn(failure.shm_name)
             _warn_transport_fallback(failure)
             batches.append((
                 item.placement.get("slot", 0),
                 (replace(item, task=tasks[item.index]),),
             ))
         return batches
-
-    def _discard_published(self, shm_name: str) -> None:
-        """Condemn one published block after a worker failed to attach it."""
-        with self._shm_lock:
-            for key, entry in list(self._published.items()):
-                if entry.handle.shm_name == shm_name:
-                    entry.defunct = True
-                    self._defunct.append(entry)
-                    del self._published[key]
 
     def _degrade_shard(self, item, task, results: dict) -> None:
         """Last resort: run one shard in the parent, on a bounded thread.
@@ -1918,24 +1634,20 @@ class SweepExecutor:
         failure typed in ``meta`` (``status``/``error``)."""
         from ..evaluation.harness import SweepRow
 
-        dataset = task.dataset
-        matrix = getattr(dataset, "matrix", None)
+        matrix = task.dataset.matrix
         try:
             num_rows = int(matrix.num_rows)
             num_cols = int(matrix.num_cols)
             nnzs = int(matrix.nnz)
         except (AttributeError, TypeError, ValueError):
             num_rows = num_cols = nnzs = 0
-        name = getattr(dataset, "name", "") or getattr(
-            dataset, "dataset_name", ""
-        )
         rows = []
         for kernel in task.kernels:
             self.error_rows += 1
             rows.append(SweepRow(
                 app=task.app,
                 kernel=kernel,
-                dataset=name,
+                dataset=task.dataset.name,
                 rows=num_rows,
                 cols=num_cols,
                 nnzs=nnzs,
@@ -1952,12 +1664,10 @@ class SweepExecutor:
 
     def info(self) -> dict:
         with self._shm_lock:
-            shm_cached = len(self._published)
-            shm_cached_bytes = sum(e.nbytes for e in self._published.values())
-            oracle_cached = len(self._shared_oracles)
-            oracle_cached_bytes = sum(
-                r.nbytes for r in self._shared_oracles.values()
-            )
+            shm_cached, shm_cached_bytes = len(self._datasets), self._datasets.nbytes
+            oracle_cached = len(self._oracles)
+            oracle_cached_bytes = self._oracles.nbytes
+            oracle_evicted = self._oracles.evictions
         return {
             "alive": self.alive,
             "width": self._width,
@@ -1971,7 +1681,7 @@ class SweepExecutor:
             "shm_cached_bytes": shm_cached_bytes,
             "oracle_published": self.oracle_published,
             "oracle_reused": self.oracle_reused,
-            "oracle_evicted": self.oracle_evicted,
+            "oracle_evicted": oracle_evicted,
             "oracle_cached": oracle_cached,
             "oracle_cached_bytes": oracle_cached_bytes,
             "sticky_shards": self.sticky_shards,

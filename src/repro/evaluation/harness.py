@@ -31,9 +31,8 @@ Performance knobs
     process-wide warm pool, so repeated sweeps (any app) reuse warm
     workers -- imports paid once, worker caches kept hot.
 Dataset transport
-    Payloads a :class:`~repro.engine.worker_pool.ShmCodec` claims (CSR
-    matrices, COO sparse tensors, dense arrays) are published once to a
-    shared-memory array bundle and reattached zero-copy in workers;
+    CSR matrices, COO sparse tensors and dense arrays are published
+    once to a shared-memory block and reattached zero-copy in workers;
     anything else is pickled into the task.  A shard whose worker
     cannot attach its block re-runs pickled (``meta["transport_
     fallback"]``).
@@ -289,7 +288,7 @@ def _run_shard(
     plus the worker's running hit/miss/attach/publish counters.
 
     Cross-worker sharing: on a local miss, ``shared_oracle`` (a
-    :class:`~repro.engine.worker_pool.SharedPayloadHandle` some other
+    :class:`~repro.engine.worker_pool.ShmHandle` some other
     worker published) is attached instead of recomputing the oracle
     (status ``"attach"``); and when ``publications`` is a list, a
     locally-built oracle is published to shm and its ``(cache key,
@@ -336,7 +335,7 @@ def _run_shard(
             if status == "miss" and shared_oracle is not None:
                 # Some other worker already built this oracle: attach
                 # the published copy instead of recomputing (zero-copy
-                # for bundle codecs).  ``None`` means the block vanished
+                # unless it was pickled).  ``None`` means the block vanished
                 # or failed its checks -- rebuild locally.
                 expected = attach_payload(shared_oracle)
             if expected is not None:

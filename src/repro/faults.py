@@ -49,6 +49,8 @@ import time
 import zlib
 from dataclasses import dataclass, field
 
+from ._env import env_number
+
 __all__ = [
     "FaultInjected",
     "FaultRule",
@@ -248,19 +250,9 @@ _REGISTRY: FaultRegistry | None = None
 _EXPLICIT = False  # configure_faults() wins over the environment
 
 
-def _float_env(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        return default
-
-
 def _build_from_env() -> FaultRegistry:
     spec = os.environ.get(FAULTS_ENV, "") or ""
-    seed = int(_float_env(FAULTS_SEED_ENV, 0))
+    seed = int(env_number(FAULTS_SEED_ENV, 0, float))
     try:
         rules = parse_fault_spec(spec, seed=seed)
     except ValueError as exc:
@@ -276,8 +268,8 @@ def _build_from_env() -> FaultRegistry:
         rules,
         spec=spec,
         seed=seed,
-        hang_seconds=_float_env(HANG_SECONDS_ENV, DEFAULT_HANG_SECONDS),
-        slow_seconds=_float_env(SLOW_SECONDS_ENV, DEFAULT_SLOW_SECONDS),
+        hang_seconds=env_number(HANG_SECONDS_ENV, DEFAULT_HANG_SECONDS, float),
+        slow_seconds=env_number(SLOW_SECONDS_ENV, DEFAULT_SLOW_SECONDS, float),
     )
 
 
@@ -332,12 +324,12 @@ def configure_faults(
         spec=spec or "",
         seed=seed,
         hang_seconds=(
-            _float_env(HANG_SECONDS_ENV, DEFAULT_HANG_SECONDS)
+            env_number(HANG_SECONDS_ENV, DEFAULT_HANG_SECONDS, float)
             if hang_seconds is None
             else hang_seconds
         ),
         slow_seconds=(
-            _float_env(SLOW_SECONDS_ENV, DEFAULT_SLOW_SECONDS)
+            env_number(SLOW_SECONDS_ENV, DEFAULT_SLOW_SECONDS, float)
             if slow_seconds is None
             else slow_seconds
         ),

@@ -54,6 +54,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
+from .._env import env_number
 from ..engine.context import ExecutionContext
 from ..faults import faults_active, inject
 from ..engine.worker_pool import SweepExecutor
@@ -103,29 +104,6 @@ def _read_only_corpus(scale: str, limit: int | None) -> list[Dataset]:
         for arr in (d.matrix.row_offsets, d.matrix.col_indices, d.matrix.values):
             arr.setflags(write=False)
     return corpus
-
-
-def _env_number(name: str, default, cast):
-    """``cast`` of the environment knob ``name``, ``default`` when unset.
-
-    A malformed value warns and falls back to the default -- a tuning
-    typo must degrade to the stock value, never crash the daemon (same
-    contract as the cache budgets).
-    """
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return cast(raw)
-    except ValueError:
-        import warnings
-
-        warnings.warn(
-            f"ignoring malformed {name}={raw!r}; using the default {default}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return default
 
 
 @dataclass(eq=False)
@@ -195,11 +173,11 @@ class SweepService:
         self.port = port
         self.width = width
         self.queue_depth = (
-            _env_number(SERVE_QUEUE_DEPTH_ENV, DEFAULT_QUEUE_DEPTH, int)
+            env_number(SERVE_QUEUE_DEPTH_ENV, DEFAULT_QUEUE_DEPTH)
             if queue_depth is None else int(queue_depth)
         )
         self.job_timeout = (
-            _env_number(SERVE_JOB_TIMEOUT_ENV, DEFAULT_JOB_TIMEOUT, float)
+            env_number(SERVE_JOB_TIMEOUT_ENV, DEFAULT_JOB_TIMEOUT, float)
             if job_timeout is None else float(job_timeout)
         )
         self.plan_store = None if plan_store is None else str(plan_store)

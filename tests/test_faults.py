@@ -387,8 +387,7 @@ class TestSharingFaults:
         clear_faults()
         published = publish_dataset(dataset)
         assert published is not None  # the refusal was the fault, not shm
-        published.shm.close()
-        published.shm.unlink()
+        published.unlink()
 
     def test_oracle_publish_refusal_and_attach_fallback(self, shm_ledger):
         from multiprocessing import shared_memory

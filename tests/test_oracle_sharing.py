@@ -11,16 +11,12 @@ wrong result.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.engine import SweepExecutor
 from repro.engine.worker_pool import (
-    _PAYLOAD_ATTACHMENTS,
-    SharedPayloadHandle,
     _unlink_block,
     attach_payload,
-    detach,
     publish_payload,
 )
 from repro.evaluation.harness import run_suite
@@ -43,28 +39,9 @@ def _key(rows):
             for r in rows]
 
 
-def _drop_attachment(handle: SharedPayloadHandle) -> None:
-    """Release this process's cached mapping so unlink can reclaim it."""
-    cached = _PAYLOAD_ATTACHMENTS.pop(handle.shm_name, None)
-    if cached is not None:
-        shm, _payload = cached
-        detach(shm)
-
-
 class TestPayloadTransport:
-    def test_dense_array_round_trip(self):
-        payload = np.linspace(0.0, 1.0, 257)
-        handle = publish_payload(payload)
-        assert handle is not None
-        try:
-            assert handle.codec != "pickle"  # the dense codec claimed it
-            clone = attach_payload(handle)
-            np.testing.assert_array_equal(clone, payload)
-            # Re-attaching in the same process serves the cached mapping.
-            assert attach_payload(handle) is clone
-        finally:
-            _drop_attachment(handle)
-            _unlink_block(handle.shm_name)
+    """Oracle-side failure contracts; the codec round trips live in
+    ``tests/test_worker_pool.py::TestTransportRoundTrip``."""
 
     def test_pickle_fallback_round_trip(self):
         payload = {"distances": [0, 1, 3], "source": 0}
@@ -180,7 +157,7 @@ class TestSharedOracleSweeps:
             run_suite(KERNELS, scale="smoke", limit=2,
                       executor="process", pool=pool)
             handles = [
-                record.handle for record in pool._shared_oracles.values()
+                block.handle for block in pool._oracles._blocks.values()
             ]
             assert handles
         for handle in handles:

@@ -95,8 +95,11 @@ class TestProblemCacheUnit:
         crashing every sweep shard."""
         monkeypatch.setenv(PROBLEM_CACHE_ENTRIES_ENV, "64MB")
         monkeypatch.setenv(PROBLEM_CACHE_BYTES_ENV, "1e9")
-        with pytest.warns(RuntimeWarning, match="non-integer"):
+        with pytest.warns(RuntimeWarning) as record:
             cache = ProblemCache.from_env()
+        messages = [str(w.message) for w in record]
+        for name in (PROBLEM_CACHE_ENTRIES_ENV, PROBLEM_CACHE_BYTES_ENV):
+            assert any(name in m for m in messages), messages
         assert cache.max_entries == ProblemCache.DEFAULT_MAX_ENTRIES
         assert cache.max_bytes == ProblemCache.DEFAULT_MAX_BYTES
 
@@ -168,11 +171,9 @@ class TestShardCacheKey:
     def test_unfingerprintable_payload_bypasses_the_cache(self, monkeypatch):
         """A payload no codec claims has no content key: the shard runs
         uncached (status 'off') instead of risking a stale identity key."""
-        from collections import OrderedDict
-
         from repro.engine import worker_pool
 
-        monkeypatch.setattr(worker_pool, "_SHM_CODECS", OrderedDict())
+        monkeypatch.setattr(worker_pool, "_CODECS", {})
         clear_problem_cache()
         try:
             rows = _run_shard(self._task())

@@ -2,25 +2,30 @@
 
 The contract: a :class:`SweepExecutor` survives across ``run_suite``
 calls and across apps (same worker processes, warm plan caches), shard
-batching and the shared-memory dataset transport are invisible in the
-results (identical row sets vs serial), and every knob degrades cleanly
-(pickle fallback, empty grids, misuse errors).
+batching and the shared-memory transport are invisible in the results
+(identical row sets vs serial), and every knob degrades cleanly (pickle
+fallback, empty grids, misuse errors).
 """
 
 from __future__ import annotations
+
+import os
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
 from repro.engine import SweepExecutor, default_executor, shutdown_default_executor
+from repro.engine import worker_pool
 from repro.engine.worker_pool import (
-    ArrayBundleHandle,
-    ShmCodec,
+    ShmHandle,
+    _unlink_block,
     attach_dataset,
+    attach_payload,
     dataset_content_key,
     detach,
     publish_dataset,
-    register_shm_codec,
+    publish_payload,
 )
 from repro.evaluation.harness import _ShardTask, run_suite
 from repro.sparse.corpus import Dataset, load_dataset
@@ -46,23 +51,173 @@ def serial_rows():
     return run_suite(KERNELS, scale="smoke", limit=5, executor="serial")
 
 
-class TestSharedMemoryTransport:
-    def test_publish_attach_round_trip(self):
-        ds = load_dataset("tiny_power_256", "smoke")
+# ----------------------------------------------------------------------
+# One transport, two sides: every codec through the dataset publisher /
+# attacher and the oracle publisher / attacher.
+# ----------------------------------------------------------------------
+def _payload(codec: str):
+    if codec == "csr":
+        return load_dataset("tiny_power_256", "smoke").matrix
+    if codec == "tensor3":
+        return random_tensor((48, 32, 16), 700, skew=0.8, seed=5)
+    if codec == "dense":
+        return np.arange(24.0).reshape(4, 6)
+    return {"distances": [0, 1, 3], "source": 0}  # no codec: pickled
+
+
+_ARRAYS = {
+    "csr": ("row_offsets", "col_indices", "values"),
+    "tensor3": ("i", "j", "k", "values"),
+}
+
+
+def _assert_bit_equal(codec: str, clone, payload) -> None:
+    if codec == "pickle":
+        assert clone == payload
+        return
+    if codec == "dense":
+        pairs = [(clone, payload)]
+    else:
+        assert clone.shape == payload.shape
+        pairs = [(getattr(clone, a), getattr(payload, a))
+                 for a in _ARRAYS[codec]]
+    for got, want in pairs:
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+_SIDES = [("dataset", c) for c in ("csr", "tensor3", "dense")] + [
+    ("oracle", c) for c in ("csr", "tensor3", "dense", "pickle")
+]
+
+
+def _publish(side: str, codec: str):
+    """``(handle, thing to attach, cleanup)`` for one side of the transport."""
+    payload = _payload(codec)
+    if side == "dataset":
+        ds = Dataset(name=f"rt_{codec}", family="rt", matrix=payload,
+                     meta={"kind": codec})
         pub = publish_dataset(ds)
         assert pub is not None
-        try:
-            assert isinstance(pub.handle, ArrayBundleHandle)
-            clone, shm = attach_dataset(pub.handle)
-            try:
-                assert clone.name == ds.name and clone.family == ds.family
-                assert clone.matrix == ds.matrix  # array-equal CSR
-            finally:
-                del clone
-                detach(shm)
-        finally:
-            pub.unlink()
+        return pub.handle.matrix, pub.handle, pub.unlink
+    handle = publish_payload(payload)
+    assert handle is not None
 
+    def cleanup():
+        cached = worker_pool._ATTACHMENTS.pop(handle.shm_name, None)
+        if cached is not None:
+            shm = cached[0]
+            del cached  # drop the payload views before closing
+            detach(shm)
+        _unlink_block(handle.shm_name)
+
+    return handle, handle, cleanup
+
+
+def _assert_unlinked(handle: ShmHandle) -> None:
+    if os.path.isdir("/dev/shm"):
+        assert handle.shm_name.lstrip("/") not in os.listdir("/dev/shm")
+    with pytest.raises(FileNotFoundError):
+        shared_memory.SharedMemory(name=handle.shm_name)
+
+
+class TestTransportRoundTrip:
+    @pytest.mark.parametrize("side,codec", _SIDES)
+    def test_round_trip(self, side, codec):
+        payload = _payload(codec)
+        handle, staged, cleanup = _publish(side, codec)
+        try:
+            assert isinstance(handle, ShmHandle) and handle.codec == codec
+            if side == "dataset":
+                clone, shm = attach_dataset(staged)
+                try:
+                    assert (clone.name, clone.family, clone.meta) == (
+                        f"rt_{codec}", "rt", {"kind": codec})
+                    _assert_bit_equal(codec, clone.matrix, payload)
+                    # The worker-side fingerprint of the attached dataset
+                    # is the parent's content key, and its segment part
+                    # is exactly what the handle carries.
+                    key = dataset_content_key(clone)
+                    assert key == dataset_content_key(
+                        Dataset(name=clone.name, family="rt", matrix=payload))
+                    assert key[2] == tuple(
+                        (s.label, s.dtype, s.shape, s.crc)
+                        for s in handle.segments
+                    )
+                finally:
+                    del clone
+                    detach(shm)
+            else:
+                clone = attach_payload(staged)
+                _assert_bit_equal(codec, clone, payload)
+                if codec != "pickle":
+                    # Re-attaching in one process serves the cached mapping.
+                    assert attach_payload(staged) is clone
+                del clone
+        finally:
+            cleanup()
+        _assert_unlinked(handle)
+
+    @pytest.mark.parametrize("side,codec", _SIDES)
+    def test_corrupted_segment_fails_the_attach(self, side, codec):
+        handle, staged, cleanup = _publish(side, codec)
+        try:
+            seg = handle.segments[-1]
+            block = shared_memory.SharedMemory(name=handle.shm_name)
+            block.buf[seg.offset] ^= 0xFF
+            block.close()
+            if side == "dataset":
+                with pytest.raises(ValueError, match="CRC"):
+                    attach_dataset(staged)  # the executor re-runs pickled
+            else:
+                assert attach_payload(staged) is None  # caller rebuilds
+        finally:
+            cleanup()
+        _assert_unlinked(handle)
+
+
+class _StubBlock:
+    """Stands in for a published block: records its unlink."""
+
+    def __init__(self, name: str, nbytes: int = 10) -> None:
+        self.shm_name = name
+        self.nbytes = nbytes
+        self.pins = 0
+        self.tick = 0
+        self.unlinked = False
+
+    def unlink(self) -> None:
+        self.unlinked = True
+
+
+class TestBlockDirectory:
+    """The parent-side record both the dataset and oracle blocks use."""
+
+    def test_lru_eviction_skips_pinned_blocks(self):
+        directory = worker_pool._BlockDirectory(budget=15)
+        a, b = _StubBlock("a"), _StubBlock("b")
+        assert directory.adopt(("a",), a) and directory.adopt(("b",), b)
+        assert not directory.adopt(("a",), _StubBlock("dup"))  # key taken
+        assert directory.pin(("a",)) is a  # newest and in flight
+        directory.release()
+        assert b.unlinked and not a.unlinked  # over budget: coldest goes
+        directory.release([a])
+        assert not a.unlinked and len(directory) == 1  # fits the budget
+
+    def test_condemned_block_is_unlinked_once_its_pins_drop(self):
+        directory = worker_pool._BlockDirectory(budget=10**9)
+        block = _StubBlock("a")
+        directory.adopt(("k",), block)
+        directory.pin(("k",))
+        directory.condemn("a")
+        assert directory.pin(("k",)) is None  # the next sweep republishes
+        directory.release()
+        assert not block.unlinked  # a sweep still holds it
+        directory.release([block])
+        assert block.unlinked and len(directory) == 0
+
+
+class TestSharedMemoryTransport:
     def test_non_csr_payload_falls_back_to_pickle(self):
         class NotCsr:
             pass
@@ -116,20 +271,20 @@ class TestSharedMemoryTransport:
 
 
 class TestArrayBundleTransport:
-    """The generalized (codec-based) array-bundle handle."""
+    """Codec-specific behaviour of the shared-memory block format."""
 
     def test_tensor_round_trip(self):
         tensor = random_tensor((48, 32, 16), 700, skew=0.8, seed=5)
         ds = Dataset(name="tensor_ds", family="tensor", matrix=tensor,
                      meta={"kind": "coo"})
         pub = publish_dataset(ds)
-        assert pub is not None and pub.handle.codec == "tensor3"
+        assert pub is not None and pub.handle.matrix.codec == "tensor3"
         try:
-            assert pub.handle.content_key() == dataset_content_key(ds)
-            labels = [seg.label for seg in pub.handle.segments]
+            labels = [seg.label for seg in pub.handle.matrix.segments]
             assert labels == ["i", "j", "k", "values"]
             clone, shm = attach_dataset(pub.handle)
             try:
+                assert dataset_content_key(clone) == dataset_content_key(ds)
                 t = clone.matrix
                 assert t.shape == tensor.shape
                 for a, b in ((t.i, tensor.i), (t.j, tensor.j),
@@ -142,33 +297,24 @@ class TestArrayBundleTransport:
         finally:
             pub.unlink()
 
-    def test_dense_round_trip(self):
-        payload = np.arange(24.0).reshape(4, 6)
-        ds = Dataset(name="factors", family="dense", matrix=payload)
-        pub = publish_dataset(ds)
-        assert pub is not None and pub.handle.codec == "dense"
-        try:
-            clone, shm = attach_dataset(pub.handle)
-            try:
-                assert np.array_equal(clone.matrix, payload)
-                assert clone.matrix.dtype == payload.dtype
-            finally:
-                del clone
-                detach(shm)
-        finally:
-            pub.unlink()
-
     def test_object_dtype_arrays_fall_back_to_pickle(self):
         """Object arrays hold process-local pointers; shipping their raw
         bytes through shm would segfault workers.  No codec may claim
-        them -- they must pickle."""
-        from repro.engine.worker_pool import shm_codec_for
-
-        payload = np.array([{"a": 1}, [2, 3]], dtype=object)
-        assert shm_codec_for(payload) is None
-        ds = Dataset(name="objs", family="dense", matrix=payload)
-        assert publish_dataset(ds) is None
-        assert dataset_content_key(ds) is None
+        them -- they must pickle.  Structured arrays are refused too:
+        their dtype string is a bare void the fill cannot cast into."""
+        for payload in (
+            np.array([{"a": 1}, [2, 3]], dtype=object),
+            np.zeros(4, dtype=[("a", "f8"), ("b", "i4")]),
+        ):
+            assert worker_pool._pack(payload) is None
+            ds = Dataset(name="objs", family="dense", matrix=payload)
+            assert publish_dataset(ds) is None
+            assert dataset_content_key(ds) is None
+            handle = publish_payload(payload)  # oracles: the pickle segment
+            try:
+                assert handle.codec == "pickle"
+            finally:
+                _unlink_block(handle.shm_name)
 
     def test_content_key_tracks_payload_mutation(self):
         a = random_tensor((16, 8, 4), 60, seed=1)
@@ -177,24 +323,15 @@ class TestArrayBundleTransport:
         key_b = dataset_content_key(Dataset(name="t", family="f", matrix=b))
         assert key_a != key_b  # same name/shape, different content
 
-    def test_duplicate_codec_name_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_shm_codec(ShmCodec(
-                name="csr", matches=lambda p: False,
-                pack=lambda p: ([], {}), unpack=lambda a, e: None,
-            ))
-
     def test_publish_failure_closes_and_unlinks_the_block(self, monkeypatch):
         """Regression: a failure while filling an already-created block
-        must not leak the block until interpreter exit."""
-        from multiprocessing import shared_memory as real_shared_memory
+        must not leak the block; both publishers return ``None`` (the
+        caller then pickles or rebuilds)."""
         from types import SimpleNamespace
-
-        from repro.engine import worker_pool
 
         created = []
 
-        class RecordingSharedMemory(real_shared_memory.SharedMemory):
+        class RecordingSharedMemory(shared_memory.SharedMemory):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 if kwargs.get("create"):
@@ -210,28 +347,23 @@ class TestArrayBundleTransport:
 
         # Structured arrays survive packing (they are ndarrays) but
         # their ``dtype.str`` collapses to a void type the fill cannot
-        # cast into: the copy raises *after* the block was created --
-        # the dtype-mismatch-during-fill case from the bug report.
-        codec = ShmCodec(
-            name="unfillable-test",
-            matches=lambda p: isinstance(p, Unfillable),
-            pack=lambda p: (
+        # cast into: the copy raises *after* the block was created.
+        monkeypatch.setitem(worker_pool._CODECS, "unfillable-test", (
+            lambda p: isinstance(p, Unfillable),
+            lambda p: (
                 [("data", np.zeros(4, dtype=[("a", "f8"), ("b", "i4")]))], {}
             ),
-            unpack=lambda a, e: None,
-        )
-        register_shm_codec(codec)
-        try:
-            ds = Dataset(name="broken", family="test", matrix=Unfillable())
-            with pytest.raises(TypeError):
-                publish_dataset(ds)
-            assert len(created) == 1  # the block really was created...
+            lambda a, e: None,
+        ))
+        ds = Dataset(name="broken", family="test", matrix=Unfillable())
+        assert publish_dataset(ds) is None
+        assert publish_payload(Unfillable()) is None
+        assert len(created) == 2  # the blocks really were created...
+        for name in created:
             with pytest.raises(FileNotFoundError):
-                # ... and is gone: attaching by name finds nothing, so
+                # ... and are gone: attaching by name finds nothing, so
                 # nothing leaked for the resource tracker to reap.
-                real_shared_memory.SharedMemory(name=created[0])
-        finally:
-            worker_pool._SHM_CODECS.pop("unfillable-test", None)
+                shared_memory.SharedMemory(name=name)
 
 
 class TestSweepExecutor:
