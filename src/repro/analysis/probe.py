@@ -256,12 +256,10 @@ class ShadowSimtEngine(SimtEngine):
 
         return instrumented
 
-    def launch(self, sched, costs, decl, args, *, simt=None, extras=None,
-               cache_key=None):
+    def launch(self, sched, costs, decl, args, *, simt=None, extras=None):
         try:
             return super().launch(
-                sched, costs, decl, args, simt=simt, extras=extras,
-                cache_key=cache_key,
+                sched, costs, decl, args, simt=simt, extras=extras
             )
         finally:
             self.recorder.finish_launch(decl.label)

@@ -24,10 +24,9 @@ and the selected engine (``"vector"``, ``"simt"``, ``"multi_gpu"``, ...;
 see :func:`~repro.engine.dispatch.available_engines`) does the rest.
 Switching the schedule *or* the engine is a one-identifier change, and no
 application module contains engine-specific plumbing.  Both identifiers
--- plus the schedule *policy*, the device spec and the schedule options
--- travel together in one frozen
-:class:`~repro.engine.context.ExecutionContext` value, the ``ctx=``
-argument of every public app function.
+-- plus the schedule *policy* and the device spec -- travel together in
+one frozen :class:`~repro.engine.context.ExecutionContext` value, the
+``ctx=`` argument of every public app function.
 
 This module keeps the pieces the app declarations share: the
 :class:`AppResult` envelope, the SpMV cost model (reused by SpMM and the

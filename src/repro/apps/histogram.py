@@ -123,9 +123,7 @@ def histogram_driver(problem, rt: Runtime) -> AppResult:
     matrix = problem.matrix
     work = WorkSpec.from_csr(matrix, label="histogram")
     costs = _histogram_costs(rt.spec)
-    sched = rt.schedule_for(
-        work, matrix=matrix, kernel=HISTOGRAM_DECL.label, costs=costs
-    )
+    sched = rt.schedule_for(work, matrix=matrix, costs=costs)
 
     def kernel():
         counts = np.zeros(matrix.num_rows)

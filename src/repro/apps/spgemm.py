@@ -169,9 +169,9 @@ def spgemm(
     Returns the sparse product as a :class:`CsrMatrix`; ``stats`` is the
     sequential composition of the two kernels' stats.  ``ctx`` is the
     execution-selection argument
-    (:class:`~repro.engine.context.ExecutionContext`); a
-    :class:`~repro.core.policy.PerKernelPolicy` can route the two passes
-    (kernel labels ``count`` and ``compute``) to different schedules.
+    (:class:`~repro.engine.context.ExecutionContext`); its policy selects
+    each pass's schedule on that pass's own workload (kernel labels
+    ``count`` and ``compute``).
     """
     _check(a, b)
     problem = SimpleNamespace(a=a, b=b)
@@ -188,9 +188,7 @@ def spgemm_driver(problem, rt: Runtime) -> AppResult:
     # ---- Pass 1: count intermediate products per row of A. ----
     work_count = WorkSpec.from_csr(a, label="spgemm-count")
     costs1 = _count_costs(rt.spec)
-    sched1 = rt.schedule_for(
-        work_count, matrix=a, kernel=COUNT_DECL.label, costs=costs1
-    )
+    sched1 = rt.schedule_for(work_count, matrix=a, costs=costs1)
 
     def count_kernel():
         counts = np.zeros(a.num_rows)
@@ -225,9 +223,7 @@ def spgemm_driver(problem, rt: Runtime) -> AppResult:
 
     # ---- Pass 2: multiply-accumulate over the products. ----
     costs2 = _compute_costs(rt.spec)
-    sched2 = rt.schedule_for(
-        work_compute, matrix=a, kernel=COMPUTE_DECL.label, costs=costs2
-    )
+    sched2 = rt.schedule_for(work_compute, matrix=a, costs=costs2)
 
     def compute_kernel():
         # Product atoms are row-sorted (they inherit A's atom order), so

@@ -115,7 +115,7 @@ def spmm_driver(problem, rt: Runtime) -> AppResult:
     n_cols = b.shape[1]
     work = WorkSpec.from_csr(matrix)
     costs = spmm_costs(rt.spec, n_cols)
-    sched = rt.schedule_for(work, matrix=matrix, kernel=SPMM_DECL.label, costs=costs)
+    sched = rt.schedule_for(work, matrix=matrix, costs=costs)
 
     def kernel():
         """Listing 4's kernel: Listing 3 plus a loop over B's columns."""

@@ -153,7 +153,7 @@ def spmttkrp_driver(problem, rt: Runtime) -> AppResult:
         validate=False,
     )
     costs = mttkrp_costs(rt.spec, rank)
-    sched = rt.schedule_for(work, matrix=proxy, kernel=MTTKRP_DECL.label, costs=costs)
+    sched = rt.schedule_for(work, matrix=proxy, costs=costs)
 
     def kernel():
         m = np.zeros((tensor.shape[0], rank))

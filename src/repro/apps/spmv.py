@@ -88,7 +88,7 @@ def spmv(
     ctx:
         An :class:`~repro.engine.context.ExecutionContext` -- the one
         execution-selection argument (engine, device spec, schedule
-        policy, schedule options); ``None`` runs the default context with
+        policy); ``None`` runs the default context with
         the ``merge_path`` schedule.
     locality:
         Enable the future-work cache model for the x-vector gathers
@@ -107,7 +107,7 @@ def spmv_driver(problem, rt: Runtime) -> AppResult:
     work = WorkSpec.from_csr(matrix)
     working_set = float(x.nbytes) if locality else None
     costs = spmv_costs(rt.spec, gather_working_set_bytes=working_set)
-    sched = rt.schedule_for(work, matrix=matrix, kernel=SPMV_DECL.label, costs=costs)
+    sched = rt.schedule_for(work, matrix=matrix, costs=costs)
 
     def kernel():
         """Listing 3's kernel body, executed thread-by-thread.

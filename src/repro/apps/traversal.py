@@ -115,8 +115,8 @@ def run_frontier_loop(
     handles the vectorized edge expansion and the per-iteration
     load-balanced timing; algorithms (BFS, SSSP) supply only the
     relaxation -- the "user-defined computation" stage of the
-    abstraction.  ``decl.label`` (``"advance"``) routes per-kernel
-    schedule policies and engine overrides.
+    abstraction.  ``decl.label`` (``"advance"``) names the launch in the
+    compilation cache, the race probe and the effect analysis.
 
     ``relax_edge(ctx, src, dst, weight, next_mask)`` is the scalar form of
     the same relaxation, consumed one edge at a time by the SIMT engine's
@@ -157,7 +157,7 @@ def run_frontier_loop(
         edge_targets = csr.col_indices[edge_ids]
         edge_weights = csr.values[edge_ids]
 
-        sched = rt.schedule_for(work, matrix=csr, kernel=decl.label, costs=costs)
+        sched = rt.schedule_for(work, matrix=csr, costs=costs)
 
         kernel = None
         if relax_edge is not None:

@@ -249,9 +249,7 @@ def triangle_count_driver(problem, rt: Runtime) -> AppResult:
     work = WorkSpec.from_csr(upper, label="triangles")
     mean_deg = upper.nnz / max(1, upper.num_rows)
     costs = _intersection_costs(rt.spec, mean_deg)
-    sched = rt.schedule_for(
-        work, matrix=upper, kernel=INTERSECT_DECL.label, costs=costs
-    )
+    sched = rt.schedule_for(work, matrix=upper, costs=costs)
 
     def kernel():
         total = np.zeros(1)

@@ -63,27 +63,14 @@ import numpy as np
 __all__ = ["main", "build_parser"]
 
 
-def _did_you_mean(name: str, known) -> str:
-    """Suggestion suffix for an unknown registry identifier."""
-    import difflib
-
-    close = difflib.get_close_matches(name, sorted(known), n=3, cutoff=0.5)
-    if close:
-        return f" -- did you mean {', '.join(repr(c) for c in close)}?"
-    return f" (known: {', '.join(sorted(known))})"
-
-
-def _check_kernels(kernels, app: str) -> str | None:
+def _check_kernels(kernels, app: str | None) -> str | None:
     """Validate sweep kernel/schedule names; return an error or ``None``."""
-    from .core.schedule import available_schedules
-    from .engine import get_app
-    from .evaluation.harness import POLICY_KERNELS
+    from .evaluation.harness import ensure_known_kernels
 
-    known = set(available_schedules()) | set(POLICY_KERNELS)
-    known |= set(get_app(app).baselines)
-    for kernel in kernels:
-        if kernel not in known:
-            return f"unknown kernel {kernel!r}{_did_you_mean(kernel, known)}"
+    try:
+        ensure_known_kernels(kernels, app)
+    except KeyError as exc:
+        return exc.args[0]
     return None
 
 
@@ -93,11 +80,19 @@ def _check_engine(engine: str) -> str | None:
     Free-form (not argparse ``choices``) so unknown names get the same
     did-you-mean diagnostics as schedules and kernels.
     """
-    from .engine import available_engines
+    from .engine.dispatch import UnknownEngineError, ensure_known_engine
 
-    known = available_engines()
-    if engine not in known:
-        return f"unknown engine {engine!r}{_did_you_mean(engine, known)}"
+    try:
+        ensure_known_engine(engine)
+    except UnknownEngineError as exc:
+        return str(exc)
+    return None
+
+
+def _check_limit(limit: int | None) -> str | None:
+    """``--limit`` must not be negative (``0`` sweeps nothing)."""
+    if limit is not None and limit < 0:
+        return f"--limit must be >= 0, got {limit}"
     return None
 
 
@@ -281,22 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_spmv(args: argparse.Namespace) -> int:
     from .apps.spmv import spmv
     from .baselines.reference import dense_spmv_oracle
-    from .core.schedule import available_schedules
-    from .evaluation.harness import POLICY_KERNELS
     from .gpusim.arch import get_spec
     from .sparse.convert import coo_to_csr
     from .sparse.corpus import load_dataset
     from .sparse.mtx_io import read_mtx
 
-    known = set(available_schedules()) | set(POLICY_KERNELS)
-    if args.schedule not in known:
-        print(
-            f"unknown schedule {args.schedule!r}"
-            f"{_did_you_mean(args.schedule, known)}",
-            file=sys.stderr,
-        )
-        return 2
-    error = _check_engine(args.engine)
+    error = _check_kernels([args.schedule], None) or _check_engine(args.engine)
     if error is not None:
         print(error, file=sys.stderr)
         return 2
@@ -351,11 +336,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         kernels = ["merge_path", "thread_mapped", "group_mapped"]
         kernels += sorted(get_app(args.app).baselines)
 
-    error = _check_kernels(kernels, args.app)
-    if error is not None:
-        print(error, file=sys.stderr)
-        return 2
-    error = _check_engine(args.engine)
+    error = (
+        _check_kernels(kernels, args.app) or _check_engine(args.engine)
+        or _check_limit(args.limit)
+    )
     if error is not None:
         print(error, file=sys.stderr)
         return 2
@@ -533,11 +517,10 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
     from .service import JobRejected, ServiceError, SweepClient
 
-    error = _check_kernels(args.kernels, args.app)
-    if error is not None:
-        print(error, file=sys.stderr)
-        return 2
-    error = _check_engine(args.engine)
+    error = (
+        _check_kernels(args.kernels, args.app) or _check_engine(args.engine)
+        or _check_limit(args.limit)
+    )
     if error is not None:
         print(error, file=sys.stderr)
         return 2
@@ -608,30 +591,19 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     )
     from .core.schedule import available_schedules
     from .engine import available_apps
+    from .engine.dispatch import unknown_name
 
-    known_apps = set(available_apps())
-    for app in args.apps or ():
-        if app not in known_apps:
-            print(f"unknown app {app!r}{_did_you_mean(app, known_apps)}",
-                  file=sys.stderr)
-            return 2
-    known_schedules = set(available_schedules())
-    for sched in args.schedules or ():
-        if sched not in known_schedules:
-            print(
-                f"unknown schedule {sched!r}"
-                f"{_did_you_mean(sched, known_schedules)}",
-                file=sys.stderr,
-            )
-            return 2
     lints = args.lint
-    if lints is not None:
-        known_lints = set(available_lints())
-        for lint in lints:
-            if lint not in known_lints:
-                print(f"unknown lint {lint!r}{_did_you_mean(lint, known_lints)}",
-                      file=sys.stderr)
+    for kind, names, known in (
+        ("app", args.apps, available_apps()),
+        ("schedule", args.schedules, available_schedules()),
+        ("lint", lints, available_lints()),
+    ):
+        for name in names or ():
+            if name not in known:
+                print(unknown_name(kind, name, known), file=sys.stderr)
                 return 2
+    if lints is not None:
         if not lints:
             lints = list(available_lints())
 

@@ -11,7 +11,7 @@ Three stages, mirroring Figure 1:
 
 Plus the Section 6.2 heuristic selector (:mod:`.heuristic`), the
 schedule-selection *policies* built on it (:mod:`.policy`: fixed /
-heuristic / per-kernel / oracle-best).
+heuristic / oracle-best).
 """
 
 from . import schedules as _schedules  # noqa: F401  (registers schedules)
@@ -29,7 +29,6 @@ from .policy import (
     FixedPolicy,
     HeuristicPolicy,
     OracleBestPolicy,
-    PerKernelPolicy,
     PolicyError,
     SchedulePolicy,
     as_policy,
@@ -77,7 +76,6 @@ __all__ = [
     "SchedulePolicy",
     "FixedPolicy",
     "HeuristicPolicy",
-    "PerKernelPolicy",
     "OracleBestPolicy",
     "PolicyError",
     "as_policy",

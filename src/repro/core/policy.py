@@ -4,20 +4,16 @@ The paper's pitch is that the execution strategy is an identifier switch.
 This module makes the schedule half of that switch a first-class,
 composable, picklable object, so the selection strategy itself travels
 inside an :class:`~repro.engine.context.ExecutionContext` -- across
-process-pool pickle boundaries, into registries, into per-kernel
-overrides.  :func:`as_policy` turns a schedule name, ``"heuristic"`` or
-``"oracle_best"`` into one.
+process-pool pickle boundaries and into registries.  :func:`as_policy`
+turns a schedule name, ``"heuristic"`` or ``"oracle_best"`` into one.
 
-Four policies cover the paper's selection modes:
+Three policies cover the paper's selection modes:
 
 * :class:`FixedPolicy` -- one named schedule everywhere (the per-binary
   behaviour of the original artifact).  Also wraps a pre-built
   :class:`~repro.core.schedule.Schedule` instance.
 * :class:`HeuristicPolicy` -- the Section 6.2 alpha/beta selector,
   parameterized by :class:`~repro.core.heuristic.HeuristicParams`.
-* :class:`PerKernelPolicy` -- route each *kernel label* of a multi-kernel
-  application (SpGEMM's count/compute passes, the traversal apps'
-  advance) to its own sub-policy.
 * :class:`OracleBestPolicy` -- price every candidate schedule through the
   analytic planner (via the plan cache, when the runtime provides one)
   and pick the cheapest: the paper's "best of all schedules" line as an
@@ -31,25 +27,19 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 from ..gpusim.arch import GpuSpec
 from ..gpusim.cost_model import KernelStats
 from ..sparse.csr import CsrMatrix
 from .heuristic import DEFAULT_HEURISTIC, HeuristicParams, select_schedule
-from .schedule import (
-    Schedule,
-    WorkCosts,
-    available_schedules,
-    make_schedule_shared,
-)
+from .schedule import Schedule, WorkCosts, available_schedules, make_schedule
 from .work import WorkSpec
 
 __all__ = [
     "SchedulePolicy",
     "FixedPolicy",
     "HeuristicPolicy",
-    "PerKernelPolicy",
     "OracleBestPolicy",
     "PolicyError",
     "as_policy",
@@ -77,9 +67,9 @@ class SchedulePolicy(ABC):
 
     ``select`` receives everything the runtime knows about the launch --
     the workload, the device, the input matrix (when the driver has one),
-    the kernel label of multi-kernel applications, the declared costs and
-    a pricing hook -- and returns a registered schedule *name* (or a
-    pre-built :class:`Schedule` instance, which the runtime uses as-is).
+    the declared costs and a pricing hook -- and returns a registered
+    schedule *name* (or a pre-built :class:`Schedule` instance, which the
+    runtime uses as-is).
     """
 
     @abstractmethod
@@ -89,16 +79,10 @@ class SchedulePolicy(ABC):
         spec: GpuSpec,
         *,
         matrix: CsrMatrix | None = None,
-        kernel: str | None = None,
         costs: WorkCosts | None = None,
         plan: Planner | None = None,
-        schedule_options: Mapping | None = None,
     ) -> str | Schedule:
         """Choose the schedule for one launch."""
-
-    def cache_token(self) -> tuple | None:
-        """Hashable identity for plan-cache keys (``None`` = uncacheable)."""
-        return None
 
     def describe(self) -> str:
         """Short label for reports and CSV rows."""
@@ -111,15 +95,8 @@ class FixedPolicy(SchedulePolicy):
 
     schedule: str | Schedule
 
-    def select(self, work, spec, *, matrix=None, kernel=None, costs=None,
-               plan=None, schedule_options=None):
+    def select(self, work, spec, *, matrix=None, costs=None, plan=None):
         return self.schedule
-
-    def cache_token(self):
-        # Pre-built instances may carry options the key cannot observe.
-        if not isinstance(self.schedule, str):
-            return None
-        return ("fixed", self.schedule)
 
     def describe(self):
         return (
@@ -137,83 +114,14 @@ class HeuristicPolicy(SchedulePolicy):
 
     params: HeuristicParams | None = None
 
-    def select(self, work, spec, *, matrix=None, kernel=None, costs=None,
-               plan=None, schedule_options=None):
+    def select(self, work, spec, *, matrix=None, costs=None, plan=None):
         if matrix is None:
             raise PolicyError("the heuristic policy requires the input matrix")
         params = self.params if self.params is not None else DEFAULT_HEURISTIC
         return select_schedule(matrix, params)
 
-    def cache_token(self):
-        return ("heuristic", self.params)
-
     def describe(self):
         return "heuristic"
-
-
-@dataclass(frozen=True)
-class PerKernelPolicy(SchedulePolicy):
-    """Route each kernel label of a multi-kernel app to its own policy.
-
-    Keys are the kernel labels drivers pass to
-    ``runtime.schedule_for(..., kernel=...)`` -- e.g. SpGEMM's ``count``
-    and ``compute``, the traversal apps' ``advance``.  Values are
-    policies or anything :func:`as_policy` accepts (a schedule name,
-    ``"heuristic"``, ``"oracle_best"``).  Unlisted kernels use
-    ``default`` when given, else selection fails loudly.
-    """
-
-    policies: tuple = ()
-    default: SchedulePolicy | None = None
-
-    def __init__(self, policies, default=None):
-        items = policies.items() if isinstance(policies, Mapping) else policies
-        normalized = tuple(
-            sorted(((str(k), as_policy(v)) for k, v in items),
-                   key=lambda kv: kv[0])
-        )
-        object.__setattr__(self, "policies", normalized)
-        object.__setattr__(
-            self, "default", as_policy(default) if default is not None else None
-        )
-
-    def _lookup(self, kernel: str | None) -> SchedulePolicy:
-        for name, sub in self.policies:
-            if name == kernel:
-                return sub
-        if self.default is not None:
-            return self.default
-        known = tuple(name for name, _ in self.policies)
-        raise PolicyError(
-            f"PerKernelPolicy has no entry for kernel {kernel!r} and no "
-            f"default (known kernels: {known})"
-        )
-
-    def select(self, work, spec, *, matrix=None, kernel=None, costs=None,
-               plan=None, schedule_options=None):
-        return self._lookup(kernel).select(
-            work, spec, matrix=matrix, kernel=kernel, costs=costs,
-            plan=plan, schedule_options=schedule_options,
-        )
-
-    def cache_token(self):
-        tokens = []
-        for name, sub in self.policies:
-            token = sub.cache_token()
-            if token is None:
-                return None
-            tokens.append((name, token))
-        default_token = None
-        if self.default is not None:
-            default_token = self.default.cache_token()
-            if default_token is None:
-                return None
-        return ("per_kernel", tuple(tokens), default_token)
-
-    def describe(self):
-        return "per_kernel(" + ", ".join(
-            f"{name}={sub.describe()}" for name, sub in self.policies
-        ) + ")"
 
 
 @dataclass(frozen=True)
@@ -226,31 +134,28 @@ class OracleBestPolicy(SchedulePolicy):
     repeated probes of an identical launch are free), and the minimum
     ``elapsed_ms`` wins.  Ties break lexicographically so the selection
     is deterministic.  Candidates that cannot be constructed or planned
-    on a given workload are skipped; a schedule option that no
-    registered schedule takes raises :class:`TypeError`.
+    on a given workload are skipped.
 
     ``candidates=None`` means every registered schedule.
     """
 
     candidates: tuple[str, ...] | None = None
 
-    def select(self, work, spec, *, matrix=None, kernel=None, costs=None,
-               plan=None, schedule_options=None):
+    def select(self, work, spec, *, matrix=None, costs=None, plan=None):
         names = self.candidates or tuple(available_schedules())
         price_costs = costs if costs is not None else _PROBE_COSTS
-        options = schedule_options or {}
         best_name: str | None = None
         best_ms = float("inf")
         failures: list[str] = []
         for name in sorted(names):
             try:
-                sched = make_schedule_shared(name, work, spec, options)
+                sched = make_schedule(name, work, spec)
                 stats = (
                     plan(sched, price_costs) if plan is not None
                     else sched.plan(price_costs)
                 )
             except TypeError:
-                raise  # a misspelled option is the caller's error
+                raise  # a bug in the schedule, not an unschedulable workload
             except Exception as exc:  # unschedulable candidate: skip
                 failures.append(f"{name}: {exc}")
                 continue
@@ -262,9 +167,6 @@ class OracleBestPolicy(SchedulePolicy):
                 f"({'; '.join(failures)})"
             )
         return best_name
-
-    def cache_token(self):
-        return ("oracle_best", self.candidates)
 
     def describe(self):
         return "oracle_best"

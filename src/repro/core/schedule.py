@@ -26,11 +26,9 @@ the folding rules.
 
 from __future__ import annotations
 
-import functools
-import inspect
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -44,7 +42,6 @@ __all__ = [
     "Schedule",
     "register_schedule",
     "make_schedule",
-    "make_schedule_shared",
     "available_schedules",
     "schedule_description",
 ]
@@ -277,47 +274,11 @@ def make_schedule(
     if launch is None:
         launch = cls.default_launch(work, spec)
     sched = cls(work, spec, launch, **options)
-    # Remember the construction options so layers that re-instantiate the
-    # schedule on derived workloads (the multi-GPU engine re-scheduling
-    # each device shard) reproduce the same configuration instead of
-    # silently reverting to defaults.
+    # Remember the construction options: they are part of the schedule
+    # identity both caches key on (``repro.engine.plan_cache.
+    # schedule_key``), and layers that re-instantiate the schedule on
+    # derived workloads (the multi-GPU engine re-scheduling each device
+    # shard) reproduce the same configuration instead of silently
+    # reverting to defaults.
     sched.construction_options = dict(options)
     return sched
-
-
-@functools.lru_cache(maxsize=None)
-def _option_names(cls: type[Schedule]) -> frozenset | None:
-    """Construction options ``cls`` takes (``None``: any, via ``**kwargs``)."""
-    params = list(inspect.signature(cls.__init__).parameters.values())[4:]
-    if any(p.kind is p.VAR_KEYWORD for p in params):
-        return None
-    return frozenset(p.name for p in params)
-
-
-def make_schedule_shared(
-    name: str, work: WorkSpec, spec: GpuSpec, options: Mapping
-) -> Schedule:
-    """:func:`make_schedule` with one option set shared by every schedule.
-
-    An execution context carries a single ``schedule_options`` mapping
-    whichever schedule its policy picks (``group_size`` tunes
-    ``group_mapped`` and means nothing to ``merge_path``), so each
-    schedule is passed only the options its constructor takes.  An option
-    that no registered schedule takes still raises :class:`TypeError`, so
-    a misspelled option stays loud.
-    """
-    if not options:
-        return make_schedule(name, work, spec)
-    taken = _option_names(_REGISTRY[name]) if name in _REGISTRY else None
-    if taken is not None and not options.keys() <= taken:
-        known = set()
-        for cls in _REGISTRY.values():
-            names = _option_names(cls)
-            known |= options.keys() if names is None else names
-        unknown = sorted(options.keys() - known)
-        if unknown:
-            raise TypeError(
-                f"no registered schedule takes the option(s) {unknown}"
-            )
-        options = {k: v for k, v in options.items() if k in taken}
-    return make_schedule(name, work, spec, **options)

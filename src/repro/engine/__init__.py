@@ -12,8 +12,8 @@ level:
   delegate to.
 * **Context** (:mod:`.context`) -- :class:`ExecutionContext`, the one
   frozen, picklable execution-selection object: engine name, device
-  spec, :class:`~repro.core.policy.SchedulePolicy`, schedule options,
-  plan store and device count.  ``ctx=`` is the only execution-selection
+  spec, :class:`~repro.core.policy.SchedulePolicy`, plan store and
+  device count.  ``ctx=`` is the only execution-selection
   argument of every public entry point.
 * **Dispatch** (:mod:`.dispatch`) -- pluggable engines behind a registry
   (:func:`register_engine` / :func:`available_engines` /
@@ -27,10 +27,11 @@ level:
   registered app inherits multi-device sweeps.  Applications describe
   launches; they never branch on an engine name.
 * **Plan cache** (:mod:`.plan_cache`) -- planning is pure, so the vector
-  engine memoizes :meth:`Schedule.plan` keyed by (schedule, launch
-  geometry, work content, costs, device): corpus sweeps stop re-planning
-  identical launches.  An optional disk layer -- the append-only
-  single-file journal of :mod:`.plan_store` (``plan_store`` /
+  engine memoizes :meth:`Schedule.plan` keyed by the schedule identity
+  (class, options, launch geometry, work content, device) plus the
+  costs: corpus sweeps stop re-planning identical launches.  An optional
+  disk layer -- the append-only single-file journal of
+  :mod:`.plan_store` (``plan_store`` /
   ``REPRO_PLAN_STORE``) -- persists plans across processes, so repeated
   figure benches and process-pool sweep workers start warm.
 * **Worker pool** (:mod:`.worker_pool`) -- :class:`SweepExecutor`, the
@@ -55,7 +56,6 @@ from ..core.policy import (
     FixedPolicy,
     HeuristicPolicy,
     OracleBestPolicy,
-    PerKernelPolicy,
     PolicyError,
     SchedulePolicy,
     as_policy,
@@ -130,7 +130,6 @@ __all__ = [
     "SchedulePolicy",
     "FixedPolicy",
     "HeuristicPolicy",
-    "PerKernelPolicy",
     "OracleBestPolicy",
     "PolicyError",
     "as_policy",

@@ -45,7 +45,7 @@ from ..core.ranges import StepRange
 from ..core.schedule import Schedule
 from ..gpusim.cost_model import kernel_stats_from_thread_cycles
 from .dispatch import Engine, register_engine, tile_charges
-from .plan_cache import work_fingerprint
+from .plan_cache import schedule_key
 
 __all__ = [
     "CompiledEngine",
@@ -497,10 +497,11 @@ _DEFAULT_CACHE_ENTRIES = 256
 class CompilationCache:
     """Bounded LRU of materialized per-thread loads.
 
-    Keyed on (kernel label, schedule identity -- name, device, launch
-    geometry, work fingerprint, construction options -- and the argument
-    dtype signature): everything that changes the compiled loop
-    structure and nothing that doesn't, so steady-state sweeps hit.
+    Keyed on (kernel label, :func:`~repro.engine.plan_cache.schedule_key`
+    -- the identity the plan cache uses -- and the argument dtype
+    signature): everything that changes the compiled loop structure and
+    nothing that doesn't, so steady-state sweeps hit.  Schedules without
+    a key (not built by ``make_schedule``) are materialized live.
     """
 
     def __init__(self, max_entries: int | None = None):
@@ -517,22 +518,14 @@ class CompilationCache:
 
     @staticmethod
     def key_for(sched: Schedule, label: str, args: tuple) -> tuple | None:
-        options = getattr(sched, "construction_options", {})
+        ident = schedule_key(sched)
+        if ident is None:
+            return None  # not built by make_schedule: materialize live
+        key = (label, ident, _dtype_signature(args))
         try:
-            options_key = tuple(sorted(options.items()))
-            key = (
-                label,
-                sched.name,
-                sched.spec.name,
-                sched.launch.grid_dim,
-                sched.launch.block_dim,
-                work_fingerprint(sched.work),
-                options_key,
-                _dtype_signature(args),
-            )
             hash(key)
         except TypeError:
-            return None  # unhashable options: plan live, count a miss
+            return None  # unhashable option value: materialize live
         return key
 
     def loads(self, sched: Schedule, label: str, args: tuple):
@@ -625,8 +618,7 @@ class CompiledEngine(Engine):
 
     name = "compiled"
 
-    def launch(self, sched, costs, decl, args, *, simt=None, extras=None,
-               cache_key=None):
+    def launch(self, sched, costs, decl, args, *, simt=None, extras=None):
         fn, jit_mode = _compiled_fn(decl)
         output = fn(*args)
         atoms, visits, cache_status = _CACHE.loads(sched, decl.label, args)

@@ -7,12 +7,11 @@ selects *how* a declared application runs --
 
 * the **engine** (a :func:`~repro.engine.dispatch.register_engine` name:
   ``"vector"``, ``"simt"``, ``"multi_gpu"``, ...),
-* the **device** (:class:`~repro.gpusim.arch.GpuSpec`, plus ``gpus`` /
-  ``partition`` for multi-device engines),
+* the **device** (:class:`~repro.gpusim.arch.GpuSpec`, plus ``gpus``
+  for the multi-device engine),
 * the **schedule policy**
   (:class:`~repro.core.policy.SchedulePolicy`: fixed, heuristic,
-  per-kernel, oracle-best),
-* schedule options,
+  oracle-best),
 * the persistent **plan store** journal.
 
 Every public app function, :func:`~repro.engine.registry.run_app`, the
@@ -51,12 +50,9 @@ class ExecutionContext:
         Device architecture each engine simulates.
     policy:
         Schedule-selection policy; ``None`` defers to the application's
-        registered default schedule.
-    schedule_options:
-        Extra schedule construction options, stored as a sorted tuple of
-        ``(name, value)`` pairs so the context stays hashable; a mapping
-        is accepted and normalized.  Each selected schedule gets the
-        options its constructor takes.
+        registered default schedule.  A schedule tuned by construction
+        options is selected as a pre-built instance
+        (``policy=make_schedule(name, work, spec, **options)``).
     plan_store:
         Path of the single-file journaled plan store
         (:mod:`repro.engine.plan_store`); ``None`` = in-memory only.
@@ -67,38 +63,15 @@ class ExecutionContext:
         context edit, not a code change; combined with any other
         single-device engine it raises instead of being silently
         ignored.
-    partition:
-        Inter-device partition strategy (``"merge_path"`` or ``"tiles"``).
-    engines:
-        Per-kernel engine overrides -- the engine-side mirror of
-        :class:`~repro.core.policy.PerKernelPolicy`: a mapping
-        ``{kernel_label: engine_name}`` routing individual launches of a
-        multi-kernel application (e.g. spgemm's ``"count"`` vs
-        ``"compute"`` passes) to different engines than the context's
-        default.  Stored as a sorted tuple of pairs so the context stays
-        hashable and picklable; a mapping is accepted and normalized.
     """
 
     engine: str | Engine = "vector"
     spec: GpuSpec = V100
     policy: SchedulePolicy | None = None
-    schedule_options: tuple = ()
     plan_store: str | None = None
     gpus: int = 1
-    partition: str = "merge_path"
-    engines: tuple = ()
 
     def __post_init__(self):
-        if isinstance(self.schedule_options, dict):
-            object.__setattr__(
-                self,
-                "schedule_options",
-                tuple(sorted(self.schedule_options.items())),
-            )
-        if isinstance(self.engines, dict):
-            object.__setattr__(
-                self, "engines", tuple(sorted(self.engines.items()))
-            )
         if self.policy is not None and not isinstance(self.policy, SchedulePolicy):
             object.__setattr__(self, "policy", as_policy(self.policy))
         if self.plan_store is not None:
@@ -131,16 +104,6 @@ class ExecutionContext:
         :func:`~repro.core.policy.as_policy` coercible value)."""
         return self.replace(policy=as_policy(selection))
 
-    def with_engine(self, engine: str | Engine, *, gpus: int | None = None
-                    ) -> "ExecutionContext":
-        """A copy running on ``engine`` (optionally resizing ``gpus``)."""
-        return self.replace(engine=engine, gpus=self.gpus if gpus is None else gpus)
-
-    @property
-    def options(self) -> dict:
-        """Schedule options as a plain dict (stored normalized)."""
-        return dict(self.schedule_options)
-
     def engine_name(self) -> str:
         """The engine identifier (instances report their class name)."""
         return self.engine if isinstance(self.engine, str) else self.engine.name
@@ -153,9 +116,7 @@ class ExecutionContext:
         if isinstance(self.engine, Engine):
             return self.engine
         if self.engine == "multi_gpu":
-            return get_engine(
-                "multi_gpu", num_devices=self.gpus, partition=self.partition
-            )
+            return get_engine("multi_gpu", num_devices=self.gpus)
         return get_engine(self.engine)
 
     def runtime(self, default_schedule: str | Schedule | None = None) -> Runtime:
@@ -168,21 +129,11 @@ class ExecutionContext:
         policy = self.policy
         if policy is None and default_schedule is not None:
             policy = as_policy(default_schedule)
-        return Runtime(
-            self.engine_instance(),
-            spec=self.spec,
-            schedule_options=self.options,
-            policy=policy,
-            engines=dict(self.engines),
-        )
+        return Runtime(self.engine_instance(), spec=self.spec, policy=policy)
 
     def describe(self) -> str:
         """One-line summary (CSV metadata, logs)."""
         parts = [f"engine={self.engine_name()}"]
-        if self.engines:
-            parts.append(
-                "engines=" + ",".join(f"{k}:{v}" for k, v in self.engines)
-            )
         if self.gpus > 1:
             parts.append(f"gpus={self.gpus}")
         parts.append(

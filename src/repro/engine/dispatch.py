@@ -24,14 +24,15 @@ strategy is a registration, never another plumbing pass through the call
 sites.
 
 :class:`VectorEngine` runs ``decl.arrays(*args)`` and prices the launch through
-the analytic planner (memoized via :mod:`repro.engine.plan_cache`, whose
-optional journal layer persists plans across processes -- see the
+the analytic planner (memoized via :mod:`repro.engine.plan_cache` on the
+schedule's identity and the costs, whichever policy picked the schedule;
+its optional journal layer persists plans across processes -- see the
 ``plan_store`` knob on the harness and CLI);
 :class:`SimtEngine` interprets ``simt()`` thread-by-thread and folds
 the measured charges with the same cost model, so the two engines are
 cross-validated by construction.  Applications never branch on an engine
-name -- they describe launches to a :class:`Runtime` and the selected
-engine does the rest.
+name -- they describe launches to a :class:`Runtime` and its one engine
+does the rest.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any, Callable
 
 from ..core.policy import SchedulePolicy
-from ..core.schedule import Schedule, WorkCosts, make_schedule_shared
+from ..core.schedule import Schedule, WorkCosts, make_schedule
 from ..core.work import WorkSpec
 from ..gpusim.arch import GpuSpec, V100
 from ..gpusim.cost_model import KernelStats, kernel_stats_from_thread_cycles
@@ -61,6 +62,7 @@ __all__ = [
     "available_engines",
     "get_engine",
     "ensure_known_engine",
+    "unknown_name",
     "engine_description",
     "Runtime",
     "tile_charges",
@@ -109,7 +111,6 @@ class Engine(ABC):
         *,
         simt: Callable[[], tuple[Callable, Callable[[], Any]]] | None = None,
         extras: dict | None = None,
-        cache_key: tuple | None = None,
     ) -> tuple[Any, KernelStats]:
         """Execute one launch of ``decl`` on ``args``; return
         ``(output, stats)``.
@@ -135,13 +136,9 @@ class VectorEngine(Engine):
     def __init__(self, plan_cache: PlanCache | None = None):
         self.plan_cache = global_plan_cache() if plan_cache is None else plan_cache
 
-    def launch(self, sched, costs, decl, args, *, simt=None, extras=None,
-               cache_key=None):
+    def launch(self, sched, costs, decl, args, *, simt=None, extras=None):
         output = decl.arrays(*args)
-        stats = self.plan_cache.plan(
-            sched, costs, extras=extras, options_key=cache_key
-        )
-        return output, stats
+        return output, self.plan_cache.plan(sched, costs, extras=extras)
 
 
 class SimtEngine(Engine):
@@ -168,8 +165,7 @@ class SimtEngine(Engine):
         instrumenting engines; identity here)."""
         return body
 
-    def launch(self, sched, costs, decl, args, *, simt=None, extras=None,
-               cache_key=None):
+    def launch(self, sched, costs, decl, args, *, simt=None, extras=None):
         if simt is None:
             app = (extras or {}).get("app", "this application")
             raise EngineError(f"{app} does not define a SIMT kernel body")
@@ -225,6 +221,17 @@ def available_engines() -> tuple[str, ...]:
     return tuple(sorted(_ENGINE_REGISTRY))
 
 
+def unknown_name(kind: str, name: str, known) -> str:
+    """Error message for an unregistered identifier: what is available,
+    plus a did-you-mean suggestion when a known name is close."""
+    import difflib
+
+    known = sorted(known)
+    close = difflib.get_close_matches(name, known, n=3, cutoff=0.5)
+    hint = f" -- did you mean {', '.join(repr(c) for c in close)}?" if close else ""
+    return f"unknown {kind} {name!r}; available: {', '.join(known)}{hint}"
+
+
 def ensure_known_engine(name: str) -> None:
     """Fail fast on an unregistered engine name (with a suggestion).
 
@@ -233,16 +240,9 @@ def ensure_known_engine(name: str) -> None:
     front-ends (CLI, harness) that want to reject a bad name before any
     work is sharded out.
     """
-    import difflib
-
     _ensure_engines()
-    if name in _ENGINE_REGISTRY:
-        return
-    close = difflib.get_close_matches(name, available_engines(), n=3, cutoff=0.5)
-    hint = f" -- did you mean {', '.join(repr(c) for c in close)}?" if close else ""
-    raise UnknownEngineError(
-        f"unknown engine {name!r}; available: {available_engines()}{hint}"
-    )
+    if name not in _ENGINE_REGISTRY:
+        raise UnknownEngineError(unknown_name("engine", name, _ENGINE_REGISTRY))
 
 
 def engine_description(name: str) -> str:
@@ -277,13 +277,12 @@ class Runtime:
     """Execution context of one application run.
 
     Binds the engine, the device spec and the schedule selection -- a
-    :class:`~repro.core.policy.SchedulePolicy` plus schedule options --
-    so application drivers only describe *what* to launch.  Iterative
-    applications (frontier loops, power iteration, multi-pass SpGEMM)
-    call :meth:`run_launch` once per kernel;
-    single-kernel applications call it once.  Build one with
-    :meth:`~repro.engine.context.ExecutionContext.runtime`, or directly
-    from a :class:`~repro.core.policy.SchedulePolicy`.
+    :class:`~repro.core.policy.SchedulePolicy` -- so application drivers
+    only describe *what* to launch.  Iterative applications (frontier
+    loops, power iteration, multi-pass SpGEMM) call :meth:`run_launch`
+    once per kernel; single-kernel applications call it once.  Build one
+    with :meth:`~repro.engine.context.ExecutionContext.runtime`, or
+    directly from a :class:`~repro.core.policy.SchedulePolicy`.
     """
 
     def __init__(
@@ -291,21 +290,10 @@ class Runtime:
         engine: str | Engine = "vector",
         *,
         spec: GpuSpec = V100,
-        schedule_options: dict | None = None,
         policy: SchedulePolicy | None = None,
-        engines: dict | None = None,
     ):
         self.engine = get_engine(engine)
         self.spec = spec
-        self.schedule_options = dict(schedule_options or {})
-        # Per-kernel engine overrides, the engine-side mirror of
-        # PerKernelPolicy: ``{kernel_label: engine}`` routes individual
-        # launches of a multi-kernel application (e.g. spgemm's "count"
-        # vs "compute" passes) to different engines.  Resolved eagerly so
-        # a typo fails at construction, not mid-run.
-        self.engines = {
-            label: get_engine(value) for label, value in (engines or {}).items()
-        }
         self.policy = policy
 
     def schedule_label(self) -> str:
@@ -313,44 +301,25 @@ class Runtime:
         return self.policy.describe() if self.policy is not None else "?"
 
     def _policy_planner(self):
-        """Pricing hook for cost-aware policies (plan-cache backed).
+        """Pricing hook for cost-aware policies: the engine's plan cache.
 
-        The probe key must carry the runtime's schedule options: the same
-        (schedule, work, costs) planned under different options (e.g.
-        ``group_size``) yields different stats, and a constant key would
-        let one configuration's cached timings answer another's probe.
-        Unhashable options fall back to planning live.
+        Plans depend only on the schedule and the costs, so probes share
+        entries with launches of the same schedule.
         """
         cache = getattr(self.engine, "plan_cache", None)
-        if cache is None:
-            cache = global_plan_cache()
-        try:
-            options = tuple(sorted(self.schedule_options.items()))
-            hash(options)
-            probe_key = ("policy_probe",) + options
-        except TypeError:
-            probe_key = None  # options_key=None -> PlanCache plans live
-
-        def plan(sched: Schedule, costs: WorkCosts) -> KernelStats:
-            return cache.plan(sched, costs, options_key=probe_key)
-
-        return plan
+        return (global_plan_cache() if cache is None else cache).plan
 
     def schedule_for(
         self,
         work: WorkSpec,
         *,
         matrix: CsrMatrix | None = None,
-        kernel: str | None = None,
         costs: WorkCosts | None = None,
     ) -> Schedule:
         """Resolve this runtime's schedule selection against a workload.
 
-        ``kernel`` labels the launch for :class:`PerKernelPolicy` routing
-        in multi-kernel applications; ``costs`` lets cost-aware policies
-        (:class:`OracleBestPolicy`) price candidates with the
-        application's real :class:`WorkCosts`.  The selected schedule
-        gets the schedule options its constructor takes.
+        ``costs`` lets cost-aware policies (:class:`OracleBestPolicy`)
+        price candidates with the application's real :class:`WorkCosts`.
         """
         if self.policy is None:
             raise EngineError("Runtime was constructed without a schedule")
@@ -358,31 +327,12 @@ class Runtime:
             work,
             self.spec,
             matrix=matrix,
-            kernel=kernel,
             costs=costs,
             plan=self._policy_planner(),
-            schedule_options=self.schedule_options,
         )
         if isinstance(selected, Schedule):
             return selected
-        return make_schedule_shared(
-            selected, work, self.spec, self.schedule_options
-        )
-
-    def _cache_key(self) -> tuple | None:
-        # Only policies with a stable identity are cacheable: a pre-built
-        # Schedule instance may carry options the key cannot observe.
-        if self.policy is None:
-            return None
-        token = self.policy.cache_token()
-        if token is None:
-            return None
-        try:
-            options = tuple(sorted(self.schedule_options.items()))
-            hash((token, options))
-        except TypeError:
-            return None
-        return (token,) + options
+        return make_schedule(selected, work, self.spec)
 
     def run_launch(
         self,
@@ -394,20 +344,7 @@ class Runtime:
         simt: Callable[[], tuple[Callable, Callable[[], Any]]] | None = None,
         extras: dict | None = None,
     ) -> tuple[Any, KernelStats]:
-        """Execute one launch of ``decl`` on ``args`` on the bound engine.
-
-        ``decl.label`` names the launch within the application (the same
-        labels ``schedule_for(kernel=...)`` uses); a matching entry in
-        the runtime's per-kernel ``engines`` mapping overrides the bound
-        engine for this one launch.
-        """
-        engine = self.engines.get(decl.label, self.engine)
-        return engine.launch(
-            sched,
-            costs,
-            decl,
-            args,
-            simt=simt,
-            extras=extras,
-            cache_key=self._cache_key(),
+        """Execute one launch of ``decl`` on ``args`` on the bound engine."""
+        return self.engine.launch(
+            sched, costs, decl, args, simt=simt, extras=extras
         )

@@ -37,42 +37,30 @@ class MultiGpuEngine(Engine):
 
     ``num_devices`` homogeneous copies of the launch's
     :class:`~repro.gpusim.arch.GpuSpec` split the tile set with the
-    ``partition`` strategy (``"merge_path"`` balances tiles+atoms via the
-    same 2-D binary search the merge-path schedule uses; ``"tiles"`` is
-    the naive equal-tile-count split).  Each shard is re-scheduled with
-    the launch's resolved schedule and priced by the analytic planner;
-    the ensemble time is the slowest device plus the per-device offload
-    overhead.
+    merge-path partition (tiles+atoms balanced by the same 2-D binary
+    search the merge-path schedule uses).  Each shard is re-scheduled
+    with the launch's resolved schedule and its construction options,
+    and priced by the analytic planner; the ensemble time is the slowest
+    device plus the per-device offload overhead.
     """
 
     name = "multi_gpu"
 
-    def __init__(
-        self,
-        num_devices: int = 2,
-        partition: str = "merge_path",
-        plan_cache: PlanCache | None = None,
-    ):
+    def __init__(self, num_devices: int = 2, plan_cache: PlanCache | None = None):
         if num_devices <= 0:
             raise ValueError("num_devices must be positive")
         self.num_devices = num_devices
-        self.partition = partition
         self.plan_cache = global_plan_cache() if plan_cache is None else plan_cache
 
-    def launch(self, sched, costs, decl, args, *, simt=None, extras=None,
-               cache_key=None):
+    def launch(self, sched, costs, decl, args, *, simt=None, extras=None):
         output = decl.arrays(*args)
 
-        dev_key = None if cache_key is None else cache_key + ("dev",)
-
         def plan_shard(dev_sched, dev_costs, dev_extras):
-            return self.plan_cache.plan(
-                dev_sched, dev_costs, extras=dev_extras, options_key=dev_key
-            )
+            return self.plan_cache.plan(dev_sched, dev_costs, extras=dev_extras)
 
-        # Re-schedule each shard with the caller's schedule options (a
-        # ``group_size`` override must shape the per-device launches the
-        # same way it shaped the single-device one), not the defaults.
+        # Re-schedule each shard with the schedule's construction options
+        # (a ``group_size`` must shape the per-device launches the same
+        # way it shaped the single-device one), not the defaults.
         options = getattr(sched, "construction_options", None) or {}
         try:
             ensemble = multi_gpu_plan(
@@ -81,7 +69,6 @@ class MultiGpuEngine(Engine):
                 schedule=sched.name,
                 spec=sched.spec,
                 num_devices=self.num_devices,
-                partition=self.partition,
                 plan_shard=plan_shard,
                 **options,
             )
@@ -98,7 +85,7 @@ class MultiGpuEngine(Engine):
                 "schedule": sched.name,
                 "engine": self.name,
                 "num_devices": self.num_devices,
-                "partition": self.partition,
+                "partition": ensemble.extras["partition"],
                 "device_imbalance": ensemble.device_imbalance,
                 "shards": ensemble.shards,
                 "device_elapsed_ms": tuple(float(t) for t in times),

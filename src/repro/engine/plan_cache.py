@@ -7,11 +7,15 @@ sweeps re-plan the exact same launch over and over -- every figure bench
 re-runs the same (kernel, dataset) grid -- so the vector engine routes
 planning through this small thread-safe LRU memo.
 
-The key deliberately fingerprints the *content* of the work (a CRC over
-the tile-offsets array), not object identity, so two loads of the same
-corpus dataset hit the same entry.  Schedules constructed by the caller
-as instances (rather than resolved from a registry name) bypass the
-cache entirely: an instance may carry options the key cannot observe.
+The key is :func:`schedule_key` plus the costs -- never which policy
+picked the schedule, so a heuristic cell, an oracle-best probe and a
+fixed-schedule cell of the same launch share one entry.  It
+fingerprints the *content* of the work (a CRC over the tile-offsets
+array), not object identity, so two loads of the same corpus dataset
+hit the same entry.  Schedules not built by
+:func:`~repro.core.schedule.make_schedule` bypass the cache entirely:
+their construction options are unknown to the key.  The compiled
+engine's load cache keys on the same identity.
 
 Persistence
 -----------
@@ -50,6 +54,7 @@ from .plan_store import PlanStore
 __all__ = [
     "PlanCache",
     "work_fingerprint",
+    "schedule_key",
     "global_plan_cache",
     "configure_global_plan_cache",
     "clear_plan_cache",
@@ -60,10 +65,9 @@ __all__ = [
 #: Bump whenever the key schema, the pickled payload layout, or the
 #: planner semantics change: old journals then read as cold
 #: (version-mismatch entries are ignored) instead of serving stale plans.
-#: v2: ``options_key`` became the policy cache token of the
-#: ExecutionContext redesign (``("fixed", name)`` instead of the bare
-#: schedule name).
-CACHE_FORMAT_VERSION = 2
+#: v3: keyed on :func:`schedule_key` plus the costs, without the
+#: selecting policy's token.
+CACHE_FORMAT_VERSION = 3
 
 #: Environment variable attaching the journal store to the process-wide
 #: cache (how process-pool sweep workers under ``spawn`` inherit it).
@@ -76,16 +80,40 @@ def work_fingerprint(work: WorkSpec) -> tuple[int, int, int]:
     return (work.num_tiles, work.num_atoms, zlib.crc32(offsets.tobytes()))
 
 
+def schedule_key(sched: Schedule) -> tuple | None:
+    """The identity of one schedule's work assignment, for cache keys.
+
+    Type, name, device spec, launch geometry, work fingerprint and the
+    sorted construction options.  ``None`` -- plan live, cache nothing --
+    when the schedule was not built by
+    :func:`~repro.core.schedule.make_schedule` (its options are unknown).
+    A key with an unhashable option value also plans live: the caches
+    catch the ``TypeError`` of the lookup.
+    """
+    options = getattr(sched, "construction_options", None)
+    if options is None:
+        return None
+    return (
+        type(sched).__name__,
+        sched.name,
+        sched.spec,
+        sched.launch.grid_dim,
+        sched.launch.block_dim,
+        work_fingerprint(sched.work),
+        tuple(sorted(options.items())),
+    )
+
+
 class PlanCache:
     """A bounded LRU memo for :meth:`Schedule.plan` results.
 
     ``plan`` is a drop-in replacement for calling ``sched.plan(costs)``
-    directly; unhashable keys and ``options_key=None`` fall through to a
-    live plan, so the cache can never change behaviour -- only skip
-    recomputation.  ``hits`` / ``misses`` counters make the skipping
-    observable to tests; with a ``store_path``, ``disk_hits`` counts the
-    subset of hits served from the persistent layer (warm starts of a
-    fresh process).
+    directly; schedules without a :func:`schedule_key` and unhashable
+    keys fall through to a live plan, so the cache can never change
+    behaviour -- only skip recomputation.  ``hits`` / ``misses``
+    counters make the skipping observable to tests; with a
+    ``store_path``, ``disk_hits`` counts the subset of hits served from
+    the persistent layer (warm starts of a fresh process).
     """
 
     def __init__(
@@ -160,20 +188,11 @@ class PlanCache:
     # ------------------------------------------------------------------
     # Memoization
     # ------------------------------------------------------------------
-    def key_for(
-        self, sched: Schedule, costs: WorkCosts, options_key: tuple
-    ) -> tuple:
-        """Cache key of one planned launch (content-based, no identity)."""
-        return (
-            type(sched).__name__,
-            sched.name,
-            sched.launch.grid_dim,
-            sched.launch.block_dim,
-            sched.spec,
-            work_fingerprint(sched.work),
-            costs,
-            options_key,
-        )
+    @staticmethod
+    def key_for(sched: Schedule, costs: WorkCosts) -> tuple | None:
+        """Cache key of one planned launch; ``None`` = plan live."""
+        ident = schedule_key(sched)
+        return None if ident is None else (ident, costs)
 
     def plan(
         self,
@@ -181,22 +200,20 @@ class PlanCache:
         costs: WorkCosts,
         *,
         extras: dict | None = None,
-        options_key: tuple | None = None,
     ) -> KernelStats:
         """Return ``sched.plan(costs, extras=...)``, memoized when safe."""
-        if options_key is None or self.maxsize <= 0:
-            return sched.plan(costs, extras=extras)
-        try:
-            key = self.key_for(sched, costs, options_key)
-            hash(key)
-        except TypeError:  # unhashable spec/costs/options: plan live
+        key = self.key_for(sched, costs) if self.maxsize > 0 else None
+        if key is None:
             return sched.plan(costs, extras=extras)
 
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
+        try:
+            with self._lock:
+                cached = self._entries.get(key)
+                if cached is not None:
+                    self._entries.move_to_end(key)
+                    self.hits += 1
+        except TypeError:  # an unhashable option value or costs: plan live
+            return sched.plan(costs, extras=extras)
         if cached is None:
             cached = self._disk_load(key)
             if cached is not None:

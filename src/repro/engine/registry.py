@@ -70,8 +70,8 @@ class KernelDecl:
     label:
         Kernel identity within the application (``"spmv"``, spgemm's
         ``"count"``/``"compute"``, the frontier loop's ``"advance"``):
-        the key of :class:`~repro.core.policy.PerKernelPolicy` routing,
-        per-kernel engine overrides and the compilation cache.
+        part of the compilation-cache key, and the name the race probe
+        and the effect analysis report the kernel under.
     arrays:
         ``arrays(*args) -> output``: the vectorized NumPy body over a
         flat argument tuple of plain ndarrays and scalars.
@@ -183,9 +183,10 @@ def run_app(
 
     ``ctx`` is the one execution-selection argument: an
     :class:`~repro.engine.context.ExecutionContext` bundling engine,
-    device spec, schedule policy and schedule options; ``None`` means
-    :data:`~repro.engine.context.DEFAULT_CONTEXT`.  A context without a
-    schedule policy falls back to the app's registered default schedule.
+    device spec, schedule policy, plan store and device count; ``None``
+    means :data:`~repro.engine.context.DEFAULT_CONTEXT`.  A context
+    without a schedule policy falls back to the app's registered default
+    schedule.
     """
     app_spec = app if isinstance(app, AppSpec) else get_app(app)
     context = DEFAULT_CONTEXT if ctx is None else ctx

@@ -67,11 +67,13 @@ from ..engine import (
     global_plan_cache,
     run_app,
 )
+from ..engine.dispatch import ensure_known_engine, unknown_name
 from ..sparse.corpus import Dataset, build_corpus
 
 __all__ = [
     "SweepRow",
     "run_cell",
+    "ensure_known_kernels",
     "expand_datasets",
     "run_suite",
     "write_csv",
@@ -155,6 +157,23 @@ def _build_problem(app_spec, app: str, dataset: Dataset, seed: int):
 POLICY_KERNELS = ("heuristic", "oracle_best")
 
 
+def ensure_known_kernels(kernels: Iterable[str], app: str | None = "spmv") -> None:
+    """Reject a kernel name before any work starts.
+
+    A kernel is a registered schedule, a :data:`POLICY_KERNELS` entry or
+    one of ``app``'s baselines (``app=None`` admits no baselines: the
+    ``repro spmv --schedule`` flag).  Raises :class:`KeyError` with a
+    did-you-mean suggestion.  The CLI, the sweep service,
+    :func:`run_suite` and :func:`run_cell` all check names here.
+    """
+    known = set(available_schedules()) | set(POLICY_KERNELS)
+    if app is not None:
+        known |= set(get_app(app).baselines)
+    for kernel in kernels:
+        if kernel not in known:
+            raise KeyError(unknown_name("kernel", kernel, known))
+
+
 def _execute_cell(
     app_spec,
     app: str,
@@ -175,18 +194,13 @@ def _execute_cell(
         # and schedule rows, so downstream consumers (BENCH_policy) never
         # special-case the kernel class.
         meta.setdefault("schedule", kernel)
-    elif kernel in POLICY_KERNELS or kernel in available_schedules():
+    else:
         result = run_app(app_spec, problem, ctx=ctx.with_policy(kernel))
         y, stats = result.output, result.stats
         # Launch extras ride along (e.g. the compiled engine's JIT mode
         # and compilation-cache hit/miss counters); the resolved schedule
         # name wins over any same-named extras key.
         meta = {**stats.extras, "schedule": result.schedule}
-    else:
-        known = tuple(sorted(app_spec.baselines)) + POLICY_KERNELS + tuple(
-            available_schedules()
-        )
-        raise KeyError(f"unknown kernel {kernel!r}; known: {known}")
 
     # The artifact's --validate flag: every cell checks its output.
     if validate and expected is not None:
@@ -239,6 +253,7 @@ def run_cell(
     validate: bool = True,
 ) -> SweepRow:
     """Run one (app, kernel, dataset) cell and validate the result."""
+    ensure_known_kernels((kernel,), app)
     ctx = DEFAULT_CONTEXT if ctx is None else ctx
     app_spec = get_app(app)
     problem = _build_problem(app_spec, app, dataset, seed)
@@ -479,17 +494,13 @@ def run_suite(
     if executor != "process" and (pool is not None or max_workers is not None):
         raise ValueError("pool=/max_workers= require executor='process'")
     ctx = DEFAULT_CONTEXT if ctx is None else ctx
-    # Fail fast on unknown engines for *every* executor: a typo'd engine
-    # name must raise here, in the caller's process, not as a late
-    # ``Runtime`` construction error inside a worker (or never at all
-    # when a cell short-circuits).
-    from ..engine.dispatch import ensure_known_engine
-
+    # Fail fast on unknown engines and kernels for *every* executor: a
+    # typo'd name must raise here, in the caller's process, before any
+    # dataset is staged or worker spawned -- not as a late error inside
+    # a worker (or never at all when a cell short-circuits).
     if isinstance(ctx.engine, str):
         ensure_known_engine(ctx.engine)
-    for _label, _eng in ctx.engines:
-        if isinstance(_eng, str):
-            ensure_known_engine(_eng)
+    ensure_known_kernels(kernels, app)
     app_spec = get_app(app)
     ds = expand_datasets(app, scale=scale, limit=limit, datasets=datasets)
     with _plan_store_attached(ctx.plan_store):

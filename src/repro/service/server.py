@@ -58,7 +58,7 @@ from .._env import env_number
 from ..engine.context import ExecutionContext
 from ..faults import faults_active, inject
 from ..engine.worker_pool import SweepExecutor
-from ..evaluation.harness import expand_datasets, run_suite
+from ..evaluation.harness import ensure_known_kernels, expand_datasets, run_suite
 from ..sparse.corpus import Dataset, build_corpus
 from .journal import ResultsJournal
 from .protocol import (
@@ -250,19 +250,10 @@ class SweepService:
         engine = str(spec.get("engine", "vector"))
         gpus = int(spec.get("gpus", 1))
 
-        from ..core.schedule import available_schedules
-        from ..engine import DEFAULT_SEED, get_app
+        from ..engine import DEFAULT_SEED
         from ..engine.dispatch import ensure_known_engine
-        from ..evaluation.harness import POLICY_KERNELS
 
-        app_spec = get_app(app)  # raises KeyError on unknown apps
-        known = set(available_schedules()) | set(POLICY_KERNELS)
-        known |= set(app_spec.baselines)
-        for kernel in kernels:
-            if kernel not in known:
-                raise ValueError(
-                    f"unknown kernel {kernel!r} for app {app!r}"
-                )
+        ensure_known_kernels(kernels, app)  # KeyError on unknown apps too
         ensure_known_engine(engine)
         datasets = expand_datasets(
             app, scale=scale, datasets=self._corpus(scale, limit),

@@ -163,16 +163,19 @@ def build_corpus(
     """Build the whole corpus (optionally filtered by family, truncated).
 
     Mirrors the artifact's ``run.sh`` knob that limits the run to the first
-    N datasets.
+    N datasets (``limit=0`` builds none; a negative limit raises
+    ``ValueError``).
     """
     _check_scale(scale)
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
     out: list[Dataset] = []
     for name, family, _ in _CORPUS_SPEC:
+        if limit is not None and len(out) >= limit:
+            break
         if families is not None and family not in families:
             continue
         out.append(load_dataset(name, scale))
-        if limit is not None and len(out) >= limit:
-            break
     return out
 
 

@@ -118,6 +118,21 @@ class TestSweepCommand:
         assert code == 2
         assert "--workers must be >= 0" in capsys.readouterr().err
 
+    def test_zero_limit_sweeps_nothing(self):
+        code, out = run_cli("sweep", "--app", "spmv", "--scale", "smoke",
+                            "--limit", "0")
+        assert code == 0
+        assert out.strip().splitlines() == [
+            "kernel,dataset,rows,cols,nnzs,elapsed"
+        ]
+
+    @pytest.mark.parametrize("command", ["sweep", "submit"])
+    def test_negative_limit_exit_2(self, command, capsys):
+        code, _ = run_cli(command, "--kernels", "merge_path", "--scale",
+                          "smoke", "--limit", "-3")
+        assert code == 2
+        assert "--limit must be >= 0" in capsys.readouterr().err
+
     def test_workers_sweep_through_default_executor(self):
         from repro.engine import default_executor, shutdown_default_executor
 

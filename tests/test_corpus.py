@@ -69,6 +69,13 @@ class TestBuildCorpus:
         corpus = build_corpus("smoke", limit=5)
         assert len(corpus) == 5
 
+    def test_zero_limit_builds_nothing(self):
+        assert build_corpus("smoke", limit=0) == []
+
+    def test_negative_limit_rejected(self):
+        with pytest.raises(ValueError, match="limit"):
+            build_corpus("smoke", limit=-3)
+
     def test_covers_imbalance_regimes(self):
         corpus = build_corpus("smoke")
         families = {d.family for d in corpus}

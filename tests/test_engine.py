@@ -111,7 +111,7 @@ class TestCrossEngineParity:
         expected = app.oracle(problem)
         ctx = ExecutionContext(spec=TINY_GPU)
         vector = run_app(app, problem, ctx=ctx)
-        simt = run_app(app, problem, ctx=ctx.with_engine("simt"))
+        simt = run_app(app, problem, ctx=ctx.replace(engine="simt"))
         assert app.match(vector.output, expected), f"{app_name}: vector != oracle"
         assert app.match(simt.output, expected), f"{app_name}: simt != oracle"
         assert vector.elapsed_ms > 0 and simt.elapsed_ms > 0
@@ -148,7 +148,7 @@ class TestPlanCache:
         ctx = ExecutionContext(spec=TINY_GPU, engine=cached)
         warm = spmv(small_matrix, x, ctx=ctx)
         hit = spmv(small_matrix, x, ctx=ctx)
-        cold = spmv(small_matrix, x, ctx=ctx.with_engine(uncached))
+        cold = spmv(small_matrix, x, ctx=ctx.replace(engine=uncached))
         # KernelStats compares every timing field (extras excluded).
         assert warm.stats == hit.stats == cold.stats
         assert cached.plan_cache.hits == 1
@@ -187,17 +187,49 @@ class TestPlanCache:
         assert engine.plan_cache.misses == 2
         assert a.schedule != b.schedule
 
+    def test_schedule_key_is_the_construction_identity(self, small_matrix):
+        from repro.core.schedules import GroupMappedSchedule
+        from repro.engine.plan_cache import schedule_key
+
+        work = WorkSpec.from_csr(small_matrix)
+        narrow = make_schedule("group_mapped", work, TINY_GPU, group_size=4)
+        again = make_schedule("group_mapped", work, TINY_GPU, group_size=4)
+        default = make_schedule("group_mapped", work, TINY_GPU)
+        assert schedule_key(narrow) == schedule_key(again) is not None
+        assert schedule_key(narrow) != schedule_key(default)
+        hand = GroupMappedSchedule(work, TINY_GPU, narrow.launch, group_size=4)
+        assert schedule_key(hand) is None
+
+    def test_unhashable_option_plans_live(self, small_matrix):
+        from repro.apps.common import spmv_costs
+        from repro.engine.compiled import CompilationCache
+
+        sched = make_schedule("merge_path", WorkSpec.from_csr(small_matrix),
+                              TINY_GPU)
+        sched.construction_options = {"tag": [1]}
+        cache, costs = PlanCache(), spmv_costs(TINY_GPU)
+        assert cache.plan(sched, costs) == sched.plan(costs)
+        assert (cache.hits, cache.misses, cache.info()["size"]) == (0, 0, 0)
+        assert CompilationCache.key_for(sched, "spmv", ()) is None
+
     def test_schedule_instances_bypass_cache(self, small_matrix):
+        """Instances not built by make_schedule have unknown options and
+        plan live; make_schedule instances share the named entry."""
         from repro.apps import spmv
+        from repro.core.schedules import MergePathSchedule
 
         engine = VectorEngine(plan_cache=PlanCache())
         work = WorkSpec.from_csr(small_matrix)
-        sched = make_schedule("merge_path", work, TINY_GPU)
+        built = make_schedule("merge_path", work, TINY_GPU)
+        hand = MergePathSchedule(work, TINY_GPU, built.launch)
         x = input_vector(small_matrix.num_cols)
-        ctx = ExecutionContext(spec=TINY_GPU, engine=engine, policy=sched)
+        ctx = ExecutionContext(spec=TINY_GPU, engine=engine, policy=hand)
         spmv(small_matrix, x, ctx=ctx)
         spmv(small_matrix, x, ctx=ctx)
         assert engine.plan_cache.hits == 0 and engine.plan_cache.misses == 0
+        spmv(small_matrix, x, ctx=ctx.with_policy("merge_path"))
+        spmv(small_matrix, x, ctx=ctx.with_policy(built))
+        assert engine.plan_cache.hits == 1 and engine.plan_cache.misses == 1
 
     def test_global_cache_serves_harness_reruns(self):
         from repro.evaluation.harness import run_suite

@@ -43,10 +43,9 @@ class TestConstruction:
     def test_hashable(self):
         assert isinstance(hash(ExecutionContext(policy=FixedPolicy("lrb"))), int)
 
-    def test_schedule_options_normalized(self):
-        ctx = ExecutionContext(schedule_options={"b": 2, "a": 1})
-        assert ctx.schedule_options == (("a", 1), ("b", 2))
-        assert ctx.options == {"a": 1, "b": 2}
+    def test_fields_are_the_five_selections(self):
+        names = [f.name for f in dataclasses.fields(ExecutionContext)]
+        assert names == ["engine", "spec", "policy", "plan_store", "gpus"]
 
     def test_policy_strings_coerced(self):
         assert ExecutionContext(policy="merge_path").policy == FixedPolicy("merge_path")
@@ -80,7 +79,7 @@ class TestConstruction:
     def test_replace_and_with_helpers(self):
         ctx = ExecutionContext()
         assert ctx.with_policy("lrb").policy == FixedPolicy("lrb")
-        assert ctx.with_engine("simt").engine == "simt"
+        assert ctx.replace(engine="simt").engine == "simt"
         assert ctx.replace(gpus=3).gpus == 3
         assert ctx.policy is None  # original untouched
 
@@ -91,7 +90,6 @@ class TestPickling:
             engine="multi_gpu",
             spec=TINY_GPU,
             policy=OracleBestPolicy(candidates=("merge_path", "lrb")),
-            schedule_options={"opt": 1},
             gpus=4,
         )
         clone = pickle.loads(pickle.dumps(ctx))

@@ -94,7 +94,7 @@ class TestEngineAgreement:
         x = np.random.default_rng(2).uniform(size=m.num_cols)
         ctx = ExecutionContext(policy=schedule, spec=TINY_GPU)
         vec = spmv(m, x, ctx=ctx)
-        simt = spmv(m, x, ctx=ctx.with_engine("simt"))
+        simt = spmv(m, x, ctx=ctx.replace(engine="simt"))
         np.testing.assert_allclose(vec.output, simt.output, rtol=1e-9)
 
     def test_spmm_engines_agree(self):
@@ -102,7 +102,7 @@ class TestEngineAgreement:
         b = np.random.default_rng(3).uniform(size=(m.num_cols, 3))
         ctx = ExecutionContext(policy="merge_path", spec=TINY_GPU)
         vec = spmm(m, b, ctx=ctx)
-        simt = spmm(m, b, ctx=ctx.with_engine("simt"))
+        simt = spmm(m, b, ctx=ctx.replace(engine="simt"))
         np.testing.assert_allclose(vec.output, simt.output, rtol=1e-9)
 
 

@@ -39,8 +39,9 @@ class TestEngineRegistry:
             register_engine("vector", lambda: None)
 
     def test_options_forwarded_to_factory(self):
-        eng = get_engine("multi_gpu", num_devices=5, partition="tiles")
-        assert eng.num_devices == 5 and eng.partition == "tiles"
+        cache = PlanCache()
+        eng = get_engine("multi_gpu", num_devices=5, plan_cache=cache)
+        assert eng.num_devices == 5 and eng.plan_cache is cache
 
     def test_options_rejected_for_instances(self):
         with pytest.raises(ValueError, match="instance"):
@@ -53,10 +54,9 @@ class TestEngineRegistry:
             name = "echo-test"
 
             def launch(self, sched, costs, decl, args, *, simt=None,
-                       extras=None, cache_key=None):
+                       extras=None):
                 out, stats = get_engine("vector").launch(
-                    sched, costs, decl, args, simt=simt,
-                    extras=extras, cache_key=None,
+                    sched, costs, decl, args, simt=simt, extras=extras
                 )
                 return out, stats
 
@@ -83,7 +83,7 @@ class TestEngineRegistry:
             name = "broken-test"
 
             def launch(self, sched, costs, decl, args, *, simt=None,
-                       extras=None, cache_key=None):
+                       extras=None):
                 calls.append(sched.name)
                 raise TypeError("bad operand inside a compiled body")
 
@@ -173,49 +173,44 @@ class TestMultiGpuEngine:
         assert multi.elapsed_ms < single.elapsed_ms
 
     def test_merge_path_partition_beats_tiles_under_skew(self):
+        """The engine always splits devices by merge path, which balances
+        a skewed workload at least as well as the equal-tile split."""
+        from repro.apps.common import spmv_costs
+        from repro.gpusim.multi_gpu import multi_gpu_plan
+
         m = gen.power_law(4096, 4096, 8.0, 1.5, seed=7)
         app = get_app("spmv")
         problem = app.sweep_problem(m, DEFAULT_SEED)
         balanced = run_app(
             app, problem,
-            ctx=ExecutionContext(spec=TINY_GPU, gpus=4, partition="merge_path",
-                                 policy="thread_mapped"),
+            ctx=ExecutionContext(spec=TINY_GPU, gpus=4, policy="thread_mapped"),
         )
-        naive = run_app(
-            app, problem,
-            ctx=ExecutionContext(spec=TINY_GPU, gpus=4, partition="tiles",
-                                 policy="thread_mapped"),
-        )
+        assert balanced.stats.extras["partition"] == "merge_path"
+        naive = multi_gpu_plan(WorkSpec.from_csr(m), spmv_costs(TINY_GPU),
+                               schedule="thread_mapped",
+                               spec=TINY_GPU, num_devices=4, partition="tiles")
         assert balanced.stats.extras["device_imbalance"] <= (
-            naive.stats.extras["device_imbalance"] + 1e-9
+            naive.device_imbalance + 1e-9
         )
 
     def test_schedule_options_thread_through_to_shards(self):
-        """Caller schedule options must shape the per-device re-planning
-        (the ROADMAP follow-up: they used to be silently dropped)."""
+        """A pre-built schedule's construction options shape the
+        per-device re-planning, not the defaults."""
         app, problem = self._spmv_parts()
-        opts = {"group_size": 4}
-        single = run_app(
-            app, problem,
-            ctx=ExecutionContext(spec=V100, policy="group_mapped",
-                                 schedule_options=opts),
-        )
-        multi = run_app(
-            app, problem,
-            ctx=ExecutionContext(spec=V100, gpus=2, policy="group_mapped",
-                                 schedule_options=opts),
-        )
-        # Parity: options-bearing multi-GPU output matches single-GPU.
+        work = WorkSpec.from_csr(problem.matrix)
+
+        def run(policy, gpus):
+            ctx = ExecutionContext(spec=V100, gpus=gpus, policy=policy)
+            return run_app(app, problem, ctx=ctx)
+
+        narrow = make_schedule("group_mapped", work, V100, group_size=4)
+        single, multi = run(narrow, 1), run(narrow, 2)
         assert np.array_equal(single.output, multi.output)
-        # And the options demonstrably reached the shard schedules: a
-        # different group size prices the same shards differently.
-        other = run_app(
-            app, problem,
-            ctx=ExecutionContext(spec=V100, gpus=2, policy="group_mapped",
-                                 schedule_options={"group_size": 32}),
-        )
+        # The shard schedules got group_size=4: the default (32) prices
+        # the same shards differently.
+        default = run("group_mapped", 2)
         assert (multi.stats.extras["device_elapsed_ms"]
-                != other.stats.extras["device_elapsed_ms"])
+                != default.stats.extras["device_elapsed_ms"])
 
     def test_construction_options_recorded_by_make_schedule(self):
         work = WorkSpec.from_counts([4, 1, 7, 2])

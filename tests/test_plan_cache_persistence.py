@@ -22,6 +22,7 @@ from repro.engine import (
     configure_global_plan_cache,
     global_plan_cache,
     input_vector,
+    work_fingerprint,
 )
 from repro.gpusim.arch import TINY_GPU
 from repro.sparse import generators as gen
@@ -37,15 +38,13 @@ def _sched(matrix):
 
 
 def _plan_once(cache: PlanCache, matrix):
-    return cache.plan(
-        _sched(matrix), spmv_costs(TINY_GPU), options_key=("merge_path",)
-    )
+    return cache.plan(_sched(matrix), spmv_costs(TINY_GPU))
 
 
 def _overwrite_payload(path, matrix, payload) -> None:
     """Append a newer record for the plan's key (newest record wins)."""
     cache = PlanCache(store_path=path)
-    key = cache.key_for(_sched(matrix), spmv_costs(TINY_GPU), ("merge_path",))
+    key = cache.key_for(_sched(matrix), spmv_costs(TINY_GPU))
     cache.store.put(key, payload)
     cache.store.close()
 
@@ -95,6 +94,27 @@ class TestInvalidation:
         replanned = _plan_once(reader, matrix)
         assert reader.disk_hits == 0 and reader.misses == 1
         assert replanned == stats  # planned live, same pure result
+
+    def test_format_v2_journal_reads_cold(self, tmp_path, matrix):
+        """A journal written under format 2 (keyed by the selecting
+        policy's token) reads as cold: no error, no stale plan."""
+        path = tmp_path / "plans.journal"
+        sched, costs = _sched(matrix), spmv_costs(TINY_GPU)
+        stats = sched.plan(costs)
+        launch = sched.launch
+        v2_key = (
+            type(sched).__name__, sched.name, launch.grid_dim,
+            launch.block_dim, sched.spec, work_fingerprint(sched.work), costs,
+            ("fixed", "merge_path"),
+        )
+        writer = PlanCache(store_path=path)
+        for key in (v2_key, writer.key_for(sched, costs)):
+            writer.store.put(key, {"version": 2, "stats": stats})
+        writer.store.close()
+
+        reader = PlanCache(store_path=path)
+        assert _plan_once(reader, matrix) == stats
+        assert reader.disk_hits == 0 and reader.misses == 1
 
     @pytest.mark.parametrize(
         "garbage",

@@ -310,7 +310,7 @@ def matrix():
 def _plan_once(cache: PlanCache, matrix):
     work = WorkSpec.from_csr(matrix)
     sched = make_schedule("merge_path", work, TINY_GPU)
-    return cache.plan(sched, spmv_costs(TINY_GPU), options_key=("merge_path",))
+    return cache.plan(sched, spmv_costs(TINY_GPU))
 
 
 class TestPlanCacheIntegration:

@@ -1,6 +1,4 @@
-"""Tests for the SchedulePolicy hierarchy (fixed/heuristic/per-kernel/oracle)."""
-
-import pickle
+"""Tests for the SchedulePolicy hierarchy (fixed/heuristic/oracle-best)."""
 
 import pytest
 
@@ -10,19 +8,12 @@ from repro.core.policy import (
     FixedPolicy,
     HeuristicPolicy,
     OracleBestPolicy,
-    PerKernelPolicy,
     PolicyError,
     as_policy,
 )
 from repro.core.schedule import available_schedules, make_schedule
 from repro.core.work import WorkSpec
-from repro.engine import (
-    DEFAULT_SEED,
-    ExecutionContext,
-    get_app,
-    input_vector,
-    run_app,
-)
+from repro.engine import ExecutionContext, input_vector
 from repro.gpusim.arch import TINY_GPU, V100
 from repro.sparse import generators as gen
 
@@ -56,11 +47,6 @@ class TestFixedPolicy:
     def test_select_returns_name(self, work):
         assert FixedPolicy("lrb").select(work, V100) == "lrb"
 
-    def test_cache_token_for_instances_is_none(self, work):
-        sched = make_schedule("merge_path", work, TINY_GPU)
-        assert FixedPolicy(sched).cache_token() is None
-        assert FixedPolicy("merge_path").cache_token() == ("fixed", "merge_path")
-
 
 class TestHeuristicPolicy:
     def test_matches_selector(self, matrix, work):
@@ -83,59 +69,14 @@ class TestHeuristicPolicy:
         chosen = HeuristicPolicy(loose).select(work, V100, matrix=matrix)
         assert chosen == select_schedule(matrix, loose)
 
-    def test_heuristic_schedule_option_rejected(self, matrix):
-        """``HeuristicPolicy(params)`` is the one spelling: a
-        ``heuristic`` schedule option is taken by no schedule."""
-        from repro.apps.spmv import spmv
-
-        ctx = ExecutionContext(
-            policy="heuristic",
-            schedule_options={"heuristic": HeuristicParams(alpha=1, beta=1)},
-        )
-        with pytest.raises(TypeError, match="heuristic"):
-            spmv(matrix, input_vector(matrix.num_cols), ctx=ctx)
-
-
-class TestPerKernelPolicy:
-    def test_routes_by_kernel_label(self, work):
-        policy = PerKernelPolicy({"count": "thread_mapped", "compute": "lrb"})
-        assert policy.select(work, V100, kernel="count") == "thread_mapped"
-        assert policy.select(work, V100, kernel="compute") == "lrb"
-
-    def test_default_fallback(self, work):
-        policy = PerKernelPolicy({"count": "lrb"}, default="merge_path")
-        assert policy.select(work, V100, kernel="other") == "merge_path"
-
-    def test_missing_kernel_fails_loudly(self, work):
-        with pytest.raises(PolicyError, match="no entry for kernel"):
-            PerKernelPolicy({"count": "lrb"}).select(work, V100, kernel="compute")
-
-    def test_spgemm_passes_routed_independently(self, matrix):
-        """The two SpGEMM passes (count/compute) really get their own
-        schedules -- the multi-kernel acceptance path."""
-        app = get_app("spgemm")
-        problem = app.sweep_problem(matrix, DEFAULT_SEED)
-        expected = app.oracle(problem)
-        ctx = ExecutionContext(
-            spec=TINY_GPU,
-            policy=PerKernelPolicy({"count": "thread_mapped", "compute": "merge_path"}),
-        )
-        result = run_app(app, problem, ctx=ctx)
-        assert app.match(result.output, expected)
-
-    def test_traversal_advance_label(self, matrix):
-        """BFS's frontier launches route through the 'advance' label."""
-        app = get_app("bfs")
-        problem = app.sweep_problem(matrix, DEFAULT_SEED)
-        ctx = ExecutionContext(
-            spec=TINY_GPU, policy=PerKernelPolicy({"advance": "merge_path"})
-        )
-        result = run_app(app, problem, ctx=ctx)
-        assert app.match(result.output, app.oracle(problem))
-
-    def test_picklable(self):
-        policy = PerKernelPolicy({"a": "lrb"}, default=OracleBestPolicy())
-        assert pickle.loads(pickle.dumps(policy)) == policy
+    def test_heuristic_schedule_option_rejected(self):
+        """``HeuristicPolicy(params)`` is the one spelling: the context
+        takes no schedule options."""
+        with pytest.raises(TypeError, match="schedule_options"):
+            ExecutionContext(
+                policy="heuristic",
+                schedule_options={"heuristic": HeuristicParams(alpha=1, beta=1)},
+            )
 
 
 class TestOracleBestPolicy:
@@ -188,70 +129,55 @@ class TestOracleBestPolicy:
         assert OracleBestPolicy().select(work, V100) in available_schedules()
 
     def test_probe_cache_keyed_by_schedule_options(self, work):
-        """Regression: two runtimes sharing one plan cache but differing
-        in schedule options must not answer each other's oracle probes
-        (same geometry, different group_size => different plans)."""
+        """Regression: two group_mapped schedules differing only in
+        group_size share geometry but not plans; each gets its own
+        plan-cache entry and its own stats."""
         from repro.engine import PlanCache, Runtime, VectorEngine
 
         costs = spmv_costs(V100)
-        eng = VectorEngine(plan_cache=PlanCache())
-        rt_wide = Runtime(eng, policy=FixedPolicy("group_mapped"),
-                          schedule_options={"group_size": 32})
-        rt_narrow = Runtime(eng, policy=FixedPolicy("group_mapped"),
-                            schedule_options={"group_size": 4})
-        s_wide = rt_wide.schedule_for(work)
-        s_narrow = rt_narrow.schedule_for(work)
-        probe_wide = rt_wide._policy_planner()(s_wide, costs).elapsed_ms
-        probe_narrow = rt_narrow._policy_planner()(s_narrow, costs).elapsed_ms
-        assert probe_wide == s_wide.plan(costs).elapsed_ms
-        assert probe_narrow == s_narrow.plan(costs).elapsed_ms
-        assert probe_wide != probe_narrow
+        cache = PlanCache()
+        probe = Runtime(VectorEngine(plan_cache=cache))._policy_planner()
+        wide = make_schedule("group_mapped", work, V100, group_size=32)
+        narrow = make_schedule("group_mapped", work, V100, group_size=4)
+        assert wide.launch == narrow.launch
+        for sched in (wide, narrow, wide, narrow):
+            assert probe(sched, costs).elapsed_ms == sched.plan(costs).elapsed_ms
+        assert (cache.misses, cache.hits, cache.info()["size"]) == (2, 2, 2)
+        assert probe(wide, costs).elapsed_ms != probe(narrow, costs).elapsed_ms
 
 
-class TestSharedScheduleOptions:
-    """One ``schedule_options`` set serves every schedule a policy may
-    pick: each schedule gets only the options its constructor takes."""
+class TestSharedPlanEntries:
+    """Plans depend only on the schedule and the costs, never on which
+    policy picked the schedule."""
 
     @pytest.fixture(scope="class")
     def skewed(self):
         return gen.power_law(4000, 4000, 8.0, seed=1)
 
-    def _spmv(self, matrix, policy, **options):
+    def _spmv(self, matrix, policy, cache):
         from repro.apps.spmv import spmv
+        from repro.engine import VectorEngine
 
-        ctx = ExecutionContext(policy=policy, schedule_options=options)
+        ctx = ExecutionContext(engine=VectorEngine(plan_cache=cache), policy=policy)
         return spmv(matrix, input_vector(matrix.num_cols), ctx=ctx)
 
-    def test_oracle_best_prices_every_candidate(self, skewed):
-        # Regression: candidates that do not take group_size used to hit
-        # a TypeError and be skipped, leaving only group_mapped.
-        oracle = self._spmv(skewed, "oracle_best", group_size=8)
-        assert oracle.schedule == "merge_path"
-        for name in available_schedules():
-            fixed = self._spmv(skewed, name, group_size=8)
-            assert oracle.elapsed_ms <= fixed.elapsed_ms, name
+    def test_heuristic_cell_hits_the_fixed_schedule_entry(self, skewed):
+        from repro.engine import PlanCache
 
-    def test_heuristic_pick_ignores_foreign_option(self, skewed):
-        picked = self._spmv(skewed, "heuristic", group_size=8)
+        cache = PlanCache()
+        fixed = self._spmv(skewed, "merge_path", cache)
+        assert (cache.misses, cache.hits) == (1, 0)
+        picked = self._spmv(skewed, "heuristic", cache)
         assert picked.schedule == "merge_path"
-        assert picked.elapsed_ms == self._spmv(skewed, "merge_path").elapsed_ms
+        assert (cache.misses, cache.hits) == (1, 1)
+        assert picked.elapsed_ms == fixed.elapsed_ms
 
-    def test_run_suite_cells_get_their_own_options(self):
-        from repro.evaluation.harness import run_suite
-        from repro.sparse.corpus import load_dataset
+    def test_oracle_best_launch_hits_its_winning_probe(self, skewed):
+        from repro.engine import PlanCache
 
-        ds = [load_dataset("tiny_power_256", "smoke")]
-        ctx = ExecutionContext(schedule_options={"group_size": 8})
-        rows = run_suite(["group_mapped", "thread_mapped"], datasets=ds, ctx=ctx)
-        plain = run_suite(["thread_mapped"], datasets=ds)
-        assert [r.kernel for r in rows] == ["group_mapped", "thread_mapped"]
-        assert rows[1].elapsed == plain[0].elapsed
-
-    def test_option_no_schedule_takes_still_raises(self, skewed):
-        for policy in ("merge_path", "oracle_best"):
-            with pytest.raises(TypeError, match="group_sise"):
-                self._spmv(skewed, policy, group_sise=8)
-
-    def test_make_schedule_stays_strict(self, work):
-        with pytest.raises(TypeError):
-            make_schedule("thread_mapped", work, V100, group_size=8)
+        cache = PlanCache()
+        oracle = self._spmv(skewed, "oracle_best", cache)
+        assert cache.misses == cache.info()["size"] >= 2  # one per probe
+        assert cache.hits == 1  # the launch re-used the winner's probe
+        fixed = self._spmv(skewed, oracle.schedule, PlanCache())
+        assert oracle.elapsed_ms == fixed.elapsed_ms

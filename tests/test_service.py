@@ -157,6 +157,7 @@ class TestAdmission:
                 dict(SMOKE_JOB, kernels=["made_up_kernel"]),
                 dict(SMOKE_JOB, engine="warp_drive"),
                 dict(SMOKE_JOB, datasets=["no_such_dataset"], limit=None),
+                dict(SMOKE_JOB, limit=-3),
             ):
                 with pytest.raises(JobRejected) as excinfo:
                     client.submit(bad)
@@ -164,7 +165,7 @@ class TestAdmission:
             # The connection survives rejections.
             assert client.ping()
         assert service.jobs_accepted == 0
-        assert service.jobs_rejected == 4
+        assert service.jobs_rejected == 5
         _stop(service)
 
     def test_queue_full_backpressure(self):

@@ -107,6 +107,15 @@ class TestExecutorEquivalence:
         with pytest.raises(ValueError, match="executor='process'"):
             run_suite(["merge_path"], scale="smoke", limit=1, **knob)
 
+    def test_unknown_kernel_rejected_before_any_worker_spawns(self):
+        from repro.engine.worker_pool import SweepExecutor
+
+        with SweepExecutor(max_workers=2) as pool:
+            with pytest.raises(KeyError, match="did you mean 'merge_path'"):
+                run_suite(["merge_pth"], scale="smoke", limit=1,
+                          executor="process", pool=pool)
+            assert pool.width == 0
+
     def test_run_suite_signature(self):
         """The sweep surface: the context selects execution, the executor
         string plus an optional width or pool selects the fan-out."""
