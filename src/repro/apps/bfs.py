@@ -31,8 +31,9 @@ def _bfs_relax_arrays(edge_targets, depth, level, n):
     pure in everything but its named outputs -- the property every
     engine's per-iteration launch relies on.
     """
-    fresh = depth[edge_targets] == UNVISITED
-    targets = np.unique(edge_targets[fresh])
+    # A plain scatter, no sort: a duplicated target writes the same
+    # level and the same mark twice.
+    targets = edge_targets[depth[edge_targets] == UNVISITED]
     depth[targets] = level
     next_mask = np.zeros(n, dtype=bool)
     next_mask[targets] = True
@@ -43,8 +44,8 @@ def _bfs_relax_scalar(edge_targets, depth, level, n):
     """Flat-loop BFS advance (jit-able, integer-exact).
 
     Claims each unvisited target at first touch; the claimed set -- and
-    hence ``depth`` and the mask -- equals
-    :func:`_bfs_relax_arrays`'s ``unique`` exactly.
+    hence ``depth`` and the mask -- equals the unvisited targets
+    :func:`_bfs_relax_arrays` scatters exactly.
     """
     next_mask = np.zeros(n, dtype=np.bool_)
     for e in range(edge_targets.shape[0]):

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from ..engine import AppSpec, Runtime, register_app, run_app
-from ..sparse.convert import csr_transpose
+from ..sparse.convert import csr_to_coo, csr_transpose
 from ..sparse.csr import CsrMatrix
 from .common import AppResult
 from .spmv import SPMV_DECL, spmv_driver
@@ -46,13 +46,24 @@ def _pull_matrix(adjacency: CsrMatrix) -> CsrMatrix:
 def pagerank_reference(
     adjacency: CsrMatrix, damping: float = 0.85, tol: float = 1e-10, max_iter: int = 200
 ) -> np.ndarray:
-    """Dense-power-iteration oracle."""
+    """Sparse push-iteration oracle, O(n + nnz) memory.
+
+    Every stored entry ``(u, v)`` (duplicates and explicit zeros count)
+    pushes ``rank[u] / outdeg(u)`` to ``v`` through one weighted
+    ``bincount`` over the COO pattern; dangling vertices spread their
+    rank evenly.  Stops once the L1 change falls under ``tol``, else
+    after ``max_iter`` steps.  Shares nothing with the driver: no pull
+    matrix, no transpose, no SpMV kernel.
+    """
     n = adjacency.num_rows
-    m = _pull_matrix(adjacency).to_dense()
-    dangling = adjacency.row_lengths() == 0
+    coo = csr_to_coo(adjacency)
+    out_deg = np.bincount(coo.rows, minlength=n)
+    share = 1.0 / out_deg[coo.rows]
+    dangling = out_deg == 0
     rank = np.full(n, 1.0 / n)
     for _ in range(max_iter):
-        new = damping * (m @ rank + rank[dangling].sum() / n) + (1 - damping) / n
+        pushed = np.bincount(coo.cols, weights=rank[coo.rows] * share, minlength=n)
+        new = damping * (pushed + rank[dangling].sum() / n) + (1 - damping) / n
         if np.abs(new - rank).sum() < tol:
             return new
         rank = new

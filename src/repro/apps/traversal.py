@@ -81,10 +81,13 @@ def traversal_costs(spec: GpuSpec) -> WorkCosts:
     )
 
 
-def advance_workspec(graph: CsrGraph, frontier: np.ndarray) -> WorkSpec:
-    """WorkSpec of one frontier: tiles = frontier vertices, atoms = edges."""
-    degrees = graph.out_degrees()[frontier]
-    return WorkSpec.from_counts(degrees, label="frontier")
+def advance_workspec(out_degrees: np.ndarray, frontier: np.ndarray) -> WorkSpec:
+    """WorkSpec of one frontier: tiles = frontier vertices, atoms = edges.
+
+    ``out_degrees`` is the graph's per-vertex out-degree array, computed
+    once per traversal rather than once per frontier.
+    """
+    return WorkSpec.from_counts(out_degrees[frontier], label="frontier")
 
 
 @dataclass
@@ -136,24 +139,23 @@ def run_frontier_loop(
     total_stats: KernelStats | None = None
     limit = max_iterations if max_iterations is not None else graph.num_vertices + 1
     costs = traversal_costs(rt.spec)
+    out_degrees = graph.out_degrees()
 
     for it in range(limit):
         if frontier.size == 0:
             break
-        work = advance_workspec(graph, frontier)
+        work = advance_workspec(out_degrees, frontier)
         if work.num_atoms == 0 and work.num_tiles == 0:  # pragma: no cover
             break
 
         # Vectorized edge expansion of the frontier.  Atom id e of this
-        # iteration's WorkSpec indexes these arrays directly.
-        degrees = csr.row_lengths()[frontier]
+        # iteration's WorkSpec indexes these arrays directly: atom e of
+        # tile i is edge ``row_offsets[frontier[i]] + e - tile_offsets[i]``.
+        degrees = out_degrees[frontier]
         edge_sources = np.repeat(frontier, degrees)
-        starts = csr.row_offsets[frontier]
-        total_edges = int(degrees.sum())
-        offs = np.zeros(frontier.size, dtype=np.int64)
-        np.cumsum(degrees[:-1], out=offs[1:])
-        within = np.arange(total_edges, dtype=np.int64) - np.repeat(offs, degrees)
-        edge_ids = np.repeat(starts, degrees) + within
+        total_edges = work.num_atoms
+        first = csr.row_offsets[frontier] - work.tile_offsets[:-1]
+        edge_ids = np.repeat(first, degrees) + np.arange(total_edges, dtype=np.int64)
         edge_targets = csr.col_indices[edge_ids]
         edge_weights = csr.values[edge_ids]
 

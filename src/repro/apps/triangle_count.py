@@ -56,53 +56,72 @@ def _upper_triangle(adjacency: CsrMatrix) -> CsrMatrix:
     )
 
 
+#: Byte budget of the triangle kernel's dense mark block: ``budget // n``
+#: upper-triangle rows (at least one) are marked at a time.  A module
+#: constant, not an option: tests shrink it to reach the multi-block path.
+_MARK_BLOCK_BYTES = 1 << 18
+#: Most wedges the triangle kernel expands at once (the multi-chunk path).
+_WEDGE_CHUNK = 1 << 16
+
+
 def _triangle_count_arrays(row_offsets, col_indices, num_rows, num_cols):
     """Vectorized intersection counting over the upper triangle's arrays.
 
     A triangle (u, v, w) with u < v < w is an edge (u, v) plus a wedge w
-    in N(v) with (u, w) also an edge.  Expand every (edge, wedge)
-    candidate and test membership with one searchsorted over the
-    linearized (row, col) keys -- sorted because rows are sorted and
-    each row's neighbor list is sorted-unique.  O(P log E) for P
-    candidate pairs, no per-row Python loop.
+    in N+(v) with (u, w) also an edge.  Rows ``[lo, hi)`` of the upper
+    triangle are marked in one reused dense ``bool`` block, row ``u`` at
+    ``(u - lo) * n``; each wedge of an edge leaving those rows is then a
+    single gather into the block, so membership costs O(1) per wedge
+    with no search and no per-row Python loop.  Wedges are expanded in
+    chunks of at most :data:`_WEDGE_CHUNK` (an edge with more wedges is
+    a chunk of its own), and the block's marks are cleared through the
+    same index array that set them, so it is allocated once.
+
+    Memory: the block holds ``max(1, _MARK_BLOCK_BYTES // n)`` rows of
+    ``n`` bytes -- 256 KiB unless a single row is larger -- plus O(E + n)
+    for the per-edge wedge counts and O(chunk) per expansion.  Needs
+    each row's neighbor list unique (a duplicate wedge counts twice);
+    the order within a row does not matter.  Integer-exact.
     """
     offs, cols = row_offsets, col_indices
     if cols.size == 0:
         return 0
-    n = np.int64(num_cols)
+    n = int(num_cols)
     deg = np.diff(offs)
-    u_of_edge = np.repeat(np.arange(num_rows, dtype=np.int64), deg)
-    wedge_counts = deg[cols]  # |N(v)| per edge (u, v)
-    if int(wedge_counts.sum()) == 0:
+    wedge_counts = deg[cols]  # |N+(v)| per edge (u, v)
+    bounds = np.zeros(cols.size + 1, dtype=np.int64)
+    np.cumsum(wedge_counts, out=bounds[1:])
+    if bounds[-1] == 0:
         return 0
-    keys = u_of_edge * n + cols
-    # Chunk the edge range so peak scratch stays bounded: heavy-tailed
-    # graphs expand to Theta(sum_of_wedges) candidates, which at full
-    # corpus scale must not materialize all at once.  Small chunks (512 KB
-    # per int64 temporary) stay cache-resident and reuse heap pages
-    # instead of mapping and page-faulting fresh memory every chunk.
-    budget = 1 << 16
+    rows_per_block = min(max(1, _MARK_BLOCK_BYTES // n), int(num_rows))
+    block = np.zeros(rows_per_block * n, dtype=bool)
     count = 0
-    bounds = np.concatenate(([0], np.cumsum(wedge_counts)))
-    lo = 0
-    while lo < wedge_counts.size:
-        hi = int(np.searchsorted(bounds, bounds[lo] + budget, side="left"))
-        hi = max(hi, lo + 1)
-        wc = wedge_counts[lo:hi]
-        total = int(wc.sum())
-        if total == 0:
-            lo = hi
-            continue
-        starts = np.zeros(wc.size, dtype=np.int64)
-        np.cumsum(wc[:-1], out=starts[1:])
-        within = np.arange(total, dtype=np.int64) - np.repeat(starts, wc)
-        w = cols[np.repeat(offs[cols[lo:hi]], wc) + within]
-        queries = np.repeat(u_of_edge[lo:hi], wc) * n + w
-        pos = np.searchsorted(keys, queries)
-        pos_clipped = np.minimum(pos, keys.size - 1)
-        found = (pos < keys.size) & (keys[pos_clipped] == queries)
-        count += int(found.sum())
-        lo = hi
+    for lo in range(0, int(num_rows), rows_per_block):
+        hi = min(lo + rows_per_block, int(num_rows))
+        e0, e1 = int(offs[lo]), int(offs[hi])
+        if bounds[e1] == bounds[e0]:
+            continue  # no edge of these rows closes a wedge
+        row_base = np.repeat(
+            np.arange(hi - lo, dtype=np.int64) * n, deg[lo:hi]
+        )
+        marks = row_base + cols[e0:e1]
+        block[marks] = True
+        a = e0
+        while a < e1:
+            # The longest edge run [a, b) with at most _WEDGE_CHUNK wedges.
+            b = int(np.searchsorted(bounds, bounds[a] + _WEDGE_CHUNK,
+                                    side="right")) - 1
+            b = min(max(b, a + 1), e1)
+            wc = wedge_counts[a:b]
+            total = int(bounds[b] - bounds[a])
+            if total:
+                # Wedge k of edge (u, v) is cols[offs[v] + k]; look up (u, w).
+                first = offs[cols[a:b]] - (bounds[a:b] - bounds[a])
+                w = cols[np.repeat(first, wc) + np.arange(total)]
+                hits = block[np.repeat(row_base[a - e0:b - e0], wc) + w]
+                count += int(np.count_nonzero(hits))
+            a = b
+        block[marks] = False
     return count
 
 

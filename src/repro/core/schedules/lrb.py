@@ -12,9 +12,15 @@ This schedule is not part of the paper's evaluated set; it demonstrates
 the abstraction's claim that *new* load-balancing algorithms drop in as
 schedules without touching application code, and it appears in the
 ablation benches.
+
+The permutation is derived on first use (the per-thread view, the
+planner, the compiled loads), not at construction: a launch whose plan
+the vector engine already cached never bins or sorts.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -51,10 +57,13 @@ class LrbSchedule(Schedule):
                 f"size {spec.warp_size}"
             )
         self.abstraction_tax = spec.costs.range_overhead
-        counts = work.atoms_per_tile()
-        bins = lrb_bins(counts)
-        # Stable sort: descending bin, preserving tile order inside a bin.
-        self.permutation = np.argsort(-bins, kind="stable").astype(np.int64)
+
+    @cached_property
+    def permutation(self) -> np.ndarray:
+        """Tiles in descending bin order, tile order kept inside a bin
+        (a stable sort)."""
+        bins = lrb_bins(self.work.atoms_per_tile())
+        return np.argsort(-bins, kind="stable").astype(np.int64)
 
     # ------------------------------------------------------------------
     # Group geometry (warp-per-tile on the permuted order)

@@ -13,9 +13,15 @@ The result is near-perfect balance regardless of how skewed the tile
 sizes are -- at the price of the setup search and the fixup.  Decoupled
 from SpMV (where CUB hardwires it), the same schedule serves any
 tiles+atoms workload, which is precisely the paper's point.
+
+The diagonal partition is derived on first use (the SIMT per-thread
+view, the planner, the compiled loads), not at construction: a launch
+whose plan the vector engine already cached never pays the search.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -85,14 +91,30 @@ class MergePathSchedule(Schedule):
             else max(1, -(-total // n_threads))
         )
         self.abstraction_tax = spec.costs.range_overhead
-        # Partition every thread's diagonal once, vectorized.  Thread t's
-        # merge range is [d_t, d_{t+1}).
+
+    @cached_property
+    def _partition(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every thread's diagonal split, vectorized; thread t's merge
+        range is [d_t, d_{t+1})."""
+        total = self.work.num_tiles + self.work.num_atoms
         diagonals = np.minimum(
-            np.arange(n_threads + 1, dtype=np.int64) * self.items_per_thread, total
+            np.arange(self.launch.num_threads + 1, dtype=np.int64)
+            * self.items_per_thread,
+            total,
         )
-        self._tile_bounds, self._atom_bounds = merge_path_partition(
-            work.tile_offsets, work.num_atoms, diagonals
+        return merge_path_partition(
+            self.work.tile_offsets, self.work.num_atoms, diagonals
         )
+
+    @property
+    def _tile_bounds(self) -> np.ndarray:
+        """Finished-tile count at each thread's diagonal."""
+        return self._partition[0]
+
+    @property
+    def _atom_bounds(self) -> np.ndarray:
+        """Consumed-atom count at each thread's diagonal."""
+        return self._partition[1]
 
     # ------------------------------------------------------------------
     # Partition accessors

@@ -41,7 +41,6 @@ import os
 import threading
 import zlib
 from collections import OrderedDict
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -77,7 +76,7 @@ PLAN_STORE_ENV = "REPRO_PLAN_STORE"
 def work_fingerprint(work: WorkSpec) -> tuple[int, int, int]:
     """Content hash of a workload: counts plus a CRC of the offsets."""
     offsets = np.ascontiguousarray(work.tile_offsets, dtype=np.int64)
-    return (work.num_tiles, work.num_atoms, zlib.crc32(offsets.tobytes()))
+    return (work.num_tiles, work.num_atoms, zlib.crc32(offsets))
 
 
 def schedule_key(sched: Schedule) -> tuple | None:
@@ -100,8 +99,19 @@ def schedule_key(sched: Schedule) -> tuple | None:
         sched.launch.grid_dim,
         sched.launch.block_dim,
         work_fingerprint(sched.work),
-        tuple(sorted(options.items())),
+        tuple(sorted(options.items())) if options else (),
     )
+
+
+def _with_extras(stats: KernelStats, extras: dict) -> KernelStats:
+    """``dataclasses.replace(stats, extras=extras)`` at a fraction of the
+    cost: a shallow copy of the cached numbers that skips the frozen
+    dataclass ``__init__`` (a cache hit is the hot path of every
+    frontier iteration)."""
+    out = object.__new__(KernelStats)
+    out.__dict__.update(stats.__dict__)
+    out.__dict__["extras"] = extras
+    return out
 
 
 class PlanCache:
@@ -125,7 +135,10 @@ class PlanCache:
         self.hits = 0
         self.misses = 0
         self.disk_hits = 0
-        self._entries: OrderedDict[tuple, KernelStats] = OrderedDict()
+        self._entries: OrderedDict[int, list[tuple[tuple, KernelStats]]] = (
+            OrderedDict()
+        )
+        self._size = 0
         self._lock = threading.Lock()
         self._store: PlanStore | None = None
         self.set_store_path(store_path)
@@ -207,40 +220,58 @@ class PlanCache:
             return sched.plan(costs, extras=extras)
 
         try:
-            with self._lock:
-                cached = self._entries.get(key)
-                if cached is not None:
-                    self._entries.move_to_end(key)
-                    self.hits += 1
+            h = hash(key)
         except TypeError:  # an unhashable option value or costs: plan live
             return sched.plan(costs, extras=extras)
+        with self._lock:
+            cached = self._lookup(h, key)
+            if cached is not None:
+                self.hits += 1
         if cached is None:
             cached = self._disk_load(key)
             if cached is not None:
                 with self._lock:
                     self.hits += 1
                     self.disk_hits += 1
-                    self._entries[key] = cached
-                    self._entries.move_to_end(key)
-                    while len(self._entries) > self.maxsize:
-                        self._entries.popitem(last=False)
+                    self._insert(h, key, cached)
         if cached is not None:
             # Same numbers, caller's extras (extras never affect timing).
-            return replace(cached, extras={"schedule": sched.name, **(extras or {})})
+            return _with_extras(cached, {"schedule": sched.name, **(extras or {})})
 
         stats = sched.plan(costs, extras=extras)
         with self._lock:
             self.misses += 1
-            self._entries[key] = stats
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
+            self._insert(h, key, stats)
         self._disk_store(key, stats)
         return stats
+
+    # The LRU is keyed on each key's hash, computed once per call: a hit
+    # then costs one full key hash instead of two (lookup and refresh),
+    # and the rare colliding keys share a bucket.  Callers hold the lock.
+    def _lookup(self, h: int, key: tuple) -> KernelStats | None:
+        bucket = self._entries.get(h)
+        if bucket is not None:
+            for stored, stats in bucket:
+                if stored == key:
+                    self._entries.move_to_end(h)
+                    return stats
+        return None
+
+    def _insert(self, h: int, key: tuple, stats: KernelStats) -> None:
+        if self._lookup(h, key) is not None:
+            return  # a concurrent miss planned the same launch first
+        self._entries.setdefault(h, []).append((key, stats))
+        self._entries.move_to_end(h)
+        self._size += 1
+        while self._size > self.maxsize:
+            _, evicted = self._entries.popitem(last=False)
+            self._size -= len(evicted)
 
     def clear(self) -> None:
         """Drop the in-memory entries and counters (the journal persists)."""
         with self._lock:
             self._entries.clear()
+            self._size = 0
             self.hits = 0
             self.misses = 0
             self.disk_hits = 0
@@ -251,7 +282,7 @@ class PlanCache:
                 "hits": self.hits,
                 "misses": self.misses,
                 "disk_hits": self.disk_hits,
-                "size": len(self._entries),
+                "size": self._size,
                 "maxsize": self.maxsize,
                 "store_path": (
                     str(self._store.path) if self._store is not None else None

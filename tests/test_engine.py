@@ -231,6 +231,39 @@ class TestPlanCache:
         spmv(small_matrix, x, ctx=ctx.with_policy(built))
         assert engine.plan_cache.hits == 1 and engine.plan_cache.misses == 1
 
+    def _launches(self, small_matrix):
+        from repro.apps.common import spmv_costs
+
+        work = WorkSpec.from_csr(small_matrix)
+        names = ("merge_path", "thread_mapped", "group_mapped")
+        return [make_schedule(n, work, TINY_GPU) for n in names], spmv_costs(TINY_GPU)
+
+    def test_lru_evicts_least_recently_used(self, small_matrix):
+        (a, b, c), costs = self._launches(small_matrix)
+        cache = PlanCache(maxsize=2)
+        cache.plan(a, costs)
+        cache.plan(b, costs)
+        cache.plan(a, costs)  # refreshes a: b is now the oldest
+        cache.plan(c, costs)
+        assert (cache.hits, cache.misses, cache.info()["size"]) == (1, 3, 2)
+        cache.plan(a, costs)
+        assert cache.hits == 2
+        cache.plan(b, costs)
+        assert cache.misses == 4
+
+    def test_colliding_key_hashes_stay_distinct(self, small_matrix, monkeypatch):
+        from repro.engine import plan_cache as plan_cache_module
+
+        monkeypatch.setattr(plan_cache_module, "hash", lambda key: 0,
+                            raising=False)
+        scheds, costs = self._launches(small_matrix)
+        cache = PlanCache(maxsize=8)
+        for sched in scheds + scheds:
+            stats = cache.plan(sched, costs, extras={"tag": sched.name})
+            assert stats == sched.plan(costs)
+            assert stats.extras == {"schedule": sched.name, "tag": sched.name}
+        assert (cache.hits, cache.misses, cache.info()["size"]) == (3, 3, 3)
+
     def test_global_cache_serves_harness_reruns(self):
         from repro.evaluation.harness import run_suite
         from repro.sparse.corpus import load_dataset

@@ -12,7 +12,7 @@ from repro.apps.pagerank import pagerank, pagerank_reference
 from repro.apps.sssp import sssp, sssp_reference
 from repro.apps.triangle_count import triangle_count, triangle_count_reference
 from repro.engine import ExecutionContext
-from repro.evaluation.harness import run_suite
+from repro.evaluation.harness import expand_datasets, run_suite
 from repro.gpusim.arch import TINY_GPU
 from repro.sparse import generators as gen
 from repro.sparse.convert import coo_to_csr, csr_to_coo
@@ -312,4 +312,149 @@ class TestTriangleOracle:
             tracemalloc.stop()
         assert got == expected
         # A dense n x n float64 copy alone would be ~0.5 GB.
+        assert peak < 64 * 2**20
+
+
+def _triangle_args(adjacency):
+    """The kernel's flat arguments: the symmetrized upper triangle."""
+    upper = tc_module._triangle_problem(adjacency).upper
+    return upper.row_offsets, upper.col_indices, upper.num_rows, upper.num_cols
+
+
+def _complete(n):
+    return CsrMatrix.from_dense(np.ones((n, n)) - np.eye(n))
+
+
+def _star(n, rim_edge=False):
+    """Vertex 0 joined to every other vertex; ``rim_edge`` adds (1, 2)."""
+    rows = np.concatenate([np.zeros(n - 1, dtype=np.int64), [1] * rim_edge])
+    cols = np.concatenate([np.arange(1, n), [2] * rim_edge])
+    return coo_to_csr(
+        CooMatrix.from_arrays(rows, cols, np.ones(rows.size), (n, n))
+    )
+
+
+def _self_loops_only(n):
+    """Every stored entry on the diagonal: an empty upper triangle."""
+    diag = np.arange(n)
+    return coo_to_csr(CooMatrix.from_arrays(diag, diag, np.ones(n), (n, n)))
+
+
+_ADVERSARIAL = {
+    "n0": CsrMatrix.empty((0, 0)),
+    **{f"messy_n{n}": _messy_graph(n, seed=n) for n in (1, 2, 31, 32, 33)},
+    "k40": _complete(40),
+    "star": _star(33),
+    "star_one_rim_edge": _star(33, rim_edge=True),
+    "duplicates_zeros_loops": _messy_graph(40, seed=7),
+    "explicit_zero_cycle": _three_cycle_upper([0.0]),
+    "empty_upper": _self_loops_only(33),
+}
+
+
+class TestTriangleKernel:
+    """The block-bitmap kernel against the two-pointer scalar kernel and
+    the bitset oracle, on every block and chunk shape."""
+
+    @pytest.mark.parametrize("name", sorted(_ADVERSARIAL))
+    @pytest.mark.parametrize(
+        "block_bytes, chunk",
+        [(1 << 18, 1 << 16), (64, 5), (1, 1)],
+        ids=["default", "multi_block", "row_per_block_edge_per_chunk"],
+    )
+    def test_kernels_agree_with_oracle(self, monkeypatch, name, block_bytes,
+                                       chunk):
+        monkeypatch.setattr(tc_module, "_MARK_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(tc_module, "_WEDGE_CHUNK", chunk)
+        adjacency = _ADVERSARIAL[name]
+        args = _triangle_args(adjacency)
+        expected = triangle_count_reference(adjacency)
+        assert tc_module._triangle_count_arrays(*args) == expected
+        assert tc_module._triangle_count_scalar(*args) == expected
+
+    def test_known_counts(self):
+        assert triangle_count_reference(_ADVERSARIAL["k40"]) == 40 * 39 * 38 // 6
+        assert triangle_count_reference(_ADVERSARIAL["star"]) == 0
+        assert triangle_count_reference(_ADVERSARIAL["star_one_rim_edge"]) == 1
+        assert triangle_count_reference(_ADVERSARIAL["empty_upper"]) == 0
+
+    def test_scratch_is_bounded(self):
+        [dataset] = expand_datasets(
+            "triangle_count", scale="smoke", names=["rmat_m"]
+        )
+        args = _triangle_args(dataset.matrix)
+        expected = triangle_count_reference(dataset.matrix)
+        tracemalloc.start()
+        try:
+            got = tc_module._triangle_count_arrays(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == expected
+        # The 256 KiB mark block, three int64 temporaries per wedge of a
+        # 2**16-wedge chunk (1.5 MiB) and ~18k edges' counts and bounds
+        # measure 2.25 MiB; a 2 MiB block or 2**18-wedge chunks exceed 3.
+        assert peak < 3 * 2**20
+
+
+def _dense_pagerank(adjacency, damping=0.85, tol=1e-10, max_iter=200):
+    """The dense power iteration the sparse oracle replaced."""
+    n = adjacency.num_rows
+    coo = csr_to_coo(adjacency)
+    out_deg = np.bincount(coo.rows, minlength=n)
+    pull = np.zeros((n, n))
+    np.add.at(pull, (coo.cols, coo.rows), 1.0 / out_deg[coo.rows])
+    dangling = out_deg == 0
+    rank = np.full(n, 1.0 / n)
+    for _ in range(max_iter):
+        new = damping * (pull @ rank + rank[dangling].sum() / n) + (1 - damping) / n
+        if np.abs(new - rank).sum() < tol:
+            return new
+        rank = new
+    return rank
+
+
+pr_module = importlib.import_module("repro.apps.pagerank")
+
+
+class TestPagerankOracle:
+    @pytest.mark.parametrize("n", [1, 2, 7, 33, 64])
+    @pytest.mark.parametrize(
+        "tol, max_iter", [(1e-10, 200), (1e-8, 100), (0.0, 3)],
+        ids=["default", "sweep", "capped"],
+    )
+    def test_matches_dense_iteration(self, n, tol, max_iter):
+        # Past n = 1, every other vertex stores no out-edges (dangling);
+        # duplicates, self-loops and explicit zeros throughout.
+        adjacency = _messy_graph(n, seed=n)
+        assert n == 1 or np.any(adjacency.row_lengths() == 0)
+        np.testing.assert_allclose(
+            pagerank_reference(adjacency, 0.85, tol, max_iter),
+            _dense_pagerank(adjacency, 0.85, tol, max_iter),
+            rtol=1e-12, atol=1e-15,
+        )
+
+    def test_independent_of_the_code_it_validates(self, monkeypatch):
+        matrix = _messy_graph(40, seed=3)
+        expected = pagerank(matrix).output
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("oracle reached the validated code")
+
+        for name in ("_pull_matrix", "csr_transpose", "spmv_driver", "SPMV_DECL"):
+            monkeypatch.setattr(pr_module, name, forbidden)
+        np.testing.assert_allclose(
+            pr_module.pagerank_reference(matrix), expected, atol=1e-8
+        )
+
+    def test_memory_stays_sparse(self):
+        matrix = gen.poisson_random(32000, 32000, 8.0, seed=5)
+        tracemalloc.start()
+        try:
+            rank = pagerank_reference(matrix, 0.85, 1e-8, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rank.sum() == pytest.approx(1.0)
+        # The dense pull matrix alone would be 7.63 GiB.
         assert peak < 64 * 2**20

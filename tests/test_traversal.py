@@ -14,13 +14,13 @@ class TestAdvanceWorkspec:
     def test_frontier_tiles_and_atoms(self):
         g = random_graph(50, 4.0, seed=1)
         frontier = np.array([3, 10, 20], dtype=np.int64)
-        work = advance_workspec(g, frontier)
+        work = advance_workspec(g.out_degrees(), frontier)
         assert work.num_tiles == 3
         assert work.num_atoms == int(g.out_degrees()[frontier].sum())
 
     def test_empty_frontier(self):
         g = random_graph(10, 2.0, seed=2)
-        work = advance_workspec(g, np.array([], dtype=np.int64))
+        work = advance_workspec(g.out_degrees(), np.array([], dtype=np.int64))
         assert work.num_tiles == 0 and work.num_atoms == 0
 
 
