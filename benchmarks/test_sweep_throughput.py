@@ -1,12 +1,12 @@
 """Corpus-sweep throughput bench: cold vs warm, pooled vs persistent.
 
 Times one small (kernel x dataset) grid under every harness fan-out
-configuration and the journaled plan store, then writes
+configuration, then writes
 ``BENCH_sweep.json`` at the repo root so subsequent PRs have a
 throughput trajectory to regress against:
 
-* ``cold_serial`` / ``warm_serial`` -- same process, plan cache cold
-  (fresh journal) vs warm (second sweep of the identical grid);
+* ``cold_serial`` / ``warm_serial`` -- same process, in-memory plan
+  cache cold (just cleared) vs warm (second sweep of the identical grid);
 * ``process_pool_w2`` -- the process executor over the same grid, its
   pool spawned per sweep;
 * ``pool_reuse_first`` / ``pool_reuse_warm`` -- the persistent
@@ -24,13 +24,9 @@ throughput trajectory to regress against:
   lands every dataset on the same worker sweep after sweep, so the warm
   hit rate is 100% without the single-worker crutch
   (``steady_state_w4_hit_rate``, CI-floored; placement asserted
-  identical across sweeps);
-* ``store_fresh_cold`` / ``store_fresh_warm`` -- two subprocesses
-  sweeping the grid against the journaled plan store; the warm one must
-  avoid exactly the misses the cold one paid
-  (``disk_hits == misses_avoided``), all from one file on disk.
+  identical across sweeps).
 
-Persistence is verified by counters, not timing.  The timing assertion
+Cache reuse is verified by counters, not timing.  The timing assertion
 encodes the acceptance floor: warm persistent-pool sweeps beat the
 spawn-per-sweep process path by >= 1.5x at smoke scale.
 
@@ -43,21 +39,13 @@ from __future__ import annotations
 
 import json
 import os
-import subprocess
-import sys
 import time
 from pathlib import Path
 
-from repro.engine import (
-    ExecutionContext,
-    SweepExecutor,
-    clear_plan_cache,
-    configure_global_plan_cache,
-)
+from repro.engine import SweepExecutor, clear_plan_cache, global_plan_cache
 from repro.evaluation.harness import run_suite
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-SRC_DIR = REPO_ROOT / "src"
 BENCH_PATH = REPO_ROOT / "BENCH_sweep.json"
 
 SWEEP_SCALE = os.environ.get("REPRO_BENCH_SWEEP_SCALE", "smoke")
@@ -72,110 +60,61 @@ def _timed_sweep(**kwargs) -> tuple[float, list]:
     return time.perf_counter() - t0, rows
 
 
-def _fresh_process_sweep(store: Path) -> tuple[float, dict]:
-    """Sweep the same grid in a brand-new interpreter against the plan
-    journal at ``store``; report cache info."""
-    script = (
-        "import json, sys, time\n"
-        "from repro.evaluation.harness import run_suite\n"
-        "from repro.engine import ExecutionContext, global_plan_cache\n"
-        "t0 = time.perf_counter()\n"
-        f"run_suite({KERNELS!r}, app='spmv', scale={SWEEP_SCALE!r},\n"
-        f"          limit={SWEEP_LIMIT},\n"
-        "          ctx=ExecutionContext(plan_store=sys.argv[1]))\n"
-        "elapsed = time.perf_counter() - t0\n"
-        "print(json.dumps({'elapsed_s': elapsed,\n"
-        "                  'cache': global_plan_cache().info()}))\n"
-    )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
-    out = subprocess.run(
-        [sys.executable, "-c", script, str(store)],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    payload = json.loads(out.stdout.strip().splitlines()[-1])
-    return payload["elapsed_s"], payload["cache"]
-
-
-def test_sweep_throughput(tmp_path):
-    store = tmp_path / "plans.journal"
-    ctx = ExecutionContext(plan_store=str(store))
-
+def test_sweep_throughput():
     # -- In-process: cold vs warm, then the process executor. ----------
-    configure_global_plan_cache(store)
-    try:
-        clear_plan_cache()
-        cold_s, cold_rows = _timed_sweep(executor="serial")
-        warm_s, warm_rows = _timed_sweep(executor="serial")
-        process_s, process_rows = _timed_sweep(
-            executor="process", max_workers=2, ctx=ctx
-        )
+    clear_plan_cache()
+    cold_s, cold_rows = _timed_sweep(executor="serial")
+    warm_s, warm_rows = _timed_sweep(executor="serial")
+    process_s, process_rows = _timed_sweep(executor="process", max_workers=2)
 
-        # -- Persistent pool: spawn once at machine-natural width, stream
-        # sweeps through it.  Warm is the best of three (single-digit-ms
-        # sweeps jitter with the host scheduler; the floor is the honest
-        # steady-state number). --
-        with SweepExecutor() as pool:
-            pool_first_s, pool_first_rows = _timed_sweep(
-                executor="process", pool=pool, ctx=ctx
+    # -- Persistent pool: spawn once at machine-natural width, stream
+    # sweeps through it.  Warm is the best of three (single-digit-ms
+    # sweeps jitter with the host scheduler; the floor is the honest
+    # steady-state number). --
+    with SweepExecutor() as pool:
+        pool_first_s, pool_first_rows = _timed_sweep(executor="process", pool=pool)
+        warm_times = []
+        for _ in range(3):
+            t, pool_warm_rows = _timed_sweep(executor="process", pool=pool)
+            warm_times.append(t)
+        pool_info = pool.info()
+    pool_warm_s = min(warm_times)
+
+    # -- Steady state: a second sweep on the same warm pool serves
+    # every shard's problem *and* oracle from the worker-resident
+    # cache (validate=True, so the oracle is real work skipped).
+    # One worker keeps the batch->worker placement deterministic. --
+    with SweepExecutor(max_workers=1) as ss_pool:
+        ss_first_s, ss_first_rows = _timed_sweep(executor="process", pool=ss_pool)
+        ss_times = []
+        for _ in range(3):
+            t, ss_warm_rows = _timed_sweep(executor="process", pool=ss_pool)
+            ss_times.append(t)
+    ss_warm_s = min(ss_times)
+
+    # -- Steady state at width 4: sticky placement pins each dataset
+    # to its home worker, so every warm sweep hits the same caches
+    # the first sweep filled -- no single-worker crutch needed. --
+    def _placement(rows):
+        return {
+            r.dataset: (
+                r.meta["placement"]["slot"], r.meta["placement"]["pid"]
             )
-            warm_times = []
-            for _ in range(3):
-                t, pool_warm_rows = _timed_sweep(
-                    executor="process", pool=pool, ctx=ctx
-                )
-                warm_times.append(t)
-            pool_info = pool.info()
-        pool_warm_s = min(warm_times)
+            for r in rows
+        }
 
-        # -- Steady state: a second sweep on the same warm pool serves
-        # every shard's problem *and* oracle from the worker-resident
-        # cache (validate=True, so the oracle is real work skipped).
-        # One worker keeps the batch->worker placement deterministic. --
-        with SweepExecutor(max_workers=1) as ss_pool:
-            ss_first_s, ss_first_rows = _timed_sweep(
-                executor="process", pool=ss_pool, ctx=ctx
-            )
-            ss_times = []
-            for _ in range(3):
-                t, ss_warm_rows = _timed_sweep(
-                    executor="process", pool=ss_pool, ctx=ctx
-                )
-                ss_times.append(t)
-        ss_warm_s = min(ss_times)
-
-        # -- Steady state at width 4: sticky placement pins each dataset
-        # to its home worker, so every warm sweep hits the same caches
-        # the first sweep filled -- no single-worker crutch needed. --
-        def _placement(rows):
-            return {
-                r.dataset: (
-                    r.meta["placement"]["slot"], r.meta["placement"]["pid"]
-                )
-                for r in rows
-            }
-
-        with SweepExecutor(max_workers=4) as w4_pool:
-            w4_first_s, w4_first_rows = _timed_sweep(
-                executor="process", pool=w4_pool, ctx=ctx
-            )
-            w4_times = []
-            w4_placements = []
-            for _ in range(3):
-                t, w4_warm_rows = _timed_sweep(
-                    executor="process", pool=w4_pool, ctx=ctx
-                )
-                w4_times.append(t)
-                w4_placements.append(_placement(w4_warm_rows))
-            w4_info = w4_pool.info()
-            w4_first_placement = _placement(w4_first_rows)
-        w4_warm_s = min(w4_times)
-
-        from repro.engine import global_plan_cache
-
-        in_process_info = global_plan_cache().info()
-    finally:
-        configure_global_plan_cache(None)
+    with SweepExecutor(max_workers=4) as w4_pool:
+        w4_first_s, w4_first_rows = _timed_sweep(executor="process", pool=w4_pool)
+        w4_times = []
+        w4_placements = []
+        for _ in range(3):
+            t, w4_warm_rows = _timed_sweep(executor="process", pool=w4_pool)
+            w4_times.append(t)
+            w4_placements.append(_placement(w4_warm_rows))
+        w4_info = w4_pool.info()
+        w4_first_placement = _placement(w4_first_rows)
+    w4_warm_s = min(w4_times)
+    in_process_info = global_plan_cache().info()
 
     def key(rows):
         return [(r.kernel, r.dataset, r.elapsed) for r in rows]
@@ -223,21 +162,6 @@ def test_sweep_throughput(tmp_path):
     assert w4_hit_rate == 1.0, w4_hit_rate
     assert w4_info["sticky_shards"] > 0
 
-    # -- Fresh processes against the journaled plan store. --------------
-    store_dir = tmp_path / "store"
-    store_path = store_dir / "plans.journal"
-    st_cold_s, st_cold_info = _fresh_process_sweep(store_path)
-    st_warm_s, st_warm_info = _fresh_process_sweep(store_path)
-
-    # A warm second sweep of the same grid in a fresh process serves
-    # plans from disk, not by replanning: every miss the cold run paid is
-    # a disk hit in the warm one (disk_hits == misses_avoided), served
-    # from a single file on disk.
-    assert st_cold_info["misses"] > 0 and st_cold_info["disk_hits"] == 0
-    assert st_warm_info["misses"] == 0
-    assert st_warm_info["disk_hits"] == st_cold_info["misses"]
-    assert [p.name for p in store_dir.iterdir()] == ["plans.journal"]
-
     payload = {
         "benchmark": "sweep_throughput",
         "app": "spmv",
@@ -255,8 +179,6 @@ def test_sweep_throughput(tmp_path):
             "steady_state_warm": round(ss_warm_s, 6),
             "steady_state_w4_first": round(w4_first_s, 6),
             "steady_state_w4_warm": round(w4_warm_s, 6),
-            "store_fresh_cold": round(st_cold_s, 6),
-            "store_fresh_warm": round(st_warm_s, 6),
         },
         "speedups": {
             "warm_over_cold_serial": round(cold_s / warm_s, 3) if warm_s else None,
@@ -268,9 +190,6 @@ def test_sweep_throughput(tmp_path):
             ),
             "steady_state_w4_warm_over_first": (
                 round(w4_first_s / w4_warm_s, 3) if w4_warm_s else None
-            ),
-            "store_fresh_warm_over_cold": (
-                round(st_cold_s / st_warm_s, 3) if st_warm_s else None
             ),
         },
         "pool": pool_info,
@@ -284,11 +203,7 @@ def test_sweep_throughput(tmp_path):
             "w4_warm_hits": w4_hits,
             "w4_rows": len(w4_warm_rows),
         },
-        "plan_cache": {
-            "in_process_final": in_process_info,
-            "store_fresh_cold": st_cold_info,
-            "store_fresh_warm": st_warm_info,
-        },
+        "plan_cache": {"in_process_final": in_process_info},
     }
     BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"\n=== BENCH_sweep.json ===\n{json.dumps(payload, indent=2)}")

@@ -301,10 +301,15 @@ def _check(a: CsrMatrix, b: CsrMatrix) -> None:
 
 
 def _sweep_problem(matrix: CsrMatrix, seed: int) -> SimpleNamespace:
-    # Square matrices multiply themselves; rectangular ones multiply
-    # their transpose (always dimension-compatible).
-    b = matrix if matrix.num_rows == matrix.num_cols else csr_transpose(matrix)
-    return SimpleNamespace(a=matrix, b=b)
+    # Square matrices multiply themselves; a rectangular one forms the
+    # Gram product with the smaller output -- A @ A.T when wide, A.T @ A
+    # when tall -- so a 65536 x 1 vector squares to 1 x 1, not 65536^2.
+    if matrix.num_rows == matrix.num_cols:
+        return SimpleNamespace(a=matrix, b=matrix)
+    t = csr_transpose(matrix)
+    if matrix.num_rows < matrix.num_cols:
+        return SimpleNamespace(a=matrix, b=t)
+    return SimpleNamespace(a=t, b=matrix)
 
 
 register_app(

@@ -19,8 +19,6 @@ CLI reproduces both entry points::
     python -m repro engines
     python -m repro table1
     python -m repro analyze --probe --lint --strict
-    python -m repro plans plans.journal
-    python -m repro plans compact plans.journal
 
 Execution selection is one :class:`~repro.engine.context.ExecutionContext`
 built from ``--engine`` (any registered engine: ``vector``, ``simt``,
@@ -39,11 +37,7 @@ knobs:
   default_executor`) of width ``N``: each worker builds the
   problem/oracle once per dataset and runs every kernel of that cell,
   dataset payloads travel through shared memory, small shards are
-  batched.  Without it (or with ``0``) the sweep runs serially;
-* ``--plan-store FILE`` -- persist the engine's plan cache in an
-  append-only journal so repeated sweeps of the same grid (and every
-  process-pool worker) start warm instead of re-planning identical
-  launches.
+  batched.  Without it (or with ``0``) the sweep runs serially.
 
 ``serve`` runs the long-lived multi-tenant sweep daemon
 (:mod:`repro.service`) over one persistent warm executor; ``submit``
@@ -150,9 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--workers", type=int, default=None,
                          help="process-pool width for per-dataset shards; "
                               "0 or unset runs serially in-process")
-    p_sweep.add_argument("--plan-store", type=Path, default=None,
-                         help="journaled plan store (warm-starts repeated "
-                              "sweeps and workers)")
     p_sweep.add_argument("--rows-jsonl", type=Path, default=None,
                          help="also write one JSON object per result row "
                               "(the schema the sweep service streams) to "
@@ -198,8 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--journal", type=Path, default=None,
                          help="crash-safe results journal (every accepted "
                               "job, row and completion, CRC-framed)")
-    p_serve.add_argument("--plan-store", type=Path, default=None,
-                         help="journaled plan store shared by every job")
     p_serve.add_argument("--job-timeout", type=float, default=None,
                          help="per-job wall-clock deadline in seconds; a "
                               "job past it finishes with status=timeout "
@@ -262,14 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="repo root for the lints (default: the "
                                 "installed tree's root)")
 
-    p_plans = sub.add_parser(
-        "plans", help="inspect or compact a journaled plan store"
-    )
-    p_plans.add_argument(
-        "target", nargs="+", metavar="[compact] PATH",
-        help="plan-store journal to inspect, or 'compact' followed by "
-             "the journal to rewrite in place",
-    )
     return parser
 
 
@@ -362,7 +343,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         engine=args.engine,
         spec=get_spec(args.spec),
         gpus=args.gpus,
-        plan_store=None if args.plan_store is None else str(args.plan_store),
     )
     fan_out = {}
     if args.workers:
@@ -488,7 +468,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             width=width,
             queue_depth=args.queue_depth,
             journal_path=None if args.journal is None else str(args.journal),
-            plan_store=None if args.plan_store is None else str(args.plan_store),
             job_timeout=args.job_timeout,
         )
     except (ValueError, OSError) as exc:
@@ -681,67 +660,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_plan_store_path(path: Path) -> str | None:
-    """Validate that ``path`` looks like one of our plan-store journals.
-
-    Only *structural* problems (missing file, directory, foreign or
-    version-bumped header) are errors; a damaged tail is tolerated by
-    the store itself and merely reported by the inspection output.
-    """
-    from .engine.plan_store import STORE_FORMAT_VERSION, STORE_MAGIC
-
-    if not path.exists():
-        return f"no plan store at {path}"
-    if path.is_dir():
-        return f"{path} is a directory, not a plan-store journal"
-    with open(path, "rb") as fh:
-        head = fh.read(len(STORE_MAGIC) + 4)
-    if (len(head) < len(STORE_MAGIC) + 4
-            or head[: len(STORE_MAGIC)] != STORE_MAGIC
-            or int.from_bytes(head[len(STORE_MAGIC):], "little")
-            != STORE_FORMAT_VERSION):
-        return f"{path} is not a plan-store journal (bad header)"
-    return None
-
-
-def _cmd_plans(args: argparse.Namespace) -> int:
-    from .engine.plan_store import PlanStore
-
-    target = list(args.target)
-    compact = target and target[0] == "compact"
-    if compact:
-        target = target[1:]
-    if len(target) != 1:
-        print("usage: repro plans [compact] PATH", file=sys.stderr)
-        return 2
-    path = Path(target[0])
-    error = _check_plan_store_path(path)
-    if error is not None:
-        print(error, file=sys.stderr)
-        return 2
-
-    store = PlanStore(path)
-    try:
-        if compact:
-            before = store.info()["file_bytes"]
-            dropped = store.compact()
-            after = store.info()["file_bytes"]
-            print(f"compacted {path}: dropped {dropped} dead records "
-                  f"({before} -> {after} bytes)")
-            return 0
-        info = store.info()
-        total = info["records"] + info["dead_records"]
-        live_ratio = info["records"] / total if total else 1.0
-        print(f"path:         {info['path']}")
-        print(f"records:      {info['records']} live, "
-              f"{info['dead_records']} dead ({live_ratio:.0%} live)")
-        print(f"file bytes:   {info['file_bytes']}")
-        print(f"scan damage:  {'yes' if info['scan_damage'] else 'no'}")
-        return 0
-    finally:
-        store.close()
-
-
 _COMMANDS = {
     "spmv": _cmd_spmv,
     "sweep": _cmd_sweep,
@@ -753,7 +671,6 @@ _COMMANDS = {
     "serve": _cmd_serve,
     "submit": _cmd_submit,
     "analyze": _cmd_analyze,
-    "plans": _cmd_plans,
 }
 
 

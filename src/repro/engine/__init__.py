@@ -12,9 +12,9 @@ level:
   delegate to.
 * **Context** (:mod:`.context`) -- :class:`ExecutionContext`, the one
   frozen, picklable execution-selection object: engine name, device
-  spec, :class:`~repro.core.policy.SchedulePolicy`, plan store and
-  device count.  ``ctx=`` is the only execution-selection
-  argument of every public entry point.
+  spec, :class:`~repro.core.policy.SchedulePolicy` and device count.
+  ``ctx=`` is the only execution-selection argument of every public
+  entry point.
 * **Dispatch** (:mod:`.dispatch`) -- pluggable engines behind a registry
   (:func:`register_engine` / :func:`available_engines` /
   :func:`get_engine`), mirroring the schedule registry.
@@ -29,11 +29,8 @@ level:
 * **Plan cache** (:mod:`.plan_cache`) -- planning is pure, so the vector
   engine memoizes :meth:`Schedule.plan` keyed by the schedule identity
   (class, options, launch geometry, work content, device) plus the
-  costs: corpus sweeps stop re-planning identical launches.  An optional
-  disk layer -- the append-only single-file journal of
-  :mod:`.plan_store` (``plan_store`` /
-  ``REPRO_PLAN_STORE``) -- persists plans across processes, so repeated
-  figure benches and process-pool sweep workers start warm.
+  costs: corpus sweeps stop re-planning identical launches.  It is
+  in-memory and per process; each pool worker keeps its own.
 * **Worker pool** (:mod:`.worker_pool`) -- :class:`SweepExecutor`, the
   persistent process pool behind ``executor="process"`` sweeps: warm
   workers survive across ``run_suite`` calls (``pool=default_executor()``
@@ -87,19 +84,10 @@ from .compiled import (
 from .multi_gpu import MultiGpuEngine
 from .context import DEFAULT_CONTEXT, ExecutionContext
 from .plan_cache import (
-    CACHE_FORMAT_VERSION,
-    PLAN_STORE_ENV,
     PlanCache,
     clear_plan_cache,
-    configure_global_plan_cache,
     global_plan_cache,
     work_fingerprint,
-)
-from .journal import RecordJournal, RecordLocation
-from .plan_store import (
-    PLAN_STORE_COMPACT_RATIO_ENV,
-    STORE_FORMAT_VERSION,
-    PlanStore,
 )
 from .worker_pool import (
     SHARED_ORACLE_BYTES_ENV,
@@ -156,15 +144,8 @@ __all__ = [
     "tile_charges",
     "ExecutionContext",
     "DEFAULT_CONTEXT",
-    "CACHE_FORMAT_VERSION",
-    "PLAN_STORE_ENV",
-    "PLAN_STORE_COMPACT_RATIO_ENV",
-    "STORE_FORMAT_VERSION",
     "SHARED_ORACLE_BYTES_ENV",
     "PlanCache",
-    "PlanStore",
-    "RecordJournal",
-    "RecordLocation",
     "SweepExecutor",
     "ShmHandle",
     "publish_payload",
@@ -177,7 +158,6 @@ __all__ = [
     "default_executor",
     "shutdown_default_executor",
     "clear_plan_cache",
-    "configure_global_plan_cache",
     "global_plan_cache",
     "work_fingerprint",
     "AppSpec",

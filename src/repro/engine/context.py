@@ -11,8 +11,7 @@ selects *how* a declared application runs --
   for the multi-device engine),
 * the **schedule policy**
   (:class:`~repro.core.policy.SchedulePolicy`: fixed, heuristic,
-  oracle-best),
-* the persistent **plan store** journal.
+  oracle-best).
 
 Every public app function, :func:`~repro.engine.registry.run_app`, the
 harness's ``run_suite`` and the CLI take ``ctx=ExecutionContext(...)``
@@ -53,10 +52,6 @@ class ExecutionContext:
         registered default schedule.  A schedule tuned by construction
         options is selected as a pre-built instance
         (``policy=make_schedule(name, work, spec, **options)``).
-    plan_store:
-        Path of the single-file journaled plan store
-        (:mod:`repro.engine.plan_store`); ``None`` = in-memory only.
-        Sweeps attach the process-global plan cache to it.
     gpus:
         Device count for multi-device engines.  ``gpus > 1`` with the
         default engine auto-selects ``"multi_gpu"`` -- scaling out is a
@@ -68,14 +63,11 @@ class ExecutionContext:
     engine: str | Engine = "vector"
     spec: GpuSpec = V100
     policy: SchedulePolicy | None = None
-    plan_store: str | None = None
     gpus: int = 1
 
     def __post_init__(self):
         if self.policy is not None and not isinstance(self.policy, SchedulePolicy):
             object.__setattr__(self, "policy", as_policy(self.policy))
-        if self.plan_store is not None:
-            object.__setattr__(self, "plan_store", str(self.plan_store))
         if self.gpus < 1:
             raise ValueError("gpus must be >= 1")
         if self.gpus > 1:

@@ -25,9 +25,8 @@ sites.
 
 :class:`VectorEngine` runs ``decl.arrays(*args)`` and prices the launch through
 the analytic planner (memoized via :mod:`repro.engine.plan_cache` on the
-schedule's identity and the costs, whichever policy picked the schedule;
-its optional journal layer persists plans across processes -- see the
-``plan_store`` knob on the harness and CLI);
+schedule's identity and the costs, whichever policy picked the
+schedule);
 :class:`SimtEngine` interprets ``simt()`` thread-by-thread and folds
 the measured charges with the same cost model, so the two engines are
 cross-validated by construction.  Applications never branch on an engine

@@ -15,7 +15,7 @@ timing delegates to :func:`~repro.gpusim.multi_gpu.multi_gpu_plan`
 (shard partition, per-shard re-scheduling, slowest-device-plus-offload
 ensemble), with shard planning routed through the engine's plan cache
 via its ``plan_shard`` hook -- one partition/plan loop, two callers.
-Multi-device sweeps therefore warm the same persistent cache
+Multi-device sweeps therefore warm the same in-memory cache
 single-device sweeps do.
 """
 

@@ -17,61 +17,29 @@ hit the same entry.  Schedules not built by
 their construction options are unknown to the key.  The compiled
 engine's load cache keys on the same identity.
 
-Persistence
------------
-On top of the in-memory LRU sits an optional *disk layer*: the
-append-only single-file journal of :class:`~repro.engine.plan_store.
-PlanStore`.  Attach it with ``PlanCache(store_path=...)``, the
-``ExecutionContext(plan_store=...)`` / ``--plan-store`` knob, or the
-``REPRO_PLAN_STORE`` environment variable for the process-wide cache,
-and every planned launch is also appended to the journal, keyed by the
-same content fingerprints.  A fresh process -- a repeated figure bench,
-or a process-pool sweep worker -- then starts warm: in-memory misses
-fall through to the journal before planning live.
-
-The disk layer can never change behaviour, only skip recomputation:
-records are CRC-verified and versioned (:data:`CACHE_FORMAT_VERSION`),
-so a version bump or a damaged record reads as a miss, never as an
-error.
+The cache is in-memory and per process: a fresh process (or pool
+worker) starts cold and warms up over its first sweep.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import zlib
 from collections import OrderedDict
-from pathlib import Path
 
 import numpy as np
 
 from ..core.schedule import Schedule, WorkCosts
 from ..core.work import WorkSpec
 from ..gpusim.cost_model import KernelStats
-from .plan_store import PlanStore
 
 __all__ = [
     "PlanCache",
     "work_fingerprint",
     "schedule_key",
     "global_plan_cache",
-    "configure_global_plan_cache",
     "clear_plan_cache",
-    "CACHE_FORMAT_VERSION",
-    "PLAN_STORE_ENV",
 ]
-
-#: Bump whenever the key schema, the pickled payload layout, or the
-#: planner semantics change: old journals then read as cold
-#: (version-mismatch entries are ignored) instead of serving stale plans.
-#: v3: keyed on :func:`schedule_key` plus the costs, without the
-#: selecting policy's token.
-CACHE_FORMAT_VERSION = 3
-
-#: Environment variable attaching the journal store to the process-wide
-#: cache (how process-pool sweep workers under ``spawn`` inherit it).
-PLAN_STORE_ENV = "REPRO_PLAN_STORE"
-
 
 def work_fingerprint(work: WorkSpec) -> tuple[int, int, int]:
     """Content hash of a workload: counts plus a CRC of the offsets."""
@@ -121,86 +89,19 @@ class PlanCache:
     directly; schedules without a :func:`schedule_key` and unhashable
     keys fall through to a live plan, so the cache can never change
     behaviour -- only skip recomputation.  ``hits`` / ``misses``
-    counters make the skipping observable to tests; with a
-    ``store_path``, ``disk_hits`` counts the subset of hits served from
-    the persistent layer (warm starts of a fresh process).
+    counters make the skipping observable to tests.
     """
 
-    def __init__(
-        self,
-        maxsize: int = 1024,
-        store_path: str | Path | None = None,
-    ):
+    def __init__(self, maxsize: int = 1024):
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
-        self.disk_hits = 0
         self._entries: OrderedDict[int, list[tuple[tuple, KernelStats]]] = (
             OrderedDict()
         )
         self._size = 0
         self._lock = threading.Lock()
-        self._store: PlanStore | None = None
-        self.set_store_path(store_path)
 
-    # ------------------------------------------------------------------
-    # Persistence plumbing
-    # ------------------------------------------------------------------
-    @property
-    def store_path(self) -> Path | None:
-        return self._store.path if self._store is not None else None
-
-    @property
-    def store(self) -> PlanStore | None:
-        """The attached journal store, if any."""
-        return self._store
-
-    def set_store_path(self, store_path: str | Path | None) -> None:
-        """Attach the single-file journal layer (``None`` detaches).
-
-        Re-attaching the journal already open is a no-op (the in-memory
-        index and its warmth are kept).
-        """
-        if (
-            store_path is not None
-            and self._store is not None
-            and self._store.path == Path(store_path)
-        ):
-            return
-        if self._store is not None:
-            self._store.close()
-            self._store = None
-        if store_path is None:
-            return
-        self._store = PlanStore(store_path)
-
-    def _disk_load(self, key: tuple) -> KernelStats | None:
-        """Read one persisted plan; any defect whatsoever reads as a miss."""
-        if self._store is None:
-            return None
-        try:
-            payload = self._store.get(key)
-        except Exception:
-            return None
-        if not isinstance(payload, dict):
-            return None
-        if payload.get("version") != CACHE_FORMAT_VERSION:
-            return None
-        stats = payload.get("stats")
-        return stats if isinstance(stats, KernelStats) else None
-
-    def _disk_store(self, key: tuple, stats: KernelStats) -> None:
-        """Persist one plan; failures are silently dropped."""
-        if self._store is None:
-            return
-        try:
-            self._store.put(key, {"version": CACHE_FORMAT_VERSION, "stats": stats})
-        except Exception:  # unpicklable key part, disk full, ...: skip
-            pass
-
-    # ------------------------------------------------------------------
-    # Memoization
-    # ------------------------------------------------------------------
     @staticmethod
     def key_for(sched: Schedule, costs: WorkCosts) -> tuple | None:
         """Cache key of one planned launch; ``None`` = plan live."""
@@ -227,13 +128,6 @@ class PlanCache:
             cached = self._lookup(h, key)
             if cached is not None:
                 self.hits += 1
-        if cached is None:
-            cached = self._disk_load(key)
-            if cached is not None:
-                with self._lock:
-                    self.hits += 1
-                    self.disk_hits += 1
-                    self._insert(h, key, cached)
         if cached is not None:
             # Same numbers, caller's extras (extras never affect timing).
             return _with_extras(cached, {"schedule": sched.name, **(extras or {})})
@@ -242,7 +136,6 @@ class PlanCache:
         with self._lock:
             self.misses += 1
             self._insert(h, key, stats)
-        self._disk_store(key, stats)
         return stats
 
     # The LRU is keyed on each key's hash, computed once per call: a hit
@@ -268,66 +161,28 @@ class PlanCache:
             self._size -= len(evicted)
 
     def clear(self) -> None:
-        """Drop the in-memory entries and counters (the journal persists)."""
+        """Drop the entries and counters."""
         with self._lock:
             self._entries.clear()
             self._size = 0
             self.hits = 0
             self.misses = 0
-            self.disk_hits = 0
 
     def info(self) -> dict:
         with self._lock:
             return {
                 "hits": self.hits,
                 "misses": self.misses,
-                "disk_hits": self.disk_hits,
                 "size": self._size,
                 "maxsize": self.maxsize,
-                "store_path": (
-                    str(self._store.path) if self._store is not None else None
-                ),
-                "store_records": (
-                    len(self._store) if self._store is not None else None
-                ),
             }
 
 
-def _build_global() -> PlanCache:
-    # The env-var attachment must honour the disk layer's contract --
-    # never change behaviour, only skip recomputation -- so an unusable
-    # REPRO_PLAN_STORE (unwritable, path through a file, foreign journal,
-    # ...) reads as "no disk layer" instead of crashing every import of
-    # the package.
-    try:
-        return PlanCache(store_path=os.environ.get(PLAN_STORE_ENV) or None)
-    except Exception:
-        return PlanCache()
-
-
-_GLOBAL = _build_global()
+_GLOBAL = PlanCache()
 
 
 def global_plan_cache() -> PlanCache:
     """The process-wide cache the default :class:`VectorEngine` uses."""
-    return _GLOBAL
-
-
-def configure_global_plan_cache(
-    store_path: str | Path | None = ...,  # type: ignore[assignment]
-    *,
-    maxsize: int | None = None,
-) -> PlanCache:
-    """Reconfigure the process-wide cache (the CLI/harness knob).
-
-    ``store_path`` attaches the journal layer; ``None`` detaches it and
-    leaving it unset keeps the current attachment.  ``maxsize`` resizes
-    the in-memory LRU.  Returns the global cache for chaining.
-    """
-    if store_path is not ...:
-        _GLOBAL.set_store_path(store_path)
-    if maxsize is not None:
-        _GLOBAL.maxsize = maxsize
     return _GLOBAL
 
 

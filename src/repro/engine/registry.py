@@ -183,7 +183,7 @@ def run_app(
 
     ``ctx`` is the one execution-selection argument: an
     :class:`~repro.engine.context.ExecutionContext` bundling engine,
-    device spec, schedule policy, plan store and device count; ``None``
+    device spec, schedule policy and device count; ``None``
     means :data:`~repro.engine.context.DEFAULT_CONTEXT`.  A context
     without a schedule policy falls back to the app's registered default
     schedule.

@@ -12,8 +12,8 @@ kernel launches:
 :class:`SweepExecutor`
     A reusable, lazily-spawned worker pool.  The pool survives across
     ``run_suite`` calls and across apps; workers are warmed once by an
-    initializer (NumPy + the app registry imported, the persistent plan
-    cache attached) and keep their in-memory plan caches between sweeps.
+    initializer (NumPy + the app registry imported, kernels precompiled)
+    and keep their in-memory plan caches between sweeps.
     Use it as a context manager, or share the module-level
     :func:`default_executor` (``run_suite(..., pool=default_executor())``).
 
@@ -633,17 +633,14 @@ def home_slot(placement_key: Any, width: int) -> int:
 # ----------------------------------------------------------------------
 # Pool worker entry points (module-level: picklable by reference)
 # ----------------------------------------------------------------------
-def _worker_warmup(store_path: str | None) -> None:
-    """Pool initializer: pay the import + cache-attach cost exactly once."""
+def _worker_warmup() -> None:
+    """Pool initializer: pay the import + JIT cost exactly once."""
     inject("worker.start")
     import numpy  # noqa: F401  (pre-faulted into the worker)
 
     from .. import apps  # noqa: F401  (registers every app and schedule)
     from .compiled import precompile_kernels
-    from .plan_cache import configure_global_plan_cache
 
-    if store_path is not None:
-        configure_global_plan_cache(store_path)
     # Pay the JIT cost here, not in the first timed launch: the apps
     # import above registered every kernel declaration, and with numba
     # absent this is a no-op.
@@ -1025,18 +1022,9 @@ class SweepExecutor:
 
     # -- pool lifecycle -------------------------------------------------
     def _spawn_slot(self, index: int) -> _WorkerSlot:
-        from .plan_cache import global_plan_cache
-
-        cache = global_plan_cache()
         return _WorkerSlot(
             index=index,
-            pool=ProcessPoolExecutor(
-                max_workers=1,
-                initializer=_worker_warmup,
-                initargs=(
-                    str(cache.store_path) if cache.store_path else None,
-                ),
-            ),
+            pool=ProcessPoolExecutor(max_workers=1, initializer=_worker_warmup),
         )
 
     def _ensure_pool(self, num_shards: int) -> list[_WorkerSlot]:
@@ -1564,10 +1552,7 @@ class SweepExecutor:
         synthetic error rows -- by this point the shard has already
         cost a worker twice, so surfacing a typed row beats raising.
         """
-        from .plan_cache import global_plan_cache
-
         self.degraded_shards += 1
-        prev_store = global_plan_cache().store_path
         outcome: dict = {}
 
         def _runner() -> None:
@@ -1586,7 +1571,6 @@ class SweepExecutor:
             self._batch_allowance((item,)) if self.batch_timeout > 0 else None
         )
         thread.join(timeout)
-        self._restore_plan_persistence(prev_store)
         if thread.is_alive():
             self.batch_timeouts += 1
             results[item.index] = self._error_rows(
@@ -1615,18 +1599,6 @@ class SweepExecutor:
             "mode": "degraded",
             "pid": os.getpid(),
         }
-
-    @staticmethod
-    def _restore_plan_persistence(store_path) -> None:
-        """Reattach the parent's plan persistence after a degraded run
-        (the shard's ``_run_shard`` call reconfigures the process-global
-        cache for *its* context; the parent must get its own back)."""
-        from .plan_cache import configure_global_plan_cache
-
-        try:
-            configure_global_plan_cache(store_path)
-        except Exception:  # pragma: no cover - restoration is best-effort
-            pass
 
     def _error_rows(self, task, item, status: str, message: str) -> list:
         """Synthetic per-kernel rows for a shard that exhausted every

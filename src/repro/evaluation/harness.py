@@ -36,13 +36,6 @@ Dataset transport
     anything else is pickled into the task.  A shard whose worker
     cannot attach its block re-runs pickled (``meta["transport_
     fallback"]``).
-Plan persistence (``ctx.plan_store``, CLI ``--plan-store``)
-    Attaches the :mod:`repro.engine.plan_store` journal to the
-    process-global plan cache for the sweep, so repeated sweeps of the
-    same grid -- and every process-pool worker -- start warm: plans are
-    keyed by content fingerprints and survive process exit.  Workers
-    inherit the journal automatically; ``REPRO_PLAN_STORE`` is the
-    ambient spelling.
 
 Results are returned in deterministic (dataset, kernel) order regardless
 of executor or worker count, and row sets are identical across both
@@ -52,7 +45,6 @@ executors for the same seed.
 from __future__ import annotations
 
 import csv
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -62,9 +54,7 @@ from ..engine import (
     DEFAULT_CONTEXT,
     DEFAULT_SEED,
     ExecutionContext,
-    configure_global_plan_cache,
     get_app,
-    global_plan_cache,
     run_app,
 )
 from ..engine.dispatch import ensure_known_engine, unknown_name
@@ -318,16 +308,6 @@ def _run_shard(
     )
 
     ctx = task.ctx
-    if ctx.plan_store is not None:
-        # Warm-start the worker from the persistent plan store (and
-        # persist whatever it plans for the next process).
-        configure_global_plan_cache(ctx.plan_store)
-    else:
-        # No store on this sweep: a *persistent* worker must not keep the
-        # previous sweep's (possibly temporary) journal attached.  Fall
-        # back to the environment attachment -- the documented ambient
-        # configuration workers share with their parent -- or detach.
-        _restore_ambient_plan_persistence()
     app_spec = get_app(task.app)
     if dataset_key is None:
         dataset_key = dataset_content_key(task.dataset)
@@ -392,42 +372,6 @@ def _run_shard(
     return rows
 
 
-#: One warning per process when the ambient persistence target is broken
-#: (a typo'd env var must not silently degrade to no-persistence).
-_AMBIENT_RESTORE_WARNED = False
-
-
-def _restore_ambient_plan_persistence() -> None:
-    """Point the process-global plan cache back at the env-var journal.
-
-    Reattaching an unchanged journal is a no-op, so calling this per
-    shard is free; an unusable env path degrades to "no persistence",
-    honouring the disk layer's never-change-behaviour contract -- but
-    warns once per process, so a typo'd ``REPRO_PLAN_STORE`` is visible
-    instead of silently dropping persistence.
-    """
-    import os
-    import warnings
-
-    from ..engine import PLAN_STORE_ENV
-
-    store_env = os.environ.get(PLAN_STORE_ENV) or None
-    try:
-        configure_global_plan_cache(store_env)
-    except Exception as exc:
-        global _AMBIENT_RESTORE_WARNED
-        if not _AMBIENT_RESTORE_WARNED:
-            _AMBIENT_RESTORE_WARNED = True
-            warnings.warn(
-                f"ambient plan persistence target {store_env!r} (from "
-                f"{PLAN_STORE_ENV}) is unusable ({exc!r}); continuing "
-                f"without plan persistence",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        configure_global_plan_cache(None)
-
-
 def expand_datasets(
     app: str,
     *,
@@ -480,7 +424,7 @@ def run_suite(
     """Run a kernel list over the corpus (the ``run.sh`` loop), generic.
 
     ``ctx`` is the single execution-selection argument (engine, device
-    spec, plan store, device count); the per-cell kernel name supplies
+    spec, device count); the per-cell kernel name supplies
     the schedule policy.  The context is what crosses the process-pool
     pickle boundary in ``executor="process"`` sweeps.
 
@@ -503,47 +447,28 @@ def run_suite(
     ensure_known_kernels(kernels, app)
     app_spec = get_app(app)
     ds = expand_datasets(app, scale=scale, limit=limit, datasets=datasets)
-    with _plan_store_attached(ctx.plan_store):
-        if executor == "process" and ds:
-            return _run_process(
-                kernels, app, ds, ctx, seed, validate, max_workers, pool
+    if executor == "process" and ds:
+        return _run_process(
+            kernels, app, ds, ctx, seed, validate, max_workers, pool
+        )
+    rows: list[SweepRow] = []
+    for dataset in ds:
+        # Problem construction and the oracle are per-dataset, not
+        # per-cell: build them once and share across the kernels.
+        problem = _build_problem(app_spec, app, dataset, seed)
+        expected = (
+            app_spec.oracle(problem)
+            if validate and app_spec.oracle is not None
+            else None
+        )
+        rows.extend(
+            _execute_cell(
+                app_spec, app, kernel, dataset, problem, expected, ctx,
+                validate, seed,
             )
-        rows: list[SweepRow] = []
-        for dataset in ds:
-            # Problem construction and the oracle are per-dataset, not
-            # per-cell: build them once and share across the kernels.
-            problem = _build_problem(app_spec, app, dataset, seed)
-            expected = (
-                app_spec.oracle(problem)
-                if validate and app_spec.oracle is not None
-                else None
-            )
-            rows.extend(
-                _execute_cell(
-                    app_spec, app, kernel, dataset, problem, expected, ctx,
-                    validate, seed,
-                )
-                for kernel in kernels
-            )
-        return rows
-
-
-@contextmanager
-def _plan_store_attached(path: str | None):
-    """Attach the plan journal for the duration of one sweep only.
-
-    Callers must not find the process-global cache silently re-pointed
-    at a (possibly temporary) journal after :func:`run_suite` returns.
-    """
-    if path is None:
-        yield
-        return
-    previous = global_plan_cache().store_path
-    configure_global_plan_cache(path)
-    try:
-        yield
-    finally:
-        configure_global_plan_cache(previous)
+            for kernel in kernels
+        )
+    return rows
 
 
 def _run_process(kernels, app, ds, ctx, seed, validate, max_workers, pool):

@@ -85,7 +85,7 @@ KNOWN_SITES = (
     "shm.attach",        # worker attaching a dataset bundle
     "oracle.publish",    # worker publishing an oracle payload
     "oracle.attach",     # worker attaching a shared oracle payload
-    "journal.write",     # RecordJournal.append (plan store + results)
+    "journal.write",     # RecordJournal.append (results journal)
     "serve.dispatch",    # service executing one job unit
     "serve.journal",     # service journaling a job event
     "serve.connection",  # service writing a reply to a client

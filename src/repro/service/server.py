@@ -1,8 +1,8 @@
 """``repro serve`` -- the long-running multi-tenant sweep service.
 
-Everything PRs 4-7 cached (warm worker slots, sticky HRW placement, shm
-dataset bundles, shared oracle payloads, journaled plans) only pays off
-*inside one process*.  This module is that process: an asyncio TCP
+Everything the sweep executor caches (warm worker slots and their
+in-memory plan caches, sticky HRW placement, shm dataset bundles, shared
+oracle payloads) only pays off *inside one process*.  This module is that process: an asyncio TCP
 front-end (JSON lines, :mod:`repro.service.protocol`) over one
 persistent :class:`~repro.engine.worker_pool.SweepExecutor`, so many
 clients hit the same warm instance instead of each paying the cold
@@ -32,8 +32,8 @@ Design:
   instead of a hang.
 * **Crash-safe results journal.**  Every accepted job, streamed row and
   completion is appended to a :class:`~repro.service.journal.
-  ResultsJournal` (the plan store's CRC framing), so a kill -9 loses at
-  most the record being written.
+  ResultsJournal` (CRC-framed records), so a kill -9 loses at most the
+  record being written.
 * **Graceful drain.**  SIGTERM/SIGINT (or :meth:`SweepService.
   begin_drain`) stops admission (``rejected/draining``), finishes every
   in-flight job, then shuts the executor down -- unlinking all shm
@@ -163,7 +163,6 @@ class SweepService:
         width: int | None = None,
         queue_depth: int | None = None,
         journal_path: str | None = None,
-        plan_store: str | None = None,
         executor: SweepExecutor | None = None,
         job_timeout: float | None = None,
     ):
@@ -180,7 +179,6 @@ class SweepService:
             env_number(SERVE_JOB_TIMEOUT_ENV, DEFAULT_JOB_TIMEOUT, float)
             if job_timeout is None else float(job_timeout)
         )
-        self.plan_store = None if plan_store is None else str(plan_store)
         self._journal = (
             None if journal_path is None else ResultsJournal(journal_path)
         )
@@ -259,9 +257,7 @@ class SweepService:
             app, scale=scale, datasets=self._corpus(scale, limit),
             names=list(names) if names else None,
         )
-        ctx = ExecutionContext(
-            engine=engine, gpus=gpus, plan_store=self.plan_store
-        )
+        ctx = ExecutionContext(engine=engine, gpus=gpus)
         job_id = f"{self._job_prefix}-{next(self._job_ids)}"
         sanitized = {
             "app": app,

@@ -11,6 +11,8 @@ from repro.cli import build_parser, main
 
 CHESAPEAKE = Path(__file__).resolve().parent.parent / "datasets" / "chesapeake.mtx"
 
+_SWEEP = ("sweep", "--kernels", "merge_path", "--scale", "smoke", "--limit", "1")
+
 
 def run_cli(*argv: str) -> tuple[int, str]:
     buf = io.StringIO()
@@ -88,26 +90,19 @@ class TestSweepCommand:
         assert len(rows) == 2
         assert rows[0]["app"] == "histogram"
 
-    def test_plan_store_knob(self, tmp_path):
-        store = tmp_path / "plans.journal"
-        code, out = run_cli(
-            "sweep", "--kernels", "merge_path", "--scale", "smoke",
-            "--limit", "2", "--plan-store", str(store),
-        )
-        assert code == 0
-        assert store.is_file()  # one journal, no plan-*.pkl directory
-        assert not list(tmp_path.glob("plan-*.pkl"))
-
-    @pytest.mark.parametrize("flags", [
-        ["--executor", "process"],
-        ["--keep-pool"],
-        ["--transport", "shm"],
-        ["--plan-cache-dir", "plans"],
-    ], ids=["executor", "keep-pool", "transport", "plan-cache-dir"])
-    def test_removed_flags_exit_2(self, flags):
+    @pytest.mark.parametrize("argv", [
+        [*_SWEEP, "--executor", "process"],
+        [*_SWEEP, "--keep-pool"],
+        [*_SWEEP, "--transport", "shm"],
+        [*_SWEEP, "--plan-cache-dir", "plans"],
+        [*_SWEEP, "--plan-store", "plans.journal"],
+        ["serve", "--plan-store", "plans.journal"],
+        ["plans", "plans.journal"],
+    ], ids=["executor", "keep-pool", "transport", "plan-cache-dir",
+            "plan-store", "serve-plan-store", "plans-command"])
+    def test_removed_flags_exit_2(self, argv):
         with pytest.raises(SystemExit) as excinfo:
-            run_cli("sweep", "--kernels", "merge_path", "--scale", "smoke",
-                    "--limit", "1", *flags)
+            run_cli(*argv)
         assert excinfo.value.code == 2  # argparse: unrecognized arguments
 
     def test_negative_workers_exit_2(self, capsys):
@@ -204,63 +199,6 @@ class TestInfoCommands:
         assert code == 0
         for name in ("spmv", "bfs", "spgemm", "histogram"):
             assert name in out
-
-
-class TestPlansCommand:
-    @pytest.fixture
-    def journal(self, tmp_path):
-        from repro.engine import PlanStore
-
-        path = tmp_path / "plans.journal"
-        store = PlanStore(path)
-        for v in range(5):
-            store.put(("hot",), v)  # 4 dead records
-        store.put(("cold",), 0)
-        store.close()
-        return path
-
-    def test_info_reports_live_and_dead(self, journal):
-        code, out = run_cli("plans", str(journal))
-        assert code == 0
-        assert "2 live, 4 dead" in out
-        assert str(journal) in out
-        assert "scan damage:  no" in out
-
-    def test_compact_drops_dead_records(self, journal):
-        size_before = journal.stat().st_size
-        code, out = run_cli("plans", "compact", str(journal))
-        assert code == 0
-        assert "dropped 4 dead records" in out
-        assert journal.stat().st_size < size_before
-        code, out = run_cli("plans", str(journal))
-        assert code == 0
-        assert "2 live, 0 dead" in out
-
-    def test_missing_path_exits_2(self, tmp_path, capsys):
-        code, _ = run_cli("plans", str(tmp_path / "nope.journal"))
-        assert code == 2
-        assert "no plan store" in capsys.readouterr().err
-
-    def test_directory_exits_2(self, tmp_path, capsys):
-        code, _ = run_cli("plans", str(tmp_path))
-        assert code == 2
-        assert "directory" in capsys.readouterr().err
-
-    def test_foreign_file_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "notes.txt"
-        path.write_bytes(b"not a journal at all")
-        code, _ = run_cli("plans", str(path))
-        assert code == 2
-        assert "bad header" in capsys.readouterr().err
-
-    def test_compact_missing_path_exits_2(self, tmp_path, capsys):
-        code, _ = run_cli("plans", "compact", str(tmp_path / "nope"))
-        assert code == 2
-
-    def test_too_many_arguments_exits_2(self, journal, capsys):
-        code, _ = run_cli("plans", str(journal), "extra")
-        assert code == 2
-        assert "usage" in capsys.readouterr().err
 
 
 class TestParser:

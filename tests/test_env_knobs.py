@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro import faults
-from repro.engine import compiled, plan_store, worker_pool
+from repro.engine import compiled, worker_pool
 from repro.service import server
 
 
@@ -43,9 +43,6 @@ KNOBS = [
     (worker_pool.BATCH_TIMEOUT_ENV,
      lambda: worker_pool.SweepExecutor().batch_timeout,
      worker_pool.DEFAULT_BATCH_TIMEOUT),
-    (plan_store.PLAN_STORE_COMPACT_RATIO_ENV,
-     plan_store._compact_ratio_from_env,
-     plan_store.DEFAULT_COMPACT_RATIO),
     (server.SERVE_QUEUE_DEPTH_ENV,
      lambda: _service().queue_depth,
      server.DEFAULT_QUEUE_DEPTH),

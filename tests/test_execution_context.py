@@ -43,9 +43,9 @@ class TestConstruction:
     def test_hashable(self):
         assert isinstance(hash(ExecutionContext(policy=FixedPolicy("lrb"))), int)
 
-    def test_fields_are_the_five_selections(self):
+    def test_fields_are_the_four_selections(self):
         names = [f.name for f in dataclasses.fields(ExecutionContext)]
-        assert names == ["engine", "spec", "policy", "plan_store", "gpus"]
+        assert names == ["engine", "spec", "policy", "gpus"]
 
     def test_policy_strings_coerced(self):
         assert ExecutionContext(policy="merge_path").policy == FixedPolicy("merge_path")
@@ -68,13 +68,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match="multi_gpu"):
             ExecutionContext(engine="simt", gpus=2)
 
-    def test_plan_store_coerced_to_str(self, tmp_path):
-        ctx = ExecutionContext(plan_store=tmp_path / "plans.journal")
-        assert ctx.plan_store == str(tmp_path / "plans.journal")
-
-    def test_plan_store_is_the_only_persistence_field(self, tmp_path):
+    @pytest.mark.parametrize("field", ["plan_cache_dir", "plan_store"])
+    def test_no_plan_persistence_field(self, tmp_path, field):
         with pytest.raises(TypeError):
-            ExecutionContext(plan_cache_dir=str(tmp_path / "plans"))
+            ExecutionContext(**{field: str(tmp_path / "plans")})
 
     def test_replace_and_with_helpers(self):
         ctx = ExecutionContext()
@@ -95,10 +92,6 @@ class TestPickling:
         clone = pickle.loads(pickle.dumps(ctx))
         assert clone == ctx
         assert clone.policy == ctx.policy
-
-    def test_plan_store_round_trips(self):
-        ctx = ExecutionContext(plan_store="/tmp/plans.journal")
-        assert pickle.loads(pickle.dumps(ctx)).plan_store == "/tmp/plans.journal"
 
 
 def _entry_points():

@@ -23,8 +23,6 @@ import warnings
 
 import pytest
 
-from repro.engine.journal import RecordJournal
-from repro.engine.plan_store import PlanStore
 from repro.engine.worker_pool import (
     BATCH_TIMEOUT_ENV,
     SweepExecutor,
@@ -44,6 +42,7 @@ from repro.faults import (
 )
 from repro.service import SweepClient, SweepService
 from repro.service.client import ServiceError
+from repro.service.journal import RecordJournal
 from repro.service.server import SERVE_JOB_TIMEOUT_ENV
 
 KERNELS = ["merge_path"]
@@ -419,8 +418,8 @@ class TestSharingFaults:
 
         configure_faults("worker.start:err@1")
         with pytest.raises(FaultInjected, match="worker.start"):
-            _worker_warmup(None)
-        _worker_warmup(None)  # fired once; the respawned slot warms up
+            _worker_warmup()
+        _worker_warmup()  # fired once; the respawned slot warms up
 
 
 class TestJournalChaos:
@@ -450,22 +449,6 @@ class TestJournalChaos:
             assert reader.scan_damage
         finally:
             reader.close()
-
-    def test_plan_store_write_error_degrades_to_a_miss(self, tmp_path):
-        configure_faults("journal.write:err@*")
-        store = PlanStore(tmp_path / "plans.journal")
-        try:
-            with pytest.warns(RuntimeWarning, match="not persisted"):
-                store.put("k1", {"v": 1})
-            store.put("k2", {"v": 2})  # warned once, still counted
-            assert store.write_errors == 2
-            assert store.get("k1") is None and len(store) == 0
-            clear_faults()
-            store.put("k3", {"v": 3})  # the store recovers in place
-            assert store.get("k3") == {"v": 3}
-            assert store.info()["write_errors"] == 2
-        finally:
-            store.close()
 
 
 class TestServiceChaos:
@@ -515,8 +498,11 @@ class TestServiceChaos:
         assert len(result.rows) == 2 * len(KERNELS)
         assert svc.jobs_accepted == 2  # the dropped attempt + the retry
 
-    def test_journal_fault_loses_the_record_not_the_job(self, tmp_path):
-        configure_faults("serve.journal:err@*")
+    @pytest.mark.parametrize(
+        "fault", ["serve.journal:err@*", "journal.write:err@*"]
+    )
+    def test_journal_fault_loses_the_record_not_the_job(self, tmp_path, fault):
+        configure_faults(fault)
         svc = SweepService(width=0, journal_path=str(tmp_path / "r.journal"))
         host, port = self._run_service(svc)
         try:

@@ -1,17 +1,18 @@
-"""Tests for the reusable CRC-framed record journal."""
+"""Tests for the CRC-framed record journal under the results journal."""
 
 import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
 import pytest
 
-from repro.engine.journal import (
+from repro.service.journal import (
     JOURNAL_HEADER,
     JOURNAL_RECORD,
     MAGIC_LENGTH,
     RecordJournal,
-    RecordLocation,
 )
 
 MAGIC = b"RPTESTJ1"
@@ -37,12 +38,9 @@ class TestBasics:
     def test_append_and_scan_roundtrip(self, path):
         j = RecordJournal(path, magic=MAGIC)
         payloads = [b"alpha", b"beta", b"x" * 1000]
-        locations = [j.append(p) for p in payloads]
+        for payload in payloads:
+            j.append(payload)
         assert j.payloads() == payloads
-        for loc, payload in zip(locations, payloads):
-            assert j.read(loc) == payload
-            assert loc.length == len(payload)
-            assert loc.end == loc.offset + loc.length
         j.close()
 
     def test_reopen_sees_everything(self, path):
@@ -58,19 +56,10 @@ class TestBasics:
     def test_closed_journal_raises(self, path):
         j = RecordJournal(path, magic=MAGIC)
         j.close()
-        assert j.closed
         with pytest.raises(ValueError, match="closed"):
             j.append(b"nope")
         with pytest.raises(ValueError, match="closed"):
-            j.records()
-
-    def test_read_is_crc_verified(self, path):
-        j = RecordJournal(path, magic=MAGIC)
-        loc = j.append(b"fragile")
-        bogus = RecordLocation(loc.offset, loc.length, loc.crc ^ 0xFF)
-        assert j.read(bogus) is None
-        assert j.read(loc) == b"fragile"
-        j.close()
+            j.payloads()
 
 
 class TestDamageTolerance:
@@ -87,12 +76,13 @@ class TestDamageTolerance:
 
     def test_corrupt_record_stops_scan(self, path):
         j = RecordJournal(path, magic=MAGIC)
-        loc1 = j.append(b"good")
+        j.append(b"good")
         j.append(b"flipped")
         j.append(b"after")
         j.close()
         raw = bytearray(path.read_bytes())
-        raw[loc1.end + JOURNAL_RECORD.size] ^= 0xFF  # corrupt record 2's payload
+        second = JOURNAL_HEADER.size + JOURNAL_RECORD.size + len(b"good")
+        raw[second + JOURNAL_RECORD.size] ^= 0xFF  # corrupt record 2's payload
         path.write_bytes(bytes(raw))
         j2 = RecordJournal(path, magic=MAGIC)
         # Framing after a bad CRC cannot be trusted: record 3 is invisible.
@@ -111,6 +101,50 @@ class TestDamageTolerance:
         j2.append(b"fresh")
         assert j2.payloads() == [b"keep", b"fresh"]
         assert not j2.scan_damage
+        j2.close()
+
+    #: Cut points inside the last record: ``(bytes kept, from where)``.
+    CUTS = {
+        "one-header-byte": (1, "header"),
+        "header-less-one": (JOURNAL_RECORD.size - 1, "header"),
+        "header-only": (JOURNAL_RECORD.size, "header"),
+        "one-payload-byte": (JOURNAL_RECORD.size + 1, "header"),
+        "last-byte-missing": (1, "end"),
+    }
+
+    @pytest.mark.parametrize("cut", list(CUTS))
+    def test_torn_last_record_is_dropped_then_healed(self, path, cut):
+        j = RecordJournal(path, magic=MAGIC)
+        j.append(b"first")
+        start = os.path.getsize(path)
+        j.append(b"torn-record")
+        j.close()
+        kept, origin = self.CUTS[cut]
+        end = start + kept if origin == "header" else os.path.getsize(path) - kept
+        os.truncate(path, end)
+        j2 = RecordJournal(path, magic=MAGIC)
+        assert j2.payloads() == [b"first"]
+        assert j2.scan_damage
+        j2.append(b"fresh")
+        assert j2.payloads() == [b"first", b"fresh"]
+        assert not j2.scan_damage
+        assert os.path.getsize(path) == start + JOURNAL_RECORD.size + len(b"fresh")
+        j2.close()
+
+    @pytest.mark.parametrize("field", ["length", "crc", "payload"])
+    def test_flipped_byte_in_any_field_stops_scan(self, path, field):
+        j = RecordJournal(path, magic=MAGIC)
+        for payload in (b"good", b"flipped", b"after"):
+            j.append(payload)
+        j.close()
+        second = JOURNAL_HEADER.size + JOURNAL_RECORD.size + len(b"good")
+        offset = {"length": 0, "crc": 4, "payload": JOURNAL_RECORD.size}[field]
+        raw = bytearray(path.read_bytes())
+        raw[second + offset] ^= 0x01
+        path.write_bytes(bytes(raw))
+        j2 = RecordJournal(path, magic=MAGIC)
+        assert j2.payloads() == [b"good"]
+        assert j2.scan_damage
         j2.close()
 
     def test_implausible_length_is_damage(self, path):
@@ -152,34 +186,65 @@ class TestForeignFiles:
         assert (magic, version) == (MAGIC, 2)
 
 
-class TestRewrite:
-    def test_rewrite_replaces_contents(self, path):
+    @pytest.mark.parametrize(
+        "content",
+        [b"", b"RPTE", JOURNAL_HEADER.pack(b"OTHERMAG", 1)],
+        ids=["empty-file", "short-header", "wrong-magic"],
+    )
+    def test_empty_or_foreign_file_takes_our_header(self, path, content):
+        path.write_bytes(content)
         j = RecordJournal(path, magic=MAGIC)
-        for i in range(5):
-            j.append(f"old-{i}".encode())
-        locations = j.rewrite([b"new-a", b"new-b"])
-        assert j.payloads() == [b"new-a", b"new-b"]
-        assert [j.read(loc) for loc in locations] == [b"new-a", b"new-b"]
+        if content:
+            assert j.payloads() == []
+            assert j.foreign
+        j.append(b"ours")
+        assert j.payloads() == [b"ours"]
+        assert not j.foreign
         j.close()
+        assert path.read_bytes()[: JOURNAL_HEADER.size] == JOURNAL_HEADER.pack(
+            MAGIC, 1
+        )
+        assert list(path.parent.iterdir()) == [path]  # no temp file left
 
-    def test_rewrite_empty_resets(self, path):
-        j = RecordJournal(path, magic=MAGIC)
-        j.append(b"gone")
-        assert j.rewrite([]) == []
-        assert j.payloads() == []
-        assert j.file_bytes() == JOURNAL_HEADER.size
-        j.close()
 
-    def test_append_after_rewrite(self, path):
-        j = RecordJournal(path, magic=MAGIC)
-        j.append(b"a")
-        j.rewrite([b"b"])
-        j.append(b"c")
-        assert j.payloads() == [b"b", b"c"]
-        j.close()
+#: A writer process: appends ``count`` tagged records to the journal.
+_WRITER = """
+import sys
+from repro.service.journal import RecordJournal
+j = RecordJournal(sys.argv[1], magic=sys.argv[2].encode())
+for i in range(int(sys.argv[4])):
+    j.append(f"{sys.argv[3]}:{i}".encode() * 8)
+j.close()
+"""
 
 
 class TestConcurrency:
+    def test_process_appends_interleave_whole_records(self, path):
+        RecordJournal(path, magic=MAGIC).close()
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        writers = [
+            subprocess.Popen(
+                [sys.executable, "-c", _WRITER, str(path), MAGIC.decode(), tag, "50"],
+                env=env,
+            )
+            for tag in ("a", "b")
+        ]
+        for writer in writers:
+            assert writer.wait(timeout=120) == 0
+        j = RecordJournal(path, magic=MAGIC)
+        payloads = j.payloads()
+        assert not j.scan_damage
+        assert sorted(payloads) == sorted(
+            f"{tag}:{i}".encode() * 8 for tag in ("a", "b") for i in range(50)
+        )
+        # Each writer's records land in its own append order.
+        for tag in (b"a", b"b"):
+            mine = [p for p in payloads if p.startswith(tag)]
+            assert mine == [f"{tag.decode()}:{i}".encode() * 8 for i in range(50)]
+        j.close()
+
     def test_threaded_appends_all_survive(self, path):
         j = RecordJournal(path, magic=MAGIC)
 

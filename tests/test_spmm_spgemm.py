@@ -111,3 +111,43 @@ class TestSpgemm:
         a = CsrMatrix.empty((4, 4))
         r = spgemm(a, a)
         assert r.output.nnz == 0
+
+    @pytest.mark.parametrize(
+        "shape,product_shape",
+        [((6, 1), (1, 1)), ((9, 4), (4, 4)), ((1, 6), (1, 1)), ((4, 9), (4, 4))],
+        ids=["one-column", "tall", "one-row", "wide"],
+    )
+    def test_sweep_problem_takes_the_smaller_gram_product(
+        self, shape, product_shape
+    ):
+        from repro.apps.spgemm import _sweep_problem
+
+        m = gen.poisson_random(*shape, 0.9, seed=15)
+        p = _sweep_problem(m, seed=0)
+        assert (p.a.num_rows, p.b.num_cols) == product_shape
+        c = spgemm_reference(p.a, p.b).to_dense()
+        np.testing.assert_allclose(c, p.a.to_dense() @ p.b.to_dense())
+
+    @pytest.mark.parametrize(
+        "name", ["spvec_2k", "spvec_16k", "spvec_64k", "wide_4x", "tall_4x"]
+    )
+    def test_rectangular_smoke_datasets_validate(self, name):
+        """Every rectangular smoke dataset sweeps to its small Gram
+        product and validates (``spvec_64k`` used to exhaust memory)."""
+        from repro.engine import get_app, run_app
+        from repro.sparse.corpus import load_dataset
+
+        app = get_app("spgemm")
+        m = load_dataset(name, "smoke").matrix
+        p = app.sweep_problem(m, 0)
+        side = min(m.num_rows, m.num_cols)
+        assert (p.a.num_rows, p.b.num_cols) == (side, side)
+        r = run_app(app, p, ctx=ExecutionContext(policy="heuristic"))
+        assert app.match(r.output, app.oracle(p))
+
+    def test_sweep_problem_squares_a_square_matrix(self):
+        from repro.apps.spgemm import _sweep_problem
+
+        m = gen.poisson_random(12, 12, 2.0, seed=16)
+        p = _sweep_problem(m, seed=0)
+        assert p.a is m and p.b is m

@@ -178,23 +178,6 @@ class TestExecutorEquivalence:
     def test_empty_dataset_list(self):
         assert run_suite(["merge_path"], datasets=[], executor="process") == []
 
-    def test_plan_store_restored_after_suite(self, tmp_path):
-        """run_suite must not leave the global cache pointed at the
-        caller's (possibly temporary) journal."""
-        from repro.engine import (
-            ExecutionContext,
-            clear_plan_cache,
-            global_plan_cache,
-        )
-
-        before = global_plan_cache().store_path
-        clear_plan_cache()  # memory hits would skip the disk store
-        store = tmp_path / "plans.journal"
-        run_suite(["merge_path"], scale="smoke", limit=2,
-                  ctx=ExecutionContext(plan_store=str(store)))
-        assert global_plan_cache().store_path == before
-        assert store.stat().st_size > 0  # used meanwhile
-
 
 class TestSharding:
     def test_shard_runs_every_kernel_once(self):
@@ -224,72 +207,6 @@ class TestSharding:
         clone = pickle.loads(pickle.dumps(task))
         assert clone.dataset.name == ds.name
         assert _key(_run_shard(clone)) == _key(_run_shard(task))
-
-    def test_shard_configures_worker_plan_store(self, tmp_path):
-        """A ctx carrying plan_store attaches the journal in the worker."""
-        from repro.engine import (
-            ExecutionContext,
-            clear_plan_cache,
-            configure_global_plan_cache,
-            global_plan_cache,
-        )
-
-        ds = load_dataset("tiny_diag_32", "smoke")
-        store_path = tmp_path / "plans.journal"
-        task = _ShardTask(
-            app="spmv",
-            kernels=("merge_path",),
-            dataset=ds,
-            seed=0,
-            validate=False,
-            ctx=ExecutionContext(plan_store=str(store_path)),
-        )
-        try:
-            clear_plan_cache()
-            _run_shard(task)
-            assert global_plan_cache().store_path == store_path
-            assert store_path.is_file()
-            assert len(global_plan_cache().store) > 0
-        finally:
-            configure_global_plan_cache(None)
-
-
-class TestAmbientRestoreWarning:
-    def test_unusable_env_target_warns_once_per_process(self, monkeypatch, tmp_path):
-        """Regression: a typo'd REPRO_PLAN_STORE used to degrade to
-        no-persistence with zero signal."""
-        import warnings
-
-        from repro.engine import PLAN_STORE_ENV, configure_global_plan_cache
-        from repro.evaluation import harness
-
-        # A directory is not openable as a journal file.
-        monkeypatch.setenv(PLAN_STORE_ENV, str(tmp_path))
-        monkeypatch.setattr(harness, "_AMBIENT_RESTORE_WARNED", False)
-        try:
-            with pytest.warns(RuntimeWarning, match="plan persistence"):
-                harness._restore_ambient_plan_persistence()
-            # Once per process: the second restore stays silent.
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                harness._restore_ambient_plan_persistence()
-        finally:
-            configure_global_plan_cache(None)
-
-    def test_usable_env_target_does_not_warn(self, monkeypatch, tmp_path):
-        import warnings
-
-        from repro.engine import PLAN_STORE_ENV, configure_global_plan_cache
-        from repro.evaluation import harness
-
-        monkeypatch.setenv(PLAN_STORE_ENV, str(tmp_path / "plans.journal"))
-        monkeypatch.setattr(harness, "_AMBIENT_RESTORE_WARNED", False)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                harness._restore_ambient_plan_persistence()
-        finally:
-            configure_global_plan_cache(None)
 
 
 class TestIncompatibleDatasets:

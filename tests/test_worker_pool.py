@@ -489,30 +489,6 @@ class TestDefaultExecutor:
         shutdown_default_executor()
 
 
-class TestWorkerPersistenceScoping:
-    def test_knobless_sweep_detaches_previous_sweep_target(self, tmp_path):
-        """A persistent worker must not keep writing plans to the
-        previous sweep's (possibly temporary) journal once a later sweep
-        carries no plan store."""
-        from repro.engine import ExecutionContext, clear_plan_cache
-
-        store = tmp_path / "plans.journal"
-        # Forked workers inherit the parent's in-memory plan cache;
-        # start it cold so the first sweep demonstrably writes to disk.
-        clear_plan_cache()
-        with SweepExecutor(max_workers=1) as pool:
-            run_suite(["merge_path"], scale="smoke", limit=3,
-                      executor="process", pool=pool,
-                      ctx=ExecutionContext(plan_store=str(store)))
-            size_after_first = store.stat().st_size
-            assert size_after_first > 0  # the first sweep did persist here
-            # Different kernel => different plans; no store => the worker
-            # must fall back to ambient (here: none), not the old journal.
-            run_suite(["lrb"], scale="smoke", limit=3,
-                      executor="process", pool=pool)
-            assert store.stat().st_size == size_after_first
-
-
 class TestMisuse:
     def test_pool_requires_process_executor(self):
         with pytest.raises(ValueError, match="process"):
