@@ -34,7 +34,7 @@ from ..engine import (
     tile_charges,
 )
 from ..gpusim.arch import GpuSpec
-from ..sparse.convert import coo_to_csr, csr_transpose
+from ..sparse.convert import coo_to_csr, csr_transpose, offsets_from_counts
 from ..sparse.coo import CooMatrix
 from ..sparse.csr import CsrMatrix
 from .common import AppResult
@@ -125,15 +125,51 @@ COMPUTE_DECL = KernelDecl(
 )
 
 
+#: Intermediate products the oracle expands at once.  Rows are taken in
+#: blocks whose products fit this budget (a row over it is a block of its
+#: own), so the oracle's working set is the budget plus the output, not
+#: the whole expansion.
+_ORACLE_PRODUCT_BUDGET = 1 << 17
+
+
 def spgemm_reference(a: CsrMatrix, b: CsrMatrix) -> CsrMatrix:
-    """Pure NumPy Gustavson expansion oracle (duplicates summed)."""
+    """Pure NumPy Gustavson expansion oracle (duplicates summed).
+
+    Expands and reduces one row block at a time.  Blocks end on row
+    boundaries, so each (row, col) sum sees its products in expansion
+    order and the result is bit-identical to reducing the whole
+    expansion at once.
+    """
     _check(a, b)
-    products = _expand_products(a, b)
-    coo = CooMatrix.from_arrays(
-        products["rows"], products["cols"], products["vals"],
-        (a.num_rows, b.num_cols),
-    ).sum_duplicates()
-    return coo_to_csr(coo)
+    atom_products = np.zeros(a.nnz + 1, dtype=np.int64)
+    np.cumsum(b.row_lengths()[a.col_indices], out=atom_products[1:])
+    row_products = atom_products[a.row_offsets]  # cumulative, per row edge
+    counts = np.zeros(a.num_rows, dtype=np.int64)
+    cols, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    lo = 0
+    while lo < a.num_rows:
+        # The last row edge within budget; at least one row per block.
+        hi = max(lo + 1, int(np.searchsorted(
+            row_products, row_products[lo] + _ORACLE_PRODUCT_BUDGET, "right"
+        )) - 1)
+        start, stop = a.row_offsets[lo], a.row_offsets[hi]
+        block = CsrMatrix.from_arrays(
+            a.row_offsets[lo:hi + 1] - start, a.col_indices[start:stop],
+            a.values[start:stop], (hi - lo, a.num_cols), validate=False,
+        )
+        products = _expand_products(block, b)
+        coo = CooMatrix.from_arrays(
+            products["rows"], products["cols"], products["vals"],
+            (hi - lo, b.num_cols),
+        ).sum_duplicates()
+        counts[lo:hi] = np.bincount(coo.rows, minlength=hi - lo)
+        cols.append(coo.cols)
+        vals.append(coo.values)
+        lo = hi
+    return CsrMatrix.from_arrays(
+        offsets_from_counts(counts), np.concatenate(cols),
+        np.concatenate(vals), (a.num_rows, b.num_cols), validate=False,
+    )
 
 
 def _expand_products(a: CsrMatrix, b: CsrMatrix) -> dict:

@@ -90,7 +90,6 @@ from .plan_cache import (
     work_fingerprint,
 )
 from .worker_pool import (
-    SHARED_ORACLE_BYTES_ENV,
     ProblemCache,
     ShmHandle,
     SweepExecutor,
@@ -144,7 +143,6 @@ __all__ = [
     "tile_charges",
     "ExecutionContext",
     "DEFAULT_CONTEXT",
-    "SHARED_ORACLE_BYTES_ENV",
     "PlanCache",
     "SweepExecutor",
     "ShmHandle",

@@ -31,33 +31,28 @@ Sticky placement & shard batching
     shard, in submission order.
 
 Shared-memory transport
-    Datasets and built oracles travel the same way: a payload is packed
-    into an ordered list of named ``(dtype, shape, crc)`` segments in
-    one :mod:`multiprocessing.shared_memory` block, and the task pickle
-    carries a small :class:`ShmHandle` instead of the arrays.  A fixed
-    codec table covers CSR matrices, COO sparse tensors (spmttkrp) and
-    dense arrays; an oracle no codec claims travels as one pickled byte
-    segment.  The parent publishes each dataset once per content key (a
-    staged task keeps its ``Dataset`` with ``matrix`` swapped for the
-    handle); the first worker to build an oracle publishes it, and the
-    parent adopts the block under the same ``(app, fingerprint, seed,
-    validate)`` key the problem cache uses.  The parent owns every block
-    in two pinned, byte-budgeted LRU directories (datasets, oracles) and
-    unlinks them; workers reattach zero-copy, CRC-verified, and keep an
-    LRU of their mappings, so a hot oracle is resident once per machine
-    instead of once per worker.  A dataset that cannot travel is pickled
-    into the task, and so is any shard whose worker fails to attach its
-    block; an oracle that cannot travel is rebuilt locally.  Either way
-    the rows are identical :class:`~repro.evaluation.harness.SweepRow`
-    sets.
+    A dataset is packed into an ordered list of named ``(dtype, shape,
+    crc)`` segments in one :mod:`multiprocessing.shared_memory` block,
+    and the task pickle carries a small :class:`ShmHandle` instead of
+    the arrays.  A fixed codec table covers CSR matrices, COO sparse
+    tensors (spmttkrp) and dense arrays.  The parent publishes each
+    dataset once per content key (a staged task keeps its ``Dataset``
+    with ``matrix`` swapped for the handle), owns every block in one
+    pinned, byte-budgeted LRU directory and unlinks them; workers
+    reattach zero-copy, CRC-verified, and keep an LRU of their mappings.
+    A dataset no codec claims is pickled into the task, and so is any
+    shard whose worker fails to attach its block; either way the rows
+    are identical :class:`~repro.evaluation.harness.SweepRow` sets.
 
 Worker-resident problem/oracle cache
     Repeated sweeps of the same grid used to rebuild every dataset's
     problem instance and oracle per sweep.  :class:`ProblemCache` is a
     bounded, content-keyed (app, dataset fingerprint, seed, validate)
-    cache living in each worker process, so steady-state sweeps on a
-    warm pool are problem-build-free *and* oracle-free; hit/miss and
-    attach/publish counters surface through ``SweepRow.meta``.
+    cache living in each worker process.  Sticky placement sends a
+    dataset to the same worker every sweep, so steady-state sweeps on a
+    warm pool are problem-build-free *and* oracle-free; an entry lost to
+    eviction or a respawned worker is rebuilt locally.  Hit/miss
+    counters surface through ``SweepRow.meta``.
 """
 
 from __future__ import annotations
@@ -66,7 +61,6 @@ import atexit
 import gc
 import itertools
 import os
-import pickle
 import struct
 import threading
 import time
@@ -100,17 +94,12 @@ __all__ = [
     "install_signal_cleanup",
     "PROBLEM_CACHE_ENTRIES_ENV",
     "PROBLEM_CACHE_BYTES_ENV",
-    "SHARED_ORACLE_BYTES_ENV",
     "BATCH_TIMEOUT_ENV",
 ]
 
 #: Environment knobs bounding each worker's problem/oracle cache.
 PROBLEM_CACHE_ENTRIES_ENV = "REPRO_PROBLEM_CACHE_ENTRIES"
 PROBLEM_CACHE_BYTES_ENV = "REPRO_PROBLEM_CACHE_BYTES"
-
-#: Byte budget for the parent-coordinated shared-oracle directory; 0
-#: disables cross-worker oracle sharing entirely.
-SHARED_ORACLE_BYTES_ENV = "REPRO_SHARED_ORACLE_BYTES"
 
 #: Floor, in seconds, of the per-batch watchdog deadline (the full
 #: allowance also scales with the batch's staged weight).  ``0`` (or
@@ -138,7 +127,7 @@ def _shared_memory():
 
 
 # ----------------------------------------------------------------------
-# Shared-memory transport: one block format for datasets and oracles
+# Shared-memory transport: datasets as CRC-checked array blocks
 # ----------------------------------------------------------------------
 #: Segment offsets inside a block are padded to this boundary so every
 #: dtype reattaches aligned, whatever precedes it.
@@ -235,34 +224,16 @@ _CODECS: dict[str, tuple[Callable, Callable, Callable]] = {
     ),
 }
 
-#: Codec name and segment label of the pickled-bytes fallback, which
-#: only oracles use: an oracle no table codec claims travels as one
-#: ``uint8`` segment and attaches as a copy.
-_PICKLE = "pickle"
-
-
-def _unpickle(arrays: dict, extra: dict) -> Any:
-    return pickle.loads(arrays[_PICKLE].tobytes())
-
-
-def _pack(payload: Any, *, pickled: bool = False):
-    """``(codec, [(label, contiguous array), ...], extra, crcs)``.
-
-    ``None`` when no table codec claims ``payload`` -- unless
-    ``pickled``, which lets it travel as one pickled byte segment.
-    """
+def _pack(payload: Any):
+    """``(codec, [(label, contiguous array), ...], extra, crcs)``, or
+    ``None`` when no codec claims ``payload``."""
     codec = next(
         (name for name, (claims, _, _) in _CODECS.items() if claims(payload)),
         None,
     )
-    if codec is not None:
-        arrays, extra = _CODECS[codec][1](payload)
-    elif pickled:
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        codec, extra = _PICKLE, {}
-        arrays = [(_PICKLE, np.frombuffer(blob, dtype=np.uint8))]
-    else:
+    if codec is None:
         return None
+    arrays, extra = _CODECS[codec][1](payload)
     arrays = [(label, np.ascontiguousarray(arr)) for label, arr in arrays]
     return codec, arrays, extra, [zlib.crc32(arr) for _, arr in arrays]
 
@@ -296,12 +267,12 @@ def dataset_content_key(dataset: Dataset) -> tuple | None:
     return None if packed is None else _content_key(dataset.name, packed)
 
 
-def _publish(payload: Any, *, pickled: bool = False, packed=None):
+def _publish(payload: Any, *, packed=None):
     """Pack, checksum, lay out, create and fill one block.
 
     Returns its :class:`ShmHandle`, or ``None`` when the payload cannot
-    travel (no codec, unpicklable, shared memory unavailable, allocation
-    refused, a fill error) -- the caller then pickles or rebuilds it.  A
+    travel (no codec, shared memory unavailable, allocation refused, a
+    fill error) -- the caller then pickles it into the task.  A
     block that fails to fill is unlinked first, so a refused publish
     leaves no shared memory behind.  The publisher keeps no mapping: the
     block lives until the parent unlinks it by name.  ``packed`` reuses
@@ -310,10 +281,7 @@ def _publish(payload: Any, *, pickled: bool = False, packed=None):
     shared_memory = _shared_memory()
     if shared_memory is None:  # pragma: no cover - always present
         return None
-    try:
-        packed = packed or _pack(payload, pickled=pickled)
-    except Exception:
-        return None
+    packed = packed or _pack(payload)
     if packed is None:
         return None
     codec, arrays, extra, crcs = packed
@@ -344,12 +312,11 @@ def _attach(handle: ShmHandle) -> tuple[Any, Any]:
     """Map ``handle``'s block, CRC-verify every segment and unpack it.
 
     Returns ``(payload, shm)``: the payload is zero-copy views over the
-    mapping, which the caller releases with :func:`detach` -- except for
-    the pickle codec, whose bytes are copied out and unmapped at once
-    (``shm`` is then ``None``).  Raises on any failure (unknown codec,
-    vanished block, CRC mismatch), after releasing the mapping.
+    mapping, which the caller releases with :func:`detach`.  Raises on
+    any failure (unknown codec, vanished block, CRC mismatch), after
+    releasing the mapping.
     """
-    unpack = _unpickle if handle.codec == _PICKLE else _CODECS[handle.codec][2]
+    unpack = _CODECS[handle.codec][2]
     # Pool workers are children of the publisher, so they share its
     # resource-tracker process: the attach-side register is a set no-op
     # and exactly one unregister happens at the parent's unlink.  (An
@@ -372,10 +339,6 @@ def _attach(handle: ShmHandle) -> tuple[Any, Any]:
         arrays.clear()
         detach(shm)
         raise
-    if handle.codec == _PICKLE:
-        arrays.clear()
-        detach(shm)
-        return payload, None
     return payload, shm
 
 
@@ -410,10 +373,10 @@ def detach(shm) -> None:
 
 
 #: This worker's attachments, ``shm_name -> (shm, payload)`` in LRU
-#: order (oldest first), for dataset and oracle blocks alike.  Block
-#: names are random and never reused while a pool runs, so an entry can
-#: never alias different content; the parent keeps a block alive for at
-#: least as long as any task referencing it is in flight.
+#: order (oldest first).  Block names are random and never reused while
+#: a pool runs, so an entry can never alias different content; the
+#: parent keeps a block alive for at least as long as any task
+#: referencing it is in flight.
 _ATTACHMENTS: OrderedDict[str, tuple] = OrderedDict()
 _ATTACH_CAP = 256
 
@@ -425,8 +388,6 @@ def _attached(handle: ShmHandle, attach=_attach) -> Any:
         _ATTACHMENTS.move_to_end(handle.shm_name)
         return cached[1]
     payload, shm = attach(handle)
-    if shm is None:
-        return payload  # copied out (pickle codec): nothing to keep mapped
     while len(_ATTACHMENTS) >= _ATTACH_CAP:
         # Evict least-recently-used, never the entry just fetched.
         _, (old_shm, old_payload) = _ATTACHMENTS.popitem(last=False)
@@ -480,29 +441,24 @@ def attach_dataset(dataset: Dataset) -> tuple[Dataset, object]:
 
 
 def publish_payload(payload: Any) -> ShmHandle | None:
-    """Publish one built payload (an oracle, typically) to shared memory.
+    """Publish one codec-claimed payload to its own shared-memory block.
 
-    Codec-claimed payloads are packed exactly like datasets; anything
-    else is pickled into a single byte segment, so sharing still works
-    for scalar or namespace-shaped oracles.  ``None`` means the payload
-    cannot travel -- the caller simply keeps its locally-built copy.
+    The sweep itself ships datasets only (see :func:`publish_dataset`);
+    this pair stays public so a caller can time the transport on other
+    payloads (perfbench's probe publishes spmv oracles through it).
+    ``None`` means no codec claims the payload or the publish failed;
+    the caller owns the block and unlinks it by ``shm_name``.
     """
-    if inject("oracle.publish") is not None:
-        return None  # injected refusal: the worker keeps its local copy
-    return _publish(payload, pickled=True)
+    return _publish(payload)
 
 
 def attach_payload(handle: ShmHandle) -> Any | None:
-    """Worker-side reattach of a published payload.
+    """Reattach a :func:`publish_payload` block in this process.
 
-    Returns the payload (zero-copy views for table codecs, a fresh copy
-    for the pickle fallback), or ``None`` on *any* failure -- a vanished
-    block (parent evicted it), CRC mismatch, unknown codec -- so the
-    caller falls back to building the payload itself.  Sharing can only
-    skip work, never change results.
+    Returns zero-copy views (cached like a dataset attachment), or
+    ``None`` on *any* failure -- a vanished block, CRC mismatch,
+    unknown codec.
     """
-    if inject("oracle.attach") is not None:
-        return None  # injected attach failure: caller rebuilds locally
     try:
         return _attached(handle)
     except Exception:
@@ -510,22 +466,20 @@ def attach_payload(handle: ShmHandle) -> Any | None:
 
 
 class _Block:
-    """Parent-side record of one published block.
+    """Parent-side record of one published dataset block.
 
-    ``handle`` is what ships to workers (a staged dataset or an oracle's
-    :class:`ShmHandle`); ``pins`` hold eviction off while tasks carrying
-    it are in flight and ``tick`` orders LRU eviction.  Whoever created
-    the block, the parent reclaims it by name (pool workers are fork
-    children sharing the parent's resource tracker, so create-anywhere /
-    unlink-in-parent balances exactly once).
+    ``handle`` is the staged dataset that ships to workers (``matrix``
+    swapped for its :class:`ShmHandle`); ``pins`` hold eviction off
+    while tasks carrying it are in flight and ``tick`` orders LRU
+    eviction.  The parent reclaims the block by name.
     """
 
-    def __init__(self, handle) -> None:
-        shm = handle.matrix if isinstance(handle, Dataset) else handle
+    def __init__(self, handle: Dataset) -> None:
         self.handle = handle
-        self.shm_name = shm.shm_name
+        self.shm_name = handle.matrix.shm_name
         self.nbytes = max(
-            (seg.offset + seg.nbytes for seg in shm.segments), default=0
+            (seg.offset + seg.nbytes for seg in handle.matrix.segments),
+            default=0,
         )
         self.pins = 0
         self.tick = 0
@@ -715,10 +669,6 @@ class ProblemCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        # Cross-worker sharing outcomes: misses served by attaching a
-        # published copy, and local builds published for other workers.
-        self.attaches = 0
-        self.publishes = 0
 
     @classmethod
     def from_env(cls) -> "ProblemCache":
@@ -779,8 +729,6 @@ class ProblemCache:
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
-                "attaches": self.attaches,
-                "publishes": self.publishes,
             }
 
 
@@ -806,22 +754,18 @@ def clear_problem_cache() -> None:
 
 @dataclass(frozen=True)
 class _BatchItem:
-    """One placed shard crossing into a worker: task + sharing context.
+    """One placed shard crossing into a worker.
 
     ``dataset_key`` is the staging-time content fingerprint (computed
     once in the parent, published or not, so workers never pay a fresh
     CRC pass); ``placement`` records home/executing slot and
-    sticky-vs-stolen; ``oracle`` is a published handle the worker should
-    try before rebuilding; ``publish`` tells it whether to publish what
-    it builds.
+    sticky-vs-stolen.
     """
 
     task: Any
     index: int  # position in the sweep's original shard order
     dataset_key: tuple | None
     placement: dict
-    oracle: ShmHandle | None = None
-    publish: bool = False
     weight: float = 0.0  # staged weight (drives the watchdog allowance)
 
 
@@ -837,53 +781,37 @@ class _AttachFailure:
     error: str
 
 
-def _run_batch(items: tuple) -> tuple[list, list]:
+def _run_batch(items: tuple) -> list:
     """Run one placed batch of shard tasks; one pickle crossing each way.
 
-    Returns ``(per-shard row lists, publications)`` where publications
-    is a list of ``(problem-cache key, ShmHandle)`` pairs for
-    oracles this worker built and published; the parent adopts them into
-    its shared-oracle directory.  If the batch dies mid-flight its own
-    publications are reclaimed here -- the parent never learned their
-    names.  A shard whose shm attach fails yields an
-    :class:`_AttachFailure` in its row slot; the rest of the batch still
-    runs.
+    Returns the per-shard row lists.  A shard whose shm attach fails
+    yields an :class:`_AttachFailure` in its row slot; the rest of the
+    batch still runs.
     """
     from ..evaluation.harness import _run_shard
 
     inject("worker.batch")
     out = []
-    publications: list = []
     pid = os.getpid()
-    try:
-        for item in items:
-            task = item.task
-            handle = task.dataset.matrix
-            if isinstance(handle, ShmHandle):
-                try:
-                    matrix = _attached(handle, _attach_dataset_block)
-                except (OSError, ValueError, KeyError) as exc:
-                    out.append(_AttachFailure(
-                        index=item.index,
-                        shm_name=handle.shm_name,
-                        error=f"{type(exc).__name__}: {exc}",
-                    ))
-                    continue
-                task = replace(task, dataset=replace(task.dataset, matrix=matrix))
-            rows = _run_shard(
-                task,
-                dataset_key=item.dataset_key,
-                shared_oracle=item.oracle,
-                publications=publications if item.publish else None,
-            )
-            for row in rows:
-                row.meta["placement"] = {**item.placement, "pid": pid}
-            out.append(rows)
-    except BaseException:
-        for _key, handle in publications:
-            _unlink_block(handle.shm_name)
-        raise
-    return out, publications
+    for item in items:
+        task = item.task
+        handle = task.dataset.matrix
+        if isinstance(handle, ShmHandle):
+            try:
+                matrix = _attached(handle, _attach_dataset_block)
+            except (OSError, ValueError, KeyError) as exc:
+                out.append(_AttachFailure(
+                    index=item.index,
+                    shm_name=handle.shm_name,
+                    error=f"{type(exc).__name__}: {exc}",
+                ))
+                continue
+            task = replace(task, dataset=replace(task.dataset, matrix=matrix))
+        rows = _run_shard(task, dataset_key=item.dataset_key)
+        for row in rows:
+            row.meta["placement"] = {**item.placement, "pid": pid}
+        out.append(rows)
+    return out
 
 
 def _worker_probe(_=None) -> int:
@@ -971,24 +899,15 @@ class SweepExecutor:
     pool=default_executor())``).
     """
 
-    #: Default budget for the shared-oracle directory (bytes of live
-    #: published payload blocks); 0 disables cross-worker sharing.
-    DEFAULT_ORACLE_CACHE_BYTES = 256 * 1024 * 1024
-
     def __init__(
         self,
         max_workers: int | None = None,
         *,
         batch_atoms: int | None = None,
-        oracle_cache_bytes: int | None = None,
         batch_timeout: float | None = None,
     ):
         self.max_workers = max_workers
         self.batch_atoms = batch_atoms
-        self.oracle_cache_bytes = (
-            env_number(SHARED_ORACLE_BYTES_ENV, self.DEFAULT_ORACLE_CACHE_BYTES)
-            if oracle_cache_bytes is None else int(oracle_cache_bytes)
-        )
         self.batch_timeout = (
             env_number(BATCH_TIMEOUT_ENV, DEFAULT_BATCH_TIMEOUT, float)
             if batch_timeout is None else float(batch_timeout)
@@ -996,19 +915,15 @@ class SweepExecutor:
         self._slots: list[_WorkerSlot] = []
         self._width = 0
         self._lock = threading.Lock()
-        # Guards both block directories: published datasets, and oracle
-        # blocks adopted from the workers that built them.
+        # Guards the directory of published dataset blocks.
         self._shm_lock = threading.Lock()
         self._datasets = _BlockDirectory(_DATASET_BLOCK_BYTES)
-        self._oracles = _BlockDirectory(self.oracle_cache_bytes)
         self.sweeps = 0
         self.batches = 0
         self.shards = 0
         self.pool_spawns = 0
         self.shm_published = 0
         self.shm_reused = 0
-        self.oracle_published = 0
-        self.oracle_reused = 0
         self.sticky_shards = 0
         self.stolen_shards = 0
         # Failure-path telemetry (see map_shards): watchdog expiries,
@@ -1082,7 +997,6 @@ class SweepExecutor:
             self._width = 0
         with self._shm_lock:
             self._datasets.clear()
-            self._oracles.clear()
 
     def __enter__(self) -> "SweepExecutor":
         return self
@@ -1152,8 +1066,9 @@ class SweepExecutor:
         """Fingerprint every dataset and swap payloads for shm handles.
 
         One pack + CRC pass per dataset yields the content key that
-        drives *all three* reuse layers -- the dataset directory, sticky
-        placement, and the oracle directory.  Codec-claimed payloads are
+        drives both reuse layers -- the dataset directory and sticky
+        placement (and so the workers' problem caches).  Codec-claimed
+        payloads are
         published to shared memory once per key: repeated sweeps of the
         same corpus pin the already-published blocks instead of copying
         again, and anything else (or a refused publish) travels pickled
@@ -1196,50 +1111,8 @@ class SweepExecutor:
             raise
         return staged, pinned
 
-    # -- shared-oracle directory -----------------------------------------
-    def _problem_key(self, shard: _StagedShard) -> tuple | None:
-        """The worker-side problem-cache key this shard will look up."""
-        if shard.dataset_key is None:
-            return None
-        task = shard.task
-        return (task.app, shard.dataset_key, task.seed, task.validate)
-
-    def _oracle_handles(self, staged: list) -> tuple[dict, list]:
-        """Published handles for shards whose oracle some worker built.
-
-        Returns ``(shard index -> handle, pinned blocks)``; pins hold
-        eviction off while the handles are in flight.
-        """
-        handles: dict[int, ShmHandle] = {}
-        pinned: list[_Block] = []
-        if self.oracle_cache_bytes <= 0:
-            return handles, pinned
-        with self._shm_lock:
-            for shard in staged:
-                block = self._oracles.pin(self._problem_key(shard))
-                if block is not None:
-                    pinned.append(block)
-                    handles[shard.index] = block.handle
-                    self.oracle_reused += 1
-        return handles, pinned
-
-    def _adopt_publications(self, publications: list) -> None:
-        """Take ownership of worker-published oracle blocks."""
-        if not publications:
-            return
-        with self._shm_lock:
-            for key, handle in publications:
-                if self._oracles.adopt(key, _Block(handle)):
-                    self.oracle_published += 1
-                else:
-                    # Racing workers can build the same oracle in one
-                    # sweep; first one in wins, duplicates are reclaimed.
-                    _unlink_block(handle.shm_name)
-            self._oracles.release()
-
     # -- placement --------------------------------------------------------
-    def _assign(self, staged: list, share_oracles: bool,
-                oracle_handles: dict) -> list[tuple]:
+    def _assign(self, staged: list) -> list[tuple]:
         """Place every staged shard: home slots, batches, work-stealing.
 
         Returns ``[(executing slot, (batch items...)), ...]``.  Homes
@@ -1321,8 +1194,6 @@ class SweepExecutor:
                             "slot": slot,
                             "mode": "stolen" if stolen else "sticky",
                         },
-                        oracle=oracle_handles.get(shard.index),
-                        publish=share_oracles,
                         weight=shard.weight,
                     )
                     for shard in batch
@@ -1342,8 +1213,7 @@ class SweepExecutor:
         over the (persistent) pool, with sticky placement, batching and
         shared-memory dataset transport.  Deterministic exceptions
         raised inside a worker (bad app, validation failure) propagate
-        after every in-flight batch settles, so successful batches'
-        oracle publications are never leaked.
+        after every in-flight batch settles.
 
         Failure semantics (``batch_timeout`` > 0, the default): every
         batch gets a deadline -- the floor plus a weight-proportional
@@ -1364,9 +1234,7 @@ class SweepExecutor:
             return []
         self._ensure_pool(len(tasks))
         staged, pinned = self._stage(tasks)
-        share_oracles = self.oracle_cache_bytes > 0
-        oracle_handles, oracle_pinned = self._oracle_handles(staged)
-        placed = self._assign(staged, share_oracles, oracle_handles)
+        placed = self._assign(staged)
         results: dict[int, list] = {}
         fallback_indexes: set[int] = set()
         try:
@@ -1374,7 +1242,6 @@ class SweepExecutor:
         finally:
             with self._shm_lock:
                 self._datasets.release(pinned)
-                self._oracles.release(oracle_pinned)
         if error is not None:
             raise error
         for index in fallback_indexes:
@@ -1462,9 +1329,9 @@ class SweepExecutor:
         for future, slot, items, deadline in submitted:
             try:
                 if deadline is None:
-                    shard_rows, publications = future.result()
+                    shard_rows = future.result()
                 else:
-                    shard_rows, publications = future.result(
+                    shard_rows = future.result(
                         timeout=max(0.05, deadline - time.monotonic())
                     )
             except _FuturesTimeout:
@@ -1479,7 +1346,6 @@ class SweepExecutor:
                 if error is None:
                     error = exc
                 continue
-            self._adopt_publications(publications)
             for item, rows in zip(items, shard_rows):
                 if isinstance(rows, _AttachFailure):
                     bad_attach.append((item, rows))
@@ -1637,9 +1503,6 @@ class SweepExecutor:
     def info(self) -> dict:
         with self._shm_lock:
             shm_cached, shm_cached_bytes = len(self._datasets), self._datasets.nbytes
-            oracle_cached = len(self._oracles)
-            oracle_cached_bytes = self._oracles.nbytes
-            oracle_evicted = self._oracles.evictions
         return {
             "alive": self.alive,
             "width": self._width,
@@ -1651,11 +1514,6 @@ class SweepExecutor:
             "shm_reused": self.shm_reused,
             "shm_cached": shm_cached,
             "shm_cached_bytes": shm_cached_bytes,
-            "oracle_published": self.oracle_published,
-            "oracle_reused": self.oracle_reused,
-            "oracle_evicted": oracle_evicted,
-            "oracle_cached": oracle_cached,
-            "oracle_cached_bytes": oracle_cached_bytes,
             "sticky_shards": self.sticky_shards,
             "stolen_shards": self.stolen_shards,
             "batch_timeout": self.batch_timeout,
@@ -1717,9 +1575,9 @@ def shutdown_default_executor() -> None:
 # ----------------------------------------------------------------------
 # Signal cleanup: atexit never runs when the process dies on an
 # unhandled SIGTERM/SIGINT, so a killed default-pool sweep would leak its
-# /dev/shm dataset blocks and shared-oracle segments (named, kernel-
-# persistent objects that outlive the process).  Installing chained
-# handlers turns those deaths into an orderly shm unlink first.
+# /dev/shm dataset blocks (named, kernel-persistent objects that outlive
+# the process).  Installing chained handlers turns those deaths into an
+# orderly shm unlink first.
 # ----------------------------------------------------------------------
 _SIGNAL_CHAIN: dict[int, object] = {}
 _SIGNALS_INSTALLED = False

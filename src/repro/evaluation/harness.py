@@ -276,11 +276,7 @@ class _ShardTask:
 
 
 def _run_shard(
-    task: _ShardTask,
-    *,
-    dataset_key: tuple | None = None,
-    shared_oracle=None,
-    publications: list | None = None,
+    task: _ShardTask, *, dataset_key: tuple | None = None
 ) -> list[SweepRow]:
     """Process-pool worker: run every kernel of one (app, dataset) shard.
 
@@ -289,23 +285,12 @@ def _run_shard(
     is derived here.  Shards with a fingerprint serve their problem and
     oracle from the worker-resident :class:`~repro.engine.worker_pool.
     ProblemCache`, so steady-state sweeps on a warm pool skip both
-    rebuilds; every row's ``meta`` records the ``problem_cache`` outcome
-    plus the worker's running hit/miss/attach/publish counters.
-
-    Cross-worker sharing: on a local miss, ``shared_oracle`` (a
-    :class:`~repro.engine.worker_pool.ShmHandle` some other
-    worker published) is attached instead of recomputing the oracle
-    (status ``"attach"``); and when ``publications`` is a list, a
-    locally-built oracle is published to shm and its ``(cache key,
-    handle)`` appended for the parent to adopt.  Both are best-effort --
-    any failure falls back to the local build, never changes results.
+    rebuilds; a miss (first sweep, an evicted entry, a respawned worker)
+    builds both locally.  Every row's ``meta`` records the
+    ``problem_cache`` outcome plus the worker's running hit/miss
+    counters.
     """
-    from ..engine.worker_pool import (
-        attach_payload,
-        dataset_content_key,
-        problem_cache,
-        publish_payload,
-    )
+    from ..engine.worker_pool import dataset_content_key, problem_cache
 
     ctx = task.ctx
     app_spec = get_app(task.app)
@@ -325,29 +310,12 @@ def _run_shard(
         problem, expected = cached
     else:
         problem = _build_problem(app_spec, task.app, task.dataset, task.seed)
-        expected = None
-        if task.validate and app_spec.oracle is not None:
-            if status == "miss" and shared_oracle is not None:
-                # Some other worker already built this oracle: attach
-                # the published copy instead of recomputing (zero-copy
-                # unless it was pickled).  ``None`` means the block vanished
-                # or failed its checks -- rebuild locally.
-                expected = attach_payload(shared_oracle)
-            if expected is not None:
-                status = "attach"
-                cache.attaches += 1
-            else:
-                expected = app_spec.oracle(problem)
-                if (
-                    status == "miss"
-                    and publications is not None
-                    and expected is not None
-                ):
-                    handle = publish_payload(expected)
-                    if handle is not None:
-                        publications.append((cache_key, handle))
-                        cache.publishes += 1
-        if status in ("miss", "attach"):
+        expected = (
+            app_spec.oracle(problem)
+            if task.validate and app_spec.oracle is not None
+            else None
+        )
+        if status == "miss":
             cache.store(cache_key, problem, expected)
     rows = [
         _execute_cell(
@@ -367,8 +335,6 @@ def _run_shard(
         row.meta["problem_cache"] = status
         row.meta["problem_cache_hits"] = cache.hits
         row.meta["problem_cache_misses"] = cache.misses
-        row.meta["problem_cache_attaches"] = cache.attaches
-        row.meta["problem_cache_publishes"] = cache.publishes
     return rows
 
 

@@ -83,8 +83,6 @@ KNOWN_SITES = (
     "worker.batch",      # entry of a worker batch run
     "shm.publish",       # parent publishing a dataset bundle
     "shm.attach",        # worker attaching a dataset bundle
-    "oracle.publish",    # worker publishing an oracle payload
-    "oracle.attach",     # worker attaching a shared oracle payload
     "journal.write",     # RecordJournal.append (results journal)
     "serve.dispatch",    # service executing one job unit
     "serve.journal",     # service journaling a job event

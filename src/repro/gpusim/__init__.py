@@ -38,7 +38,7 @@ from .multi_gpu import (
     partition_tiles,
     transfer_overhead_cycles,
 )
-from .profiler import ProfileLog, geomean
+from .profiler import geomean
 from .simt import LaunchResult, SimtError, ThreadCtx, launch_interpreted
 from .sm_scheduler import ScheduleOutcome, block_cycles_from_warps, schedule_blocks
 
@@ -60,7 +60,6 @@ __all__ = [
     "multi_gpu_plan",
     "partition_tiles",
     "transfer_overhead_cycles",
-    "ProfileLog",
     "geomean",
     "LaunchResult",
     "SimtError",

@@ -1,21 +1,17 @@
-"""Kernel profiling: collection and reporting of :class:`KernelStats`.
+"""Summary statistics for profiled kernels.
 
-The evaluation harness records one :class:`~repro.gpusim.cost_model.KernelStats`
-per (kernel, dataset) cell; this module aggregates them into the summary
-statistics the paper reports (geomean slowdowns/speedups, win fractions)
-and renders simple text tables.
+The paper reports geomean slowdowns and speedups over per-dataset
+:class:`~repro.gpusim.cost_model.KernelStats` timings; :func:`geomean`
+is that fold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .cost_model import KernelStats
-
-__all__ = ["ProfileLog", "geomean", "summarize"]
+__all__ = ["geomean"]
 
 
 def geomean(values: Iterable[float]) -> float:
@@ -24,78 +20,3 @@ def geomean(values: Iterable[float]) -> float:
     if arr.size == 0:
         raise ValueError("geomean of an empty (or non-positive) sequence")
     return float(np.exp(np.log(arr).mean()))
-
-
-@dataclass
-class ProfileRecord:
-    kernel: str
-    dataset: str
-    stats: KernelStats
-    meta: dict = field(default_factory=dict)
-
-
-@dataclass
-class ProfileLog:
-    """An append-only log of profiled launches with query helpers."""
-
-    records: list[ProfileRecord] = field(default_factory=list)
-
-    def add(self, kernel: str, dataset: str, stats: KernelStats, **meta) -> None:
-        self.records.append(ProfileRecord(kernel, dataset, stats, meta))
-
-    def kernels(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for r in self.records:
-            seen.setdefault(r.kernel, None)
-        return list(seen)
-
-    def elapsed(self, kernel: str) -> dict[str, float]:
-        """dataset -> elapsed_ms for one kernel."""
-        return {
-            r.dataset: r.stats.elapsed_ms for r in self.records if r.kernel == kernel
-        }
-
-    def speedups(self, kernel: str, baseline: str) -> dict[str, float]:
-        """Per-dataset speedup of ``kernel`` over ``baseline``."""
-        ours = self.elapsed(kernel)
-        base = self.elapsed(baseline)
-        common = sorted(set(ours) & set(base))
-        return {d: base[d] / ours[d] for d in common if ours[d] > 0}
-
-    def geomean_speedup(self, kernel: str, baseline: str) -> float:
-        return geomean(self.speedups(kernel, baseline).values())
-
-    def win_fraction(self, kernel: str, baseline: str, threshold: float = 1.0) -> float:
-        """Fraction of datasets where ``kernel`` achieves >= threshold x baseline."""
-        sp = self.speedups(kernel, baseline)
-        if not sp:
-            raise ValueError("no common datasets between kernel and baseline")
-        wins = sum(1 for v in sp.values() if v >= threshold)
-        return wins / len(sp)
-
-
-def summarize(rows: Sequence[Mapping[str, object]], columns: Sequence[str]) -> str:
-    """Render a list of dict rows as an aligned text table."""
-    headers = list(columns)
-    rendered = [[_fmt(r.get(c, "")) for c in headers] for r in rows]
-    widths = [
-        max(len(h), *(len(row[i]) for row in rendered)) if rendered else len(h)
-        for i, h in enumerate(headers)
-    ]
-    lines = [
-        "  ".join(h.ljust(w) for h, w in zip(headers, widths)),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in rendered:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
-def _fmt(value: object) -> str:
-    if isinstance(value, float):
-        if value == 0:
-            return "0"
-        if abs(value) >= 1000 or abs(value) < 0.001:
-            return f"{value:.3e}"
-        return f"{value:.4g}"
-    return str(value)

@@ -1,12 +1,12 @@
 """``repro serve`` -- the long-running multi-tenant sweep service.
 
-Everything the sweep executor caches (warm worker slots and their
-in-memory plan caches, sticky HRW placement, shm dataset bundles, shared
-oracle payloads) only pays off *inside one process*.  This module is that process: an asyncio TCP
-front-end (JSON lines, :mod:`repro.service.protocol`) over one
-persistent :class:`~repro.engine.worker_pool.SweepExecutor`, so many
-clients hit the same warm instance instead of each paying the cold
-start.
+Everything the sweep executor caches (warm worker slots with their
+in-memory plan and problem caches, sticky HRW placement, shm dataset
+bundles) only pays off *inside one process*.  This module is that
+process: an asyncio TCP front-end (JSON lines,
+:mod:`repro.service.protocol`) over one persistent
+:class:`~repro.engine.worker_pool.SweepExecutor`, so many clients hit
+the same warm instance instead of each paying the cold start.
 
 Design:
 
@@ -36,8 +36,8 @@ Design:
   record being written.
 * **Graceful drain.**  SIGTERM/SIGINT (or :meth:`SweepService.
   begin_drain`) stops admission (``rejected/draining``), finishes every
-  in-flight job, then shuts the executor down -- unlinking all shm
-  dataset blocks and the shared-oracle directory -- before exiting.
+  in-flight job, then shuts the executor down -- unlinking every shm
+  dataset block -- before exiting.
 """
 
 from __future__ import annotations

@@ -37,9 +37,6 @@ KNOBS = [
     (worker_pool.PROBLEM_CACHE_BYTES_ENV,
      lambda: _problem_cache().max_bytes,
      worker_pool.ProblemCache.DEFAULT_MAX_BYTES),
-    (worker_pool.SHARED_ORACLE_BYTES_ENV,
-     lambda: worker_pool.SweepExecutor().oracle_cache_bytes,
-     worker_pool.SweepExecutor.DEFAULT_ORACLE_CACHE_BYTES),
     (worker_pool.BATCH_TIMEOUT_ENV,
      lambda: worker_pool.SweepExecutor().batch_timeout,
      worker_pool.DEFAULT_BATCH_TIMEOUT),

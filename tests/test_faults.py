@@ -286,12 +286,11 @@ class TestExecutorChaos:
 #: Fault kinds the randomized draw may place at each site.  Every kind
 #: here is survivable: a crashed batch is retried and then degraded, a
 #: slow one just finishes late, refused publishes and failed attaches
-#: fall back to pickling or a local rebuild.
+#: fall back to pickling.
 _FAULT_MENU = {
     "worker.batch": ("crash", "slow"),
     "shm.publish": ("drop",),
     "shm.attach": ("crc", "drop"),
-    "oracle.attach": ("drop",),
 }
 
 
@@ -366,14 +365,12 @@ class TestRandomizedDifferential:
 
 
 class TestSharingFaults:
-    """Publish/attach faults on the shm sharing paths degrade to local work.
+    """Publish and warmup faults degrade to the pickle path or a respawn.
 
-    The sharing layer's contract: a refused publish (``shm.publish``,
-    ``oracle.publish``) means the caller keeps its pickle/local path, a
-    failed payload attach (``oracle.attach``) means the worker rebuilds
-    locally, and a ``worker.start`` fault surfaces as the warmup error
-    the pool's respawn logic handles -- never a wrong row or leaked
-    segment.
+    A refused publish (``shm.publish``) means the caller pickles the
+    dataset into its task, and a ``worker.start`` fault surfaces as the
+    warmup error the pool's respawn logic handles -- never a wrong row
+    or leaked segment.
     """
 
     def test_shm_publish_refusal_returns_none(self, shm_ledger):
@@ -387,31 +384,6 @@ class TestSharingFaults:
         published = publish_dataset(dataset)
         assert published is not None  # the refusal was the fault, not shm
         published.unlink()
-
-    def test_oracle_publish_refusal_and_attach_fallback(self, shm_ledger):
-        from multiprocessing import shared_memory
-
-        import numpy as np
-
-        from repro.engine.worker_pool import attach_payload, publish_payload
-
-        payload = np.arange(16.0)
-        configure_faults("oracle.publish:drop@*")
-        assert publish_payload(payload) is None
-        clear_faults()
-        handle = publish_payload(payload)
-        assert handle is not None
-        try:
-            configure_faults("oracle.attach:drop@*")
-            assert attach_payload(handle) is None  # caller rebuilds locally
-            clear_faults()
-            attached = attach_payload(handle)
-            assert np.array_equal(attached, payload)
-        finally:
-            clear_faults()
-            shm = shared_memory.SharedMemory(name=handle.shm_name)
-            shm.close()
-            shm.unlink()
 
     def test_worker_start_fault_raises_in_warmup(self):
         from repro.engine.worker_pool import _worker_warmup

@@ -36,6 +36,12 @@ def _statuses(rows):
     return [r.meta["problem_cache"] for r in rows]
 
 
+def _kill_worker(_):
+    import os
+
+    os._exit(1)
+
+
 class TestProblemCacheUnit:
     def test_lru_entry_budget(self):
         cache = ProblemCache(max_entries=2, max_bytes=10**9)
@@ -252,14 +258,29 @@ class TestSteadyStateSweeps:
                              executor="process", pool=pool, seed=8)
             assert all(s == "miss" for s in _statuses(rows))
 
+    def test_respawned_worker_rebuilds_after_crash(self):
+        """A fresh worker starts with an empty cache: it rebuilds every
+        problem and oracle locally, and its rows match the dead one's."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        clear_problem_cache()  # forked workers start from the parent's cache
+        with SweepExecutor(max_workers=1) as pool:
+            first = run_suite(["merge_path"], scale="smoke", limit=3,
+                              executor="process", pool=pool)
+            with pytest.raises(BrokenProcessPool):
+                pool._slots[0].pool.submit(_kill_worker, 0).result()
+            second = run_suite(["merge_path"], scale="smoke", limit=3,
+                               executor="process", pool=pool)
+        assert all(s == "miss" for s in _statuses(first))
+        assert all(s == "miss" for s in _statuses(second))
+        assert _key(first) == _key(second)
+
     def test_eviction_under_tiny_budget(self, monkeypatch):
         """With room for one entry, alternating datasets evict each other
-        and steady state never materializes -- the budget is honoured.
-
-        Oracle sharing is disabled (``oracle_cache_bytes=0``) so the
-        evicted entries really are rebuilt, not re-attached from shm."""
+        and steady state never materializes -- the budget is honoured and
+        every evicted entry is rebuilt locally, rows unchanged."""
         monkeypatch.setenv(PROBLEM_CACHE_ENTRIES_ENV, "1")
-        with SweepExecutor(max_workers=1, oracle_cache_bytes=0) as pool:
+        with SweepExecutor(max_workers=1) as pool:
             first = run_suite(["merge_path"], scale="smoke", limit=3,
                               executor="process", pool=pool)
             second = run_suite(["merge_path"], scale="smoke", limit=3,

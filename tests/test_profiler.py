@@ -1,23 +1,8 @@
-"""Tests for profiling/reporting helpers."""
+"""Tests for the geomean summary statistic."""
 
 import pytest
 
-from repro.gpusim.cost_model import KernelStats
-from repro.gpusim.profiler import ProfileLog, geomean, summarize
-
-
-def _stats(ms: float) -> KernelStats:
-    return KernelStats(
-        elapsed_ms=ms,
-        makespan_cycles=ms * 1e6,
-        grid_dim=1,
-        block_dim=32,
-        occupancy=0.5,
-        simt_efficiency=0.9,
-        utilization=0.7,
-        tail_fraction=0.0,
-        total_thread_cycles=1.0,
-    )
+from repro.gpusim.profiler import geomean
 
 
 class TestGeomean:
@@ -33,56 +18,3 @@ class TestGeomean:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             geomean([])
-
-
-class TestProfileLog:
-    def _log(self) -> ProfileLog:
-        log = ProfileLog()
-        log.add("ours", "d1", _stats(1.0))
-        log.add("ours", "d2", _stats(2.0))
-        log.add("base", "d1", _stats(3.0))
-        log.add("base", "d2", _stats(4.0))
-        return log
-
-    def test_kernels_in_insertion_order(self):
-        assert self._log().kernels() == ["ours", "base"]
-
-    def test_elapsed_map(self):
-        assert self._log().elapsed("ours") == {"d1": 1.0, "d2": 2.0}
-
-    def test_speedups(self):
-        sp = self._log().speedups("ours", "base")
-        assert sp == {"d1": 3.0, "d2": 2.0}
-
-    def test_geomean_speedup(self):
-        assert self._log().geomean_speedup("ours", "base") == pytest.approx(
-            (3.0 * 2.0) ** 0.5
-        )
-
-    def test_win_fraction(self):
-        log = self._log()
-        assert log.win_fraction("ours", "base") == 1.0
-        assert log.win_fraction("ours", "base", threshold=2.5) == 0.5
-
-    def test_win_fraction_no_overlap_raises(self):
-        log = ProfileLog()
-        log.add("a", "d1", _stats(1.0))
-        with pytest.raises(ValueError):
-            log.win_fraction("a", "b")
-
-
-class TestSummarize:
-    def test_renders_columns(self):
-        out = summarize(
-            [{"name": "x", "val": 1.5}, {"name": "longer", "val": 0.00001}],
-            ["name", "val"],
-        )
-        lines = out.splitlines()
-        assert lines[0].startswith("name")
-        assert "longer" in out
-        assert "1.5" in out
-        assert "e-05" in out  # tiny floats go scientific
-
-    def test_missing_cells_blank(self):
-        out = summarize([{"a": 1}], ["a", "b"])
-        assert out.splitlines()[2].strip().startswith("1")

@@ -2,9 +2,9 @@
 
 atexit handlers never run when a process dies on an unhandled
 SIGTERM/SIGINT, so a killed default-executor sweep would leak its
-named shared-memory segments (dataset bundles, shared-oracle payloads)
-in ``/dev/shm`` until reboot.  These tests kill real child processes
-and inspect the segment namespace from outside.
+named shared-memory segments (dataset bundles) in ``/dev/shm`` until
+reboot.  These tests kill real child processes and inspect the segment
+namespace from outside.
 """
 
 from __future__ import annotations

@@ -151,3 +151,57 @@ class TestSpgemm:
         m = gen.poisson_random(12, 12, 2.0, seed=16)
         p = _sweep_problem(m, seed=0)
         assert p.a is m and p.b is m
+
+
+class TestBlockedSpgemmOracle:
+    """The oracle reduces row blocks under a product budget; its output
+    is bit-identical to reducing the whole expansion at once."""
+
+    @staticmethod
+    def _whole_expansion(a, b):
+        from repro.apps.spgemm import _expand_products
+        from repro.sparse.convert import coo_to_csr
+        from repro.sparse.coo import CooMatrix
+
+        products = _expand_products(a, b)
+        return coo_to_csr(CooMatrix.from_arrays(
+            products["rows"], products["cols"], products["vals"],
+            (a.num_rows, b.num_cols),
+        ).sum_duplicates())
+
+    @staticmethod
+    def _assert_bit_identical(got, want, name):
+        assert got.shape == want.shape, name
+        for field in ("row_offsets", "col_indices", "values"):
+            x, y = getattr(got, field), getattr(want, field)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (
+                name, field)
+
+    def test_smoke_corpus_bit_identical(self):
+        from repro.engine import DEFAULT_SEED, get_app
+        from repro.sparse.corpus import build_corpus
+
+        app = get_app("spgemm")
+        for dataset in build_corpus("smoke"):
+            p = app.sweep_problem(dataset.matrix, DEFAULT_SEED)
+            self._assert_bit_identical(
+                spgemm_reference(p.a, p.b), self._whole_expansion(p.a, p.b),
+                dataset.name,
+            )
+
+    def test_budget_below_one_row_still_bit_identical(self, monkeypatch):
+        """A row with more products than the budget is a block of its
+        own; it is never split, so its sums keep their order."""
+        import importlib
+
+        from repro.sparse.corpus import load_dataset
+
+        module = importlib.import_module("repro.apps.spgemm")
+        monkeypatch.setattr(module, "_ORACLE_PRODUCT_BUDGET", 3)
+        cases = [(gen.poisson_random(0, 0, 1.0, seed=1),) * 2]
+        for name in ("tiny_power_256", "outlier_extreme", "empty_half"):
+            m = load_dataset(name, "smoke").matrix
+            cases.append((m, m))
+        for a, b in cases:
+            self._assert_bit_identical(
+                spgemm_reference(a, b), self._whole_expansion(a, b), a.shape)

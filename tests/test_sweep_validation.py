@@ -25,6 +25,26 @@ from repro.sparse.corpus import load_dataset
 SAMPLED_APPS = ("spmv", "spmm", "spmttkrp", "histogram")
 
 
+class TestOracleMemory:
+    """Every oracle runs in bounded memory on the smoke problems with the
+    most intermediate spgemm products (4.1M for ``uniform_128``)."""
+
+    @pytest.mark.parametrize("app", available_apps())
+    @pytest.mark.parametrize("name", ["uniform_128", "blockdiag_64"])
+    def test_peak_under_32_mib(self, app, name):
+        import tracemalloc
+
+        spec = get_app(app)
+        problem = spec.sweep_problem(load_dataset(name, "smoke").matrix, 0)
+        tracemalloc.start()
+        try:
+            spec.oracle(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, f"{app} oracle peaked at {peak / 2**20:.1f} MiB"
+
+
 class TestSampleChecks:
     @pytest.mark.parametrize("app_name", SAMPLED_APPS)
     def test_registered_for_vector_path_apps(self, app_name):

@@ -52,17 +52,15 @@ def serial_rows():
 
 
 # ----------------------------------------------------------------------
-# One transport, two sides: every codec through the dataset publisher /
-# attacher and the oracle publisher / attacher.
+# One transport, two entry points: every codec through the dataset
+# publisher / attacher and the public payload publisher / attacher.
 # ----------------------------------------------------------------------
 def _payload(codec: str):
     if codec == "csr":
         return load_dataset("tiny_power_256", "smoke").matrix
     if codec == "tensor3":
         return random_tensor((48, 32, 16), 700, skew=0.8, seed=5)
-    if codec == "dense":
-        return np.arange(24.0).reshape(4, 6)
-    return {"distances": [0, 1, 3], "source": 0}  # no codec: pickled
+    return np.arange(24.0).reshape(4, 6)
 
 
 _ARRAYS = {
@@ -72,9 +70,6 @@ _ARRAYS = {
 
 
 def _assert_bit_equal(codec: str, clone, payload) -> None:
-    if codec == "pickle":
-        assert clone == payload
-        return
     if codec == "dense":
         pairs = [(clone, payload)]
     else:
@@ -86,8 +81,9 @@ def _assert_bit_equal(codec: str, clone, payload) -> None:
         assert got.tobytes() == want.tobytes()
 
 
-_SIDES = [("dataset", c) for c in ("csr", "tensor3", "dense")] + [
-    ("oracle", c) for c in ("csr", "tensor3", "dense", "pickle")
+_SIDES = [
+    (side, c) for side in ("dataset", "oracle")
+    for c in ("csr", "tensor3", "dense")
 ]
 
 
@@ -150,9 +146,8 @@ class TestTransportRoundTrip:
             else:
                 clone = attach_payload(staged)
                 _assert_bit_equal(codec, clone, payload)
-                if codec != "pickle":
-                    # Re-attaching in one process serves the cached mapping.
-                    assert attach_payload(staged) is clone
+                # Re-attaching in one process serves the cached mapping.
+                assert attach_payload(staged) is clone
                 del clone
         finally:
             cleanup()
@@ -191,7 +186,7 @@ class _StubBlock:
 
 
 class TestBlockDirectory:
-    """The parent-side record both the dataset and oracle blocks use."""
+    """The parent-side record of published dataset blocks."""
 
     def test_lru_eviction_skips_pinned_blocks(self):
         directory = worker_pool._BlockDirectory(budget=15)
@@ -247,6 +242,22 @@ class TestSharedMemoryTransport:
         assert published == 0
         assert _key(shm) == _key(pickled) == _key(serial_rows)
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"),
+                        reason="needs a POSIX /dev/shm namespace")
+    def test_pool_holds_one_block_per_dataset(self, serial_rows):
+        """Validated two-worker sweeps leave exactly one shm block per
+        dataset while the pool lives -- oracles stay in the workers'
+        problem caches -- and shutdown unlinks them all."""
+        before = set(os.listdir("/dev/shm"))
+        with SweepExecutor(max_workers=2) as pool:
+            for _ in range(2):
+                rows = run_suite(KERNELS, scale="smoke", limit=5,
+                                 executor="process", pool=pool)
+                held = set(os.listdir("/dev/shm")) - before
+                assert len(held) == 5 == pool.info()["shm_cached"]
+                assert _key(rows) == _key(serial_rows)
+        assert not held & set(os.listdir("/dev/shm"))
+
     def test_one_refused_publish_pickles_only_that_payload(self, serial_rows):
         """Staging is per payload: a block that cannot be published
         travels pickled while the rest of the sweep still uses shm."""
@@ -300,8 +311,9 @@ class TestArrayBundleTransport:
     def test_object_dtype_arrays_fall_back_to_pickle(self):
         """Object arrays hold process-local pointers; shipping their raw
         bytes through shm would segfault workers.  No codec may claim
-        them -- they must pickle.  Structured arrays are refused too:
-        their dtype string is a bare void the fill cannot cast into."""
+        them -- a dataset holding one must pickle.  Structured arrays
+        are refused too: their dtype string is a bare void the fill
+        cannot cast into."""
         for payload in (
             np.array([{"a": 1}, [2, 3]], dtype=object),
             np.zeros(4, dtype=[("a", "f8"), ("b", "i4")]),
@@ -310,11 +322,31 @@ class TestArrayBundleTransport:
             ds = Dataset(name="objs", family="dense", matrix=payload)
             assert publish_dataset(ds) is None
             assert dataset_content_key(ds) is None
-            handle = publish_payload(payload)  # oracles: the pickle segment
-            try:
-                assert handle.codec == "pickle"
-            finally:
-                _unlink_block(handle.shm_name)
+            assert publish_payload(payload) is None
+
+    def test_attach_vanished_block_returns_none(self):
+        handle = publish_payload(np.arange(8.0))
+        assert handle is not None
+        _unlink_block(handle.shm_name)
+        assert attach_payload(handle) is None
+
+    def test_unknown_codec_returns_none(self):
+        from dataclasses import replace
+
+        handle = publish_payload(np.arange(8.0))
+        assert handle is not None
+        try:
+            assert attach_payload(replace(handle, codec="no-such")) is None
+        finally:
+            _unlink_block(handle.shm_name)
+
+    def test_unpublishable_payload_returns_none(self):
+        """Without an oracle-only pickle segment, a payload no codec
+        claims is refused rather than published."""
+        import threading
+
+        assert publish_payload(threading.Lock()) is None
+        assert publish_payload({"distances": [0, 1, 3], "source": 0}) is None
 
     def test_content_key_tracks_payload_mutation(self):
         a = random_tensor((16, 8, 4), 60, seed=1)
