@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.engine import ExecutionContext
 from repro.evaluation.harness import run_suite
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
@@ -37,14 +38,33 @@ def results_dir() -> Path:
     return RESULTS_DIR
 
 
+@pytest.fixture(scope="session", params=["vector", "compiled"])
+def bench_engine(request) -> str:
+    """Engine the figure benches sweep under.  Every engine prices work
+    through the same fold, so each figure's conclusions must hold under
+    the analytic planner and under measured per-thread loads alike."""
+    return request.param
+
+
 @pytest.fixture(scope="session")
-def suite_rows():
-    """One (kernel x dataset) sweep shared by every figure bench."""
-    return run_suite(ALL_KERNELS, app="spmv", scale=BENCH_SCALE)
+def suite_rows(bench_engine):
+    """One (kernel x dataset) sweep per engine, shared by every figure bench."""
+    return run_suite(
+        ALL_KERNELS,
+        app="spmv",
+        scale=BENCH_SCALE,
+        ctx=ExecutionContext(engine=bench_engine),
+    )
 
 
-def emit(results_dir: Path, name: str, text: str) -> None:
-    """Persist a reproduced table/series and echo it (visible with -s)."""
+def emit(results_dir: Path, name: str, text: str, engine: str = "vector") -> None:
+    """Persist a reproduced table/series and echo it (visible with -s).
+
+    Series swept under a non-default engine get the engine in the file
+    name (``fig2_overhead.compiled.csv``)."""
+    if engine != "vector":
+        stem, dot, ext = name.rpartition(".")
+        name = f"{stem}.{engine}{dot}{ext}"
     path = results_dir / name
     path.write_text(text, encoding="utf-8")
     print(f"\n=== {name} ===\n{text}")

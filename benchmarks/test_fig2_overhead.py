@@ -27,7 +27,7 @@ def fig2(suite_rows):
     return fig2_overhead(rows=suite_rows)
 
 
-def test_fig2_regenerate_series(benchmark, suite_rows, fig2, results_dir):
+def test_fig2_regenerate_series(benchmark, suite_rows, fig2, results_dir, bench_engine):
     """Regenerate Figure 2's scatter data and summary statistics."""
     benchmark(lambda: fig2_overhead(rows=suite_rows))
 
@@ -41,7 +41,7 @@ def test_fig2_regenerate_series(benchmark, suite_rows, fig2, results_dir):
     lines.append(f"cub_wins,{';'.join(fig2.cub_wins) or '(none >10%)'}")
     lines.append("paper_geomean_slowdown,1.025")
     lines.append("paper_frac_within_90pct,0.92")
-    emit(results_dir, "fig2_overhead.csv", "\n".join(lines))
+    emit(results_dir, "fig2_overhead.csv", "\n".join(lines), bench_engine)
 
 
 class TestFig2Shape:

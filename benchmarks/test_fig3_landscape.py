@@ -23,7 +23,7 @@ def fig3(suite_rows):
     return fig3_landscape(rows=suite_rows)
 
 
-def test_fig3_regenerate_series(benchmark, suite_rows, fig3, results_dir):
+def test_fig3_regenerate_series(benchmark, suite_rows, fig3, results_dir, bench_engine):
     benchmark(lambda: fig3_landscape(rows=suite_rows))
 
     lines = ["kernel,dataset,nnzs,elapsed_ms"]
@@ -36,7 +36,7 @@ def test_fig3_regenerate_series(benchmark, suite_rows, fig3, results_dir):
         lines.append(f"{d},{best}")
     lines.append("")
     lines.append(f"frac_some_schedule_wins,{fig3.frac_some_schedule_wins:.3f}")
-    emit(results_dir, "fig3_landscape.csv", "\n".join(lines))
+    emit(results_dir, "fig3_landscape.csv", "\n".join(lines), bench_engine)
 
 
 class TestFig3Shape:

@@ -22,7 +22,7 @@ def fig4(suite_rows):
     return fig4_heuristic(rows=suite_rows)
 
 
-def test_fig4_regenerate_series(benchmark, suite_rows, fig4, results_dir):
+def test_fig4_regenerate_series(benchmark, suite_rows, fig4, results_dir, bench_engine):
     benchmark(lambda: fig4_heuristic(rows=suite_rows))
 
     lines = ["chosen_schedule,dataset,nnzs,speedup_vs_cusparse"]
@@ -35,7 +35,7 @@ def test_fig4_regenerate_series(benchmark, suite_rows, fig4, results_dir):
     lines.append(f"peak_dataset,{fig4.peak_dataset}")
     lines.append("paper_geomean_speedup,2.7")
     lines.append("paper_peak_speedup,39")
-    emit(results_dir, "fig4_heuristic.csv", "\n".join(lines))
+    emit(results_dir, "fig4_heuristic.csv", "\n".join(lines), bench_engine)
 
 
 class TestFig4Shape:

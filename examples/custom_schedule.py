@@ -16,7 +16,6 @@ import numpy as np
 from repro import load_dataset, spmv
 from repro.core import Schedule, StepRange, WorkCosts, register_schedule
 from repro.engine import ExecutionContext
-from repro.gpusim import warp_fold
 
 
 @register_schedule("chunked_tile")
@@ -43,8 +42,8 @@ class ChunkedTileSchedule(Schedule):
         lo, hi = self.work.atom_range(tile)
         return StepRange(lo, hi)
 
-    # -- planner view (how the simulator costs it) ------------------------
-    def warp_cycles(self, costs: WorkCosts) -> np.ndarray:
+    # -- planner view (per-thread cycles; the simulator prices them) ------
+    def cycles(self, costs: WorkCosts) -> np.ndarray:
         n_threads = self.launch.num_threads
         per = -(-self.work.num_tiles // n_threads)
         offsets = self.work.tile_offsets
@@ -52,14 +51,9 @@ class ChunkedTileSchedule(Schedule):
         hi = np.minimum(lo + per, self.work.num_tiles)
         atoms = (offsets[hi] - offsets[lo]).astype(np.float64)
         tiles = (hi - lo).astype(np.float64)
-        per_thread = atoms * costs.atom_total(self.spec) + tiles * (
+        return atoms * costs.atom_total(self.spec) + tiles * (
             costs.tile_cycles + self.spec.costs.loop_overhead
         )
-        wc = warp_fold(per_thread, self.spec.warp_size)
-        warps_per_block = self.launch.block_dim // self.spec.warp_size
-        out = np.zeros(self.launch.grid_dim * warps_per_block)
-        out[: wc.size] = wc
-        return out.reshape(self.launch.grid_dim, warps_per_block)
 
 
 def main() -> None:

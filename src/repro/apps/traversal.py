@@ -26,7 +26,7 @@ from ..core.schedule import WorkCosts
 from ..core.work import WorkSpec
 from ..engine import KernelDecl, Runtime, tile_charges
 from ..gpusim.arch import GpuSpec
-from ..gpusim.cost_model import KernelStats
+from ..gpusim.cost_model import KernelStats, price
 from ..sparse.graph import CsrGraph
 
 __all__ = [
@@ -207,16 +207,6 @@ def run_frontier_loop(
         frontier = np.nonzero(next_mask)[0].astype(np.int64)
 
     if total_stats is None:
-        # Degenerate single-vertex graph: charge one empty launch.
-        total_stats = KernelStats(
-            elapsed_ms=rt.spec.cycles_to_ms(rt.spec.costs.kernel_launch_cycles),
-            makespan_cycles=rt.spec.costs.kernel_launch_cycles,
-            grid_dim=1,
-            block_dim=32,
-            occupancy=0.0,
-            simt_efficiency=1.0,
-            utilization=0.0,
-            tail_fraction=0.0,
-            total_thread_cycles=0.0,
-        )
+        # No iteration ran (``max_iterations=0``): charge one empty launch.
+        total_stats = price(rt.spec, 1, 32, np.zeros(0))
     return iterations, total_stats

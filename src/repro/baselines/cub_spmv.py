@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..apps.common import spmv_costs
 from ..core.schedules.merge_path import merge_path_partition
 from ..gpusim.arch import GpuSpec, V100
-from ..gpusim.cost_model import KernelStats, kernel_stats_from_warp_cycles
+from ..gpusim.cost_model import KernelStats, price
 from ..sparse.csr import CsrMatrix
 from .reference import dense_spmv_oracle
 
@@ -56,28 +57,9 @@ def cub_spmv(
     return y, stats
 
 
-def _spmv_atom_cycles(spec: GpuSpec) -> float:
-    """Identical per-atom work to the framework's SpMV (same loads + FMA)
-    -- the comparison isolates scheduling, not arithmetic."""
-    c = spec.costs
-    return (
-        c.global_load_coalesced
-        + c.global_load_coalesced
-        + c.global_load_random
-        + c.fma
-        + c.loop_overhead
-    )
-
-
-def _spmv_tile_cycles(spec: GpuSpec) -> float:
-    c = spec.costs
-    return c.global_load_coalesced + c.global_store + c.loop_overhead
-
-
-def _bandwidth_floor(matrix: CsrMatrix, spec: GpuSpec) -> float:
-    """Raw DRAM floor -- no abstraction tax for the hardwired kernel."""
-    total_bytes = matrix.nnz * 20.0 + matrix.num_rows * 12.0
-    return total_bytes / spec.dram_bytes_per_cycle
+def _block_dim(spec: GpuSpec) -> int:
+    block_dim = min(_BLOCK_DIM, spec.max_threads_per_block)
+    return block_dim - block_dim % spec.warp_size
 
 
 def _merge_path_stats(matrix: CsrMatrix, spec: GpuSpec) -> KernelStats:
@@ -85,8 +67,7 @@ def _merge_path_stats(matrix: CsrMatrix, spec: GpuSpec) -> KernelStats:
     num_tiles, num_atoms = matrix.num_rows, matrix.nnz
     total = num_tiles + num_atoms
     n_threads = max(1, -(-total // CUB_ITEMS_PER_THREAD))
-    block_dim = min(_BLOCK_DIM, spec.max_threads_per_block)
-    block_dim -= block_dim % spec.warp_size
+    block_dim = _block_dim(spec)
     grid_dim = max(1, -(-n_threads // block_dim))
 
     diagonals = np.minimum(
@@ -97,58 +78,48 @@ def _merge_path_stats(matrix: CsrMatrix, spec: GpuSpec) -> KernelStats:
     )
     atoms_per_thread = np.diff(atom_bounds).astype(np.float64)
     tiles_per_thread = np.diff(tile_bounds).astype(np.float64)
+    # Identical per-atom/per-tile work to the framework's SpMV (same loads
+    # + FMA): the comparison isolates scheduling, not arithmetic.
+    costs = spmv_costs(spec)
     c = spec.costs
     ends_mid = (
         atom_bounds[1:]
         > matrix.row_offsets[np.minimum(tile_bounds[1:], num_tiles)]
     ).astype(np.float64)
     per_thread = (
-        atoms_per_thread * _spmv_atom_cycles(spec)
-        + tiles_per_thread * _spmv_tile_cycles(spec)
+        atoms_per_thread * costs.atom_total(spec)
+        + tiles_per_thread * (costs.tile_cycles + c.loop_overhead)
         + ends_mid * c.atomic
     )
-
-    ws = spec.warp_size
-    warps_per_block = block_dim // ws
-    padded = np.zeros(grid_dim * warps_per_block * ws)
-    padded[: min(n_threads, per_thread.size)] = per_thread[:n_threads]
-    warp_cycles = padded.reshape(grid_dim, warps_per_block, ws).max(axis=2)
-    setup = float(np.ceil(np.log2(max(2, total)))) * c.binary_search_step
-    return kernel_stats_from_warp_cycles(
-        warp_cycles,
+    return price(
+        spec,
         grid_dim,
         block_dim,
-        spec,
-        total_thread_cycles=float(per_thread.sum()),
-        setup_cycles=setup,
-        min_body_cycles=_bandwidth_floor(matrix, spec),
+        per_thread,
+        setup=float(np.ceil(np.log2(max(2, total)))) * c.binary_search_step,
+        costs=costs,
+        atoms=num_atoms,
+        tiles=num_tiles,
         extras={"kernel": "cub", "dispatch": "merge_path"},
     )
 
 
 def _thread_mapped_spvv_stats(matrix: CsrMatrix, spec: GpuSpec) -> KernelStats:
     """CUB's specialized SpVV kernel: one thread per row, no scheduling."""
-    counts = matrix.row_lengths().astype(np.float64)
-    block_dim = min(_BLOCK_DIM, spec.max_threads_per_block)
-    block_dim -= block_dim % spec.warp_size
+    block_dim = _block_dim(spec)
     grid_dim = max(1, -(-matrix.num_rows // block_dim))
-    n_threads = grid_dim * block_dim
-
-    padded = np.zeros(n_threads)
-    padded[: counts.size] = counts
-    exists = np.zeros(n_threads)
-    exists[: counts.size] = 1.0
-    per_thread = padded * _spmv_atom_cycles(spec) + exists * _spmv_tile_cycles(spec)
-
-    ws = spec.warp_size
-    warps_per_block = block_dim // ws
-    warp_cycles = per_thread.reshape(grid_dim, warps_per_block, ws).max(axis=2)
-    return kernel_stats_from_warp_cycles(
-        warp_cycles,
+    costs = spmv_costs(spec)
+    per_thread = np.zeros(grid_dim * block_dim)
+    per_thread[: matrix.num_rows] = matrix.row_lengths() * costs.atom_total(
+        spec
+    ) + (costs.tile_cycles + spec.costs.loop_overhead)
+    return price(
+        spec,
         grid_dim,
         block_dim,
-        spec,
-        total_thread_cycles=float(per_thread.sum()),
-        min_body_cycles=_bandwidth_floor(matrix, spec),
+        per_thread,
+        costs=costs,
+        atoms=matrix.nnz,
+        tiles=matrix.num_rows,
         extras={"kernel": "cub", "dispatch": "thread_mapped_spvv"},
     )

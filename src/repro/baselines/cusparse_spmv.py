@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..apps.common import spmv_costs
 from ..gpusim.arch import GpuSpec, V100
 from ..gpusim.collectives import reduce_cost
-from ..gpusim.cost_model import KernelStats, kernel_stats_from_warp_cycles
+from ..gpusim.cost_model import KernelStats, price
 from ..sparse.csr import CsrMatrix
 from .reference import dense_spmv_oracle
 
@@ -57,91 +58,43 @@ def cusparse_spmv(
     y = dense_spmv_oracle(matrix, x)
     mean_nnz = matrix.nnz / max(1, matrix.num_rows)
     if mean_nnz < VECTOR_DISPATCH_MEAN_NNZ:
-        stats = _scalar_kernel_stats(matrix, spec)
-        dispatch = "csr_scalar"
-    else:
-        stats = _vector_kernel_stats(matrix, spec)
-        dispatch = "csr_vector"
-    stats.extras.update({"kernel": "cusparse", "dispatch": dispatch})
-    return y, stats
+        return y, _scalar_kernel_stats(matrix, spec)
+    return y, _vector_kernel_stats(matrix, spec)
 
 
-def _atom_cycles(spec: GpuSpec) -> float:
-    c = spec.costs
-    return (
-        c.global_load_coalesced
-        + c.global_load_coalesced
-        + c.global_load_random
-        + c.fma
-        + c.loop_overhead
-    )
+def _block_dim(spec: GpuSpec) -> int:
+    block_dim = min(_BLOCK_DIM, spec.max_threads_per_block)
+    return block_dim - block_dim % spec.warp_size
 
 
-def _tile_cycles(spec: GpuSpec) -> float:
-    c = spec.costs
-    return c.global_load_coalesced + c.global_store + c.loop_overhead
-
-
-def _bandwidth_floor(matrix: CsrMatrix, spec: GpuSpec) -> float:
-    total_bytes = matrix.nnz * 20.0 + matrix.num_rows * 12.0
-    return total_bytes / spec.dram_bytes_per_cycle
-
-
-def _finish(
-    warp_cycles: np.ndarray,
-    grid_dim: int,
-    block_dim: int,
-    spec: GpuSpec,
-    useful: float,
-    floor: float,
-) -> KernelStats:
-    stats = kernel_stats_from_warp_cycles(
-        warp_cycles,
+def _price(matrix, spec, grid_dim, block_dim, cycles, dispatch, useful=None):
+    """Price one internal kernel, plus the generic-API analysis overhead
+    on top of the launch cost."""
+    return price(
+        spec,
         grid_dim,
         block_dim,
-        spec,
-        total_thread_cycles=useful,
-        setup_cycles=0.0,
-        min_body_cycles=floor,
-    )
-    # Add the generic-API analysis overhead on top of the launch cost.
-    extra = CUSPARSE_ANALYSIS_CYCLES
-    makespan = stats.makespan_cycles + extra
-    return KernelStats(
-        elapsed_ms=spec.cycles_to_ms(makespan),
-        makespan_cycles=makespan,
-        grid_dim=stats.grid_dim,
-        block_dim=stats.block_dim,
-        occupancy=stats.occupancy,
-        simt_efficiency=stats.simt_efficiency,
-        utilization=stats.utilization,
-        tail_fraction=stats.tail_fraction,
-        total_thread_cycles=stats.total_thread_cycles,
-        extras=dict(stats.extras),
+        cycles,
+        useful=useful,
+        costs=spmv_costs(spec),
+        atoms=matrix.nnz,
+        tiles=matrix.num_rows,
+        extra=CUSPARSE_ANALYSIS_CYCLES,
+        extras={"kernel": "cusparse", "dispatch": dispatch},
     )
 
 
 def _scalar_kernel_stats(matrix: CsrMatrix, spec: GpuSpec) -> KernelStats:
     """Thread-per-row (csr_scalar): fast on uniform short rows, lockstep-
     stalled by any long row in a warp."""
-    counts = matrix.row_lengths().astype(np.float64)
-    block_dim = min(_BLOCK_DIM, spec.max_threads_per_block)
-    block_dim -= block_dim % spec.warp_size
+    block_dim = _block_dim(spec)
     grid_dim = max(1, -(-matrix.num_rows // block_dim))
-    n_threads = grid_dim * block_dim
-
-    padded = np.zeros(n_threads)
-    padded[: counts.size] = counts
-    exists = np.zeros(n_threads)
-    exists[: counts.size] = 1.0
-    per_thread = padded * _atom_cycles(spec) + exists * _tile_cycles(spec)
-
-    ws = spec.warp_size
-    warp_cycles = per_thread.reshape(grid_dim, block_dim // ws, ws).max(axis=2)
-    return _finish(
-        warp_cycles, grid_dim, block_dim, spec, float(per_thread.sum()),
-        _bandwidth_floor(matrix, spec),
-    )
+    costs = spmv_costs(spec)
+    per_thread = np.zeros(grid_dim * block_dim)
+    per_thread[: matrix.num_rows] = matrix.row_lengths() * costs.atom_total(
+        spec
+    ) + (costs.tile_cycles + spec.costs.loop_overhead)
+    return _price(matrix, spec, grid_dim, block_dim, per_thread, "csr_scalar")
 
 
 def _vector_kernel_stats(matrix: CsrMatrix, spec: GpuSpec) -> KernelStats:
@@ -150,8 +103,7 @@ def _vector_kernel_stats(matrix: CsrMatrix, spec: GpuSpec) -> KernelStats:
     warps, so a mega-row serializes on a single warp."""
     counts = matrix.row_lengths().astype(np.float64)
     ws = spec.warp_size
-    block_dim = min(_BLOCK_DIM, spec.max_threads_per_block)
-    block_dim -= block_dim % ws
+    block_dim = _block_dim(spec)
     warps_per_block = block_dim // ws
     resident = spec.resident_blocks_per_sm(block_dim) * spec.num_sms
     target_warps = resident * warps_per_block * 8
@@ -164,12 +116,13 @@ def _vector_kernel_stats(matrix: CsrMatrix, spec: GpuSpec) -> KernelStats:
     padded[: counts.size] = counts
     exists = np.zeros(rounds * n_warps)
     exists[: counts.size] = 1.0
-    finalize = _tile_cycles(spec) + reduce_cost(spec, ws)
-    per_row = np.ceil(padded / ws) * _atom_cycles(spec) + exists * finalize
+    costs = spmv_costs(spec)
+    atom = costs.atom_total(spec)
+    finalize = costs.tile_cycles + spec.costs.loop_overhead + reduce_cost(spec, ws)
+    per_row = np.ceil(padded / ws) * atom + exists * finalize
     warp_totals = per_row.reshape(rounds, n_warps).sum(axis=0)
     warp_cycles = warp_totals.reshape(grid_dim, warps_per_block)
-    useful = float(counts.sum() * _atom_cycles(spec) + counts.size * finalize)
-    return _finish(
-        warp_cycles, grid_dim, block_dim, spec, useful,
-        _bandwidth_floor(matrix, spec),
+    useful = float(counts.sum() * atom + counts.size * finalize)
+    return _price(
+        matrix, spec, grid_dim, block_dim, warp_cycles, "csr_vector", useful
     )

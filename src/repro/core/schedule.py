@@ -13,10 +13,12 @@ interpreter and by user-owned kernels):
   for schedules that parallelize over atoms (Listing 5 consumes
   ``config.atoms()`` + ``config.get_tile(edge)``).
 
-**Planner view** (vectorized, used at corpus scale): ``plan(costs)``
-computes, with NumPy only, the cycle cost of every warp in the launch and
-folds it into a :class:`~repro.gpusim.cost_model.KernelStats`.  The two
-views are cross-validated in the test suite.
+**Planner view** (vectorized, used at corpus scale): ``cycles(costs)``
+computes, with NumPy only, the cycle cost of every thread (or, where lanes
+cooperate, every warp) in the launch, and ``plan(costs)`` prices it into a
+:class:`~repro.gpusim.cost_model.KernelStats`.  Every engine prices its
+measured cycles through the same :meth:`Schedule.price`, so the two views
+are cross-validated in the test suite.
 
 The split mirrors the paper's separation of concerns: the *application*
 contributes a :class:`WorkCosts` (what one atom / one tile costs), the
@@ -33,7 +35,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from ..gpusim.arch import GpuSpec
-from ..gpusim.cost_model import KernelStats, kernel_stats_from_warp_cycles
+from ..gpusim.cost_model import KernelStats, price
 from .work import WorkSpec
 
 __all__ = [
@@ -91,8 +93,9 @@ class WorkCosts:
     tile_reduction: bool = True
     atom_atomic: bool = False
     #: DRAM traffic per atom / per tile, in bytes.  Drives the bandwidth
-    #: floor: a memory-bound kernel cannot run faster than
-    #: ``total_bytes / spec.dram_bytes_per_cycle`` no matter how balanced.
+    #: floor (:func:`~repro.gpusim.cost_model.price`): a memory-bound
+    #: kernel cannot run faster than its DRAM traffic allows, no matter
+    #: how balanced.
     atom_bytes: float = 0.0
     tile_bytes: float = 0.0
 
@@ -112,6 +115,10 @@ class Schedule(ABC):
 
     #: Registry name, set by :func:`register_schedule`.
     name: str = "?"
+    #: Per-iteration bookkeeping cycles charged for consuming work through
+    #: the framework's range objects (per atom; built-ins charge
+    #: ``spec.costs.range_overhead``).
+    abstraction_tax: float = 0.0
 
     def __init__(self, work: WorkSpec, spec: GpuSpec, launch: LaunchParams):
         self.work = work
@@ -143,48 +150,55 @@ class Schedule(ABC):
     # Planner view
     # ------------------------------------------------------------------
     @abstractmethod
-    def warp_cycles(self, costs: WorkCosts) -> np.ndarray:
-        """Vectorized per-warp cycle counts, shape (grid_dim, warps/block)."""
+    def cycles(self, costs: WorkCosts) -> np.ndarray:
+        """Vectorized cycle counts of the launch, for :meth:`price`.
+
+        Per-thread (1-D, launch order) for schedules whose lanes work
+        independently -- the lockstep fold happens in ``price`` -- or
+        per-warp, shape ``(grid_dim, warps_per_block)``, for schedules
+        whose lanes cooperate on a tile.
+        """
 
     def setup_cycles(self, costs: WorkCosts) -> float:
         """Uniform per-warp setup cost (e.g. merge-path's binary search)."""
         return 0.0
 
-    def bandwidth_floor_cycles(self, costs: WorkCosts) -> float:
-        """DRAM-bandwidth lower bound on the kernel body's duration.
+    def price(
+        self,
+        costs: WorkCosts,
+        cycles: np.ndarray,
+        *,
+        useful: float | None = None,
+        extras: dict | None = None,
+    ) -> KernelStats:
+        """Price this launch's measured or planned ``cycles``.
 
-        The framework's range bookkeeping issues extra instructions per
-        iteration; on a bandwidth-saturated kernel those issue slots
-        marginally reduce the *sustained* throughput, so the floor is
-        inflated by the abstraction-tax fraction.  Hardwired baselines
-        (tax 0) pay the raw floor -- this is the mechanism behind
-        Figure 2's small geomean overhead.
+        The one binding of the schedule's terms -- launch geometry,
+        per-warp setup, the bandwidth floor with the abstraction tax --
+        to :func:`~repro.gpusim.cost_model.price`; every engine calls it,
+        so no engine can skip one of them.
         """
-        total_bytes = (
-            self.work.num_atoms * costs.atom_bytes
-            + self.work.num_tiles * costs.tile_bytes
-        )
-        if total_bytes <= 0:
-            return 0.0
-        floor = total_bytes / self.spec.dram_bytes_per_cycle
-        tax = getattr(self, "abstraction_tax", 0.0)
-        if costs.atom_cycles > 0 and tax > 0:
-            floor *= 1.0 + tax / (costs.atom_cycles + self.spec.costs.loop_overhead)
-        return floor
-
-    def plan(self, costs: WorkCosts, *, extras: dict | None = None) -> KernelStats:
-        """Fold the schedule's assignment into kernel statistics."""
-        wc = self.warp_cycles(costs)
-        useful = self.total_useful_cycles(costs)
-        return kernel_stats_from_warp_cycles(
-            wc,
+        return price(
+            self.spec,
             self.launch.grid_dim,
             self.launch.block_dim,
-            self.spec,
-            total_thread_cycles=useful,
-            setup_cycles=self.setup_cycles(costs),
-            min_body_cycles=self.bandwidth_floor_cycles(costs),
+            cycles,
+            useful=useful,
+            setup=self.setup_cycles(costs),
+            costs=costs,
+            atoms=self.work.num_atoms,
+            tiles=self.work.num_tiles,
+            tax=self.abstraction_tax,
             extras={"schedule": self.name, **(extras or {})},
+        )
+
+    def plan(self, costs: WorkCosts, *, extras: dict | None = None) -> KernelStats:
+        """Price the schedule's planned assignment."""
+        return self.price(
+            costs,
+            self.cycles(costs),
+            useful=self.total_useful_cycles(costs),
+            extras=extras,
         )
 
     def total_useful_cycles(self, costs: WorkCosts) -> float:

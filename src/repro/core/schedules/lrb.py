@@ -47,7 +47,11 @@ def lrb_bins(atoms_per_tile: np.ndarray) -> np.ndarray:
 
 @register_schedule("lrb")
 class LrbSchedule(Schedule):
-    """Warp-per-tile over a bin-sorted tile permutation."""
+    """Warp-per-tile over a bin-sorted tile permutation.
+
+    Pricing parity: as :class:`~.warp_block.WarpMappedSchedule` (exact
+    against the compiled engine for apps without a per-tile reduction).
+    """
 
     def __init__(self, work: WorkSpec, spec: GpuSpec, launch: LaunchParams):
         super().__init__(work, spec, launch)
@@ -92,7 +96,7 @@ class LrbSchedule(Schedule):
         tiles_per_thread = -(-self.work.num_tiles // self.launch.num_threads)
         return tiles_per_thread * per_tile
 
-    def warp_cycles(self, costs: WorkCosts) -> np.ndarray:
+    def cycles(self, costs: WorkCosts) -> np.ndarray:
         work, spec, launch = self.work, self.spec, self.launch
         ws = spec.warp_size
         n_groups = self._num_groups()

@@ -24,7 +24,13 @@ __all__ = ["NonzeroSplitSchedule"]
 
 @register_schedule("nonzero_split")
 class NonzeroSplitSchedule(Schedule):
-    """Even atom split; tiles recovered by binary search."""
+    """Even atom split; tiles recovered by binary search.
+
+    Pricing parity: within 3% of the compiled engine and of SIMT, not
+    exact.  The planner charges a fixup atomic at every share boundary,
+    which the compiled engine's per-thread charges lack; the SIMT SpMV
+    body pays an atomic per partial tile it combines instead.
+    """
 
     DEFAULT_ATOMS_PER_THREAD = 8
 
@@ -94,8 +100,8 @@ class NonzeroSplitSchedule(Schedule):
         steps = float(np.ceil(np.log2(max(2, self.work.num_tiles))))
         return steps * self.spec.costs.binary_search_step
 
-    def warp_cycles(self, costs: WorkCosts) -> np.ndarray:
-        spec, launch = self.spec, self.launch
+    def cycles(self, costs: WorkCosts) -> np.ndarray:
+        spec = self.spec
         c = spec.costs
         j0 = self._atom_bounds[:-1]
         j1 = self._atom_bounds[1:]
@@ -117,18 +123,11 @@ class NonzeroSplitSchedule(Schedule):
         ends_mid = np.where(
             nonempty & (j1 < self.work.num_atoms), 1.0, 0.0
         )  # boundary fixup atomics
-        per_thread = (
+        return (
             atoms_per_thread * atom_cost
             + tiles_touched * tile_cost
             + ends_mid * c.atomic
         )
-
-        ws = spec.warp_size
-        warps_per_block = launch.block_dim // ws
-        padded = np.zeros(launch.grid_dim * warps_per_block * ws)
-        n_threads = launch.num_threads
-        padded[: min(n_threads, per_thread.size)] = per_thread[:n_threads]
-        return padded.reshape(launch.grid_dim, warps_per_block, ws).max(axis=2)
 
     @classmethod
     def default_launch(

@@ -22,7 +22,16 @@ __all__ = ["ThreadMappedSchedule"]
 
 @register_schedule("thread_mapped")
 class ThreadMappedSchedule(Schedule):
-    """Tile-per-thread scheduling with grid-stride round-robin."""
+    """Tile-per-thread scheduling with grid-stride round-robin.
+
+    Pricing parity: exact against the compiled engine -- the planner
+    charges each lane the same atoms and tile visits the engine
+    measures (with more than one round per thread, its per-round
+    lockstep max makes it an upper bound; the default launch has one
+    round).  The SIMT SpMV body combines every non-empty row with an
+    atomic, which the planner does not charge, so vector runs up to 4%
+    under SIMT on small instances.
+    """
 
     def __init__(self, work: WorkSpec, spec: GpuSpec, launch: LaunchParams):
         super().__init__(work, spec, launch)
@@ -50,7 +59,7 @@ class ThreadMappedSchedule(Schedule):
     # ------------------------------------------------------------------
     # Planner view
     # ------------------------------------------------------------------
-    def warp_cycles(self, costs: WorkCosts) -> np.ndarray:
+    def cycles(self, costs: WorkCosts) -> np.ndarray:
         work, spec, launch = self.work, self.spec, self.launch
         n_threads = launch.num_threads
         counts = work.atoms_per_tile().astype(np.float64)

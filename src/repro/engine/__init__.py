@@ -19,9 +19,10 @@ level:
   (:func:`register_engine` / :func:`available_engines` /
   :func:`get_engine`), mirroring the schedule registry.
   :class:`VectorEngine` produces the functional result with NumPy and
-  prices the launch with the schedule's analytic planner;
+  takes the launch's cycles from the schedule's analytic planner;
   :class:`SimtEngine` interprets the kernel body thread-by-thread on the
-  simulated GPU and folds the measured charges with the same cost model;
+  simulated GPU and measures the charged cycles; both are priced by the
+  same :meth:`~repro.core.schedule.Schedule.price`;
   :class:`~repro.engine.multi_gpu.MultiGpuEngine` partitions the
   workload across simulated devices with the same schedules, so every
   registered app inherits multi-device sweeps.  Applications describe

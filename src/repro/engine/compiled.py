@@ -16,9 +16,10 @@ This module removes the interpreter from the loop:
   per-thread work assignment are taken from the schedule's own iterator
   view and *materialized* into per-thread (atoms, tile-visits) load
   vectors -- vectorized per built-in schedule, generically probed for
-  custom ones -- then priced through the same
-  :func:`~repro.gpusim.cost_model.kernel_stats_from_thread_cycles` fold
-  the SIMT interpreter uses.  Schedule choice changes the compiled
+  custom ones.  The engine produces only that work; the same
+  :meth:`~repro.core.schedule.Schedule.price` the planner and the SIMT
+  interpreter use turns it into time (setup, bandwidth floor, block
+  scheduling, launch overhead).  Schedule choice changes the compiled
   loop structure exactly as it changes the interpreted one.
 * Materialized loads live in a process-wide bounded
   :class:`CompilationCache` keyed on (kernel label, schedule identity,
@@ -43,7 +44,6 @@ import numpy as np
 from .._env import env_number
 from ..core.ranges import StepRange
 from ..core.schedule import Schedule
-from ..gpusim.cost_model import kernel_stats_from_thread_cycles
 from .dispatch import Engine, register_engine, tile_charges
 from .plan_cache import schedule_key
 
@@ -608,12 +608,11 @@ class CompiledEngine(Engine):
 
     Runs the launched :class:`~repro.engine.registry.KernelDecl` --
     ``numba.njit`` of its flat scalar body when numba is importable, its
-    vectorized ``arrays`` body otherwise -- and prices the launch by
+    vectorized ``arrays`` body otherwise -- and measures the launch by
     materializing the schedule's per-thread work assignment into load
-    vectors folded through the interpreter's own cost model.  Results
-    are bit-for-bit
-    equal to the ``vector`` engine; timings keep the schedule's launch
-    geometry and load balance.
+    vectors, priced by :meth:`~repro.core.schedule.Schedule.price` like
+    every engine's.  Results are bit-for-bit equal to the ``vector``
+    engine; timings keep the schedule's launch geometry and load balance.
     """
 
     name = "compiled"
@@ -623,15 +622,10 @@ class CompiledEngine(Engine):
         output = fn(*args)
         atoms, visits, cache_status = _CACHE.loads(sched, decl.label, args)
         atom_c, tile_c = tile_charges(sched, costs)
-        thread_cycles = atoms * atom_c + visits * tile_c
-        stats = kernel_stats_from_thread_cycles(
-            thread_cycles,
-            sched.launch.grid_dim,
-            sched.launch.block_dim,
-            sched.spec,
-            setup_cycles=sched.setup_cycles(costs),
+        stats = sched.price(
+            costs,
+            atoms * atom_c + visits * tile_c,
             extras={
-                "schedule": sched.name,
                 "engine": "compiled",
                 "jit": jit_mode,
                 "compile_cache": cache_status,

@@ -23,15 +23,18 @@ Engines live in a *registry* mirroring the schedule registry: built-ins
 strategy is a registration, never another plumbing pass through the call
 sites.
 
-:class:`VectorEngine` runs ``decl.arrays(*args)`` and prices the launch through
-the analytic planner (memoized via :mod:`repro.engine.plan_cache` on the
-schedule's identity and the costs, whichever policy picked the
-schedule);
-:class:`SimtEngine` interprets ``simt()`` thread-by-thread and folds
-the measured charges with the same cost model, so the two engines are
-cross-validated by construction.  Applications never branch on an engine
-name -- they describe launches to a :class:`Runtime` and its one engine
-does the rest.
+Engines produce *work* -- the output plus the cycles the launch spent --
+and only :func:`~repro.gpusim.cost_model.price` (through
+:meth:`~repro.core.schedule.Schedule.price`) turns that work into time:
+:class:`VectorEngine` runs ``decl.arrays(*args)`` and takes the cycles
+from the schedule's analytic planner (memoized via
+:mod:`repro.engine.plan_cache` on the schedule's identity and the costs,
+whichever policy picked the schedule); :class:`SimtEngine` interprets
+``simt()`` thread-by-thread and measures the charges.  Both are priced
+identically -- setup, bandwidth floor, block scheduling, launch overhead
+-- so the engines are cross-validated by construction.  Applications
+never branch on an engine name -- they describe launches to a
+:class:`Runtime` and its one engine does the rest.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from ..core.policy import SchedulePolicy
 from ..core.schedule import Schedule, WorkCosts, make_schedule
 from ..core.work import WorkSpec
 from ..gpusim.arch import GpuSpec, V100
-from ..gpusim.cost_model import KernelStats, kernel_stats_from_thread_cycles
+from ..gpusim.cost_model import KernelStats
 from ..gpusim.simt import launch_interpreted
 from ..sparse.csr import CsrMatrix
 from .plan_cache import PlanCache, global_plan_cache
@@ -85,13 +88,15 @@ def tile_charges(sched: Schedule, costs: WorkCosts) -> tuple[float, float]:
 
     A thread pays ``n_atoms * atom + tile`` per visited tile -- the
     app's declared costs plus the loop overhead and the schedule's
-    abstraction tax, matching what the analytic planners price.  The
-    SIMT kernel bodies charge it per tile; the compiled engine folds it
-    over its materialized per-thread loads.
+    abstraction tax on every range iteration, atom and tile alike,
+    matching what the analytic planners price.  The SIMT kernel bodies
+    charge it per tile; the compiled engine folds it over its
+    materialized per-thread loads.
     """
     spec = sched.spec
-    atom = costs.atom_total(spec) + getattr(sched, "abstraction_tax", 0.0)
-    tile = costs.tile_cycles + spec.costs.loop_overhead
+    tax = sched.abstraction_tax
+    atom = costs.atom_total(spec) + tax
+    tile = costs.tile_cycles + spec.costs.loop_overhead + tax
     return atom, tile
 
 
@@ -144,8 +149,9 @@ class SimtEngine(Engine):
     """Thread-by-thread ground truth on the interpreted GPU.
 
     Executes the application's kernel body through the schedule's
-    per-thread ranges and folds the measured per-thread charges with the
-    same cost model the planners use (small inputs only).
+    per-thread ranges and prices the measured per-thread charges through
+    the same :meth:`~repro.core.schedule.Schedule.price` the planners use
+    (small inputs only).
     """
 
     name = "simt"
@@ -169,20 +175,15 @@ class SimtEngine(Engine):
             app = (extras or {}).get("app", "this application")
             raise EngineError(f"{app} does not define a SIMT kernel body")
         body, finalize = self._materialize_kernel(simt)
-        result = launch_interpreted(
+        thread_cycles = launch_interpreted(
             self._instrument_body(body),
             sched.launch.grid_dim,
             sched.launch.block_dim,
             (),
             sched.spec,
         )
-        stats = kernel_stats_from_thread_cycles(
-            result.thread_cycles,
-            sched.launch.grid_dim,
-            sched.launch.block_dim,
-            sched.spec,
-            setup_cycles=sched.setup_cycles(costs),
-            extras={"schedule": sched.name, "engine": "simt", **(extras or {})},
+        stats = sched.price(
+            costs, thread_cycles, extras={"engine": "simt", **(extras or {})}
         )
         return finalize(), stats
 

@@ -23,6 +23,7 @@ worker) starts cold and warms up over its first sweep.
 
 from __future__ import annotations
 
+import os
 import threading
 import zlib
 from collections import OrderedDict
@@ -179,6 +180,11 @@ class PlanCache:
 
 
 _GLOBAL = PlanCache()
+# Plans are pure functions of their key, so a forked worker may keep the
+# parent's entries -- but not a lock some parent thread held at fork time.
+os.register_at_fork(
+    after_in_child=lambda: setattr(_GLOBAL, "_lock", threading.Lock())
+)
 
 
 def global_plan_cache() -> PlanCache:

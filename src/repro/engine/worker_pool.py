@@ -752,6 +752,18 @@ def clear_problem_cache() -> None:
         _PROBLEM_CACHE = None
 
 
+def _forget_parent_cache() -> None:
+    """A forked worker starts with an empty cache of its own: the parent's
+    entries are problems and oracles this worker never built, and a lock
+    a parent thread held at fork time would never be released here."""
+    global _PROBLEM_CACHE, _PROBLEM_CACHE_LOCK
+    _PROBLEM_CACHE = None
+    _PROBLEM_CACHE_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_parent_cache)
+
+
 @dataclass(frozen=True)
 class _BatchItem:
     """One placed shard crossing into a worker.

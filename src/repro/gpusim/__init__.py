@@ -6,13 +6,14 @@ memory, atomics, and an oversubscribed block scheduler over streaming
 multiprocessors.  Two execution paths are provided:
 
 * :func:`repro.gpusim.simt.launch_interpreted` -- a functional SIMT
-  interpreter that steps Python kernels thread-by-thread (ground truth for
-  correctness and timing attribution at small scale);
-* :mod:`repro.gpusim.cost_model` -- an analytic path that folds vectorized
-  per-thread cycle counts into warp/block/device times (used at corpus
-  scale).
+  interpreter that steps Python kernels thread-by-thread and measures
+  each thread's charged cycles (ground truth for correctness and timing
+  attribution at small scale);
+* vectorized planners (the schedules' ``cycles``) that compute the same
+  per-thread or per-warp cycle counts with NumPy (used at corpus scale).
 
-Both paths share the same folding rules, so they agree by construction.
+:func:`repro.gpusim.cost_model.price` alone turns either path's cycles
+into warp/block/device time, so they agree by construction.
 """
 
 from .arch import (
@@ -26,12 +27,7 @@ from .arch import (
     GpuSpec,
     get_spec,
 )
-from .cost_model import (
-    KernelStats,
-    kernel_stats_from_thread_cycles,
-    kernel_stats_from_warp_cycles,
-    warp_fold,
-)
+from .cost_model import KernelStats, price
 from .multi_gpu import (
     MultiGpuStats,
     multi_gpu_plan,
@@ -39,7 +35,7 @@ from .multi_gpu import (
     transfer_overhead_cycles,
 )
 from .profiler import geomean
-from .simt import LaunchResult, SimtError, ThreadCtx, launch_interpreted
+from .simt import SimtError, ThreadCtx, launch_interpreted
 from .sm_scheduler import ScheduleOutcome, block_cycles_from_warps, schedule_blocks
 
 __all__ = [
@@ -53,15 +49,12 @@ __all__ = [
     "GpuSpec",
     "get_spec",
     "KernelStats",
-    "kernel_stats_from_thread_cycles",
-    "kernel_stats_from_warp_cycles",
-    "warp_fold",
+    "price",
     "MultiGpuStats",
     "multi_gpu_plan",
     "partition_tiles",
     "transfer_overhead_cycles",
     "geomean",
-    "LaunchResult",
     "SimtError",
     "ThreadCtx",
     "launch_interpreted",

@@ -1,29 +1,33 @@
-"""Analytic timing: from per-lane work descriptions to kernel time.
+"""Pricing: from a launch's cycles to kernel time, in one place.
 
-The vectorized execution path never steps individual threads.  Instead,
-each load-balancing schedule produces (vectorized, with NumPy) the cycle
-count every *thread* would accumulate, and this module folds those into
-warp, block and device times:
+Engines and planners produce *work*: the cycles every thread (or every
+warp) of a launch spends.  :func:`price` alone turns that work into
+time:
 
-``thread cycles -> lockstep warp max -> block (scheduler bandwidth)
--> SM list scheduling -> makespan -> milliseconds``
+``thread cycles -> lockstep warp max -> + per-warp setup -> block
+(scheduler bandwidth) -> SM list scheduling -> max(makespan, DRAM
+bandwidth floor) -> + launch overhead -> milliseconds``
 
-The same folding is applied to the SIMT interpreter's measured per-thread
-charges, so the two paths agree by construction and can be cross-checked
-in tests.
+The schedules' vectorized planners, the SIMT interpreter's measured
+charges, the compiled engine's materialized loads and the hardwired
+baselines all pass through it, so a kernel's time depends on its work,
+never on which engine measured it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .arch import GpuSpec
 from .sm_scheduler import ScheduleOutcome, block_cycles_from_warps, schedule_blocks
 
-__all__ = ["KernelStats", "warp_fold", "kernel_stats_from_thread_cycles",
-           "kernel_stats_from_warp_cycles"]
+if TYPE_CHECKING:
+    from ..core.schedule import WorkCosts
+
+__all__ = ["KernelStats", "price"]
 
 
 @dataclass(frozen=True)
@@ -65,100 +69,89 @@ class KernelStats:
         )
 
 
-def warp_fold(thread_cycles: np.ndarray, warp_size: int) -> np.ndarray:
-    """Lockstep fold: per-warp cycles = max over each warp's lanes.
-
-    The input is padded with zeros up to a whole number of warps; a warp's
-    execution time is its slowest lane's, because lanes execute in lockstep
-    and idle lanes still occupy issue slots.
-    """
-    tc = np.asarray(thread_cycles, dtype=np.float64).reshape(-1)
-    if tc.size == 0:
-        return np.zeros(0)
-    n_warps = -(-tc.size // warp_size)
-    padded = np.zeros(n_warps * warp_size)
-    padded[: tc.size] = tc
-    return padded.reshape(n_warps, warp_size).max(axis=1)
-
-
-def kernel_stats_from_thread_cycles(
-    thread_cycles: np.ndarray,
+def price(
+    spec: GpuSpec,
     grid_dim: int,
     block_dim: int,
-    spec: GpuSpec,
+    cycles: np.ndarray,
     *,
-    setup_cycles: float = 0.0,
-    min_body_cycles: float = 0.0,
+    useful: float | None = None,
+    setup: float = 0.0,
+    costs: WorkCosts | None = None,
+    atoms: int = 0,
+    tiles: int = 0,
+    tax: float = 0.0,
+    extra: float = 0.0,
     extras: dict | None = None,
 ) -> KernelStats:
-    """Fold per-thread cycles (launch-ordered) into kernel statistics.
+    """Turn one launch's cycles into its :class:`KernelStats`.
 
-    ``thread_cycles`` may be shorter than ``grid_dim * block_dim`` (trailing
-    threads charged nothing); it is zero-padded.
+    Every producer of cycles -- each schedule's planner, the SIMT and
+    compiled engines, the hardwired baselines -- calls this, so a kernel
+    is timed the same way whichever engine or baseline measured its work.
+
+    ``cycles`` is either per-thread (1-D, launch order; zero-padded to
+    the launch) or per-warp (2-D, ``(grid_dim, warps_per_block)``, for
+    planners whose lanes cooperate).  Per-thread cycles are folded
+    lockstep: a warp runs as long as its slowest lane, and idle lanes
+    still occupy issue slots.  ``useful`` is the work the lanes actually
+    did (default: the per-thread sum, or every issued lane-cycle for
+    per-warp input); ``setup`` is added to every warp (e.g. merge-path's
+    binary search).
+
+    The DRAM bandwidth floor bounds the body from below: a memory-bound
+    kernel cannot beat ``(atoms * costs.atom_bytes + tiles *
+    costs.tile_bytes) / spec.dram_bytes_per_cycle`` however balanced it
+    is.  The framework's range bookkeeping issues ``tax`` extra cycles
+    per atom, which on a bandwidth-saturated kernel marginally reduce the
+    sustained throughput, so the floor is inflated by the tax fraction;
+    hardwired baselines (tax 0) pay the raw floor -- the mechanism
+    behind Figure 2's small geomean overhead.
+
+    The body's blocks are list-scheduled onto the SMs; the launch
+    overhead plus any fixed ``extra`` (e.g. a vendor library's analysis
+    pass) follows the makespan.
     """
-    tc = np.asarray(thread_cycles, dtype=np.float64).reshape(-1)
-    n_threads = grid_dim * block_dim
-    if tc.size > n_threads:
-        raise ValueError(
-            f"{tc.size} thread cycle entries for a launch of {n_threads} threads"
-        )
-    if tc.size < n_threads:
-        tc = np.pad(tc, (0, n_threads - tc.size))
+    wc = np.asarray(cycles, dtype=np.float64)
     warp_size = spec.warp_size
-    warps_per_block = -(-block_dim // warp_size)
-    blocks = tc.reshape(grid_dim, block_dim)
-    padded = np.zeros((grid_dim, warps_per_block * warp_size))
-    padded[:, :block_dim] = blocks
-    warp_cycles = padded.reshape(grid_dim, warps_per_block, warp_size).max(axis=2)
-    return kernel_stats_from_warp_cycles(
-        warp_cycles,
-        grid_dim,
-        block_dim,
-        spec,
-        total_thread_cycles=float(tc.sum()),
-        setup_cycles=setup_cycles,
-        min_body_cycles=min_body_cycles,
-        extras=extras,
-    )
-
-
-def kernel_stats_from_warp_cycles(
-    warp_cycles: np.ndarray,
-    grid_dim: int,
-    block_dim: int,
-    spec: GpuSpec,
-    *,
-    total_thread_cycles: float | None = None,
-    setup_cycles: float = 0.0,
-    min_body_cycles: float = 0.0,
-    extras: dict | None = None,
-) -> KernelStats:
-    """Fold per-warp cycles of shape ``(blocks, warps_per_block)`` into stats.
-
-    ``setup_cycles`` is added to every warp (e.g. merge-path's binary-search
-    setup phase runs on every thread before the main loop).
-    ``min_body_cycles`` is a lower bound on the kernel body's duration
-    regardless of parallelism -- used for the DRAM bandwidth floor of
-    memory-bound kernels (total bytes moved / sustained bandwidth).
-    """
-    wc = np.asarray(warp_cycles, dtype=np.float64)
     if wc.ndim == 1:
-        wc = wc.reshape(grid_dim, -1)
-    if wc.shape[0] != grid_dim:
+        n_threads = grid_dim * block_dim
+        if wc.size > n_threads:
+            raise ValueError(
+                f"{wc.size} thread cycle entries for a launch of {n_threads} threads"
+            )
+        if useful is None:
+            useful = float(wc.sum())
+        lanes = np.zeros((grid_dim, block_dim))
+        lanes.reshape(-1)[: wc.size] = wc
+        warps_per_block = -(-block_dim // warp_size)
+        pad = warps_per_block * warp_size - block_dim
+        if pad:  # each block's last warp is partial: its idle lanes add 0
+            lanes = np.pad(lanes, ((0, 0), (0, pad)))
+        wc = lanes.reshape(grid_dim, warps_per_block, warp_size).max(axis=2)
+    elif wc.shape[0] != grid_dim:
         raise ValueError(
-            f"warp_cycles has {wc.shape[0]} blocks but grid_dim is {grid_dim}"
+            f"per-warp cycles span {wc.shape[0]} blocks but grid_dim is {grid_dim}"
         )
-    if setup_cycles:
-        wc = wc + setup_cycles
+    if setup:
+        wc = wc + setup
     block_cycles = block_cycles_from_warps(wc, spec)
     outcome: ScheduleOutcome = schedule_blocks(block_cycles, block_dim, spec)
-    body = max(outcome.makespan_cycles, min_body_cycles)
-    makespan = body + spec.costs.kernel_launch_cycles
 
-    if total_thread_cycles is None:
-        total_thread_cycles = float(wc.sum()) * spec.warp_size
-    issued = float(wc.sum()) * spec.warp_size
-    simt_eff = total_thread_cycles / issued if issued > 0 else 1.0
+    floor = 0.0
+    if costs is not None:
+        total_bytes = atoms * costs.atom_bytes + tiles * costs.tile_bytes
+        if total_bytes > 0:
+            floor = total_bytes / spec.dram_bytes_per_cycle
+            if costs.atom_cycles > 0 and tax > 0:
+                floor *= 1.0 + tax / (costs.atom_cycles + spec.costs.loop_overhead)
+    body = max(outcome.makespan_cycles, floor)
+    makespan = body + spec.costs.kernel_launch_cycles + extra
+
+    issued = float(wc.sum()) * warp_size
+    if useful is None:
+        useful = issued
+    simt_eff = useful / issued if issued > 0 else 1.0
 
     return KernelStats(
         elapsed_ms=spec.cycles_to_ms(makespan),
@@ -169,6 +162,6 @@ def kernel_stats_from_warp_cycles(
         simt_efficiency=min(1.0, simt_eff),
         utilization=outcome.utilization,
         tail_fraction=outcome.tail_fraction,
-        total_thread_cycles=total_thread_cycles,
+        total_thread_cycles=useful,
         extras=extras or {},
     )

@@ -10,9 +10,11 @@ It serves two purposes in the reproduction:
    thread-by-thread exactly as the paper's CUDA kernels would run, and the
    results are compared against the fast vectorized executors.
 2. **Timing agreement** -- kernels *charge* cycle costs through
-   :meth:`ThreadCtx.charge`; the per-thread charges are folded into warp,
-   block and device times by the same cost model the analytic planners use,
-   so the two paths can be cross-validated on small inputs.
+   :meth:`ThreadCtx.charge`.  The interpreter only measures: it returns
+   the per-thread charges, and :func:`~repro.gpusim.cost_model.price`
+   alone turns them into warp, block and device time, exactly as it does
+   the analytic planners' cycles -- so the two paths can be
+   cross-validated on small inputs.
 
 Kernels are plain Python functions ``kernel(ctx, *args)``.  A kernel that
 needs ``__syncthreads__`` must be written as a *generator* and
@@ -25,16 +27,15 @@ is not reached by all threads).
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from .arch import GpuSpec, TINY_GPU
 from .memory import SharedMemory
-from .sm_scheduler import block_cycles_from_warps, schedule_blocks
 
-__all__ = ["ThreadCtx", "LaunchResult", "launch_interpreted", "SimtError"]
+__all__ = ["ThreadCtx", "launch_interpreted", "SimtError"]
 
 _SYNC = object()
 
@@ -163,59 +164,18 @@ class ThreadCtx:
         return old
 
 
-@dataclass
-class LaunchResult:
-    """Outcome of an interpreted kernel launch."""
-
-    grid_dim: int
-    block_dim: int
-    spec: GpuSpec
-    thread_cycles: np.ndarray  # (grid_dim * block_dim,)
-    warp_cycles: np.ndarray
-    block_cycles: np.ndarray
-    makespan_cycles: float
-    elapsed_ms: float
-    occupancy: float
-    extras: dict = field(default_factory=dict)
-
-    @property
-    def simt_efficiency(self) -> float:
-        """Fraction of lockstep lane-cycles doing useful work.
-
-        1.0 means no divergence-induced idling; low values indicate heavy
-        load imbalance within warps.
-        """
-        total_useful = float(self.thread_cycles.sum())
-        total_issued = float(self.warp_cycles.sum()) * self.spec.warp_size
-        if total_issued == 0:
-            return 1.0
-        return total_useful / total_issued
-
-
-def _fold_thread_cycles(
-    thread_cycles: np.ndarray, grid_dim: int, block_dim: int, spec: GpuSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fold per-thread cycles into per-warp (lockstep max) and per-block."""
-    warp_size = spec.warp_size
-    warps_per_block = -(-block_dim // warp_size)
-    padded = np.zeros(grid_dim * warps_per_block * warp_size)
-    # Threads of block b occupy slots [b*wpb*ws, b*wpb*ws + block_dim).
-    tc = thread_cycles.reshape(grid_dim, block_dim)
-    padded = padded.reshape(grid_dim, warps_per_block * warp_size)
-    padded[:, :block_dim] = tc
-    warp_cycles = padded.reshape(grid_dim, warps_per_block, warp_size).max(axis=2)
-    block_cycles = block_cycles_from_warps(warp_cycles, spec)
-    return warp_cycles.reshape(-1), block_cycles
-
-
 def launch_interpreted(
     kernel: Callable[..., Any],
     grid_dim: int,
     block_dim: int,
     args: Sequence[Any] = (),
     spec: GpuSpec = TINY_GPU,
-) -> LaunchResult:
+) -> np.ndarray:
     """Execute ``kernel`` over a ``grid_dim x block_dim`` launch.
+
+    Returns the cycles each thread charged, in launch order
+    (``grid_dim * block_dim`` entries); pricing them into time is
+    :func:`~repro.gpusim.cost_model.price`'s job.
 
     Generator kernels get true barrier semantics; plain functions are run
     to completion one thread at a time (valid when the kernel contains no
@@ -248,22 +208,7 @@ def launch_interpreted(
         for ctx in ctxs:
             thread_cycles[ctx.global_thread_id] = ctx.cycles
 
-    warp_cycles, block_cycles = _fold_thread_cycles(
-        thread_cycles, grid_dim, block_dim, spec
-    )
-    sched = schedule_blocks(block_cycles, block_dim, spec)
-    makespan = sched.makespan_cycles + spec.costs.kernel_launch_cycles
-    return LaunchResult(
-        grid_dim=grid_dim,
-        block_dim=block_dim,
-        spec=spec,
-        thread_cycles=thread_cycles,
-        warp_cycles=warp_cycles,
-        block_cycles=block_cycles,
-        makespan_cycles=makespan,
-        elapsed_ms=spec.cycles_to_ms(makespan),
-        occupancy=spec.occupancy(grid_dim, block_dim),
-    )
+    return thread_cycles
 
 
 def _run_block_with_barriers(kernel, ctxs, args, block_idx: int) -> None:

@@ -80,3 +80,22 @@ def make_csr_from_counts(counts, cols=None, seed=0) -> CsrMatrix:
 @pytest.fixture
 def csr_from_counts():
     return make_csr_from_counts
+
+
+#: Declared cost parity of each schedule: the bounds of
+#: ``(vector / simt, vector / compiled)`` elapsed.  Each bound is the
+#: measured extreme, rounded outward to 0.001, of SpMV on the smoke
+#: ``tiny_*`` datasets on TINY_GPU (both ratios) and of every app's smoke
+#: sweep on V100 (``vector / compiled``).  A bound of ``(1.0, 1.0)`` means
+#: the planner prices exactly the work the engine measures.  Each
+#: schedule class's docstring gives the reason for its residual.
+PRICE_PARITY = {
+    "thread_mapped": ((0.962, 0.985), (1.0, 1.0)),
+    "merge_path": ((0.960, 1.009), (0.995, 1.010)),
+    "nonzero_split": ((0.973, 1.023), (1.000, 1.029)),
+    "warp_mapped": ((0.967, 0.993), (1.000, 1.118)),
+    "lrb": ((0.969, 0.994), (1.000, 1.109)),
+    "group_mapped": ((1.009, 1.226), (1.000, 1.363)),
+    "block_mapped": ((2.526, 4.651), (1.000, 5.094)),
+    "dynamic_queue": ((0.106, 0.695), (0.001, 1.004)),
+}

@@ -394,20 +394,22 @@ class TestSuiteIntegration:
 
     @pytest.mark.parametrize("app", ["spmv", "histogram", "bfs", "spgemm"])
     def test_compiled_rows_match_vector_rows(self, app):
+        from conftest import PRICE_PARITY
         from repro.evaluation.harness import run_suite
 
+        kernels = ["merge_path", "thread_mapped"]
         kwargs = dict(app=app, scale="smoke", limit=2, executor="serial")
-        vec = run_suite(
-            ["merge_path"], ctx=ExecutionContext(engine="vector"), **kwargs
-        )
+        vec = run_suite(kernels, ctx=ExecutionContext(engine="vector"), **kwargs)
         comp = run_suite(
-            ["merge_path"], ctx=ExecutionContext(engine="compiled"), **kwargs
+            kernels, ctx=ExecutionContext(engine="compiled"), **kwargs
         )
-        # SweepRow equality ignores meta; elapsed differs by engine (the
-        # compiled engine folds materialized loads, the vector engine
-        # prices the plan analytically), so compare identity columns.
         assert [(r.kernel, r.dataset, r.rows, r.cols, r.nnzs) for r in vec] \
             == [(r.kernel, r.dataset, r.rows, r.cols, r.nnzs) for r in comp]
+        # Both engines price through one fold: elapsed agrees within the
+        # schedule's declared parity (exactly for thread-mapped).
+        for v, c in zip(vec, comp):
+            lo, hi = PRICE_PARITY[v.kernel][1]
+            assert lo <= v.elapsed / c.elapsed <= hi, (v.kernel, v.dataset)
         # Validation ran for every compiled cell (validate defaults True):
         # reaching here means each output matched the oracle and the
         # independent sampled check.  Single-launch apps surface the

@@ -92,16 +92,18 @@ class TestDynamicBalancing:
 
     def test_pop_atomic_charged(self):
         """On a uniform workload with one tile per worker, the queue
-        schedule's warp time exceeds static thread-mapped's by exactly
-        the pop overhead."""
+        schedule's per-thread time exceeds static thread-mapped's
+        (one-round) warp time by exactly the pop overhead."""
         costs = spmv_costs(V100)
         launch = LaunchParams(4, 64)
         work = _work([3] * launch.num_threads)
         dynamic = DynamicQueueSchedule(work, V100, launch, chunk_size=1)
         static = make_schedule("thread_mapped", work, V100, launch)
-        d = dynamic.warp_cycles(costs)
-        s = static.warp_cycles(costs)
-        np.testing.assert_allclose(d, s + V100.costs.atomic)
+        d = dynamic.cycles(costs)
+        s = static.cycles(costs)
+        np.testing.assert_allclose(
+            d, np.repeat(s.reshape(-1), V100.warp_size) + V100.costs.atomic
+        )
 
 
 class TestSimtExecution:

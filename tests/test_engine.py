@@ -158,13 +158,13 @@ class TestPlanCache:
         from repro.core.schedules.merge_path import MergePathSchedule
 
         calls = {"n": 0}
-        real = MergePathSchedule.warp_cycles
+        real = MergePathSchedule.cycles
 
         def counting(self, costs):
             calls["n"] += 1
             return real(self, costs)
 
-        monkeypatch.setattr(MergePathSchedule, "warp_cycles", counting)
+        monkeypatch.setattr(MergePathSchedule, "cycles", counting)
         engine = VectorEngine(plan_cache=PlanCache())
         x = input_vector(small_matrix.num_cols)
         ctx = ExecutionContext(spec=TINY_GPU, engine=engine)

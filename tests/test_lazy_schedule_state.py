@@ -107,8 +107,8 @@ class TestLazyState:
         eager = _eager(_fresh(name, counts, launch, options))
         # Each view runs on a fresh schedule, so it derives the state itself.
         np.testing.assert_array_equal(
-            _fresh(name, counts, launch, options).warp_cycles(costs),
-            eager.warp_cycles(costs),
+            _fresh(name, counts, launch, options).cycles(costs),
+            eager.cycles(costs),
         )
         assert _fresh(name, counts, launch, options).plan(costs) == eager.plan(costs)
         for lazy_view, eager_view in zip(

@@ -150,7 +150,7 @@ class TestMergePathSchedule:
             MergePathSchedule(w, V100, LaunchParams(1, 100))
 
     def test_balance_insensitive_to_skew(self):
-        """The whole point of merge-path: per-warp cycles stay flat no
+        """The whole point of merge-path: per-thread cycles stay flat no
         matter how skewed the tile sizes are (same total work)."""
         from repro.apps.common import spmv_costs
 
@@ -158,8 +158,8 @@ class TestMergePathSchedule:
         skewed_counts = [0] * 63 + [8 * 64]
         skewed = WorkSpec.from_counts(skewed_counts)
         costs = spmv_costs(V100)
-        wu = MergePathSchedule(uniform, V100, LaunchParams(2, 64)).warp_cycles(costs)
-        wk = MergePathSchedule(skewed, V100, LaunchParams(2, 64)).warp_cycles(costs)
-        # Max-to-mean per-warp ratio stays close to 1 for both.
+        wu = MergePathSchedule(uniform, V100, LaunchParams(2, 64)).cycles(costs)
+        wk = MergePathSchedule(skewed, V100, LaunchParams(2, 64)).cycles(costs)
+        # Max-to-mean per-thread ratio stays close to 1 for both.
         assert wu.max() / wu.mean() < 1.5
         assert wk.max() / wk.mean() < 1.5

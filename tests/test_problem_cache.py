@@ -202,12 +202,41 @@ class TestShardCacheKey:
             clear_problem_cache()
 
 
+def _exit_with_lock_status():
+    import os
+
+    from repro.engine import plan_cache, worker_pool
+
+    free = (
+        plan_cache.global_plan_cache()._lock.acquire(blocking=False)
+        and worker_pool._PROBLEM_CACHE_LOCK.acquire(blocking=False)
+    )
+    os._exit(0 if free else 1)
+
+
+class TestForkSafety:
+    def test_forked_child_gets_fresh_cache_locks(self):
+        """A lock another parent thread holds at fork time must not stay
+        held forever in the child."""
+        import multiprocessing
+
+        from repro.engine import plan_cache, worker_pool
+
+        fork = multiprocessing.get_context("fork")
+        with plan_cache.global_plan_cache()._lock, worker_pool._PROBLEM_CACHE_LOCK:
+            child = fork.Process(target=_exit_with_lock_status)
+            child.start()
+        child.join(timeout=30)
+        assert not child.is_alive()
+        assert child.exitcode == 0
+
+
 class TestSteadyStateSweeps:
     @pytest.fixture(autouse=True)
     def _cold_parent_cache(self):
-        # Workers fork from this process: an entry left behind by an
-        # earlier in-process _run_shard test would be inherited and turn
-        # the "first sweep misses" assertions order-dependent.
+        # Forked workers drop the parent's entries (see
+        # test_forked_worker_starts_with_an_empty_cache); this only keeps
+        # each test's in-process entries from reaching the next test.
         clear_problem_cache()
         yield
         clear_problem_cache()
@@ -263,7 +292,6 @@ class TestSteadyStateSweeps:
         problem and oracle locally, and its rows match the dead one's."""
         from concurrent.futures.process import BrokenProcessPool
 
-        clear_problem_cache()  # forked workers start from the parent's cache
         with SweepExecutor(max_workers=1) as pool:
             first = run_suite(["merge_path"], scale="smoke", limit=3,
                               executor="process", pool=pool)
@@ -274,6 +302,21 @@ class TestSteadyStateSweeps:
         assert all(s == "miss" for s in _statuses(first))
         assert all(s == "miss" for s in _statuses(second))
         assert _key(first) == _key(second)
+
+    def test_forked_worker_starts_with_an_empty_cache(self):
+        """A worker forked after in-process shards ran must not inherit
+        the parent's cache: it never built those problems or oracles."""
+        from repro.engine.seeding import DEFAULT_SEED
+        from repro.evaluation.harness import expand_datasets
+
+        for dataset in expand_datasets("spmv", scale="smoke", limit=3):
+            _run_shard(_ShardTask(app="spmv", kernels=("merge_path",),
+                                  dataset=dataset, seed=DEFAULT_SEED,
+                                  validate=True))
+        with SweepExecutor(max_workers=1) as pool:
+            rows = run_suite(["merge_path"], scale="smoke", limit=3,
+                             executor="process", pool=pool)
+        assert _statuses(rows) == ["miss", "miss", "miss"]
 
     def test_eviction_under_tiny_budget(self, monkeypatch):
         """With room for one entry, alternating datasets evict each other

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.gpusim.arch import TINY_GPU
-from repro.gpusim.cost_model import kernel_stats_from_thread_cycles
+from repro.gpusim.cost_model import price
 from repro.gpusim.simt import SimtError, launch_interpreted
 
 
@@ -55,27 +55,25 @@ class TestLaunchValidation:
 
 
 class TestChargeAndTiming:
-    def test_lockstep_warp_max(self):
-        # One slow lane per warp dominates that warp's time.
-        def kernel(ctx):
-            ctx.charge(100.0 if ctx.lane_id == 0 else 1.0)
-
-        r = launch_interpreted(kernel, 1, 8, (), TINY_GPU)
-        np.testing.assert_array_equal(r.warp_cycles, [100.0, 100.0])
-        assert r.simt_efficiency == pytest.approx((100 + 3 * 1) * 2 / (200 * 4))
-
-    def test_agrees_with_analytic_fold(self):
+    def test_returns_per_thread_charges(self):
         def kernel(ctx):
             ctx.charge(float(ctx.global_thread_id % 5))
 
-        r = launch_interpreted(kernel, 4, 8, (), TINY_GPU)
-        s = kernel_stats_from_thread_cycles(r.thread_cycles, 4, 8, TINY_GPU)
-        assert s.makespan_cycles == pytest.approx(r.makespan_cycles)
-        assert s.elapsed_ms == pytest.approx(r.elapsed_ms)
+        tc = launch_interpreted(kernel, 4, 8, (), TINY_GPU)
+        np.testing.assert_array_equal(tc, np.arange(32) % 5)
 
-    def test_elapsed_includes_launch_overhead(self):
-        r = launch_interpreted(lambda ctx: None, 1, 4, (), TINY_GPU)
-        assert r.makespan_cycles >= TINY_GPU.costs.kernel_launch_cycles
+    def test_lockstep_warp_max(self):
+        # One slow lane per warp dominates that warp's time once priced.
+        def kernel(ctx):
+            ctx.charge(100.0 if ctx.lane_id == 0 else 1.0)
+
+        s = price(TINY_GPU, 1, 8, launch_interpreted(kernel, 1, 8, (), TINY_GPU))
+        assert s.simt_efficiency == pytest.approx((100 + 3 * 1) * 2 / (200 * 4))
+
+    def test_priced_elapsed_includes_launch_overhead(self):
+        tc = launch_interpreted(lambda ctx: None, 1, 4, (), TINY_GPU)
+        s = price(TINY_GPU, 1, 4, tc)
+        assert s.makespan_cycles == TINY_GPU.costs.kernel_launch_cycles
 
 
 class TestAtomics:
@@ -125,8 +123,8 @@ class TestAtomics:
         def kernel(ctx, a):
             ctx.atomic_add(a, 0, 1.0)
 
-        r = launch_interpreted(kernel, 1, 4, (np.zeros(1),), TINY_GPU)
-        assert np.all(r.thread_cycles == TINY_GPU.costs.atomic)
+        tc = launch_interpreted(kernel, 1, 4, (np.zeros(1),), TINY_GPU)
+        assert np.all(tc == TINY_GPU.costs.atomic)
 
 
 class TestBarriersAndShared:
@@ -190,5 +188,5 @@ class TestBarriersAndShared:
         def kernel(ctx):
             yield ctx.sync()
 
-        r = launch_interpreted(kernel, 1, 4, (), TINY_GPU)
-        assert np.all(r.thread_cycles == TINY_GPU.costs.sync)
+        tc = launch_interpreted(kernel, 1, 4, (), TINY_GPU)
+        assert np.all(tc == TINY_GPU.costs.sync)
