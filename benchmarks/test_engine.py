@@ -3,12 +3,12 @@
 The compiled engine exists to stop interpreting kernels in Python: the
 SIMT engine walks every (thread, tile, atom) triple through the
 schedule's iterators, while the compiled engine runs one JIT-compiled
-(or vectorized) kernel body and materializes the schedule's per-thread
-loads in closed form.  This bench measures that gap as host wall-clock
-per app and records it in ``BENCH_engine.json`` at the repo root; CI
-floors ``compiled_over_simt`` at 10x (the measured gap is orders of
-magnitude larger -- tripping the floor means the compiled path started
-interpreting again, not that the runner was slow).
+(or vectorized) kernel body and prices the schedule's closed-form
+per-thread loads, memoized in the plan cache.  This bench measures that
+gap as host wall-clock per app and records it in ``BENCH_engine.json``
+at the repo root; CI floors ``compiled_over_simt`` at 10x (the measured
+gap is orders of magnitude larger -- tripping the floor means the
+compiled path started interpreting again, not that the runner was slow).
 
 Runs in smoke mode by default.  Environment knobs scale it up:
 ``REPRO_BENCH_ENGINE_N`` (matrix dimension), ``REPRO_BENCH_ENGINE_REPS``
@@ -26,8 +26,8 @@ import numpy as np
 
 from repro.engine import (
     ExecutionContext,
-    clear_compilation_cache,
-    compilation_cache_stats,
+    clear_plan_cache,
+    global_plan_cache,
     numba_available,
     run_app,
 )
@@ -72,15 +72,21 @@ def _time_engine(app: str, matrix: CsrMatrix, engine: str, reps: int) -> float:
 
 def test_engine_speedup():
     matrix = _bench_matrix(BENCH_N)
-    clear_compilation_cache()
+    clear_plan_cache()
+    cache = global_plan_cache()
 
     walls: dict[str, dict[str, float]] = {}
+    compiled_hits = 0
     for app in BENCH_APPS:
+        # One interpreted rep is plenty: simt dominates the bench's
+        # wall-clock as it is.
+        simt = _time_engine(app, matrix, "simt", reps=1)
+        hits = cache.hits
+        compiled = _time_engine(app, matrix, "compiled", reps=BENCH_REPS)
+        compiled_hits += cache.hits - hits
         walls[app] = {
-            # One interpreted rep is plenty: simt dominates the bench's
-            # wall-clock as it is.
-            "simt": _time_engine(app, matrix, "simt", reps=1),
-            "compiled": _time_engine(app, matrix, "compiled", reps=BENCH_REPS),
+            "simt": simt,
+            "compiled": compiled,
             "vector": _time_engine(app, matrix, "vector", reps=BENCH_REPS),
         }
 
@@ -111,19 +117,20 @@ def test_engine_speedup():
         "compiled_over_vector": round(
             total["vector"] / total["compiled"], 3
         ),
-        "compilation_cache": compilation_cache_stats(),
+        "plan_cache": cache.info(),
+        "compiled_plan_cache_hits": compiled_hits,
         "floor": COMPILED_OVER_SIMT_FLOOR,
     }
     BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"\n=== BENCH_engine.json ===\n{json.dumps(payload, indent=2)}")
 
     # The whole point of the engine: at least one order of magnitude
-    # over the interpreter in total (measured ~17x without numba); each
+    # over the interpreter in total (measured ~75x without numba); each
     # app individually gets half the floor's headroom against runner
     # noise (bfs replans per frontier, the fixed cost both engines pay).
     assert compiled_over_simt >= COMPILED_OVER_SIMT_FLOOR, payload
     for app in BENCH_APPS:
         assert walls[app]["simt"] / walls[app]["compiled"] >= \
             COMPILED_OVER_SIMT_FLOOR / 2, (app, payload)
-    # Steady-state sweeps reuse compiled plans: repeated reps must hit.
-    assert compilation_cache_stats()["hits"] >= 1
+    # Repeated compiled reps reuse their priced loads from the plan cache.
+    assert compiled_hits >= 1, payload

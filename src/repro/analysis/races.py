@@ -3,8 +3,8 @@
 For each ``(kernel, schedule)`` cell the analyzer answers the question a
 GPU race detector answers dynamically -- can two threads write the same
 output element? -- but from the schedule's closed-form work partition
-(:func:`~repro.engine.compiled.materialize_loads` and
-:func:`~repro.engine.compiled.tile_writer_counts`), evaluated on a
+(:meth:`~repro.core.schedule.Schedule.loads` and
+:meth:`~repro.core.schedule.Schedule.tile_writers`), evaluated on a
 canonical skewed workload chosen to exercise every splitting behaviour a
 schedule is capable of (a heavy tile, empty tiles, singleton tiles):
 
@@ -41,7 +41,6 @@ import numpy as np
 
 from ..core.schedule import available_schedules, make_schedule
 from ..core.work import WorkSpec
-from ..engine.compiled import materialize_loads, tile_writer_counts
 from ..gpusim.arch import TINY_GPU, GpuSpec
 from .effects import KernelEffects, kernel_effects
 
@@ -81,8 +80,8 @@ def schedule_profile(
     """The partition facts one schedule contributes to every verdict."""
     sched = make_schedule(name, work if work is not None else canonical_work(),
                           spec)
-    writers = tile_writer_counts(sched)
-    atoms, _visits = materialize_loads(sched)
+    writers = sched.tile_writers()
+    atoms, _visits = sched.loads()
     if hasattr(sched, "num_chunks"):
         # Queue schedules are probed under the interpreter's
         # linearization (one thread drains everything), but concurrent

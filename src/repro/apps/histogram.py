@@ -27,7 +27,6 @@ from ..engine import (
     Runtime,
     register_app,
     run_app,
-    tile_charges,
 )
 from ..gpusim.arch import GpuSpec
 from ..sparse.csr import CsrMatrix
@@ -127,7 +126,7 @@ def histogram_driver(problem, rt: Runtime) -> AppResult:
 
     def kernel():
         counts = np.zeros(matrix.num_rows)
-        atom_c, tile_c = tile_charges(sched, costs)
+        atom_c, tile_c = sched.charges(costs)
 
         def body(ctx):
             for row in sched.tiles(ctx):

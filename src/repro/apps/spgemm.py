@@ -31,7 +31,6 @@ from ..engine import (
     Runtime,
     register_app,
     run_app,
-    tile_charges,
 )
 from ..gpusim.arch import GpuSpec
 from ..sparse.convert import coo_to_csr, csr_transpose, offsets_from_counts
@@ -229,7 +228,7 @@ def spgemm_driver(problem, rt: Runtime) -> AppResult:
     def count_kernel():
         counts = np.zeros(a.num_rows)
         col_indices = a.col_indices
-        atom_c, tile_c = tile_charges(sched1, costs1)
+        atom_c, tile_c = sched1.charges(costs1)
 
         def body(ctx):
             for row in sched1.tiles(ctx):
@@ -272,7 +271,7 @@ def spgemm_driver(problem, rt: Runtime) -> AppResult:
 
         row_acc = [defaultdict(float) for _ in range(a.num_rows)]
         cols, vals = products["cols"], products["vals"]
-        atom_c, tile_c = tile_charges(sched2, costs2)
+        atom_c, tile_c = sched2.charges(costs2)
 
         def body(ctx):
             for row in sched2.tiles(ctx):

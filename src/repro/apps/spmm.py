@@ -22,7 +22,6 @@ from ..engine import (
     input_matrix,
     register_app,
     run_app,
-    tile_charges,
 )
 from ..gpusim.arch import GpuSpec
 from ..sparse.csr import CsrMatrix
@@ -121,7 +120,7 @@ def spmm_driver(problem, rt: Runtime) -> AppResult:
         """Listing 4's kernel: Listing 3 plus a loop over B's columns."""
         c = np.zeros((matrix.num_rows, n_cols))
         values, col_indices = matrix.values, matrix.col_indices
-        atom_c, tile_c = tile_charges(sched, costs)
+        atom_c, tile_c = sched.charges(costs)
         owns_fully = getattr(sched, "owns_tile_fully", None)
 
         def body(ctx):

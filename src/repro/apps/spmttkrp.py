@@ -27,7 +27,6 @@ from ..engine import (
     input_matrix,
     register_app,
     run_app,
-    tile_charges,
 )
 from ..gpusim.arch import GpuSpec
 from ..sparse.csr import CsrMatrix
@@ -158,7 +157,7 @@ def spmttkrp_driver(problem, rt: Runtime) -> AppResult:
     def kernel():
         m = np.zeros((tensor.shape[0], rank))
         values, jj, kk = tensor.values, tensor.j, tensor.k
-        atom_c, tile_c = tile_charges(sched, costs)
+        atom_c, tile_c = sched.charges(costs)
 
         def body(ctx):
             for tile in sched.tiles(ctx):

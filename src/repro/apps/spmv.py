@@ -24,7 +24,6 @@ from ..engine import (
     input_vector,
     register_app,
     run_app,
-    tile_charges,
 )
 from ..sparse.csr import CsrMatrix
 from .common import AppResult, check_dense_vector, spmv_costs
@@ -119,7 +118,7 @@ def spmv_driver(problem, rt: Runtime) -> AppResult:
         """
         y = np.zeros(matrix.num_rows)
         values, col_indices = matrix.values, matrix.col_indices
-        atom_c, tile_c = tile_charges(sched, costs)
+        atom_c, tile_c = sched.charges(costs)
         owns_fully = getattr(sched, "owns_tile_fully", None)
 
         def body(ctx):

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..core.schedule import WorkCosts
 from ..core.work import WorkSpec
-from ..engine import KernelDecl, Runtime, tile_charges
+from ..engine import KernelDecl, Runtime
 from ..gpusim.arch import GpuSpec
 from ..gpusim.cost_model import KernelStats, price
 from ..sparse.graph import CsrGraph
@@ -119,7 +119,7 @@ def run_frontier_loop(
     load-balanced timing; algorithms (BFS, SSSP) supply only the
     relaxation -- the "user-defined computation" stage of the
     abstraction.  ``decl.label`` (``"advance"``) names the launch in the
-    compilation cache, the race probe and the effect analysis.
+    race probe and the effect analysis.
 
     ``relax_edge(ctx, src, dst, weight, next_mask)`` is the scalar form of
     the same relaxation, consumed one edge at a time by the SIMT engine's
@@ -166,7 +166,7 @@ def run_frontier_loop(
 
             def kernel():
                 next_mask = np.zeros(n, dtype=bool)
-                atom_c, tile_c = tile_charges(sched, costs)
+                atom_c, tile_c = sched.charges(costs)
 
                 def body(ctx):
                     # Listing 5's pattern: edges through the schedule, the

@@ -20,7 +20,6 @@ from ..engine import (
     Runtime,
     register_app,
     run_app,
-    tile_charges,
 )
 from ..gpusim.arch import GpuSpec
 from ..sparse.convert import coo_to_csr, csr_to_coo
@@ -273,7 +272,7 @@ def triangle_count_driver(problem, rt: Runtime) -> AppResult:
     def kernel():
         total = np.zeros(1)
         col_indices = upper.col_indices
-        atom_c, tile_c = tile_charges(sched, costs)
+        atom_c, tile_c = sched.charges(costs)
 
         def body(ctx):
             for u in sched.tiles(ctx):

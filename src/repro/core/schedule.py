@@ -13,12 +13,23 @@ interpreter and by user-owned kernels):
   for schedules that parallelize over atoms (Listing 5 consumes
   ``config.atoms()`` + ``config.get_tile(edge)``).
 
+**Load view** (vectorized): ``loads()`` gives the atoms and tile visits
+of every thread, ``tile_writers()`` the distinct threads writing each
+tile, and ``charges(costs)`` what one atom and one tile visit cost a
+thread.  The base class derives the first two by probing the per-thread
+view; built-ins override them with closed forms equal to that probe.
+
 **Planner view** (vectorized, used at corpus scale): ``cycles(costs)``
 computes, with NumPy only, the cycle cost of every thread (or, where lanes
-cooperate, every warp) in the launch, and ``plan(costs)`` prices it into a
+cooperate, every warp) in the launch -- by default the charges over the
+loads -- and ``plan(costs)`` prices it into a
 :class:`~repro.gpusim.cost_model.KernelStats`.  Every engine prices its
-measured cycles through the same :meth:`Schedule.price`, so the two views
+measured cycles through the same :meth:`Schedule.price`, so the views
 are cross-validated in the test suite.
+
+A new schedule therefore needs only ``tiles`` and ``atoms``; a closed
+form ``loads`` makes it fast, and a ``cycles`` of its own models
+machinery the per-thread charges do not see.
 
 The split mirrors the paper's separation of concerns: the *application*
 contributes a :class:`WorkCosts` (what one atom / one tile costs), the
@@ -29,6 +40,7 @@ the folding rules.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Sized
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -36,6 +48,7 @@ import numpy as np
 
 from ..gpusim.arch import GpuSpec
 from ..gpusim.cost_model import KernelStats, price
+from ..gpusim.simt import ThreadCtx
 from .work import WorkSpec
 
 __all__ = [
@@ -147,17 +160,88 @@ class Schedule(ABC):
         return int(self.work.tile_of_atom(atom))
 
     # ------------------------------------------------------------------
+    # Load view
+    # ------------------------------------------------------------------
+    def charges(self, costs: WorkCosts) -> tuple[float, float]:
+        """Cycles a thread pays per atom and per tile visit.
+
+        The app's declared costs plus the loop overhead and the
+        abstraction tax on every range iteration, atom and tile alike.
+        The planners, the SIMT kernel bodies and the compiled engine all
+        charge it.
+        """
+        tax = self.abstraction_tax
+        atom = costs.atom_total(self.spec) + tax
+        tile = costs.tile_cycles + self.spec.costs.loop_overhead + tax
+        return atom, tile
+
+    def loads(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-thread ``(atoms, tile visits)``, in launch order."""
+        atoms, visits, _writers = self._probe()
+        return atoms, visits
+
+    def tile_writers(self) -> np.ndarray:
+        """Distinct threads that write each tile's output.
+
+        A thread writes a tile when it holds at least one of the tile's
+        atoms, or claims the whole tile via ``owns_tile_fully``.  A count
+        above 1 means the tile's partial results need combining (the
+        ``REDUCE`` verdict of :mod:`repro.analysis.races`).
+        """
+        return self._probe()[2]
+
+    def _probe(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Walk ``tiles()``/``atoms()`` thread by thread, in launch order.
+
+        The assignment only, no kernel body, in the order the SIMT
+        interpreter runs threads -- so stateful schedules (the dynamic
+        queue) agree with it.  Returns ``(atoms, visits, writers)``.
+        """
+        launch = self.launch
+        atoms = np.zeros(launch.num_threads)
+        visits = np.zeros(launch.num_threads)
+        writers: list[set] = [set() for _ in range(self.work.num_tiles)]
+        owns = getattr(self, "owns_tile_fully", None)
+        reset = getattr(self, "reset_queue", None)
+        if reset is not None:
+            reset()
+        for block_idx in range(launch.grid_dim):
+            for thread_idx in range(launch.block_dim):
+                ctx = ThreadCtx(thread_idx, block_idx, launch.block_dim,
+                                launch.grid_dim, self.spec, None)
+                t = ctx.global_thread_id
+                for tile in self.tiles(ctx):
+                    rng = self.atoms(ctx, tile)
+                    n = len(rng) if isinstance(rng, Sized) else sum(1 for _ in rng)
+                    atoms[t] += n
+                    visits[t] += 1
+                    if n or (owns is not None and owns(ctx, tile)):
+                        writers[int(tile)].add(t)
+        if reset is not None:
+            reset()
+        return atoms, visits, np.array([len(w) for w in writers], dtype=np.int64)
+
+    def _load_cycles(self, costs: WorkCosts) -> np.ndarray:
+        """Per-thread cycles of :meth:`loads` at :meth:`charges`."""
+        atoms, visits = self.loads()
+        atom_c, tile_c = self.charges(costs)
+        return atoms * atom_c + visits * tile_c
+
+    # ------------------------------------------------------------------
     # Planner view
     # ------------------------------------------------------------------
-    @abstractmethod
     def cycles(self, costs: WorkCosts) -> np.ndarray:
         """Vectorized cycle counts of the launch, for :meth:`price`.
 
         Per-thread (1-D, launch order) for schedules whose lanes work
         independently -- the lockstep fold happens in ``price`` -- or
         per-warp, shape ``(grid_dim, warps_per_block)``, for schedules
-        whose lanes cooperate on a tile.
+        whose lanes cooperate on a tile.  By default the charges over
+        :meth:`loads`, exactly what the compiled engine measures;
+        planners that model more than the loads (lockstep rounds, group
+        reductions, queue contention) override it.
         """
+        return self._load_cycles(costs)
 
     def setup_cycles(self, costs: WorkCosts) -> float:
         """Uniform per-warp setup cost (e.g. merge-path's binary search)."""
@@ -192,8 +276,14 @@ class Schedule(ABC):
             extras={"schedule": self.name, **(extras or {})},
         )
 
-    def plan(self, costs: WorkCosts, *, extras: dict | None = None) -> KernelStats:
-        """Price the schedule's planned assignment."""
+    def plan(
+        self, costs: WorkCosts, *, extras: dict | None = None, loads: bool = False
+    ) -> KernelStats:
+        """Price the schedule's planned assignment -- or, with ``loads``,
+        the per-thread charges over :meth:`loads`, as the compiled engine
+        measures them."""
+        if loads:
+            return self.price(costs, self._load_cycles(costs), extras=extras)
         return self.price(
             costs,
             self.cycles(costs),
@@ -289,7 +379,7 @@ def make_schedule(
         launch = cls.default_launch(work, spec)
     sched = cls(work, spec, launch, **options)
     # Remember the construction options: they are part of the schedule
-    # identity both caches key on (``repro.engine.plan_cache.
+    # identity the plan cache keys on (``repro.engine.plan_cache.
     # schedule_key``), and layers that re-instantiate the schedule on
     # derived workloads (the multi-GPU engine re-scheduling each device
     # shard) reproduce the same configuration instead of silently

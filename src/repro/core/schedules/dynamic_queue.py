@@ -43,9 +43,11 @@ class DynamicQueueSchedule(Schedule):
     Pricing parity: far from exact, by construction.  The planner
     prices the balanced queue (earliest-free worker pops the next
     chunk); the SIMT interpreter runs threads one after another, a valid
-    linearization in which thread 0 pops every chunk, and the compiled
-    engine reproduces that linearization -- so vector times are 0.1-0.8x
-    of theirs whenever the queue has more than one chunk of work.
+    linearization in which thread 0 pops every chunk, and :meth:`loads`
+    reproduces that linearization for the compiled engine.  Whenever the
+    queue has more than one chunk of work, vector times are 0.1-0.7x of
+    SIMT's and 0.001-1.0x of the compiled engine's (the larger the
+    launch, the smaller the ratio).
     """
 
     DEFAULT_CHUNK = 4
@@ -118,13 +120,29 @@ class DynamicQueueSchedule(Schedule):
                 yield tile, atom
 
     # ------------------------------------------------------------------
+    # Load view, under the interpreter's sequential linearization: thread
+    # 0 runs to completion first, so it pops every chunk.
+    # ------------------------------------------------------------------
+    def loads(self) -> tuple[np.ndarray, np.ndarray]:
+        atoms = np.zeros(self.launch.num_threads)
+        visits = np.zeros(self.launch.num_threads)
+        atoms[0] = float(self.work.num_atoms)
+        visits[0] = float(self.work.num_tiles)
+        return atoms, visits
+
+    def tile_writers(self) -> np.ndarray:
+        # Chunks are disjoint full-tile ranges popped atomically: whichever
+        # thread pops a chunk is its tiles' single writer (empty tiles are
+        # skipped by the kernels' ``if n`` guards, as in thread-mapped).
+        return (self.work.atoms_per_tile() > 0).astype(np.int64)
+
+    # ------------------------------------------------------------------
     # Planner view: greedy list scheduling == an atomic-counter queue.
     # ------------------------------------------------------------------
     def cycles(self, costs: WorkCosts) -> np.ndarray:
         work, spec, launch = self.work, self.spec, self.launch
         counts = work.atoms_per_tile().astype(np.float64)
-        atom_cost = costs.atom_total(spec) + self.abstraction_tax
-        tile_cost = costs.tile_cycles + spec.costs.loop_overhead + self.abstraction_tax
+        atom_cost, tile_cost = self.charges(costs)
         per_tile = counts * atom_cost + tile_cost
 
         n_chunks = self.num_chunks()

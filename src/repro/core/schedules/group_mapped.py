@@ -29,6 +29,7 @@ from ...gpusim.collectives import scan_cost
 from ..ranges import StepRange
 from ..schedule import LaunchParams, Schedule, WorkCosts, register_schedule
 from ..work import WorkSpec
+from .warp_block import grouped_loads, groups_to_warps, lane_writers
 
 __all__ = ["GroupMappedSchedule"]
 
@@ -115,6 +116,22 @@ class GroupMappedSchedule(Schedule):
         return StepRange(lo + self._rank_in_group(ctx), hi, self.group_size)
 
     # ------------------------------------------------------------------
+    # Load view
+    # ------------------------------------------------------------------
+    def loads(self) -> tuple[np.ndarray, np.ndarray]:
+        n_groups = self.num_groups()
+        group_of_tile = np.minimum(
+            np.arange(self.work.num_tiles, dtype=np.int64)
+            // max(1, self.tiles_per_group()),
+            n_groups - 1,
+        )
+        return grouped_loads(self.group_size, n_groups, self.launch.num_threads,
+                             self.work.atoms_per_tile(), group_of_tile)
+
+    def tile_writers(self) -> np.ndarray:
+        return lane_writers(self.work.atoms_per_tile(), self.group_size)
+
+    # ------------------------------------------------------------------
     # Planner view
     # ------------------------------------------------------------------
     def cycles(self, costs: WorkCosts) -> np.ndarray:
@@ -140,7 +157,7 @@ class GroupMappedSchedule(Schedule):
         # Main loop: atoms strided across lanes; each atom pays the user's
         # cost plus the get_tile binary search in the prefix array.
         search = max(1.0, np.ceil(np.log2(max(2, tpg)))) * c.binary_search_step
-        atom_cost = costs.atom_total(spec) + self.abstraction_tax + search
+        atom_cost = self.charges(costs)[0] + search
         atom_rounds = np.ceil(chunk_atoms / g)
         body = atom_rounds * atom_cost
         # Per-tile finalization (output write / partial combine), spread
@@ -149,24 +166,7 @@ class GroupMappedSchedule(Schedule):
         finalize = np.ceil(chunk_tiles / g) * finalize_cost
         group_totals = setup + body + finalize
 
-        return self._groups_to_warps(group_totals)
-
-    def _groups_to_warps(self, group_totals: np.ndarray) -> np.ndarray:
-        spec, launch = self.spec, self.launch
-        ws = spec.warp_size
-        g = self.group_size
-        warps_per_block = launch.block_dim // ws
-        n_warps = launch.grid_dim * warps_per_block
-        if g >= ws:
-            wc = np.repeat(group_totals, g // ws)
-        else:
-            groups_per_warp = ws // g
-            padded = np.zeros(n_warps * groups_per_warp)
-            padded[: group_totals.size] = group_totals
-            wc = padded.reshape(n_warps, groups_per_warp).max(axis=1)
-        if wc.size < n_warps:
-            wc = np.pad(wc, (0, n_warps - wc.size))
-        return wc[:n_warps].reshape(launch.grid_dim, warps_per_block)
+        return groups_to_warps(group_totals, g, spec, launch)
 
     @classmethod
     def default_launch(

@@ -14,7 +14,7 @@ schedules without touching application code, and it appears in the
 ablation benches.
 
 The permutation is derived on first use (the per-thread view, the
-planner, the compiled loads), not at construction: a launch whose plan
+planner, the loads), not at construction: a launch whose plan
 the vector engine already cached never bins or sorts.
 """
 
@@ -25,10 +25,9 @@ from functools import cached_property
 import numpy as np
 
 from ...gpusim.arch import GpuSpec
-from ...gpusim.collectives import reduce_cost
-from ..ranges import StepRange
-from ..schedule import LaunchParams, Schedule, WorkCosts, register_schedule
+from ..schedule import LaunchParams, WorkCosts, register_schedule
 from ..work import WorkSpec
+from .warp_block import _GroupPerTileSchedule
 
 __all__ = ["LrbSchedule", "lrb_bins"]
 
@@ -46,21 +45,12 @@ def lrb_bins(atoms_per_tile: np.ndarray) -> np.ndarray:
 
 
 @register_schedule("lrb")
-class LrbSchedule(Schedule):
+class LrbSchedule(_GroupPerTileSchedule):
     """Warp-per-tile over a bin-sorted tile permutation.
 
     Pricing parity: as :class:`~.warp_block.WarpMappedSchedule` (exact
     against the compiled engine for apps without a per-tile reduction).
     """
-
-    def __init__(self, work: WorkSpec, spec: GpuSpec, launch: LaunchParams):
-        super().__init__(work, spec, launch)
-        if launch.block_dim % spec.warp_size:
-            raise ValueError(
-                f"block_dim {launch.block_dim} must be a multiple of the warp "
-                f"size {spec.warp_size}"
-            )
-        self.abstraction_tax = spec.costs.range_overhead
 
     @cached_property
     def permutation(self) -> np.ndarray:
@@ -69,25 +59,17 @@ class LrbSchedule(Schedule):
         bins = lrb_bins(self.work.atoms_per_tile())
         return np.argsort(-bins, kind="stable").astype(np.int64)
 
-    # ------------------------------------------------------------------
-    # Group geometry (warp-per-tile on the permuted order)
-    # ------------------------------------------------------------------
-    def _num_groups(self) -> int:
-        return max(1, self.launch.num_threads // self.spec.warp_size)
+    def group_size(self) -> int:
+        return self.spec.warp_size
 
+    # Warp-per-tile, striding over the permuted order.
     def tiles(self, ctx):
-        g = ctx.global_thread_id // self.spec.warp_size
-        for slot in range(g, self.work.num_tiles, self._num_groups()):
+        for slot in range(self._group_of(ctx), self.work.num_tiles, self._num_groups()):
             yield int(self.permutation[slot])
 
-    def atoms(self, ctx, tile: int) -> StepRange:
-        lo, hi = self.work.atom_range(tile)
-        lane = ctx.global_thread_id % self.spec.warp_size
-        return StepRange(lo + lane, hi, self.spec.warp_size)
+    def _tile_counts(self) -> np.ndarray:
+        return self.work.atoms_per_tile()[self.permutation]
 
-    # ------------------------------------------------------------------
-    # Planner view
-    # ------------------------------------------------------------------
     def setup_cycles(self, costs: WorkCosts) -> float:
         """Binning pass: one read + histogram update + scatter per tile,
         spread across the launch's threads."""
@@ -96,39 +78,8 @@ class LrbSchedule(Schedule):
         tiles_per_thread = -(-self.work.num_tiles // self.launch.num_threads)
         return tiles_per_thread * per_tile
 
-    def cycles(self, costs: WorkCosts) -> np.ndarray:
-        work, spec, launch = self.work, self.spec, self.launch
-        ws = spec.warp_size
-        n_groups = self._num_groups()
-        counts = work.atoms_per_tile().astype(np.float64)[self.permutation]
-
-        rounds = max(1, -(-work.num_tiles // n_groups))
-        padded = np.zeros(rounds * n_groups)
-        padded[: work.num_tiles] = counts
-        exists = np.zeros(rounds * n_groups, dtype=bool)
-        exists[: work.num_tiles] = True
-
-        atom_cost = costs.atom_total(spec) + self.abstraction_tax
-        finalize = costs.tile_cycles + spec.costs.loop_overhead + self.abstraction_tax
-        if costs.tile_reduction:
-            finalize += reduce_cost(spec, ws)
-        per_tile = np.ceil(padded / ws) * atom_cost + exists * finalize
-        group_totals = per_tile.reshape(rounds, n_groups).sum(axis=0)
-
-        warps_per_block = launch.block_dim // ws
-        n_warps = launch.grid_dim * warps_per_block
-        wc = np.zeros(n_warps)
-        wc[: min(n_warps, group_totals.size)] = group_totals[:n_warps]
-        return wc.reshape(launch.grid_dim, warps_per_block)
-
     @classmethod
     def default_launch(
         cls, work: WorkSpec, spec: GpuSpec, block_dim: int = 256
     ) -> LaunchParams:
-        block_dim = cls.clamp_block(spec, block_dim)
-        groups_per_block = max(1, block_dim // spec.warp_size)
-        resident_blocks = spec.resident_blocks_per_sm(block_dim) * spec.num_sms
-        target_groups = resident_blocks * groups_per_block * 8
-        wanted = min(max(1, work.num_tiles), target_groups)
-        grid = max(1, -(-wanted // groups_per_block))
-        return LaunchParams(grid_dim=grid, block_dim=block_dim)
+        return cls._oversubscribed_launch(work, spec, spec.warp_size, block_dim)

@@ -15,7 +15,7 @@ from SpMV (where CUB hardwires it), the same schedule serves any
 tiles+atoms workload, which is precisely the paper's point.
 
 The diagonal partition is derived on first use (the SIMT per-thread
-view, the planner, the compiled loads), not at construction: a launch
+view, the planner, the loads), not at construction: a launch
 whose plan the vector engine already cached never pays the search.
 """
 
@@ -59,6 +59,22 @@ def merge_path_partition(
         np.minimum(d, num_tiles),
     )
     return i, d - i
+
+
+def span_writers(
+    first: np.ndarray, last: np.ndarray, active: np.ndarray, num_tiles: int
+) -> np.ndarray:
+    """Count, per tile, the active threads whose tile span covers it.
+
+    For contiguous-range schedules (merge-path, nonzero-split) a thread
+    writes exactly the tiles of its span: nonempty tiles via its atoms,
+    empty interior tiles via ``owns_tile_fully`` -- so span stabbing is
+    the writer count for both.
+    """
+    diff = np.zeros(num_tiles + 1, dtype=np.int64)
+    np.add.at(diff, first[active], 1)
+    np.add.at(diff, np.minimum(last[active] + 1, num_tiles), -1)
+    return np.cumsum(diff[:num_tiles])
 
 
 @register_schedule("merge_path")
@@ -168,6 +184,40 @@ class MergePathSchedule(Schedule):
         return j0 <= lo and hi <= j1
 
     # ------------------------------------------------------------------
+    # Load view
+    # ------------------------------------------------------------------
+    def _shares(self) -> tuple[np.ndarray, ...]:
+        """Every thread's ``(i0, i1, j0, j1, partial)``: finished tiles
+        ``[i0, i1)``, atoms ``[j0, j1)``, and whether its share ends
+        mid-tile, so it also touches the partial tail tile ``i1``."""
+        i, j = self._partition
+        i1, j1 = i[1:], j[1:]
+        partial = j1 > self.work.tile_offsets[np.minimum(i1, self.work.num_tiles)]
+        return i[:-1], i1, j[:-1], j1, partial
+
+    def loads(self) -> tuple[np.ndarray, np.ndarray]:
+        i0, i1, j0, j1, partial = self._shares()
+        return (j1 - j0).astype(np.float64), (i1 - i0 + partial).astype(np.float64)
+
+    def tile_writers(self) -> np.ndarray:
+        i0, i1, j0, _j1, partial = self._shares()
+        offsets = self.work.tile_offsets
+        num_tiles = self.work.num_tiles
+        visits = i1 - i0 + partial
+        # A thread entering at a drained tile boundary (the previous thread
+        # consumed tile i0's last atom without crossing it on the merge
+        # path, so j0 == offsets[i0 + 1]) holds no atoms of i0 and does not
+        # own it fully: its writes start at the next tile.  Empty first
+        # tiles stay: the thread owns them (j0 == offsets[i0]) and the
+        # direct-store path touches owned tiles even with zero atoms.
+        i0c = np.minimum(i0, num_tiles - 1)
+        nonempty_first = offsets[i0c + 1] > offsets[i0c]
+        skip_first = (visits > 0) & nonempty_first & (j0 >= offsets[i0c + 1])
+        first = i0 + skip_first
+        last = i0 + np.maximum(visits, 1) - 1
+        return span_writers(first, last, (visits > 0) & (first <= last), num_tiles)
+
+    # ------------------------------------------------------------------
     # Planner view
     # ------------------------------------------------------------------
     def setup_cycles(self, costs: WorkCosts) -> float:
@@ -176,24 +226,14 @@ class MergePathSchedule(Schedule):
         return steps * self.spec.costs.binary_search_step
 
     def cycles(self, costs: WorkCosts) -> np.ndarray:
-        spec = self.spec
-        c = spec.costs
-        tiles_per_thread = np.diff(self._tile_bounds).astype(np.float64)
-        atoms_per_thread = np.diff(self._atom_bounds).astype(np.float64)
-
-        atom_cost = costs.atom_total(spec) + self.abstraction_tax
-        tile_cost = costs.tile_cycles + c.loop_overhead + self.abstraction_tax
+        i0, i1, j0, j1, partial = self._shares()
+        atom_cost, tile_cost = self.charges(costs)
         # Boundary fixup: a thread whose range ends mid-tile combines its
         # partial with an atomic (the "partial tiles" loop of Section 5.2.1).
-        offsets = self.work.tile_offsets
-        ends_mid_tile = (
-            self._atom_bounds[1:]
-            > offsets[np.minimum(self._tile_bounds[1:], self.work.num_tiles)]
-        ).astype(np.float64)
         return (
-            atoms_per_thread * atom_cost
-            + tiles_per_thread * tile_cost
-            + ends_mid_tile * c.atomic
+            (j1 - j0).astype(np.float64) * atom_cost
+            + (i1 - i0).astype(np.float64) * tile_cost
+            + partial.astype(np.float64) * self.spec.costs.atomic
         )
 
     @classmethod

@@ -18,6 +18,7 @@ from ...gpusim.arch import GpuSpec
 from ..ranges import StepRange
 from ..schedule import LaunchParams, Schedule, WorkCosts, register_schedule
 from ..work import WorkSpec
+from .merge_path import span_writers
 
 __all__ = ["NonzeroSplitSchedule"]
 
@@ -94,6 +95,26 @@ class NonzeroSplitSchedule(Schedule):
         return j0 <= lo and hi <= j1
 
     # ------------------------------------------------------------------
+    # Load view
+    # ------------------------------------------------------------------
+    def _shares(self) -> tuple[np.ndarray, ...]:
+        """Every thread's ``(first, last, j0, j1)``: atoms ``[j0, j1)``
+        and the tiles holding its first and last atom (meaningful only
+        when ``j1 > j0``)."""
+        j = self._atom_bounds
+        last = self.work.tile_of_atom(np.maximum(j[1:] - 1, 0))
+        return self._tile_at_bound[:-1], last, j[:-1], j[1:]
+
+    def loads(self) -> tuple[np.ndarray, np.ndarray]:
+        first, last, j0, j1 = self._shares()
+        visits = np.where(j1 > j0, last - first + 1, 0).astype(np.float64)
+        return (j1 - j0).astype(np.float64), visits
+
+    def tile_writers(self) -> np.ndarray:
+        first, last, j0, j1 = self._shares()
+        return span_writers(first, last, j1 > j0, self.work.num_tiles)
+
+    # ------------------------------------------------------------------
     # Planner view
     # ------------------------------------------------------------------
     def setup_cycles(self, costs: WorkCosts) -> float:
@@ -101,33 +122,11 @@ class NonzeroSplitSchedule(Schedule):
         return steps * self.spec.costs.binary_search_step
 
     def cycles(self, costs: WorkCosts) -> np.ndarray:
-        spec = self.spec
-        c = spec.costs
-        j0 = self._atom_bounds[:-1]
-        j1 = self._atom_bounds[1:]
-        atoms_per_thread = (j1 - j0).astype(np.float64)
-        nonempty = j1 > j0
-        # Tiles *touched*, including any empty tiles the range spans.
-        first = self._tile_at_bound[:-1]
-        last = np.maximum(
-            first,
-            np.maximum(
-                0,
-                np.searchsorted(self.work.tile_offsets, j1, side="left") - 1,
-            ),
-        )
-        tiles_touched = np.where(nonempty, (last - first + 1).astype(np.float64), 0.0)
-
-        atom_cost = costs.atom_total(spec) + self.abstraction_tax
-        tile_cost = costs.tile_cycles + c.loop_overhead + self.abstraction_tax
-        ends_mid = np.where(
-            nonempty & (j1 < self.work.num_atoms), 1.0, 0.0
-        )  # boundary fixup atomics
-        return (
-            atoms_per_thread * atom_cost
-            + tiles_touched * tile_cost
-            + ends_mid * c.atomic
-        )
+        j = self._atom_bounds
+        # The loads at the per-thread charges, plus a fixup atomic for
+        # every share that ends before the last atom.
+        ends_mid = np.where((j[1:] > j[:-1]) & (j[1:] < self.work.num_atoms), 1.0, 0.0)
+        return self._load_cycles(costs) + ends_mid * self.spec.costs.atomic
 
     @classmethod
     def default_launch(

@@ -57,6 +57,21 @@ class ThreadMappedSchedule(Schedule):
         return StepRange(lo, hi).step(1)
 
     # ------------------------------------------------------------------
+    # Load view
+    # ------------------------------------------------------------------
+    def loads(self) -> tuple[np.ndarray, np.ndarray]:
+        n_threads = self.launch.num_threads
+        counts = self.work.atoms_per_tile().astype(np.float64)
+        owner = np.arange(self.work.num_tiles, dtype=np.int64) % n_threads
+        atoms = np.bincount(owner, weights=counts, minlength=n_threads)
+        visits = np.bincount(owner, minlength=n_threads).astype(np.float64)
+        return atoms, visits
+
+    def tile_writers(self) -> np.ndarray:
+        # One owner thread per tile; kernels skip empty tiles (no owner API).
+        return (self.work.atoms_per_tile() > 0).astype(np.int64)
+
+    # ------------------------------------------------------------------
     # Planner view
     # ------------------------------------------------------------------
     def cycles(self, costs: WorkCosts) -> np.ndarray:
@@ -70,8 +85,7 @@ class ThreadMappedSchedule(Schedule):
         exists = np.zeros(rounds * n_threads, dtype=bool)
         exists[: work.num_tiles] = True
 
-        atom_cost = costs.atom_total(spec) + self.abstraction_tax
-        tile_cost = costs.tile_cycles + spec.costs.loop_overhead + self.abstraction_tax
+        atom_cost, tile_cost = self.charges(costs)
         # Per (round, thread): tile overhead if a tile exists in this round,
         # plus its atoms walked sequentially by this one lane.
         per_thread = padded * atom_cost + exists * tile_cost

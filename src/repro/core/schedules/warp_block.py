@@ -25,6 +25,66 @@ from ..work import WorkSpec
 __all__ = ["WarpMappedSchedule", "BlockMappedSchedule"]
 
 
+def grouped_loads(
+    group_size: int,
+    n_groups: int,
+    n_threads: int,
+    counts: np.ndarray,
+    group_of_tile: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-thread ``(atoms, visits)`` of a lane-strided group walk.
+
+    Threads are grouped contiguously by global id (``gtid // g``); every
+    lane of a group visits every tile of the group, and lane ``r``
+    consumes atoms ``lo + r, lo + r + g, ...`` of each tile:
+    ``ceil(max(0, count - r) / g)`` of them.
+    """
+    lanes = np.arange(group_size, dtype=np.float64)
+    per_lane = np.ceil(
+        np.maximum(0.0, counts.astype(np.float64)[:, None] - lanes) / group_size
+    )
+    atoms_gl = np.zeros((n_groups, group_size))
+    np.add.at(atoms_gl, group_of_tile, per_lane)
+    visits_g = np.bincount(group_of_tile, minlength=n_groups).astype(np.float64)
+    atoms = atoms_gl.reshape(-1)
+    visits = np.repeat(visits_g, group_size)
+    # Launches whose thread count is not an exact multiple of the group
+    # size leave a trailing partial group; clip/pad to the true width.
+    if atoms.size < n_threads:
+        atoms = np.pad(atoms, (0, n_threads - atoms.size))
+        visits = np.pad(visits, (0, n_threads - visits.size))
+    return atoms[:n_threads], visits[:n_threads]
+
+
+def lane_writers(counts: np.ndarray, group_size: int) -> np.ndarray:
+    """Lanes stride a tile's atoms, so ``min(count, group size)`` lanes
+    hold at least one atom: the tile's distinct writers."""
+    return np.minimum(counts.astype(np.int64), int(group_size))
+
+
+def groups_to_warps(
+    group_totals: np.ndarray, group_size: int, spec: GpuSpec, launch: LaunchParams
+) -> np.ndarray:
+    """Distribute per-group durations onto the launch's warps."""
+    ws = spec.warp_size
+    warps_per_block = launch.block_dim // ws
+    n_warps = launch.grid_dim * warps_per_block
+    if group_size >= ws:
+        # A group spans g/ws warps; each of them is busy for the whole
+        # group duration (they advance in lockstep rounds together).
+        wc = np.repeat(group_totals, group_size // ws)
+    else:
+        # A warp hosts ws/g groups side by side; it runs as long as its
+        # slowest resident group.
+        groups_per_warp = ws // group_size
+        padded = np.zeros(n_warps * groups_per_warp)
+        padded[: group_totals.size] = group_totals
+        wc = padded.reshape(n_warps, groups_per_warp).max(axis=1)
+    if wc.size < n_warps:
+        wc = np.pad(wc, (0, n_warps - wc.size))
+    return wc[:n_warps].reshape(launch.grid_dim, warps_per_block)
+
+
 class _GroupPerTileSchedule(Schedule):
     """Shared machinery: tiles strided across groups, atoms lane-parallel."""
 
@@ -64,13 +124,29 @@ class _GroupPerTileSchedule(Schedule):
         return StepRange(lo + self._rank_in_group(ctx), hi, self.group_size())
 
     # ------------------------------------------------------------------
+    # Load view
+    # ------------------------------------------------------------------
+    def _tile_counts(self) -> np.ndarray:
+        """Atom counts in the order the groups stride over the tiles."""
+        return self.work.atoms_per_tile()
+
+    def loads(self) -> tuple[np.ndarray, np.ndarray]:
+        n_groups = self._num_groups()
+        group_of_tile = np.arange(self.work.num_tiles, dtype=np.int64) % n_groups
+        return grouped_loads(self.group_size(), n_groups, self.launch.num_threads,
+                             self._tile_counts(), group_of_tile)
+
+    def tile_writers(self) -> np.ndarray:
+        return lane_writers(self.work.atoms_per_tile(), self.group_size())
+
+    # ------------------------------------------------------------------
     # Planner view
     # ------------------------------------------------------------------
     def cycles(self, costs: WorkCosts) -> np.ndarray:
-        work, spec, launch = self.work, self.spec, self.launch
+        work, spec = self.work, self.spec
         g = self.group_size()
         n_groups = self._num_groups()
-        counts = work.atoms_per_tile().astype(np.float64)
+        counts = self._tile_counts().astype(np.float64)
 
         rounds = max(1, -(-work.num_tiles // n_groups))
         padded = np.zeros(rounds * n_groups)
@@ -78,37 +154,13 @@ class _GroupPerTileSchedule(Schedule):
         exists = np.zeros(rounds * n_groups, dtype=bool)
         exists[: work.num_tiles] = True
 
-        atom_cost = costs.atom_total(spec) + self.abstraction_tax
-        finalize = costs.tile_cycles + spec.costs.loop_overhead + self.abstraction_tax
+        atom_cost, finalize = self.charges(costs)
         if costs.tile_reduction:
             finalize += reduce_cost(spec, g)
         # Lockstep lane-parallel walk of each tile: ceil(atoms / g) rounds.
         per_tile = np.ceil(padded / g) * atom_cost + exists * finalize
         group_totals = per_tile.reshape(rounds, n_groups).sum(axis=0)
-        return self._groups_to_warps(group_totals)
-
-    def _groups_to_warps(self, group_totals: np.ndarray) -> np.ndarray:
-        """Distribute per-group durations onto the launch's warps."""
-        spec, launch = self.spec, self.launch
-        ws = spec.warp_size
-        g = self.group_size()
-        warps_per_block = launch.block_dim // ws
-        n_warps = launch.grid_dim * warps_per_block
-        if g >= ws:
-            # A group spans g/ws warps; each of them is busy for the whole
-            # group duration (they advance in lockstep rounds together).
-            warps_per_group = g // ws
-            wc = np.repeat(group_totals, warps_per_group)
-        else:
-            # A warp hosts ws/g groups side by side; it runs as long as its
-            # slowest resident group.
-            groups_per_warp = ws // g
-            padded = np.zeros(n_warps * groups_per_warp)
-            padded[: group_totals.size] = group_totals
-            wc = padded.reshape(n_warps, groups_per_warp).max(axis=1)
-        if wc.size < n_warps:
-            wc = np.pad(wc, (0, n_warps - wc.size))
-        return wc[:n_warps].reshape(launch.grid_dim, warps_per_block)
+        return groups_to_warps(group_totals, g, spec, self.launch)
 
     @classmethod
     def _oversubscribed_launch(

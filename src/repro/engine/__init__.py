@@ -21,16 +21,19 @@ level:
   :class:`VectorEngine` produces the functional result with NumPy and
   takes the launch's cycles from the schedule's analytic planner;
   :class:`SimtEngine` interprets the kernel body thread-by-thread on the
-  simulated GPU and measures the charged cycles; both are priced by the
-  same :meth:`~repro.core.schedule.Schedule.price`;
+  simulated GPU and measures the charged cycles;
+  :class:`~repro.engine.compiled.CompiledEngine` JIT-runs the kernel's
+  flat body and takes the cycles from the schedule's per-thread loads;
+  all are priced by the same :meth:`~repro.core.schedule.Schedule.price`;
   :class:`~repro.engine.multi_gpu.MultiGpuEngine` partitions the
   workload across simulated devices with the same schedules, so every
   registered app inherits multi-device sweeps.  Applications describe
   launches; they never branch on an engine name.
 * **Plan cache** (:mod:`.plan_cache`) -- planning is pure, so the vector
-  engine memoizes :meth:`Schedule.plan` keyed by the schedule identity
-  (class, options, launch geometry, work content, device) plus the
-  costs: corpus sweeps stop re-planning identical launches.  It is
+  and compiled engines memoize :meth:`Schedule.plan` keyed by the
+  schedule identity (class, options, launch geometry, work content,
+  device), the costs and which cycles were priced (planner or loads):
+  corpus sweeps stop re-pricing identical launches.  It is
   in-memory and per process; each pool worker keeps its own.
 * **Worker pool** (:mod:`.worker_pool`) -- :class:`SweepExecutor`, the
   persistent process pool behind ``executor="process"`` sweeps: warm
@@ -70,18 +73,8 @@ from .dispatch import (
     ensure_known_engine,
     get_engine,
     register_engine,
-    tile_charges,
 )
-from .compiled import (
-    CompilationCache,
-    CompiledEngine,
-    clear_compilation_cache,
-    compilation_cache,
-    compilation_cache_stats,
-    numba_available,
-    precompile_kernels,
-    tile_writer_counts,
-)
+from .compiled import CompiledEngine, numba_available, precompile_kernels
 from .multi_gpu import MultiGpuEngine
 from .context import DEFAULT_CONTEXT, ExecutionContext
 from .plan_cache import (
@@ -129,11 +122,6 @@ __all__ = [
     "VectorEngine",
     "MultiGpuEngine",
     "CompiledEngine",
-    "CompilationCache",
-    "tile_writer_counts",
-    "compilation_cache",
-    "compilation_cache_stats",
-    "clear_compilation_cache",
     "numba_available",
     "precompile_kernels",
     "available_engines",
@@ -141,7 +129,6 @@ __all__ = [
     "ensure_known_engine",
     "get_engine",
     "register_engine",
-    "tile_charges",
     "ExecutionContext",
     "DEFAULT_CONTEXT",
     "PlanCache",

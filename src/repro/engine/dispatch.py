@@ -67,7 +67,6 @@ __all__ = [
     "unknown_name",
     "engine_description",
     "Runtime",
-    "tile_charges",
 ]
 
 
@@ -81,23 +80,6 @@ class UnknownEngineError(EngineError, ValueError):
     Subclasses :class:`ValueError` too, so pre-registry callers catching
     the old error class keep working.
     """
-
-
-def tile_charges(sched: Schedule, costs: WorkCosts) -> tuple[float, float]:
-    """Per-atom / per-tile cycle charges of one thread-level launch.
-
-    A thread pays ``n_atoms * atom + tile`` per visited tile -- the
-    app's declared costs plus the loop overhead and the schedule's
-    abstraction tax on every range iteration, atom and tile alike,
-    matching what the analytic planners price.  The SIMT kernel bodies
-    charge it per tile; the compiled engine folds it over its
-    materialized per-thread loads.
-    """
-    spec = sched.spec
-    tax = sched.abstraction_tax
-    atom = costs.atom_total(spec) + tax
-    tile = costs.tile_cycles + spec.costs.loop_overhead + tax
-    return atom, tile
 
 
 class Engine(ABC):

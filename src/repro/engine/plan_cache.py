@@ -7,15 +7,15 @@ sweeps re-plan the exact same launch over and over -- every figure bench
 re-runs the same (kernel, dataset) grid -- so the vector engine routes
 planning through this small thread-safe LRU memo.
 
-The key is :func:`schedule_key` plus the costs -- never which policy
-picked the schedule, so a heuristic cell, an oracle-best probe and a
-fixed-schedule cell of the same launch share one entry.  It
-fingerprints the *content* of the work (a CRC over the tile-offsets
-array), not object identity, so two loads of the same corpus dataset
-hit the same entry.  Schedules not built by
-:func:`~repro.core.schedule.make_schedule` bypass the cache entirely:
-their construction options are unknown to the key.  The compiled
-engine's load cache keys on the same identity.
+The key is :func:`schedule_key` plus the costs plus which cycles were
+priced -- the schedule's planner (the vector engine) or its per-thread
+loads (the compiled engine) -- never which policy picked the schedule,
+so a heuristic cell, an oracle-best probe and a fixed-schedule cell of
+the same launch share one entry.  It fingerprints the *content* of the
+work (a CRC over the tile-offsets array), not object identity, so two
+loads of the same corpus dataset hit the same entry.  Schedules not
+built by :func:`~repro.core.schedule.make_schedule` bypass the cache
+entirely: their construction options are unknown to the key.
 
 The cache is in-memory and per process: a fresh process (or pool
 worker) starts cold and warms up over its first sweep.
@@ -55,8 +55,8 @@ def schedule_key(sched: Schedule) -> tuple | None:
     sorted construction options.  ``None`` -- plan live, cache nothing --
     when the schedule was not built by
     :func:`~repro.core.schedule.make_schedule` (its options are unknown).
-    A key with an unhashable option value also plans live: the caches
-    catch the ``TypeError`` of the lookup.
+    A key with an unhashable option value also plans live: the cache
+    catches the ``TypeError`` of the lookup.
     """
     options = getattr(sched, "construction_options", None)
     if options is None:
@@ -86,8 +86,8 @@ def _with_extras(stats: KernelStats, extras: dict) -> KernelStats:
 class PlanCache:
     """A bounded LRU memo for :meth:`Schedule.plan` results.
 
-    ``plan`` is a drop-in replacement for calling ``sched.plan(costs)``
-    directly; schedules without a :func:`schedule_key` and unhashable
+    ``plan`` is a drop-in replacement for calling ``sched.plan(costs,
+    loads=...)`` directly; schedules without a :func:`schedule_key` and unhashable
     keys fall through to a live plan, so the cache can never change
     behaviour -- only skip recomputation.  ``hits`` / ``misses``
     counters make the skipping observable to tests.
@@ -104,10 +104,12 @@ class PlanCache:
         self._lock = threading.Lock()
 
     @staticmethod
-    def key_for(sched: Schedule, costs: WorkCosts) -> tuple | None:
-        """Cache key of one planned launch; ``None`` = plan live."""
+    def key_for(
+        sched: Schedule, costs: WorkCosts, loads: bool = False
+    ) -> tuple | None:
+        """Cache key of one priced launch; ``None`` = plan live."""
         ident = schedule_key(sched)
-        return None if ident is None else (ident, costs)
+        return None if ident is None else (ident, costs, loads)
 
     def plan(
         self,
@@ -115,16 +117,18 @@ class PlanCache:
         costs: WorkCosts,
         *,
         extras: dict | None = None,
+        loads: bool = False,
     ) -> KernelStats:
-        """Return ``sched.plan(costs, extras=...)``, memoized when safe."""
-        key = self.key_for(sched, costs) if self.maxsize > 0 else None
+        """Return ``sched.plan(costs, extras=..., loads=...)``, memoized
+        when safe."""
+        key = self.key_for(sched, costs, loads) if self.maxsize > 0 else None
         if key is None:
-            return sched.plan(costs, extras=extras)
+            return sched.plan(costs, extras=extras, loads=loads)
 
         try:
             h = hash(key)
         except TypeError:  # an unhashable option value or costs: plan live
-            return sched.plan(costs, extras=extras)
+            return sched.plan(costs, extras=extras, loads=loads)
         with self._lock:
             cached = self._lookup(h, key)
             if cached is not None:
@@ -133,7 +137,7 @@ class PlanCache:
             # Same numbers, caller's extras (extras never affect timing).
             return _with_extras(cached, {"schedule": sched.name, **(extras or {})})
 
-        stats = sched.plan(costs, extras=extras)
+        stats = sched.plan(costs, extras=extras, loads=loads)
         with self._lock:
             self.misses += 1
             self._insert(h, key, stats)
@@ -188,7 +192,7 @@ os.register_at_fork(
 
 
 def global_plan_cache() -> PlanCache:
-    """The process-wide cache the default :class:`VectorEngine` uses."""
+    """The process-wide cache the default vector and compiled engines use."""
     return _GLOBAL
 
 

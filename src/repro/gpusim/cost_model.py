@@ -9,7 +9,7 @@ time:
 bandwidth floor) -> + launch overhead -> milliseconds``
 
 The schedules' vectorized planners, the SIMT interpreter's measured
-charges, the compiled engine's materialized loads and the hardwired
+charges, the compiled engine's per-thread loads and the hardwired
 baselines all pass through it, so a kernel's time depends on its work,
 never on which engine measured it.
 """

@@ -4,7 +4,7 @@ Three layers of assurance, strongest last:
 
 1. the closed-form per-schedule tile-writer counts equal a thread-by-
    thread probe of ``tiles()``/``atoms()``/``owns_tile_fully`` on skewed
-   instances (the same cross-validation the load builders get);
+   instances (``test_schedule_loads.py``, with the loads);
 2. the full verdict matrix is pinned as a snapshot, so a new app or
    schedule registration must consciously extend it;
 3. soundness: every ``SAFE`` cell of the matrix is validated by the
@@ -26,11 +26,6 @@ from repro.analysis import (
 from repro.analysis.races import VERDICTS, canonical_work
 from repro.core.schedule import available_schedules, make_schedule
 from repro.core.work import WorkSpec
-from repro.engine.compiled import (
-    _WRITER_BUILDERS,
-    _generic_tile_writers,
-    tile_writer_counts,
-)
 from repro.gpusim.arch import TINY_GPU
 
 
@@ -51,33 +46,12 @@ SHAPES = {
 }
 
 
-class TestTileWriterCounts:
-    @pytest.mark.parametrize("shape", sorted(SHAPES))
-    @pytest.mark.parametrize("name", available_schedules())
-    def test_closed_form_matches_thread_probe(self, name, shape):
-        sched = make_schedule(name, make_work(SHAPES[shape]), TINY_GPU)
-        closed = _WRITER_BUILDERS[name](sched)
-        probed = _generic_tile_writers(sched)
-        assert np.array_equal(closed, probed), (
-            f"{name} on {shape}: closed form disagrees with the "
-            f"thread-by-thread probe"
-        )
-
-    def test_every_schedule_has_a_builder(self):
-        assert set(_WRITER_BUILDERS) == set(available_schedules())
-
-    def test_fallback_probe_for_unknown_schedule(self):
-        # tile_writer_counts must not require a registered closed form.
-        sched = make_schedule("merge_path", make_work([5, 0, 9]), TINY_GPU)
-        assert np.array_equal(
-            tile_writer_counts(sched), _generic_tile_writers(sched)
-        )
-
+class TestTileWriters:
     def test_single_writer_schedules_never_split_tiles(self):
         for name in ("thread_mapped", "dynamic_queue"):
             for shape, counts in SHAPES.items():
                 sched = make_schedule(name, make_work(counts), TINY_GPU)
-                assert int(tile_writer_counts(sched).max(initial=0)) <= 1, (
+                assert int(sched.tile_writers().max(initial=0)) <= 1, (
                     f"{name} split a tile on {shape}"
                 )
 

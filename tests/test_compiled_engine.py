@@ -1,14 +1,14 @@
-"""Tests for the compiled engine (JIT path, load materialization, cache).
+"""Tests for the compiled engine (JIT path, priced loads, plan cache).
 
 The compiled engine's contract has three legs:
 
 * **bit-for-bit parity** with the vector engine for every registered
   app under every registered schedule (the JIT runs the same dataflow);
-* **schedule-shaped timing**: per-thread load vectors materialized in
-  closed form must agree exactly with a generic probe of the schedule's
-  ``tiles()``/``atoms()`` iterator view;
-* a **process-wide compilation cache** with observable hit/miss
-  counters, working with or without numba installed.
+* **schedule-shaped timing**: the schedule's per-thread loads priced
+  like every engine's (the closed forms are checked against the
+  iterator probe in ``test_schedule_loads.py``);
+* priced loads **memoized in the one plan cache**, keyed apart from the
+  vector engine's plans, working with or without numba installed.
 """
 
 from __future__ import annotations
@@ -24,18 +24,14 @@ from repro.engine import (
     KernelDecl,
     UnknownEngineError,
     available_engines,
-    clear_compilation_cache,
-    compilation_cache_stats,
+    clear_plan_cache,
     engine_description,
     get_engine,
+    global_plan_cache,
     precompile_kernels,
     run_app,
 )
 from repro.engine import compiled as compiled_mod
-from repro.engine.compiled import (
-    _generic_loads,
-    materialize_loads,
-)
 from repro.engine.registry import available_apps, get_app
 from repro.gpusim.arch import TINY_GPU, V100
 from repro.sparse import generators as gen
@@ -137,67 +133,46 @@ class TestBitForBitParity:
         extras = result.stats.extras
         assert extras["engine"] == "compiled"
         assert extras["jit"] in ("numba", "numpy")
-        assert extras["compile_cache"] in ("hit", "miss")
-        assert extras["compile_cache_misses"] >= 1
 
 
-class TestLoadMaterialization:
-    """Closed-form per-thread loads equal the generic iterator probe."""
-
-    @pytest.mark.parametrize("sched_name", available_schedules())
-    @pytest.mark.parametrize("counts", [
-        [0],
-        [5, 0, 3, 1, 0, 9, 2],
-        list(range(33)),
-        [100] + [1] * 60,
-    ])
-    def test_builder_matches_generic(self, sched_name, counts):
-        work = WorkSpec.from_counts(np.asarray(counts, dtype=np.int64))
-        sched = make_schedule(sched_name, work, spec=TINY_GPU)
-        atoms_b, visits_b = materialize_loads(sched)
-        atoms_g, visits_g = _generic_loads(sched)
-        np.testing.assert_array_equal(atoms_b, atoms_g, err_msg=sched_name)
-        np.testing.assert_array_equal(visits_b, visits_g, err_msg=sched_name)
-
-    def test_unknown_schedule_name_uses_generic(self):
-        work = WorkSpec.from_counts(np.asarray([3, 1, 4], dtype=np.int64))
-        sched = make_schedule("thread_mapped", work, spec=TINY_GPU)
-        sched.name = "somebody_elses_schedule"
-        atoms, visits = materialize_loads(sched)
-        sched.name = "thread_mapped"
-        atoms_g, visits_g = _generic_loads(sched)
-        np.testing.assert_array_equal(atoms, atoms_g)
-        np.testing.assert_array_equal(visits, visits_g)
+def _spmv_compiled(policy, matrix=None):
+    matrix = _skewed_matrix() if matrix is None else matrix
+    return run_app("spmv", get_app("spmv").sweep_problem(matrix, 7),
+                   ctx=ExecutionContext(policy=policy, engine="compiled"))
 
 
-class TestCompilationCache:
+class TestPlanCache:
+    """Compiled launches memoize their priced loads in the plan cache."""
+
     def test_hit_after_miss(self):
-        clear_compilation_cache()
-        matrix = _skewed_matrix()
-        spec = get_app("spmv")
-        first = run_app(
-            "spmv", spec.sweep_problem(matrix, 7),
-            ctx=ExecutionContext(policy="merge_path", engine="compiled"),
-        )
-        second = run_app(
-            "spmv", spec.sweep_problem(matrix, 7),
-            ctx=ExecutionContext(policy="merge_path", engine="compiled"),
-        )
-        assert first.stats.extras["compile_cache"] == "miss"
-        assert second.stats.extras["compile_cache"] == "hit"
-        stats = compilation_cache_stats()
-        assert stats["hits"] >= 1 and stats["misses"] >= 1
-        assert stats["entries"] >= 1
+        clear_plan_cache()
+        first = _spmv_compiled("merge_path")
+        assert global_plan_cache().info()["misses"] == 1
+        second = _spmv_compiled("merge_path")
+        info = global_plan_cache().info()
+        assert (info["hits"], info["misses"], info["size"]) == (1, 1, 1)
+        assert second.stats == first.stats
+        assert second.stats.extras == first.stats.extras
 
     def test_distinct_schedules_are_distinct_entries(self):
-        clear_compilation_cache()
-        matrix = _skewed_matrix()
-        spec = get_app("spmv")
+        clear_plan_cache()
         for sched in ("thread_mapped", "merge_path"):
-            run_app("spmv", spec.sweep_problem(matrix, 7),
-                    ctx=ExecutionContext(policy=sched, engine="compiled"))
-        assert compilation_cache_stats()["entries"] >= 2
-        assert compilation_cache_stats()["hits"] == 0
+            _spmv_compiled(sched)
+        info = global_plan_cache().info()
+        assert (info["hits"], info["size"]) == (0, 2)
+
+    def test_compiled_and_vector_are_keyed_apart(self):
+        """Same launch, two cycle sources: the vector engine's planner
+        (with the fixup atomics) and the compiled engine's loads."""
+        clear_plan_cache()
+        matrix = _skewed_matrix()
+        problem = get_app("spmv").sweep_problem(matrix, 7)
+        vec = run_app("spmv", problem,
+                      ctx=ExecutionContext(policy="merge_path", engine="vector"))
+        comp = _spmv_compiled("merge_path", matrix)
+        info = global_plan_cache().info()
+        assert (info["hits"], info["misses"]) == (0, 2)
+        assert vec.stats.elapsed_ms != comp.stats.elapsed_ms
 
     def test_hand_built_schedule_never_shares_an_entry(self):
         """Regression: a schedule built by its class directly has unknown
@@ -217,36 +192,11 @@ class TestCompilationCache:
             ctx = ExecutionContext(engine="compiled", spec=V100, policy=sched)
             return spmv(matrix, x, ctx=ctx).elapsed_ms
 
-        clear_compilation_cache()
+        clear_plan_cache()
         fresh = run(hand)
-        clear_compilation_cache()
+        assert global_plan_cache().info()["size"] == 0
         assert run(default) != fresh
         assert run(hand) == fresh
-        assert compiled_mod.CompilationCache.key_for(hand, "spmv", (x,)) is None
-
-    def test_cache_is_bounded(self):
-        cache = compiled_mod.CompilationCache(max_entries=2)
-        matrix = _skewed_matrix()
-        work = WorkSpec.from_csr(matrix)
-        for name in ("thread_mapped", "merge_path", "group_mapped"):
-            sched = make_schedule(name, work, spec=TINY_GPU)
-            cache.loads(sched, "k", (matrix.row_offsets,))
-        assert len(cache) <= 2
-
-    def test_counters_flow_into_suite_rows(self):
-        from repro.evaluation.harness import run_suite
-
-        clear_compilation_cache()
-        rows = run_suite(
-            ["merge_path"], app="spmv", scale="smoke", limit=2,
-            ctx=ExecutionContext(engine="compiled"), executor="serial",
-        )
-        assert rows
-        for row in rows:
-            assert row.meta["engine"] == "compiled"
-            assert row.meta["compile_cache"] in ("hit", "miss")
-            assert "compile_cache_hits" in row.meta
-            assert "compile_cache_misses" in row.meta
 
 
 class _StubDispatcher:

@@ -202,15 +202,14 @@ class TestPlanCache:
 
     def test_unhashable_option_plans_live(self, small_matrix):
         from repro.apps.common import spmv_costs
-        from repro.engine.compiled import CompilationCache
 
         sched = make_schedule("merge_path", WorkSpec.from_csr(small_matrix),
                               TINY_GPU)
         sched.construction_options = {"tag": [1]}
         cache, costs = PlanCache(), spmv_costs(TINY_GPU)
         assert cache.plan(sched, costs) == sched.plan(costs)
+        assert cache.plan(sched, costs, loads=True) == sched.plan(costs, loads=True)
         assert (cache.hits, cache.misses, cache.info()["size"]) == (0, 0, 0)
-        assert CompilationCache.key_for(sched, "spmv", ()) is None
 
     def test_schedule_instances_bypass_cache(self, small_matrix):
         """Instances not built by make_schedule have unknown options and

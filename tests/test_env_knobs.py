@@ -5,15 +5,10 @@ daemon."""
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 from repro import faults
-from repro.engine import compiled, worker_pool
+from repro.engine import worker_pool
 from repro.service import server
 
 
@@ -53,9 +48,6 @@ KNOBS = [
     (faults.SLOW_SECONDS_ENV,
      lambda: _fault_registry().slow_seconds,
      faults.DEFAULT_SLOW_SECONDS),
-    (compiled.CACHE_ENTRIES_ENV,
-     lambda: compiled.CompilationCache().max_entries,
-     compiled._DEFAULT_CACHE_ENTRIES),
 ]
 
 
@@ -68,31 +60,3 @@ def test_malformed_value_warns_and_yields_the_default(
     monkeypatch.setenv(name, "abc")
     with pytest.warns(RuntimeWarning, match=name):
         assert read() == default
-
-
-@pytest.mark.parametrize("raw", ["0", "-4"])
-def test_compiled_cache_size_below_one_falls_back(monkeypatch, raw):
-    monkeypatch.setenv(compiled.CACHE_ENTRIES_ENV, raw)
-    with pytest.warns(RuntimeWarning, match=compiled.CACHE_ENTRIES_ENV):
-        cache = compiled.CompilationCache()
-    assert cache.max_entries == compiled._DEFAULT_CACHE_ENTRIES
-
-
-@pytest.mark.parametrize("raw", ["abc", "0"])
-def test_import_survives_a_bad_compiled_cache_size(raw):
-    """The compilation cache is built at import time: a bad value must
-    not take ``import repro`` (and so every command) down with it."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, REPRO_COMPILED_CACHE_ENTRIES=raw)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import repro, repro.engine.compiled as c; "
-         "print(c._CACHE.max_entries)"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == str(compiled._DEFAULT_CACHE_ENTRIES)
-    assert "REPRO_COMPILED_CACHE_ENTRIES" in proc.stderr  # the warning

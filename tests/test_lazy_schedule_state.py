@@ -19,7 +19,6 @@ from repro.core.schedule import LaunchParams, make_schedule
 from repro.core.schedules import lrb as lrb_module
 from repro.core.schedules import merge_path as mp_module
 from repro.core.work import WorkSpec
-from repro.engine.compiled import materialize_loads, tile_writer_counts
 from repro.engine.plan_cache import PlanCache
 from repro.gpusim.arch import TINY_GPU, V100
 
@@ -112,13 +111,12 @@ class TestLazyState:
         )
         assert _fresh(name, counts, launch, options).plan(costs) == eager.plan(costs)
         for lazy_view, eager_view in zip(
-            materialize_loads(_fresh(name, counts, launch, options)),
-            materialize_loads(eager),
+            _fresh(name, counts, launch, options).loads(), eager.loads()
         ):
             np.testing.assert_array_equal(lazy_view, eager_view)
         np.testing.assert_array_equal(
-            tile_writer_counts(_fresh(name, counts, launch, options)),
-            tile_writer_counts(eager),
+            _fresh(name, counts, launch, options).tile_writers(),
+            eager.tile_writers(),
         )
         if name == "merge_path":
             lazy = _fresh(name, counts, launch, options)

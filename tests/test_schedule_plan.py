@@ -154,14 +154,13 @@ class TestSimtAgreement:
     thread-mapped (pure per-lane sequential work, one tile per thread)."""
 
     def test_thread_mapped_interpreted_matches_planner(self):
-        from repro.engine import tile_charges
         from repro.gpusim.simt import launch_interpreted
 
         work = _work([3, 9, 0, 2, 14, 1, 1, 5, 4, 4, 0, 7])
         launch = LaunchParams(2, 8)
         sched = make_schedule("thread_mapped", work, TINY_GPU, launch)
         costs = spmv_costs(TINY_GPU)
-        atom_c, tile_c = tile_charges(sched, costs)
+        atom_c, tile_c = sched.charges(costs)
 
         def kernel(ctx):
             for tile in sched.tiles(ctx):
