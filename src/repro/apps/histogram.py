@@ -37,7 +37,8 @@ __all__ = ["degree_histogram", "degree_histogram_reference", "histogram_driver"]
 
 def _bin_counts(counts: np.ndarray) -> np.ndarray:
     """LRB-bin an atom-count array into the histogram (shared by the
-    reference and the SIMT finalize, so the two can never desynchronize)."""
+    vectorized body and the SIMT finalize, so the two can never
+    desynchronize)."""
     bins = lrb_bins(counts)
     num_bins = int(bins.max()) + 1 if bins.size else 1
     return np.bincount(bins, minlength=num_bins).astype(np.int64)
@@ -89,8 +90,14 @@ HISTOGRAM_DECL = KernelDecl(
 
 
 def degree_histogram_reference(matrix: CsrMatrix) -> np.ndarray:
-    """Pure NumPy oracle: LRB-binned row-length histogram."""
-    return _histogram_arrays(matrix.row_offsets)
+    """Pure NumPy oracle: LRB-binned row-length histogram.
+
+    A row of length ``n`` falls in bin ``ceil(log2(n + 1))``, which is
+    the binary exponent ``frexp`` reports for ``n`` (0 for an empty row)
+    -- derived from the row lengths without ``lrb_bins``.
+    """
+    _, bins = np.frexp(np.diff(matrix.row_offsets))
+    return np.bincount(bins, minlength=1).astype(np.int64)
 
 
 def degree_histogram(
@@ -150,7 +157,7 @@ def histogram_driver(problem, rt: Runtime) -> AppResult:
         simt=kernel,
         extras={"app": "degree_histogram"},
     )
-    return AppResult(output=output, stats=stats, schedule=sched.name)
+    return AppResult(output=output, stats=stats, schedule=rt.schedule_name(sched))
 
 
 def _sample_check(problem, output, seed: int, samples: int = 8) -> bool:

@@ -323,7 +323,7 @@ def spgemm_driver(problem, rt: Runtime) -> AppResult:
     return AppResult(
         output=c,
         stats=stats1 + stats2,
-        schedule=sched1.name,
+        schedule=rt.schedule_name(sched1),
         extras={"intermediate_products": int(products["counts_per_atom"].sum())},
     )
 

@@ -49,7 +49,7 @@ def spmm_costs(spec: GpuSpec, n_cols: int) -> WorkCosts:
 
 
 def _spmm_arrays(row_offsets, col_indices, values, b):
-    """The whole SpMM over flat arrays (shared by oracle and engines)."""
+    """The whole SpMM over flat arrays (the engines' vectorized body)."""
     num_rows = row_offsets.shape[0] - 1
     c = np.zeros((num_rows, b.shape[1]))
     row_ids = np.repeat(
@@ -87,9 +87,20 @@ SPMM_DECL = KernelDecl(
 
 
 def spmm_reference(matrix: CsrMatrix, b: np.ndarray) -> np.ndarray:
-    """Pure NumPy oracle."""
+    """Pure NumPy oracle: one COO scatter (``bincount`` over each entry's
+    row coordinate) per column of B, sharing no code with the kernel
+    bodies."""
     b = _check_b(matrix, b)
-    return _spmm_arrays(matrix.row_offsets, matrix.col_indices, matrix.values, b)
+    rows = np.repeat(
+        np.arange(matrix.num_rows, dtype=np.int64), matrix.row_lengths()
+    )
+    c = np.empty((matrix.num_rows, b.shape[1]))
+    for j in range(b.shape[1]):
+        c[:, j] = np.bincount(
+            rows, weights=matrix.values * b[matrix.col_indices, j],
+            minlength=matrix.num_rows,
+        )
+    return c
 
 
 def spmm(
@@ -147,7 +158,7 @@ def spmm_driver(problem, rt: Runtime) -> AppResult:
         simt=kernel,
         extras={"app": "spmm"},
     )
-    return AppResult(output=output, stats=stats, schedule=sched.name)
+    return AppResult(output=output, stats=stats, schedule=rt.schedule_name(sched))
 
 
 def _check_b(matrix: CsrMatrix, b) -> np.ndarray:

@@ -53,7 +53,7 @@ def mttkrp_costs(spec: GpuSpec, rank: int) -> WorkCosts:
 
 
 def _mttkrp_arrays(slice_offsets, jj, kk, values, b, c):
-    """The whole MTTKRP over flat arrays (shared by oracle and engines).
+    """The whole MTTKRP over flat arrays (the engines' vectorized body).
 
     ``slice_offsets`` is the mode-0 CSR-style extent array; the tensor's
     sortedness invariant makes ``repeat(arange, diff)`` exactly its
@@ -103,11 +103,18 @@ MTTKRP_DECL = KernelDecl(
 def spmttkrp_reference(
     tensor: SparseTensor3, b: np.ndarray, c: np.ndarray
 ) -> np.ndarray:
-    """Vectorized NumPy oracle."""
+    """Vectorized NumPy oracle: one scatter (``bincount`` over each
+    nonzero's ``i`` coordinate) per rank column, sharing no code with the
+    kernel bodies, which walk the mode-0 slice extents."""
     b, c = _check_factors(tensor, b, c)
-    return _mttkrp_arrays(
-        tensor.slice_offsets(), tensor.j, tensor.k, tensor.values, b, c
-    )
+    m = np.empty((tensor.shape[0], b.shape[1]))
+    for r in range(b.shape[1]):
+        m[:, r] = np.bincount(
+            tensor.i,
+            weights=tensor.values * b[tensor.j, r] * c[tensor.k, r],
+            minlength=tensor.shape[0],
+        )
+    return m
 
 
 def spmttkrp(
@@ -181,7 +188,7 @@ def spmttkrp_driver(problem, rt: Runtime) -> AppResult:
         simt=kernel,
         extras={"app": "spmttkrp"},
     )
-    return AppResult(output=output, stats=stats, schedule=sched.name)
+    return AppResult(output=output, stats=stats, schedule=rt.schedule_name(sched))
 
 
 def _check_factors(tensor: SparseTensor3, b, c) -> tuple[np.ndarray, np.ndarray]:

@@ -32,7 +32,7 @@ __all__ = ["spmv", "spmv_reference", "spmv_driver", "SPMV_DECL"]
 
 
 def _spmv_arrays(row_offsets, col_indices, values, x):
-    """The whole SpMV over flat arrays (shared by oracle and engines)."""
+    """The whole SpMV over flat arrays (the engines' vectorized body)."""
     num_rows = row_offsets.shape[0] - 1
     y = np.zeros(num_rows)
     row_ids = np.repeat(
@@ -68,9 +68,20 @@ SPMV_DECL = KernelDecl(
 
 
 def spmv_reference(matrix: CsrMatrix, x: np.ndarray) -> np.ndarray:
-    """Pure NumPy oracle (no scheduling, no simulation)."""
+    """Pure NumPy oracle: a COO scatter (``bincount`` over each entry's
+    row coordinate), sharing no code with the kernel bodies it validates.
+
+    The row coordinates are expanded here rather than through
+    ``csr_to_coo``, whose copies of the column and value arrays would
+    make this the slower of the two SpMV paths.
+    """
     x = check_dense_vector(x, matrix.num_cols)
-    return _spmv_arrays(matrix.row_offsets, matrix.col_indices, matrix.values, x)
+    rows = np.repeat(
+        np.arange(matrix.num_rows, dtype=np.int64), matrix.row_lengths()
+    )
+    products = x[matrix.col_indices]
+    products *= matrix.values
+    return np.bincount(rows, weights=products, minlength=matrix.num_rows)
 
 
 def spmv(
@@ -148,7 +159,7 @@ def spmv_driver(problem, rt: Runtime) -> AppResult:
         simt=kernel,
         extras={"app": "spmv", "locality": locality},
     )
-    return AppResult(output=output, stats=stats, schedule=sched.name)
+    return AppResult(output=output, stats=stats, schedule=rt.schedule_name(sched))
 
 
 def _sweep_problem(matrix: CsrMatrix, seed: int) -> SimpleNamespace:
@@ -160,7 +171,8 @@ def _sweep_problem(matrix: CsrMatrix, seed: int) -> SimpleNamespace:
 def _sample_check(problem, output, seed: int, samples: int = 8) -> bool:
     """Independent sampled dense check: re-derive a few output rows
     directly from the CSR slices (per-row ``dot``), a different reduction
-    path than the oracle's and the vector engine's shared scatter-add."""
+    path than the oracle's ``bincount`` and the vector engine's
+    scatter-add."""
     matrix, x = problem.matrix, problem.x
     y = np.asarray(output, dtype=np.float64)
     if y.shape != (matrix.num_rows,):

@@ -300,7 +300,7 @@ def triangle_count_driver(problem, rt: Runtime) -> AppResult:
     return AppResult(
         output=output,
         stats=stats,
-        schedule=sched.name,
+        schedule=rt.schedule_name(sched),
         extras={"upper_edges": upper.nnz},
     )
 

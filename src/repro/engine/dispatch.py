@@ -35,10 +35,16 @@ identically -- setup, bandwidth floor, block scheduling, launch overhead
 -- so the engines are cross-validated by construction.  Applications
 never branch on an engine name -- they describe launches to a
 :class:`Runtime` and its one engine does the rest.
+
+Because the vector engine's output never depends on the schedule, a
+:class:`RecordingRuntime` runs a driver once, logs its launches and
+prices the same launch sequence under any other policy without running
+the kernels again.
 """
 
 from __future__ import annotations
 
+import weakref
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -67,6 +73,7 @@ __all__ = [
     "unknown_name",
     "engine_description",
     "Runtime",
+    "RecordingRuntime",
 ]
 
 
@@ -279,8 +286,18 @@ class Runtime:
         self.policy = policy
 
     def schedule_label(self) -> str:
-        """Printable name of this runtime's schedule selection."""
+        """Printable name of this runtime's schedule selection.
+
+        Drivers whose result spans many launches (frontier loops, power
+        iteration) name it with this; the last naming call of a run
+        names its result.
+        """
         return self.policy.describe() if self.policy is not None else "?"
+
+    def schedule_name(self, sched: Schedule) -> str:
+        """Name a result after ``sched``, a schedule this runtime resolved
+        and launched (what single-launch drivers and spgemm report)."""
+        return sched.name
 
     def _policy_planner(self):
         """Pricing hook for cost-aware policies: the engine's plan cache.
@@ -330,3 +347,85 @@ class Runtime:
         return self.engine.launch(
             sched, costs, decl, args, simt=simt, extras=extras
         )
+
+
+class RecordingRuntime(Runtime):
+    """A vector :class:`Runtime` that logs its launches for repricing.
+
+    On the vector engine a launch's output does not depend on the
+    schedule, and drivers branch only on outputs, so one run of a driver
+    fixes its whole launch sequence.  Run the driver once on this
+    runtime (under its own policy); it keeps each launch's ``(work,
+    matrix, costs, extras)`` in order, and :meth:`reprice` then gives
+    the stats and schedule name the driver would report under any other
+    policy, without running a kernel body again.
+    """
+
+    def __init__(
+        self, engine: VectorEngine, *, spec: GpuSpec = V100, policy: SchedulePolicy
+    ):
+        super().__init__(engine, spec=spec, policy=policy)
+        #: ``(sched ref, work, matrix, costs, extras)`` per launch, in
+        #: order.  Schedules are held by weak reference only: each is
+        #: needed just to name the result, and keeping every launch's
+        #: schedule (with its lazily built plan state) alive for the
+        #: whole dataset raises the sweep's peak memory.
+        self.launches: list[tuple] = []
+        self._resolved: dict[int, tuple] = {}
+        #: What names the result: a launch index, ``"label"`` (the
+        #: policy's label) or ``None`` (not named through the runtime).
+        self._named_by: int | str | None = None
+
+    def schedule_for(self, work, *, matrix=None, costs=None):
+        sched = super().schedule_for(work, matrix=matrix, costs=costs)
+        self._resolved[id(sched)] = (weakref.ref(sched), work, matrix, costs)
+        return sched
+
+    def run_launch(self, sched, costs, decl, args, *, simt=None, extras=None):
+        resolved = self._resolved.get(id(sched))
+        # A dead schedule's id may be reused: the reference must be live.
+        if resolved is None or resolved[0]() is not sched or resolved[3] != costs:
+            raise EngineError(
+                "a logged launch must run a schedule this runtime resolved "
+                "with the launch's own costs"
+            )
+        self.launches.append((*resolved[:3], costs, extras))
+        return super().run_launch(
+            sched, costs, decl, args, simt=simt, extras=extras
+        )
+
+    def schedule_name(self, sched):
+        self._named_by = next(
+            i for i, launch in enumerate(self.launches) if launch[0]() is sched
+        )
+        return sched.name
+
+    def schedule_label(self):
+        self._named_by = "label"
+        return super().schedule_label()
+
+    def reprice(self, policy: SchedulePolicy) -> tuple[KernelStats | None, str]:
+        """``(stats, schedule name)`` of the logged run under ``policy``.
+
+        Each launch's schedule is resolved and planned in recording order
+        and the stats fold left with ``+``, as the driver composes them;
+        ``stats`` is ``None`` when the run made no launch (its own stats
+        then do not depend on the schedule).
+        """
+        if self._named_by is None:
+            raise EngineError(
+                "the driver did not name its schedule through "
+                "Runtime.schedule_name or Runtime.schedule_label"
+            )
+        rt = Runtime(self.engine, spec=self.spec, policy=policy)
+        plan = self.engine.plan_cache.plan
+        stats = None
+        names = []
+        for _, work, matrix, costs, extras in self.launches:
+            sched = rt.schedule_for(work, matrix=matrix, costs=costs)
+            names.append(sched.name)
+            launch = plan(sched, costs, extras=extras)
+            stats = launch if stats is None else stats + launch
+        if self._named_by == "label":
+            return stats, rt.schedule_label()
+        return stats, names[self._named_by]

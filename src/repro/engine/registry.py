@@ -70,8 +70,8 @@ class KernelDecl:
     label:
         Kernel identity within the application (``"spmv"``, spgemm's
         ``"count"``/``"compute"``, the frontier loop's ``"advance"``):
-        part of the compilation-cache key, and the name the race probe
-        and the effect analysis report the kernel under.
+        the name the race probe and the effect analysis report the
+        kernel under.
     arrays:
         ``arrays(*args) -> output``: the vectorized NumPy body over a
         flat argument tuple of plain ndarrays and scalars.
@@ -103,9 +103,12 @@ class AppSpec:
     ----------
     driver:
         ``driver(problem, runtime) -> AppResult``.  The whole application:
-        builds WorkSpecs, resolves schedules via ``runtime.schedule_for``
-        and executes kernels via ``runtime.run_launch`` -- never touching
-        an engine name.
+        builds WorkSpecs, resolves schedules via ``runtime.schedule_for``,
+        executes kernels via ``runtime.run_launch`` and names its result's
+        schedule via ``runtime.schedule_name`` or
+        ``runtime.schedule_label`` -- never touching an engine name.
+        It may branch only on launch outputs, never on the schedule, so
+        vector sweeps can price every schedule from one run's launches.
     kernels:
         Every :class:`KernelDecl` the driver launches, each exactly once.
     oracle:

@@ -1,0 +1,173 @@
+"""One functional pass per dataset: vector sweeps price from a launch log.
+
+On the vector engine ``run_suite`` runs each app's driver once per
+dataset on a :class:`~repro.engine.dispatch.RecordingRuntime` and prices
+every other schedule kernel from the logged launches.  These tests pin
+that the logged rows are the per-cell rows, that the kernel bodies run
+once per dataset (and still once per cell on the per-cell engines), that
+validation stays per cell, and that every oracle stands without the
+kernel bodies it validates -- the precondition for validating one shared
+output.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import sys
+
+import pytest
+
+from repro.engine import (
+    ExecutionContext,
+    SimtEngine,
+    available_apps,
+    get_app,
+    run_app,
+)
+from repro.evaluation import harness
+from repro.evaluation.harness import expand_datasets, run_cell, run_suite
+from repro.gpusim.arch import TINY_GPU
+from repro.sparse.corpus import load_dataset
+
+FIVE_KERNELS = ["thread_mapped", "group_mapped", "merge_path", "lrb", "heuristic"]
+
+
+@pytest.fixture
+def swap_bodies(monkeypatch):
+    """``swap(app, make)`` replaces every kernel body of ``app`` -- each
+    ``KernelDecl``'s ``arrays`` and ``scalar`` plus any module global
+    bound to the same function -- with ``make(original)``, restored at
+    teardown (declarations are frozen, so they are swapped in place)."""
+    swapped = []
+
+    def swap(app, make):
+        for decl in get_app(app).kernels:
+            for field in ("arrays", "scalar"):
+                body = getattr(decl, field)
+                if body is None:
+                    continue
+                replacement = make(body)
+                module = sys.modules[body.__module__]
+                for name, value in list(vars(module).items()):
+                    if value is body:
+                        monkeypatch.setattr(module, name, replacement)
+                swapped.append((decl, field, body))
+                object.__setattr__(decl, field, replacement)
+
+    yield swap
+    for decl, field, body in reversed(swapped):
+        object.__setattr__(decl, field, body)
+
+
+def _counting(counter):
+    def make(body):
+        def counted(*args):
+            counter[0] += 1
+            return body(*args)
+
+        return counted
+
+    return make
+
+
+def _cells(app, kernels, datasets, ctx=None):
+    return [run_cell(app, k, d, ctx=ctx) for d in datasets for k in kernels]
+
+
+@pytest.mark.parametrize("app", available_apps())
+def test_logged_rows_equal_per_cell_rows(app):
+    """A baseline first, then policies that resolve differently from the
+    recording kernel: every row bit-equal to its own ``run_cell``."""
+    kernels = [*list(get_app(app).baselines)[:1], "heuristic", "oracle_best", "lrb"]
+    datasets = expand_datasets(app, scale="smoke", limit=4)
+    rows = run_suite(kernels, app=app, datasets=datasets)
+    cells = _cells(app, kernels, datasets)
+    assert [(r.kernel, r.dataset) for r in rows] == [
+        (c.kernel, c.dataset) for c in cells
+    ]
+    for row, cell in zip(rows, cells):
+        assert row == cell
+        assert row.elapsed.hex() == cell.elapsed.hex(), (row.kernel, row.dataset)
+        assert row.meta == cell.meta, (row.kernel, row.dataset)
+
+
+def test_vector_sweep_runs_kernel_bodies_once_per_dataset(swap_bodies):
+    calls = [0]
+    swap_bodies("bfs", _counting(calls))
+    datasets = expand_datasets("bfs", scale="smoke", limit=4)
+    one_cell = 0
+    for dataset in datasets:
+        calls[0] = 0
+        run_cell("bfs", "merge_path", dataset)
+        one_cell += calls[0]
+    assert one_cell > len(datasets)  # several frontier launches each
+    calls[0] = 0
+    run_suite(FIVE_KERNELS, app="bfs", datasets=datasets)
+    assert calls[0] == one_cell
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [ExecutionContext(engine="simt", spec=TINY_GPU), ExecutionContext(gpus=4)],
+    ids=["simt", "multi_gpu"],
+)
+def test_per_cell_engines_still_run_every_cell(swap_bodies, monkeypatch, ctx):
+    calls = [0]
+    swap_bodies("bfs", _counting(calls))  # the multi-GPU engine's body
+    launch = SimtEngine.launch
+
+    def counted_launch(self, *args, **kwargs):
+        calls[0] += 1
+        return launch(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimtEngine, "launch", counted_launch)
+    kernels = ["thread_mapped", "merge_path", "lrb"]
+    datasets = expand_datasets("bfs", scale="smoke", limit=2)
+    _cells("bfs", kernels, datasets, ctx=ctx)
+    per_cell = calls[0]
+    calls[0] = 0
+    run_suite(kernels, app="bfs", datasets=datasets, ctx=ctx)
+    assert per_cell > 0 and calls[0] == per_cell
+
+
+@pytest.mark.parametrize("failing", ["match", "sample_check"])
+def test_validation_failure_names_the_cell(monkeypatch, failing):
+    """Every cell validates the shared output with its own checks: a
+    failed ``match`` stops the first cell; a sample check failing only
+    under ``lrb``'s per-cell seed stops the repriced ``lrb`` cell."""
+    [dataset] = expand_datasets("spmv", scale="smoke", limit=1)
+    spec = get_app("spmv")
+    if failing == "match":
+        bad = dataclasses.replace(spec, match=lambda output, expected: False)
+        kernel, message = "merge_path", "validation failed"
+    else:
+        lrb_seed = harness._sample_seed("spmv", "lrb", dataset, 0)
+        bad = dataclasses.replace(
+            spec,
+            sample_check=lambda problem, output, seed: seed != lrb_seed,
+        )
+        kernel, message = "lrb", "sampled dense check failed"
+    monkeypatch.setattr(harness, "get_app", lambda name: bad)
+    with pytest.raises(AssertionError) as info:
+        run_suite(["merge_path", "lrb"], datasets=[dataset], seed=0)
+    assert str(info.value) == (
+        f"{message} for app=spmv kernel={kernel} dataset={dataset.name}"
+    )
+
+
+@pytest.mark.parametrize("app", available_apps())
+def test_oracle_stands_without_the_kernel_bodies(swap_bodies, app):
+    spec = get_app(app)
+    problem = spec.sweep_problem(load_dataset("tiny_power_256", "smoke").matrix, 0)
+    output = run_app(spec, problem).output
+
+    def make(body):
+        def forbidden(*args):
+            raise AssertionError(f"the {app} oracle ran a kernel body")
+
+        return forbidden
+
+    swap_bodies(app, make)
+    with pytest.raises(AssertionError):
+        run_app(spec, problem)  # the bodies really are gone
+    assert spec.match(output, spec.oracle(problem))
