@@ -18,6 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from ..engine import AppSpec, Runtime, register_app, run_app
+from ..gpusim.cost_model import KernelStats
 from ..sparse.convert import csr_to_coo, csr_transpose
 from ..sparse.csr import CsrMatrix
 from .common import AppResult
@@ -108,22 +109,22 @@ def pagerank_driver(problem, rt: Runtime) -> AppResult:
     pull = _pull_matrix(adjacency)
     dangling = adjacency.row_lengths() == 0
     rank = np.full(n, 1.0 / n)
-    total_stats = None
+    steps = []
     iterations = 0
     for iterations in range(1, max_iter + 1):
         step = spmv_driver(
             SimpleNamespace(matrix=pull, x=rank, locality=False), rt
         )
-        total_stats = step.stats if total_stats is None else total_stats + step.stats
+        steps.append(step.stats)
         new = damping * (step.output + rank[dangling].sum() / n) + (1 - damping) / n
         delta = float(np.abs(new - rank).sum())
         rank = new
         if delta < tol:
             break
-    assert total_stats is not None
+    assert steps
     return AppResult(
         output=rank,
-        stats=total_stats,
+        stats=KernelStats.chain(steps),
         schedule=rt.schedule_label(),
         extras={"iterations": iterations},
     )

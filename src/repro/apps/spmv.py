@@ -71,9 +71,8 @@ def spmv_reference(matrix: CsrMatrix, x: np.ndarray) -> np.ndarray:
     """Pure NumPy oracle: a COO scatter (``bincount`` over each entry's
     row coordinate), sharing no code with the kernel bodies it validates.
 
-    The row coordinates are expanded here rather than through
-    ``csr_to_coo``, whose copies of the column and value arrays would
-    make this the slower of the two SpMV paths.
+    Only the row coordinates are expanded; the columns and values are
+    the CSR's own arrays, read as ``csr_to_coo`` would view them.
     """
     x = check_dense_vector(x, matrix.num_cols)
     rows = np.repeat(

@@ -136,7 +136,6 @@ def run_frontier_loop(
     n = graph.num_vertices
     frontier = np.asarray([source], dtype=np.int64)
     iterations: list[FrontierIteration] = []
-    total_stats: KernelStats | None = None
     limit = max_iterations if max_iterations is not None else graph.num_vertices + 1
     costs = traversal_costs(rt.spec)
     out_degrees = graph.out_degrees()
@@ -194,7 +193,6 @@ def run_frontier_loop(
             simt=kernel,
             extras={"app": "traversal", "iteration": it},
         )
-        total_stats = stats if total_stats is None else total_stats + stats
 
         iterations.append(
             FrontierIteration(
@@ -206,6 +204,7 @@ def run_frontier_loop(
         )
         frontier = np.nonzero(next_mask)[0].astype(np.int64)
 
+    total_stats = KernelStats.chain([i.stats for i in iterations])
     if total_stats is None:
         # No iteration ran (``max_iterations=0``): charge one empty launch.
         total_stats = price(rt.spec, 1, 32, np.zeros(0))

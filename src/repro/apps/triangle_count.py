@@ -22,8 +22,7 @@ from ..engine import (
     run_app,
 )
 from ..gpusim.arch import GpuSpec
-from ..sparse.convert import coo_to_csr, csr_to_coo
-from ..sparse.coo import CooMatrix
+from ..sparse.convert import csr_to_coo, offsets_from_counts
 from ..sparse.csr import CsrMatrix
 from .common import AppResult
 
@@ -31,25 +30,23 @@ __all__ = ["triangle_count", "triangle_count_reference", "triangle_count_driver"
 
 
 def _upper_triangle(adjacency: CsrMatrix) -> CsrMatrix:
-    """Keep edges (u, v) with v > u (each triangle counted once).
+    """The symmetrized, binarized strict upper triangle, in one pass.
 
-    Vectorized: the strict upper triangle is a mask over the expanded
-    (row, col) pairs; a ``unique`` over linearized keys dedupes *and*
-    sorts, so each row's neighbor list comes out sorted-unique (the
-    invariant the intersection kernels rely on).
+    Every stored off-diagonal entry (r, c), whatever its value, is the
+    edge ``(min, max)``; self-loops are dropped.  The linearized keys
+    ``min * n + max`` are sorted and deduplicated with a neighbour mask,
+    so each row's neighbor list comes out sorted-unique (the invariant
+    the intersection kernels rely on), and ``bincount`` gives the row
+    offsets.
     """
-    n_rows, n_cols = adjacency.shape
-    rows = np.repeat(
-        np.arange(n_rows, dtype=np.int64), adjacency.row_lengths()
-    )
+    n = adjacency.num_rows
+    rows = np.repeat(np.arange(n, dtype=np.int64), adjacency.row_lengths())
     cols = adjacency.col_indices
-    mask = cols > rows
-    keys = np.unique(rows[mask] * np.int64(n_cols) + cols[mask])
-    sel_rows = keys // n_cols
-    sel_cols = keys % n_cols
-    lengths = np.bincount(sel_rows, minlength=n_rows).astype(np.int64)
-    offsets = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
+    keys = np.minimum(rows, cols) * np.int64(n) + np.maximum(rows, cols)
+    keys = np.sort(keys[rows != cols])
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    sel_rows, sel_cols = np.divmod(keys, n)
+    offsets = offsets_from_counts(np.bincount(sel_rows, minlength=n))
     return CsrMatrix.from_arrays(
         offsets, sel_cols, np.ones(sel_cols.size), adjacency.shape
     )
@@ -165,52 +162,49 @@ INTERSECT_DECL = KernelDecl(
 )
 
 
-#: Set bits of every byte value, the popcount table the oracle sums.
-_POPCOUNT = np.unpackbits(
-    np.arange(256, dtype=np.uint8)[:, None], axis=1
-).sum(axis=1, dtype=np.uint8)
-
-
 def triangle_count_reference(adjacency: CsrMatrix) -> int:
     """Oracle: count triangles with packed neighbor bitsets.
 
     An edge is a stored off-diagonal entry, whatever its value (explicit
     zeros and cancelling duplicates still count); direction, duplicates
-    and self-loops are ignored.  Each vertex gets one packed bit-row of
-    its undirected neighbors (``n * ceil(n / 8)`` bytes), and each
-    unique edge u < v adds ``popcount(bits[u] & bits[v])``, its common
-    neighbors; every triangle is seen from its three edges.  Built from
-    the raw stored pattern, independent of the kernel's host prep and
-    intersections.
+    and self-loops are ignored.  Each vertex gets one bit-row of its
+    undirected neighbors, packed into ``ceil(n / 64)`` ``uint64`` words
+    (``n * ceil(n / 64) * 8`` bytes in all; neighbor ``c`` of row ``r``
+    is bit ``c % 64`` of word ``c // 64``), and each unique edge u < v
+    adds ``popcount(bits[u] & bits[v])``, its common neighbors; every
+    triangle is seen from its three edges.  Built from the raw stored
+    pattern, independent of the kernel's host prep and intersections.
     """
     n = adjacency.num_rows
-    row_bytes = (n + 7) // 8
+    words = (n + 63) // 64
+    row_bits = 64 * words
     coo = csr_to_coo(adjacency)
     off_diag = coo.rows != coo.cols
     rows = np.concatenate([coo.rows[off_diag], coo.cols[off_diag]])
     cols = np.concatenate([coo.cols[off_diag], coo.rows[off_diag]])
-    # One bit per (row, col), rows padded to whole bytes: bit key >> 3 is
-    # the byte, and distinct keys in one byte OR together by summing.
-    keys = np.unique(rows * np.int64(8 * row_bytes) + cols)
+    # One bit per (row, col): bit key >> 6 is the word, and the distinct
+    # keys of one word OR together by summing.
+    keys = np.sort(rows * np.int64(row_bits) + cols)
+    keys = keys[np.diff(keys, prepend=-1) != 0]
     if keys.size == 0:
         return 0
-    bits = np.zeros(n * row_bytes, dtype=np.uint8)
-    byte = keys >> 3
-    starts = np.flatnonzero(np.concatenate(([True], byte[1:] != byte[:-1])))
-    masks = (0x80 >> (keys & 7)).astype(np.uint8)
-    bits[byte[starts]] = np.add.reduceat(masks, starts)
-    bits = bits.reshape(n, row_bytes)
+    bits = np.zeros(n * words, dtype=np.uint64)
+    word = keys >> 6
+    starts = np.flatnonzero(np.diff(word, prepend=-1))
+    masks = np.left_shift(np.uint64(1), (keys & 63).astype(np.uint64))
+    bits[word[starts]] = np.add.reduceat(masks, starts)
+    bits = bits.reshape(n, words)
 
-    u, v = np.divmod(keys, 8 * row_bytes)
+    u, v = np.divmod(keys, row_bits)
     upper = u < v
     u, v = u[upper], v[upper]
-    # Bounded chunks: each one ANDs ``chunk`` row pairs of row_bytes
-    # (256 KB per temporary, small enough to reuse heap pages).
-    chunk = max(1, (1 << 18) // row_bytes)
+    # Bounded chunks: each one ANDs ``chunk`` row pairs (256 KB per
+    # temporary, small enough to reuse heap pages).
+    chunk = max(1, (1 << 15) // words)
     common = 0
     for lo in range(0, u.size, chunk):
         shared = bits[u[lo:lo + chunk]] & bits[v[lo:lo + chunk]]
-        common += int(_POPCOUNT[shared].sum(dtype=np.int64))
+        common += int(np.bitwise_count(shared).sum(dtype=np.int64))
     return common // 3
 
 
@@ -229,14 +223,12 @@ def _intersection_costs(spec: GpuSpec, mean_degree: float) -> WorkCosts:
 def _triangle_problem(adjacency: CsrMatrix) -> SimpleNamespace:
     """The host-prep half of a triangle count, built once per graph.
 
-    Symmetrize/binarize, then reduce to the upper triangle: every
-    schedule's launch over this graph reads the same ``upper``.
+    The symmetrized, binarized upper triangle: every schedule's launch
+    over this graph reads the same ``upper``.
     """
     if adjacency.num_rows != adjacency.num_cols:
         raise ValueError("triangle counting requires a square adjacency")
-    return SimpleNamespace(
-        adjacency=adjacency, upper=_upper_triangle(_symmetrized(adjacency))
-    )
+    return SimpleNamespace(adjacency=adjacency, upper=_upper_triangle(adjacency))
 
 
 def triangle_count(
@@ -303,18 +295,6 @@ def triangle_count_driver(problem, rt: Runtime) -> AppResult:
         schedule=rt.schedule_name(sched),
         extras={"upper_edges": upper.nnz},
     )
-
-
-def _symmetrized(adjacency: CsrMatrix) -> CsrMatrix:
-    coo = csr_to_coo(adjacency)
-    keep = coo.rows != coo.cols
-    rows = np.concatenate([coo.rows[keep], coo.cols[keep]])
-    cols = np.concatenate([coo.cols[keep], coo.rows[keep]])
-    sym = CooMatrix.from_arrays(
-        rows, cols, np.ones(rows.size), adjacency.shape
-    ).sum_duplicates()
-    ones = CooMatrix.from_arrays(sym.rows, sym.cols, np.ones(sym.nnz), sym.shape)
-    return coo_to_csr(ones)
 
 
 register_app(

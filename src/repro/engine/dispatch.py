@@ -355,25 +355,31 @@ class RecordingRuntime(Runtime):
     On the vector engine a launch's output does not depend on the
     schedule, and drivers branch only on outputs, so one run of a driver
     fixes its whole launch sequence.  Run the driver once on this
-    runtime (under its own policy); it keeps each launch's ``(work,
-    matrix, costs, extras)`` in order, and :meth:`reprice` then gives
-    the stats and schedule name the driver would report under any other
-    policy, without running a kernel body again.
+    runtime (under its own policy); it logs its launches in order, and
+    :meth:`reprice` then gives the stats and schedule name the driver
+    would report under any other policy, without running a kernel body
+    again.  Launches with the same work offsets, atom count, matrix (by
+    identity) and costs are one *distinct* launch, resolved and planned
+    once: a policy's choice depends only on those and the device spec
+    (true of every built-in policy), and extras never affect timing.
     """
 
     def __init__(
         self, engine: VectorEngine, *, spec: GpuSpec = V100, policy: SchedulePolicy
     ):
         super().__init__(engine, spec=spec, policy=policy)
-        #: ``(sched ref, work, matrix, costs, extras)`` per launch, in
-        #: order.  Schedules are held by weak reference only: each is
-        #: needed just to name the result, and keeping every launch's
-        #: schedule (with its lazily built plan state) alive for the
-        #: whole dataset raises the sweep's peak memory.
+        #: ``(sched ref, distinct index)`` per launch, in order.
+        #: Schedules are held by weak reference only: each is needed just
+        #: to name the result, and keeping every launch's schedule (with
+        #: its lazily built plan state) alive for the whole dataset raises
+        #: the sweep's peak memory.
         self.launches: list[tuple] = []
+        #: Content key -> ``(index, work, matrix, costs, extras)`` of each
+        #: distinct launch, as first logged.
+        self._distinct: dict[tuple, tuple] = {}
         self._resolved: dict[int, tuple] = {}
-        #: What names the result: a launch index, ``"label"`` (the
-        #: policy's label) or ``None`` (not named through the runtime).
+        #: What names the result: a distinct launch's index, ``"label"``
+        #: (the policy's label) or ``None`` (not named through the runtime).
         self._named_by: int | str | None = None
 
     def schedule_for(self, work, *, matrix=None, costs=None):
@@ -389,15 +395,18 @@ class RecordingRuntime(Runtime):
                 "a logged launch must run a schedule this runtime resolved "
                 "with the launch's own costs"
             )
-        self.launches.append((*resolved[:3], costs, extras))
+        ref, work, matrix, _ = resolved
+        # Every distinct launch keeps its matrix alive, so the matrix's
+        # id is not reused while the key is held.
+        key = (work.tile_offsets.tobytes(), work.num_atoms, id(matrix), costs)
+        first = (len(self._distinct), work, matrix, costs, extras)
+        self.launches.append((ref, self._distinct.setdefault(key, first)[0]))
         return super().run_launch(
             sched, costs, decl, args, simt=simt, extras=extras
         )
 
     def schedule_name(self, sched):
-        self._named_by = next(
-            i for i, launch in enumerate(self.launches) if launch[0]() is sched
-        )
+        self._named_by = next(i for ref, i in self.launches if ref() is sched)
         return sched.name
 
     def schedule_label(self):
@@ -407,10 +416,10 @@ class RecordingRuntime(Runtime):
     def reprice(self, policy: SchedulePolicy) -> tuple[KernelStats | None, str]:
         """``(stats, schedule name)`` of the logged run under ``policy``.
 
-        Each launch's schedule is resolved and planned in recording order
-        and the stats fold left with ``+``, as the driver composes them;
-        ``stats`` is ``None`` when the run made no launch (its own stats
-        then do not depend on the schedule).
+        Each distinct launch is resolved and planned once; the logged
+        sequence of their stats then folds with :meth:`KernelStats.chain`,
+        as the driver composes them.  ``stats`` is ``None`` when the run
+        made no launch (its own stats then do not depend on the schedule).
         """
         if self._named_by is None:
             raise EngineError(
@@ -419,13 +428,12 @@ class RecordingRuntime(Runtime):
             )
         rt = Runtime(self.engine, spec=self.spec, policy=policy)
         plan = self.engine.plan_cache.plan
-        stats = None
-        names = []
-        for _, work, matrix, costs, extras in self.launches:
+        stats, names = [], []
+        for _, work, matrix, costs, extras in self._distinct.values():
             sched = rt.schedule_for(work, matrix=matrix, costs=costs)
+            stats.append(plan(sched, costs, extras=extras))
             names.append(sched.name)
-            launch = plan(sched, costs, extras=extras)
-            stats = launch if stats is None else stats + launch
+        total = KernelStats.chain([stats[i] for _, i in self.launches])
         if self._named_by == "label":
-            return stats, rt.schedule_label()
-        return stats, names[self._named_by]
+            return total, rt.schedule_label()
+        return total, names[self._named_by]

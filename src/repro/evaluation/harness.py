@@ -19,8 +19,10 @@ runs once too, for the first schedule kernel, on a
 :class:`~repro.engine.dispatch.RecordingRuntime`.  The vector engine's
 outputs do not depend on the schedule, so every other schedule kernel
 is priced from that run's launch log, bit-identical to running its
-cell.  Every cell still validates the shared output (the oracle and its
-own seeded sample check).  The ``simt``, ``compiled`` and ``multi_gpu``
+cell; each distinct launch (work, matrix, costs) is resolved and
+planned once per kernel, as a policy's choice depends on nothing else.
+Every cell still validates the shared output (the oracle and its own
+seeded sample check).  The ``simt``, ``compiled`` and ``multi_gpu``
 engines and the baselines execute every cell.
 
 Performance knobs

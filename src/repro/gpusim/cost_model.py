@@ -16,7 +16,7 @@ never on which engine measured it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -53,20 +53,29 @@ class KernelStats:
         """Sequential composition of two launches (e.g. frontier iterations)."""
         if not isinstance(other, KernelStats):
             return NotImplemented
-        total_ms = self.elapsed_ms + other.elapsed_ms
-        w = self.elapsed_ms / total_ms if total_ms > 0 else 0.5
-        blend = lambda a, b: w * a + (1 - w) * b  # noqa: E731
-        return KernelStats(
-            elapsed_ms=total_ms,
-            makespan_cycles=self.makespan_cycles + other.makespan_cycles,
-            grid_dim=max(self.grid_dim, other.grid_dim),
-            block_dim=max(self.block_dim, other.block_dim),
-            occupancy=blend(self.occupancy, other.occupancy),
-            simt_efficiency=blend(self.simt_efficiency, other.simt_efficiency),
-            utilization=blend(self.utilization, other.utilization),
-            tail_fraction=blend(self.tail_fraction, other.tail_fraction),
-            total_thread_cycles=self.total_thread_cycles + other.total_thread_cycles,
+        return KernelStats.chain([self, other])
+
+    @staticmethod
+    def chain(launches: list) -> "KernelStats | None":
+        """Sequential composition of a launch list, ``((a + b) + c) ...``,
+        as one left fold over plain floats (``None`` for no launch; a
+        single launch is returned as is, extras included)."""
+        if len(launches) < 2:
+            return launches[0] if launches else None
+        ms, cycles, grid, block, occ, eff, util, tail, useful = (
+            getattr(launches[0], f.name) for f in fields(KernelStats)[:-1]
         )
+        for s in launches[1:]:
+            total_ms = ms + s.elapsed_ms
+            w = ms / total_ms if total_ms > 0 else 0.5
+            ms, cycles = total_ms, cycles + s.makespan_cycles
+            grid, block = max(grid, s.grid_dim), max(block, s.block_dim)
+            occ = w * occ + (1 - w) * s.occupancy
+            eff = w * eff + (1 - w) * s.simt_efficiency
+            util = w * util + (1 - w) * s.utilization
+            tail = w * tail + (1 - w) * s.tail_fraction
+            useful += s.total_thread_cycles
+        return KernelStats(ms, cycles, grid, block, occ, eff, util, tail, useful)
 
 
 def price(

@@ -42,12 +42,13 @@ def coo_to_csr(coo: CooMatrix) -> CsrMatrix:
 
 
 def csr_to_coo(csr: CsrMatrix) -> CooMatrix:
+    """``cols`` and ``values`` are read-only views of the CSR's arrays."""
     rows = np.repeat(
         np.arange(csr.num_rows, dtype=np.int64), csr.row_lengths()
     )
-    return CooMatrix.from_arrays(
-        rows, csr.col_indices.copy(), csr.values.copy(), csr.shape, validate=False
-    )
+    cols, values = csr.col_indices.view(), csr.values.view()
+    cols.flags.writeable = values.flags.writeable = False
+    return CooMatrix.from_arrays(rows, cols, values, csr.shape, validate=False)
 
 
 def coo_to_csc(coo: CooMatrix) -> CscMatrix:

@@ -157,3 +157,79 @@ class TestStatsComposition:
     def test_add_type_error(self):
         with pytest.raises(TypeError):
             _ = self._mk(1.0) + 5  # type: ignore[operator]
+
+
+def _pairwise_add(a: KernelStats, b: KernelStats) -> KernelStats:
+    """The pairwise ``+`` formula ``KernelStats.chain`` replaced, kept as
+    the reference the fold must reproduce bit for bit."""
+    total_ms = a.elapsed_ms + b.elapsed_ms
+    w = a.elapsed_ms / total_ms if total_ms > 0 else 0.5
+    blend = lambda x, y: w * x + (1 - w) * y  # noqa: E731
+    return KernelStats(
+        elapsed_ms=total_ms,
+        makespan_cycles=a.makespan_cycles + b.makespan_cycles,
+        grid_dim=max(a.grid_dim, b.grid_dim),
+        block_dim=max(a.block_dim, b.block_dim),
+        occupancy=blend(a.occupancy, b.occupancy),
+        simt_efficiency=blend(a.simt_efficiency, b.simt_efficiency),
+        utilization=blend(a.utilization, b.utilization),
+        tail_fraction=blend(a.tail_fraction, b.tail_fraction),
+        total_thread_cycles=a.total_thread_cycles + b.total_thread_cycles,
+    )
+
+
+FIELDS = ("elapsed_ms", "makespan_cycles", "occupancy", "simt_efficiency",
+          "utilization", "tail_fraction", "total_thread_cycles")
+
+
+def _bits(s: KernelStats) -> tuple:
+    return (s.grid_dim, s.block_dim, *(float(getattr(s, f)).hex() for f in FIELDS))
+
+
+def _random_stats(rng, n: int, zero_share: float = 0.0) -> list[KernelStats]:
+    out = []
+    for i in range(n):
+        ms = 0.0 if rng.random() < zero_share else float(rng.exponential(0.01))
+        out.append(KernelStats(
+            elapsed_ms=ms,
+            makespan_cycles=ms * 1.38e6,
+            grid_dim=int(rng.integers(1, 5000)),
+            block_dim=int(rng.choice([32, 128, 256])),
+            occupancy=float(rng.random()),
+            simt_efficiency=float(rng.random()),
+            utilization=float(rng.random()),
+            tail_fraction=float(rng.random()),
+            total_thread_cycles=float(rng.integers(0, 10**7)),
+            extras={"iteration": i},
+        ))
+    return out
+
+
+class TestChain:
+    """``KernelStats.chain`` is the left fold of the pairwise formula."""
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 1000])
+    @pytest.mark.parametrize("zero_share", [0.0, 0.3, 1.0],
+                             ids=["timed", "some_zero", "all_zero"])
+    def test_equals_pairwise_fold(self, n, zero_share):
+        stats = _random_stats(np.random.default_rng(n), n, zero_share)
+        reference = stats[0]
+        for s in stats[1:]:
+            reference = _pairwise_add(reference, s)
+        folded = KernelStats.chain(stats)
+        assert _bits(folded) == _bits(reference)
+        assert folded.extras == {}
+
+    def test_add_is_a_two_launch_chain(self):
+        a, b = _random_stats(np.random.default_rng(7), 2)
+        assert _bits(a + b) == _bits(_pairwise_add(a, b))
+
+    def test_zero_elapsed_pair_blends_evenly(self):
+        a, b = _random_stats(np.random.default_rng(8), 2, zero_share=1.0)
+        s = KernelStats.chain([a, b])
+        assert s.occupancy == 0.5 * a.occupancy + 0.5 * b.occupancy
+
+    def test_short_sequences(self):
+        assert KernelStats.chain([]) is None
+        [one] = _random_stats(np.random.default_rng(9), 1)
+        assert KernelStats.chain([one]) is one  # its extras included

@@ -293,13 +293,28 @@ class TestTriangleOracle:
             raise AssertionError("oracle reached the validated code")
 
         for name in (
-            "_symmetrized",
+            "_triangle_problem",
             "_upper_triangle",
             "_triangle_count_arrays",
             "_triangle_count_scalar",
         ):
             monkeypatch.setattr(tc_module, name, forbidden)
         assert tc_module.triangle_count_reference(matrix) == expected
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129])
+    def test_word_boundaries_match_brute_force(self, n):
+        """Rows one word wide, exactly full, and spilling into the next:
+        dense enough that the last vertices close triangles too."""
+        rng = np.random.default_rng(n)
+        rows = rng.integers(0, n, size=n * n // 5)
+        cols = rng.integers(0, n, size=rows.size)
+        rows = np.concatenate([rows, [n - 1, n - 2, n - 1, 0]])
+        cols = np.concatenate([cols, [n - 2, 0, 0, n - 1]])
+        values = rng.choice([0.0, 1.0], size=rows.size)
+        matrix = coo_to_csr(CooMatrix.from_arrays(rows, cols, values, (n, n)))
+        expected = _brute_force_triangles(matrix)
+        assert expected > 0
+        assert triangle_count_reference(matrix) == expected
 
     def test_memory_stays_sparse(self):
         matrix = gen.poisson_random(8195, 8195, 8.0, seed=3)
@@ -350,6 +365,48 @@ _ADVERSARIAL = {
     "explicit_zero_cycle": _three_cycle_upper([0.0]),
     "empty_upper": _self_loops_only(33),
 }
+
+
+def _both_directions(n, seed):
+    """A messy graph plus its transpose: every edge stored both ways,
+    some of them twice, with the self-loops and zeros kept."""
+    coo = csr_to_coo(_messy_graph(n, seed))
+    return coo_to_csr(CooMatrix.from_arrays(
+        np.concatenate([coo.rows, coo.cols]),
+        np.concatenate([coo.cols, coo.rows]),
+        np.concatenate([coo.values, coo.values]),
+        (n, n),
+    ))
+
+
+def _two_step_upper(adjacency):
+    """Reference for ``_upper_triangle``'s one pass, in two steps:
+    symmetrize and binarize through ``sum_duplicates`` and ``coo_to_csr``,
+    then keep the strict upper triangle."""
+    coo = csr_to_coo(adjacency)
+    keep = coo.rows != coo.cols
+    rows = np.concatenate([coo.rows[keep], coo.cols[keep]])
+    cols = np.concatenate([coo.cols[keep], coo.rows[keep]])
+    sym = CooMatrix.from_arrays(
+        rows, cols, np.ones(rows.size), adjacency.shape
+    ).sum_duplicates()
+    upper = sym.cols > sym.rows
+    return coo_to_csr(CooMatrix.from_arrays(
+        sym.rows[upper], sym.cols[upper], np.ones(int(upper.sum())), sym.shape
+    ))
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [*_ADVERSARIAL.values(), _both_directions(2, 1), _both_directions(45, 4)],
+    ids=[*_ADVERSARIAL, "both_directions_n2", "both_directions_n45"],
+)
+def test_one_pass_upper_equals_two_step_construction(matrix):
+    got, want = tc_module._upper_triangle(matrix), _two_step_upper(matrix)
+    for field in ("row_offsets", "col_indices", "values"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+    assert got.shape == want.shape
 
 
 class TestTriangleKernel:

@@ -17,17 +17,25 @@ import sys
 
 import pytest
 
+from repro.core.policy import SchedulePolicy, as_policy
+from repro.core.schedule import WorkCosts
+from repro.core.work import WorkSpec
 from repro.engine import (
     ExecutionContext,
+    KernelDecl,
     SimtEngine,
+    VectorEngine,
     available_apps,
     get_app,
     run_app,
 )
+from repro.engine.dispatch import RecordingRuntime, Runtime
+from repro.gpusim.cost_model import KernelStats
 from repro.evaluation import harness
 from repro.evaluation.harness import expand_datasets, run_cell, run_suite
 from repro.gpusim.arch import TINY_GPU
 from repro.sparse.corpus import load_dataset
+from repro.sparse.csr import CsrMatrix
 
 FIVE_KERNELS = ["thread_mapped", "group_mapped", "merge_path", "lrb", "heuristic"]
 
@@ -104,6 +112,102 @@ def test_vector_sweep_runs_kernel_bodies_once_per_dataset(swap_bodies):
     calls[0] = 0
     run_suite(FIVE_KERNELS, app="bfs", datasets=datasets)
     assert calls[0] == one_cell
+
+
+def test_reprice_resolves_each_distinct_launch_once(monkeypatch):
+    """The smoke bfs sweep logs 2,072 frontier launches; 156 of them are
+    distinct, so its four repriced kernels resolve 624 launches, not
+    8,288."""
+    calls = {"record": 0, "reprice": 0}
+    schedule_for = Runtime.schedule_for
+
+    def counted(self, *args, **kwargs):
+        calls["reprice" if type(self) is Runtime else "record"] += 1
+        return schedule_for(self, *args, **kwargs)
+
+    monkeypatch.setattr(Runtime, "schedule_for", counted)
+    run_suite(FIVE_KERNELS, app="bfs", datasets=expand_datasets("bfs", scale="smoke"))
+    assert calls["record"] == 2072
+    assert calls["reprice"] == 624 < (len(FIVE_KERNELS) - 1) * calls["record"]
+
+
+class _Probe(SchedulePolicy):
+    """A fixed schedule that records every launch it is asked to resolve."""
+
+    def __init__(self, name):
+        self.name = name
+        self.seen = []
+
+    def select(self, work, spec, *, matrix=None, costs=None, plan=None):
+        self.seen.append((id(matrix), costs))
+        return self.name
+
+    def describe(self):
+        return self.name
+
+
+_NOOP = KernelDecl("noop", lambda: None)
+
+
+def _record(launches, extras=None):
+    """Log ``(counts, matrix, costs)`` launches on a fresh recording
+    runtime, naming the result after the first launch's schedule."""
+    rt = RecordingRuntime(VectorEngine(), policy=as_policy("thread_mapped"))
+    for i, (counts, matrix, costs) in enumerate(launches):
+        sched = rt.schedule_for(
+            WorkSpec.from_counts(counts), matrix=matrix, costs=costs
+        )
+        rt.run_launch(sched, costs, _NOOP, (), extras=extras or {"iteration": i})
+        if i == 0:
+            rt.schedule_name(sched)
+    return rt
+
+
+def _launch_stats(counts, matrix, costs, schedule, extras=None):
+    """One launch's stats on a plain runtime: what a per-cell run prices."""
+    rt = Runtime(VectorEngine(), policy=as_policy(schedule))
+    work = WorkSpec.from_counts(counts)
+    sched = rt.schedule_for(work, matrix=matrix, costs=costs)
+    return rt.run_launch(sched, costs, _NOOP, (), extras=extras)[1]
+
+
+def test_reprice_keys_launches_on_costs_and_matrix():
+    """Equal offsets alone do not make launches one: a launch with other
+    costs, or over another matrix, is resolved on its own."""
+    cheap = WorkCosts(atom_cycles=4.0, tile_cycles=2.0)
+    dear = WorkCosts(atom_cycles=40.0, tile_cycles=2.0)
+    m1, m2 = CsrMatrix.empty((3, 3)), CsrMatrix.empty((3, 3))
+    counts = [3, 0, 5]
+    launches = [
+        (counts, m1, cheap),
+        (list(counts), m1, cheap),  # same content, new arrays: one launch
+        (counts, m1, dear),
+        (counts, m2, cheap),
+        (counts, m1, cheap),
+    ]
+    rt = _record(launches)
+    probe = _Probe("merge_path")
+    stats, name = rt.reprice(probe)
+    assert name == "merge_path"
+    assert probe.seen == [(id(m1), cheap), (id(m1), dear), (id(m2), cheap)]
+    # The fold still runs over every logged launch, in order.
+    per_launch = [
+        _launch_stats(counts, matrix, costs, "merge_path")
+        for counts, matrix, costs in launches
+    ]
+    assert stats == KernelStats.chain(per_launch)
+
+
+def test_one_launch_log_keeps_its_extras():
+    costs = WorkCosts(atom_cycles=4.0, tile_cycles=2.0)
+    extras = {"app": "one", "k": 3}
+    rt = _record([([2, 7, 1], None, costs)], extras=extras)
+    stats, name = rt.reprice(as_policy("lrb"))
+    direct = _launch_stats([2, 7, 1], None, costs, "lrb", extras=extras)
+    assert name == "lrb"
+    assert stats == direct
+    assert stats.extras == direct.extras
+    assert stats.extras.items() >= extras.items()
 
 
 @pytest.mark.parametrize(

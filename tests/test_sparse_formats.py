@@ -208,3 +208,17 @@ class TestConversions:
         ours_csc = csr_to_csc(m)
         theirs_csc = s.tocsc()
         np.testing.assert_allclose(ours_csc.to_dense(), theirs_csc.toarray())
+
+
+def test_csr_to_coo_views_the_csr_read_only():
+    csr = gen.poisson_random(30, 20, 3.0, seed=4)
+    before = csr.col_indices.copy(), csr.values.copy()
+    coo = csr_to_coo(csr)
+    for coo_array, csr_array in ((coo.cols, csr.col_indices),
+                                 (coo.values, csr.values)):
+        assert np.shares_memory(coo_array, csr_array)
+        with pytest.raises(ValueError, match="read-only"):
+            coo_array[0] = 7
+    assert csr.col_indices.flags.writeable and csr.values.flags.writeable
+    np.testing.assert_array_equal(csr.col_indices, before[0])
+    np.testing.assert_array_equal(csr.values, before[1])

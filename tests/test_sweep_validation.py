@@ -180,10 +180,10 @@ class TestVectorizedTriangleCount:
         assert triangle_count(matrix).output == brute
 
     def test_upper_triangle_vectorized_semantics(self):
-        from repro.apps.triangle_count import _symmetrized, _upper_triangle
+        from repro.apps.triangle_count import _upper_triangle
 
         matrix = gen.power_law(30, 30, 5.0, 1.8, seed=9)
-        upper = _upper_triangle(_symmetrized(matrix))
+        upper = _upper_triangle(matrix)
         rows = np.repeat(
             np.arange(upper.num_rows, dtype=np.int64), upper.row_lengths()
         )
