@@ -105,6 +105,8 @@ def pagerank_driver(problem, rt: Runtime) -> AppResult:
         raise ValueError("PageRank requires a square adjacency matrix")
     if not 0 < damping < 1:
         raise ValueError("damping must be in (0, 1)")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     n = adjacency.num_rows
     pull = _pull_matrix(adjacency)
     dangling = adjacency.row_lengths() == 0
@@ -121,7 +123,6 @@ def pagerank_driver(problem, rt: Runtime) -> AppResult:
         rank = new
         if delta < tol:
             break
-    assert steps
     return AppResult(
         output=rank,
         stats=KernelStats.chain(steps),

@@ -44,7 +44,6 @@ the kernels again.
 
 from __future__ import annotations
 
-import weakref
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -358,55 +357,62 @@ class RecordingRuntime(Runtime):
     runtime (under its own policy); it logs its launches in order, and
     :meth:`reprice` then gives the stats and schedule name the driver
     would report under any other policy, without running a kernel body
-    again.  Launches with the same work offsets, atom count, matrix (by
-    identity) and costs are one *distinct* launch, resolved and planned
-    once: a policy's choice depends only on those and the device spec
-    (true of every built-in policy), and extras never affect timing.
+    again.
+
+    Launches with the same work offsets, atom count, matrix (by
+    identity) and costs are one *distinct* launch.  A policy's choice
+    depends only on those and the device spec (true of every built-in
+    policy), and extras never affect timing, so each distinct launch is
+    resolved once here -- a repeated launch gets the schedule already
+    resolved for it, whose plan is the same cache entry -- and once per
+    policy in :meth:`reprice`.  The distinct schedules are held for the
+    runtime's life: one dataset's run.
     """
 
     def __init__(
         self, engine: VectorEngine, *, spec: GpuSpec = V100, policy: SchedulePolicy
     ):
         super().__init__(engine, spec=spec, policy=policy)
-        #: ``(sched ref, distinct index)`` per launch, in order.
-        #: Schedules are held by weak reference only: each is needed just
-        #: to name the result, and keeping every launch's schedule (with
-        #: its lazily built plan state) alive for the whole dataset raises
-        #: the sweep's peak memory.
-        self.launches: list[tuple] = []
-        #: Content key -> ``(index, work, matrix, costs, extras)`` of each
-        #: distinct launch, as first logged.
-        self._distinct: dict[tuple, tuple] = {}
-        self._resolved: dict[int, tuple] = {}
+        #: The distinct launch index of each launch, in order.
+        self.launches: list[int] = []
+        #: Content key -> :class:`_Distinct`, one per distinct launch.
+        self._distinct: dict[tuple, _Distinct] = {}
+        #: ``id(schedule)`` -> the distinct launch it was last resolved
+        #: for.  Each entry holds its schedule, so no id is reused.
+        self._by_sched: dict[int, _Distinct] = {}
         #: What names the result: a distinct launch's index, ``"label"``
         #: (the policy's label) or ``None`` (not named through the runtime).
         self._named_by: int | str | None = None
 
     def schedule_for(self, work, *, matrix=None, costs=None):
-        sched = super().schedule_for(work, matrix=matrix, costs=costs)
-        self._resolved[id(sched)] = (weakref.ref(sched), work, matrix, costs)
-        return sched
+        # Every distinct launch keeps its matrix alive, so the matrix's
+        # id is not reused while the key is held.
+        key = (work.tile_offsets.tobytes(), work.num_atoms, id(matrix), costs)
+        entry = self._distinct.get(key)
+        if entry is None:
+            sched = super().schedule_for(work, matrix=matrix, costs=costs)
+            entry = _Distinct(len(self._distinct), sched, work, matrix, costs)
+            self._distinct[key] = entry
+        # A policy handing out one pre-built schedule for several
+        # launches names the launch it was resolved for last.
+        self._by_sched[id(entry.sched)] = entry
+        return entry.sched
 
     def run_launch(self, sched, costs, decl, args, *, simt=None, extras=None):
-        resolved = self._resolved.get(id(sched))
-        # A dead schedule's id may be reused: the reference must be live.
-        if resolved is None or resolved[0]() is not sched or resolved[3] != costs:
+        entry = self._by_sched.get(id(sched))
+        if entry is None or entry.costs != costs:
             raise EngineError(
                 "a logged launch must run a schedule this runtime resolved "
                 "with the launch's own costs"
             )
-        ref, work, matrix, _ = resolved
-        # Every distinct launch keeps its matrix alive, so the matrix's
-        # id is not reused while the key is held.
-        key = (work.tile_offsets.tobytes(), work.num_atoms, id(matrix), costs)
-        first = (len(self._distinct), work, matrix, costs, extras)
-        self.launches.append((ref, self._distinct.setdefault(key, first)[0]))
+        entry.extras = extras
+        self.launches.append(entry.index)
         return super().run_launch(
             sched, costs, decl, args, simt=simt, extras=extras
         )
 
     def schedule_name(self, sched):
-        self._named_by = next(i for ref, i in self.launches if ref() is sched)
+        self._named_by = self._by_sched[id(sched)].index
         return sched.name
 
     def schedule_label(self):
@@ -429,11 +435,28 @@ class RecordingRuntime(Runtime):
         rt = Runtime(self.engine, spec=self.spec, policy=policy)
         plan = self.engine.plan_cache.plan
         stats, names = [], []
-        for _, work, matrix, costs, extras in self._distinct.values():
-            sched = rt.schedule_for(work, matrix=matrix, costs=costs)
-            stats.append(plan(sched, costs, extras=extras))
+        for d in self._distinct.values():
+            sched = rt.schedule_for(d.work, matrix=d.matrix, costs=d.costs)
+            stats.append(plan(sched, d.costs, extras=d.extras))
             names.append(sched.name)
-        total = KernelStats.chain([stats[i] for _, i in self.launches])
+        total = KernelStats.chain([stats[i] for i in self.launches])
         if self._named_by == "label":
             return total, rt.schedule_label()
         return total, names[self._named_by]
+
+
+class _Distinct:
+    """One distinct launch of a :class:`RecordingRuntime`: the schedule
+    resolved for it, what resolves it again under another policy, and
+    the extras it was last launched with (a fold of several launches
+    drops extras, so only a one-launch run reports them)."""
+
+    __slots__ = ("index", "sched", "work", "matrix", "costs", "extras")
+
+    def __init__(self, index, sched, work, matrix, costs):
+        self.index = index
+        self.sched = sched
+        self.work = work
+        self.matrix = matrix
+        self.costs = costs
+        self.extras = None

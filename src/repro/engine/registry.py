@@ -129,11 +129,18 @@ class AppSpec:
         genuinely independent validation: re-derives a seeded sample of
         the output entries directly from the problem data
         (O(samples * row_nnz) for per-row outputs; one cheap linear
-        pass for aggregate outputs like the histogram), through a
-        different code path than both the oracle and the vector
-        engine's ``arrays`` body.  Used by the
+        pass for aggregate outputs like the histogram), or checks the
+        whole output with a linear certificate (bfs: a few O(n + nnz)
+        passes; ``seed`` then goes unused), through a different code
+        path than both the oracle and the vector engine's ``arrays``
+        body.  Used by the
         harness's ``--validate`` so the vector path is never compared
         only against the function that produced it.
+    sample_check_seeded:
+        ``False`` when ``sample_check`` ignores its seed (a complete
+        certificate): a vector sweep then runs it once per dataset on
+        the output every schedule kernel shares, since each kernel's
+        check would return the same verdict.
     """
 
     name: str
@@ -146,6 +153,7 @@ class AppSpec:
     baselines: dict = field(default_factory=dict)
     accepts: Callable[[Any], bool] | None = None
     sample_check: Callable[[Any, Any, int], bool] | None = None
+    sample_check_seeded: bool = True
     description: str = ""
 
 

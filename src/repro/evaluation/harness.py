@@ -20,10 +20,12 @@ runs once too, for the first schedule kernel, on a
 outputs do not depend on the schedule, so every other schedule kernel
 is priced from that run's launch log, bit-identical to running its
 cell; each distinct launch (work, matrix, costs) is resolved and
-planned once per kernel, as a policy's choice depends on nothing else.
-Every cell still validates the shared output (the oracle and its own
-seeded sample check).  The ``simt``, ``compiled`` and ``multi_gpu``
-engines and the baselines execute every cell.
+planned once in the recording pass and once per other kernel, as a
+policy's choice depends on nothing else.  Every cell still validates
+the shared output (the oracle and its own sample check; a seed-free
+certificate runs once, for the first kernel).  The
+``simt``, ``compiled`` and ``multi_gpu`` engines and the baselines
+execute every cell.
 
 Performance knobs
 -----------------
@@ -213,9 +215,10 @@ def _execute_cell(
 
 def _cell_row(
     app_spec, app, kernel, dataset, problem, expected, validate, seed,
-    y, stats, schedule: str,
+    y, stats, schedule: str, check: bool = True,
 ) -> SweepRow:
-    """Validate one cell's output and build its row."""
+    """Validate one cell's output and build its row (``check=False``
+    skips the sample check, already run on this very output)."""
     # The artifact's --validate flag: every cell checks its output.
     if validate and expected is not None:
         if not app_spec.match(y, expected):
@@ -223,10 +226,11 @@ def _cell_row(
                 f"validation failed for app={app} kernel={kernel} "
                 f"dataset={dataset.name}"
             )
-    if validate and app_spec.sample_check is not None:
+    if validate and check and app_spec.sample_check is not None:
         # Second, genuinely independent oracle: a seeded sampled dense
-        # check (O(samples * row_nnz)), so the vector path is validated
-        # against more than the function that produced it.
+        # check (O(samples * row_nnz)) or a linear certificate of the
+        # whole output, so the vector path is validated against more
+        # than the function that produced it.
         if not app_spec.sample_check(problem, y, _sample_seed(app, kernel, dataset, seed)):
             raise AssertionError(
                 f"sampled dense check failed for app={app} kernel={kernel} "
@@ -264,7 +268,9 @@ def _run_dataset(
     :class:`~repro.engine.dispatch.RecordingRuntime` and every other
     schedule kernel is priced from its launch log: one functional pass
     per dataset.  Other engines, and the baselines, execute per cell.
-    Every cell validates the output it reports.
+    Every cell validates the output it reports; a sample check that
+    ignores its seed would give every kernel of the shared output the
+    same verdict, so only the first kernel runs it.
     """
     launched = [k for k in kernels if k not in app_spec.baselines]
     engine = ctx.engine_instance()
@@ -286,6 +292,7 @@ def _run_dataset(
         rows.append(_cell_row(
             app_spec, app, kernel, dataset, problem, expected, validate, seed,
             logged.output, stats or logged.stats, schedule,
+            app_spec.sample_check_seeded or kernel == launched[0],
         ))
     return rows
 

@@ -17,14 +17,23 @@ __all__ = ["CooMatrix", "lex_order"]
 
 
 def lex_order(major: np.ndarray, minor: np.ndarray, shape: tuple) -> np.ndarray:
-    """``np.lexsort((minor, major))`` as one stable argsort of the key
-    ``major * shape[1] + minor`` (indices in ``[0, shape)``); lexsort stays
-    the fallback when that key could overflow int64."""
-    if int(shape[0]) * int(shape[1]) > np.iinfo(np.int64).max:
+    """``np.lexsort((minor, major))`` (indices in ``[0, shape)``).
+
+    The key ``major * shape[1] + minor`` is shifted up to make room for
+    each entry's position in the low bits, so every key is unique and one
+    unstable sort gives the stable order; the low bits are the order.
+    lexsort stands in when the shifted key could overflow int64.
+    """
+    bits = (major.size - 1).bit_length()
+    if int(shape[0]) * int(shape[1]) > 1 << (63 - bits):
         return np.lexsort((minor, major))
     key = major * int(shape[1])
     key += minor
-    return np.argsort(key, kind="stable")
+    key <<= bits
+    key |= np.arange(major.size, dtype=np.int64)
+    key.sort()
+    key &= (1 << bits) - 1
+    return key
 
 
 @dataclass(frozen=True)

@@ -150,6 +150,15 @@ class TestPagerank:
         with pytest.raises(ValueError, match="damping"):
             pagerank(gen.diagonal(5), damping=1.5)
 
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_rejects_max_iter_below_one(self, max_iter):
+        import repro
+
+        m = gen.power_law(20, 20, 3.0, seed=12)
+        with pytest.raises(ValueError, match="max_iter"):
+            repro.pagerank(m, max_iter=max_iter)
+        assert repro.pagerank(m, max_iter=1).extras["iterations"] == 1
+
     def test_stats_accumulate_iterations(self):
         m = gen.poisson_random(50, 50, 3.0, seed=14)
         r = pagerank(m)
@@ -452,6 +461,114 @@ class TestTriangleKernel:
         # 2**16-wedge chunk (1.5 MiB) and ~18k edges' counts and bounds
         # measure 2.25 MiB; a 2 MiB block or 2**18-wedge chunks exceed 3.
         assert peak < 3 * 2**20
+
+
+def _queue_bfs(graph, source):
+    """Brute-force BFS: the textbook queue, one edge at a time."""
+    from collections import deque
+
+    csr = graph.csr
+    depth = np.full(graph.num_vertices, -1, dtype=np.int64)
+    depth[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in csr.col_indices[csr.row_offsets[u]:csr.row_offsets[u + 1]]:
+            if depth[v] == -1:
+                depth[v] = depth[u] + 1
+                queue.append(int(v))
+    return depth
+
+
+def _edge_graph(n, rows, cols):
+    """A CSR graph keeping every edge as given: duplicates, self-loops
+    and unsorted neighbour lists stay."""
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    order = np.argsort(rows, kind="stable")
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return CsrGraph(
+        CsrMatrix.from_arrays(offsets, cols[order], np.ones(rows.size), (n, n))
+    )
+
+
+def _split_graph(n, seed, isolated=None):
+    """Two halves with no edge between them, random edges inside each
+    plus self-loops and repeated edges; ``isolated`` stores no out-edge."""
+    rng = np.random.default_rng(seed)
+    half = max(1, n // 2)
+    rows = rng.integers(0, n, size=3 * n)
+    low = rows < half
+    cols = np.where(
+        low, rng.integers(0, half, size=rows.size),
+        rng.integers(half, max(n, half + 1), size=rows.size) % n,
+    )
+    loops = rng.integers(0, n, size=max(1, n // 4))
+    rows = np.concatenate([rows, loops, rows[: n // 2]])
+    cols = np.concatenate([cols, loops, cols[: n // 2]])
+    keep = rows != isolated
+    return _edge_graph(n, rows[keep], cols[keep])
+
+
+bfs_module = importlib.import_module("repro.apps.bfs")
+traversal_module = importlib.import_module("repro.apps.traversal")
+
+
+class TestBfsOracle:
+    def test_matches_queue_bfs_on_smoke_corpus(self):
+        from repro.engine import DEFAULT_SEED, get_app
+        from repro.sparse.corpus import build_corpus
+
+        app = get_app("bfs")
+        for dataset in build_corpus("smoke"):
+            if not app.accepts(dataset.matrix):
+                continue
+            problem = app.sweep_problem(dataset.matrix, DEFAULT_SEED)
+            np.testing.assert_array_equal(
+                bfs_reference(problem.graph, problem.source),
+                _queue_bfs(problem.graph, problem.source),
+                err_msg=dataset.name,
+            )
+
+    def test_long_path(self):
+        n = 1500
+        graph = _edge_graph(n, np.arange(n - 1), np.arange(1, n))
+        expected = np.arange(n)
+        np.testing.assert_array_equal(_queue_bfs(graph, 0), expected)
+        np.testing.assert_array_equal(bfs_reference(graph, 0), expected)
+        # From the far end nothing else is reachable.
+        tail = bfs_reference(graph, n - 1)
+        assert tail[-1] == 0 and np.all(tail[:-1] == -1)
+
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33])
+    @pytest.mark.parametrize("where", ["first", "last", "isolated"])
+    def test_messy_graphs_match_queue_bfs(self, n, where):
+        source = {"first": 0, "last": n - 1, "isolated": n // 2}[where]
+        graph = _split_graph(
+            n, seed=n, isolated=source if where == "isolated" else None
+        )
+        depth = bfs_reference(graph, source)
+        np.testing.assert_array_equal(depth, _queue_bfs(graph, source))
+        assert depth.dtype == np.int64
+        if where == "isolated":
+            assert np.count_nonzero(depth != -1) == 1
+
+    def test_independent_of_the_code_it_validates(self, monkeypatch):
+        graph = random_graph(300, 3.0, seed=4)
+        expected = bfs(graph, 5).output
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("oracle reached the validated code")
+
+        for module, name in (
+            (traversal_module, "run_frontier_loop"),
+            (traversal_module, "advance_workspec"),
+            (bfs_module, "run_frontier_loop"),
+            (bfs_module, "_bfs_relax_arrays"),
+        ):
+            monkeypatch.setattr(module, name, forbidden)
+        with pytest.raises(AssertionError):
+            bfs(graph, 5)  # the traversal really is gone
+        np.testing.assert_array_equal(bfs_module.bfs_reference(graph, 5), expected)
 
 
 def _dense_pagerank(adjacency, damping=0.85, tol=1e-10, max_iter=200):

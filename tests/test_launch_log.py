@@ -116,8 +116,8 @@ def test_vector_sweep_runs_kernel_bodies_once_per_dataset(swap_bodies):
 
 def test_reprice_resolves_each_distinct_launch_once(monkeypatch):
     """The smoke bfs sweep logs 2,072 frontier launches; 156 of them are
-    distinct, so its four repriced kernels resolve 624 launches, not
-    8,288."""
+    distinct, so the recording pass resolves 156 launches and its four
+    repriced kernels 624, not 8,288."""
     calls = {"record": 0, "reprice": 0}
     schedule_for = Runtime.schedule_for
 
@@ -127,8 +127,28 @@ def test_reprice_resolves_each_distinct_launch_once(monkeypatch):
 
     monkeypatch.setattr(Runtime, "schedule_for", counted)
     run_suite(FIVE_KERNELS, app="bfs", datasets=expand_datasets("bfs", scale="smoke"))
-    assert calls["record"] == 2072
-    assert calls["reprice"] == 624 < (len(FIVE_KERNELS) - 1) * calls["record"]
+    assert calls["record"] == 156
+    assert calls["reprice"] == (len(FIVE_KERNELS) - 1) * calls["record"]
+
+
+def test_recording_runtime_holds_one_entry_per_distinct_launch(monkeypatch):
+    """However many launches a run logs, the runtime keeps one schedule
+    (and one work) per distinct launch."""
+    runtimes = []
+    init = RecordingRuntime.__init__
+
+    def kept(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        runtimes.append(self)
+
+    monkeypatch.setattr(RecordingRuntime, "__init__", kept)
+    run_suite(FIVE_KERNELS, app="bfs", datasets=expand_datasets("bfs", scale="smoke"))
+    assert sum(len(rt.launches) for rt in runtimes) == 2072
+    for rt in runtimes:
+        distinct = len(set(rt.launches))
+        assert len(rt._distinct) <= distinct
+        assert len(rt._by_sched) <= distinct
+    assert sum(len(rt._distinct) for rt in runtimes) == 156
 
 
 class _Probe(SchedulePolicy):

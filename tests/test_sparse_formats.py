@@ -130,6 +130,22 @@ class TestCoo:
             lex_order(major, minor, (10, 7)), np.lexsort((minor, major))
         )
 
+    @pytest.mark.parametrize("nnz", [0, 1, 2, 3, 1000, 4097])
+    @pytest.mark.parametrize(
+        "shape", [(5, 3), (1, 1), (3000, 40), (2**31, 2**31)],
+        ids=["small", "one_cell", "wide", "packed_key_overflows"],
+    )
+    def test_lex_order_equals_lexsort_with_duplicates(self, nnz, shape):
+        """Random (heavily duplicated) indices: the packed key, nnz 0 and
+        1, and the lexsort fallback when the position bits do not fit
+        (``2**62`` cells leave one bit for positions)."""
+        rng = np.random.default_rng(nnz)
+        major = rng.integers(0, min(shape[0], 9), nnz) * (shape[0] // 9 or 1)
+        minor = rng.integers(0, min(shape[1], 4), nnz)
+        order = lex_order(major, minor, shape)
+        np.testing.assert_array_equal(order, np.lexsort((minor, major)))
+        assert order.dtype == np.intp
+
     def test_lex_order_overflow_falls_back_to_lexsort(self):
         # 2**40 * 2**40 overflows the int64 key, so lexsort must take over.
         rng = np.random.default_rng(3)
