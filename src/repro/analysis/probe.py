@@ -238,6 +238,7 @@ class ShadowSimtEngine(SimtEngine):
     name = "shadow_simt"
 
     def __init__(self, recorder: WriteRecorder | None = None):
+        super().__init__()
         self.recorder = recorder if recorder is not None else WriteRecorder()
 
     def _materialize_kernel(self, simt):

@@ -38,7 +38,6 @@ from __future__ import annotations
 from typing import Callable
 
 from .dispatch import Engine, register_engine
-from .plan_cache import PlanCache, global_plan_cache
 
 __all__ = [
     "CompiledEngine",
@@ -121,19 +120,18 @@ class CompiledEngine(Engine):
 
     name = "compiled"
 
-    def __init__(self, plan_cache: PlanCache | None = None):
-        self.plan_cache = global_plan_cache() if plan_cache is None else plan_cache
-
     def launch(self, sched, costs, decl, args, *, simt=None, extras=None):
-        fn, jit_mode = _compiled_fn(decl)
-        output = fn(*args)
-        stats = self.plan_cache.plan(
+        fn, _ = _compiled_fn(decl)
+        return fn(*args), self.price(sched, costs, decl, extras=extras)
+
+    def price(self, sched, costs, decl, *, extras=None):
+        _, jit_mode = _compiled_fn(decl)
+        return self.plan_cache.plan(
             sched,
             costs,
             extras={"engine": "compiled", "jit": jit_mode, **(extras or {})},
             loads=True,
         )
-        return output, stats
 
 
 register_engine("compiled", CompiledEngine)

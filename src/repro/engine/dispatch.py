@@ -36,7 +36,9 @@ identically -- setup, bandwidth floor, block scheduling, launch overhead
 never branch on an engine name -- they describe launches to a
 :class:`Runtime` and its one engine does the rest.
 
-Because the vector engine's output never depends on the schedule, a
+Every engine but SIMT computes a launch's output from the kernel body
+alone and only its time from the schedule, so it runs the body and then
+calls its :meth:`Engine.price` seam.  On such an engine a
 :class:`RecordingRuntime` runs a driver once, logs its launches and
 prices the same launch sequence under any other policy without running
 the kernels again.
@@ -89,9 +91,21 @@ class UnknownEngineError(EngineError, ValueError):
 
 
 class Engine(ABC):
-    """One strategy for executing a load-balanced kernel launch."""
+    """One strategy for executing a load-balanced kernel launch, holding
+    the plan cache cost-aware policies price candidates with."""
 
     name: str = "?"
+
+    #: ``price(sched, costs, decl, *, extras=None) -> KernelStats`` times
+    #: a launch without running it.  Defining it promises that ``launch``
+    #: returns the body's schedule-free output and this time, so a sweep
+    #: can price every schedule from one run's launch log.  ``None``
+    #: (SIMT, engines defining only ``launch``): a launch is timed only
+    #: by running it.
+    price: Callable[..., KernelStats] | None = None
+
+    def __init__(self, plan_cache: PlanCache | None = None):
+        self.plan_cache = global_plan_cache() if plan_cache is None else plan_cache
 
     @abstractmethod
     def launch(
@@ -125,12 +139,11 @@ class VectorEngine(Engine):
 
     name = "vector"
 
-    def __init__(self, plan_cache: PlanCache | None = None):
-        self.plan_cache = global_plan_cache() if plan_cache is None else plan_cache
-
     def launch(self, sched, costs, decl, args, *, simt=None, extras=None):
-        output = decl.arrays(*args)
-        return output, self.plan_cache.plan(sched, costs, extras=extras)
+        return decl.arrays(*args), self.price(sched, costs, decl, extras=extras)
+
+    def price(self, sched, costs, decl, *, extras=None):
+        return self.plan_cache.plan(sched, costs, extras=extras)
 
 
 class SimtEngine(Engine):
@@ -304,8 +317,7 @@ class Runtime:
         Plans depend only on the schedule and the costs, so probes share
         entries with launches of the same schedule.
         """
-        cache = getattr(self.engine, "plan_cache", None)
-        return (global_plan_cache() if cache is None else cache).plan
+        return self.engine.plan_cache.plan
 
     def schedule_for(
         self,
@@ -349,30 +361,35 @@ class Runtime:
 
 
 class RecordingRuntime(Runtime):
-    """A vector :class:`Runtime` that logs its launches for repricing.
+    """A :class:`Runtime` that logs its launches for repricing.
 
-    On the vector engine a launch's output does not depend on the
-    schedule, and drivers branch only on outputs, so one run of a driver
-    fixes its whole launch sequence.  Run the driver once on this
-    runtime (under its own policy); it logs its launches in order, and
-    :meth:`reprice` then gives the stats and schedule name the driver
-    would report under any other policy, without running a kernel body
-    again.
+    On an engine with :attr:`Engine.price` a launch's output does not
+    depend on the schedule, and drivers branch only on outputs, so one
+    run of a driver fixes its whole launch sequence.  Run the driver
+    once on this runtime (under its own policy); it logs its launches
+    in order, and :meth:`reprice` then gives the stats and schedule name
+    the driver would report under any other policy, without running a
+    kernel body again.
 
     Launches with the same work offsets, atom count, matrix (by
     identity) and costs are one *distinct* launch.  A policy's choice
     depends only on those and the device spec (true of every built-in
-    policy), and extras never affect timing, so each distinct launch is
-    resolved once here -- a repeated launch gets the schedule already
-    resolved for it, whose plan is the same cache entry -- and once per
-    policy in :meth:`reprice`.  The distinct schedules are held for the
+    policy), and kernels and extras never affect timing, so each
+    distinct launch is resolved once here -- a repeated launch gets the
+    schedule already resolved for it, priced from the same cache
+    entries -- and once per policy in :meth:`reprice`.  The distinct schedules are held for the
     runtime's life: one dataset's run.
     """
 
     def __init__(
-        self, engine: VectorEngine, *, spec: GpuSpec = V100, policy: SchedulePolicy
+        self, engine: Engine, *, spec: GpuSpec = V100, policy: SchedulePolicy
     ):
         super().__init__(engine, spec=spec, policy=policy)
+        if self.engine.price is None:
+            raise EngineError(
+                f"engine {self.engine.name!r} times a launch only by running "
+                "it, so its launches cannot be repriced"
+            )
         #: The distinct launch index of each launch, in order.
         self.launches: list[int] = []
         #: Content key -> :class:`_Distinct`, one per distinct launch.
@@ -405,7 +422,7 @@ class RecordingRuntime(Runtime):
                 "a logged launch must run a schedule this runtime resolved "
                 "with the launch's own costs"
             )
-        entry.extras = extras
+        entry.decl, entry.extras = decl, extras
         self.launches.append(entry.index)
         return super().run_launch(
             sched, costs, decl, args, simt=simt, extras=extras
@@ -433,11 +450,10 @@ class RecordingRuntime(Runtime):
                 "Runtime.schedule_name or Runtime.schedule_label"
             )
         rt = Runtime(self.engine, spec=self.spec, policy=policy)
-        plan = self.engine.plan_cache.plan
         stats, names = [], []
         for d in self._distinct.values():
             sched = rt.schedule_for(d.work, matrix=d.matrix, costs=d.costs)
-            stats.append(plan(sched, d.costs, extras=d.extras))
+            stats.append(self.engine.price(sched, d.costs, d.decl, extras=d.extras))
             names.append(sched.name)
         total = KernelStats.chain([stats[i] for i in self.launches])
         if self._named_by == "label":
@@ -448,10 +464,11 @@ class RecordingRuntime(Runtime):
 class _Distinct:
     """One distinct launch of a :class:`RecordingRuntime`: the schedule
     resolved for it, what resolves it again under another policy, and
-    the extras it was last launched with (a fold of several launches
-    drops extras, so only a one-launch run reports them)."""
+    the kernel and extras it was last launched with (neither changes the
+    time; a fold of several launches drops extras, so only a one-launch
+    run reports them)."""
 
-    __slots__ = ("index", "sched", "work", "matrix", "costs", "extras")
+    __slots__ = ("index", "sched", "work", "matrix", "costs", "decl", "extras")
 
     def __init__(self, index, sched, work, matrix, costs):
         self.index = index
@@ -459,4 +476,4 @@ class _Distinct:
         self.work = work
         self.matrix = matrix
         self.costs = costs
-        self.extras = None
+        self.decl = self.extras = None

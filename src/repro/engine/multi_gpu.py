@@ -27,7 +27,7 @@ import numpy as np
 
 from ..gpusim.multi_gpu import multi_gpu_plan
 from .dispatch import Engine, register_engine
-from .plan_cache import PlanCache, global_plan_cache
+from .plan_cache import PlanCache
 
 __all__ = ["MultiGpuEngine"]
 
@@ -49,12 +49,13 @@ class MultiGpuEngine(Engine):
     def __init__(self, num_devices: int = 2, plan_cache: PlanCache | None = None):
         if num_devices <= 0:
             raise ValueError("num_devices must be positive")
+        super().__init__(plan_cache)
         self.num_devices = num_devices
-        self.plan_cache = global_plan_cache() if plan_cache is None else plan_cache
 
     def launch(self, sched, costs, decl, args, *, simt=None, extras=None):
-        output = decl.arrays(*args)
+        return decl.arrays(*args), self.price(sched, costs, decl, extras=extras)
 
+    def price(self, sched, costs, decl, *, extras=None):
         def plan_shard(dev_sched, dev_costs, dev_extras):
             return self.plan_cache.plan(dev_sched, dev_costs, extras=dev_extras)
 
@@ -74,11 +75,11 @@ class MultiGpuEngine(Engine):
             )
         except ValueError:
             # Degenerate empty workload: one device, nothing to split.
-            return output, sched.plan(costs, extras=extras)
+            return sched.plan(costs, extras=extras)
 
         times = np.array([s.elapsed_ms for s in ensemble.device_stats])
         slowest = ensemble.device_stats[int(times.argmax())]
-        stats = replace(
+        return replace(
             slowest,
             elapsed_ms=ensemble.elapsed_ms,
             extras={
@@ -95,7 +96,6 @@ class MultiGpuEngine(Engine):
                 **(extras or {}),
             },
         )
-        return output, stats
 
 
 register_engine("multi_gpu", MultiGpuEngine)

@@ -108,7 +108,8 @@ class AppSpec:
         schedule via ``runtime.schedule_name`` or
         ``runtime.schedule_label`` -- never touching an engine name.
         It may branch only on launch outputs, never on the schedule, so
-        vector sweeps can price every schedule from one run's launches.
+        sweeps on a pricing engine (``Engine.price``) can price every
+        schedule from one run's launches.
     kernels:
         Every :class:`KernelDecl` the driver launches, each exactly once.
     oracle:
@@ -138,7 +139,7 @@ class AppSpec:
         only against the function that produced it.
     sample_check_seeded:
         ``False`` when ``sample_check`` ignores its seed (a complete
-        certificate): a vector sweep then runs it once per dataset on
+        certificate): a logged sweep then runs it once per dataset on
         the output every schedule kernel shares, since each kernel's
         check would return the same verdict.
     """

@@ -638,7 +638,7 @@ class ProblemCache:
     """Bounded, content-keyed cache of built ``(problem, oracle)`` pairs.
 
     Lives in each (persistent) worker process so steady-state sweeps of
-    the same grid skip ``_build_problem`` *and* the oracle entirely.
+    the same grid skip the problem build *and* the oracle entirely.
     Keys are ``(app, dataset fingerprint, seed, validate)`` -- the
     fingerprint is the same per-array-CRC content key the shm transport
     publishes under, so a seed change, a ``validate`` flip or mutated

@@ -14,18 +14,18 @@ of a non-default app prepend an ``app`` column.
 One functional pass per dataset
 -------------------------------
 Both executors run each dataset through one function: the problem and
-oracle are built once, and on the ``vector`` engine the app's driver
-runs once too, for the first schedule kernel, on a
-:class:`~repro.engine.dispatch.RecordingRuntime`.  The vector engine's
+oracle are built once, and on any engine whose ``price`` times a
+launch without running it (``vector``, ``compiled``, ``multi_gpu``) the
+app's driver runs once too, for the first schedule kernel, on a
+:class:`~repro.engine.dispatch.RecordingRuntime`.  Those engines'
 outputs do not depend on the schedule, so every other schedule kernel
 is priced from that run's launch log, bit-identical to running its
 cell; each distinct launch (work, matrix, costs) is resolved and
-planned once in the recording pass and once per other kernel, as a
+priced once in the recording pass and once per other kernel, as a
 policy's choice depends on nothing else.  Every cell still validates
 the shared output (the oracle and its own sample check; a seed-free
-certificate runs once, for the first kernel).  The
-``simt``, ``compiled`` and ``multi_gpu`` engines and the baselines
-execute every cell.
+certificate runs once, for the first kernel).  The ``simt`` engine,
+any engine without ``price``, and the baselines execute every cell.
 
 Performance knobs
 -----------------
@@ -74,12 +74,7 @@ from ..engine import (
     run_app,
 )
 from ..core.policy import as_policy
-from ..engine.dispatch import (
-    RecordingRuntime,
-    VectorEngine,
-    ensure_known_engine,
-    unknown_name,
-)
+from ..engine.dispatch import RecordingRuntime, ensure_known_engine, unknown_name
 from ..sparse.corpus import Dataset, build_corpus
 
 __all__ = [
@@ -149,8 +144,9 @@ class SweepRow:
         return row
 
 
-def _build_problem(app_spec, app: str, dataset: Dataset, seed: int):
-    """Derive the app's deterministic problem instance from one dataset."""
+def _prepare(app_spec, app: str, dataset: Dataset, seed: int, validate: bool):
+    """``(problem, expected)`` for one dataset: the app's deterministic
+    problem instance and, when validating, its oracle output."""
     matrix = dataset.matrix
     if app_spec.accepts is not None and not app_spec.accepts(matrix):
         raise ValueError(
@@ -159,7 +155,10 @@ def _build_problem(app_spec, app: str, dataset: Dataset, seed: int):
         )
     if app_spec.sweep_problem is None:  # pragma: no cover - all built-ins have one
         raise ValueError(f"app {app!r} does not define a sweep problem")
-    return app_spec.sweep_problem(matrix, seed)
+    problem = app_spec.sweep_problem(matrix, seed)
+    if not validate or app_spec.oracle is None:
+        return problem, None
+    return problem, app_spec.oracle(problem)
 
 
 #: Kernel identifiers that are schedule *policies*, not registry names:
@@ -263,8 +262,8 @@ def _run_dataset(
 ) -> list[SweepRow]:
     """Every kernel's row on one prepared dataset, in ``kernels`` order.
 
-    On the vector engine the schedule never changes a launch's output,
-    so the first schedule kernel runs the driver once on a
+    On an engine with ``price`` the schedule never changes a launch's
+    output, so the first schedule kernel runs the driver once on a
     :class:`~repro.engine.dispatch.RecordingRuntime` and every other
     schedule kernel is priced from its launch log: one functional pass
     per dataset.  Other engines, and the baselines, execute per cell.
@@ -274,7 +273,7 @@ def _run_dataset(
     """
     launched = [k for k in kernels if k not in app_spec.baselines]
     engine = ctx.engine_instance()
-    if launched and type(engine) is VectorEngine:
+    if launched and engine.price is not None:
         rt = RecordingRuntime(engine, spec=ctx.spec, policy=as_policy(launched[0]))
         logged = app_spec.driver(problem, rt)
     else:
@@ -318,12 +317,7 @@ def run_cell(
     ensure_known_kernels((kernel,), app)
     ctx = DEFAULT_CONTEXT if ctx is None else ctx
     app_spec = get_app(app)
-    problem = _build_problem(app_spec, app, dataset, seed)
-    expected = (
-        app_spec.oracle(problem)
-        if validate and app_spec.oracle is not None
-        else None
-    )
+    problem, expected = _prepare(app_spec, app, dataset, seed, validate)
     return _execute_cell(
         app_spec, app, kernel, dataset, problem, expected, ctx, validate, seed
     )
@@ -380,11 +374,8 @@ def _run_shard(
     if cached is not None:
         problem, expected = cached
     else:
-        problem = _build_problem(app_spec, task.app, task.dataset, task.seed)
-        expected = (
-            app_spec.oracle(problem)
-            if task.validate and app_spec.oracle is not None
-            else None
+        problem, expected = _prepare(
+            app_spec, task.app, task.dataset, task.seed, task.validate
         )
         if status == "miss":
             cache.store(cache_key, problem, expected)
@@ -482,12 +473,7 @@ def run_suite(
     for dataset in ds:
         # Problem construction and the oracle are per-dataset, not
         # per-cell: build them once and share across the kernels.
-        problem = _build_problem(app_spec, app, dataset, seed)
-        expected = (
-            app_spec.oracle(problem)
-            if validate and app_spec.oracle is not None
-            else None
-        )
+        problem, expected = _prepare(app_spec, app, dataset, seed, validate)
         rows.extend(_run_dataset(
             app_spec, app, kernels, dataset, problem, expected, ctx,
             validate, seed,

@@ -339,25 +339,16 @@ class SweepService:
         library call and inherit every warm-path cache.
         """
         inject("serve.dispatch")
-        if self._pool is None:
-            return run_suite(
-                job.kernels,
-                app=job.app,
-                datasets=[dataset],
-                seed=job.seed,
-                validate=job.validate,
-                executor="serial",
-                ctx=job.ctx,
-            )
+        pool = self._pool
+        fan_out = {} if pool is None else {"executor": "process", "pool": pool}
         return run_suite(
             job.kernels,
             app=job.app,
             datasets=[dataset],
             seed=job.seed,
             validate=job.validate,
-            executor="process",
-            pool=self._pool,
             ctx=job.ctx,
+            **fan_out,
         )
 
     async def _dispatch(self) -> None:

@@ -1,13 +1,14 @@
-"""One functional pass per dataset: vector sweeps price from a launch log.
+"""One functional pass per dataset: pricing engines sweep from a launch log.
 
-On the vector engine ``run_suite`` runs each app's driver once per
-dataset on a :class:`~repro.engine.dispatch.RecordingRuntime` and prices
-every other schedule kernel from the logged launches.  These tests pin
-that the logged rows are the per-cell rows, that the kernel bodies run
-once per dataset (and still once per cell on the per-cell engines), that
-validation stays per cell, and that every oracle stands without the
-kernel bodies it validates -- the precondition for validating one shared
-output.
+On every engine with ``price`` (vector, compiled, multi_gpu)
+``run_suite`` runs each app's driver once per dataset on a
+:class:`~repro.engine.dispatch.RecordingRuntime` and prices every other
+schedule kernel from the logged launches.  These tests pin that the
+logged rows are the per-cell rows, that the kernel bodies run once per
+dataset (and still once per cell on SIMT and on launch-only engines),
+that validation stays per cell, and that every oracle stands without
+the kernel bodies it validates -- the precondition for validating one
+shared output.
 """
 
 from __future__ import annotations
@@ -21,15 +22,17 @@ from repro.core.policy import SchedulePolicy, as_policy
 from repro.core.schedule import WorkCosts
 from repro.core.work import WorkSpec
 from repro.engine import (
+    Engine,
     ExecutionContext,
     KernelDecl,
     SimtEngine,
     VectorEngine,
     available_apps,
+    compiled,
     get_app,
     run_app,
 )
-from repro.engine.dispatch import RecordingRuntime, Runtime
+from repro.engine.dispatch import EngineError, RecordingRuntime, Runtime
 from repro.gpusim.cost_model import KernelStats
 from repro.evaluation import harness
 from repro.evaluation.harness import expand_datasets, run_cell, run_suite
@@ -38,6 +41,13 @@ from repro.sparse.corpus import load_dataset
 from repro.sparse.csr import CsrMatrix
 
 FIVE_KERNELS = ["thread_mapped", "group_mapped", "merge_path", "lrb", "heuristic"]
+
+#: One context per engine that prices a launch without running it.
+PRICING_CONTEXTS = pytest.mark.parametrize(
+    "ctx",
+    [ExecutionContext(), ExecutionContext(engine="compiled"), ExecutionContext(gpus=4)],
+    ids=["vector", "compiled", "multi_gpu"],
+)
 
 
 @pytest.fixture
@@ -82,14 +92,15 @@ def _cells(app, kernels, datasets, ctx=None):
     return [run_cell(app, k, d, ctx=ctx) for d in datasets for k in kernels]
 
 
+@PRICING_CONTEXTS
 @pytest.mark.parametrize("app", available_apps())
-def test_logged_rows_equal_per_cell_rows(app):
+def test_logged_rows_equal_per_cell_rows(app, ctx):
     """A baseline first, then policies that resolve differently from the
     recording kernel: every row bit-equal to its own ``run_cell``."""
     kernels = [*list(get_app(app).baselines)[:1], "heuristic", "oracle_best", "lrb"]
     datasets = expand_datasets(app, scale="smoke", limit=4)
-    rows = run_suite(kernels, app=app, datasets=datasets)
-    cells = _cells(app, kernels, datasets)
+    rows = run_suite(kernels, app=app, datasets=datasets, ctx=ctx)
+    cells = _cells(app, kernels, datasets, ctx=ctx)
     assert [(r.kernel, r.dataset) for r in rows] == [
         (c.kernel, c.dataset) for c in cells
     ]
@@ -99,18 +110,22 @@ def test_logged_rows_equal_per_cell_rows(app):
         assert row.meta == cell.meta, (row.kernel, row.dataset)
 
 
-def test_vector_sweep_runs_kernel_bodies_once_per_dataset(swap_bodies):
+@PRICING_CONTEXTS
+def test_pricing_engine_sweep_runs_kernel_bodies_once_per_dataset(
+    swap_bodies, monkeypatch, ctx
+):
+    monkeypatch.setattr(compiled, "_NUMBA", None)  # count the arrays body
     calls = [0]
     swap_bodies("bfs", _counting(calls))
     datasets = expand_datasets("bfs", scale="smoke", limit=4)
     one_cell = 0
     for dataset in datasets:
         calls[0] = 0
-        run_cell("bfs", "merge_path", dataset)
+        run_cell("bfs", "merge_path", dataset, ctx=ctx)
         one_cell += calls[0]
     assert one_cell > len(datasets)  # several frontier launches each
     calls[0] = 0
-    run_suite(FIVE_KERNELS, app="bfs", datasets=datasets)
+    run_suite(FIVE_KERNELS, app="bfs", datasets=datasets, ctx=ctx)
     assert calls[0] == one_cell
 
 
@@ -230,14 +245,20 @@ def test_one_launch_log_keeps_its_extras():
     assert stats.extras.items() >= extras.items()
 
 
-@pytest.mark.parametrize(
-    "ctx",
-    [ExecutionContext(engine="simt", spec=TINY_GPU), ExecutionContext(gpus=4)],
-    ids=["simt", "multi_gpu"],
-)
-def test_per_cell_engines_still_run_every_cell(swap_bodies, monkeypatch, ctx):
+def _runs_every_cell(ctx, calls):
+    """A bfs sweep under ``ctx`` counts as many ``calls`` as its cells
+    run one by one, and reports their rows."""
+    kernels = ["thread_mapped", "merge_path", "lrb"]
+    datasets = expand_datasets("bfs", scale="smoke", limit=2)
+    cells = _cells("bfs", kernels, datasets, ctx=ctx)
+    per_cell = calls[0]
+    calls[0] = 0
+    assert run_suite(kernels, app="bfs", datasets=datasets, ctx=ctx) == cells
+    assert per_cell > 0 and calls[0] == per_cell
+
+
+def test_simt_sweep_runs_every_cell(monkeypatch):
     calls = [0]
-    swap_bodies("bfs", _counting(calls))  # the multi-GPU engine's body
     launch = SimtEngine.launch
 
     def counted_launch(self, *args, **kwargs):
@@ -245,13 +266,31 @@ def test_per_cell_engines_still_run_every_cell(swap_bodies, monkeypatch, ctx):
         return launch(self, *args, **kwargs)
 
     monkeypatch.setattr(SimtEngine, "launch", counted_launch)
-    kernels = ["thread_mapped", "merge_path", "lrb"]
-    datasets = expand_datasets("bfs", scale="smoke", limit=2)
-    _cells("bfs", kernels, datasets, ctx=ctx)
-    per_cell = calls[0]
-    calls[0] = 0
-    run_suite(kernels, app="bfs", datasets=datasets, ctx=ctx)
-    assert per_cell > 0 and calls[0] == per_cell
+    assert SimtEngine.price is None
+    _runs_every_cell(ExecutionContext(engine="simt", spec=TINY_GPU), calls)
+
+
+class _EchoEngine(Engine):
+    """A third-party engine defining only ``launch`` (the vector engine's
+    result): it promises nothing about the schedule, so it has no price."""
+
+    name = "echo"
+
+    def launch(self, sched, costs, decl, args, *, simt=None, extras=None):
+        return VectorEngine().launch(sched, costs, decl, args, extras=extras)
+
+
+def test_launch_only_engine_sweep_runs_every_cell(swap_bodies):
+    calls = [0]
+    swap_bodies("bfs", _counting(calls))
+    assert _EchoEngine().price is None
+    _runs_every_cell(ExecutionContext(engine=_EchoEngine()), calls)
+
+
+@pytest.mark.parametrize("engine", [SimtEngine(), _EchoEngine()], ids=["simt", "echo"])
+def test_recording_runtime_needs_a_pricing_engine(engine):
+    with pytest.raises(EngineError, match="cannot be repriced"):
+        RecordingRuntime(engine, policy=as_policy("merge_path"))
 
 
 @pytest.mark.parametrize("failing", ["match", "sample_check"])
