@@ -1,8 +1,5 @@
-"""``repro.engine`` -- the unified execution layer.
-
-This package is the refactor of the per-app execution plumbing into one
-subsystem, mirroring the paper's separation of concerns at the code
-level:
+"""``repro.engine`` -- the unified execution layer, mirroring the
+paper's separation of concerns at the code level:
 
 * **Registry** (:mod:`.registry`) -- each application is declared once
   as an :class:`AppSpec`: a driver written against the Runtime API, one

@@ -1,10 +1,7 @@
 """The compiled engine: JIT the hot loop, keep the schedule's geometry.
 
-:class:`~repro.engine.dispatch.SimtEngine` is the correctness ground
-truth, but it *interprets* every kernel body thread-by-thread in Python
--- at corpus scale that interpretation dominates the sweep and no layer
-of caching (plans, problems, shm datasets, warm pools) can remove it.
-This module removes the interpreter from the loop:
+:class:`~repro.engine.dispatch.SimtEngine` interprets every kernel body
+thread-by-thread in Python; this engine takes the interpreter out:
 
 * Each :class:`~repro.engine.registry.KernelDecl` on an app's
   ``AppSpec.kernels`` carries a flat *scalar* body over plain arrays
@@ -108,21 +105,19 @@ def precompile_kernels() -> int:
 class CompiledEngine(Engine):
     """JIT-compiled kernel execution with schedule-shaped timing.
 
-    Runs the launched :class:`~repro.engine.registry.KernelDecl` --
-    ``numba.njit`` of its flat scalar body when numba is importable, its
-    vectorized ``arrays`` body otherwise -- and measures the launch as
-    the schedule's per-thread loads at its per-thread charges, priced by
-    :meth:`~repro.core.schedule.Schedule.price` like every engine's and
-    memoized in the plan cache.  Results are bit-for-bit equal to the
-    ``vector`` engine; timings keep the schedule's launch geometry and
-    load balance.
+    Runs the kernel's ``numba.njit``-ed scalar body (its ``arrays`` body
+    without numba) and prices the schedule's per-thread loads at their
+    charges; outputs are bit-for-bit the ``vector`` engine's.
     """
 
     name = "compiled"
 
     def launch(self, sched, costs, decl, args, *, simt=None, extras=None):
+        return self.execute(decl, args), self.price(sched, costs, decl, extras=extras)
+
+    def execute(self, decl, args):
         fn, _ = _compiled_fn(decl)
-        return fn(*args), self.price(sched, costs, decl, extras=extras)
+        return fn(*args)
 
     def price(self, sched, costs, decl, *, extras=None):
         _, jit_mode = _compiled_fn(decl)

@@ -15,33 +15,24 @@ load-balanced kernel launch described by four pieces:
   per-thread kernel for the SIMT interpreter and ``finalize()`` yields
   the output buffer.
 
-Engines live in a *registry* mirroring the schedule registry: built-ins
-(:class:`VectorEngine`, :class:`SimtEngine`, and the multi-device
-:class:`~repro.engine.multi_gpu.MultiGpuEngine`) register themselves via
-:func:`register_engine`, :func:`available_engines` enumerates them, and
-:func:`get_engine` resolves an identifier -- so adding an execution
-strategy is a registration, never another plumbing pass through the call
-sites.
+Engines live in a *registry* mirroring the schedule registry
+(:func:`register_engine`, :func:`available_engines`, :func:`get_engine`),
+so adding an execution strategy is a registration, never another
+plumbing pass through the call sites.
 
 Engines produce *work* -- the output plus the cycles the launch spent --
-and only :func:`~repro.gpusim.cost_model.price` (through
-:meth:`~repro.core.schedule.Schedule.price`) turns that work into time:
-:class:`VectorEngine` runs ``decl.arrays(*args)`` and takes the cycles
-from the schedule's analytic planner (memoized via
-:mod:`repro.engine.plan_cache` on the schedule's identity and the costs,
-whichever policy picked the schedule); :class:`SimtEngine` interprets
-``simt()`` thread-by-thread and measures the charges.  Both are priced
-identically -- setup, bandwidth floor, block scheduling, launch overhead
--- so the engines are cross-validated by construction.  Applications
-never branch on an engine name -- they describe launches to a
-:class:`Runtime` and its one engine does the rest.
+and only :meth:`~repro.core.schedule.Schedule.price` turns it into time
+(setup, bandwidth floor, block scheduling, launch overhead), so the
+engines are cross-validated by construction.  Applications never branch
+on an engine name: they describe launches to a :class:`Runtime`.
 
 Every engine but SIMT computes a launch's output from the kernel body
-alone and only its time from the schedule, so it runs the body and then
-calls its :meth:`Engine.price` seam.  On such an engine a
-:class:`RecordingRuntime` runs a driver once, logs its launches and
-prices the same launch sequence under any other policy without running
-the kernels again.
+alone and only its time from the schedule: its ``launch`` is its
+``execute`` seam (the body) plus its :meth:`Engine.price` seam (the
+time).  On such an engine a :class:`Runtime` prices each distinct launch
+of a run once -- a repeat only executes the body -- and, from the run's
+launch log, prices the same launch sequence under any other policy
+without running the kernels again.
 """
 
 from __future__ import annotations
@@ -56,7 +47,7 @@ from ..gpusim.arch import GpuSpec, V100
 from ..gpusim.cost_model import KernelStats
 from ..gpusim.simt import launch_interpreted
 from ..sparse.csr import CsrMatrix
-from .plan_cache import PlanCache, global_plan_cache
+from .plan_cache import PlanCache, _with_extras, global_plan_cache
 
 if TYPE_CHECKING:
     from .registry import KernelDecl
@@ -74,7 +65,6 @@ __all__ = [
     "unknown_name",
     "engine_description",
     "Runtime",
-    "RecordingRuntime",
 ]
 
 
@@ -97,9 +87,11 @@ class Engine(ABC):
     name: str = "?"
 
     #: ``price(sched, costs, decl, *, extras=None) -> KernelStats`` times
-    #: a launch without running it.  Defining it promises that ``launch``
-    #: returns the body's schedule-free output and this time, so a sweep
-    #: can price every schedule from one run's launch log.  ``None``
+    #: a launch without running it.  An engine defining it also defines
+    #: ``execute(decl, args) -> output``, the body alone, and promises
+    #: that ``launch`` returns ``execute``'s schedule-free output and this
+    #: time; a :class:`Runtime` then prices each distinct launch once and
+    #: a sweep prices every schedule from one run's launch log.  ``None``
     #: (SIMT, engines defining only ``launch``): a launch is timed only
     #: by running it.
     price: Callable[..., KernelStats] | None = None
@@ -140,7 +132,10 @@ class VectorEngine(Engine):
     name = "vector"
 
     def launch(self, sched, costs, decl, args, *, simt=None, extras=None):
-        return decl.arrays(*args), self.price(sched, costs, decl, extras=extras)
+        return self.execute(decl, args), self.price(sched, costs, decl, extras=extras)
+
+    def execute(self, decl, args):
+        return decl.arrays(*args)
 
     def price(self, sched, costs, decl, *, extras=None):
         return self.plan_cache.plan(sched, costs, extras=extras)
@@ -284,6 +279,16 @@ class Runtime:
     once per kernel; single-kernel applications call it once.  Build one
     with :meth:`~repro.engine.context.ExecutionContext.runtime`, or
     directly from a :class:`~repro.core.policy.SchedulePolicy`.
+
+    Launches with the same work offsets, atom count, matrix (by
+    identity) and costs are one *distinct* launch, resolved once: a
+    policy's choice depends only on those and the device spec (true of
+    every built-in policy).  On an engine with :attr:`Engine.price` each
+    distinct launch of a kernel is priced once too; a repeat runs only
+    the body and gets the stored stats with its own extras.  From the
+    logged launches :meth:`reprice` gives the stats and schedule name
+    the run would report under any other policy.  The distinct launches
+    are held for the runtime's life: one run.
     """
 
     def __init__(
@@ -296,6 +301,16 @@ class Runtime:
         self.engine = get_engine(engine)
         self.spec = spec
         self.policy = policy
+        #: The distinct launch index of each launch, in order.
+        self.launches: list[int] = []
+        #: Content key -> :class:`_Distinct`, one per distinct launch.
+        self._distinct: dict[tuple, _Distinct] = {}
+        #: ``id(schedule)`` -> the distinct launch it was last resolved
+        #: for.  Each entry holds its schedule, so no id is reused.
+        self._by_sched: dict[int, _Distinct] = {}
+        #: What names the result: a distinct launch's index, ``"label"``
+        #: (the policy's label) or ``None`` (not named through the runtime).
+        self._named_by: int | str | None = None
 
     def schedule_label(self) -> str:
         """Printable name of this runtime's schedule selection.
@@ -304,11 +319,13 @@ class Runtime:
         iteration) name it with this; the last naming call of a run
         names its result.
         """
+        self._named_by = "label"
         return self.policy.describe() if self.policy is not None else "?"
 
     def schedule_name(self, sched: Schedule) -> str:
         """Name a result after ``sched``, a schedule this runtime resolved
         and launched (what single-launch drivers and spgemm report)."""
+        self._named_by = self._by_sched[id(sched)].index
         return sched.name
 
     def _policy_planner(self):
@@ -318,6 +335,15 @@ class Runtime:
         entries with launches of the same schedule.
         """
         return self.engine.plan_cache.plan
+
+    def _resolve(self, policy, work, matrix, costs) -> Schedule:
+        """The schedule ``policy`` selects for one launch."""
+        selected = policy.select(
+            work, self.spec, matrix=matrix, costs=costs, plan=self._policy_planner()
+        )
+        if isinstance(selected, Schedule):
+            return selected
+        return make_schedule(selected, work, self.spec)
 
     def schedule_for(
         self,
@@ -333,16 +359,18 @@ class Runtime:
         """
         if self.policy is None:
             raise EngineError("Runtime was constructed without a schedule")
-        selected = self.policy.select(
-            work,
-            self.spec,
-            matrix=matrix,
-            costs=costs,
-            plan=self._policy_planner(),
-        )
-        if isinstance(selected, Schedule):
-            return selected
-        return make_schedule(selected, work, self.spec)
+        # Every distinct launch keeps its matrix alive, so the matrix's
+        # id is not reused while the key is held.
+        key = (work.tile_offsets.tobytes(), work.num_atoms, id(matrix), costs)
+        entry = self._distinct.get(key)
+        if entry is None:
+            sched = self._resolve(self.policy, work, matrix, costs)
+            entry = _Distinct(len(self._distinct), sched, work, matrix, costs)
+            self._distinct[key] = entry
+        # A policy handing out one pre-built schedule for several
+        # launches names the launch it was resolved for last.
+        self._by_sched[id(entry.sched)] = entry
+        return entry.sched
 
     def run_launch(
         self,
@@ -354,121 +382,69 @@ class Runtime:
         simt: Callable[[], tuple[Callable, Callable[[], Any]]] | None = None,
         extras: dict | None = None,
     ) -> tuple[Any, KernelStats]:
-        """Execute one launch of ``decl`` on ``args`` on the bound engine."""
-        return self.engine.launch(
-            sched, costs, decl, args, simt=simt, extras=extras
-        )
+        """Execute one launch of ``decl`` on ``args`` on the bound engine.
 
+        ``sched`` must come from this runtime's :meth:`schedule_for`,
+        resolved with the launch's own ``costs``.
+        """
+        entry = self._by_sched.get(id(sched))
+        if entry is None or entry.costs != costs:
+            raise EngineError(
+                "a launch must run a schedule this runtime resolved "
+                "with the launch's own costs"
+            )
+        entry.decl, entry.extras = decl, extras
+        self.launches.append(entry.index)
+        engine = self.engine
+        if engine.price is None:
+            return engine.launch(sched, costs, decl, args, simt=simt, extras=extras)
+        stats = entry.priced.get(decl)
+        if stats is None:
+            output, stats = engine.launch(sched, costs, decl, args, simt=simt)
+            entry.priced[decl] = stats
+        else:
+            output = engine.execute(decl, args)
+        return output, _with_extras(stats, {**stats.extras, **(extras or {})})
 
-class RecordingRuntime(Runtime):
-    """A :class:`Runtime` that logs its launches for repricing.
+    def reprice(self, policy: SchedulePolicy) -> tuple[KernelStats | None, str]:
+        """``(stats, schedule name)`` of the logged run under ``policy``.
 
-    On an engine with :attr:`Engine.price` a launch's output does not
-    depend on the schedule, and drivers branch only on outputs, so one
-    run of a driver fixes its whole launch sequence.  Run the driver
-    once on this runtime (under its own policy); it logs its launches
-    in order, and :meth:`reprice` then gives the stats and schedule name
-    the driver would report under any other policy, without running a
-    kernel body again.
-
-    Launches with the same work offsets, atom count, matrix (by
-    identity) and costs are one *distinct* launch.  A policy's choice
-    depends only on those and the device spec (true of every built-in
-    policy), and kernels and extras never affect timing, so each
-    distinct launch is resolved once here -- a repeated launch gets the
-    schedule already resolved for it, priced from the same cache
-    entries -- and once per policy in :meth:`reprice`.  The distinct schedules are held for the
-    runtime's life: one dataset's run.
-    """
-
-    def __init__(
-        self, engine: Engine, *, spec: GpuSpec = V100, policy: SchedulePolicy
-    ):
-        super().__init__(engine, spec=spec, policy=policy)
+        Each distinct launch is resolved and priced once; the logged
+        sequence of their stats then folds with :meth:`KernelStats.chain`,
+        as the driver composes them.  ``stats`` is ``None`` when the run
+        made no launch (its own stats then do not depend on the schedule).
+        """
         if self.engine.price is None:
             raise EngineError(
                 f"engine {self.engine.name!r} times a launch only by running "
                 "it, so its launches cannot be repriced"
             )
-        #: The distinct launch index of each launch, in order.
-        self.launches: list[int] = []
-        #: Content key -> :class:`_Distinct`, one per distinct launch.
-        self._distinct: dict[tuple, _Distinct] = {}
-        #: ``id(schedule)`` -> the distinct launch it was last resolved
-        #: for.  Each entry holds its schedule, so no id is reused.
-        self._by_sched: dict[int, _Distinct] = {}
-        #: What names the result: a distinct launch's index, ``"label"``
-        #: (the policy's label) or ``None`` (not named through the runtime).
-        self._named_by: int | str | None = None
-
-    def schedule_for(self, work, *, matrix=None, costs=None):
-        # Every distinct launch keeps its matrix alive, so the matrix's
-        # id is not reused while the key is held.
-        key = (work.tile_offsets.tobytes(), work.num_atoms, id(matrix), costs)
-        entry = self._distinct.get(key)
-        if entry is None:
-            sched = super().schedule_for(work, matrix=matrix, costs=costs)
-            entry = _Distinct(len(self._distinct), sched, work, matrix, costs)
-            self._distinct[key] = entry
-        # A policy handing out one pre-built schedule for several
-        # launches names the launch it was resolved for last.
-        self._by_sched[id(entry.sched)] = entry
-        return entry.sched
-
-    def run_launch(self, sched, costs, decl, args, *, simt=None, extras=None):
-        entry = self._by_sched.get(id(sched))
-        if entry is None or entry.costs != costs:
-            raise EngineError(
-                "a logged launch must run a schedule this runtime resolved "
-                "with the launch's own costs"
-            )
-        entry.decl, entry.extras = decl, extras
-        self.launches.append(entry.index)
-        return super().run_launch(
-            sched, costs, decl, args, simt=simt, extras=extras
-        )
-
-    def schedule_name(self, sched):
-        self._named_by = self._by_sched[id(sched)].index
-        return sched.name
-
-    def schedule_label(self):
-        self._named_by = "label"
-        return super().schedule_label()
-
-    def reprice(self, policy: SchedulePolicy) -> tuple[KernelStats | None, str]:
-        """``(stats, schedule name)`` of the logged run under ``policy``.
-
-        Each distinct launch is resolved and planned once; the logged
-        sequence of their stats then folds with :meth:`KernelStats.chain`,
-        as the driver composes them.  ``stats`` is ``None`` when the run
-        made no launch (its own stats then do not depend on the schedule).
-        """
         if self._named_by is None:
             raise EngineError(
                 "the driver did not name its schedule through "
                 "Runtime.schedule_name or Runtime.schedule_label"
             )
-        rt = Runtime(self.engine, spec=self.spec, policy=policy)
         stats, names = [], []
         for d in self._distinct.values():
-            sched = rt.schedule_for(d.work, matrix=d.matrix, costs=d.costs)
+            sched = self._resolve(policy, d.work, d.matrix, d.costs)
             stats.append(self.engine.price(sched, d.costs, d.decl, extras=d.extras))
             names.append(sched.name)
         total = KernelStats.chain([stats[i] for i in self.launches])
         if self._named_by == "label":
-            return total, rt.schedule_label()
+            return total, policy.describe()
         return total, names[self._named_by]
 
 
 class _Distinct:
-    """One distinct launch of a :class:`RecordingRuntime`: the schedule
-    resolved for it, what resolves it again under another policy, and
-    the kernel and extras it was last launched with (neither changes the
-    time; a fold of several launches drops extras, so only a one-launch
-    run reports them)."""
+    """One distinct launch of a :class:`Runtime`: the schedule resolved
+    for it, what resolves it again under another policy, its stats per
+    kernel on a pricing engine, and the kernel and extras it was last
+    launched with (neither changes the time; a fold of several launches
+    drops extras, so only a one-launch run reports them)."""
 
-    __slots__ = ("index", "sched", "work", "matrix", "costs", "decl", "extras")
+    __slots__ = (
+        "index", "sched", "work", "matrix", "costs", "priced", "decl", "extras"
+    )
 
     def __init__(self, index, sched, work, matrix, costs):
         self.index = index
@@ -476,4 +452,6 @@ class _Distinct:
         self.work = work
         self.matrix = matrix
         self.costs = costs
+        #: ``KernelDecl`` -> the stats of its first launch, no extras.
+        self.priced: dict = {}
         self.decl = self.extras = None

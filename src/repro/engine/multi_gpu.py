@@ -1,22 +1,13 @@
 """Multi-GPU execution as just another engine.
 
-:mod:`repro.gpusim.multi_gpu` models the paper's Section 8 future work --
-device-level partitioning with the same machinery used inside a device --
-but until now it was stranded outside the dispatch layer: only a
-hand-written harness loop could reach it.  This module closes the gap by
-wrapping that partitioning in an :class:`~repro.engine.dispatch.Engine`,
-so *every* registered application inherits multi-device execution the
-same way it inherited SIMT execution: by naming an engine.
-
-Semantics: the functional result comes from the kernel's vectorized
-``arrays`` body (device partitioning never changes *what* is computed --
-multi-GPU outputs are bit-for-bit the vector engine's outputs); the
-timing delegates to :func:`~repro.gpusim.multi_gpu.multi_gpu_plan`
-(shard partition, per-shard re-scheduling, slowest-device-plus-offload
-ensemble), with shard planning routed through the engine's plan cache
-via its ``plan_shard`` hook -- one partition/plan loop, two callers.
-Multi-device sweeps therefore warm the same in-memory cache
-single-device sweeps do.
+:mod:`repro.gpusim.multi_gpu` models the paper's Section 8 future work:
+device-level partitioning with the same machinery used inside a device.
+Wrapped in an :class:`~repro.engine.dispatch.Engine`, it reaches every
+registered application by naming an engine.  The output comes from the
+kernel's ``arrays`` body, bit-for-bit the vector engine's; the time from
+:func:`~repro.gpusim.multi_gpu.multi_gpu_plan` (shard partition,
+per-shard re-scheduling, slowest device plus offload), its shards
+planned through the engine's plan cache.
 """
 
 from __future__ import annotations
@@ -53,7 +44,10 @@ class MultiGpuEngine(Engine):
         self.num_devices = num_devices
 
     def launch(self, sched, costs, decl, args, *, simt=None, extras=None):
-        return decl.arrays(*args), self.price(sched, costs, decl, extras=extras)
+        return self.execute(decl, args), self.price(sched, costs, decl, extras=extras)
+
+    def execute(self, decl, args):
+        return decl.arrays(*args)
 
     def price(self, sched, costs, decl, *, extras=None):
         def plan_shard(dev_sched, dev_costs, dev_extras):

@@ -74,9 +74,9 @@ def schedule_key(sched: Schedule) -> tuple | None:
 
 def _with_extras(stats: KernelStats, extras: dict) -> KernelStats:
     """``dataclasses.replace(stats, extras=extras)`` at a fraction of the
-    cost: a shallow copy of the cached numbers that skips the frozen
-    dataclass ``__init__`` (a cache hit is the hot path of every
-    frontier iteration)."""
+    cost: a shallow copy of stored numbers that skips the frozen
+    dataclass ``__init__`` (a cache hit here, and every launch a
+    :class:`~repro.engine.dispatch.Runtime` has already priced)."""
     out = object.__new__(KernelStats)
     out.__dict__.update(stats.__dict__)
     out.__dict__["extras"] = extras

@@ -23,6 +23,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from ..sparse.csr import CsrMatrix
 from .context import DEFAULT_CONTEXT, ExecutionContext
 from .dispatch import Runtime
 
@@ -38,7 +39,10 @@ __all__ = [
 
 
 def default_match(output: Any, expected: Any) -> bool:
-    """Default output validation: dense ``allclose`` at oracle tolerance."""
+    """Default output validation: ``allclose`` at oracle tolerance (of
+    two CSR outputs without densifying them)."""
+    if isinstance(output, CsrMatrix) and isinstance(expected, CsrMatrix):
+        return output.allclose(expected, rtol=1e-9, atol=1e-12)
     if hasattr(output, "to_dense"):
         output = output.to_dense()
     if hasattr(expected, "to_dense"):

@@ -16,16 +16,14 @@ One functional pass per dataset
 Both executors run each dataset through one function: the problem and
 oracle are built once, and on any engine whose ``price`` times a
 launch without running it (``vector``, ``compiled``, ``multi_gpu``) the
-app's driver runs once too, for the first schedule kernel, on a
-:class:`~repro.engine.dispatch.RecordingRuntime`.  Those engines'
-outputs do not depend on the schedule, so every other schedule kernel
-is priced from that run's launch log, bit-identical to running its
-cell; each distinct launch (work, matrix, costs) is resolved and
-priced once in the recording pass and once per other kernel, as a
-policy's choice depends on nothing else.  Every cell still validates
-the shared output (the oracle and its own sample check; a seed-free
-certificate runs once, for the first kernel).  The ``simt`` engine,
-any engine without ``price``, and the baselines execute every cell.
+app's driver runs once too, for the first schedule kernel.  Those
+engines' outputs do not depend on the schedule, so every other schedule
+kernel is priced from that run's launch log
+(:meth:`~repro.engine.dispatch.Runtime.reprice`), bit-identical to
+running its cell.  Every cell still validates the shared output (the
+oracle and its own sample check; a seed-free certificate runs once, for
+the first kernel).  The ``simt`` engine, any engine without ``price``,
+and the baselines execute every cell.
 
 Performance knobs
 -----------------
@@ -74,7 +72,7 @@ from ..engine import (
     run_app,
 )
 from ..core.policy import as_policy
-from ..engine.dispatch import RecordingRuntime, ensure_known_engine, unknown_name
+from ..engine.dispatch import Runtime, ensure_known_engine, unknown_name
 from ..sparse.corpus import Dataset, build_corpus
 
 __all__ = [
@@ -264,8 +262,8 @@ def _run_dataset(
 
     On an engine with ``price`` the schedule never changes a launch's
     output, so the first schedule kernel runs the driver once on a
-    :class:`~repro.engine.dispatch.RecordingRuntime` and every other
-    schedule kernel is priced from its launch log: one functional pass
+    :class:`~repro.engine.dispatch.Runtime` and every other schedule
+    kernel is priced from its launch log: one functional pass
     per dataset.  Other engines, and the baselines, execute per cell.
     Every cell validates the output it reports; a sample check that
     ignores its seed would give every kernel of the shared output the
@@ -274,7 +272,7 @@ def _run_dataset(
     launched = [k for k in kernels if k not in app_spec.baselines]
     engine = ctx.engine_instance()
     if launched and engine.price is not None:
-        rt = RecordingRuntime(engine, spec=ctx.spec, policy=as_policy(launched[0]))
+        rt = Runtime(engine, spec=ctx.spec, policy=as_policy(launched[0]))
         logged = app_spec.driver(problem, rt)
     else:
         launched = []  # nothing logged: every cell executes

@@ -147,8 +147,7 @@ class SweepService:
     in-process (no worker pool -- deterministic and spawn-free, the
     test/bench fast path), ``None`` or ``N >= 1`` owns a persistent
     :class:`~repro.engine.worker_pool.SweepExecutor` of that width whose
-    caches all jobs share.  Pass ``executor=`` to serve over a pool you
-    manage yourself (it will not be shut down on drain).
+    caches all jobs share.
 
     Run it with :meth:`serve` (asyncio; the CLI path installs
     SIGTERM/SIGINT drain handlers) or :meth:`start_background` (own
@@ -163,7 +162,6 @@ class SweepService:
         width: int | None = None,
         queue_depth: int | None = None,
         journal_path: str | None = None,
-        executor: SweepExecutor | None = None,
         job_timeout: float | None = None,
     ):
         if width is not None and width < 0:
@@ -182,13 +180,9 @@ class SweepService:
         self._journal = (
             None if journal_path is None else ResultsJournal(journal_path)
         )
-        self._owns_pool = executor is None and (width is None or width >= 1)
-        if executor is not None:
-            self._pool: SweepExecutor | None = executor
-        elif self._owns_pool:
-            self._pool = SweepExecutor(max_workers=width)
-        else:  # width == 0: serial in-process execution
-            self._pool = None
+        self._pool: SweepExecutor | None = (
+            None if width == 0 else SweepExecutor(max_workers=width)
+        )
         self._clients: set[_ClientState] = set()
         self._conn_tasks: set = set()
         self._rr: deque[_ClientState] = deque()
@@ -688,7 +682,7 @@ class SweepService:
 
     def _shutdown_resources(self) -> None:
         """Drain epilogue: unlink every shm segment, close the journal."""
-        if self._pool is not None and self._owns_pool:
+        if self._pool is not None:
             self._pool.shutdown()
         if self._journal is not None:
             self._journal.close()

@@ -143,6 +143,42 @@ class CsrMatrix:
         np.add.at(out, (rows, self.col_indices), self.values)
         return out
 
+    def allclose(
+        self, other: "CsrMatrix", *, rtol: float = 1e-05, atol: float = 1e-08
+    ) -> bool:
+        """``np.allclose(self.to_dense(), other.to_dense(), rtol, atol)``
+        in O(nnz) memory (``False`` on unequal shapes): entries compare on
+        the union of both patterns, merged from sorted row-major keys; an
+        absent entry is 0 and duplicates add up as in :meth:`to_dense`.
+        """
+        if self.shape != other.shape:
+            return False
+        ka, va = self._summed_entries()
+        kb, vb = other._summed_entries()
+        pos = np.searchsorted(ka, kb)
+        hit = pos < ka.size
+        hit[hit] = ka[pos[hit]] == kb[hit]
+        only_self = np.ones(ka.size, dtype=bool)
+        only_self[pos[hit]] = False
+        return bool(
+            np.allclose(va[pos[hit]], vb[hit], rtol=rtol, atol=atol)
+            and np.allclose(va[only_self], 0.0, rtol=rtol, atol=atol)
+            and np.allclose(0.0, vb[~hit], rtol=rtol, atol=atol)
+        )
+
+    def _summed_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(keys, values)``: the distinct row-major keys ``row * cols +
+        col`` in increasing order, each with its entries' sum."""
+        rows = np.repeat(np.arange(self.num_rows, dtype=np.int64), self.row_lengths())
+        keys = rows * self.num_cols + self.col_indices
+        values = self.values.astype(np.float64, copy=False)
+        if keys.size > 1 and not np.all(keys[1:] > keys[:-1]):
+            order = lex_order(rows, self.col_indices, self.shape)
+            keys, values = keys[order], values[order]
+            starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+            keys, values = keys[starts], np.add.reduceat(values, starts)
+        return keys, values
+
     def transpose(self) -> "CsrMatrix":
         """Transpose via a stable counting sort on column indices."""
         from .convert import csr_transpose

@@ -2,19 +2,20 @@
 
 On every engine with ``price`` (vector, compiled, multi_gpu)
 ``run_suite`` runs each app's driver once per dataset on a
-:class:`~repro.engine.dispatch.RecordingRuntime` and prices every other
-schedule kernel from the logged launches.  These tests pin that the
-logged rows are the per-cell rows, that the kernel bodies run once per
-dataset (and still once per cell on SIMT and on launch-only engines),
-that validation stays per cell, and that every oracle stands without
-the kernel bodies it validates -- the precondition for validating one
-shared output.
+:class:`~repro.engine.dispatch.Runtime` and prices every other schedule
+kernel from the logged launches.  These tests pin that the logged rows
+are the per-cell rows, that the kernel bodies run once per dataset (and
+still once per cell on SIMT and on launch-only engines), that every run
+resolves and prices each distinct launch once, that validation stays
+per cell, and that every oracle stands without the kernel bodies it
+validates -- the precondition for validating one shared output.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import sys
+from collections import Counter
 
 import pytest
 
@@ -32,7 +33,8 @@ from repro.engine import (
     get_app,
     run_app,
 )
-from repro.engine.dispatch import EngineError, RecordingRuntime, Runtime
+from repro.engine.dispatch import EngineError, Runtime
+from repro.engine.multi_gpu import MultiGpuEngine
 from repro.gpusim.cost_model import KernelStats
 from repro.evaluation import harness
 from repro.evaluation.harness import expand_datasets, run_cell, run_suite
@@ -131,32 +133,37 @@ def test_pricing_engine_sweep_runs_kernel_bodies_once_per_dataset(
 
 def test_reprice_resolves_each_distinct_launch_once(monkeypatch):
     """The smoke bfs sweep logs 2,072 frontier launches; 156 of them are
-    distinct, so the recording pass resolves 156 launches and its four
-    repriced kernels 624, not 8,288."""
-    calls = {"record": 0, "reprice": 0}
-    schedule_for = Runtime.schedule_for
+    distinct, so the logged run resolves 156 launches and each of its
+    four repriced kernels 156 more, not 8,288 in all."""
+    calls = Counter()
+    resolve = Runtime._resolve
 
-    def counted(self, *args, **kwargs):
-        calls["reprice" if type(self) is Runtime else "record"] += 1
-        return schedule_for(self, *args, **kwargs)
+    def counted(self, policy, *args):
+        calls[policy.describe()] += 1
+        return resolve(self, policy, *args)
 
-    monkeypatch.setattr(Runtime, "schedule_for", counted)
+    monkeypatch.setattr(Runtime, "_resolve", counted)
     run_suite(FIVE_KERNELS, app="bfs", datasets=expand_datasets("bfs", scale="smoke"))
-    assert calls["record"] == 156
-    assert calls["reprice"] == (len(FIVE_KERNELS) - 1) * calls["record"]
+    assert calls == {kernel: 156 for kernel in FIVE_KERNELS}
 
 
-def test_recording_runtime_holds_one_entry_per_distinct_launch(monkeypatch):
-    """However many launches a run logs, the runtime keeps one schedule
-    (and one work) per distinct launch."""
+def _kept_runtimes(monkeypatch):
+    """Every :class:`Runtime` built from here on, in order."""
     runtimes = []
-    init = RecordingRuntime.__init__
+    init = Runtime.__init__
 
     def kept(self, *args, **kwargs):
         init(self, *args, **kwargs)
         runtimes.append(self)
 
-    monkeypatch.setattr(RecordingRuntime, "__init__", kept)
+    monkeypatch.setattr(Runtime, "__init__", kept)
+    return runtimes
+
+
+def test_runtime_holds_one_entry_per_distinct_launch(monkeypatch):
+    """However many launches a run logs, the runtime keeps one schedule
+    (and one work) per distinct launch."""
+    runtimes = _kept_runtimes(monkeypatch)
     run_suite(FIVE_KERNELS, app="bfs", datasets=expand_datasets("bfs", scale="smoke"))
     assert sum(len(rt.launches) for rt in runtimes) == 2072
     for rt in runtimes:
@@ -164,6 +171,77 @@ def test_recording_runtime_holds_one_entry_per_distinct_launch(monkeypatch):
         assert len(rt._distinct) <= distinct
         assert len(rt._by_sched) <= distinct
     assert sum(len(rt._distinct) for rt in runtimes) == 156
+
+
+def test_multi_gpu_sweep_prices_each_distinct_launch_once_per_kernel(monkeypatch):
+    """Every ``MultiGpuEngine.price`` call rebuilds the shard ensemble:
+    the bfs sweep over five kernels makes one per distinct launch and
+    kernel, not one per launch."""
+    calls = [0]
+    price = MultiGpuEngine.price
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        return price(self, *args, **kwargs)
+
+    monkeypatch.setattr(MultiGpuEngine, "price", counted)
+    run_suite(FIVE_KERNELS, app="bfs", datasets=expand_datasets("bfs", scale="smoke"),
+              ctx=ExecutionContext(gpus=4))
+    assert calls[0] <= 156 * len(FIVE_KERNELS)
+
+
+def test_run_app_prices_each_distinct_launch_once(monkeypatch):
+    """A per-cell run prices each distinct launch once."""
+    runtimes = _kept_runtimes(monkeypatch)
+    priced = [0]
+    price = VectorEngine.price
+
+    def counted(self, *args, **kwargs):
+        priced[0] += 1
+        return price(self, *args, **kwargs)
+
+    monkeypatch.setattr(VectorEngine, "price", counted)
+    spec = get_app("bfs")
+    for dataset in expand_datasets("bfs", scale="smoke"):
+        priced[0] = 0
+        run_app(spec, spec.sweep_problem(dataset.matrix, 0),
+                ctx=ExecutionContext().with_policy("merge_path"))
+        assert priced[0] == len(runtimes[-1]._distinct)
+    assert sum(len(rt.launches) for rt in runtimes) == 2072
+    assert sum(len(rt._distinct) for rt in runtimes) == 156
+
+
+@PRICING_CONTEXTS
+@pytest.mark.parametrize("app", available_apps())
+def test_repeated_launch_stats_equal_a_fresh_price(monkeypatch, app, ctx):
+    """Every launch of a run -- repeats included -- reports the stats,
+    extras and all, a fresh ``engine.price`` gives it; so do the
+    per-iteration stats a frontier app keeps in its ``trace``."""
+    launches = []
+    run_launch = Runtime.run_launch
+
+    def logged(self, sched, costs, decl, args, *, simt=None, extras=None):
+        out = run_launch(self, sched, costs, decl, args, simt=simt, extras=extras)
+        launches.append((self.engine, sched, costs, decl, extras, out[1]))
+        return out
+
+    monkeypatch.setattr(Runtime, "run_launch", logged)
+    spec = get_app(app)
+    # A band graph: frontier loops and power iteration repeat launches.
+    problem = spec.sweep_problem(load_dataset("tiny_band_128", "smoke").matrix, 0)
+    result = run_app(spec, problem, ctx=ctx.with_policy("lrb"))
+    assert launches
+    if app in ("bfs", "sssp", "pagerank"):
+        assert len({id(sched) for _, sched, *_ in launches}) < len(launches)
+    for engine, sched, costs, decl, extras, stats in launches:
+        fresh = engine.price(sched, costs, decl, extras=extras)
+        assert stats == fresh
+        assert stats.extras == fresh.extras
+        assert list(stats.extras) == list(fresh.extras)
+    trace = result.stats.extras.get("trace")
+    if trace is not None:
+        assert [i.stats.extras for i in trace] == [s[-1].extras for s in launches]
+        assert [i.stats.extras["iteration"] for i in trace] == list(range(len(trace)))
 
 
 class _Probe(SchedulePolicy):
@@ -185,9 +263,9 @@ _NOOP = KernelDecl("noop", lambda: None)
 
 
 def _record(launches, extras=None):
-    """Log ``(counts, matrix, costs)`` launches on a fresh recording
-    runtime, naming the result after the first launch's schedule."""
-    rt = RecordingRuntime(VectorEngine(), policy=as_policy("thread_mapped"))
+    """Log ``(counts, matrix, costs)`` launches on a fresh runtime,
+    naming the result after the first launch's schedule."""
+    rt = Runtime(VectorEngine(), policy=as_policy("thread_mapped"))
     for i, (counts, matrix, costs) in enumerate(launches):
         sched = rt.schedule_for(
             WorkSpec.from_counts(counts), matrix=matrix, costs=costs
@@ -288,9 +366,13 @@ def test_launch_only_engine_sweep_runs_every_cell(swap_bodies):
 
 
 @pytest.mark.parametrize("engine", [SimtEngine(), _EchoEngine()], ids=["simt", "echo"])
-def test_recording_runtime_needs_a_pricing_engine(engine):
+def test_reprice_needs_a_pricing_engine(engine):
+    costs = WorkCosts(atom_cycles=4.0, tile_cycles=2.0)
+    rt = Runtime(engine, spec=TINY_GPU, policy=as_policy("merge_path"))
+    sched = rt.schedule_for(WorkSpec.from_counts([2, 7, 1]), costs=costs)
+    rt.schedule_name(sched)
     with pytest.raises(EngineError, match="cannot be repriced"):
-        RecordingRuntime(engine, policy=as_policy("merge_path"))
+        rt.reprice(as_policy("lrb"))
 
 
 @pytest.mark.parametrize("failing", ["match", "sample_check"])
