@@ -10,7 +10,7 @@ plumbing.  The built-ins guard the contracts earlier PRs introduced:
     or ``benchmarks/`` must appear (backticked) in README's environment
     table, and every one README names must still be read there -- a
     row cannot outlive the code that read it.  Prefix globs
-    (``REPRO_PROBLEM_CACHE_*`` spellings) are skipped on both sides.
+    (``REPRO_FAULTS_*`` spellings) are skipped on both sides.
 ``fault-sites``
     Every ``faults.inject("...")`` site string must be declared in
     :data:`repro.faults.KNOWN_SITES` and exercised by name in
@@ -69,8 +69,8 @@ def _env_vars(path: Path):
     """Yield ``(line_number, var)`` for every env var named in a file.
 
     Skips prefix globs: a match immediately followed by ``*`` (e.g. the
-    ``REPRO_PROBLEM_CACHE_*`` family reset helper) or ending in ``_`` is
-    a pattern over variables, not a variable.
+    ``REPRO_FAULTS_*`` family) or ending in ``_`` is a pattern over
+    variables, not a variable.
     """
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         for match in _ENV_VAR.finditer(line):

@@ -134,14 +134,16 @@ _ORACLE_PRODUCT_BUDGET = 1 << 17
 def spgemm_reference(a: CsrMatrix, b: CsrMatrix) -> CsrMatrix:
     """Pure NumPy Gustavson expansion oracle (duplicates summed).
 
-    Expands and reduces one row block at a time.  Blocks end on row
-    boundaries, so each (row, col) sum sees its products in expansion
-    order and the result is bit-identical to reducing the whole
-    expansion at once.
+    Expands and reduces one row block at a time with its own gather
+    (each product indexes its A atom), independent of the driver's
+    allocation stage.  Blocks end on row boundaries, so each (row, col)
+    sum sees its products in expansion order and the result is
+    bit-identical to reducing the whole expansion at once.
     """
     _check(a, b)
+    b_lengths = b.row_lengths()
     atom_products = np.zeros(a.nnz + 1, dtype=np.int64)
-    np.cumsum(b.row_lengths()[a.col_indices], out=atom_products[1:])
+    np.cumsum(b_lengths[a.col_indices], out=atom_products[1:])
     row_products = atom_products[a.row_offsets]  # cumulative, per row edge
     counts = np.zeros(a.num_rows, dtype=np.int64)
     cols, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
@@ -152,13 +154,17 @@ def spgemm_reference(a: CsrMatrix, b: CsrMatrix) -> CsrMatrix:
             row_products, row_products[lo] + _ORACLE_PRODUCT_BUDGET, "right"
         )) - 1)
         start, stop = a.row_offsets[lo], a.row_offsets[hi]
-        block = CsrMatrix.from_arrays(
-            a.row_offsets[lo:hi + 1] - start, a.col_indices[start:stop],
-            a.values[start:stop], (hi - lo, a.num_cols), validate=False,
+        first, last = row_products[lo], row_products[hi]
+        atom = np.repeat(
+            np.arange(start, stop, dtype=np.int64),
+            b_lengths[a.col_indices[start:stop]],
         )
-        products = _expand_products(block, b)
+        b_idx = (b.row_offsets[a.col_indices[atom]]
+                 + np.arange(first, last, dtype=np.int64) - atom_products[atom])
         coo = CooMatrix.from_arrays(
-            products["rows"], products["cols"], products["vals"],
+            np.repeat(np.arange(hi - lo, dtype=np.int64),
+                      np.diff(row_products[lo:hi + 1])),
+            b.col_indices[b_idx], a.values[atom] * b.values[b_idx],
             (hi - lo, b.num_cols),
         ).sum_duplicates()
         counts[lo:hi] = np.bincount(coo.rows, minlength=hi - lo)

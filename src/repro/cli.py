@@ -32,12 +32,13 @@ The ``sweep`` command is generic over the application registry
 (``--app``, default ``spmv``) and exposes the harness's performance
 knobs:
 
-* ``--workers N`` -- with ``N >= 1``, shard by dataset over the
-  process-wide persistent worker pool (:func:`~repro.engine.worker_pool.
-  default_executor`) of width ``N``: each worker builds the
-  problem/oracle once per dataset and runs every kernel of that cell,
-  dataset payloads travel through shared memory, small shards are
-  batched.  Without it (or with ``0``) the sweep runs serially.
+* ``--workers N`` -- with ``N >= 1``, shard by dataset over a
+  :class:`~repro.engine.worker_pool.SweepExecutor` of width ``N``, built
+  for the sweep and shut down after it (SIGTERM/SIGINT unlink its shm
+  too): each worker builds the problem/oracle once per dataset and runs
+  every kernel of that cell, dataset payloads travel through shared
+  memory, small shards are batched.  Without it (or with ``0``) the
+  sweep runs serially.
 
 ``serve`` runs the long-lived multi-tenant sweep daemon
 (:mod:`repro.service`) over one persistent warm executor; ``submit``
@@ -180,20 +181,18 @@ def build_parser() -> argparse.ArgumentParser:
                               "(announced on stdout)")
     p_serve.add_argument("--width", type=int, default=None,
                          help="worker-pool width; 0 runs units serially "
-                              "in-process (default: REPRO_SERVE_WIDTH or "
-                              "the executor's default width)")
+                              "in-process (default: the executor's default "
+                              "width)")
     p_serve.add_argument("--queue-depth", type=int, default=None,
                          help="max pending jobs before submissions are "
-                              "rejected with queue_full (default: "
-                              "REPRO_SERVE_QUEUE_DEPTH or 16)")
+                              "rejected with queue_full (default: 16)")
     p_serve.add_argument("--journal", type=Path, default=None,
                          help="crash-safe results journal (every accepted "
                               "job, row and completion, CRC-framed)")
     p_serve.add_argument("--job-timeout", type=float, default=None,
                          help="per-job wall-clock deadline in seconds; a "
                               "job past it finishes with status=timeout "
-                              "(default: REPRO_SERVE_JOB_TIMEOUT or 600; "
-                              "0 disables)")
+                              "(default: 600; 0 disables)")
 
     p_submit = sub.add_parser(
         "submit", help="submit one sweep job to a running service"
@@ -344,11 +343,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         spec=get_spec(args.spec),
         gpus=args.gpus,
     )
-    fan_out = {}
+    pool = None
     if args.workers:
-        from .engine.worker_pool import default_executor
+        from .engine.worker_pool import SweepExecutor, install_signal_cleanup
 
-        fan_out = dict(executor="process", pool=default_executor(args.workers))
+        install_signal_cleanup()  # a signal death skips atexit's shm unlink
+        pool = SweepExecutor(max_workers=args.workers)
     try:
         rows = run_suite(
             kernels,
@@ -358,12 +358,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             limit=args.limit,
             seed=DEFAULT_SEED if args.seed is None else args.seed,
             validate=not args.no_validate,
-            **fan_out,
+            executor="serial" if pool is None else "process",
+            pool=pool,
         )
     except BaseException:
         if rows_jsonl_fh is not None:
             rows_jsonl_fh.close()
         raise
+    finally:
+        if pool is not None:
+            pool.shutdown()
     if rows_jsonl_fh is not None:
         import json as _json
 
@@ -443,29 +447,14 @@ def _cmd_engines(_args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
-    import os
 
     from .service import SweepService
-    from .service.server import SERVE_WIDTH_ENV
 
-    width = args.width
-    if width is None:
-        raw = os.environ.get(SERVE_WIDTH_ENV)
-        if raw:
-            try:
-                width = int(raw)
-            except ValueError:
-                print(f"non-integer {SERVE_WIDTH_ENV}={raw!r}",
-                      file=sys.stderr)
-                return 2
-    if width is not None and width < 0:
-        print(f"--width must be >= 0, got {width}", file=sys.stderr)
-        return 2
-    try:
+    try:  # SweepService rejects a negative width
         service = SweepService(
             host=args.host,
             port=args.port,
-            width=width,
+            width=args.width,
             queue_depth=args.queue_depth,
             journal_path=None if args.journal is None else str(args.journal),
             job_timeout=args.job_timeout,

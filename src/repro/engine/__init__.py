@@ -33,9 +33,9 @@ paper's separation of concerns at the code level:
   corpus sweeps stop re-pricing identical launches.  It is
   in-memory and per process; each pool worker keeps its own.
 * **Worker pool** (:mod:`.worker_pool`) -- :class:`SweepExecutor`, the
-  persistent process pool behind ``executor="process"`` sweeps: warm
-  workers survive across ``run_suite`` calls (``pool=default_executor()``
-  shares the module-wide pool), small shards are batched
+  caller-owned process pool behind ``executor="process"`` sweeps
+  (``run_suite(..., executor="process", pool=pool)``): warm workers
+  survive across ``run_suite`` calls, small shards are batched
   into one pickle crossing, and dataset payloads travel through
   ``multiprocessing.shared_memory`` as array blocks (CSR matrices, COO
   sparse tensors and dense arrays) instead of the pickle stream
@@ -86,12 +86,10 @@ from .worker_pool import (
     SweepExecutor,
     attach_payload,
     clear_problem_cache,
-    default_executor,
     home_slot,
     install_signal_cleanup,
     problem_cache,
     publish_payload,
-    shutdown_default_executor,
 )
 from .registry import (
     AppSpec,
@@ -138,8 +136,6 @@ __all__ = [
     "ProblemCache",
     "problem_cache",
     "clear_problem_cache",
-    "default_executor",
-    "shutdown_default_executor",
     "clear_plan_cache",
     "global_plan_cache",
     "work_fingerprint",

@@ -1,21 +1,21 @@
 """Persistent sweep execution: warm worker pools + shared-memory transport.
 
-The harness's original ``executor="process"`` path rebuilt the world per
-call: every ``run_suite`` spawned a fresh
-:class:`~concurrent.futures.ProcessPoolExecutor`, pickled every dataset's
-CSR arrays across the pipe, and started each worker with a cold plan
-cache -- so at smoke scale the process executor *lost* to serial (see
-``BENCH_sweep.json``).  This module amortizes all three costs, the same
-way persistent GPU runtimes amortize context/handle creation across
-kernel launches:
+A process sweep pays three costs serial does not: spawning workers,
+shipping every dataset's arrays to them and warming each worker's plan
+cache.  This module amortizes all three across sweeps, the same way
+persistent GPU runtimes amortize context/handle creation across kernel
+launches:
 
 :class:`SweepExecutor`
-    A reusable, lazily-spawned worker pool.  The pool survives across
-    ``run_suite`` calls and across apps; workers are warmed once by an
-    initializer (NumPy + the app registry imported, kernels precompiled)
-    and keep their in-memory plan caches between sweeps.
-    Use it as a context manager, or share the module-level
-    :func:`default_executor` (``run_suite(..., pool=default_executor())``).
+    The one way a sweep fans out: a reusable, lazily-spawned worker pool
+    owned by its caller (``with SweepExecutor(max_workers=N) as pool:
+    run_suite(..., executor="process", pool=pool)``).  The pool survives
+    across ``run_suite`` calls and across apps; workers are warmed once
+    by an initializer (NumPy + the app registry imported, kernels
+    precompiled) and keep their in-memory plan caches between sweeps.
+    Every executor with live workers is shut down -- its shm blocks
+    unlinked -- at interpreter exit, and on SIGTERM/SIGINT once
+    :func:`install_signal_cleanup` has run.
 
 Sticky placement & shard batching
     Every dataset has a *home worker*: its content key is rendezvous-
@@ -73,7 +73,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .._env import env_number
 from ..faults import inject
 from ..sparse.corpus import Dataset
 from ..sparse.csr import CsrMatrix
@@ -89,22 +88,12 @@ __all__ = [
     "ProblemCache",
     "problem_cache",
     "clear_problem_cache",
-    "default_executor",
-    "shutdown_default_executor",
     "install_signal_cleanup",
-    "PROBLEM_CACHE_ENTRIES_ENV",
-    "PROBLEM_CACHE_BYTES_ENV",
-    "BATCH_TIMEOUT_ENV",
 ]
 
-#: Environment knobs bounding each worker's problem/oracle cache.
-PROBLEM_CACHE_ENTRIES_ENV = "REPRO_PROBLEM_CACHE_ENTRIES"
-PROBLEM_CACHE_BYTES_ENV = "REPRO_PROBLEM_CACHE_BYTES"
-
-#: Floor, in seconds, of the per-batch watchdog deadline (the full
-#: allowance also scales with the batch's staged weight).  ``0`` (or
-#: negative) disables the watchdog and restores unbounded waits.
-BATCH_TIMEOUT_ENV = "REPRO_BATCH_TIMEOUT"
+#: Default floor, in seconds, of the per-batch watchdog deadline (the
+#: full allowance also scales with the batch's staged weight).
+#: ``batch_timeout=0`` (or negative) disables the watchdog.
 DEFAULT_BATCH_TIMEOUT = 300.0
 
 #: Extra deadline seconds granted per unit of staged batch weight
@@ -645,8 +634,9 @@ class ProblemCache:
     dataset content each miss instead of serving a stale entry (problem
     construction is independent of the execution context, so ctx changes
     need no invalidation).  Both budgets are explicit: ``max_entries``
-    bounds the count and ``max_bytes`` the estimated resident array
-    bytes, with least-recently-used eviction.
+    (default 64) bounds the count and ``max_bytes`` (default 512 MiB)
+    the estimated resident array bytes, with least-recently-used
+    eviction.
     """
 
     DEFAULT_MAX_ENTRIES = 64
@@ -669,21 +659,6 @@ class ProblemCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-
-    @classmethod
-    def from_env(cls) -> "ProblemCache":
-        """Budgets from the ``REPRO_PROBLEM_CACHE_*`` environment knobs.
-
-        A malformed value warns and falls back to the default budget --
-        a cache-tuning typo must degrade the optimization, never crash
-        every sweep shard.
-        """
-        return cls(
-            max_entries=env_number(
-                PROBLEM_CACHE_ENTRIES_ENV, cls.DEFAULT_MAX_ENTRIES
-            ),
-            max_bytes=env_number(PROBLEM_CACHE_BYTES_ENV, cls.DEFAULT_MAX_BYTES),
-        )
 
     def lookup(self, key: tuple):
         """``(problem, expected)`` for ``key``, or ``None`` on a miss."""
@@ -737,16 +712,17 @@ _PROBLEM_CACHE_LOCK = threading.Lock()
 
 
 def problem_cache() -> ProblemCache:
-    """This process's problem/oracle cache (env-budgeted, created lazily)."""
+    """This process's problem/oracle cache (default budgets, created
+    lazily)."""
     global _PROBLEM_CACHE
     with _PROBLEM_CACHE_LOCK:
         if _PROBLEM_CACHE is None:
-            _PROBLEM_CACHE = ProblemCache.from_env()
+            _PROBLEM_CACHE = ProblemCache()
         return _PROBLEM_CACHE
 
 
 def clear_problem_cache() -> None:
-    """Drop the process cache (tests; re-reads the env budgets next use)."""
+    """Drop the process cache (tests; a fresh one is built next use)."""
     global _PROBLEM_CACHE
     with _PROBLEM_CACHE_LOCK:
         _PROBLEM_CACHE = None
@@ -884,7 +860,6 @@ class _StagedShard:
     task: Any
     index: int  # position in the sweep's original order
     dataset_key: tuple | None
-    atoms: int
     weight: float
     home: int = 0
 
@@ -906,24 +881,24 @@ class SweepExecutor:
     dataset on the same worker and its caches.  Load imbalance is
     corrected by bounded deterministic work-stealing of whole batches.
 
-    Use as a context manager for scoped pools, or share the module-level
-    :func:`default_executor` across calls (``run_suite(...,
-    pool=default_executor())``).
+    The caller owns the pool: use it as a context manager (or call
+    :meth:`shutdown`), and pass it to every sweep that should share its
+    warm workers (``run_suite(..., executor="process", pool=pool)``).
+    ``batch_timeout`` is the watchdog floor in seconds per batch (see
+    :meth:`map_shards`); ``0`` disables the watchdog.  An executor with
+    live workers sits in a module-level live set until :meth:`shutdown`,
+    so interpreter exit -- and SIGTERM/SIGINT once
+    :func:`install_signal_cleanup` has run -- still unlinks its shm.
     """
 
     def __init__(
         self,
         max_workers: int | None = None,
         *,
-        batch_atoms: int | None = None,
-        batch_timeout: float | None = None,
+        batch_timeout: float = DEFAULT_BATCH_TIMEOUT,
     ):
         self.max_workers = max_workers
-        self.batch_atoms = batch_atoms
-        self.batch_timeout = (
-            env_number(BATCH_TIMEOUT_ENV, DEFAULT_BATCH_TIMEOUT, float)
-            if batch_timeout is None else float(batch_timeout)
-        )
+        self.batch_timeout = float(batch_timeout)
         self._slots: list[_WorkerSlot] = []
         self._width = 0
         self._lock = threading.Lock()
@@ -974,6 +949,7 @@ class SweepExecutor:
                 spawned = True
             if spawned:
                 self.pool_spawns += 1
+                _LIVE.add(self)
             self._width = len(self._slots)
             return self._slots
 
@@ -1009,6 +985,7 @@ class SweepExecutor:
             self._width = 0
         with self._shm_lock:
             self._datasets.clear()
+        _LIVE.discard(self)
 
     def __enter__(self) -> "SweepExecutor":
         return self
@@ -1045,24 +1022,10 @@ class SweepExecutor:
         ~:data:`_BATCHES_PER_SLOT` batches per slot, boundaries at equal
         quantiles of the cumulative weight (atoms plus a fixed per-
         dataset overhead) -- the merge-path idea, one level up: batches
-        are the processors, datasets the tiles.  ``batch_atoms``
-        overrides with a greedy atom budget per batch.
+        are the processors, datasets the tiles.
         """
         if not group:
             return []
-        if self.batch_atoms is not None:
-            batches: list[list] = []
-            cur: list = []
-            cur_atoms = 0
-            for shard in group:
-                cur.append(shard)
-                cur_atoms += shard.atoms
-                if cur_atoms >= self.batch_atoms:
-                    batches.append(cur)
-                    cur, cur_atoms = [], 0
-            if cur:
-                batches.append(cur)
-            return batches
         weights = np.array([s.weight for s in group], dtype=np.float64)
         num_batches = min(len(group), max(1, self._BATCHES_PER_SLOT))
         cum = np.cumsum(weights)
@@ -1109,13 +1072,12 @@ class SweepExecutor:
                         if block is not None:
                             pinned.append(block)
                             staged_task = replace(task, dataset=block.handle)
-                    atoms = self._payload_atoms(task)
                     staged.append(_StagedShard(
                         task=staged_task,
                         index=index,
                         dataset_key=key,
-                        atoms=atoms,
-                        weight=atoms + self._BATCH_BASE_WEIGHT,
+                        weight=self._payload_atoms(task)
+                        + self._BATCH_BASE_WEIGHT,
                     ))
         except Exception:
             with self._shm_lock:
@@ -1542,79 +1504,39 @@ class SweepExecutor:
 
 
 # ----------------------------------------------------------------------
-# Module-level default: one warm pool per process, shared by every
-# ``run_suite(..., pool=default_executor())`` call site.
+# Shutdown of every live executor.  Dataset blocks in /dev/shm are
+# named, kernel-persistent objects that outlive the process, so every
+# executor with spawned workers is shut down -- its blocks unlinked --
+# at interpreter exit.  atexit never runs when the process dies on an
+# unhandled SIGTERM/SIGINT; installing chained handlers turns those
+# deaths into an orderly shm unlink first.
 # ----------------------------------------------------------------------
-_DEFAULT: SweepExecutor | None = None
-_DEFAULT_LOCK = threading.Lock()
-_ATEXIT_REGISTERED = False
+#: Every executor with spawned workers, until its :meth:`shutdown`.
+_LIVE: set[SweepExecutor] = set()
 
 
-def default_executor(max_workers: int | None = None) -> SweepExecutor:
-    """The process-wide persistent :class:`SweepExecutor`.
-
-    Created lazily on first use and shut down at interpreter exit, or
-    explicitly via :func:`shutdown_default_executor`.  An explicit
-    ``max_workers`` raises the shared pool's width (the pool grows on
-    the next sweep); it never shrinks a warm pool.
-    """
-    global _DEFAULT, _ATEXIT_REGISTERED
-    with _DEFAULT_LOCK:
-        if _DEFAULT is None:
-            _DEFAULT = SweepExecutor(max_workers=max_workers)
-            if not _ATEXIT_REGISTERED:
-                atexit.register(shutdown_default_executor)
-                _ATEXIT_REGISTERED = True
-            # Best effort (main thread only): atexit alone leaks shm on
-            # SIGTERM/SIGINT deaths.
-            install_signal_cleanup()
-        elif max_workers is not None and (
-            _DEFAULT.max_workers is None or max_workers > _DEFAULT.max_workers
-        ):
-            _DEFAULT.max_workers = max_workers
-        return _DEFAULT
+def _shutdown_live() -> None:
+    """Shut down every live executor (idempotent; errors swallowed)."""
+    for pool in list(_LIVE):
+        try:
+            pool.shutdown()
+        except Exception:
+            pass
 
 
-def shutdown_default_executor() -> None:
-    """Tear down the shared pool (tests; long-lived host processes)."""
-    global _DEFAULT
-    with _DEFAULT_LOCK:
-        if _DEFAULT is not None:
-            _DEFAULT.shutdown()
-            _DEFAULT = None
+atexit.register(_shutdown_live)
+# A forked worker owns none of its parent's pools or their blocks.
+os.register_at_fork(after_in_child=_LIVE.clear)
 
-
-# ----------------------------------------------------------------------
-# Signal cleanup: atexit never runs when the process dies on an
-# unhandled SIGTERM/SIGINT, so a killed default-pool sweep would leak its
-# /dev/shm dataset blocks (named, kernel-persistent objects that outlive
-# the process).  Installing chained handlers turns those deaths into an
-# orderly shm unlink first.
-# ----------------------------------------------------------------------
 _SIGNAL_CHAIN: dict[int, object] = {}
 _SIGNALS_INSTALLED = False
 
 
 def _signal_cleanup(signum, frame) -> None:
     """Chained handler: unlink every shm segment, then defer onward."""
-    global _DEFAULT
     import signal as _signal
 
-    # Never block inside a signal handler: if the interrupted main
-    # thread holds the module lock (mid default_executor()), steal the
-    # reference without it -- worst case two shutdowns race, and
-    # shutdown() is idempotent.
-    locked = _DEFAULT_LOCK.acquire(blocking=False)
-    try:
-        pool, _DEFAULT = _DEFAULT, None
-    finally:
-        if locked:
-            _DEFAULT_LOCK.release()
-    if pool is not None:
-        try:
-            pool.shutdown()
-        except Exception:
-            pass
+    _shutdown_live()
     previous = _SIGNAL_CHAIN.get(signum)
     if callable(previous):
         previous(signum, frame)
@@ -1629,8 +1551,9 @@ def _signal_cleanup(signum, frame) -> None:
 def install_signal_cleanup() -> bool:
     """Unlink shm segments on SIGTERM/SIGINT, not only at interpreter exit.
 
-    Installed lazily by :func:`default_executor` and safe to call
-    directly from any long-lived host process.  The handlers *chain*:
+    Every live :class:`SweepExecutor` is shut down first.  Call it from
+    the main thread of the host process (``repro sweep --workers`` does);
+    repeated calls are no-ops.  The handlers *chain*:
     after cleanup the previously installed handler runs (Python's
     default SIGINT handler still raises ``KeyboardInterrupt``; a
     ``SIG_DFL`` disposition is re-delivered so the process still dies

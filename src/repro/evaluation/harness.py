@@ -13,7 +13,8 @@ of a non-default app prepend an ``app`` column.
 
 One functional pass per dataset
 -------------------------------
-Both executors run each dataset through one function: the problem and
+Both executors, and :func:`run_cell` (a one-kernel dataset), run each
+dataset through one function: the problem and
 oracle are built once, and on any engine whose ``price`` times a
 launch without running it (``vector``, ``compiled``, ``multi_gpu``) the
 app's driver runs once too, for the first schedule kernel.  Those
@@ -25,31 +26,27 @@ oracle and its own sample check; a seed-free certificate runs once, for
 the first kernel).  The ``simt`` engine, any engine without ``price``,
 and the baselines execute every cell.
 
-Performance knobs
------------------
-``executor`` (CLI: ``--workers N`` selects ``process``)
-    ``serial`` (the default) runs every cell in-process.  ``process``
-    runs dataset shards on a :class:`~repro.engine.worker_pool.
-    SweepExecutor`: each shard builds its problem and oracle exactly
-    once and runs every kernel of the cell against them, small shards
-    are *batched* into one pickle crossing, and warm workers serve each
-    shard's problem and oracle from a bounded content-keyed
-    :class:`~repro.engine.worker_pool.ProblemCache` (budgets:
-    ``REPRO_PROBLEM_CACHE_ENTRIES`` / ``REPRO_PROBLEM_CACHE_BYTES``);
-    rows record the ``problem_cache`` outcome in ``meta``.
-``pool`` / ``max_workers`` (``executor="process"`` only)
-    By default each call spawns and tears down its own pool of
-    ``max_workers`` workers (``os.cpu_count()`` capped by the shard
-    count when ``None``).  Pass ``pool=SweepExecutor(...)`` to manage
-    the lifetime yourself, or ``pool=default_executor()`` to share the
-    process-wide warm pool, so repeated sweeps (any app) reuse warm
-    workers -- imports paid once, worker caches kept hot.
-Dataset transport
-    CSR matrices, COO sparse tensors and dense arrays are published
-    once to a shared-memory block and reattached zero-copy in workers;
-    anything else is pickled into the task.  A shard whose worker
-    cannot attach its block re-runs pickled (``meta["transport_
-    fallback"]``).
+Fan-out
+-------
+``executor="serial"`` (the default) runs every cell in-process.
+``executor="process"`` takes ``pool=``, a caller-owned
+:class:`~repro.engine.worker_pool.SweepExecutor` (CLI: ``--workers N``
+builds one of width ``N`` for the sweep)::
+
+    with SweepExecutor(max_workers=4) as pool:
+        run_suite(kernels, executor="process", pool=pool)
+
+The pool runs dataset shards: each shard builds its problem and oracle
+exactly once and runs every kernel of the cell against them, small
+shards are *batched* into one pickle crossing, and warm workers serve
+each shard's problem and oracle from a bounded content-keyed
+:class:`~repro.engine.worker_pool.ProblemCache`; rows record the
+``problem_cache`` outcome in ``meta``.  Repeated sweeps (any app) on one
+pool reuse its warm workers -- imports paid once, worker caches kept hot.
+CSR matrices, COO sparse tensors and dense arrays are published once to
+a shared-memory block and reattached zero-copy in workers; anything else
+is pickled into the task.  A shard whose worker cannot attach its block
+re-runs pickled (``meta["transport_fallback"]``).
 
 Results are returned in deterministic (dataset, kernel) order regardless
 of executor or worker count, and row sets are identical across both
@@ -69,7 +66,6 @@ from ..engine import (
     DEFAULT_SEED,
     ExecutionContext,
     get_app,
-    run_app,
 )
 from ..core.policy import as_policy
 from ..engine.dispatch import Runtime, ensure_known_engine, unknown_name
@@ -183,36 +179,9 @@ def ensure_known_kernels(kernels: Iterable[str], app: str | None = "spmv") -> No
             raise KeyError(unknown_name("kernel", kernel, known))
 
 
-def _execute_cell(
-    app_spec,
-    app: str,
-    kernel: str,
-    dataset: Dataset,
-    problem,
-    expected,
-    ctx: ExecutionContext,
-    validate: bool,
-    seed: int = DEFAULT_SEED,
-) -> SweepRow:
-    """Run one prepared (app, kernel, dataset) cell and validate it."""
-    if kernel in app_spec.baselines:
-        y, stats = app_spec.baselines[kernel](problem, ctx.spec)
-        # Baseline rows carry the same ``schedule`` extras key as policy
-        # and schedule rows, so downstream consumers (BENCH_policy) never
-        # special-case the kernel class.
-        schedule = stats.extras.get("schedule", kernel)
-    else:
-        result = run_app(app_spec, problem, ctx=ctx.with_policy(kernel))
-        y, stats, schedule = result.output, result.stats, result.schedule
-    return _cell_row(
-        app_spec, app, kernel, dataset, problem, expected, validate, seed,
-        y, stats, schedule,
-    )
-
-
 def _cell_row(
     app_spec, app, kernel, dataset, problem, expected, validate, seed,
-    y, stats, schedule: str, check: bool = True,
+    y, stats, schedule: str, check: bool,
 ) -> SweepRow:
     """Validate one cell's output and build its row (``check=False``
     skips the sample check, already run on this very output)."""
@@ -269,27 +238,30 @@ def _run_dataset(
     ignores its seed would give every kernel of the shared output the
     same verdict, so only the first kernel runs it.
     """
-    launched = [k for k in kernels if k not in app_spec.baselines]
     engine = ctx.engine_instance()
-    if launched and engine.price is not None:
-        rt = Runtime(engine, spec=ctx.spec, policy=as_policy(launched[0]))
-        logged = app_spec.driver(problem, rt)
-    else:
-        launched = []  # nothing logged: every cell executes
+    logged = None  # the first schedule kernel's run, on a pricing engine
     rows = []
     for kernel in kernels:
-        if kernel not in launched:
-            rows.append(_execute_cell(app_spec, app, kernel, dataset, problem,
-                                      expected, ctx, validate, seed))
-            continue
-        if kernel == launched[0]:
-            stats, schedule = logged.stats, logged.schedule
-        else:
+        check = True
+        if kernel in app_spec.baselines:
+            y, stats = app_spec.baselines[kernel](problem, ctx.spec)
+            # Baseline rows carry the same ``schedule`` extras key as
+            # policy and schedule rows, so downstream consumers
+            # (BENCH_policy) never special-case the kernel class.
+            schedule = stats.extras.get("schedule", kernel)
+        elif logged is not None:
             stats, schedule = rt.reprice(as_policy(kernel))
+            y, stats = logged.output, stats or logged.stats
+            check = app_spec.sample_check_seeded
+        else:
+            rt = Runtime(engine, spec=ctx.spec, policy=as_policy(kernel))
+            result = app_spec.driver(problem, rt)
+            y, stats, schedule = result.output, result.stats, result.schedule
+            if engine.price is not None:
+                logged = result
         rows.append(_cell_row(
             app_spec, app, kernel, dataset, problem, expected, validate, seed,
-            logged.output, stats or logged.stats, schedule,
-            app_spec.sample_check_seeded or kernel == launched[0],
+            y, stats, schedule, check,
         ))
     return rows
 
@@ -316,9 +288,10 @@ def run_cell(
     ctx = DEFAULT_CONTEXT if ctx is None else ctx
     app_spec = get_app(app)
     problem, expected = _prepare(app_spec, app, dataset, seed, validate)
-    return _execute_cell(
-        app_spec, app, kernel, dataset, problem, expected, ctx, validate, seed
-    )
+    return _run_dataset(
+        app_spec, app, (kernel,), dataset, problem, expected, ctx, validate,
+        seed,
+    )[0]
 
 
 @dataclass(frozen=True)
@@ -434,7 +407,6 @@ def run_suite(
     validate: bool = True,
     ctx: ExecutionContext | None = None,
     executor: str = "serial",
-    max_workers: int | None = None,
     pool=None,
 ) -> list[SweepRow]:
     """Run a kernel list over the corpus (the ``run.sh`` loop), generic.
@@ -445,14 +417,17 @@ def run_suite(
     pickle boundary in ``executor="process"`` sweeps.
 
     Datasets the app cannot accept (e.g. rectangular matrices for graph
-    apps) are skipped.  ``executor`` / ``max_workers`` / ``pool`` are
-    the performance knobs documented in the module docstring; results
-    keep the serial (dataset, kernel) order under every configuration.
+    apps) are skipped.  ``executor="process"`` fans dataset shards out
+    over ``pool``, a caller-owned :class:`~repro.engine.worker_pool.
+    SweepExecutor` (see the module docstring); results keep the serial
+    (dataset, kernel) order under every configuration.
     """
     if executor not in EXECUTORS:
         raise ValueError(f"unknown executor {executor!r}; choose from {EXECUTORS}")
-    if executor != "process" and (pool is not None or max_workers is not None):
-        raise ValueError("pool=/max_workers= require executor='process'")
+    if (executor == "process") != (pool is not None):
+        raise ValueError(
+            "executor='process' and pool= go together: pass both or neither"
+        )
     ctx = DEFAULT_CONTEXT if ctx is None else ctx
     # Fail fast on unknown engines and kernels for *every* executor: a
     # typo'd name must raise here, in the caller's process, before any
@@ -463,10 +438,13 @@ def run_suite(
     ensure_known_kernels(kernels, app)
     app_spec = get_app(app)
     ds = expand_datasets(app, scale=scale, limit=limit, datasets=datasets)
-    if executor == "process" and ds:
-        return _run_process(
-            kernels, app, ds, ctx, seed, validate, max_workers, pool
-        )
+    if pool is not None:
+        shards = [
+            _ShardTask(app=app, kernels=tuple(kernels), dataset=dataset,
+                       seed=seed, validate=validate, ctx=ctx)
+            for dataset in ds
+        ]
+        return [row for rows in pool.map_shards(shards) for row in rows]
     rows: list[SweepRow] = []
     for dataset in ds:
         # Problem construction and the oracle are per-dataset, not
@@ -477,29 +455,6 @@ def run_suite(
             validate, seed,
         ))
     return rows
-
-
-def _run_process(kernels, app, ds, ctx, seed, validate, max_workers, pool):
-    """Fan dataset shards out over ``pool`` (or a scoped pool)."""
-    from ..engine.worker_pool import SweepExecutor
-
-    shards = [
-        _ShardTask(
-            app=app,
-            kernels=tuple(kernels),
-            dataset=dataset,
-            seed=seed,
-            validate=validate,
-            ctx=ctx,
-        )
-        for dataset in ds
-    ]
-    if pool is not None:
-        per_shard = pool.map_shards(shards)
-    else:
-        with SweepExecutor(max_workers=max_workers) as ephemeral:
-            per_shard = ephemeral.map_shards(shards)
-    return [row for shard_rows in per_shard for row in shard_rows]
 
 
 def write_csv(

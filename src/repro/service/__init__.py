@@ -27,9 +27,6 @@ from .protocol import (
 from .server import (
     DEFAULT_JOB_TIMEOUT,
     DEFAULT_QUEUE_DEPTH,
-    SERVE_JOB_TIMEOUT_ENV,
-    SERVE_QUEUE_DEPTH_ENV,
-    SERVE_WIDTH_ENV,
     SweepService,
 )
 
@@ -51,7 +48,4 @@ __all__ = [
     "row_from_wire",
     "DEFAULT_QUEUE_DEPTH",
     "DEFAULT_JOB_TIMEOUT",
-    "SERVE_QUEUE_DEPTH_ENV",
-    "SERVE_JOB_TIMEOUT_ENV",
-    "SERVE_WIDTH_ENV",
 ]

@@ -31,7 +31,7 @@ Server -> client messages (``{"type": ...}``):
     ``{"type": "rejected", "reason": "queue_full" | "draining" |
     "bad_request", ...}`` -- admission failed; nothing was queued.
     ``queue_full`` is the backpressure signal (the bounded job queue is
-    at ``REPRO_SERVE_QUEUE_DEPTH``); clients retry with backoff.
+    at its ``queue_depth``); clients retry with backoff.
 ``row``
     One completed :class:`~repro.evaluation.harness.SweepRow`, streamed
     as its dataset shard finishes -- the same schema ``repro sweep
@@ -39,7 +39,7 @@ Server -> client messages (``{"type": ...}``):
     cache counters flow to clients through ``meta``.
 ``row_error``
     One dataset shard failed (worker crash, validation failure, or the
-    job's ``REPRO_SERVE_JOB_TIMEOUT`` deadline); the job carries on
+    job's ``job_timeout`` deadline); the job carries on
     with its remaining shards -- unless the deadline passed, in which
     case every remaining shard fails immediately (bounded time).
 ``done``

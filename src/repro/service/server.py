@@ -17,7 +17,7 @@ Design:
   complete -- a client sees its first rows while later datasets are
   still queued.
 * **Bounded admission + backpressure.**  At most ``queue_depth``
-  (``REPRO_SERVE_QUEUE_DEPTH``) jobs may be pending; past that,
+  (default 16) jobs may be pending; past that,
   ``submit`` answers an explicit ``rejected/queue_full`` instead of
   buffering unboundedly.  Rejection is cheap and immediate -- clients
   retry with backoff.
@@ -54,7 +54,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
-from .._env import env_number
 from ..engine.context import ExecutionContext
 from ..faults import faults_active, inject
 from ..engine.worker_pool import SweepExecutor
@@ -71,28 +70,18 @@ from .protocol import (
 
 __all__ = [
     "SweepService",
-    "SERVE_QUEUE_DEPTH_ENV",
-    "SERVE_WIDTH_ENV",
-    "SERVE_JOB_TIMEOUT_ENV",
     "DEFAULT_QUEUE_DEPTH",
     "DEFAULT_JOB_TIMEOUT",
 ]
 
-#: Bounded job-queue depth (pending = accepted, not yet done); past it,
-#: submissions are rejected with ``queue_full``.
-SERVE_QUEUE_DEPTH_ENV = "REPRO_SERVE_QUEUE_DEPTH"
-
-#: Default worker-pool width for ``repro serve`` when ``--width`` is not
-#: given (``0`` = serial in-process execution, no pool).
-SERVE_WIDTH_ENV = "REPRO_SERVE_WIDTH"
-
+#: Default bounded job-queue depth (pending = accepted, not yet done);
+#: past it, submissions are rejected with ``queue_full``.
 DEFAULT_QUEUE_DEPTH = 16
 
-#: Wall-clock deadline for one accepted job, start of execution to
-#: ``done`` (``0`` disables).  A job past it stops consuming units and
+#: Default wall-clock deadline for one accepted job, start of execution
+#: to ``done`` (``0`` disables).  A job past it stops consuming units and
 #: finishes with ``status:"timeout"`` -- bounded-time failure, not a
 #: hung stream.
-SERVE_JOB_TIMEOUT_ENV = "REPRO_SERVE_JOB_TIMEOUT"
 DEFAULT_JOB_TIMEOUT = 600.0
 
 
@@ -170,12 +159,10 @@ class SweepService:
         self.port = port
         self.width = width
         self.queue_depth = (
-            env_number(SERVE_QUEUE_DEPTH_ENV, DEFAULT_QUEUE_DEPTH)
-            if queue_depth is None else int(queue_depth)
+            DEFAULT_QUEUE_DEPTH if queue_depth is None else int(queue_depth)
         )
         self.job_timeout = (
-            env_number(SERVE_JOB_TIMEOUT_ENV, DEFAULT_JOB_TIMEOUT, float)
-            if job_timeout is None else float(job_timeout)
+            DEFAULT_JOB_TIMEOUT if job_timeout is None else float(job_timeout)
         )
         self._journal = (
             None if journal_path is None else ResultsJournal(journal_path)
@@ -398,23 +385,27 @@ class SweepService:
             return "timeout"
         return "partial" if job.failed_units else "ok"
 
+    async def _fail_unit(
+        self, client: _ClientState, job: _Job, dataset: Dataset, error: str,
+        status: str | None = None,
+    ) -> None:
+        """Count one failed unit, journal it and tell the client: the
+        ``row_error`` message carries ``status`` when one is given."""
+        job.failed_units += 1
+        fields = {"job_id": job.job_id, "dataset": dataset.name, "error": error}
+        self._journal_event({"event": "row_error", **fields})
+        message = {"type": "row_error", **fields}
+        if status is not None:
+            message["status"] = status
+        await self._send(client, message)
+
     async def _flush_timed_out_units(
         self, client: _ClientState, job: _Job
     ) -> None:
         """Fail every not-yet-run unit of a job past its deadline."""
         while job.units:
-            dataset = job.units.popleft()
-            job.failed_units += 1
-            event = {
-                "event": "row_error",
-                "job_id": job.job_id,
-                "dataset": dataset.name,
-                "error": "job deadline exceeded",
-            }
-            self._journal_event(event)
-            await self._send(client, {"type": "row_error", **{
-                k: v for k, v in event.items() if k != "event"
-            }, "status": "timeout"})
+            await self._fail_unit(client, job, job.units.popleft(),
+                                  "job deadline exceeded", "timeout")
 
     async def _run_one_unit(
         self, client: _ClientState, job: _Job, dataset: Dataset
@@ -440,21 +431,10 @@ class SweepService:
         except (TimeoutError, asyncio.TimeoutError):
             job.timed_out = True
             self.jobs_timed_out += 1
-            job.failed_units += 1
-            error = f"job deadline exceeded ({self.job_timeout:g}s)"
-            self._journal_event({
-                "event": "row_error",
-                "job_id": job.job_id,
-                "dataset": dataset.name,
-                "error": error,
-            })
-            await self._send(client, {
-                "type": "row_error",
-                "job_id": job.job_id,
-                "dataset": dataset.name,
-                "error": error,
-                "status": "timeout",
-            })
+            await self._fail_unit(
+                client, job, dataset,
+                f"job deadline exceeded ({self.job_timeout:g}s)", "timeout",
+            )
             return
         except BaseException as exc:
             if isinstance(exc, asyncio.CancelledError):
@@ -463,20 +443,9 @@ class SweepService:
             # engine error kills this unit only: the client gets an
             # explicit failed row instead of a hung stream, and the next
             # sweep through the pool respawns any dead slot.
-            job.failed_units += 1
-            error = f"{type(exc).__name__}: {exc}"
-            self._journal_event({
-                "event": "row_error",
-                "job_id": job.job_id,
-                "dataset": dataset.name,
-                "error": error,
-            })
-            await self._send(client, {
-                "type": "row_error",
-                "job_id": job.job_id,
-                "dataset": dataset.name,
-                "error": error,
-            })
+            await self._fail_unit(
+                client, job, dataset, f"{type(exc).__name__}: {exc}"
+            )
             return
         finally:
             self._in_flight.discard(job.job_id)

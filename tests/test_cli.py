@@ -128,50 +128,63 @@ class TestSweepCommand:
         assert code == 2
         assert "--limit must be >= 0" in capsys.readouterr().err
 
-    def test_workers_sweep_through_default_executor(self):
-        from repro.engine import default_executor, shutdown_default_executor
+    def test_workers_sweep_owns_its_pool(self, tmp_path):
+        """``--workers 2`` runs on a pool built for the sweep and shut
+        down after it: no live executor and no new /dev/shm entry
+        remain, and its CSV equals the ``--workers 0`` sweep's."""
+        import json
+        import os
+
+        from repro.engine import worker_pool
+
+        def shm():
+            try:
+                return set(os.listdir("/dev/shm"))
+            except OSError:  # pragma: no cover - non-Linux
+                return set()
 
         args = ("sweep", "--kernels", "merge_path", "--scale", "smoke",
                 "--limit", "3")
-        shutdown_default_executor()
-        try:
-            code, pooled = run_cli(*args, "--workers", "3")
-            assert code == 0
-            pool = default_executor()
-            assert pool.sweeps == 1 and pool.width == 3
-        finally:
-            shutdown_default_executor()
+        jsonl = tmp_path / "rows.jsonl"
+        before = shm()
+        code, pooled = run_cli(*args, "--workers", "2",
+                               "--rows-jsonl", str(jsonl))
+        assert code == 0
+        assert not worker_pool._LIVE
+        assert shm() - before == set()
+        pids = {json.loads(line)["meta"]["placement"]["pid"]
+                for line in jsonl.read_text().splitlines()}
+        assert os.getpid() not in pids  # the rows ran in pool workers
         code, serial = run_cli(*args, "--workers", "0")
         assert code == 0
+        assert not worker_pool._LIVE
         assert pooled == serial
         assert len(list(csv.DictReader(io.StringIO(pooled)))) == 3
 
     def test_parallel_workers(self):
-        from repro.engine import shutdown_default_executor
-
-        try:
-            code, out = run_cli(
-                "sweep", "--app", "histogram", "--kernels", "merge_path",
-                "--scale", "smoke", "--limit", "3", "--workers", "2",
-            )
-        finally:
-            shutdown_default_executor()
+        code, out = run_cli(
+            "sweep", "--app", "histogram", "--kernels", "merge_path",
+            "--scale", "smoke", "--limit", "3", "--workers", "2",
+        )
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 3
         assert {r["app"] for r in rows} == {"histogram"}
 
-    def test_zero_workers_sweeps_without_a_pool(self):
-        from repro.engine import shutdown_default_executor, worker_pool
+    def test_zero_workers_sweeps_without_a_pool(self, monkeypatch):
+        from repro.engine import worker_pool
 
-        shutdown_default_executor()
+        def no_pool(*args, **kwargs):
+            raise AssertionError("--workers 0 built a SweepExecutor")
+
+        monkeypatch.setattr(worker_pool, "SweepExecutor", no_pool)
         code, out = run_cli(
             "sweep", "--kernels", "merge_path", "--scale", "smoke",
             "--limit", "2", "--workers", "0",
         )
         assert code == 0
         assert len(list(csv.DictReader(io.StringIO(out)))) == 2
-        assert worker_pool._DEFAULT is None  # serial: no pool was spawned
+        assert not worker_pool._LIVE  # serial: no pool was spawned
 
 
 class TestInfoCommands:
@@ -313,10 +326,3 @@ class TestServeSubmitCommands:
         with pytest.raises(SystemExit) as excinfo:
             run_cli("serve", "--port", "0", "--transport", "pickle")
         assert excinfo.value.code == 2  # argparse: unrecognized arguments
-
-    def test_serve_bad_width_env_exits_2(self, capsys, monkeypatch):
-        from repro.service.server import SERVE_WIDTH_ENV
-
-        monkeypatch.setenv(SERVE_WIDTH_ENV, "lots")
-        code, _ = run_cli("serve", "--port", "0")
-        assert code == 2

@@ -333,14 +333,18 @@ class TestSuiteIntegration:
     """Cross-engine and cross-executor parity through ``run_suite``."""
 
     def test_fail_fast_on_unknown_engine_every_executor(self):
+        from repro.engine import SweepExecutor
         from repro.evaluation.harness import run_suite
 
-        for executor in ("serial", "process"):
-            with pytest.raises(UnknownEngineError, match="compield"):
-                run_suite(
-                    ["merge_path"], scale="smoke", limit=1,
-                    ctx=ExecutionContext(engine="compield"), executor=executor,
-                )
+        with SweepExecutor(max_workers=1) as pool:
+            for executor, fan_out in (("serial", None), ("process", pool)):
+                with pytest.raises(UnknownEngineError, match="compield"):
+                    run_suite(
+                        ["merge_path"], scale="smoke", limit=1,
+                        ctx=ExecutionContext(engine="compield"),
+                        executor=executor, pool=fan_out,
+                    )
+            assert not pool.alive  # failed before any worker spawned
 
     @pytest.mark.parametrize("app", ["spmv", "histogram", "bfs", "spgemm"])
     def test_compiled_rows_match_vector_rows(self, app):
@@ -368,6 +372,7 @@ class TestSuiteIntegration:
             assert all(r.meta["engine"] == "compiled" for r in comp)
 
     def test_compiled_engine_identical_rows_across_executors(self):
+        from repro.engine import SweepExecutor
         from repro.evaluation.harness import run_suite
 
         kwargs = dict(
@@ -383,7 +388,8 @@ class TestSuiteIntegration:
             ]
 
         serial = run_suite(executor="serial", **kwargs)
-        process = run_suite(executor="process", max_workers=2, **kwargs)
+        with SweepExecutor(max_workers=2) as pool:
+            process = run_suite(executor="process", pool=pool, **kwargs)
         assert key(serial) == key(process)
         assert serial  # non-empty sweep
 

@@ -316,11 +316,14 @@ class TestGenericSweep:
         from repro.evaluation.harness import run_suite
 
         kwargs = dict(app="spmm", scale="smoke", limit=3)
+        from repro.engine import SweepExecutor
+
         serial = run_suite(["merge_path", "thread_mapped"], **kwargs)
-        parallel = run_suite(
-            ["merge_path", "thread_mapped"], executor="process",
-            max_workers=2, **kwargs
-        )
+        with SweepExecutor(max_workers=2) as pool:
+            parallel = run_suite(
+                ["merge_path", "thread_mapped"], executor="process",
+                pool=pool, **kwargs
+            )
         assert [(r.dataset, r.kernel, r.elapsed) for r in serial] == [
             (r.dataset, r.kernel, r.elapsed) for r in parallel
         ]

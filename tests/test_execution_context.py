@@ -234,6 +234,7 @@ class TestContextThroughSuite:
 
     def test_ctx_crosses_process_pool(self):
         """The context is the pickled execution selection of shard tasks."""
+        from repro.engine import SweepExecutor
         from repro.evaluation.harness import run_suite
         from repro.sparse.corpus import load_dataset
 
@@ -241,10 +242,11 @@ class TestContextThroughSuite:
               load_dataset("tiny_uniform_64", "smoke")]
         ctx = ExecutionContext(spec=TINY_GPU)
         serial = run_suite(["merge_path", "thread_mapped"], datasets=ds, ctx=ctx)
-        process = run_suite(
-            ["merge_path", "thread_mapped"], datasets=ds, ctx=ctx,
-            executor="process", max_workers=2,
-        )
+        with SweepExecutor(max_workers=2) as pool:
+            process = run_suite(
+                ["merge_path", "thread_mapped"], datasets=ds, ctx=ctx,
+                executor="process", pool=pool,
+            )
         assert [(r.dataset, r.kernel, r.elapsed) for r in serial] == [
             (r.dataset, r.kernel, r.elapsed) for r in process
         ]

@@ -23,10 +23,7 @@ import warnings
 
 import pytest
 
-from repro.engine.worker_pool import (
-    BATCH_TIMEOUT_ENV,
-    SweepExecutor,
-)
+from repro.engine.worker_pool import SweepExecutor
 from repro.evaluation.harness import run_suite
 from repro.faults import (
     FAULTS_ENV,
@@ -43,7 +40,6 @@ from repro.faults import (
 from repro.service import SweepClient, SweepService
 from repro.service.client import ServiceError
 from repro.service.journal import RecordJournal
-from repro.service.server import SERVE_JOB_TIMEOUT_ENV
 
 KERNELS = ["merge_path"]
 
@@ -68,7 +64,7 @@ def _clean_faults(monkeypatch):
     import repro.engine.worker_pool as worker_pool
 
     for var in (FAULTS_ENV, FAULTS_SEED_ENV, HANG_SECONDS_ENV,
-                SLOW_SECONDS_ENV, BATCH_TIMEOUT_ENV, SERVE_JOB_TIMEOUT_ENV):
+                SLOW_SECONDS_ENV):
         monkeypatch.delenv(var, raising=False)
     clear_faults()
     yield
@@ -184,19 +180,20 @@ class TestExecutorChaos:
 
     def test_hung_batch_is_killed_and_retried(self, monkeypatch, shm_ledger,
                                               serial_rows):
-        # batch_atoms=1 pins one shard per batch: the single slot runs
-        # batch 1 clean (hit 1), hangs on batch 2 (hit 2), the watchdog
-        # SIGKILLs it, and the respawned worker (fresh counters, hit 1)
-        # completes the retry.
+        # Quantile batching splits the two shards into two batches on
+        # the one slot: it runs batch 1 clean (hit 1), hangs on batch 2
+        # (hit 2), the watchdog SIGKILLs it, and the respawned worker
+        # (fresh counters, hit 1) completes the retry.
         monkeypatch.setenv(FAULTS_ENV, "worker.batch:hang@2")
         monkeypatch.setenv(HANG_SECONDS_ENV, "30")
         start = time.monotonic()
-        pool = SweepExecutor(max_workers=1, batch_atoms=1, batch_timeout=1.0)
+        pool = SweepExecutor(max_workers=1, batch_timeout=1.0)
         try:
             rows = self._sweep(pool)
             info = pool.info()
         finally:
             pool.shutdown()
+        assert info["batches"] == 2
         assert time.monotonic() - start < 25  # bounded: never slept 30 s
         assert _key(rows) == _key(serial_rows)
         assert info["batch_timeouts"] >= 1
@@ -210,12 +207,13 @@ class TestExecutorChaos:
     def test_crashed_batch_is_retried_on_respawned_slot(
             self, monkeypatch, shm_ledger, serial_rows):
         monkeypatch.setenv(FAULTS_ENV, "worker.batch:crash@2")
-        pool = SweepExecutor(max_workers=1, batch_atoms=1, batch_timeout=30.0)
+        pool = SweepExecutor(max_workers=1, batch_timeout=30.0)
         try:
             rows = self._sweep(pool)
             info = pool.info()
         finally:
             pool.shutdown()
+        assert info["batches"] == 2  # two batches on the one slot
         assert _key(rows) == _key(serial_rows)
         assert info["batch_retries"] >= 1
         assert info["pool_spawns"] == 2

@@ -15,8 +15,6 @@ import pytest
 
 from repro.engine import SweepExecutor
 from repro.engine.worker_pool import (
-    PROBLEM_CACHE_BYTES_ENV,
-    PROBLEM_CACHE_ENTRIES_ENV,
     ProblemCache,
     clear_problem_cache,
     problem_cache,
@@ -89,25 +87,6 @@ class TestProblemCacheUnit:
         nbytes = _payload_nbytes(problem)
         # At least the matrix arrays and the x vector are counted.
         assert nbytes >= ds.matrix.nbytes + problem.x.nbytes
-
-    def test_env_budgets(self, monkeypatch):
-        monkeypatch.setenv(PROBLEM_CACHE_ENTRIES_ENV, "3")
-        monkeypatch.setenv(PROBLEM_CACHE_BYTES_ENV, "12345")
-        cache = ProblemCache.from_env()
-        assert cache.max_entries == 3 and cache.max_bytes == 12345
-
-    def test_malformed_env_budget_warns_and_uses_default(self, monkeypatch):
-        """A tuning typo degrades to the default budget instead of
-        crashing every sweep shard."""
-        monkeypatch.setenv(PROBLEM_CACHE_ENTRIES_ENV, "64MB")
-        monkeypatch.setenv(PROBLEM_CACHE_BYTES_ENV, "1e9")
-        with pytest.warns(RuntimeWarning) as record:
-            cache = ProblemCache.from_env()
-        messages = [str(w.message) for w in record]
-        for name in (PROBLEM_CACHE_ENTRIES_ENV, PROBLEM_CACHE_BYTES_ENV):
-            assert any(name in m for m in messages), messages
-        assert cache.max_entries == ProblemCache.DEFAULT_MAX_ENTRIES
-        assert cache.max_bytes == ProblemCache.DEFAULT_MAX_BYTES
 
     def test_process_singleton(self):
         clear_problem_cache()
@@ -322,7 +301,8 @@ class TestSteadyStateSweeps:
         """With room for one entry, alternating datasets evict each other
         and steady state never materializes -- the budget is honoured and
         every evicted entry is rebuilt locally, rows unchanged."""
-        monkeypatch.setenv(PROBLEM_CACHE_ENTRIES_ENV, "1")
+        # Forked workers inherit the class default their caches use.
+        monkeypatch.setattr(ProblemCache, "DEFAULT_MAX_ENTRIES", 1)
         with SweepExecutor(max_workers=1) as pool:
             first = run_suite(["merge_path"], scale="smoke", limit=3,
                               executor="process", pool=pool)

@@ -312,6 +312,40 @@ class TestFailureIsolation:
         _stop(svc)
 
 
+class TestRowErrorMessages:
+    def test_failed_units_share_one_shape(self):
+        """Every failed unit is journaled and streamed in one shape; only
+        the deadline paths add ``status:"timeout"`` to the message."""
+        import asyncio
+        from collections import deque
+        from types import SimpleNamespace
+
+        svc = SweepService(width=0)
+        journaled, sent = [], []
+
+        async def send(client, message):
+            sent.append(json.dumps(message))
+
+        svc._send = send
+        svc._journal_event = lambda event: journaled.append(json.dumps(event))
+        d1, d2, d3 = (SimpleNamespace(name=n) for n in ("d1", "d2", "d3"))
+        job = SimpleNamespace(job_id="j1", failed_units=0, units=deque([d2, d3]))
+        asyncio.run(svc._fail_unit(None, job, d1, "KeyError: 'x'"))
+        asyncio.run(svc._flush_timed_out_units(None, job))
+        assert job.failed_units == 3 and not job.units
+        head = '"job_id": "j1", "dataset": '
+        crash = head + '"d1", "error": "KeyError: \'x\'"'
+        late = [head + f'"{n}", "error": "job deadline exceeded"'
+                for n in ("d2", "d3")]
+        assert journaled == [
+            '{"event": "row_error", ' + body + "}" for body in [crash, *late]
+        ]
+        assert sent == ['{"type": "row_error", ' + crash + "}"] + [
+            '{"type": "row_error", ' + body + ', "status": "timeout"}'
+            for body in late
+        ]
+
+
 class TestDrain:
     def test_drain_finishes_in_flight_jobs_and_rejects_new(self, service):
         gate = threading.Event()

@@ -1,10 +1,12 @@
-"""Signal-path shm cleanup for the persistent default executor.
+"""Signal-path shm cleanup for live sweep executors.
 
 atexit handlers never run when a process dies on an unhandled
-SIGTERM/SIGINT, so a killed default-executor sweep would leak its
-named shared-memory segments (dataset bundles) in ``/dev/shm`` until
-reboot.  These tests kill real child processes and inspect the segment
-namespace from outside.
+SIGTERM/SIGINT, so a killed process holding a live
+:class:`~repro.engine.worker_pool.SweepExecutor` would leak its named
+shared-memory segments (dataset bundles) in ``/dev/shm`` until reboot.
+:func:`~repro.engine.worker_pool.install_signal_cleanup` shuts every
+live executor down first.  These tests kill real child processes and
+inspect the segment namespace from outside.
 """
 
 from __future__ import annotations
@@ -31,16 +33,18 @@ def _child_env() -> dict:
     return env
 
 
-# Runs a default-executor sweep over the shm transport, reports which segments
-# it published, then parks until signalled.
+# Runs a sweep over the shm transport on a pool it keeps live, reports
+# which segments it published, then parks until signalled.
 _SWEEPING_CHILD = r"""
 import json, os, signal, sys
-from repro.engine import default_executor
+from repro.engine import SweepExecutor, install_signal_cleanup
 from repro.evaluation.harness import run_suite
 
+assert install_signal_cleanup()
+pool = SweepExecutor()
 before = set(os.listdir("/dev/shm"))
 run_suite(["merge_path"], scale="smoke", limit=2, executor="process",
-          pool=default_executor())
+          pool=pool)
 mine = sorted(set(os.listdir("/dev/shm")) - before)
 print(json.dumps(mine), flush=True)
 signal.pause()
@@ -73,17 +77,38 @@ class TestSigtermCleanup:
         assert not leaked, f"leaked shm segments: {leaked}"
 
     @needs_shm
+    def test_exit_without_shutdown_unlinks_shm_segments(self):
+        # A pool its owner never shut down is shut down at exit.
+        child = _SWEEPING_CHILD.replace("signal.pause()", "")
+        out = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True,
+            env=_child_env(), text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        # Not left to multiprocessing's resource tracker, which unlinks
+        # leftovers only after the process is gone and warns about them.
+        assert "leaked shared_memory" not in out.stderr
+        import json
+
+        segments = json.loads(out.stdout.splitlines()[0])
+        assert segments, "child published no shm segments"
+        leaked = [s for s in segments if s in os.listdir("/dev/shm")]
+        assert not leaked, f"leaked shm segments: {leaked}"
+
+    @needs_shm
     def test_sigint_cleanup_chains_to_keyboard_interrupt(self):
         # Python's own SIGINT handler must still fire after cleanup:
         # the child exits through KeyboardInterrupt, not by signal.
         child = r"""
 import json, os, signal, sys
-from repro.engine import default_executor
+from repro.engine import SweepExecutor, install_signal_cleanup
 from repro.evaluation.harness import run_suite
 
+assert install_signal_cleanup()
+pool = SweepExecutor()
 before = set(os.listdir("/dev/shm"))
 run_suite(["merge_path"], scale="smoke", limit=1, executor="process",
-          pool=default_executor())
+          pool=pool)
 mine = sorted(set(os.listdir("/dev/shm")) - before)
 try:
     # Announce only once the KeyboardInterrupt net is up, or the

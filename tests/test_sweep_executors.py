@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engine import SweepExecutor
 from repro.evaluation.harness import (
     EXECUTORS,
     _run_shard,
@@ -26,12 +27,16 @@ def _key(rows):
             for r in rows]
 
 
+def _scoped_process(kernels, **kwargs):
+    """A process sweep on a width-2 pool built and shut down for it."""
+    with SweepExecutor(max_workers=2) as pool:
+        return run_suite(kernels, executor="process", pool=pool, **kwargs)
+
+
 class TestExecutorEquivalence:
     def test_all_executors_return_identical_rows(self):
         serial = run_suite(KERNELS, scale="smoke", limit=4, executor="serial")
-        process = run_suite(
-            KERNELS, scale="smoke", limit=4, executor="process", max_workers=2
-        )
+        process = _scoped_process(KERNELS, scale="smoke", limit=4)
         assert _key(serial) == _key(process)
         assert len(serial) == 4 * len(KERNELS)
 
@@ -39,13 +44,10 @@ class TestExecutorEquivalence:
         """The acceptance matrix: serial / fresh-process / persistent-pool
         sweeps of the same seeded grid produce identical SweepRows, and
         the pooled sweeps carried their CSR payloads over shared memory."""
-        from repro.engine import SweepExecutor
-
         kwargs = dict(scale="smoke", limit=4, seed=11)
         paths = {
             "serial": run_suite(KERNELS, executor="serial", **kwargs),
-            "fresh_process": run_suite(KERNELS, executor="process",
-                                       max_workers=2, **kwargs),
+            "fresh_process": _scoped_process(KERNELS, **kwargs),
         }
         with SweepExecutor(max_workers=2) as pool:
             paths["persistent_pool"] = run_suite(
@@ -60,13 +62,11 @@ class TestExecutorEquivalence:
             assert _key(rows) == reference, f"{name} diverged from serial"
 
     def test_process_executor_non_spmv_app(self):
-        rows = run_suite(
+        rows = _scoped_process(
             ["thread_mapped", "group_mapped"],
             app="histogram",
             scale="smoke",
             limit=3,
-            executor="process",
-            max_workers=2,
         )
         serial = run_suite(
             ["thread_mapped", "group_mapped"],
@@ -80,16 +80,12 @@ class TestExecutorEquivalence:
     def test_process_executor_explicit_datasets(self):
         ds = [load_dataset("tiny_diag_32", "smoke"),
               load_dataset("tiny_uniform_64", "smoke")]
-        rows = run_suite(
-            ["merge_path"], datasets=ds, executor="process", max_workers=2
-        )
+        rows = _scoped_process(["merge_path"], datasets=ds)
         assert [r.dataset for r in rows] == ["tiny_diag_32", "tiny_uniform_64"]
 
     def test_process_executor_seed_determinism(self):
-        a = run_suite(["merge_path"], scale="smoke", limit=3,
-                      executor="process", seed=7)
-        b = run_suite(["merge_path"], scale="smoke", limit=3,
-                      executor="process", seed=7)
+        a = _scoped_process(["merge_path"], scale="smoke", limit=3, seed=7)
+        b = _scoped_process(["merge_path"], scale="smoke", limit=3, seed=7)
         assert _key(a) == _key(b)
 
     def test_unknown_executor_rejected(self):
@@ -97,19 +93,26 @@ class TestExecutorEquivalence:
             run_suite(["merge_path"], scale="smoke", limit=1, executor="gpu")
         assert EXECUTORS == ("serial", "process")
 
-    @pytest.mark.parametrize(
-        "knob", [{"max_workers": 2}, {"pool": object()}],
-        ids=["max_workers", "pool"],
-    )
-    def test_pool_knobs_require_process_executor(self, knob):
-        """Pool width or a pool on the serial executor is a contradiction,
-        not a no-op."""
+    def test_pool_knobs_require_process_executor(self):
+        """A pool on the serial executor is a contradiction, not a
+        no-op."""
         with pytest.raises(ValueError, match="executor='process'"):
-            run_suite(["merge_path"], scale="smoke", limit=1, **knob)
+            run_suite(["merge_path"], scale="smoke", limit=1, pool=object())
+
+    def test_process_executor_requires_a_pool(self, monkeypatch):
+        """The caller owns every pool: ``executor="process"`` without
+        ``pool=`` fails up front, before any dataset is built."""
+        import repro.evaluation.harness as harness
+
+        def no_corpus(*args, **kwargs):
+            raise AssertionError("datasets expanded before the check")
+
+        monkeypatch.setattr(harness, "expand_datasets", no_corpus)
+        with pytest.raises(ValueError, match="pool="):
+            run_suite(["merge_path"], scale="smoke", limit=1,
+                      executor="process")
 
     def test_unknown_kernel_rejected_before_any_worker_spawns(self):
-        from repro.engine.worker_pool import SweepExecutor
-
         with SweepExecutor(max_workers=2) as pool:
             with pytest.raises(KeyError, match="did you mean 'merge_path'"):
                 run_suite(["merge_pth"], scale="smoke", limit=1,
@@ -118,21 +121,23 @@ class TestExecutorEquivalence:
 
     def test_run_suite_signature(self):
         """The sweep surface: the context selects execution, the executor
-        string plus an optional width or pool selects the fan-out."""
+        string plus a caller-owned pool selects the fan-out."""
         import inspect
 
         params = inspect.signature(run_suite).parameters
         assert list(params) == [
             "kernels", "app", "scale", "datasets", "limit", "seed",
-            "validate", "ctx", "executor", "max_workers", "pool",
+            "validate", "ctx", "executor", "pool",
         ]
         assert params["executor"].default == "serial"
 
     @pytest.mark.parametrize(
         "knob",
         [{"transport": "shm"}, {"keep_pool": True},
-         {"plan_cache_dir": "plans"}, {"plan_store": "plans.journal"}],
-        ids=["transport", "keep_pool", "plan_cache_dir", "plan_store"],
+         {"plan_cache_dir": "plans"}, {"plan_store": "plans.journal"},
+         {"max_workers": 2}],
+        ids=["transport", "keep_pool", "plan_cache_dir", "plan_store",
+             "max_workers"],
     )
     def test_removed_knobs_rejected(self, knob):
         with pytest.raises(TypeError):
@@ -143,7 +148,6 @@ class TestExecutorEquivalence:
         """The row-set equality, extended to a *tensor corpus*: spmttkrp
         over native SparseTensor3 datasets travels through the
         generalized array-bundle shm transport bit-for-bit."""
-        from repro.engine import SweepExecutor
         from repro.sparse.corpus import Dataset
         from repro.sparse.tensor import random_tensor
 
@@ -161,8 +165,7 @@ class TestExecutorEquivalence:
         kwargs = dict(app="spmttkrp", datasets=tensors, seed=3)
         paths = {
             "serial": run_suite(grid, executor="serial", **kwargs),
-            "fresh_process": run_suite(grid, executor="process",
-                                       max_workers=2, **kwargs),
+            "fresh_process": _scoped_process(grid, **kwargs),
         }
         with SweepExecutor(max_workers=2) as pool:
             paths["persistent_pool_shm"] = run_suite(
@@ -176,7 +179,10 @@ class TestExecutorEquivalence:
             assert _key(rows) == reference, f"{name} diverged from serial"
 
     def test_empty_dataset_list(self):
-        assert run_suite(["merge_path"], datasets=[], executor="process") == []
+        with SweepExecutor(max_workers=2) as pool:
+            assert run_suite(["merge_path"], datasets=[], executor="process",
+                             pool=pool) == []
+            assert not pool.alive  # an empty sweep spawns no worker
 
 
 class TestSharding:
@@ -211,10 +217,7 @@ class TestSharding:
 
 class TestIncompatibleDatasets:
     def test_rectangular_skipped_for_graph_apps_in_process_mode(self):
-        rows = run_suite(
-            ["group_mapped"], app="bfs", scale="smoke", executor="process",
-            max_workers=2,
-        )
+        rows = _scoped_process(["group_mapped"], app="bfs", scale="smoke")
         names = {d.name for d in build_corpus("smoke")
                  if d.matrix.num_rows == d.matrix.num_cols}
         assert {r.dataset for r in rows} <= names

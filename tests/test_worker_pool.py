@@ -15,7 +15,7 @@ from multiprocessing import shared_memory
 import numpy as np
 import pytest
 
-from repro.engine import SweepExecutor, default_executor, shutdown_default_executor
+from repro.engine import SweepExecutor
 from repro.engine import worker_pool
 from repro.engine.worker_pool import (
     ShmHandle,
@@ -428,12 +428,13 @@ class TestSweepExecutor:
         pool.shutdown()
 
     def test_batching_preserves_shard_order(self, serial_rows):
-        # One batch per crossing: force everything through a single batch
-        # and through many batches; both must match serial ordering.
-        for batch_atoms in (1, 10**9):
-            with SweepExecutor(max_workers=2, batch_atoms=batch_atoms) as pool:
+        # Multi-shard batches on one slot and on two must both match
+        # serial ordering.
+        for width in (1, 2):
+            with SweepExecutor(max_workers=width) as pool:
                 rows = run_suite(KERNELS, scale="smoke", limit=5,
                                  executor="process", pool=pool)
+                assert pool.batches < 5  # some batch carried several shards
                 assert _key(rows) == _key(serial_rows)
 
     def test_batches_fewer_crossings_than_shards(self):
@@ -478,7 +479,7 @@ class TestSweepExecutor:
         with SweepExecutor(max_workers=1) as pool:
             pool.map_shards(tasks)
             assert pool.width == 1
-            pool.max_workers = 2  # what default_executor(max_workers=2) does
+            pool.max_workers = 2
             pool.map_shards(tasks)
             assert pool.width == 2 and pool.pool_spawns == 2
             pool.max_workers = 1  # never shrinks a warm pool
@@ -493,32 +494,36 @@ class TestSweepExecutor:
                 pool.map_shards(bad for _ in range(1))
 
 
-class TestDefaultExecutor:
-    def test_sweeps_reuse_module_default(self, serial_rows):
-        shutdown_default_executor()
+class TestLiveSet:
+    def test_executor_is_live_from_spawn_to_shutdown(self):
+        pool = SweepExecutor(max_workers=1)
+        assert pool not in worker_pool._LIVE  # nothing spawned yet
         try:
-            a = run_suite(KERNELS, scale="smoke", limit=5,
-                          executor="process", pool=default_executor(2))
-            b = run_suite(KERNELS, scale="smoke", limit=5,
-                          executor="process", pool=default_executor())
-            assert _key(a) == _key(b) == _key(serial_rows)
-            pool = default_executor()
-            assert pool.pool_spawns == 1 and pool.sweeps == 2
+            pool.map_shards([_ShardTask(
+                app="spmv", kernels=("merge_path",),
+                dataset=load_dataset("tiny_diag_32", "smoke"))])
+            assert pool in worker_pool._LIVE
         finally:
-            shutdown_default_executor()
+            pool.shutdown()
+        assert pool not in worker_pool._LIVE
 
-    def test_default_executor_is_a_singleton(self):
-        shutdown_default_executor()
-        try:
-            assert default_executor() is default_executor()
-        finally:
-            shutdown_default_executor()
+    def test_constructor_takes_width_and_watchdog_only(self):
+        import inspect
 
-    def test_shutdown_forgets_the_singleton(self):
-        first = default_executor()
-        shutdown_default_executor()
-        assert default_executor() is not first
-        shutdown_default_executor()
+        params = inspect.signature(SweepExecutor).parameters
+        assert list(params) == ["max_workers", "batch_timeout"]
+        assert params["batch_timeout"].default == worker_pool.DEFAULT_BATCH_TIMEOUT
+
+    @pytest.mark.parametrize("name", [
+        "default_executor", "shutdown_default_executor", "BATCH_TIMEOUT_ENV",
+        "PROBLEM_CACHE_ENTRIES_ENV", "PROBLEM_CACHE_BYTES_ENV",
+    ])
+    def test_removed_pool_names_stay_removed(self, name):
+        import repro.engine
+
+        assert not hasattr(repro.engine, name)
+        assert not hasattr(worker_pool, name)
+        assert not hasattr(worker_pool.ProblemCache, "from_env")
 
 
 class TestMisuse:
