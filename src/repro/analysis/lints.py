@@ -16,15 +16,10 @@ plumbing.  The built-ins guard the contracts earlier PRs introduced:
     :data:`repro.faults.KNOWN_SITES` and exercised by name in
     ``tests/test_faults.py`` -- an injection point nobody can schedule
     or test is dead armor.
-
-Lint results are memoized content-keyed on the scanned files' bytes, so
-repeated CLI/CI invocations in one process are free and any edit
-invalidates the memo.
 """
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -195,20 +190,6 @@ def lint_descriptions() -> dict[str, str]:
     return {name: LINTS[name][0] for name in available_lints()}
 
 
-_LINT_CACHE: dict = {}
-
-
-def _content_digest(root: Path) -> str:
-    h = hashlib.sha256()
-    for path in _python_files(root, ("src", "benchmarks", "tests")):
-        h.update(str(path.relative_to(root)).encode())
-        h.update(path.read_bytes())
-    readme = root / "README.md"
-    if readme.is_file():
-        h.update(readme.read_bytes())
-    return h.hexdigest()
-
-
 def run_lints(names=None, root: Path | str | None = None) -> list[LintFinding]:
     """Run the named lints (all by default) against a repo root.
 
@@ -223,13 +204,8 @@ def run_lints(names=None, root: Path | str | None = None) -> list[LintFinding]:
             raise KeyError(
                 f"unknown lint {name!r}; available: {available_lints()}"
             )
-    key = (tuple(selected), str(root), _content_digest(root))
-    cached = _LINT_CACHE.get(key)
-    if cached is not None:
-        return list(cached)
     findings: list[LintFinding] = []
     for name in selected:
         findings.extend(LINTS[name][1](root))
     findings.sort(key=lambda f: (f.lint, f.path, f.line))
-    _LINT_CACHE[key] = tuple(findings)
     return findings

@@ -37,7 +37,7 @@ knobs:
   for the sweep and shut down after it (SIGTERM/SIGINT unlink its shm
   too): each worker builds the problem/oracle once per dataset and runs
   every kernel of that cell, dataset payloads travel through shared
-  memory, small shards are batched.  Without it (or with ``0``) the
+  memory, each worker's shards are batched.  Without it (or with ``0``) the
   sweep runs serially.
 
 ``serve`` runs the long-lived multi-tenant sweep daemon

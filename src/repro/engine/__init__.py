@@ -35,8 +35,8 @@ paper's separation of concerns at the code level:
 * **Worker pool** (:mod:`.worker_pool`) -- :class:`SweepExecutor`, the
   caller-owned process pool behind ``executor="process"`` sweeps
   (``run_suite(..., executor="process", pool=pool)``): warm workers
-  survive across ``run_suite`` calls, small shards are batched
-  into one pickle crossing, and dataset payloads travel through
+  survive across ``run_suite`` calls, each worker's shards are
+  batched into a few pickle crossings, and dataset payloads travel through
   ``multiprocessing.shared_memory`` as array blocks (CSR matrices, COO
   sparse tensors and dense arrays) instead of the pickle stream
   (anything else is pickled).  Warm workers also keep

@@ -22,10 +22,11 @@ Sticky placement & shard batching
     (HRW-)hashed over the pool's worker slots, so the same dataset lands
     on the same worker sweep after sweep -- warm worker caches stop
     depending on scheduler luck, and crash-respawn or width growth remap
-    only the minimum number of keys.  Within a home group, small
-    datasets are batched into contiguous weight-balanced batches so one
-    pickle crossing carries several shards; oversized batches are
-    work-stolen (bounded, deterministic) to the least-loaded slot.
+    only the minimum number of keys.  Load skew is corrected one shard
+    at a time: while the most-loaded slot is well above the mean, its
+    lightest shard moves to the least-loaded slot (deterministically).
+    Each slot's final shard list is then cut by count into a few
+    contiguous batches, so one pickle crossing carries several shards.
     Every row records its placement (home, executing slot, sticky vs
     stolen, worker pid) in ``meta["placement"]``.  Results come back per
     shard, in submission order.
@@ -41,8 +42,9 @@ Shared-memory transport
     pinned, byte-budgeted LRU directory and unlinks them; workers
     reattach zero-copy, CRC-verified, and keep an LRU of their mappings.
     A dataset no codec claims is pickled into the task, and so is any
-    shard whose worker fails to attach its block; either way the rows
-    are identical :class:`~repro.evaluation.harness.SweepRow` sets.
+    shard the executor re-runs -- including one whose worker failed to
+    attach its block; either way the rows are identical
+    :class:`~repro.evaluation.harness.SweepRow` sets.
 
 Worker-resident problem/oracle cache
     Repeated sweeps of the same grid used to rebuild every dataset's
@@ -740,21 +742,34 @@ def _forget_parent_cache() -> None:
 os.register_at_fork(after_in_child=_forget_parent_cache)
 
 
-@dataclass(frozen=True)
-class _BatchItem:
-    """One placed shard crossing into a worker.
+@dataclass
+class _Shard:
+    """One shard of a sweep, from staging through placement to retry.
 
+    ``task`` is the staged task (its dataset swapped for a shm handle
+    when published); a retry carries the sweep's original task instead.
     ``dataset_key`` is the staging-time content fingerprint (computed
     once in the parent, published or not, so workers never pay a fresh
-    CRC pass); ``placement`` records home/executing slot and
-    sticky-vs-stolen.
+    CRC pass); ``weight`` (array elements plus a fixed per-dataset
+    overhead) drives stealing and the watchdog allowance.  ``home`` is
+    the rendezvous slot, ``slot`` the one that runs the shard.
     """
 
     task: Any
     index: int  # position in the sweep's original shard order
     dataset_key: tuple | None
-    placement: dict
-    weight: float = 0.0  # staged weight (drives the watchdog allowance)
+    weight: float
+    home: int = 0
+    slot: int = 0
+
+    @property
+    def placement(self) -> dict:
+        """The shard's ``meta["placement"]``, less the worker pid."""
+        return {
+            "home": self.home,
+            "slot": self.slot,
+            "mode": "sticky" if self.slot == self.home else "stolen",
+        }
 
 
 @dataclass(frozen=True)
@@ -764,13 +779,12 @@ class _AttachFailure:
     parent condemns the published block and re-runs the shard over the
     pickle transport instead of failing the batch."""
 
-    index: int
     shm_name: str
     error: str
 
 
-def _run_batch(items: tuple) -> list:
-    """Run one placed batch of shard tasks; one pickle crossing each way.
+def _run_batch(shards: tuple) -> list:
+    """Run one placed batch of shards; one pickle crossing each way.
 
     Returns the per-shard row lists.  A shard whose shm attach fails
     yields an :class:`_AttachFailure` in its row slot; the rest of the
@@ -781,23 +795,22 @@ def _run_batch(items: tuple) -> list:
     inject("worker.batch")
     out = []
     pid = os.getpid()
-    for item in items:
-        task = item.task
+    for shard in shards:
+        task = shard.task
         handle = task.dataset.matrix
         if isinstance(handle, ShmHandle):
             try:
                 matrix = _attached(handle, _attach_dataset_block)
             except (OSError, ValueError, KeyError) as exc:
                 out.append(_AttachFailure(
-                    index=item.index,
                     shm_name=handle.shm_name,
                     error=f"{type(exc).__name__}: {exc}",
                 ))
                 continue
             task = replace(task, dataset=replace(task.dataset, matrix=matrix))
-        rows = _run_shard(task, dataset_key=item.dataset_key)
+        rows = _run_shard(task, dataset_key=shard.dataset_key)
         for row in rows:
-            row.meta["placement"] = {**item.placement, "pid": pid}
+            row.meta["placement"] = {**shard.placement, "pid": pid}
         out.append(rows)
     return out
 
@@ -853,17 +866,6 @@ class _WorkerSlot:
         return self.dead or bool(getattr(self.pool, "_broken", False))
 
 
-@dataclass
-class _StagedShard:
-    """Parent-side staging record for one shard task."""
-
-    task: Any
-    index: int  # position in the sweep's original order
-    dataset_key: tuple | None
-    weight: float
-    home: int = 0
-
-
 class SweepExecutor:
     """A reusable pool of worker slots for per-dataset sweep shards.
 
@@ -879,7 +881,9 @@ class SweepExecutor:
     Placement is sticky: each dataset's content key rendezvous-hashes to
     a home slot (see :func:`home_slot`), so repeated sweeps land every
     dataset on the same worker and its caches.  Load imbalance is
-    corrected by bounded deterministic work-stealing of whole batches.
+    corrected by deterministic work-stealing of single shards (see
+    :meth:`_assign`), and each slot's shards are cut by count into
+    contiguous batches.
 
     The caller owns the pool: use it as a context manager (or call
     :meth:`shutdown`), and pass it to every sweep that should share its
@@ -914,8 +918,9 @@ class SweepExecutor:
         self.sticky_shards = 0
         self.stolen_shards = 0
         # Failure-path telemetry (see map_shards): watchdog expiries,
-        # batches re-run on another slot, shards run in-parent, synthetic
-        # error rows emitted, and shm attaches degraded to pickling.
+        # batches lost to a timeout or crash (their shards re-run on
+        # the next slot), shards run in-parent, synthetic error rows
+        # emitted, and shm attaches degraded to pickling.
         self.batch_timeouts = 0
         self.batch_retries = 0
         self.degraded_shards = 0
@@ -1004,38 +1009,18 @@ class SweepExecutor:
 
     #: Per-dataset fixed cost expressed in atom equivalents: at smoke
     #: scale a cell's Python overhead (context, policy, fingerprints)
-    #: dwarfs its arithmetic, so weight-balancing on raw atoms alone
-    #: would pack many tiny datasets into one straggler batch.
+    #: dwarfs its arithmetic, so stealing on raw atoms alone would
+    #: leave many tiny datasets piled on one straggler slot.
     _BATCH_BASE_WEIGHT = 2000
 
-    #: Batches per home slot under quantile batching -- two, so work-
-    #: stealing has a unit smaller than "everything the slot owns".
+    #: Batches each slot's shards are cut into: one pickle crossing
+    #: carries several shards, and a crashed or hung worker loses only
+    #: the batches it had not finished.
     _BATCHES_PER_SLOT = 2
 
     #: A slot may exceed the mean sweep load by this factor before its
-    #: batches are stolen; below it, stickiness wins over balance.
+    #: shards are stolen; below it, stickiness wins over balance.
     _STEAL_FACTOR = 1.25
-
-    def _batch_group(self, group: list) -> list[list]:
-        """Split one home group into contiguous weight-balanced batches.
-
-        ~:data:`_BATCHES_PER_SLOT` batches per slot, boundaries at equal
-        quantiles of the cumulative weight (atoms plus a fixed per-
-        dataset overhead) -- the merge-path idea, one level up: batches
-        are the processors, datasets the tiles.
-        """
-        if not group:
-            return []
-        weights = np.array([s.weight for s in group], dtype=np.float64)
-        num_batches = min(len(group), max(1, self._BATCHES_PER_SLOT))
-        cum = np.cumsum(weights)
-        quantiles = cum[-1] * np.arange(1, num_batches) / num_batches
-        bounds = [0, *np.searchsorted(cum, quantiles, side="left"), len(group)]
-        return [
-            group[lo:hi]
-            for lo, hi in zip(bounds, bounds[1:])
-            if hi > lo
-        ]
 
     def _stage(self, tasks: list) -> tuple[list, list]:
         """Fingerprint every dataset and swap payloads for shm handles.
@@ -1047,10 +1032,10 @@ class SweepExecutor:
         published to shared memory once per key: repeated sweeps of the
         same corpus pin the already-published blocks instead of copying
         again, and anything else (or a refused publish) travels pickled
-        in the task.  Returns ``(staged_shards, pinned_blocks)``; the
-        caller releases the pins after the sweep.
+        in the task.  Returns ``(shards, pinned_blocks)``; the caller
+        releases the pins after the sweep.
         """
-        staged: list[_StagedShard] = []
+        shards: list[_Shard] = []
         pinned: list[_Block] = []
         try:
             with self._shm_lock:
@@ -1072,7 +1057,7 @@ class SweepExecutor:
                         if block is not None:
                             pinned.append(block)
                             staged_task = replace(task, dataset=block.handle)
-                    staged.append(_StagedShard(
+                    shards.append(_Shard(
                         task=staged_task,
                         index=index,
                         dataset_key=key,
@@ -1083,100 +1068,66 @@ class SweepExecutor:
             with self._shm_lock:
                 self._datasets.release(pinned)
             raise
-        return staged, pinned
+        return shards, pinned
 
     # -- placement --------------------------------------------------------
-    def _assign(self, staged: list) -> list[tuple]:
-        """Place every staged shard: home slots, batches, work-stealing.
+    def _assign(self, shards: list, width: int) -> list[tuple]:
+        """Place every shard on a slot, then cut the slots into batches.
 
-        Returns ``[(executing slot, (batch items...)), ...]``.  Homes
-        come from rendezvous hashing the dataset content key (falling
-        back to the dataset name for unfingerprintable payloads); each
-        home group is batched contiguously, then whole batches are
-        stolen -- deterministically, boundedly -- from slots whose load
-        exceeds :data:`_STEAL_FACTOR` times the mean.
+        Sets each shard's ``home`` and ``slot`` and returns ``[(slot,
+        (shard, ...)), ...]``, in three steps:
+
+        1. Each shard starts on its home slot, the rendezvous hash of
+           its dataset content key (of the dataset name for payloads
+           with no key).
+        2. While the most-loaded slot exceeds :data:`_STEAL_FACTOR`
+           times the mean load, its lightest shard moves to the least-
+           loaded slot -- as long as that narrows the gap between the
+           two.  Each move lowers the sum of squared slot loads, so
+           the loop ends, and ties break by slot index and shard order,
+           so the same grid is placed the same way every sweep.
+        3. :meth:`_cut` cuts each slot's shards into batches.
         """
-        width = max(1, self._width)
-        groups: list[list] = [[] for _ in range(width)]
-        for shard in staged:
+        width = max(1, width)
+        loads = [0.0] * width
+        for shard in shards:
             key = shard.dataset_key
             if key is None:
                 key = ("unbundled", shard.task.dataset.name)
-            shard.home = home_slot(key, width)
-            groups[shard.home].append(shard)
-        # (batch, stolen?) lists per executing slot.
-        batches: list[list] = [
-            [[batch, False] for batch in self._batch_group(group)]
-            for group in groups
-        ]
-        loads = [
-            sum(shard.weight for batch, _ in slot for shard in batch)
-            for slot in batches
-        ]
-        mean = sum(loads) / width
-
-        def batch_weight(batch: list) -> float:
-            return sum(shard.weight for shard in batch)
-
-        steals = 0
-        while width > 1 and mean > 0 and steals < 2 * width:
+            shard.home = shard.slot = home_slot(key, width)
+            loads[shard.home] += shard.weight
+        limit = self._STEAL_FACTOR * sum(loads) / width
+        while True:
             donor = max(range(width), key=loads.__getitem__)
             thief = min(range(width), key=loads.__getitem__)
-            if donor == thief or loads[donor] <= self._STEAL_FACTOR * mean:
+            if loads[donor] <= limit:
                 break
-            donor_batches = batches[donor]
-            if len(donor_batches) == 1 and len(donor_batches[0][0]) > 1:
-                # One oversized batch: split it at the weight midpoint
-                # so the next round has a stealable unit.
-                batch, stolen = donor_batches.pop(0)
-                half = batch_weight(batch) / 2.0
-                acc = 0.0
-                cut = 1
-                for i, shard in enumerate(batch[:-1]):
-                    acc += shard.weight
-                    if acc >= half:
-                        cut = i + 1
-                        break
-                donor_batches.append([batch[:cut], stolen])
-                donor_batches.append([batch[cut:], stolen])
-                continue
-            if len(donor_batches) <= 1:
-                break  # a single indivisible shard: nothing to steal
-            lightest = min(
-                range(len(donor_batches)),
-                key=lambda i: batch_weight(donor_batches[i][0]),
+            shard = min(
+                (s for s in shards if s.slot == donor),
+                key=lambda s: s.weight,
             )
-            weight = batch_weight(donor_batches[lightest][0])
-            if loads[thief] + weight >= loads[donor]:
+            if loads[thief] + shard.weight >= loads[donor]:
                 break  # moving it would not narrow the spread
-            batch, _ = donor_batches.pop(lightest)
-            batches[thief].append([batch, True])
-            loads[donor] -= weight
-            loads[thief] += weight
-            steals += 1
+            shard.slot = thief
+            loads[donor] -= shard.weight
+            loads[thief] += shard.weight
+        return self._cut(shards)
 
+    def _cut(self, shards: list) -> list[tuple]:
+        """Each slot's shards, in sweep order, cut by count into
+        :data:`_BATCHES_PER_SLOT` contiguous batches: ``[(slot, (shard,
+        ...)), ...]``."""
+        by_slot: dict[int, list] = {}
+        for shard in shards:
+            by_slot.setdefault(shard.slot, []).append(shard)
         placed: list[tuple] = []
-        for slot in range(width):
-            for batch, stolen in batches[slot]:
-                items = tuple(
-                    _BatchItem(
-                        task=shard.task,
-                        index=shard.index,
-                        dataset_key=shard.dataset_key,
-                        placement={
-                            "home": shard.home,
-                            "slot": slot,
-                            "mode": "stolen" if stolen else "sticky",
-                        },
-                        weight=shard.weight,
-                    )
-                    for shard in batch
-                )
-                if stolen:
-                    self.stolen_shards += len(items)
-                else:
-                    self.sticky_shards += len(items)
-                placed.append((slot, items))
+        for slot, group in sorted(by_slot.items()):
+            parts = min(len(group), self._BATCHES_PER_SLOT)
+            bounds = [len(group) * i // parts for i in range(parts + 1)]
+            placed.extend(
+                (slot, tuple(group[lo:hi]))
+                for lo, hi in zip(bounds, bounds[1:])
+            )
         return placed
 
     # -- execution ------------------------------------------------------
@@ -1184,31 +1135,37 @@ class SweepExecutor:
         """Run every shard task; return per-shard row lists in order.
 
         Equivalent to ``[ _run_shard(t) for t in tasks ]`` but fanned out
-        over the (persistent) pool, with sticky placement, batching and
-        shared-memory dataset transport.  Deterministic exceptions
-        raised inside a worker (bad app, validation failure) propagate
-        after every in-flight batch settles.
+        over the (persistent) pool, with sticky placement, shard
+        stealing, batching and shared-memory dataset transport.
+        Deterministic exceptions raised inside a worker (bad app,
+        validation failure) propagate after every in-flight batch
+        settles.
 
         Failure semantics (``batch_timeout`` > 0, the default): every
         batch gets a deadline -- the floor plus a weight-proportional
         allowance, cumulative per slot since one slot runs its batches
         serially.  A batch that misses its deadline has its worker
-        SIGKILLed (the slot is respawned in place); batches lost to a
-        timeout or a crashed worker are retried once on a neighbouring
-        slot, then degraded to bounded in-parent execution.  Shards that
-        still fail surface as synthetic rows with
-        ``meta["status"]`` ``"timeout"``/``"error"`` instead of raising.
-        Every row carries ``meta["attempts"]`` (1 = first try, 2 =
-        retried, 3 = degraded) and ``meta["degraded"]``; a shard whose
-        shm attach failed re-runs over pickle and is marked
-        ``meta["transport_fallback"]``.
+        SIGKILLed (the slot is respawned in place).  One retry rule
+        covers every shard the first round did not finish -- lost to a
+        timeout, a crashed worker or a failed shm attach: it re-runs
+        once, on the next slot, carrying its original pickled task;
+        anything that round loses degrades to bounded in-parent
+        execution.  Shards that still fail surface as synthetic rows
+        with ``meta["status"]`` ``"timeout"``/``"error"`` instead of
+        raising.  Every row carries ``meta["attempts"]`` (1 = first try,
+        2 = retried, 3 = degraded), ``meta["degraded"]`` and the slot
+        it actually ran on in ``meta["placement"]``; a shard whose shm
+        attach failed is marked ``meta["transport_fallback"]``.
         """
         tasks = list(tasks)
         if not tasks:
             return []
         self._ensure_pool(len(tasks))
-        staged, pinned = self._stage(tasks)
-        placed = self._assign(staged)
+        shards, pinned = self._stage(tasks)
+        placed = self._assign(shards, self._width)
+        sticky = sum(shard.slot == shard.home for shard in shards)
+        self.sticky_shards += sticky
+        self.stolen_shards += len(shards) - sticky
         results: dict[int, list] = {}
         fallback_indexes: set[int] = set()
         try:
@@ -1235,43 +1192,47 @@ class SweepExecutor:
     ) -> BaseException | None:
         """Drive the placed batches through at most three attempts.
 
-        Round 1 runs the placement as planned.  Whatever it loses to
-        crashes/timeouts is retried once on a neighbouring slot (round
-        2), alongside pickle re-runs of shards whose shm attach failed.
-        Anything round 2 loses is degraded to bounded in-parent
-        execution, which always produces rows (synthetic error rows at
-        worst).  Returns the first *deterministic* worker exception to
-        re-raise after everything settles, or ``None``.
+        Round 1 runs the placement as planned.  Every shard it did not
+        finish -- its batch timed out or its worker crashed, or its shm
+        attach failed (the block is condemned, so later sweeps
+        republish) -- re-runs once in round 2, on the next slot, with
+        its original task: round 2 ships no shm handle, so it cannot
+        fail an attach.  Anything round 2 loses is degraded to bounded
+        in-parent execution, which always produces rows (synthetic
+        error rows at worst).  Returns the first *deterministic* worker
+        exception to re-raise after everything settles, or ``None``.
         """
         error, lost, bad_attach = self._await_round(placed, results, attempt=1)
-        retry: list[tuple[int, tuple]] = []
-        if bad_attach:
-            retry.extend(
-                self._transport_retry_batches(bad_attach, tasks, fallback_indexes)
-            )
-        if lost:
-            self._respawn_dead_slots()
-            width = max(1, self._width)
-            for slot, items in lost:
-                self.batch_retries += 1
-                retry.append(((slot + 1) % width, items))
-        if not retry:
+        self.batch_retries += len(lost)
+        for shard, failure in bad_attach:
+            self.transport_fallbacks += 1
+            fallback_indexes.add(shard.index)
+            with self._shm_lock:
+                self._datasets.condemn(failure.shm_name)
+            _warn_transport_fallback(failure)
+        unfinished = [shard for _slot, batch in lost for shard in batch]
+        unfinished.extend(shard for shard, _failure in bad_attach)
+        if not unfinished:
             return error
-        retry_error, lost2, bad2 = self._await_round(retry, results, attempt=2)
-        error = error or retry_error
-        leftovers = [item for _slot, items in lost2 for item in items]
-        # A *retried* batch can itself hit an attach failure (its items
-        # still carry shm handles); those shards degrade like the rest.
-        leftovers.extend(item for item, _failure in bad2)
-        for item in leftovers:
-            self._degrade_shard(item, tasks[item.index], results)
+        self._respawn_dead_slots()
+        width = max(1, self._width)
+        retry = [
+            replace(shard, task=tasks[shard.index], slot=(shard.slot + 1) % width)
+            for shard in sorted(unfinished, key=lambda s: s.index)
+        ]
+        retry_error, lost2, _ = self._await_round(
+            self._cut(retry), results, attempt=2
+        )
+        for _slot, batch in lost2:
+            for shard in batch:
+                self._degrade_shard(shard, results)
         if lost2:
             self._respawn_dead_slots()
-        return error
+        return error or retry_error
 
-    def _batch_allowance(self, items) -> float:
+    def _batch_allowance(self, shards) -> float:
         """Deadline seconds for one batch: floor + weight-linear term."""
-        weight = sum(getattr(item, "weight", 0.0) for item in items)
+        weight = sum(shard.weight for shard in shards)
         return self.batch_timeout + weight * _TIMEOUT_SECONDS_PER_WEIGHT
 
     def _await_round(
@@ -1280,27 +1241,27 @@ class SweepExecutor:
         """Submit one round of batches and settle every future.
 
         Returns ``(deterministic error, lost batches, attach failures)``
-        where lost batches are ``(slot, items)`` pairs that died to a
+        where lost batches are ``(slot, shards)`` pairs that died to a
         timeout or a broken worker and attach failures are
-        ``(item, _AttachFailure)`` pairs.
+        ``(shard, _AttachFailure)`` pairs.
         """
         watchdog = self.batch_timeout > 0
         start = time.monotonic()
         slot_allowance: dict[int, float] = {}
         submitted = []
-        for slot, items in placed:
-            future = self._slots[slot].pool.submit(_run_batch, items)
+        for slot, batch in placed:
+            future = self._slots[slot].pool.submit(_run_batch, batch)
             deadline = None
             if watchdog:
                 slot_allowance[slot] = (
-                    slot_allowance.get(slot, 0.0) + self._batch_allowance(items)
+                    slot_allowance.get(slot, 0.0) + self._batch_allowance(batch)
                 )
                 deadline = start + slot_allowance[slot]
-            submitted.append((future, slot, items, deadline))
+            submitted.append((future, slot, batch, deadline))
         error: BaseException | None = None
         lost: list[tuple[int, tuple]] = []
         bad_attach: list[tuple] = []
-        for future, slot, items, deadline in submitted:
+        for future, slot, batch, deadline in submitted:
             try:
                 if deadline is None:
                     shard_rows = future.result()
@@ -1311,24 +1272,24 @@ class SweepExecutor:
             except _FuturesTimeout:
                 self.batch_timeouts += 1
                 self._kill_slot(slot)
-                lost.append((slot, items))
+                lost.append((slot, batch))
                 continue
             except BrokenExecutor:
-                lost.append((slot, items))
+                lost.append((slot, batch))
                 continue
             except BaseException as exc:
                 if error is None:
                     error = exc
                 continue
-            for item, rows in zip(items, shard_rows):
+            for shard, rows in zip(batch, shard_rows):
                 if isinstance(rows, _AttachFailure):
-                    bad_attach.append((item, rows))
+                    bad_attach.append((shard, rows))
                     continue
                 for row in rows:
                     row.meta["attempts"] = attempt
                     row.meta["degraded"] = False
                     row.meta.setdefault("status", "ok")
-                results[item.index] = rows
+                results[shard.index] = rows
         return error, lost, bad_attach
 
     def _kill_slot(self, slot_index: int) -> None:
@@ -1361,36 +1322,14 @@ class SweepExecutor:
             if respawned:
                 self.pool_spawns += 1
 
-    def _transport_retry_batches(
-        self, bad_attach: list, tasks: list, fallback_indexes: set
-    ) -> list[tuple[int, tuple]]:
-        """Pickle re-runs for shards whose shm attach failed.
-
-        The condemned block leaves the dataset directory (unlinked once
-        its sweep pins drop) so later sweeps republish from the source
-        arrays; the shard itself is resubmitted to its original slot
-        carrying the real dataset instead of a handle.
-        """
-        batches: list[tuple[int, tuple]] = []
-        for item, failure in bad_attach:
-            self.transport_fallbacks += 1
-            fallback_indexes.add(item.index)
-            with self._shm_lock:
-                self._datasets.condemn(failure.shm_name)
-            _warn_transport_fallback(failure)
-            batches.append((
-                item.placement.get("slot", 0),
-                (replace(item, task=tasks[item.index]),),
-            ))
-        return batches
-
-    def _degrade_shard(self, item, task, results: dict) -> None:
+    def _degrade_shard(self, shard: _Shard, results: dict) -> None:
         """Last resort: run one shard in the parent, on a bounded thread.
 
-        ``task`` is the sweep's *original* task (real dataset, no shm
-        handle).  A deterministic failure or a blown deadline yields
-        synthetic error rows -- by this point the shard has already
-        cost a worker twice, so surfacing a typed row beats raising.
+        ``shard`` comes from the retry round, so it carries the sweep's
+        *original* task (real dataset, no shm handle).  A deterministic
+        failure or a blown deadline yields synthetic error rows -- by
+        this point the shard has already cost a worker twice, so
+        surfacing a typed row beats raising.
         """
         self.degraded_shards += 1
         outcome: dict = {}
@@ -1399,7 +1338,9 @@ class SweepExecutor:
             from ..evaluation.harness import _run_shard
 
             try:
-                outcome["rows"] = _run_shard(task, dataset_key=item.dataset_key)
+                outcome["rows"] = _run_shard(
+                    shard.task, dataset_key=shard.dataset_key
+                )
             except BaseException as exc:
                 outcome["error"] = exc
 
@@ -1408,19 +1349,19 @@ class SweepExecutor:
         )
         thread.start()
         timeout = (
-            self._batch_allowance((item,)) if self.batch_timeout > 0 else None
+            self._batch_allowance((shard,)) if self.batch_timeout > 0 else None
         )
         thread.join(timeout)
         if thread.is_alive():
             self.batch_timeouts += 1
-            results[item.index] = self._error_rows(
-                task, item, "timeout",
+            results[shard.index] = self._error_rows(
+                shard, "timeout",
                 "degraded in-parent execution exceeded its deadline",
             )
         elif "error" in outcome:
             exc = outcome["error"]
-            results[item.index] = self._error_rows(
-                task, item, "error", f"{type(exc).__name__}: {exc}"
+            results[shard.index] = self._error_rows(
+                shard, "error", f"{type(exc).__name__}: {exc}"
             )
         else:
             rows = outcome["rows"]
@@ -1428,24 +1369,25 @@ class SweepExecutor:
                 row.meta["attempts"] = 3
                 row.meta["degraded"] = True
                 row.meta.setdefault("status", "ok")
-                row.meta["placement"] = self._degraded_placement(item)
-            results[item.index] = rows
+                row.meta["placement"] = self._degraded_placement(shard)
+            results[shard.index] = rows
 
     @staticmethod
-    def _degraded_placement(item) -> dict:
+    def _degraded_placement(shard: _Shard) -> dict:
         return {
-            "home": item.placement.get("home", 0),
+            "home": shard.home,
             "slot": -1,
             "mode": "degraded",
             "pid": os.getpid(),
         }
 
-    def _error_rows(self, task, item, status: str, message: str) -> list:
+    def _error_rows(self, shard: _Shard, status: str, message: str) -> list:
         """Synthetic per-kernel rows for a shard that exhausted every
         attempt: ``elapsed`` 0.0, real dataset dims where known, and the
         failure typed in ``meta`` (``status``/``error``)."""
         from ..evaluation.harness import SweepRow
 
+        task = shard.task
         matrix = task.dataset.matrix
         try:
             num_rows = int(matrix.num_rows)
@@ -1469,7 +1411,7 @@ class SweepExecutor:
                     "error": message,
                     "attempts": 3,
                     "degraded": True,
-                    "placement": self._degraded_placement(item),
+                    "placement": self._degraded_placement(shard),
                 },
             ))
         return rows

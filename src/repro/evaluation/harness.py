@@ -37,16 +37,20 @@ builds one of width ``N`` for the sweep)::
         run_suite(kernels, executor="process", pool=pool)
 
 The pool runs dataset shards: each shard builds its problem and oracle
-exactly once and runs every kernel of the cell against them, small
-shards are *batched* into one pickle crossing, and warm workers serve
-each shard's problem and oracle from a bounded content-keyed
+exactly once and runs every kernel of the cell against them.  Each
+shard runs on its dataset's home worker unless single shards are stolen
+to even out the load; each worker's shards are cut by count into a few
+batches, one pickle crossing each.  Warm workers serve each shard's
+problem and oracle from a bounded content-keyed
 :class:`~repro.engine.worker_pool.ProblemCache`; rows record the
 ``problem_cache`` outcome in ``meta``.  Repeated sweeps (any app) on one
 pool reuse its warm workers -- imports paid once, worker caches kept hot.
 CSR matrices, COO sparse tensors and dense arrays are published once to
 a shared-memory block and reattached zero-copy in workers; anything else
-is pickled into the task.  A shard whose worker cannot attach its block
-re-runs pickled (``meta["transport_fallback"]``).
+is pickled into the task.  A shard the first round does not finish -- a
+crashed or hung worker, or a failed shm attach
+(``meta["transport_fallback"]``) -- re-runs once, pickled, on the next
+worker, and degrades to the parent if that fails too.
 
 Results are returned in deterministic (dataset, kernel) order regardless
 of executor or worker count, and row sets are identical across both

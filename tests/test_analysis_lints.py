@@ -73,7 +73,7 @@ class TestRepoIsClean:
             f"{f.path}:{f.line}: [{f.lint}] {f.message}" for f in findings
         )
 
-    def test_results_are_memoized_content_keyed(self):
+    def test_results_are_deterministic(self):
         first = run_lints()
         second = run_lints()
         assert first == second

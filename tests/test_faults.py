@@ -180,10 +180,10 @@ class TestExecutorChaos:
 
     def test_hung_batch_is_killed_and_retried(self, monkeypatch, shm_ledger,
                                               serial_rows):
-        # Quantile batching splits the two shards into two batches on
-        # the one slot: it runs batch 1 clean (hit 1), hangs on batch 2
-        # (hit 2), the watchdog SIGKILLs it, and the respawned worker
-        # (fresh counters, hit 1) completes the retry.
+        # The one slot's two shards are cut into two batches: it runs
+        # batch 1 clean (hit 1), hangs on batch 2 (hit 2), the watchdog
+        # SIGKILLs it, and the respawned worker (fresh counters, hit 1)
+        # completes the retry.
         monkeypatch.setenv(FAULTS_ENV, "worker.batch:hang@2")
         monkeypatch.setenv(HANG_SECONDS_ENV, "30")
         start = time.monotonic()
@@ -242,6 +242,27 @@ class TestExecutorChaos:
         assert all(r.meta["degraded"] for r in rows)
         assert all(r.meta["placement"]["mode"] == "degraded" for r in rows)
         assert all(r.meta["placement"]["slot"] == -1 for r in rows)
+
+    def test_retried_rows_name_the_slot_they_ran_on(self, monkeypatch,
+                                                     shm_ledger):
+        # Each slot crashes on its second batch; the lost shards re-run
+        # on the other slot's respawned worker, and their rows must name
+        # that slot, not the one round 1 planned.
+        monkeypatch.setenv(FAULTS_ENV, "worker.batch:crash@2")
+        pool = SweepExecutor(max_workers=2, batch_timeout=30.0)
+        try:
+            rows = run_suite(KERNELS, scale="smoke", limit=4,
+                             executor="process", pool=pool)
+            pids = pool.slot_pids()
+        finally:
+            pool.shutdown()
+        retried = [r for r in rows if r.meta["attempts"] == 2]
+        assert retried
+        for row in retried:
+            placement = row.meta["placement"]
+            assert placement["pid"] == pids[placement["slot"]]
+            home = placement["slot"] == placement["home"]
+            assert placement["mode"] == ("sticky" if home else "stolen")
 
     @pytest.mark.parametrize("kind", ["crc", "drop"])
     def test_shm_attach_failure_falls_back_to_pickle(

@@ -131,3 +131,75 @@ class TestStickyPlacement:
             placed = run_suite(KERNELS, scale="smoke", limit=LIMIT,
                                executor="process", pool=pool)
         assert key(placed) == key(serial)
+
+
+def _shards(weights):
+    """Unstaged shard records with distinct content keys."""
+    from repro.engine.worker_pool import _Shard
+
+    return [
+        _Shard(task=None, index=i, dataset_key=("dataset", i), weight=w)
+        for i, w in enumerate(weights)
+    ]
+
+
+def _layout(placed):
+    """``[(slot, (shard index, ...)), ...]`` of an ``_assign`` result."""
+    return [(slot, tuple(s.index for s in batch)) for slot, batch in placed]
+
+
+class TestAssign:
+    """The placement pass alone, on synthetic weights (no workers)."""
+
+    @pytest.mark.parametrize("weights", [[3000, 2100], [2100, 3000]])
+    def test_two_shard_home_group_cuts_into_two_batches(self, weights):
+        """Batching cuts by count, so it cannot depend on which of two
+        datasets is the heavier one."""
+        placed = SweepExecutor()._assign(_shards(weights), 1)
+        assert _layout(placed) == [(0, (0,)), (0, (1,))]
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_placement_properties(self, width, seed):
+        import numpy as np
+
+        rng = np.random.default_rng(seed)
+        count = int(rng.integers(1, 40))
+        # Heavy-tailed, like corpus weights: atoms plus a 2000 base.
+        weights = (2000 + rng.pareto(1.2, count) * 20_000).astype(int)
+        weights = [int(w) for w in weights]
+        pool = SweepExecutor()
+        shards = _shards(weights)
+        placed = pool._assign(shards, width)
+
+        # Every shard placed exactly once, in a batch of its own slot.
+        assert sorted(s.index for _, b in placed for s in b) == list(
+            range(count))
+        for slot, batch in placed:
+            assert batch and all(s.slot == slot for s in batch)
+        # Homes are the rendezvous homes; sticky means "on its home".
+        for shard in shards:
+            assert shard.home == home_slot(shard.dataset_key, width)
+            mode = shard.placement["mode"]
+            assert mode == ("sticky" if shard.slot == shard.home
+                            else "stolen")
+        # Each slot's shards are cut into at most two batches by count.
+        per_slot = {}
+        for slot, batch in placed:
+            per_slot.setdefault(slot, []).append(len(batch))
+        for sizes in per_slot.values():
+            assert len(sizes) == min(sum(sizes), pool._BATCHES_PER_SLOT)
+            assert max(sizes) - min(sizes) <= 1
+        # Deterministic: a fresh copy of the input places the same way.
+        assert _layout(pool._assign(_shards(weights), width)) == _layout(
+            placed)
+        # Balanced, or no single-shard move can narrow the spread.
+        loads = [0] * width
+        for shard in shards:
+            loads[shard.slot] += shard.weight
+        mean = sum(loads) / width
+        donor = max(range(width), key=loads.__getitem__)
+        thief = min(range(width), key=loads.__getitem__)
+        lightest = min(s.weight for s in shards if s.slot == donor)
+        assert (loads[donor] <= pool._STEAL_FACTOR * mean
+                or loads[thief] + lightest >= loads[donor])
