@@ -393,10 +393,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_datasets(args: argparse.Namespace) -> int:
-    from .sparse.corpus import build_corpus
+    from .sparse.corpus import iter_corpus
 
     print(f"{'name':<20} {'family':<9} {'rows':>8} {'cols':>8} {'nnz':>10} {'cv':>7}")
-    for d in build_corpus(args.scale):
+    for d in iter_corpus(args.scale):
         print(
             f"{d.name:<20} {d.family:<9} {d.rows:>8} {d.cols:>8} {d.nnz:>10} "
             f"{d.meta['cv']:>7.2f}"

@@ -926,6 +926,10 @@ class SweepExecutor:
         self.degraded_shards = 0
         self.error_rows = 0
         self.transport_fallbacks = 0
+        # Problem-cache outcomes of the shards returned, one per shard
+        # (read from its rows' ``meta["problem_cache"]``).
+        self.problem_cache_hits = 0
+        self.problem_cache_misses = 0
 
     # -- pool lifecycle -------------------------------------------------
     def _spawn_slot(self, index: int) -> _WorkerSlot:
@@ -1178,6 +1182,10 @@ class SweepExecutor:
         for index in fallback_indexes:
             for row in results.get(index, ()):
                 row.meta["transport_fallback"] = True
+        for rows in results.values():
+            outcome = rows[0].meta.get("problem_cache") if rows else None
+            self.problem_cache_hits += outcome == "hit"
+            self.problem_cache_misses += outcome == "miss"
         self.sweeps += 1
         self.batches += len(placed)
         self.shards += len(tasks)
@@ -1438,6 +1446,8 @@ class SweepExecutor:
             "degraded_shards": self.degraded_shards,
             "error_rows": self.error_rows,
             "transport_fallbacks": self.transport_fallbacks,
+            "problem_cache_hits": self.problem_cache_hits,
+            "problem_cache_misses": self.problem_cache_misses,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -26,6 +26,12 @@ oracle and its own sample check; a seed-free certificate runs once, for
 the first kernel).  The ``simt`` engine, any engine without ``price``,
 and the baselines execute every cell.
 
+A serial sweep streams the corpus: each dataset is generated when the
+loop reaches it (:func:`~repro.sparse.corpus.iter_corpus`) and released
+after its rows, so it holds one dataset at a time.  The process pool
+needs every shard up front and takes the list
+(:func:`expand_datasets`).
+
 Fan-out
 -------
 ``executor="serial"`` (the default) runs every cell in-process.
@@ -62,7 +68,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ..core.schedule import available_schedules
 from ..engine import (
@@ -73,7 +79,7 @@ from ..engine import (
 )
 from ..core.policy import as_policy
 from ..engine.dispatch import Runtime, ensure_known_engine, unknown_name
-from ..sparse.corpus import Dataset, build_corpus
+from ..sparse.corpus import Dataset, corpus_names, iter_corpus, load_dataset
 
 __all__ = [
     "SweepRow",
@@ -327,9 +333,8 @@ def _run_shard(
     oracle from the worker-resident :class:`~repro.engine.worker_pool.
     ProblemCache`, so steady-state sweeps on a warm pool skip both
     rebuilds; a miss (first sweep, an evicted entry, a respawned worker)
-    builds both locally.  Every row's ``meta`` records the
-    ``problem_cache`` outcome plus the worker's running hit/miss
-    counters.
+    builds both locally.  Every row's ``meta`` records the shard's
+    ``problem_cache`` outcome (``"hit"``, ``"miss"`` or ``"off"``).
     """
     from ..engine.worker_pool import dataset_content_key, problem_cache
 
@@ -360,9 +365,51 @@ def _run_shard(
     )
     for row in rows:
         row.meta["problem_cache"] = status
-        row.meta["problem_cache_hits"] = cache.hits
-        row.meta["problem_cache_misses"] = cache.misses
     return rows
+
+
+def _iter_datasets(
+    app: str,
+    *,
+    scale: str = "standard",
+    limit: int | None = None,
+    datasets: Iterable[Dataset] | None = None,
+    names: Sequence[str] | None = None,
+) -> Iterator[Dataset]:
+    """The datasets one sweep over ``app`` will actually run, lazily.
+
+    Corpus datasets are generated one at a time as the iterator reaches
+    them (:func:`~repro.sparse.corpus.iter_corpus`), so a serial sweep
+    holds one at a time.  ``datasets`` supplies explicit
+    :class:`Dataset` objects instead (``limit`` then does not apply);
+    ``names`` selects by dataset name and raises ``ValueError`` on
+    unknown names.  Every argument is checked here, at the call, before
+    any dataset is built; the app's acceptance filter drops the rest as
+    they come.
+    """
+    app_spec = get_app(app)
+    if datasets is not None:
+        ds: Iterable[Dataset] = list(datasets)
+        known = [d.name for d in ds]
+    else:
+        ds = iter_corpus(scale, limit=limit)
+        known = corpus_names(scale)[:limit]
+    if names is not None:
+        missing = [n for n in names if n not in known]
+        if missing:
+            raise ValueError(
+                f"unknown datasets {missing} for scale {scale!r}; "
+                f"known: {', '.join(sorted(known))}"
+            )
+        if datasets is None:
+            ds = (load_dataset(n, scale) for n in names)
+        else:
+            by_name = {d.name: d for d in ds}
+            ds = [by_name[n] for n in names]
+    if app_spec.accepts is None:
+        return iter(ds)
+    # ``filter`` keeps no reference to a dataset it has passed on.
+    return filter(lambda d: app_spec.accepts(d.matrix), ds)
 
 
 def expand_datasets(
@@ -373,31 +420,16 @@ def expand_datasets(
     datasets: Iterable[Dataset] | None = None,
     names: Sequence[str] | None = None,
 ) -> list[Dataset]:
-    """The datasets one sweep over ``app`` will actually run.
+    """:func:`_iter_datasets` as a list, every dataset built and held.
 
-    Corpus expansion plus the app's acceptance filter, factored out of
-    :func:`run_suite` so the sweep service admits jobs against exactly
-    the dataset list a direct library call would use.  ``datasets``
-    supplies explicit :class:`Dataset` objects (``limit`` then does not
-    apply, matching :func:`run_suite`); ``names`` selects by dataset
-    name from the expanded list and raises ``ValueError`` on unknown
-    names -- admission-time validation, not a silent empty sweep.
+    The process pool and the sweep service need every shard up front
+    (placement and shm publishing see the whole sweep), so they take
+    this list; the service admits jobs against exactly the datasets a
+    direct library call would run.  A serial sweep iterates instead.
     """
-    app_spec = get_app(app)
-    ds = list(datasets) if datasets is not None else build_corpus(scale, limit=limit)
-    if names is not None:
-        by_name = {d.name: d for d in ds}
-        missing = [n for n in names if n not in by_name]
-        if missing:
-            known = ", ".join(sorted(by_name))
-            raise ValueError(
-                f"unknown datasets {missing} for scale {scale!r}; "
-                f"known: {known}"
-            )
-        ds = [by_name[n] for n in names]
-    if app_spec.accepts is not None:
-        ds = [d for d in ds if app_spec.accepts(d.matrix)]
-    return ds
+    return list(_iter_datasets(
+        app, scale=scale, limit=limit, datasets=datasets, names=names,
+    ))
 
 
 def run_suite(
@@ -421,10 +453,12 @@ def run_suite(
     pickle boundary in ``executor="process"`` sweeps.
 
     Datasets the app cannot accept (e.g. rectangular matrices for graph
-    apps) are skipped.  ``executor="process"`` fans dataset shards out
-    over ``pool``, a caller-owned :class:`~repro.engine.worker_pool.
-    SweepExecutor` (see the module docstring); results keep the serial
-    (dataset, kernel) order under every configuration.
+    apps) are skipped.  A serial sweep generates each corpus dataset as
+    it reaches it and releases it after its rows, holding one at a time.
+    ``executor="process"`` builds every dataset first and fans the
+    shards out over ``pool``, a caller-owned :class:`~repro.engine.
+    worker_pool.SweepExecutor` (see the module docstring); results keep
+    the serial (dataset, kernel) order under every configuration.
     """
     if executor not in EXECUTORS:
         raise ValueError(f"unknown executor {executor!r}; choose from {EXECUTORS}")
@@ -440,17 +474,17 @@ def run_suite(
     if isinstance(ctx.engine, str):
         ensure_known_engine(ctx.engine)
     ensure_known_kernels(kernels, app)
-    app_spec = get_app(app)
-    ds = expand_datasets(app, scale=scale, limit=limit, datasets=datasets)
     if pool is not None:
         shards = [
             _ShardTask(app=app, kernels=tuple(kernels), dataset=dataset,
                        seed=seed, validate=validate, ctx=ctx)
-            for dataset in ds
+            for dataset in expand_datasets(
+                app, scale=scale, limit=limit, datasets=datasets)
         ]
         return [row for rows in pool.map_shards(shards) for row in rows]
+    app_spec = get_app(app)
     rows: list[SweepRow] = []
-    for dataset in ds:
+    for dataset in _iter_datasets(app, scale=scale, limit=limit, datasets=datasets):
         # Problem construction and the oracle are per-dataset, not
         # per-cell: build them once and share across the kernels.
         problem, expected = _prepare(app_spec, app, dataset, seed, validate)
@@ -458,6 +492,8 @@ def run_suite(
             app_spec, app, kernels, dataset, problem, expected, ctx,
             validate, seed,
         ))
+        # Release this dataset before the iterator builds the next one.
+        del dataset, problem, expected
     return rows
 
 

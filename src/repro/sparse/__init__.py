@@ -17,7 +17,14 @@ from .convert import (
     offsets_from_counts,
 )
 from .coo import CooMatrix
-from .corpus import SCALES, Dataset, build_corpus, corpus_names, load_dataset
+from .corpus import (
+    SCALES,
+    Dataset,
+    build_corpus,
+    corpus_names,
+    iter_corpus,
+    load_dataset,
+)
 from .csc import CscMatrix
 from .csr import CsrMatrix
 from .graph import CsrGraph, random_graph
@@ -47,5 +54,6 @@ __all__ = [
     "Dataset",
     "build_corpus",
     "corpus_names",
+    "iter_corpus",
     "load_dataset",
 ]

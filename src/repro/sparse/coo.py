@@ -13,27 +13,43 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CooMatrix", "lex_order"]
+__all__ = ["CooMatrix", "lex_order", "sort_keys"]
+
+
+def sort_keys(key: np.ndarray, bound: int) -> np.ndarray:
+    """Stably sort the int64 ``key`` (values in ``[0, bound)``) in place.
+
+    Returns the order: ``np.argsort(key, kind="stable")`` of the keys as
+    they were, which ``key`` now holds sorted.  Each key is shifted up to
+    make room for its position in the low bits, so every key is unique
+    and one unstable sort gives the stable order; a stable argsort stands
+    in when the shifted key could overflow int64.
+    """
+    bits = (key.size - 1).bit_length()
+    if bound > 1 << (63 - bits):
+        order = np.argsort(key, kind="stable")
+        key[:] = key[order]
+        return order
+    key <<= bits
+    key |= np.arange(key.size, dtype=np.int64)
+    key.sort()
+    order = key & ((1 << bits) - 1)
+    key >>= bits
+    return order
 
 
 def lex_order(major: np.ndarray, minor: np.ndarray, shape: tuple) -> np.ndarray:
     """``np.lexsort((minor, major))`` (indices in ``[0, shape)``).
 
-    The key ``major * shape[1] + minor`` is shifted up to make room for
-    each entry's position in the low bits, so every key is unique and one
-    unstable sort gives the stable order; the low bits are the order.
-    lexsort stands in when the shifted key could overflow int64.
+    One :func:`sort_keys` of ``major * shape[1] + minor``; lexsort stands
+    in when that key could overflow int64.
     """
-    bits = (major.size - 1).bit_length()
-    if int(shape[0]) * int(shape[1]) > 1 << (63 - bits):
+    bound = int(shape[0]) * int(shape[1])
+    if bound >= 1 << 63:
         return np.lexsort((minor, major))
     key = major * int(shape[1])
     key += minor
-    key <<= bits
-    key |= np.arange(major.size, dtype=np.int64)
-    key.sort()
-    key &= (1 << bits) - 1
-    return key
+    return sort_keys(key, bound)
 
 
 @dataclass(frozen=True)

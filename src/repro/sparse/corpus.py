@@ -12,19 +12,28 @@ regimes the paper's scatter plots cover (see ``DESIGN.md``):
 Three scale tiers keep runtimes proportionate: ``smoke`` for unit tests,
 ``standard`` for the benchmark harness (default), ``full`` for longer runs.
 Every dataset is generated from a seed derived from its name, so the corpus
-is stable across processes.
+is stable across processes.  :func:`iter_corpus` generates the datasets one
+at a time, as a serial sweep consumes them; :func:`build_corpus` holds them
+all, for callers that need the whole list at once.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import generators as gen
 from .csr import CsrMatrix
 
-__all__ = ["Dataset", "corpus_names", "load_dataset", "build_corpus", "SCALES"]
+__all__ = [
+    "Dataset",
+    "corpus_names",
+    "load_dataset",
+    "iter_corpus",
+    "build_corpus",
+    "SCALES",
+]
 
 SCALES = ("smoke", "standard", "full")
 
@@ -154,29 +163,43 @@ def load_dataset(name: str, scale: str = "standard") -> Dataset:
     raise KeyError(f"unknown dataset {name!r}; see corpus_names()")
 
 
+def iter_corpus(
+    scale: str = "standard",
+    *,
+    families: list[str] | None = None,
+    limit: int | None = None,
+) -> Iterator[Dataset]:
+    """The corpus (optionally filtered by family, truncated), lazily.
+
+    Each dataset is generated when the iterator reaches it, so a loop
+    that drops one dataset before taking the next holds one matrix at a
+    time, as the artifact's ``run.sh`` loop does.  Mirrors that loop's
+    knob limiting the run to the first N datasets (``limit=0`` yields
+    none).  An unknown scale or a negative
+    limit raises ``ValueError`` here, at the call, not at the first
+    ``next``.
+    """
+    _check_scale(scale)
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
+    names = [
+        name for name, family, _ in _CORPUS_SPEC
+        if families is None or family in families
+    ][:limit]
+    return (load_dataset(name, scale) for name in names)
+
+
 def build_corpus(
     scale: str = "standard",
     *,
     families: list[str] | None = None,
     limit: int | None = None,
 ) -> list[Dataset]:
-    """Build the whole corpus (optionally filtered by family, truncated).
-
-    Mirrors the artifact's ``run.sh`` knob that limits the run to the first
-    N datasets (``limit=0`` builds none; a negative limit raises
-    ``ValueError``).
-    """
-    _check_scale(scale)
-    if limit is not None and limit < 0:
-        raise ValueError(f"limit must be >= 0, got {limit}")
-    out: list[Dataset] = []
-    for name, family, _ in _CORPUS_SPEC:
-        if limit is not None and len(out) >= limit:
-            break
-        if families is not None and family not in families:
-            continue
-        out.append(load_dataset(name, scale))
-    return out
+    """The whole corpus as a list: :func:`iter_corpus`, every dataset
+    built up front and held.  For callers that need every dataset at once
+    (the process pool and the sweep service place and publish them all
+    before running any); a serial loop should iterate instead."""
+    return list(iter_corpus(scale, families=families, limit=limit))
 
 
 def _check_scale(scale: str) -> None:

@@ -13,15 +13,18 @@ structural axes the paper's figures sweep:
   matrices (sparse vectors, where CUB's thread-mapped heuristic wins) and
   tiny matrices (where launch overheads dominate cuSparse).
 
-All generators take an explicit seed and are deterministic.
+All generators take an explicit seed and are deterministic.  Each writes
+its CSR arrays directly, in one pass, with no COO matrix or COO-to-CSR sort
+in between; a sweep generates one corpus matrix at a time, so a
+generator's temporaries are a sweep's peak memory.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .convert import coo_to_csr, offsets_from_counts
-from .coo import CooMatrix
+from .convert import offsets_from_counts
+from .coo import sort_keys
 from .csr import CsrMatrix
 
 __all__ = [
@@ -48,23 +51,24 @@ def _fill_from_row_lengths(
 ) -> CsrMatrix:
     """Build a CSR matrix with prescribed per-row nonzero counts.
 
-    Column indices within a row are sampled without replacement when the
-    row is sparse relative to ``cols`` (rejection would be cheap), and by
-    choice-without-replacement otherwise; values are uniform in (0, 1].
+    Column indices are drawn uniformly with replacement and values are
+    uniform in (0, 1].  Duplicate (row, col) entries are legal CSR and
+    every consumer in this library treats them as summed, so exact
+    per-row uniqueness is not required for benchmarking.
     """
     lengths = np.minimum(np.asarray(lengths, dtype=np.int64), cols)
     offsets = offsets_from_counts(lengths)
     nnz = int(offsets[-1])
     rows = lengths.size
-    # Vectorized sampling *with* replacement: duplicate (row, col) entries
-    # are legal CSR and every consumer in this library treats them as
-    # summed, so exact per-row uniqueness is not required for benchmarking.
-    # Sort columns within each row (canonical CSR ordering) as one in-place
-    # sort of the key ``row * cols + col``; ``key % cols`` is the column.
-    col_indices = np.repeat(np.arange(rows, dtype=np.int64) * cols, lengths)
-    col_indices += rng.integers(0, cols, size=nnz, dtype=np.int64)
+    # Sort columns within each row (canonical CSR ordering) as one
+    # in-place sort of the key ``row * cols + col``; subtracting the
+    # row base ``row * cols`` again leaves the column.
+    row_base = np.repeat(np.arange(rows, dtype=np.int64) * cols, lengths)
+    col_indices = rng.integers(0, cols, size=nnz, dtype=np.int64)
+    col_indices += row_base
     col_indices.sort()
-    col_indices %= cols
+    col_indices -= row_base
+    del row_base
     values = rng.uniform(0.001, 1.0, size=nnz)
     return CsrMatrix.from_arrays(offsets, col_indices, values, (rows, cols))
 
@@ -117,57 +121,110 @@ def rmat(
 
     Produces a ``2**scale`` square matrix with ``edge_factor * 2**scale``
     edges and a skewed degree distribution -- the canonical graph-analytics
-    stress test for GPU load balancing.
+    stress test for GPU load balancing.  Duplicate edges are merged, their
+    values summed in draw order.
+
+    Built in one pass: each level draws into one reused buffer and shifts
+    its quadrant bit into the row and column arrays in place, and one
+    stable sort of the key ``row * 2**scale + col`` orders the edges for
+    CSR and lines up their duplicates.
     """
     if not 0 < a + b + c < 1 or min(a, b, c) < 0:
         raise ValueError("R-MAT needs a, b, c >= 0 and 0 < a+b+c < 1")
     n = 1 << scale
     nnz = edge_factor * n
     rng = _rng(seed)
-    rows = np.zeros(nnz, dtype=np.int64)
-    cols = np.zeros(nnz, dtype=np.int64)
-    for level in range(scale):
-        r = rng.uniform(size=nnz)
-        # Quadrants a|b over c|d: bottom is c or d, right is b or d.
-        bottom = r >= a + b
-        right = (r >= a) & ~bottom | (r >= a + b + c)
-        bit = 1 << (scale - level - 1)
-        cols += right * bit
-        rows += bottom * bit
+    # Row and column indices fit int32 below scale 32, which halves the
+    # level loop's memory traffic.
+    index = np.int32 if scale < 32 else np.int64
+    rows = np.zeros(nnz, dtype=index)
+    cols = np.zeros(nnz, dtype=index)
+    r = np.empty(nnz)
+    bottom = np.empty(nnz, dtype=bool)
+    right = np.empty(nnz, dtype=bool)
+    far = np.empty(nnz, dtype=bool)
+    for _ in range(scale):
+        rng.random(out=r)  # the doubles ``rng.uniform(size=nnz)`` draws
+        # Quadrants a|b over c|d: bottom is c or d, right is b or d.  The
+        # thresholds are ordered, so "r >= a and not bottom, or r >=
+        # a+b+c" is the exclusive-or of the three comparisons.
+        np.greater_equal(r, a + b, out=bottom)
+        np.greater_equal(r, a, out=right)
+        np.greater_equal(r, a + b + c, out=far)
+        right ^= bottom
+        right ^= far
+        # Level ``i`` sets bit ``scale - i - 1``: shift the earlier
+        # levels' bits up one and put this level's bit in at the bottom.
+        rows <<= 1
+        rows |= bottom
+        cols <<= 1
+        cols |= right
+    del r, bottom, right, far
     values = rng.uniform(0.001, 1.0, size=nnz)
-    coo = CooMatrix.from_arrays(rows, cols, values, (n, n)).sum_duplicates()
-    return coo_to_csr(coo)
+    key = rows.astype(np.int64)
+    del rows
+    key <<= scale
+    key |= cols
+    del cols
+    values = values[sort_keys(key, n * n)]
+    # Sum each run of equal keys sequentially from 0.0, as
+    # ``CooMatrix.sum_duplicates`` does.
+    first = np.empty(nnz, dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    values = np.bincount(np.cumsum(first) - 1, weights=values)
+    key = key[first]
+    offsets = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) << scale)
+    key &= n - 1
+    return CsrMatrix.from_arrays(offsets, key, values, (n, n))
 
 
 def banded(rows: int, bandwidth: int, seed: int = 0) -> CsrMatrix:
-    """A banded square matrix (regular stencil-like workload)."""
+    """A banded square matrix (regular stencil-like workload).
+
+    Values are drawn diagonal by diagonal, from the lowest; each
+    diagonal's values are scattered straight to their CSR slots, with no
+    COO sort.
+    """
+    if bandwidth < 0:
+        raise ValueError(f"bandwidth must be >= 0, got {bandwidth}")
     rng = _rng(seed)
-    r_list = []
-    c_list = []
-    for off in range(-bandwidth, bandwidth + 1):
-        rr = np.arange(max(0, -off), min(rows, rows - off), dtype=np.int64)
-        r_list.append(rr)
-        c_list.append(rr + off)
-    r = np.concatenate(r_list)
-    c = np.concatenate(c_list)
-    v = rng.uniform(0.001, 1.0, size=r.size)
-    coo = CooMatrix.from_arrays(r, c, v, (rows, rows))
-    return coo_to_csr(coo)
+    row = np.arange(rows, dtype=np.int64)
+    first_col = np.maximum(row - bandwidth, 0)
+    lengths = np.minimum(row + bandwidth, rows - 1) - first_col + 1
+    offsets = offsets_from_counts(lengths)
+    nnz = int(offsets[-1])
+    # Column ``j`` of row ``i`` sits at ``offsets[i] + j - first_col[i]``.
+    slot_of_col0 = offsets[:-1] - first_col
+    drawn = rng.uniform(0.001, 1.0, size=nnz)
+    col_indices = np.empty(nnz, dtype=np.int64)
+    values = np.empty(nnz)
+    start = 0
+    reach = min(bandwidth, rows - 1)
+    for off in range(-reach, reach + 1):
+        rr = row[max(0, -off):min(rows, rows - off)]
+        slots = slot_of_col0[rr] + rr + off
+        col_indices[slots] = rr + off
+        values[slots] = drawn[start:start + rr.size]
+        start += rr.size
+    return CsrMatrix.from_arrays(offsets, col_indices, values, (rows, rows))
 
 
 def block_diagonal(num_blocks: int, block_size: int, seed: int = 0) -> CsrMatrix:
-    """Dense blocks on the diagonal (balanced, high nnz/row)."""
+    """Dense blocks on the diagonal (balanced, high nnz/row).
+
+    Values are drawn block by block in row-major order, which is already
+    CSR order, so the matrix is emitted directly.
+    """
     rng = _rng(seed)
     n = num_blocks * block_size
-    base = np.arange(block_size, dtype=np.int64)
-    r = np.concatenate(
-        [b * block_size + np.repeat(base, block_size) for b in range(num_blocks)]
+    offsets = np.arange(n + 1, dtype=np.int64) * block_size
+    col_indices = np.tile(np.arange(block_size, dtype=np.int64), n)
+    col_indices += np.repeat(
+        np.arange(num_blocks, dtype=np.int64) * block_size, block_size * block_size
     )
-    c = np.concatenate(
-        [b * block_size + np.tile(base, block_size) for b in range(num_blocks)]
-    )
-    v = rng.uniform(0.001, 1.0, size=r.size)
-    return coo_to_csr(CooMatrix.from_arrays(r, c, v, (n, n)))
+    values = rng.uniform(0.001, 1.0, size=n * block_size)
+    return CsrMatrix.from_arrays(offsets, col_indices, values, (n, n))
 
 
 def diagonal(n: int, seed: int = 0) -> CsrMatrix:

@@ -14,7 +14,7 @@ from repro.sparse.convert import (
     csr_transpose,
     offsets_from_counts,
 )
-from repro.sparse.coo import CooMatrix, lex_order
+from repro.sparse.coo import CooMatrix, lex_order, sort_keys
 from repro.sparse.csc import CscMatrix
 from repro.sparse.csr import CsrMatrix
 from repro.sparse import generators as gen
@@ -145,6 +145,20 @@ class TestCoo:
         order = lex_order(major, minor, shape)
         np.testing.assert_array_equal(order, np.lexsort((minor, major)))
         assert order.dtype == np.intp
+
+    @pytest.mark.parametrize("nnz", [0, 1, 1000])
+    @pytest.mark.parametrize(
+        "bound", [7, 2**62], ids=["packed", "argsort_fallback"]
+    )
+    def test_sort_keys_is_a_stable_argsort(self, nnz, bound):
+        """Duplicated keys, in place: ``key`` ends sorted and the order
+        is ``argsort(kind="stable")``, packed or not."""
+        rng = np.random.default_rng(nnz)
+        key = rng.integers(0, 7, nnz) * (bound // 7)
+        want = np.argsort(key, kind="stable")
+        sorted_key = key.copy()
+        np.testing.assert_array_equal(sort_keys(sorted_key, bound), want)
+        np.testing.assert_array_equal(sorted_key, key[want])
 
     def test_lex_order_overflow_falls_back_to_lexsort(self):
         # 2**40 * 2**40 overflows the int64 key, so lexsort must take over.
