@@ -25,31 +25,45 @@ Packages:
 * :mod:`repro.apps` -- SpMV/SpMM/SpGEMM, BFS/SSSP, PageRank, triangles;
 * :mod:`repro.baselines` -- hardwired CUB and vendor-model comparators;
 * :mod:`repro.evaluation` -- the harness for every table and figure.
+
+Importing :mod:`repro` loads none of them: each name in ``__all__`` is
+imported from its package the first time it is read, so a process loads
+only the code it runs.
 """
 
-from .apps import bfs, pagerank, spgemm, spmm, spmv, sssp, triangle_count
-from .core import (
-    LaunchParams,
-    Schedule,
-    WorkCosts,
-    WorkSpec,
-    available_schedules,
-    make_schedule,
-    select_schedule,
-)
-from .engine import available_apps, get_app, run_app
-from .gpusim import AMD_WARP64, TINY_GPU, V100, GpuSpec, KernelStats
-from .sparse import (
-    CooMatrix,
-    CscMatrix,
-    CsrGraph,
-    CsrMatrix,
-    build_corpus,
-    load_dataset,
-    random_graph,
-    read_mtx,
-    write_mtx,
-)
+from ._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    ".apps.bfs": ("bfs",),
+    ".apps.pagerank": ("pagerank",),
+    ".apps.spgemm": ("spgemm",),
+    ".apps.spmm": ("spmm",),
+    ".apps.spmv": ("spmv",),
+    ".apps.sssp": ("sssp",),
+    ".apps.triangle_count": ("triangle_count",),
+    ".core": (
+        "LaunchParams",
+        "Schedule",
+        "WorkCosts",
+        "WorkSpec",
+        "available_schedules",
+        "make_schedule",
+        "select_schedule",
+    ),
+    ".engine": ("available_apps", "get_app", "run_app"),
+    ".gpusim": ("AMD_WARP64", "TINY_GPU", "V100", "GpuSpec", "KernelStats"),
+    ".sparse": (
+        "CooMatrix",
+        "CscMatrix",
+        "CsrGraph",
+        "CsrMatrix",
+        "build_corpus",
+        "load_dataset",
+        "random_graph",
+        "read_mtx",
+        "write_mtx",
+    ),
+})
 
 __version__ = "1.0.0"
 

@@ -13,7 +13,7 @@ simulator:
   load-balancing overhead (the one regime where CUB beats the framework
   in Figure 2).
 
-Figure 2 compares this against ``repro.apps.spmv(matrix, x,
+Figure 2 compares this against ``repro.spmv(matrix, x,
 ctx=ExecutionContext().with_policy("merge_path"))`` on identical work;
 the measured delta is the abstraction's overhead.
 """

@@ -32,22 +32,29 @@ paper's separation of concerns at the code level:
   device), the costs and which cycles were priced (planner or loads):
   corpus sweeps stop re-pricing identical launches.  It is
   in-memory and per process; each pool worker keeps its own.
-* **Worker pool** (:mod:`.worker_pool`) -- :class:`SweepExecutor`, the
-  caller-owned process pool behind ``executor="process"`` sweeps
-  (``run_suite(..., executor="process", pool=pool)``): warm workers
-  survive across ``run_suite`` calls, each worker's shards are
-  batched into a few pickle crossings, and dataset payloads travel through
-  ``multiprocessing.shared_memory`` as array blocks (CSR matrices, COO
-  sparse tensors and dense arrays) instead of the pickle stream
-  (anything else is pickled).  Warm workers also keep
-  a bounded content-keyed :class:`ProblemCache` of built problem/oracle
-  pairs, making steady-state sweeps rebuild-free.
+* **Worker pool** (:mod:`.worker_pool`) -- :class:`~repro.engine.
+  worker_pool.SweepExecutor`, the caller-owned process pool behind
+  ``executor="process"`` sweeps (``run_suite(..., executor="process",
+  pool=pool)``), imported from :mod:`repro.engine.worker_pool`: warm
+  workers survive across ``run_suite`` calls, each worker's shards are
+  batched into a few pickle crossings, and dataset payloads travel
+  through ``multiprocessing.shared_memory`` as array blocks (CSR
+  matrices, COO sparse tensors and dense arrays) instead of the pickle
+  stream (anything else is pickled).  Warm workers also keep a bounded
+  content-keyed ``ProblemCache`` of built problem/oracle pairs, making
+  steady-state sweeps rebuild-free.
 * **Seeding** (:mod:`.seeding`) -- the one deterministic input-vector
   helper shared by the CLI, the harness and the tests.
 
 The layering is strict: ``engine`` depends on ``core`` + ``gpusim`` +
 ``sparse`` only; ``apps`` depends on ``engine``; ``evaluation`` and the
 CLI consume both through the registry.
+
+Importing this package loads the registry, context, dispatch, plan
+cache and seeding modules only.  The compiled and multi-GPU engines
+load when their name is first resolved (:func:`get_engine`,
+:func:`available_engines`), a built-in app when :func:`get_app` is
+asked for it, and the worker pool when ``SweepExecutor`` is first read.
 """
 
 from ..core.policy import (
@@ -71,25 +78,12 @@ from .dispatch import (
     get_engine,
     register_engine,
 )
-from .compiled import CompiledEngine, numba_available, precompile_kernels
-from .multi_gpu import MultiGpuEngine
 from .context import DEFAULT_CONTEXT, ExecutionContext
 from .plan_cache import (
     PlanCache,
     clear_plan_cache,
     global_plan_cache,
     work_fingerprint,
-)
-from .worker_pool import (
-    ProblemCache,
-    ShmHandle,
-    SweepExecutor,
-    attach_payload,
-    clear_problem_cache,
-    home_slot,
-    install_signal_cleanup,
-    problem_cache,
-    publish_payload,
 )
 from .registry import (
     AppSpec,
@@ -101,6 +95,14 @@ from .registry import (
     run_app,
 )
 from .seeding import DEFAULT_SEED, input_matrix, input_vector
+from .._lazy import lazy_exports
+
+# The compiled engine and the worker pool load on first use: a serial
+# sweep runs neither.
+__getattr__ = lazy_exports(__name__, {
+    ".compiled": ("numba_available",),
+    ".worker_pool": ("SweepExecutor", "install_signal_cleanup"),
+})
 
 __all__ = [
     "SchedulePolicy",
@@ -115,10 +117,7 @@ __all__ = [
     "Runtime",
     "SimtEngine",
     "VectorEngine",
-    "MultiGpuEngine",
-    "CompiledEngine",
     "numba_available",
-    "precompile_kernels",
     "available_engines",
     "engine_description",
     "ensure_known_engine",
@@ -128,14 +127,7 @@ __all__ = [
     "DEFAULT_CONTEXT",
     "PlanCache",
     "SweepExecutor",
-    "ShmHandle",
-    "publish_payload",
-    "attach_payload",
-    "home_slot",
     "install_signal_cleanup",
-    "ProblemCache",
-    "problem_cache",
-    "clear_problem_cache",
     "clear_plan_cache",
     "global_plan_cache",
     "work_fingerprint",

@@ -205,14 +205,15 @@ def register_engine(name: str, factory: Callable[..., Engine]) -> None:
 
 
 def _ensure_engines() -> None:
-    # Importing the modules registers every built-in engine (the
-    # multi-GPU and compiled engines live in their own modules to keep
-    # this one lean).
+    # Importing the modules registers the compiled and multi-GPU
+    # engines.  They live in their own modules, loaded only when a name
+    # not yet registered (such as theirs) is asked for: "vector" and
+    # "simt" are registered below.
     from . import compiled, multi_gpu  # noqa: F401
 
 
 def available_engines() -> tuple[str, ...]:
-    """Names of every registered engine."""
+    """Names of every registered engine (imports every built-in)."""
     _ensure_engines()
     return tuple(sorted(_ENGINE_REGISTRY))
 
@@ -223,7 +224,8 @@ def unknown_name(kind: str, name: str, known) -> str:
     import difflib
 
     known = sorted(known)
-    close = difflib.get_close_matches(name, known, n=3, cutoff=0.5)
+    close = (difflib.get_close_matches(name, known, n=3, cutoff=0.5)
+             if isinstance(name, str) else [])
     hint = f" -- did you mean {', '.join(repr(c) for c in close)}?" if close else ""
     return f"unknown {kind} {name!r}; available: {', '.join(known)}{hint}"
 
@@ -236,14 +238,14 @@ def ensure_known_engine(name: str) -> None:
     front-ends (CLI, harness) that want to reject a bad name before any
     work is sharded out.
     """
-    _ensure_engines()
+    if name not in _ENGINE_REGISTRY:
+        _ensure_engines()
     if name not in _ENGINE_REGISTRY:
         raise UnknownEngineError(unknown_name("engine", name, _ENGINE_REGISTRY))
 
 
 def engine_description(name: str) -> str:
     """First docstring line of a registered engine (CLI listings)."""
-    _ensure_engines()
     ensure_known_engine(name)
     doc = _ENGINE_REGISTRY[name].__doc__ or ""
     return doc.strip().splitlines()[0] if doc.strip() else ""
@@ -303,8 +305,10 @@ class Runtime:
         self.policy = policy
         #: The distinct launch index of each launch, in order.
         self.launches: list[int] = []
-        #: Content key -> :class:`_Distinct`, one per distinct launch.
-        self._distinct: dict[tuple, _Distinct] = {}
+        #: Every :class:`_Distinct`, indexed by its distinct launch index.
+        self._distinct: list[_Distinct] = []
+        #: Hashed content key -> the distinct launches sharing it.
+        self._by_key: dict[tuple, list[_Distinct]] = {}
         #: ``id(schedule)`` -> the distinct launch it was last resolved
         #: for.  Each entry holds its schedule, so no id is reused.
         self._by_sched: dict[int, _Distinct] = {}
@@ -360,13 +364,20 @@ class Runtime:
         if self.policy is None:
             raise EngineError("Runtime was constructed without a schedule")
         # Every distinct launch keeps its matrix alive, so the matrix's
-        # id is not reused while the key is held.
-        key = (work.tile_offsets.tobytes(), work.num_atoms, id(matrix), costs)
-        entry = self._distinct.get(key)
-        if entry is None:
+        # id is not reused while the key is held.  The key holds a hash
+        # of the work offsets, not a copy of them: a hit is confirmed
+        # against the offsets its entry's WorkSpec holds, so a hash
+        # collision cannot merge two launches.
+        offsets = work.tile_offsets.tobytes()
+        key = (_offsets_hash(offsets), work.num_atoms, id(matrix), costs)
+        for entry in self._by_key.get(key, ()):
+            if entry.work.tile_offsets.tobytes() == offsets:
+                break
+        else:
             sched = self._resolve(self.policy, work, matrix, costs)
             entry = _Distinct(len(self._distinct), sched, work, matrix, costs)
-            self._distinct[key] = entry
+            self._distinct.append(entry)
+            self._by_key.setdefault(key, []).append(entry)
         # A policy handing out one pre-built schedule for several
         # launches names the launch it was resolved for last.
         self._by_sched[id(entry.sched)] = entry
@@ -425,7 +436,7 @@ class Runtime:
                 "Runtime.schedule_name or Runtime.schedule_label"
             )
         stats, names = [], []
-        for d in self._distinct.values():
+        for d in self._distinct:
             sched = self._resolve(policy, d.work, d.matrix, d.costs)
             stats.append(self.engine.price(sched, d.costs, d.decl, extras=d.extras))
             names.append(sched.name)
@@ -433,6 +444,12 @@ class Runtime:
         if self._named_by == "label":
             return total, policy.describe()
         return total, names[self._named_by]
+
+
+#: The hash of a launch's work offsets (as bytes) in the key
+#: :meth:`Runtime.schedule_for` finds a distinct launch by; a collision
+#: only costs a comparison.
+_offsets_hash = hash
 
 
 class _Distinct:

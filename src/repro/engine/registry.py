@@ -18,6 +18,8 @@ invokes the driver.
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -25,7 +27,7 @@ import numpy as np
 
 from ..sparse.csr import CsrMatrix
 from .context import DEFAULT_CONTEXT, ExecutionContext
-from .dispatch import Runtime
+from .dispatch import Runtime, unknown_name
 
 __all__ = [
     "AppSpec",
@@ -165,30 +167,58 @@ class AppSpec:
 _APPS: dict[str, AppSpec] = {}
 
 
+def _import_app_module(name: str) -> None:
+    """Import ``repro.apps.<name>``, the module a built-in app of that
+    name is declared (and registered) in, if there is one.
+
+    Only the module's own absence is swallowed: an ``ImportError`` from
+    inside an app module propagates.
+    """
+    if not isinstance(name, str) or not name.isidentifier() or name.startswith("_"):
+        return
+    from .. import apps
+
+    module = f"{apps.__name__}.{name}"
+    try:
+        importlib.import_module(module)
+    except ModuleNotFoundError as exc:
+        if exc.name != module:
+            raise
+
+
 def register_app(spec: AppSpec) -> AppSpec:
-    """Add an application to the global registry (import-time hook)."""
+    """Add an application to the global registry (import-time hook).
+
+    A name a built-in app already uses is rejected, whether or not the
+    built-in's module has been imported yet.
+    """
+    if spec.name not in _APPS:
+        _import_app_module(spec.name)
     if spec.name in _APPS:
         raise ValueError(f"app {spec.name!r} already registered")
     _APPS[spec.name] = spec
     return spec
 
 
-def _ensure_registered() -> None:
-    # Importing the apps package registers every built-in application.
-    from .. import apps  # noqa: F401
-
-
 def available_apps() -> list[str]:
-    """Names of every registered application."""
-    _ensure_registered()
+    """Names of every registered application (imports every built-in)."""
+    from .. import apps
+
+    for module in pkgutil.iter_modules(apps.__path__):
+        _import_app_module(module.name)
     return sorted(_APPS)
 
 
 def get_app(name: str) -> AppSpec:
-    """Look up a registered application by name."""
-    _ensure_registered()
+    """Look up a registered application by name.
+
+    A built-in is registered by importing its module alone; an unknown
+    name imports every built-in to list them, with a did-you-mean hint.
+    """
     if name not in _APPS:
-        raise KeyError(f"unknown app {name!r}; available: {available_apps()}")
+        _import_app_module(name)
+    if name not in _APPS:
+        raise KeyError(unknown_name("app", name, available_apps()))
     return _APPS[name]
 
 

@@ -583,12 +583,13 @@ def _worker_warmup() -> None:
     inject("worker.start")
     import numpy  # noqa: F401  (pre-faulted into the worker)
 
-    from .. import apps  # noqa: F401  (registers every app and schedule)
     from .compiled import precompile_kernels
+    from .registry import available_apps
 
-    # Pay the JIT cost here, not in the first timed launch: the apps
-    # import above registered every kernel declaration, and with numba
-    # absent this is a no-op.
+    # Pay the import and JIT costs here, not in the first timed shard:
+    # available_apps imports (and registers) every app and its kernel
+    # declarations; with numba absent precompiling is a no-op.
+    available_apps()
     precompile_kernels()
 
 

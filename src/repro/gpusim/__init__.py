@@ -14,6 +14,11 @@ multiprocessors.  Two execution paths are provided:
 
 :func:`repro.gpusim.cost_model.price` alone turns either path's cycles
 into warp/block/device time, so they agree by construction.
+
+Importing the package loads the device specs, the cost model, the SIMT
+interpreter and the block scheduler (every launch uses them); the
+multi-device planner and the profiling helpers load when one of their
+names is first read.
 """
 
 from .arch import (
@@ -28,15 +33,19 @@ from .arch import (
     get_spec,
 )
 from .cost_model import KernelStats, price
-from .multi_gpu import (
-    MultiGpuStats,
-    multi_gpu_plan,
-    partition_tiles,
-    transfer_overhead_cycles,
-)
-from .profiler import geomean
 from .simt import SimtError, ThreadCtx, launch_interpreted
 from .sm_scheduler import ScheduleOutcome, block_cycles_from_warps, schedule_blocks
+from .._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    ".multi_gpu": (
+        "MultiGpuStats",
+        "multi_gpu_plan",
+        "partition_tiles",
+        "transfer_overhead_cycles",
+    ),
+    ".profiler": ("geomean",),
+})
 
 __all__ = [
     "A100",

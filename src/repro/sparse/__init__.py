@@ -4,6 +4,10 @@ Implements the data substrate the paper's framework consumes: CSR/CSC/COO
 formats (Section 3.1 lists these as built-ins), MatrixMarket IO (the
 artifact's dataset format), and the synthetic SuiteSparse-like corpus used
 by the evaluation harness.
+
+Importing the package loads the formats and the corpus (every sweep
+reads both); the graph view, the sparse tensor and MatrixMarket IO load
+when one of their names is first read.
 """
 
 from .convert import (
@@ -27,9 +31,13 @@ from .corpus import (
 )
 from .csc import CscMatrix
 from .csr import CsrMatrix
-from .graph import CsrGraph, random_graph
-from .tensor import SparseTensor3, random_tensor
-from .mtx_io import MtxFormatError, read_mtx, write_mtx
+from .._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    ".graph": ("CsrGraph", "random_graph"),
+    ".tensor": ("SparseTensor3", "random_tensor"),
+    ".mtx_io": ("MtxFormatError", "read_mtx", "write_mtx"),
+})
 
 __all__ = [
     "CooMatrix",

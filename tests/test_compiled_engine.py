@@ -28,10 +28,10 @@ from repro.engine import (
     engine_description,
     get_engine,
     global_plan_cache,
-    precompile_kernels,
     run_app,
 )
 from repro.engine import compiled as compiled_mod
+from repro.engine.compiled import precompile_kernels
 from repro.engine.registry import available_apps, get_app
 from repro.gpusim.arch import TINY_GPU, V100
 from repro.sparse import generators as gen

@@ -140,7 +140,7 @@ class TestCrossEngineParity:
 
 class TestPlanCache:
     def test_cached_stats_identical_to_uncached(self, small_matrix):
-        from repro.apps import spmv
+        from repro.apps.spmv import spmv
 
         x = input_vector(small_matrix.num_cols)
         cached = VectorEngine(plan_cache=PlanCache())
@@ -154,7 +154,7 @@ class TestPlanCache:
         assert cached.plan_cache.hits == 1
 
     def test_replanning_skipped_on_hit(self, small_matrix, monkeypatch):
-        from repro.apps import spmv
+        from repro.apps.spmv import spmv
         from repro.core.schedules.merge_path import MergePathSchedule
 
         calls = {"n": 0}
@@ -176,7 +176,7 @@ class TestPlanCache:
         assert second.stats == first.stats
 
     def test_distinct_launches_get_distinct_entries(self, small_matrix):
-        from repro.apps import spmv
+        from repro.apps.spmv import spmv
 
         engine = VectorEngine(plan_cache=PlanCache())
         x = input_vector(small_matrix.num_cols)
@@ -214,7 +214,7 @@ class TestPlanCache:
     def test_schedule_instances_bypass_cache(self, small_matrix):
         """Instances not built by make_schedule have unknown options and
         plan live; make_schedule instances share the named entry."""
-        from repro.apps import spmv
+        from repro.apps.spmv import spmv
         from repro.core.schedules import MergePathSchedule
 
         engine = VectorEngine(plan_cache=PlanCache())

@@ -95,10 +95,15 @@ class TestPickling:
 
 
 def _entry_points():
-    from repro.apps import (
-        bfs, degree_histogram, pagerank, spgemm, spmm, spmttkrp, spmv, sssp,
-        triangle_count,
-    )
+    from repro.apps.bfs import bfs
+    from repro.apps.histogram import degree_histogram
+    from repro.apps.pagerank import pagerank
+    from repro.apps.spgemm import spgemm
+    from repro.apps.spmm import spmm
+    from repro.apps.spmttkrp import spmttkrp
+    from repro.apps.spmv import spmv
+    from repro.apps.sssp import sssp
+    from repro.apps.triangle_count import triangle_count
 
     return {
         fn.__name__: fn

@@ -33,6 +33,7 @@ from repro.engine import (
     get_app,
     run_app,
 )
+from repro.engine import dispatch
 from repro.engine.dispatch import EngineError, Runtime
 from repro.engine.multi_gpu import MultiGpuEngine
 from repro.gpusim.cost_model import KernelStats
@@ -171,6 +172,30 @@ def test_runtime_holds_one_entry_per_distinct_launch(monkeypatch):
         assert len(rt._distinct) <= distinct
         assert len(rt._by_sched) <= distinct
     assert sum(len(rt._distinct) for rt in runtimes) == 156
+
+
+def test_colliding_offset_hashes_stay_distinct_launches(monkeypatch):
+    """A distinct launch is keyed on a hash of its work offsets and each
+    hit is confirmed against the offsets themselves: with every hash
+    forced equal, launches whose offsets differ stay distinct, an equal
+    copy still hits, and the bfs sweep keeps its 156 distinct launches
+    and its rows."""
+    expected = run_suite(FIVE_KERNELS, app="bfs",
+                         datasets=expand_datasets("bfs", scale="smoke"))
+    monkeypatch.setattr(dispatch, "_offsets_hash", lambda offsets: 0)
+
+    rt = Runtime(policy=as_policy("thread_mapped"))
+    first = rt.schedule_for(WorkSpec.from_offsets([0, 1, 3]))
+    second = rt.schedule_for(WorkSpec.from_offsets([0, 2, 3]))
+    assert len(rt._distinct) == 2 and second is not first
+    assert rt.schedule_for(WorkSpec.from_offsets([0, 1, 3])) is first
+    assert len(rt._distinct) == 2
+
+    runtimes = _kept_runtimes(monkeypatch)
+    rows = run_suite(FIVE_KERNELS, app="bfs",
+                     datasets=expand_datasets("bfs", scale="smoke"))
+    assert sum(len(rt._distinct) for rt in runtimes) == 156
+    assert rows == expected
 
 
 def test_multi_gpu_sweep_prices_each_distinct_launch_once_per_kernel(monkeypatch):

@@ -10,7 +10,6 @@ from repro.engine import (
     Engine,
     ExecutionContext,
     KernelDecl,
-    MultiGpuEngine,
     PlanCache,
     available_engines,
     get_engine,
@@ -18,6 +17,7 @@ from repro.engine import (
     run_app,
     get_app,
 )
+from repro.engine.multi_gpu import MultiGpuEngine
 from repro.gpusim.arch import TINY_GPU, V100
 from repro.sparse import generators as gen
 

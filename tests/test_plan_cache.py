@@ -183,7 +183,7 @@ def test_fresh_process_starts_cold_and_writes_nothing(tmp_path):
     env["REPRO_PLAN_STORE"] = str(tmp_path / "plans.journal")
     env["REPRO_PLAN_STORE_COMPACT_RATIO"] = "2"
     code = (
-        "from repro.apps import spmv\n"
+        "from repro.apps.spmv import spmv\n"
         "from repro.engine import global_plan_cache, input_vector\n"
         "from repro.sparse import generators as gen\n"
         "cache = global_plan_cache()\n"

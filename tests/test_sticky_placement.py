@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import SweepExecutor, home_slot
+from repro.engine import SweepExecutor
+from repro.engine.worker_pool import home_slot
 from repro.evaluation.harness import run_suite
 
 KERNELS = ["merge_path", "thread_mapped"]
